@@ -25,6 +25,7 @@ import time
 
 import numpy as np
 
+from .config import TOL
 from .costs import HamiltonianRayleighCost, InvariantSubspaceCost, RayleighCost
 from .decomp import qr_positive, sym_eig
 from .errors import (
@@ -34,7 +35,7 @@ from .errors import (
     InsufficientData,
     ProjNewtonError,
 )
-from .grassmann import OrthoFrame, distance
+from .grassmann import _oriented_frame, distance
 from .lagrange import sympl_form, symplectic_frame_from_basis
 from .newton import (
     NewtonConfig,
@@ -45,8 +46,6 @@ from .newton import (
     run_newton,
 )
 from .suites import DEFAULT_SIZES, run_all_suites
-
-INPUT_SYMMETRY_TOL = 1e-8
 
 _STATUS_EXIT = {
     Status.CONVERGED: 0,
@@ -91,7 +90,7 @@ def _require_square(mat, what="matrix"):
 
 def _require_symmetric_input(mat):
     scale = max(1.0, np.abs(mat).max())
-    if np.abs(mat - mat.T).max() > INPUT_SYMMETRY_TOL * scale:
+    if np.abs(mat - mat.T).max() > TOL.input_symmetry * scale:
         raise InputNotSymmetric("input matrix is not symmetric")
     return 0.5 * (mat + mat.T)
 
@@ -102,7 +101,7 @@ def _require_hamiltonian_input(mat):
         raise InputNotHamiltonianSymmetric("input dimension must be even (2n)")
     j = sympl_form(mat.shape[0] // 2)
     scale = max(1.0, np.abs(mat).max())
-    if np.abs(j @ mat @ j - mat).max() > INPUT_SYMMETRY_TOL * scale:
+    if np.abs(j @ mat @ j - mat).max() > TOL.input_symmetry * scale:
         raise InputNotHamiltonianSymmetric(
             "input lacks the symmetric-Hamiltonian block structure [[S, T], [T, -S]]"
         )
@@ -116,20 +115,13 @@ def _frame_from_start_file(path, n, m):
             f"start basis must be {n}x{m} to match the problem, got {basis.shape}"
         )
     q, _ = qr_positive(basis)
-    if np.linalg.det(q) < 0:
-        q = q.copy()
-        q[:, -1] = -q[:, -1]
-    return OrthoFrame(q.T, m)
+    return _oriented_frame(q.T, m)
 
 
 def _dominant_frame(a, m):
     """Frame whose leading rows span the dominant m-dim eigenspace of A."""
     _, vectors = sym_eig(a)
-    theta = vectors.T
-    if np.linalg.det(theta) < 0:
-        theta = theta.copy()
-        theta[-1] = -theta[-1]
-    return OrthoFrame(theta, m)
+    return _oriented_frame(vectors.T, m)
 
 
 def _dominant_lag_frame(h):
@@ -218,7 +210,6 @@ def _run_report(command, args, cost, start_frame, reference, method, extra_fn):
             nu=args.nu,
             max_iters=args.max_iters,
             grad_tol=args.tol,
-            seed=args.seed,
         )
     except ValueError as exc:
         raise ProjNewtonError(str(exc)) from exc
@@ -291,7 +282,7 @@ def _cmd_rayleigh_lg(args):
         q, _ = qr_positive(basis)
         u = q[:, :n]
         j = sympl_form(n)
-        if np.abs(u.T @ j @ u).max() > INPUT_SYMMETRY_TOL:
+        if np.abs(u.T @ j @ u).max() > TOL.input_symmetry:
             raise ProjNewtonError("start basis does not span a Lagrangian subspace")
         base = symplectic_frame_from_basis(u)
     start = _select_start(args, base, natural, perturb_lag_frame)

@@ -15,14 +15,12 @@ from dataclasses import dataclass
 class Tolerances:
     # relative symmetry / skewness defect of matrix inputs
     symmetry: float = 1e-12
-    # ||Q^T Q - I|| for freshly computed orthogonal factors
-    qr_orthogonality: float = 1e-12
-    # relative factorization residuals (QR reconstruction, Cholesky)
-    reconstruction: float = 1e-12
-    # relative pivot floor below which a triangular factor counts as singular
+    # relative symmetry / Hamiltonian-structure defect of CLI input files,
+    # and the PJP defect of a Lagrangian start basis
+    input_symmetry: float = 1e-8
+    # relative floor below which a QR diagonal entry, or the reciprocal
+    # condition number of a dense operator, counts as singular
     pivot: float = 1e-12
-    # relative eigen-residual ||S V - V diag(w)||
-    eig_residual: float = 1e-10
     # projector defects: ||P^2 - P||, |tr P - m|
     projector: float = 1e-10
     # ||Theta^T Theta - I|| of a frame accepted as orthogonal

@@ -1,20 +1,21 @@
 """Dense linear-algebra kernels with the exact conventions the geometry needs.
 
-The QR factorization fixes positive diagonal entries of R (which makes the
-factorization unique and the Q-factor a smooth function of the input), the
-Cholesky factor is returned in upper-triangular form R with R^T R = S, the
-symmetric eigensolver orders eigenvalues descending with an orthogonal
-eigenvector matrix, and the paired-skew exponential evaluates
+LAPACK (through ``numpy.linalg``) does the factorizations; these wrappers
+fix the conventions on top.  The QR factorization has positive diagonal
+entries of R (which makes the factorization unique and the Q-factor a
+smooth function of the input), the Cholesky factor is returned in
+upper-triangular form R with R^T R = S, the symmetric eigensolver orders
+eigenvalues descending with an orthogonal eigenvector matrix, and the
+paired-skew exponential evaluates
 
     exp([[0, Z], [-Z^T, 0]])
 
-in closed form through the SVD of Z.  All kernels are pure functions of
-ndarray values and are safe to call concurrently.
+in closed form through the SVD of Z.  LAPACK failures surface as the
+library's own error types.  All kernels are pure functions of ndarray
+values and are safe to call concurrently.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -32,10 +33,8 @@ __all__ = [
     "cholesky_upper",
     "sym_eig",
     "exp_skew_pair",
-    "expm_series",
     "symmetrize",
     "require_symmetric",
-    "require_skew",
 ]
 
 
@@ -57,23 +56,10 @@ def require_symmetric(mat, tol=None, what="matrix"):
     return symmetrize(mat)
 
 
-def require_skew(mat, tol=None, what="matrix"):
-    """Validate the relative skew-symmetry defect."""
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DimensionMismatch(f"{what} must be square, got shape {mat.shape}")
-    scale = max(1.0, np.abs(mat).max())
-    tol = TOL.symmetry if tol is None else tol
-    defect = np.abs(mat + mat.T).max()
-    if defect > tol * scale:
-        raise NotSymmetric(f"{what} skewness defect {defect:.3e} exceeds {tol:.1e} relative")
-    return 0.5 * (mat - mat.T)
-
-
 def qr_positive(mat):
     """QR factorization with positive diagonal of R.
 
-    Householder reflections followed by a diagonal sign fix; the sign fix
+    LAPACK's Householder QR followed by a diagonal sign fix; the sign fix
     delivers the unique factorization with diag(R) > 0 while keeping the
     numerical robustness of Householder over Gram-Schmidt.
 
@@ -100,34 +86,16 @@ def qr_positive(mat):
     if a.ndim != 2 or a.shape[0] < a.shape[1]:
         raise DimensionMismatch(f"qr_positive expects a square or tall matrix, got {a.shape}")
     n, m = a.shape
-    r = a.copy()
-    q = np.eye(n)
-    for j in range(min(m, n - 1)):
-        x = r[j:, j]
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            continue
-        alpha = -math.copysign(nx, x[0]) if x[0] != 0.0 else -nx
-        v = x.copy()
-        v[0] -= alpha
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            continue
-        v /= nv
-        r[j:, j:] -= 2.0 * np.outer(v, v @ r[j:, j:])
-        q[:, j:] -= 2.0 * np.outer(q[:, j:] @ v, v)
+    q, r = np.linalg.qr(a, mode="complete")
     scale = max(np.linalg.norm(a), np.finfo(float).tiny)
-    diag = np.diag(r)[:m].copy()
+    diag = np.diag(r)
     if np.any(np.abs(diag) <= TOL.pivot * scale):
         raise SingularInput(
             f"rank deficiency detected: |R[i,i]| <= {TOL.pivot:.1e} * ||M||"
         )
     signs = np.ones(n)
     signs[:m] = np.sign(diag)
-    q = q * signs
-    r = (r.T * signs).T
-    r = np.triu(r)
-    return q, r
+    return q * signs, (r.T * signs).T
 
 
 def cholesky_upper(mat):
@@ -140,28 +108,17 @@ def cholesky_upper(mat):
     Raises
     ------
     NotPositiveDefinite
-        If a pivot is non-positive.
+        If LAPACK meets a non-positive pivot.
     """
     s = require_symmetric(mat, what="cholesky input")
-    n = s.shape[0]
-    r = np.zeros_like(s)
-    for i in range(n):
-        pivot = s[i, i] - r[:i, i] @ r[:i, i]
-        if pivot <= 0.0 or not np.isfinite(pivot):
-            raise NotPositiveDefinite(f"pivot {pivot:.3e} at index {i}")
-        r[i, i] = math.sqrt(pivot)
-        if i + 1 < n:
-            r[i, i + 1:] = (s[i, i + 1:] - r[:i, i] @ r[:i, i + 1:]) / r[i, i]
-    return r
+    try:
+        return np.linalg.cholesky(s).T
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"cholesky input is not positive definite: {exc}") from exc
 
 
-def sym_eig(mat, max_sweeps=64):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Threshold sweeps in the classical style: during the first few sweeps
-    only rotations above a shrinking off-diagonal threshold are applied,
-    afterwards every non-negligible off-diagonal entry is annihilated.
-    The eigenvector matrix is orthogonal by construction.
+def sym_eig(mat):
+    """Eigendecomposition of a symmetric matrix (LAPACK ``eigh``).
 
     Returns
     -------
@@ -171,64 +128,14 @@ def sym_eig(mat, max_sweeps=64):
     Raises
     ------
     ConvergenceFailure
-        If the sweep budget is exhausted before the off-diagonal norm
-        reaches round-off level.
+        If the LAPACK eigensolver does not converge.
     """
     a = require_symmetric(mat, what="sym_eig input")
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), v
-    scale = max(np.linalg.norm(a), np.finfo(float).tiny)
-    off_tol = 1e-15 * scale
-
-    def _off_norm(b):
-        # summed directly over the strict triangle; the textbook
-        # ||B||^2 - ||diag||^2 form cancels catastrophically near convergence
-        return math.sqrt(2.0 * np.sum(np.triu(b, 1) ** 2))
-
-    converged = False
-    for sweep in range(max_sweeps):
-        off = _off_norm(a)
-        if off <= off_tol:
-            converged = True
-            break
-        thresh = 0.2 * off / (n * n) if sweep < 4 else 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= thresh or apq == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-    if not converged:
-        off = _off_norm(a)
-        if off > off_tol:
-            raise ConvergenceFailure(
-                f"Jacobi sweeps exhausted, off-diagonal norm {off:.3e}"
-            )
-    values = np.diag(a).copy()
-    order = np.argsort(values)[::-1]
-    return values[order], v[:, order]
+    try:
+        values, vectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"symmetric eigensolver did not converge: {exc}") from exc
+    return values[::-1], vectors[:, ::-1]
 
 
 def exp_skew_pair(z):
@@ -257,33 +164,4 @@ def exp_skew_pair(z):
     out[:m, m:] = upper
     out[m:, :m] = -upper.T
     out[m:, m:] = cos_k
-    return out
-
-
-def expm_series(mat, max_terms=64):
-    """Generic matrix exponential by scaling-and-squaring with a Taylor tail.
-
-    The input is halved until its 1-norm is at most 0.5, the series is
-    summed to round-off, then the result is squared back up.  Used for the
-    full-size orthogonal-symplectic generators where no paired-block closed
-    form applies.
-    """
-    a = np.asarray(mat, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expm_series expects a square matrix, got {a.shape}")
-    nrm = np.linalg.norm(a, 1)
-    squarings = 0 if nrm <= 0.5 else int(math.ceil(math.log2(nrm / 0.5)))
-    b = a / (2.0 ** squarings)
-    n = a.shape[0]
-    out = np.eye(n)
-    term = np.eye(n)
-    for kk in range(1, max_terms + 1):
-        term = term @ b / kk
-        out = out + term
-        if np.linalg.norm(term, 1) <= np.finfo(float).eps * np.linalg.norm(out, 1):
-            break
-    else:
-        raise ConvergenceFailure("exponential series did not reach round-off")
-    for _ in range(squarings):
-        out = out @ out
     return out

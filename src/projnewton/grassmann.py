@@ -181,11 +181,17 @@ def random_projector(n, m, seed):
     rng = np.random.default_rng(seed)
     gauss = rng.standard_normal((n, n))
     q, _ = qr_positive(gauss)
-    if np.linalg.det(q) < 0:
-        q = q.copy()
-        q[:, -1] = -q[:, -1]
-    frame = OrthoFrame(q.T, m)
+    frame = _oriented_frame(q.T, m)
     return frame.projector(), frame
+
+
+def _oriented_frame(theta, rank) -> OrthoFrame:
+    """Frame with rows ``theta``, the last row negated if det(Theta) < 0;
+    the leading ``rank`` rows, and so the projector, stay as they are."""
+    if np.linalg.det(theta) < 0:
+        theta = theta.copy()
+        theta[-1] = -theta[-1]
+    return OrthoFrame(theta, rank)
 
 
 def frame_from_projector(p: Projector) -> OrthoFrame:
@@ -197,11 +203,7 @@ def frame_from_projector(p: Projector) -> OrthoFrame:
     if not isinstance(p, Projector):
         p = Projector.from_matrix(p)
     _, vectors = sym_eig(p.mat)
-    theta = vectors.T
-    if np.linalg.det(theta) < 0:
-        theta = theta.copy()
-        theta[-1] = -theta[-1]
-    frame = OrthoFrame(theta, p.rank)
+    frame = _oriented_frame(vectors.T, p.rank)
     defect = np.abs(frame.projector().mat - p.mat).max()
     if defect > TOL.frame_reconstruction:
         raise NotAProjector(f"frame reconstruction defect {defect:.3e}")
@@ -248,18 +250,18 @@ def geodesic(p0: Projector, xi0, t: float, frame: OrthoFrame | None = None) -> P
 
 
 def _subspace_trig(p: Projector, q: Projector):
-    """Cosines and sines of the principal angles between range(P), range(Q)."""
+    """Cosines and sines of the principal angles between range(P), range(Q).
+
+    With U_q an orthonormal basis of range(Q), the cosines are the singular
+    values of P U_q and the sines those of (I - P) U_q, so only Q needs an
+    eigendecomposition.
+    """
     if p.mat.shape != q.mat.shape or p.rank != q.rank:
         raise DimensionMismatch("projectors live on different Grassmannians")
-    fp = frame_from_projector(p)
-    uq = frame_from_projector(q).basis()
-    m = p.rank
-    cos = np.clip(np.linalg.svd(fp.theta[:m] @ uq, compute_uv=False), 0.0, 1.0)
-    sin = np.clip(np.linalg.svd(fp.theta[m:] @ uq, compute_uv=False), 0.0, 1.0)
-    if sin.size < m:
-        # 2m > n: the subspaces intersect in >= 2m - n directions whose
-        # principal angles (and sines) are exactly zero
-        sin = np.concatenate([np.zeros(m - sin.size), sin])
+    uq = sym_eig(q.mat)[1][:, : q.rank]
+    puq = p.mat @ uq
+    cos = np.clip(np.linalg.svd(puq, compute_uv=False), 0.0, 1.0)
+    sin = np.clip(np.linalg.svd(uq - puq, compute_uv=False), 0.0, 1.0)
     return np.sort(cos)[::-1], np.sort(sin)
 
 

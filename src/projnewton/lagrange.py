@@ -15,13 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import TOL
-from .decomp import (
-    cholesky_upper,
-    expm_series,
-    require_symmetric,
-    sym_eig,
-    symmetrize,
-)
+from .decomp import cholesky_upper, require_symmetric, sym_eig, symmetrize
 from .errors import DimensionMismatch, NotAProjector
 from .grassmann import Projector, ad_squared
 
@@ -143,15 +137,15 @@ def lg_tangent_project(p: LagProjector, x) -> np.ndarray:
 
 
 def random_lag_projector(n, seed):
-    """Seeded random Lagrangian point via the exponential of a random
-    orthogonal-symplectic generator [[X, -Y], [Y, X]], X skew, Y symmetric."""
+    """Seeded random Lagrangian point from the orthogonal-symplectic frame
+    [[X, -Y], [Y, X]] of a random unitary X + iY: the Q-factor, with its
+    phases fixed, of the complex QR of a Gaussian matrix."""
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, n))
-    x = 0.5 * (x - x.T)
-    y = rng.standard_normal((n, n))
-    y = 0.5 * (y + y.T)
-    gen = np.block([[x, -y], [y, x]])
-    frame = SymplecticFrame(expm_series(gen))
+    gauss = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    u, r = np.linalg.qr(gauss)
+    u = u * (np.diag(r) / np.abs(np.diag(r)))
+    x, y = u.real, u.imag
+    frame = SymplecticFrame(np.block([[x, -y], [y, x]]))
     return frame.projector(), frame
 
 

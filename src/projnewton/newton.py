@@ -93,7 +93,6 @@ class NewtonConfig:
     max_iters: int = 50
     grad_tol: float = 1e-12
     step_tol: float = 1e-15
-    seed: int = 0
 
     def __post_init__(self):
         if self.mu not in CHART_NAMES or self.nu not in CHART_NAMES:

@@ -6,7 +6,8 @@ diagnostics for free.  The four-term matrix equation of the invariant-
 subspace Newton step is solved either densely (Kronecker assembly on the
 m(n-m)-dimensional parameter space) or by the alternating-Sylvester
 recursion; the recursion carries an explicit no-convergence outcome since
-no general guarantee exists for it.
+no general guarantee exists for it.  Dense systems go to LAPACK through
+``solve_dense``, which adds the library's relative singularity floor.
 """
 
 from __future__ import annotations
@@ -105,20 +106,11 @@ def solve_lyapunov(a11, c):
     return symmetrize(z)
 
 
-def _vec_transpose_perm(m, k):
-    """Permutation T with vec_r(Z^T) = T vec_r(Z) for Z of shape (m, k)."""
-    t = np.zeros((m * k, m * k))
-    for i in range(m):
-        for j in range(k):
-            t[j * m + i, i * k + j] = 1.0
-    return t
-
-
 def invariant_newton_operator(a11, a12, a21, a22):
     """Dense operator of the invariant-subspace Newton equation on vec(Z).
 
     Row-major vectorization; assembled from Kronecker identities
-    vec(A Z B) = (A kron B^T) vec(Z) and the transpose permutation for the
+    vec(A Z B) = (A kron B^T) vec(Z) and a column permutation for the
     Z^T terms.  The equation reads
 
         A11 (A11^T Z - Z A22^T) - (A11^T Z - Z A22^T) A22
@@ -134,9 +126,11 @@ def invariant_newton_operator(a11, a12, a21, a22):
     op += np.kron(im, a22.T @ a22)
     op -= np.kron(a21.T @ a21, ik)
     op -= np.kron(im, a21 @ a21.T)
-    perm = _vec_transpose_perm(m, k)
-    op -= np.kron(a21.T, a12.T) @ perm
-    op -= np.kron(a12, a21) @ perm
+    # the Z^T terms act on vec_r(Z^T), whose entry j*m + i is Z[i, j],
+    # entry i*k + j of vec_r(Z)
+    perm = np.arange(m * k).reshape(k, m).T.reshape(-1)
+    op -= np.kron(a21.T, a12.T)[:, perm]
+    op -= np.kron(a12, a21)[:, perm]
     return op
 
 
@@ -171,10 +165,7 @@ def solve_invariant_newton_direct(a11, a12, a21, a22):
     if np.linalg.norm(op, 1) <= TOL.pivot * data_scale:
         raise SingularOperator("Newton operator vanished at the data scale")
     sol = solve_dense(op, rhs)
-    inv_cols = np.column_stack(
-        [solve_dense(op, col) for col in np.eye(op.shape[0]).T]
-    )
-    cond = data_scale * np.linalg.norm(inv_cols, 1)
+    cond = data_scale * np.linalg.norm(np.linalg.inv(op), 1)
     if cond > TOL.condition_limit:
         raise SingularOperator(
             f"Newton operator condition estimate {cond:.3e} exceeds limit"
@@ -239,36 +230,29 @@ def _min_singular_estimate(op):
 
 
 def solve_dense(h, g):
-    """Solve H x = g by Gaussian elimination with partial pivoting.
+    """Solve H x = g through LAPACK's LU-based inverse of H.
 
     Raises
     ------
     SingularOperator
-        If a pivot falls below the relative floor; signals a degenerate
-        Newton system.
+        If H is exactly singular, or its condition number
+        ||H||_1 ||H^-1||_1 reaches 1 / ``TOL.pivot`` (the relative
+        singularity floor); signals a degenerate Newton system.
     """
-    a = np.asarray(h, dtype=float).copy()
-    b = np.asarray(g, dtype=float).copy()
+    a = np.asarray(h, dtype=float)
+    b = np.asarray(g, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"operator must be square, got {a.shape}")
     d = a.shape[0]
     if b.shape != (d,):
         raise DimensionMismatch(f"right-hand side must have shape ({d},)")
-    scale = max(np.abs(a).max(), np.finfo(float).tiny)
-    for col in range(d):
-        pivot_row = col + int(np.argmax(np.abs(a[col:, col])))
-        pivot = a[pivot_row, col]
-        if abs(pivot) <= TOL.pivot * scale:
-            raise SingularOperator(
-                f"pivot {abs(pivot):.3e} below {TOL.pivot:.1e} * ||H||"
-            )
-        if pivot_row != col:
-            a[[col, pivot_row]] = a[[pivot_row, col]]
-            b[[col, pivot_row]] = b[[pivot_row, col]]
-        factors = a[col + 1:, col] / a[col, col]
-        a[col + 1:, col:] -= np.outer(factors, a[col, col:])
-        b[col + 1:] -= factors * b[col]
-    x = np.zeros(d)
-    for row in range(d - 1, -1, -1):
-        x[row] = (b[row] - a[row, row + 1:] @ x[row + 1:]) / a[row, row]
-    return x
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise SingularOperator(f"operator is singular: {exc}") from exc
+    cond = np.linalg.norm(a, 1) * np.linalg.norm(inv, 1)
+    if cond * TOL.pivot >= 1.0:
+        raise SingularOperator(
+            f"condition number {cond:.3e} reaches 1 / {TOL.pivot:.1e}"
+        )
+    return inv @ b

@@ -64,13 +64,6 @@ class TestRayleighGr:
         assert rows[0]["iter"] == 0
         assert {"iter", "cost", "grad_norm", "step_norm", "distance"} <= set(rows[0])
 
-    def test_byte_identical_reports(self, tmp_path):
-        path = _write_matrix(tmp_path / "a.txt", np.diag([4.0, 3.0, 2.0, 1.0]))
-        out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        assert main(["rayleigh-gr", path, "--m", "2", "--seed", "3", "--out", str(out1)]) == 0
-        assert main(["rayleigh-gr", path, "--m", "2", "--seed", "3", "--out", str(out2)]) == 0
-        assert _strip_elapsed(out1.read_text()) == _strip_elapsed(out2.read_text())
-
     def test_bad_rank_exit_code(self, tmp_path, capsys):
         path = _write_matrix(tmp_path / "a.txt", np.diag([1.0, 2.0]))
         assert main(["rayleigh-gr", path, "--m", "0"]) == 1
@@ -120,7 +113,8 @@ class TestRayleighGr:
 
 
 class TestRayleighLg:
-    def _hamiltonian(self, n, seed):
+    @staticmethod
+    def _hamiltonian(n, seed):
         rng = np.random.default_rng(seed)
         s = rng.standard_normal((n, n))
         s = 0.5 * (s + s.T)
@@ -149,7 +143,8 @@ class TestRayleighLg:
 
 
 class TestInvariant:
-    def _constructed(self, tmp_path, seed=13):
+    @staticmethod
+    def _constructed(tmp_path, seed=13):
         rng = np.random.default_rng(seed)
         b1 = rng.standard_normal((2, 2)) + 3.0 * np.eye(2)
         b2 = rng.standard_normal((2, 2)) - 1.0 * np.eye(2)
@@ -202,6 +197,29 @@ class TestInvariant:
         assert abs(outs[0]["frobenius_norm"] - outs[1]["frobenius_norm"]) <= 1e-6
         assert outs[0]["extra_residuals"]["invariance_residual"] <= 1e-10
         assert outs[1]["extra_residuals"]["invariance_residual"] <= 1e-10
+
+
+def _report_argv(tmp_path, case):
+    if case == "rayleigh-gr":
+        path = _write_matrix(tmp_path / "a.txt", np.diag([4.0, 3.0, 2.0, 1.0]))
+        return ["rayleigh-gr", path, "--m", "2"]
+    if case == "rayleigh-lg":
+        path = _write_matrix(tmp_path / "h.txt", TestRayleighLg._hamiltonian(3, 1))
+        return ["rayleigh-lg", path]
+    path, start, _ = TestInvariant._constructed(tmp_path)
+    return ["invariant", path, "--m", "2", "--start", start, "--perturb", "0.05",
+            "--solver", "recursive"]
+
+
+# the non-diagonal inputs make the start frame depend on the signs LAPACK
+# gives eigenvectors and QR factors, which must be the same on every run
+@pytest.mark.parametrize("case", ["rayleigh-gr", "rayleigh-lg", "invariant-recursive"])
+def test_byte_identical_reports(tmp_path, case):
+    argv = _report_argv(tmp_path, case) + ["--seed", "3"]
+    out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    assert main(argv + ["--out", str(out1)]) == 0
+    assert main(argv + ["--out", str(out2)]) == 0
+    assert _strip_elapsed(out1.read_text()) == _strip_elapsed(out2.read_text())
 
 
 class TestCheck:

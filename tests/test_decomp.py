@@ -1,18 +1,13 @@
-"""Kernel tests: factorization conventions checked against library oracles
-(numpy.linalg / scipy.linalg are used only as independent references)."""
+"""Kernel tests: the conventions the LAPACK wrappers add (positive QR
+diagonal, upper Cholesky factor, descending eigenvalues, error types),
+checked against numpy.linalg / scipy.linalg references."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from projnewton.decomp import (
-    cholesky_upper,
-    exp_skew_pair,
-    expm_series,
-    qr_positive,
-    sym_eig,
-)
+from projnewton.decomp import cholesky_upper, exp_skew_pair, qr_positive, sym_eig
 from projnewton.errors import NotPositiveDefinite, NotSymmetric, SingularInput
 
 
@@ -128,7 +123,6 @@ class TestExpSkewPair:
         block[:2, 2:] = z
         block[2:, :2] = -z.T
         assert np.abs(exp_skew_pair(z) - scipy.linalg.expm(block)).max() <= 1e-10
-        assert np.abs(exp_skew_pair(z) - expm_series(block)).max() <= 1e-10
 
     def test_special_orthogonal(self, rng):
         for seed in range(6):
@@ -171,15 +165,3 @@ class TestQrCholeskyRoundTrip:
             assert np.abs(q - xq).max() <= 1e-10
             assert np.abs(r - xr).max() <= 1e-10
             assert abs(np.linalg.det(q) - 1.0) <= 1e-10
-
-
-class TestExpmSeries:
-    def test_against_scipy(self, rng):
-        for scale in (0.1, 1.0, 7.0):
-            a = scale * rng.standard_normal((5, 5))
-            assert np.abs(expm_series(a) - scipy.linalg.expm(a)).max() <= 1e-10 * max(
-                1.0, np.linalg.norm(scipy.linalg.expm(a))
-            )
-
-    def test_identity(self):
-        assert_allclose(expm_series(np.zeros((3, 3))), np.eye(3), atol=1e-15)

@@ -181,9 +181,16 @@ class TestSolveDense:
         g = rng.standard_normal(4)
         assert_allclose(solve_dense(np.eye(4), g), g, atol=1e-14)
 
-    def test_singular(self):
+    @pytest.mark.parametrize("h", [
+        np.ones((3, 3)),
+        np.diag([1.0, 1e-13]),
+        np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]]),
+    ], ids=["ones", "tiny-pivot", "near-rank-one"])
+    def test_singular(self, h):
+        # a bare LAPACK solve returns finite answers for the last two; the
+        # relative floor must still flag them
         with pytest.raises(SingularOperator):
-            solve_dense(np.ones((3, 3)), np.ones(3))
+            solve_dense(h, np.ones(h.shape[0]))
 
     def test_spd_residual(self, rng):
         a = rng.standard_normal((8, 8))
