@@ -1,7 +1,7 @@
 """Newton's method on Grassmann and Lagrange-Grassmann manifolds of
 symmetric projection matrices: geometry, charts, matrix-equation solvers,
-the two-chart Newton engine, and specialized eigenspace/invariant-subspace
-algorithms."""
+and one two-chart Newton engine in which each cost solves its own Newton
+equation (eigenspaces, Lagrangian eigenspaces, invariant subspaces)."""
 
 from .config import TOL, Tolerances
 from .costs import (
@@ -47,11 +47,8 @@ from .newton import (
     NewtonTrace,
     QuadraticRateEstimate,
     Status,
-    algorithm1_step,
-    algorithm2_step,
-    algorithm3_step,
     estimate_quadratic_rate,
-    newton_step_generic,
+    newton_step,
     perturb_frame,
     perturb_lag_frame,
     rate_from_trace,

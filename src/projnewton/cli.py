@@ -259,18 +259,15 @@ def _cmd_rayleigh_gr(args):
 
         start = random_projector(n, args.m, args.seed)[1]
     reference = natural.projector()
-    method = "rayleigh-gr" if (args.mu, args.nu) == ("exp", "qr") else "generic"
 
     def extras(trace, final_projector):
         return {"distance_to_dominant": distance(final_projector, reference)}
 
-    return _run_report("rayleigh-gr", args, cost, start, reference, method, extras)
+    return _run_report("rayleigh-gr", args, cost, start, reference, "rayleigh-gr", extras)
 
 
 def _cmd_rayleigh_lg(args):
     h = _require_hamiltonian_input(_require_square(load_matrix(args.matrix)))
-    if (args.mu, args.nu) != ("exp", "qr"):
-        raise ProjNewtonError("rayleigh-lg supports only the default chart pair exp/qr")
     n = h.shape[0] // 2
     cost = HamiltonianRayleighCost(h)
     natural = _dominant_lag_frame(h)
@@ -316,12 +313,6 @@ def _cmd_invariant(args):
         from .grassmann import random_projector
 
         start = random_projector(n, args.m, args.seed)[1]
-    if (args.mu, args.nu) == ("exp", "qr"):
-        method = f"invariant-{args.solver}"
-    elif args.solver != "direct":
-        raise ProjNewtonError("--solver recursive requires the default chart pair")
-    else:
-        method = "generic"
 
     def extras(trace, final_projector):
         residuals = trace.extras.get("invariance_residuals", [])
@@ -329,7 +320,7 @@ def _cmd_invariant(args):
         final_res = float(np.linalg.norm((np.eye(n) - p) @ a @ p))
         return {"invariance_residual": final_res, "invariance_history": residuals}
 
-    return _run_report("invariant", args, cost, start, None, method, extras)
+    return _run_report("invariant", args, cost, start, None, f"invariant-{args.solver}", extras)
 
 
 def _cmd_check(args):

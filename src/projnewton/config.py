@@ -36,8 +36,6 @@ class Tolerances:
     # central finite-difference step sizes (first / second derivatives)
     fd_step_first: float = 1e-4
     fd_step_second: float = 1e-3
-    # frames are re-orthogonalized after this many accumulated factor products
-    reorth_interval: int = 20
 
 
 TOL = Tolerances()

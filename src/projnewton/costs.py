@@ -1,9 +1,8 @@
 """Cost functions and their Riemannian gradients/Hessians on both manifolds.
 
 A cost is described by its ambient data on symmetric matrices: a value, a
-gradient, and the Hessian as an action (operator form) -- the Newton engine
-only ever needs applications.  The Riemannian quantities are assembled from
-the ambient ones with the tangent projections:
+gradient, and the Hessian as an action (operator form).  The Riemannian
+quantities are assembled from the ambient ones with the tangent projections:
 
     Grassmann:  grad = [P, [P, grad_F]]
                 Hess(xi) = [P, [P, Hess_F(xi)]] - [P, [grad_F, xi]]
@@ -11,6 +10,13 @@ the ambient ones with the tangent projections:
                 Hess(xi) = pi(Hess_F(xi)) - pi([P, [grad_F, xi]])
 
 with pi(X) = (1/2)[P, [P, J X J + X]] on the Lagrange Grassmannian.
+
+Each cost also solves its own Newton equation in frame coordinates
+(``newton_solve``), from the blocks of B = Theta A Theta^T: a Sylvester
+equation for tr(A P) (Algorithm 1), a Lyapunov equation for tr(H P) on the
+Lagrange Grassmannian (Algorithm 2), the four-term equation for the
+invariant-subspace cost (Algorithm 3).  Any other cost falls back to the
+dense Riemannian Newton equation assembled from its ambient data.
 """
 
 from __future__ import annotations
@@ -22,8 +28,15 @@ import numpy as np
 from .config import TOL
 from .decomp import require_symmetric, symmetrize
 from .errors import DimensionMismatch, NotSymmetric
-from .grassmann import GrTangent, Projector, ad_squared, commutator
-from .lagrange import LagProjector, lg_tangent_project, sympl_form
+from .grassmann import GrTangent, OrthoFrame, Projector, ad_squared, commutator
+from .lagrange import LagProjector, SymplecticFrame, lg_tangent_project, sympl_form
+from .solvers import (
+    solve_dense,
+    solve_invariant_newton_direct,
+    solve_invariant_newton_recursive,
+    solve_lyapunov,
+    solve_sylvester,
+)
 
 __all__ = [
     "CostFunction",
@@ -39,7 +52,8 @@ __all__ = [
 
 
 class CostFunction:
-    """Base interface: ambient value, gradient and Hessian action."""
+    """Base interface: ambient value, gradient and Hessian action, and the
+    Newton solve in frame coordinates."""
 
     def value(self, p):
         raise NotImplementedError
@@ -49,6 +63,35 @@ class CostFunction:
 
     def ambient_hessian_apply(self, p, xi):
         raise NotImplementedError
+
+    def newton_solve(self, frame, solver="direct"):
+        """Newton tangent parameter Z at ``frame``: Hess(Z) = -grad in frame
+        coordinates (Absil, Mahony & Sepulchre 2008, ch. 6).
+
+        With G = Theta grad_F Theta^T, the gradient is G12 and the Hessian
+        maps Z to (Theta Hess_F(xi) Theta^T)_12 - (G11 Z - Z G22), where
+        xi = Theta^T [[0, Z], [Z^T, 0]] Theta.  Its d x d matrix, d = m(n-m),
+        is assembled column by column and solved densely; ``solver`` is
+        unused.  Grassmann frames only.
+        """
+        if isinstance(frame, SymplecticFrame):
+            raise ValueError("the dense Newton fallback operates on Grassmann frames")
+        theta = frame.theta
+        n, m = frame.dim, frame.rank
+        k = n - m
+        p = frame.projector().mat
+        g = theta @ self.ambient_gradient(p) @ theta.T
+        g11, g22 = g[:m, :m], g[m:, m:]
+        hess = np.empty((m * k, m * k))
+        xi_hat = np.zeros((n, n))
+        for col in range(m * k):
+            z = np.zeros((m, k))
+            z.flat[col] = 1.0
+            xi_hat[:m, m:] = z
+            xi_hat[m:, :m] = z.T
+            h_hat = theta @ self.ambient_hessian_apply(p, theta.T @ xi_hat @ theta) @ theta.T
+            hess[:, col] = (h_hat[:m, m:] - (g11 @ z - z @ g22)).reshape(-1)
+        return solve_dense(hess, -g[:m, m:].reshape(-1)).reshape(m, k)
 
 
 @dataclass(frozen=True)
@@ -69,6 +112,12 @@ class RayleighCost(CostFunction):
 
     def ambient_hessian_apply(self, p, xi):
         return np.zeros_like(self.a)
+
+    def newton_solve(self, frame, solver="direct"):
+        """Algorithm 1: the Sylvester equation B11 Z - Z B22 = B12."""
+        m = frame.rank
+        b = frame.theta @ self.a @ frame.theta.T
+        return solve_sylvester(symmetrize(b[:m, :m]), symmetrize(b[m:, m:]), b[:m, m:])
 
 
 @dataclass(frozen=True)
@@ -96,6 +145,19 @@ class InvariantSubspaceCost(CostFunction):
     def ambient_hessian_apply(self, p, xi):
         a = self.a
         return symmetrize(-a.T @ xi @ a - a @ xi @ a.T)
+
+    def newton_solve(self, frame, solver="direct"):
+        """Algorithm 3: minus the solution of the four-term equation, solved
+        densely (``solver="direct"``) or by alternating Sylvester sweeps
+        (``"recursive"``)."""
+        m = frame.rank
+        b = frame.theta @ self.a @ frame.theta.T
+        blocks = b[:m, :m], b[:m, m:], b[m:, :m], b[m:, m:]
+        if solver == "direct":
+            return -solve_invariant_newton_direct(*blocks)
+        if solver == "recursive":
+            return -solve_invariant_newton_recursive(*blocks)
+        raise ValueError(f"unknown solver {solver!r}, expected 'direct' or 'recursive'")
 
 
 @dataclass(frozen=True)
@@ -130,6 +192,15 @@ class HamiltonianRayleighCost(CostFunction):
 
     def ambient_hessian_apply(self, p, xi):
         return np.zeros_like(self.h)
+
+    def newton_solve(self, frame, solver="direct"):
+        """Algorithm 2: the Lyapunov equation B11 Z + Z B11 = B12 with
+        symmetric Z; on a Grassmann frame, the dense fallback."""
+        if isinstance(frame, OrthoFrame):
+            return super().newton_solve(frame, solver)
+        n = frame.half_dim
+        b = frame.theta @ self.h @ frame.theta.T
+        return solve_lyapunov(symmetrize(b[:n, :n]), symmetrize(b[:n, n:]))
 
 
 def invariant_cost_ambient(a, p):

@@ -91,7 +91,6 @@ class OrthoFrame:
 
     theta: np.ndarray
     rank: int
-    products: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
@@ -116,24 +115,13 @@ class OrthoFrame:
         return Projector(th[:m].T @ th[:m], m)
 
     def advance(self, factor):
-        """Right-multiply Theta^T by an orthogonal hat-space factor.
-
-        Re-orthogonalizes through ``qr_positive`` once the accumulated
-        product count reaches the configured interval, bounding drift in
-        long runs.
-        """
-        theta = factor.T @ self.theta
-        count = self.products + 1
-        if count >= TOL.reorth_interval:
-            q, _ = qr_positive(theta.T)
-            theta = q.T
-            count = 0
-        return replace(self, theta=theta, products=count)
+        """Right-multiply Theta^T by an orthogonal hat-space factor."""
+        return replace(self, theta=factor.T @ self.theta)
 
     def reorthogonalized(self):
         """Snap the frame back onto the orthogonal group via positive QR."""
         q, _ = qr_positive(self.theta.T)
-        return replace(self, theta=q.T, products=0)
+        return replace(self, theta=q.T)
 
 
 @dataclass(frozen=True)

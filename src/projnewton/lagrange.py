@@ -85,7 +85,6 @@ class SymplecticFrame:
     """Orthogonal symplectic frame with P = Theta^T diag(I_n, 0) Theta."""
 
     theta: np.ndarray
-    products: int = 0
 
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=float)
@@ -123,7 +122,7 @@ class SymplecticFrame:
         symplecticity, and the structured factors keep both residuals at
         round-off over the run lengths this library targets.
         """
-        return replace(self, theta=factor.T @ self.theta, products=self.products + 1)
+        return replace(self, theta=factor.T @ self.theta)
 
 
 def lg_tangent_project(p: LagProjector, x) -> np.ndarray:

@@ -1,16 +1,18 @@
-"""Two-chart Newton iteration and the three specialized frame algorithms.
+"""The Newton iteration on Grassmann and Lagrange-Grassmann frames.
 
 One iteration pulls the cost back through a chart mu centered at the
 current point, takes a Euclidean Newton step at 0, and pushes the step
-forward through a chart nu.  Because all charts here have identity
-derivative at 0, the pulled-back gradient and Hessian at 0 coincide with
-the Riemannian ones for every chart choice, so the step computation only
-depends on nu; mu is accepted for interface completeness.
+forward through a chart nu.  The three charts share the same 2-jet at 0:
+identity derivative, and second derivative Theta^T diag(-2 Z Z^T,
+2 Z^T Z) Theta (``grassmann.chart_second_derivative_check`` shows it).
+The pulled-back gradient and Hessian at 0 depend only on that 2-jet, so
+they are the Riemannian ones for every mu, and mu does not change the
+iterates; only nu does.
 
-The specialized steps solve the same Newton system in closed form:
-a Sylvester equation for the trace cost on the Grassmannian, a Lyapunov
-equation on the Lagrange Grassmannian, and a four-term linear matrix
-equation for the invariant-subspace cost.
+There is one engine: each cost solves its own Newton equation in frame
+coordinates (``CostFunction.newton_solve``), and ``newton_step`` pushes
+the solution forward.  Algorithms 1-3 are this iteration for the trace
+cost on both manifolds and for the invariant-subspace cost.
 
 No globalization is attempted: the method is local, and runs started far
 from a nondegenerate critical point may diverge; the trace reports it.
@@ -25,36 +27,18 @@ import numpy as np
 
 from .costs import (
     CostFunction,
-    HamiltonianRayleighCost,
     InvariantSubspaceCost,
-    RayleighCost,
     riemannian_gradient_gr,
     riemannian_gradient_lg,
-    riemannian_hessian_apply_gr,
 )
-from .decomp import symmetrize
 from .errors import (
     InsufficientData,
     NoConvergence,
     SingularOperator,
     SpectralOverlap,
 )
-from .grassmann import (
-    CHART_NAMES,
-    OrthoFrame,
-    distance,
-    param_from_tangent,
-    push_frame,
-    tangent_from_param,
-)
+from .grassmann import CHART_NAMES, OrthoFrame, distance, push_frame
 from .lagrange import SymplecticFrame, lg_push_frame
-from .solvers import (
-    solve_dense,
-    solve_invariant_newton_direct,
-    solve_invariant_newton_recursive,
-    solve_lyapunov,
-    solve_sylvester,
-)
 
 __all__ = [
     "CHART_NAMES",
@@ -64,16 +48,17 @@ __all__ = [
     "StepInfo",
     "QuadraticRateEstimate",
     "Status",
-    "newton_step_generic",
-    "algorithm1_step",
-    "algorithm2_step",
-    "algorithm3_step",
+    "METHODS",
+    "newton_step",
     "run_newton",
     "estimate_quadratic_rate",
     "rate_from_trace",
     "perturb_frame",
     "perturb_lag_frame",
 ]
+
+
+METHODS = ("generic", "rayleigh-gr", "rayleigh-lg", "invariant-direct", "invariant-recursive")
 
 
 class Status:
@@ -86,7 +71,8 @@ class Status:
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Iteration parameters; ``mu``/``nu`` select the chart pair."""
+    """Iteration parameters.  ``nu`` is the push-forward chart; the
+    pull-back chart ``mu`` does not change the iterates (module docstring)."""
 
     mu: str = "exp"
     nu: str = "qr"
@@ -200,108 +186,18 @@ def rate_from_trace(trace: NewtonTrace) -> QuadraticRateEstimate:
     return estimate_quadratic_rate(errors)
 
 
-def newton_step_generic(cost: CostFunction, frame: OrthoFrame, config: NewtonConfig):
-    """One pull-back/push-forward Newton step in tangent coordinates.
-
-    Assembles the Riemannian gradient and Hessian on the coordinate basis
-    xi_kl = Theta^T E_kl Theta (E_kl symmetric with unit entries at the two
-    off-diagonal block positions), solves H z = -g, and pushes the step
+def newton_step(cost: CostFunction, frame, config: NewtonConfig, solver="direct"):
+    """One Newton step: the cost's Newton solve in frame coordinates, pushed
     forward with the ``nu`` chart.
+
+    Orthogonal frames are re-orthogonalized after the push; symplectic
+    frames are not, since a QR step would break symplecticity.
     """
+    z = cost.newton_solve(frame, solver)
+    info = StepInfo(z, float(np.sqrt(2.0) * np.linalg.norm(z)))
     if isinstance(frame, SymplecticFrame):
-        raise ValueError("the generic engine operates on Grassmann frames; "
-                         "use method='rayleigh-lg' for Lagrangian problems")
-    n, m = frame.dim, frame.rank
-    k = n - m
-    d = m * k
-    point = frame.projector()
-    grad = riemannian_gradient_gr(cost, point)
-    g = 2.0 * param_from_tangent(frame, grad).reshape(-1)
-    hess = np.zeros((d, d))
-    for col in range(d):
-        e = np.zeros(d)
-        e[col] = 1.0
-        basis_vec = tangent_from_param(frame, e.reshape(m, k))
-        h_apply = riemannian_hessian_apply_gr(cost, point, basis_vec)
-        hess[:, col] = 2.0 * param_from_tangent(frame, h_apply).reshape(-1)
-    z = solve_dense(hess, -g)
-    w = z.reshape(m, k)
-    info = StepInfo(w, float(np.sqrt(2.0) * np.linalg.norm(w)))
-    return push_frame(frame, w, config.nu), info
-
-
-def algorithm1_step(a, frame: OrthoFrame):
-    """Specialized step for the trace cost tr(A P) on the Grassmannian.
-
-    Transforms A into the frame, solves the Sylvester equation
-    A11 Z - Z A22 = A12 for the Newton parameter, and pushes the frame
-    forward with the QR chart.
-    """
-    a = np.asarray(a.a if isinstance(a, RayleighCost) else a, dtype=float)
-    m = frame.rank
-    b = frame.theta @ a @ frame.theta.T
-    a11 = symmetrize(b[:m, :m])
-    a22 = symmetrize(b[m:, m:])
-    a12 = b[:m, m:]
-    z = solve_sylvester(a11, a22, a12)
-    info = StepInfo(z, float(np.sqrt(2.0) * np.linalg.norm(z)))
-    return push_frame(frame, z, "qr").reorthogonalized(), info
-
-
-def algorithm2_step(h, frame: SymplecticFrame):
-    """Specialized step for tr(H P) on the Lagrange Grassmannian.
-
-    The frame-transformed cost matrix keeps the symmetric-Hamiltonian
-    block structure, so the Newton system is the Lyapunov equation
-    A11 Z + Z A11 = A12 with symmetric Z; the push-forward uses the
-    orthogonal-symplectic QR factor.
-    """
-    mat = h.h if isinstance(h, HamiltonianRayleighCost) else np.asarray(h, dtype=float)
-    n = frame.half_dim
-    b = frame.theta @ mat @ frame.theta.T
-    a11 = symmetrize(b[:n, :n])
-    a12 = symmetrize(b[:n, n:])
-    z = solve_lyapunov(a11, a12)
-    info = StepInfo(z, float(np.sqrt(2.0) * np.linalg.norm(z)))
-    return lg_push_frame(frame, z, "qr"), info
-
-
-def algorithm3_step(a, frame: OrthoFrame, solver="direct"):
-    """Specialized step for the invariant-subspace cost ||(I-P) A P||^2.
-
-    Solves the four-term linear matrix equation in the frame (directly on
-    the vectorized parameter space, or by the alternating-Sylvester
-    recursion) and pushes forward with the QR chart.  The solved parameter
-    is the negative of the Newton tangent step.
-    """
-    a = np.asarray(a.a if isinstance(a, InvariantSubspaceCost) else a, dtype=float)
-    m = frame.rank
-    b = frame.theta @ a @ frame.theta.T
-    a11, a12 = b[:m, :m], b[:m, m:]
-    a21, a22 = b[m:, :m], b[m:, m:]
-    if solver == "direct":
-        z = solve_invariant_newton_direct(a11, a12, a21, a22)
-    elif solver == "recursive":
-        z = solve_invariant_newton_recursive(a11, a12, a21, a22)
-    else:
-        raise ValueError(f"unknown solver {solver!r}, expected 'direct' or 'recursive'")
-    w = -z
-    info = StepInfo(w, float(np.sqrt(2.0) * np.linalg.norm(w)))
-    return push_frame(frame, w, "qr").reorthogonalized(), info
-
-
-def _dispatch_step(method, cost, frame, config):
-    if method == "generic":
-        return newton_step_generic(cost, frame, config)
-    if method == "rayleigh-gr":
-        return algorithm1_step(cost, frame)
-    if method == "rayleigh-lg":
-        return algorithm2_step(cost, frame)
-    if method == "invariant-direct":
-        return algorithm3_step(cost, frame, "direct")
-    if method == "invariant-recursive":
-        return algorithm3_step(cost, frame, "recursive")
-    raise ValueError(f"unknown method {method!r}")
+        return lg_push_frame(frame, z, config.nu), info
+    return push_frame(frame, z, config.nu).reorthogonalized(), info
 
 
 def run_newton(cost, start, config: NewtonConfig, reference=None, method="generic"):
@@ -311,26 +207,30 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
     Parameters
     ----------
     cost : CostFunction
-        Must match ``method`` (e.g. a HamiltonianRayleighCost for
-        ``rayleigh-lg``).
+        Solves the Newton equation (e.g. a HamiltonianRayleighCost on a
+        SymplecticFrame for ``rayleigh-lg``).
     start : OrthoFrame or SymplecticFrame
     config : NewtonConfig
     reference : Projector, LagProjector or None
         When given, each record carries the geodesic distance to it;
         otherwise distances to the final iterate are filled in afterwards.
     method : str
-        One of ``generic``, ``rayleigh-gr``, ``rayleigh-lg``,
-        ``invariant-direct``, ``invariant-recursive``.
+        One of ``METHODS``.  The cost determines the Newton equation;
+        ``invariant-recursive`` selects the recursive four-term solver.
 
     Returns
     -------
     NewtonTrace
         Terminal status ``Converged`` certifies a nondegenerate critical
         point: when the gradient norm drops below tolerance, one more
-        Newton system is assembled, and a singular/unsolvable system
+        Newton system is solved, and a singular/unsolvable system
         surfaces as ``SingularHessian``/``SpectralOverlap`` instead.
     """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
+    solver = "recursive" if method == "invariant-recursive" else "direct"
     lagrangian = isinstance(start, SymplecticFrame)
+    invariant = isinstance(cost, InvariantSubspaceCost)
     ref_proj = None
     if reference is not None:
         ref_proj = reference.as_projector() if hasattr(reference, "as_projector") else reference
@@ -338,7 +238,7 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
     trace.distance_reference = "supplied" if ref_proj is not None else "final"
     if lagrangian:
         trace.extras["symplecticity_residuals"] = []
-    if method.startswith("invariant"):
+    if invariant:
         trace.extras["invariance_residuals"] = []
     frame = start
     iterates = []
@@ -353,9 +253,8 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
         else:
             point = frame.projector()
             grad_norm = riemannian_gradient_gr(cost, point).norm
-        if method.startswith("invariant"):
-            a = cost.a
-            residual = np.linalg.norm((np.eye(point.dim) - point.mat) @ a @ point.mat)
+        if invariant:
+            residual = np.linalg.norm((np.eye(point.dim) - point.mat) @ cost.a @ point.mat)
             trace.extras["invariance_residuals"].append(float(residual))
         iterates.append(point)
         record = IterationRecord(
@@ -370,25 +269,17 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
         if tiny_step:
             trace.status = Status.CONVERGED
             break
-        if grad_norm <= config.grad_tol:
-            # certify nondegeneracy: a vanishing gradient at a degenerate
-            # point (singular Newton system) is a failure mode, not success
-            try:
-                _dispatch_step(method, cost, frame, config)
-            except SpectralOverlap:
-                trace.status = Status.SPECTRAL_OVERLAP
-            except SingularOperator:
-                trace.status = Status.SINGULAR_HESSIAN
-            except NoConvergence:
-                trace.status = Status.NO_CONVERGENCE
-            else:
-                trace.status = Status.CONVERGED
-            break
-        if iteration == config.max_iters:
-            trace.status = Status.MAX_ITERS
-            break
         try:
-            frame, info = _dispatch_step(method, cost, frame, config)
+            if grad_norm <= config.grad_tol:
+                # certify nondegeneracy: a vanishing gradient at a degenerate
+                # point (singular Newton system) is a failure mode, not success
+                cost.newton_solve(frame, solver)
+                trace.status = Status.CONVERGED
+                break
+            if iteration == config.max_iters:
+                trace.status = Status.MAX_ITERS
+                break
+            frame, info = newton_step(cost, frame, config, solver)
         except SpectralOverlap:
             trace.status = Status.SPECTRAL_OVERLAP
             break

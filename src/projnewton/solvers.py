@@ -6,8 +6,9 @@ diagnostics for free.  The four-term matrix equation of the invariant-
 subspace Newton step is solved either densely (Kronecker assembly on the
 m(n-m)-dimensional parameter space) or by the alternating-Sylvester
 recursion; the recursion carries an explicit no-convergence outcome since
-no general guarantee exists for it.  Dense systems go to LAPACK through
-``solve_dense``, which adds the library's relative singularity floor.
+no general guarantee exists for it.  Dense operators are inverted once
+each by LAPACK behind the library's relative singularity floor
+(``solve_dense`` for a single right-hand side).
 """
 
 from __future__ import annotations
@@ -164,8 +165,9 @@ def solve_invariant_newton_direct(a11, a12, a21, a22):
     data_scale = max(data_scale, np.finfo(float).tiny)
     if np.linalg.norm(op, 1) <= TOL.pivot * data_scale:
         raise SingularOperator("Newton operator vanished at the data scale")
-    sol = solve_dense(op, rhs)
-    cond = data_scale * np.linalg.norm(np.linalg.inv(op), 1)
+    inv = _checked_inverse(op)
+    sol = inv @ rhs
+    cond = data_scale * np.linalg.norm(inv, 1)
     if cond > TOL.condition_limit:
         raise SingularOperator(
             f"Newton operator condition estimate {cond:.3e} exceeds limit"
@@ -208,12 +210,14 @@ def solve_invariant_newton_recursive(a11, a12, a21, a22, z0=None, max_sweeps=100
             f"Sylvester operator nearly singular: estimate {gap:.3e}",
             SpectralGapReport(gap, False),
         )
+    # both Sylvester operators are the same in every sweep: invert them once
+    inv1 = _checked_inverse(op1)
+    inv2 = _checked_inverse(op2)
     z = np.zeros((m, k)) if z0 is None else np.asarray(z0, dtype=float).reshape(m, k).copy()
     residual = np.inf
     for _ in range(max_sweeps):
         rhs = c + a21.T @ (z.T @ a12 + a21 @ z) + (a12 @ z.T + z @ a21) @ a21.T
-        x = solve_dense(op1, rhs.reshape(-1)).reshape(m, k)
-        z_new = solve_dense(op2, x.reshape(-1)).reshape(m, k)
+        z_new = (inv2 @ (inv1 @ rhs.reshape(-1))).reshape(m, k)
         residual = np.linalg.norm(z_new - z) / max(np.linalg.norm(z_new), np.finfo(float).tiny)
         z = z_new
         if residual <= tol:
@@ -246,6 +250,13 @@ def solve_dense(h, g):
     d = a.shape[0]
     if b.shape != (d,):
         raise DimensionMismatch(f"right-hand side must have shape ({d},)")
+    return _checked_inverse(a) @ b
+
+
+def _checked_inverse(a):
+    """LAPACK inverse of a square operator behind the relative singularity
+    floor: ``SingularOperator`` if ``a`` is exactly singular or its 1-norm
+    condition number reaches 1 / ``TOL.pivot``."""
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
@@ -255,4 +266,4 @@ def solve_dense(h, g):
         raise SingularOperator(
             f"condition number {cond:.3e} reaches 1 / {TOL.pivot:.1e}"
         )
-    return inv @ b
+    return inv

@@ -101,7 +101,7 @@ class TestRayleighGr:
         ])
         assert code == 2
 
-    def test_nondefault_charts_use_generic_engine(self, tmp_path):
+    def test_nondefault_chart_pair_converges(self, tmp_path):
         path = _write_matrix(tmp_path / "a.txt", np.diag([4.0, 3.0, 2.0, 1.0]))
         out = tmp_path / "report.json"
         code = main([
@@ -130,6 +130,17 @@ class TestRayleighLg:
         report = json.loads(out.read_text())
         assert report["status"] == "Converged"
         assert report["rate"]["verdict"] is True
+        assert report["final"]["extra_residuals"]["max_symplecticity_residual"] <= 1e-9
+        assert report["final"]["extra_residuals"]["lagrangian_residual"] <= 1e-9
+
+    @pytest.mark.parametrize("nu", ["exp", "qr", "cayley"])
+    def test_every_push_forward_chart(self, tmp_path, nu):
+        path = _write_matrix(tmp_path / "h.txt", self._hamiltonian(3, 2))
+        out = tmp_path / "report.json"
+        code = main(["rayleigh-lg", path, "--nu", nu, "--out", str(out)])
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["status"] == "Converged"
         assert report["final"]["extra_residuals"]["max_symplecticity_residual"] <= 1e-9
         assert report["final"]["extra_residuals"]["lagrangian_residual"] <= 1e-9
 
@@ -170,12 +181,25 @@ class TestInvariant:
         path = _write_matrix(tmp_path / "a.txt", np.eye(4))
         assert main(["invariant", path, "--m", "2"]) == 3
 
-    def test_generic_engine_via_nondefault_charts(self, tmp_path):
+    def test_nondefault_chart_pair_converges(self, tmp_path):
         path, start, _ = self._constructed(tmp_path)
         out = tmp_path / "r.json"
         code = main([
             "invariant", path, "--m", "2", "--start", start, "--perturb", "0.03",
             "--mu", "qr", "--nu", "cayley", "--out", str(out),
+        ])
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["status"] == "Converged"
+        assert report["final"]["extra_residuals"]["invariance_residual"] <= 1e-9
+
+    @pytest.mark.parametrize("nu", ["exp", "qr", "cayley"])
+    def test_recursive_with_every_push_forward_chart(self, tmp_path, nu):
+        path, start, _ = self._constructed(tmp_path)
+        out = tmp_path / "r.json"
+        code = main([
+            "invariant", path, "--m", "2", "--start", start, "--perturb", "0.05",
+            "--solver", "recursive", "--nu", nu, "--out", str(out),
         ])
         assert code == 0
         report = json.loads(out.read_text())
@@ -203,9 +227,10 @@ def _report_argv(tmp_path, case):
     if case == "rayleigh-gr":
         path = _write_matrix(tmp_path / "a.txt", np.diag([4.0, 3.0, 2.0, 1.0]))
         return ["rayleigh-gr", path, "--m", "2"]
-    if case == "rayleigh-lg":
+    if case.startswith("rayleigh-lg"):
         path = _write_matrix(tmp_path / "h.txt", TestRayleighLg._hamiltonian(3, 1))
-        return ["rayleigh-lg", path]
+        charts = ["--mu", "qr", "--nu", "cayley"] if case.endswith("qr-cayley") else []
+        return ["rayleigh-lg", path] + charts
     path, start, _ = TestInvariant._constructed(tmp_path)
     return ["invariant", path, "--m", "2", "--start", start, "--perturb", "0.05",
             "--solver", "recursive"]
@@ -213,7 +238,8 @@ def _report_argv(tmp_path, case):
 
 # the non-diagonal inputs make the start frame depend on the signs LAPACK
 # gives eigenvectors and QR factors, which must be the same on every run
-@pytest.mark.parametrize("case", ["rayleigh-gr", "rayleigh-lg", "invariant-recursive"])
+@pytest.mark.parametrize(
+    "case", ["rayleigh-gr", "rayleigh-lg", "rayleigh-lg-qr-cayley", "invariant-recursive"])
 def test_byte_identical_reports(tmp_path, case):
     argv = _report_argv(tmp_path, case) + ["--seed", "3"]
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

@@ -1,6 +1,7 @@
 """Kernel tests: the conventions the LAPACK wrappers add (positive QR
 diagonal, upper Cholesky factor, descending eigenvalues, error types),
-checked against numpy.linalg / scipy.linalg references."""
+checked against references that do not call the wrapped routine:
+modified Gram-Schmidt for QR, scipy's syevr driver for eigh."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,20 @@ from numpy.testing import assert_allclose
 
 from projnewton.decomp import cholesky_upper, exp_skew_pair, qr_positive, sym_eig
 from projnewton.errors import NotPositiveDefinite, NotSymmetric, SingularInput
+
+
+def _modified_gram_schmidt(m):
+    """Reference QR: Q with orthonormal columns and upper R with positive
+    diagonal, M = Q R, by modified Gram-Schmidt (no LAPACK)."""
+    q = np.array(m, dtype=float)
+    p = q.shape[1]
+    r = np.zeros((p, p))
+    for j in range(p):
+        r[j, j] = np.sqrt(q[:, j] @ q[:, j])
+        q[:, j] /= r[j, j]
+        r[j, j + 1:] = q[:, j] @ q[:, j + 1:]
+        q[:, j + 1:] -= np.outer(q[:, j], r[j, j + 1:])
+    return q, r
 
 
 class TestQrPositive:
@@ -40,6 +55,18 @@ class TestQrPositive:
             r2 = (r2.T * signs).T
             assert_allclose(q1, q2, atol=1e-10)
             assert_allclose(r1, r2, atol=1e-10)
+
+    @pytest.mark.parametrize("shape", [(6, 6), (8, 3)], ids=["square", "tall"])
+    def test_against_gram_schmidt(self, shape):
+        # well-conditioned inputs, where Gram-Schmidt is accurate
+        for seed in range(5):
+            m = np.random.default_rng(seed).standard_normal(shape) + 4.0 * np.eye(*shape)
+            q, r = qr_positive(m)
+            q_ref, r_ref = _modified_gram_schmidt(m)
+            p = shape[1]
+            assert_allclose(q[:, :p], q_ref, atol=1e-12)
+            assert_allclose(r[:p], r_ref, atol=1e-12)
+            assert_allclose(r[p:], 0.0, atol=0)
 
     def test_singular_input(self):
         m = np.ones((3, 3))
@@ -107,6 +134,24 @@ class TestSymEig:
             values, _ = sym_eig(s)
             ref = np.sort(np.linalg.eigvalsh(s))[::-1]
             assert_allclose(values, ref, atol=1e-10 * max(1.0, np.linalg.norm(s)))
+
+
+    def test_against_scipy_evr(self):
+        # scipy's relatively robust representations driver (syevr), not the
+        # divide-and-conquer driver (syevd) that numpy's eigh calls
+        for seed in range(4):
+            s = np.random.default_rng(seed).standard_normal((7, 7))
+            s = 0.5 * (s + s.T)
+            values, vectors = sym_eig(s)
+            ref_values, ref_vectors = scipy.linalg.eigh(s, driver="evr")
+            ref_values, ref_vectors = ref_values[::-1], ref_vectors[:, ::-1]
+            scale = max(1.0, np.linalg.norm(s))
+            assert_allclose(values, ref_values, atol=1e-12 * scale)
+            gap = np.min(-np.diff(ref_values))
+            signs = np.sign(np.sum(vectors * ref_vectors, axis=0))
+            assert_allclose(vectors * signs, ref_vectors, atol=1e-12 * scale / gap)
+            assert np.linalg.norm(s @ vectors - vectors * values) <= 1e-12 * scale
+            assert np.linalg.norm(vectors.T @ vectors - np.eye(7)) <= 1e-12
 
 
 class TestExpSkewPair:

@@ -344,7 +344,8 @@ class TestMetricEquality:
 
 
 class TestFrameAdvance:
-    def test_reorthogonalization_counter(self, rng):
+    def test_orthogonality_over_pushes(self, rng):
+        # push_frame does not re-orthogonalize; 45 pushes stay orthogonal
         _, frame = random_projector(4, 2, 0)
         for i in range(45):
             z = 0.01 * rng.standard_normal((2, 2))

@@ -1,5 +1,5 @@
-"""Newton engine tests: generic/specialized step consistency, fixed points,
-convergence and rate classification."""
+"""Newton engine tests: the dense fallback against each cost's own Newton
+solve, fixed points, convergence and rate classification."""
 
 import numpy as np
 import pytest
@@ -22,11 +22,8 @@ from projnewton.lagrange import symplectic_frame_from_basis
 from projnewton.newton import (
     NewtonConfig,
     Status,
-    algorithm1_step,
-    algorithm2_step,
-    algorithm3_step,
     estimate_quadratic_rate,
-    newton_step_generic,
+    newton_step,
     perturb_frame,
     perturb_lag_frame,
     rate_from_trace,
@@ -108,12 +105,25 @@ class TestRateEstimator:
         assert len(est.usable) == 4
 
 
+def _constructed_invariant(seed, m, k):
+    """Matrix with a planted m-dim invariant subspace; returns (A, projector)."""
+    rng = np.random.default_rng(seed)
+    b1 = rng.standard_normal((m, m)) + 3.0 * np.eye(m)
+    b2 = rng.standard_normal((k, k)) - 1.0 * np.eye(k)
+    s = np.block([[b1, np.zeros((m, k))], [np.zeros((k, m)), b2]])
+    t, _ = qr_positive(rng.standard_normal((m + k, m + k)))
+    return t @ s @ t.T, Projector(t[:, :m] @ t[:, :m].T, m)
+
+
 class TestGenericStep:
+    """The base-class dense fallback is the reference for every cost's own
+    Newton solve."""
+
     def test_fixed_point_at_critical(self, rng):
         a, frame = _gapped_symmetric(rng, 5, 2)
         cost = RayleighCost(a)
-        config = NewtonConfig()
-        new_frame, info = newton_step_generic(cost, frame, config)
+        assert np.sqrt(2.0) * np.linalg.norm(CostFunction.newton_solve(cost, frame)) <= 1e-10
+        new_frame, info = newton_step(cost, frame, NewtonConfig())
         assert info.step_norm <= 1e-10
         assert np.abs(new_frame.projector().mat - frame.projector().mat).max() <= 1e-10
 
@@ -121,18 +131,38 @@ class TestGenericStep:
         a = np.diag([2.0, 1.0])
         frame = perturb_frame(frame_from_projector(Projector(np.diag([1.0, 0.0]), 1)), 0.1, 3)
         cost = RayleighCost(a)
-        f_gen, _ = newton_step_generic(cost, frame, NewtonConfig(mu="exp", nu="qr"))
-        f_alg, _ = algorithm1_step(a, frame)
-        assert np.abs(f_gen.projector().mat - f_alg.projector().mat).max() <= 1e-9
+        z_gen = CostFunction.newton_solve(cost, frame)
+        assert np.abs(z_gen - cost.newton_solve(frame)).max() <= 1e-12
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_algorithm1_random(self, seed):
         rng = np.random.default_rng(seed)
         a, dom = _gapped_symmetric(rng, 5, 2)
         frame = perturb_frame(dom, 0.2, seed + 50)
-        f_gen, _ = newton_step_generic(RayleighCost(a), frame, NewtonConfig())
-        f_alg, _ = algorithm1_step(a, frame)
-        assert np.abs(f_gen.projector().mat - f_alg.projector().mat).max() <= 1e-9
+        cost = RayleighCost(a)
+        z_gen = CostFunction.newton_solve(cost, frame)
+        assert np.abs(z_gen - cost.newton_solve(frame)).max() <= 1e-12
+
+    @pytest.mark.parametrize("solver", ["direct", "recursive"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_algorithm3(self, seed, solver):
+        a, target = _constructed_invariant(seed, 2, 3)
+        frame = perturb_frame(frame_from_projector(target), 0.05, seed + 90)
+        cost = InvariantSubspaceCost(a)
+        z_gen = CostFunction.newton_solve(cost, frame)
+        assert np.abs(z_gen - cost.newton_solve(frame, solver)).max() <= 1e-9
+
+    def test_hamiltonian_cost_on_grassmann_frame(self, rng):
+        # on an orthogonal frame, tr(H P) is a trace cost on Gr(n, 2n)
+        cost, dom = _hamiltonian_with_frame(rng, 2)
+        frame = perturb_frame(OrthoFrame(dom.theta, 2), 0.1, 4)
+        z_gen = cost.newton_solve(frame)
+        assert np.abs(z_gen - RayleighCost(cost.h).newton_solve(frame)).max() <= 1e-12
+
+    def test_fallback_rejects_symplectic_frames(self, rng):
+        cost, frame = _hamiltonian_with_frame(rng, 2)
+        with pytest.raises(ValueError):
+            CostFunction.newton_solve(cost, frame)
 
     def test_quadratic_model_cost_converges_fast(self, rng):
         # constant ambient Hessian: F(P) = 0.5 ||P - B||^2
@@ -162,7 +192,7 @@ class TestGenericStep:
 class TestAlgorithm1:
     def test_fixed_point(self, rng):
         a, frame = _gapped_symmetric(rng, 6, 2)
-        new_frame, info = algorithm1_step(a, frame)
+        new_frame, info = newton_step(RayleighCost(a), frame, NewtonConfig())
         assert info.step_norm <= 1e-10
 
     def test_converges_to_dominant_eigenspace(self):
@@ -170,7 +200,7 @@ class TestAlgorithm1:
         target = Projector(np.diag([1.0, 1.0, 0.0, 0.0]), 2)
         frame = perturb_frame(frame_from_projector(target), 0.08, 7)
         for _ in range(6):
-            frame, _ = algorithm1_step(a, frame)
+            frame, _ = newton_step(RayleighCost(a), frame, NewtonConfig())
         assert distance(frame.projector(), target) <= 1e-10
 
     def test_run_newton_trace_quadratic(self):
@@ -194,7 +224,7 @@ class TestAlgorithm1:
 class TestAlgorithm2:
     def test_fixed_point(self, rng):
         cost, frame = _hamiltonian_with_frame(rng, 2)
-        _, info = algorithm2_step(cost, frame)
+        _, info = newton_step(cost, frame, NewtonConfig())
         assert info.step_norm <= 1e-9
 
     def test_quadratic_convergence(self):
@@ -212,7 +242,7 @@ class TestAlgorithm2:
         cost, dom = _hamiltonian_with_frame(rng, 3)
         frame = perturb_lag_frame(dom, 0.4, 8)
         for _ in range(10):
-            frame, _ = algorithm2_step(cost, frame)
+            frame, _ = newton_step(cost, frame, NewtonConfig())
             assert frame.symplecticity_residual() <= 1e-9
 
 
@@ -224,7 +254,7 @@ class TestAlgorithm3:
         a12 = rng.standard_normal((2, 2))
         a = np.block([[a11, a12], [np.zeros((2, 2)), a22]])
         frame = frame_from_projector(Projector(np.diag([1.0, 1.0, 0.0, 0.0]), 2))
-        _, info = algorithm3_step(a, frame)
+        _, info = newton_step(InvariantSubspaceCost(a), frame, NewtonConfig())
         assert info.step_norm <= 1e-12
 
     def test_converges_to_line_eigenvector(self):
@@ -232,7 +262,7 @@ class TestAlgorithm3:
         target = Projector(np.diag([1.0, 0.0, 0.0]), 1)
         frame = perturb_frame(frame_from_projector(target), 0.05, 2)
         for _ in range(5):
-            frame, _ = algorithm3_step(a, frame)
+            frame, _ = newton_step(InvariantSubspaceCost(a), frame, NewtonConfig())
         p = frame.projector()
         assert np.linalg.norm((np.eye(3) - p.mat) @ a @ p.mat) <= 1e-10
         assert distance(p, target) <= 1e-9
@@ -248,7 +278,7 @@ class TestAlgorithm3:
         target = Projector(t[:, :2] @ t[:, :2].T, 2)
         frame = perturb_frame(frame_from_projector(target), 0.05, 3)
         for _ in range(6):
-            frame, _ = algorithm3_step(a, frame, solver=solver)
+            frame, _ = newton_step(InvariantSubspaceCost(a), frame, NewtonConfig(), solver)
         assert distance(frame.projector(), target) <= 1e-8
 
     def test_direct_and_recursive_same_limit(self):
@@ -262,22 +292,22 @@ class TestAlgorithm3:
         start = perturb_frame(frame_from_projector(target), 0.05, 4)
         f_dir, f_rec = start, start
         for _ in range(6):
-            f_dir, _ = algorithm3_step(a, f_dir, solver="direct")
-            f_rec, _ = algorithm3_step(a, f_rec, solver="recursive")
+            f_dir, _ = newton_step(InvariantSubspaceCost(a), f_dir, NewtonConfig(), "direct")
+            f_rec, _ = newton_step(InvariantSubspaceCost(a), f_rec, NewtonConfig(), "recursive")
         assert distance(f_dir.projector(), f_rec.projector()) <= 1e-6
 
 
 class TestOneStepContraction:
     """One step from distance eps lands within O(eps^2); a flipped
     push-forward sign would instead double the error, so these pin the
-    frame-update conventions for all three specialized algorithms."""
+    frame-update conventions for all three costs' Newton solves."""
 
     def test_algorithm1(self):
         for seed in range(5):
             a, dom = _gapped_symmetric(np.random.default_rng(seed), 6, 2, gap=2.0)
             for eps in (1e-2, 1e-3):
                 start = perturb_frame(dom, eps, 60 + seed)
-                stepped, _ = algorithm1_step(a, start)
+                stepped, _ = newton_step(RayleighCost(a), start, NewtonConfig())
                 e1 = distance(stepped.projector(), dom.projector())
                 assert e1 <= 50.0 * eps**2, (seed, eps, e1)
 
@@ -287,7 +317,7 @@ class TestOneStepContraction:
             cost, dom = _hamiltonian_with_frame(rng, 3)
             for eps in (1e-2, 1e-3):
                 start = perturb_lag_frame(dom, eps, 70 + seed)
-                stepped, _ = algorithm2_step(cost, start)
+                stepped, _ = newton_step(cost, start, NewtonConfig())
                 e1 = distance(stepped.projector().as_projector(), dom.projector().as_projector())
                 assert e1 <= 50.0 * eps**2, (seed, eps, e1)
 
@@ -304,7 +334,7 @@ class TestOneStepContraction:
             target = Projector(t[:, :2] @ t[:, :2].T, 2)
             for eps in (1e-2, 1e-3):
                 start = perturb_frame(frame_from_projector(target), eps, 80 + seed)
-                stepped, _ = algorithm3_step(a, start)
+                stepped, _ = newton_step(InvariantSubspaceCost(a), start, NewtonConfig())
                 e1 = distance(stepped.projector(), target)
                 assert e1 <= 50.0 * eps**2, (seed, eps, e1)
 

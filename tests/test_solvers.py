@@ -205,6 +205,57 @@ class TestSolveDense:
         assert_allclose(solve_dense(h, g), np.linalg.solve(h, g), atol=1e-10)
 
 
+class TestOperatorInverses:
+    """Each dense operator is inverted once per solve: two inverses per
+    recursive solve whatever its sweep count, one per direct solve."""
+
+    @staticmethod
+    def _blocks(coupling):
+        gen = np.random.default_rng(7)
+        a11 = gen.standard_normal((2, 2)) + 3.0 * np.eye(2)
+        a22 = gen.standard_normal((3, 3)) - 3.0 * np.eye(3)
+        a12 = gen.standard_normal((2, 3))
+        a21 = coupling * gen.standard_normal((3, 2))
+        return a11, a12, a21, a22
+
+    @staticmethod
+    def _sweeps(blocks):
+        for sweeps in range(1, 100):
+            try:
+                solve_invariant_newton_recursive(*blocks, max_sweeps=sweeps)
+                return sweeps
+            except NoConvergence:
+                pass
+        raise AssertionError("recursion did not settle in 99 sweeps")
+
+    @staticmethod
+    def _count_inverses(monkeypatch):
+        calls = []
+        inv = np.linalg.inv
+
+        def counting(a):
+            calls.append(a.shape)
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counting)
+        return calls
+
+    def test_recursive_two_per_solve(self, monkeypatch):
+        couplings = (0.01, 0.1, 0.5)
+        sweeps = [self._sweeps(self._blocks(c)) for c in couplings]
+        assert len(set(sweeps)) == len(couplings) and min(sweeps) > 1
+        calls = self._count_inverses(monkeypatch)
+        for coupling in couplings:
+            calls.clear()
+            solve_invariant_newton_recursive(*self._blocks(coupling))
+            assert calls == [(6, 6), (6, 6)]
+
+    def test_direct_one_per_solve(self, monkeypatch):
+        calls = self._count_inverses(monkeypatch)
+        solve_invariant_newton_direct(*self._blocks(0.1))
+        assert calls == [(6, 6)]
+
+
 class TestOverlapDetection:
     def test_kron_smallest_singular_value_criterion(self):
         # crafted degenerate instance: identical blocks give a singular
