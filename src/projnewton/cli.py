@@ -35,7 +35,7 @@ from .errors import (
     InsufficientData,
     ProjNewtonError,
 )
-from .grassmann import _oriented_frame, distance
+from .grassmann import CHART_NAMES, _oriented_frame, distance
 from .lagrange import sympl_form, symplectic_frame_from_basis
 from .newton import (
     NewtonConfig,
@@ -105,7 +105,8 @@ def _require_hamiltonian_input(mat):
         raise InputNotHamiltonianSymmetric(
             "input lacks the symmetric-Hamiltonian block structure [[S, T], [T, -S]]"
         )
-    return mat
+    # project onto the structure, which the cost checks at a tighter tolerance
+    return 0.5 * (mat + j @ mat @ j)
 
 
 def _frame_from_start_file(path, n, m):
@@ -216,10 +217,7 @@ def _run_report(command, args, cost, start_frame, reference, method, extra_fn):
     t0 = time.perf_counter()
     trace = run_newton(cost, start_frame, config, reference=reference, method=method)
     elapsed = time.perf_counter() - t0
-    final_frame = trace.extras["final_frame"]
-    final_projector = final_frame.projector()
-    if hasattr(final_projector, "as_projector"):
-        final_projector = final_projector.as_projector()
+    final_projector = trace.extras["final_frame"].projector()
     report = {
         "schema_version": "1",
         "command": command,
@@ -254,10 +252,6 @@ def _cmd_rayleigh_gr(args):
     natural = _dominant_frame(a, args.m)
     base = _frame_from_start_file(args.start, n, args.m) if args.start else None
     start = _select_start(args, base, natural, perturb_frame)
-    if start is None:
-        from .grassmann import random_projector
-
-        start = random_projector(n, args.m, args.seed)[1]
     reference = natural.projector()
 
     def extras(trace, final_projector):
@@ -283,10 +277,6 @@ def _cmd_rayleigh_lg(args):
             raise ProjNewtonError("start basis does not span a Lagrangian subspace")
         base = symplectic_frame_from_basis(u)
     start = _select_start(args, base, natural, perturb_lag_frame)
-    if start is None:
-        from .lagrange import random_lag_projector
-
-        start = random_lag_projector(n, args.seed)[1]
     reference = natural.projector()
 
     def extras(trace, final_projector):
@@ -358,14 +348,15 @@ def _add_common(parser, need_m):
     parser.add_argument("matrix", help="path to the matrix file")
     if need_m:
         parser.add_argument("--m", type=int, required=True, help="subspace dimension")
-    parser.add_argument("--mu", default="exp", choices=("exp", "qr", "cayley"),
-                        help="pull-back chart (default exp)")
-    parser.add_argument("--nu", default="qr", choices=("exp", "qr", "cayley"),
-                        help="push-forward chart (default qr)")
-    parser.add_argument("--tol", type=float, default=1e-12,
-                        help="gradient-norm stopping tolerance (default 1e-12)")
-    parser.add_argument("--max-iters", type=int, default=50, dest="max_iters",
-                        help="iteration budget (default 50)")
+    defaults = NewtonConfig()
+    parser.add_argument("--mu", default=defaults.mu, choices=CHART_NAMES,
+                        help="pull-back chart (default %(default)s)")
+    parser.add_argument("--nu", default=defaults.nu, choices=CHART_NAMES,
+                        help="push-forward chart (default %(default)s)")
+    parser.add_argument("--tol", type=float, default=defaults.grad_tol,
+                        help="gradient-norm stopping tolerance (default %(default)s)")
+    parser.add_argument("--max-iters", type=int, default=defaults.max_iters, dest="max_iters",
+                        help="iteration budget (default %(default)s)")
     parser.add_argument("--seed", type=_nonneg_int, default=0,
                         help="seed for random starts and perturbations")
     parser.add_argument("--start", default=None,

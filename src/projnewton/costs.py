@@ -28,7 +28,7 @@ import numpy as np
 from .config import TOL
 from .decomp import require_symmetric, symmetrize
 from .errors import DimensionMismatch, NotSymmetric
-from .grassmann import GrTangent, OrthoFrame, Projector, ad_squared, commutator
+from .grassmann import GrTangent, Projector, ad_squared, commutator
 from .lagrange import LagProjector, SymplecticFrame, lg_tangent_project, sympl_form
 from .solvers import (
     solve_dense,
@@ -195,10 +195,10 @@ class HamiltonianRayleighCost(CostFunction):
 
     def newton_solve(self, frame, solver="direct"):
         """Algorithm 2: the Lyapunov equation B11 Z + Z B11 = B12 with
-        symmetric Z; on a Grassmann frame, the dense fallback."""
-        if isinstance(frame, OrthoFrame):
+        symmetric Z; on a frame that is not symplectic, the dense fallback."""
+        if not isinstance(frame, SymplecticFrame):
             return super().newton_solve(frame, solver)
-        n = frame.half_dim
+        n = frame.rank
         b = frame.theta @ self.h @ frame.theta.T
         return solve_lyapunov(symmetrize(b[:n, :n]), symmetrize(b[:n, n:]))
 

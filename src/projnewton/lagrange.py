@@ -1,23 +1,32 @@
 """The Lagrange Grassmannian: Lagrangian subspaces of R^{2n} as projectors.
 
 A Lagrangian projector is a rank-n projector P on R^{2n} with P J P = 0 for
-the standard symplectic form J.  Frames are orthogonal *and* symplectic;
-tangent parameters are symmetric n-by-n blocks.  Geodesics and distances are
-inherited from the ambient Grassmannian (the submanifold is totally
-geodesic), so only the tangent projection and the three charts carry the
-J-corrected formulas.
+the standard symplectic form J; ``LagProjector`` is a ``Projector`` and
+``SymplecticFrame`` an ``OrthoFrame`` that is also symplectic.  Tangent
+parameters are symmetric n-by-n blocks.  The submanifold is totally
+geodesic, so geodesics and distances are the Grassmann ones, and so are the
+three charts: at a symmetric Z their factors have the commuting-with-J block
+form [[X, -Y], [Y, X]], which keeps frames symplectic.  Only the tangent
+projection carries a J-corrected formula.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import TOL
-from .decomp import cholesky_upper, require_symmetric, sym_eig, symmetrize
+from .decomp import require_symmetric, sym_eig, symmetrize
 from .errors import DimensionMismatch, NotAProjector
-from .grassmann import Projector, ad_squared
+from .grassmann import (
+    OrthoFrame,
+    Projector,
+    ad_squared,
+    chart_point,
+    param_from_tangent,
+    tangent_from_param,
+)
 
 __all__ = [
     "sympl_form",
@@ -29,12 +38,10 @@ __all__ = [
     "lag_frame_from_projector",
     "lg_tangent_from_param",
     "lg_param_from_tangent",
-    "lg_chart_factor",
     "lg_chart_point",
     "lg_chart_exp",
     "lg_chart_qr",
     "lg_chart_cayley",
-    "lg_push_frame",
 ]
 
 
@@ -46,23 +53,16 @@ def sympl_form(n):
     return j
 
 
-@dataclass(frozen=True)
-class LagProjector:
+class LagProjector(Projector):
     """Rank-n projector on R^{2n} with P J P = 0."""
 
-    mat: np.ndarray
-    half_dim: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "mat", symmetrize(np.asarray(self.mat, dtype=float)))
-
     @property
-    def dim(self):
-        return 2 * self.half_dim
+    def half_dim(self):
+        return self.rank
 
     def as_projector(self) -> Projector:
-        """View as an ambient Grassmannian point (rank n in dimension 2n)."""
-        return Projector(self.mat, self.half_dim)
+        """The point itself: a Lagrangian projector is a Grassmannian one."""
+        return self
 
     @classmethod
     def from_matrix(cls, mat):
@@ -81,48 +81,36 @@ class LagProjector:
 
 
 @dataclass(frozen=True)
-class SymplecticFrame:
-    """Orthogonal symplectic frame with P = Theta^T diag(I_n, 0) Theta."""
+class SymplecticFrame(OrthoFrame):
+    """Orthogonal symplectic frame with P = Theta^T diag(I_n, 0) Theta; the
+    rank n is half the dimension of Theta."""
 
-    theta: np.ndarray
+    rank: int = field(init=False)
 
     def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
-        object.__setattr__(self, "theta", theta)
-        n2 = theta.shape[0]
+        n2 = np.shape(self.theta)[0]
         if n2 % 2:
             raise DimensionMismatch("symplectic frame must have even dimension")
-        j = sympl_form(n2 // 2)
-        orth = np.abs(theta @ theta.T - np.eye(n2)).max()
-        symp = np.abs(theta.T @ j @ theta - j).max()
-        if orth > TOL.frame_orthogonality or symp > TOL.lagrangian:
-            raise NotAProjector(
-                f"frame defects: orthogonality {orth:.3e}, symplecticity {symp:.3e}"
-            )
-
-    @property
-    def half_dim(self):
-        return self.theta.shape[0] // 2
-
-    def basis(self):
-        return self.theta[: self.half_dim].T.copy()
+        object.__setattr__(self, "rank", n2 // 2)
+        super().__post_init__()
+        symp = self.symplecticity_residual()
+        if symp > TOL.lagrangian:
+            raise NotAProjector(f"frame symplecticity defect {symp:.3e}")
 
     def projector(self) -> LagProjector:
-        n = self.half_dim
+        n = self.rank
         return LagProjector(self.theta[:n].T @ self.theta[:n], n)
 
     def symplecticity_residual(self):
-        j = sympl_form(self.half_dim)
+        j = sympl_form(self.rank)
         return float(np.abs(self.theta.T @ j @ self.theta - j).max())
 
-    def advance(self, factor):
-        """Right-multiply Theta^T by an orthogonal-symplectic factor.
-
-        No QR re-orthogonalization here: a plain QR step would destroy
-        symplecticity, and the structured factors keep both residuals at
-        round-off over the run lengths this library targets.
-        """
-        return replace(self, theta=factor.T @ self.theta)
+    def reorthogonalized(self):
+        """The frame unchanged: a plain QR step would destroy symplecticity,
+        and the chart factors at symmetric Z are orthogonal-symplectic, which
+        keeps both residuals at round-off over the run lengths this library
+        targets."""
+        return self
 
 
 def lg_tangent_project(p: LagProjector, x) -> np.ndarray:
@@ -169,58 +157,18 @@ def lag_frame_from_projector(p: LagProjector) -> SymplecticFrame:
 def lg_tangent_from_param(frame: SymplecticFrame, z) -> np.ndarray:
     """Ambient tangent vector Theta^T [[0, Z], [Z, 0]] Theta, Z symmetric."""
     z = require_symmetric(z, what="tangent parameter")
-    n = frame.half_dim
-    if z.shape != (n, n):
-        raise DimensionMismatch(f"expected parameter shape {(n, n)}, got {z.shape}")
-    xi_hat = np.zeros((2 * n, 2 * n))
-    xi_hat[:n, n:] = z
-    xi_hat[n:, :n] = z
-    return frame.theta.T @ xi_hat @ frame.theta
+    return tangent_from_param(frame, z).mat
 
 
 def lg_param_from_tangent(frame: SymplecticFrame, xi) -> np.ndarray:
-    n = frame.half_dim
-    hat = frame.theta @ np.asarray(xi, dtype=float) @ frame.theta.T
-    return symmetrize(hat[:n, n:])
-
-
-def _sym_trig(z):
-    """cos(Z) and sin(Z) for symmetric Z through its eigendecomposition."""
-    values, vectors = sym_eig(z)
-    cos = vectors @ np.diag(np.cos(values)) @ vectors.T
-    sin = vectors @ np.diag(np.sin(values)) @ vectors.T
-    return symmetrize(cos), symmetrize(sin)
-
-
-def lg_chart_factor(z, chart):
-    """Orthogonal-symplectic hat-space factor of an LG chart at parameter Z.
-
-    Mirrors the Grassmann construction with the symmetric parameter; every
-    factor has the commuting-with-J block form [[X, -Y], [Y, X]].
-    """
-    z = require_symmetric(z, what="chart parameter")
-    n = z.shape[0]
-    if chart == "exp":
-        cos, sin = _sym_trig(z)
-        return np.block([[cos, -sin], [sin, cos]])
-    if chart == "qr":
-        r = cholesky_upper(np.eye(n) + z @ z)
-        r_inv = np.linalg.solve(r, np.eye(n))
-        zr = z @ r_inv
-        return np.block([[r_inv, -zr], [zr, r_inv]])
-    if chart == "cayley":
-        inv = np.linalg.solve(np.eye(n) + 0.25 * z @ z, np.eye(n))
-        block = (np.eye(n) - 0.25 * z @ z) @ inv
-        zi = z @ inv
-        return np.block([[block, -zi], [zi, block]])
-    raise ValueError(f"unknown chart {chart!r}")
+    """Symmetric off-diagonal block of the tangent vector in frame coordinates."""
+    return symmetrize(param_from_tangent(frame, xi))
 
 
 def lg_chart_point(frame: SymplecticFrame, z, chart) -> LagProjector:
-    factor = lg_chart_factor(z, chart)
-    n = frame.half_dim
-    cols = frame.theta.T @ factor[:, :n]
-    return LagProjector(cols @ cols.T, n)
+    """The Grassmann chart at a symmetric parameter Z."""
+    z = require_symmetric(z, what="chart parameter")
+    return LagProjector(chart_point(frame, z, chart).mat, frame.rank)
 
 
 def lg_chart_exp(frame: SymplecticFrame, z) -> LagProjector:
@@ -237,7 +185,3 @@ def lg_chart_qr(frame: SymplecticFrame, z) -> LagProjector:
 def lg_chart_cayley(frame: SymplecticFrame, z) -> LagProjector:
     """Cayley coordinates in closed form with (I + Z^2/4)^{-2}."""
     return lg_chart_point(frame, z, "cayley")
-
-
-def lg_push_frame(frame: SymplecticFrame, z, chart) -> SymplecticFrame:
-    return frame.advance(lg_chart_factor(z, chart))

@@ -38,7 +38,7 @@ from .errors import (
     SpectralOverlap,
 )
 from .grassmann import CHART_NAMES, OrthoFrame, distance, push_frame
-from .lagrange import SymplecticFrame, lg_push_frame
+from .lagrange import SymplecticFrame
 
 __all__ = [
     "CHART_NAMES",
@@ -190,13 +190,11 @@ def newton_step(cost: CostFunction, frame, config: NewtonConfig, solver="direct"
     """One Newton step: the cost's Newton solve in frame coordinates, pushed
     forward with the ``nu`` chart.
 
-    Orthogonal frames are re-orthogonalized after the push; symplectic
-    frames are not, since a QR step would break symplecticity.
+    The pushed frame is re-orthogonalized; a ``SymplecticFrame`` keeps
+    itself (``SymplecticFrame.reorthogonalized``).
     """
     z = cost.newton_solve(frame, solver)
     info = StepInfo(z, float(np.sqrt(2.0) * np.linalg.norm(z)))
-    if isinstance(frame, SymplecticFrame):
-        return lg_push_frame(frame, z, config.nu), info
     return push_frame(frame, z, config.nu).reorthogonalized(), info
 
 
@@ -209,11 +207,16 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
     cost : CostFunction
         Solves the Newton equation (e.g. a HamiltonianRayleighCost on a
         SymplecticFrame for ``rayleigh-lg``).
-    start : OrthoFrame or SymplecticFrame
+    start : OrthoFrame
+        A ``SymplecticFrame`` runs on the Lagrange Grassmannian: the
+        gradient uses the J-corrected tangent projection, and each record
+        adds the frame's symplecticity residual.  Steps use the same charts
+        on both manifolds.
     config : NewtonConfig
-    reference : Projector, LagProjector or None
-        When given, each record carries the geodesic distance to it;
-        otherwise distances to the final iterate are filled in afterwards.
+    reference : Projector or None
+        When given (a ``LagProjector`` is one), each record carries the
+        geodesic distance to it; otherwise distances to the final iterate
+        are filled in afterwards.
     method : str
         One of ``METHODS``.  The cost determines the Newton equation;
         ``invariant-recursive`` selects the recursive four-term solver.
@@ -231,11 +234,8 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
     solver = "recursive" if method == "invariant-recursive" else "direct"
     lagrangian = isinstance(start, SymplecticFrame)
     invariant = isinstance(cost, InvariantSubspaceCost)
-    ref_proj = None
-    if reference is not None:
-        ref_proj = reference.as_projector() if hasattr(reference, "as_projector") else reference
     trace = NewtonTrace()
-    trace.distance_reference = "supplied" if ref_proj is not None else "final"
+    trace.distance_reference = "supplied" if reference is not None else "final"
     if lagrangian:
         trace.extras["symplecticity_residuals"] = []
     if invariant:
@@ -245,13 +245,11 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
     tiny_step = False
     t0 = time.perf_counter()
     for iteration in range(config.max_iters + 1):
+        point = frame.projector()
         if lagrangian:
-            lag_point = frame.projector()
-            point = lag_point.as_projector()
-            grad_norm = float(np.linalg.norm(riemannian_gradient_lg(cost, lag_point)))
+            grad_norm = float(np.linalg.norm(riemannian_gradient_lg(cost, point)))
             trace.extras["symplecticity_residuals"].append(frame.symplecticity_residual())
         else:
-            point = frame.projector()
             grad_norm = riemannian_gradient_gr(cost, point).norm
         if invariant:
             residual = np.linalg.norm((np.eye(point.dim) - point.mat) @ cost.a @ point.mat)
@@ -262,7 +260,7 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
             cost=cost.value(point.mat),
             grad_norm=grad_norm,
             step_norm=0.0,
-            distance=distance(point, ref_proj) if ref_proj is not None else None,
+            distance=distance(point, reference) if reference is not None else None,
             elapsed=time.perf_counter() - t0,
         )
         trace.records.append(record)
@@ -291,7 +289,7 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
             break
         record.step_norm = info.step_norm
         tiny_step = info.step_norm <= config.step_tol
-    if ref_proj is None and iterates:
+    if reference is None and iterates:
         final = iterates[-1]
         for record, point in zip(trace.records, iterates):
             record.distance = distance(point, final)
@@ -312,8 +310,8 @@ def perturb_frame(frame: OrthoFrame, eps, seed, chart="exp") -> OrthoFrame:
 def perturb_lag_frame(frame: SymplecticFrame, eps, seed, chart="exp") -> SymplecticFrame:
     """Same as ``perturb_frame`` for symplectic frames (symmetric Z)."""
     rng = np.random.default_rng(seed)
-    n = frame.half_dim
+    n = frame.rank
     z = rng.standard_normal((n, n))
     z = 0.5 * (z + z.T)
     z *= eps / (np.sqrt(2.0) * np.linalg.norm(z))
-    return lg_push_frame(frame, z, chart)
+    return push_frame(frame, z, chart)

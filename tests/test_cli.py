@@ -144,6 +144,17 @@ class TestRayleighLg:
         assert report["final"]["extra_residuals"]["max_symplecticity_residual"] <= 1e-9
         assert report["final"]["extra_residuals"]["lagrangian_residual"] <= 1e-9
 
+    def test_structure_defect_within_input_tolerance(self, tmp_path):
+        # a 1e-9 defect passes the input check (1e-8) but not the cost's
+        # own JHJ = H check (1e-10) unless the input is projected onto it
+        rng = np.random.default_rng(3)
+        noise = rng.standard_normal((4, 4))
+        h = self._hamiltonian(2, 0) + 1e-9 * (noise + noise.T)
+        path = _write_matrix(tmp_path / "h.txt", h)
+        out = tmp_path / "report.json"
+        assert main(["rayleigh-lg", path, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["status"] == "Converged"
+
     def test_odd_dimension_rejected(self, tmp_path, capsys):
         path = _write_matrix(tmp_path / "h.txt", np.eye(3))
         assert main(["rayleigh-lg", path]) == 1

@@ -6,17 +6,22 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from projnewton.errors import NotAProjector, NotSymmetric
-from projnewton.grassmann import cayley_transform, commutator, distance, geodesic
+from projnewton.grassmann import (
+    cayley_transform,
+    chart_factor,
+    commutator,
+    distance,
+    geodesic,
+    push_frame,
+)
 from projnewton.lagrange import (
     LagProjector,
     SymplecticFrame,
     lag_frame_from_projector,
     lg_chart_cayley,
     lg_chart_exp,
-    lg_chart_factor,
     lg_chart_point,
     lg_param_from_tangent,
-    lg_push_frame,
     lg_tangent_from_param,
     lg_tangent_project,
     random_lag_projector,
@@ -139,12 +144,16 @@ class TestLgCharts:
         assert np.abs(out.mat @ j @ out.mat).max() <= 1e-9
         assert np.linalg.norm(out.mat @ out.mat - out.mat) <= 1e-9
 
-    def test_qr_factor_orthogonal_symplectic(self, rng):
+    @pytest.mark.parametrize("chart", LG_CHARTS)
+    def test_chart_factor_orthogonal_symplectic(self, chart, rng):
+        # the Grassmann factor at symmetric Z is [[X, -Y], [Y, X]]
         z = _sym(rng, 4)
-        factor = lg_chart_factor(z, "qr")
+        factor = chart_factor(z, chart)
         j = sympl_form(4)
         assert np.abs(factor.T @ factor - np.eye(8)).max() <= 1e-10
         assert np.abs(factor.T @ j @ factor - j).max() <= 1e-10
+        assert np.abs(factor[4:, 4:] - factor[:4, :4]).max() <= 1e-13
+        assert np.abs(factor[4:, :4] + factor[:4, 4:]).max() <= 1e-13
 
     @pytest.mark.parametrize("chart", LG_CHARTS)
     def test_derivative_identity(self, chart, rng):
@@ -245,5 +254,5 @@ class TestFrameConstruction:
         _, frame = random_lag_projector(2, 19)
         for chart in LG_CHARTS:
             z = _sym(rng, 2, 0.3)
-            frame = lg_push_frame(frame, z, chart)
+            frame = push_frame(frame, z, chart)
         assert frame.symplecticity_residual() <= 1e-12

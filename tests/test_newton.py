@@ -15,10 +15,11 @@ from projnewton.errors import InsufficientData
 from projnewton.grassmann import (
     OrthoFrame,
     Projector,
+    chart_factor,
     distance,
     frame_from_projector,
 )
-from projnewton.lagrange import symplectic_frame_from_basis
+from projnewton.lagrange import SymplecticFrame, symplectic_frame_from_basis
 from projnewton.newton import (
     NewtonConfig,
     Status,
@@ -237,6 +238,15 @@ class TestAlgorithm2:
         )
         assert trace.status == Status.CONVERGED
         assert rate_from_trace(trace).verdict
+
+    @pytest.mark.parametrize("nu", ["exp", "qr", "cayley"])
+    def test_step_is_the_grassmann_push_without_qr(self, rng, nu):
+        cost, dom = _hamiltonian_with_frame(rng, 3)
+        frame = perturb_lag_frame(dom, 0.2, 5)
+        stepped, _ = newton_step(cost, frame, NewtonConfig(nu=nu))
+        assert isinstance(stepped, SymplecticFrame)
+        expected = frame.advance(chart_factor(cost.newton_solve(frame), nu))
+        assert np.array_equal(stepped.theta, expected.theta)
 
     def test_symplecticity_preserved_over_steps(self, rng):
         cost, dom = _hamiltonian_with_frame(rng, 3)
