@@ -9,7 +9,6 @@ from .costs import (
     HamiltonianRayleighCost,
     InvariantSubspaceCost,
     RayleighCost,
-    invariant_cost_ambient,
     riemannian_gradient_gr,
     riemannian_gradient_lg,
     riemannian_hessian_apply_gr,
@@ -27,7 +26,6 @@ from .grassmann import (
     distance,
     frame_from_projector,
     geodesic,
-    principal_angles,
     random_projector,
     tangent_project,
 )
@@ -50,7 +48,6 @@ from .newton import (
     estimate_quadratic_rate,
     newton_step,
     perturb_frame,
-    perturb_lag_frame,
     rate_from_trace,
     run_newton,
 )

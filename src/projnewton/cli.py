@@ -35,13 +35,12 @@ from .errors import (
     InsufficientData,
     ProjNewtonError,
 )
-from .grassmann import CHART_NAMES, _oriented_frame, distance
+from .grassmann import CHART_NAMES, _oriented_frame
 from .lagrange import sympl_form, symplectic_frame_from_basis
 from .newton import (
     NewtonConfig,
     Status,
     perturb_frame,
-    perturb_lag_frame,
     rate_from_trace,
     run_newton,
 )
@@ -134,7 +133,7 @@ def _dominant_lag_frame(h):
 DEFAULT_PERTURB = 0.05
 
 
-def _select_start(args, base_frame, natural_frame, perturber):
+def _select_start(args, base_frame, natural_frame):
     """Start-point policy.
 
     An explicit --start wins (optionally rotated away by --perturb).  When
@@ -148,11 +147,11 @@ def _select_start(args, base_frame, natural_frame, perturber):
     if base_frame is not None:
         frame = base_frame
         if args.perturb is not None:
-            frame = perturber(frame, args.perturb, args.seed)
+            frame = perturb_frame(frame, args.perturb, args.seed)
         return frame
     if natural_frame is not None:
         eps = DEFAULT_PERTURB if args.perturb is None else args.perturb
-        return perturber(natural_frame, eps, args.seed)
+        return perturb_frame(natural_frame, eps, args.seed)
     if args.perturb is not None:
         raise ProjNewtonError("--perturb without --start needs a computable reference")
     return None
@@ -251,11 +250,11 @@ def _cmd_rayleigh_gr(args):
     cost = RayleighCost(a)
     natural = _dominant_frame(a, args.m)
     base = _frame_from_start_file(args.start, n, args.m) if args.start else None
-    start = _select_start(args, base, natural, perturb_frame)
+    start = _select_start(args, base, natural)
     reference = natural.projector()
 
     def extras(trace, final_projector):
-        return {"distance_to_dominant": distance(final_projector, reference)}
+        return {"distance_to_dominant": trace.records[-1].distance}
 
     return _run_report("rayleigh-gr", args, cost, start, reference, "rayleigh-gr", extras)
 
@@ -276,7 +275,7 @@ def _cmd_rayleigh_lg(args):
         if np.abs(u.T @ j @ u).max() > TOL.input_symmetry:
             raise ProjNewtonError("start basis does not span a Lagrangian subspace")
         base = symplectic_frame_from_basis(u)
-    start = _select_start(args, base, natural, perturb_lag_frame)
+    start = _select_start(args, base, natural)
     reference = natural.projector()
 
     def extras(trace, final_projector):
@@ -298,17 +297,15 @@ def _cmd_invariant(args):
         raise BadRank(f"m must satisfy 0 < m < {n}, got {args.m}")
     cost = InvariantSubspaceCost(a)
     base = _frame_from_start_file(args.start, n, args.m) if args.start else None
-    start = _select_start(args, base, None, perturb_frame)
+    start = _select_start(args, base, None)
     if start is None:
         from .grassmann import random_projector
 
         start = random_projector(n, args.m, args.seed)[1]
 
     def extras(trace, final_projector):
-        residuals = trace.extras.get("invariance_residuals", [])
-        p = final_projector.mat
-        final_res = float(np.linalg.norm((np.eye(n) - p) @ a @ p))
-        return {"invariance_residual": final_res, "invariance_history": residuals}
+        residuals = trace.extras["invariance_residuals"]
+        return {"invariance_residual": residuals[-1], "invariance_history": residuals}
 
     return _run_report("invariant", args, cost, start, None, f"invariant-{args.solver}", extras)
 

@@ -11,12 +11,13 @@ quantities are assembled from the ambient ones with the tangent projections:
 
 with pi(X) = (1/2)[P, [P, J X J + X]] on the Lagrange Grassmannian.
 
-Each cost also solves its own Newton equation in frame coordinates
-(``newton_solve``), from the blocks of B = Theta A Theta^T: a Sylvester
-equation for tr(A P) (Algorithm 1), a Lyapunov equation for tr(H P) on the
-Lagrange Grassmannian (Algorithm 2), the four-term equation for the
-invariant-subspace cost (Algorithm 3).  Any other cost falls back to the
-dense Riemannian Newton equation assembled from its ambient data.
+Each cost also gives its value and gradient block (``frame_terms``) and
+solves its own Newton equation (``newton_solve``) in frame coordinates,
+from the blocks of B = Theta A Theta^T: a Sylvester equation for tr(A P)
+(Algorithm 1), a Lyapunov equation for tr(H P) on the Lagrange
+Grassmannian (Algorithm 2), the four-term equation for the
+invariant-subspace cost (Algorithm 3).  Any other cost falls back to its
+ambient data: value(P), and the dense Riemannian Newton equation.
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ import numpy as np
 from .config import TOL
 from .decomp import require_symmetric, symmetrize
 from .errors import DimensionMismatch, NotSymmetric
-from .grassmann import GrTangent, Projector, ad_squared, commutator
+from .grassmann import GrTangent, Projector, ad_squared, commutator, tangent_project
 from .lagrange import LagProjector, SymplecticFrame, lg_tangent_project, sympl_form
 from .solvers import (
+    invariant_newton_rhs,
     solve_dense,
     solve_invariant_newton_direct,
     solve_invariant_newton_recursive,
@@ -43,7 +45,6 @@ __all__ = [
     "RayleighCost",
     "InvariantSubspaceCost",
     "HamiltonianRayleighCost",
-    "invariant_cost_ambient",
     "riemannian_gradient_gr",
     "riemannian_hessian_apply_gr",
     "riemannian_gradient_lg",
@@ -63,6 +64,14 @@ class CostFunction:
 
     def ambient_hessian_apply(self, p, xi):
         raise NotImplementedError
+
+    def frame_terms(self, frame):
+        """Value and gradient block G at ``frame``: the Riemannian gradient is
+        Theta^T [[0, G], [G^T, 0]] Theta, of norm sqrt(2) ||G||.  This
+        fallback evaluates value(P) and G = (Theta grad_F Theta^T)_12."""
+        p = frame.projector().mat
+        g = frame.theta @ self.ambient_gradient(p) @ frame.theta.T
+        return self.value(p), g[: frame.rank, frame.rank :]
 
     def newton_solve(self, frame, solver="direct"):
         """Newton tangent parameter Z at ``frame``: Hess(Z) = -grad in frame
@@ -113,6 +122,14 @@ class RayleighCost(CostFunction):
     def ambient_hessian_apply(self, p, xi):
         return np.zeros_like(self.a)
 
+    def frame_terms(self, frame):
+        """tr B11 and B12; sym(B12) on a symplectic frame, which is the
+        J-corrected tangent projection in frame coordinates."""
+        m = frame.rank
+        b = frame.theta @ self.a @ frame.theta.T
+        b12 = symmetrize(b[:m, m:]) if isinstance(frame, SymplecticFrame) else b[:m, m:]
+        return float(np.trace(b[:m, :m])), b12
+
     def newton_solve(self, frame, solver="direct"):
         """Algorithm 1: the Sylvester equation B11 Z - Z B22 = B12."""
         m = frame.rank
@@ -146,6 +163,14 @@ class InvariantSubspaceCost(CostFunction):
         a = self.a
         return symmetrize(-a.T @ xi @ a - a @ xi @ a.T)
 
+    def frame_terms(self, frame):
+        """||B21||^2 and B21^T B22 - B11 B21^T, the Newton right-hand side;
+        ||B21|| is the invariance residual ||(I - P) A P||."""
+        m = frame.rank
+        b = frame.theta @ self.a @ frame.theta.T
+        b21 = b[m:, :m]
+        return float(np.sum(b21 * b21)), invariant_newton_rhs(b[:m, :m], b21, b[m:, m:])
+
     def newton_solve(self, frame, solver="direct"):
         """Algorithm 3: minus the solution of the four-term equation, solved
         densely (``solver="direct"``) or by alternating Sylvester sweeps
@@ -161,14 +186,13 @@ class InvariantSubspaceCost(CostFunction):
 
 
 @dataclass(frozen=True)
-class HamiltonianRayleighCost(CostFunction):
+class HamiltonianRayleighCost(RayleighCost):
     """Trace cost tr(H P) on the Lagrange Grassmannian, with H symmetric
-    Hamiltonian: H = [[S, T], [T, -S]] for symmetric S, T (J H J = H)."""
-
-    h: np.ndarray
+    Hamiltonian: H = [[S, T], [T, -S]] for symmetric S, T (J H J = H).  On
+    a frame that is not symplectic it is the Grassmann trace cost."""
 
     def __post_init__(self):
-        h = require_symmetric(self.h, what="Hamiltonian cost matrix")
+        h = require_symmetric(self.a, what="Hamiltonian cost matrix")
         n2 = h.shape[0]
         if n2 % 2:
             raise DimensionMismatch("symmetric Hamiltonian must have even dimension")
@@ -176,7 +200,12 @@ class HamiltonianRayleighCost(CostFunction):
         defect = np.abs(j @ h @ j - h).max()
         if defect > TOL.lagrangian * max(1.0, np.abs(h).max()):
             raise NotSymmetric(f"JHJ - H residual {defect:.3e}; not symmetric Hamiltonian")
-        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "a", h)
+
+    @property
+    def h(self):
+        """The matrix H, held as the trace cost's ``a``."""
+        return self.a
 
     @classmethod
     def from_blocks(cls, s, t):
@@ -184,47 +213,19 @@ class HamiltonianRayleighCost(CostFunction):
         t = require_symmetric(t, what="T block")
         return cls(np.block([[s, t], [t, -s]]))
 
-    def value(self, p):
-        return float(np.trace(self.h @ p))
-
-    def ambient_gradient(self, p):
-        return self.h
-
-    def ambient_hessian_apply(self, p, xi):
-        return np.zeros_like(self.h)
-
     def newton_solve(self, frame, solver="direct"):
         """Algorithm 2: the Lyapunov equation B11 Z + Z B11 = B12 with
-        symmetric Z; on a frame that is not symplectic, the dense fallback."""
+        symmetric Z; on a frame that is not symplectic, Algorithm 1."""
         if not isinstance(frame, SymplecticFrame):
             return super().newton_solve(frame, solver)
         n = frame.rank
-        b = frame.theta @ self.h @ frame.theta.T
+        b = frame.theta @ self.a @ frame.theta.T
         return solve_lyapunov(symmetrize(b[:n, :n]), symmetrize(b[:n, n:]))
-
-
-def invariant_cost_ambient(a, p):
-    """Ambient gradient and Hessian action of the invariant-subspace cost at P:
-    grad = A^T (I - P) A - A P A^T and Hess(xi) = -A^T xi A - A xi A^T."""
-    cost = InvariantSubspaceCost(a)
-    p = np.asarray(p, dtype=float)
-    if p.shape != cost.a.shape:
-        raise DimensionMismatch("point and cost matrix shapes differ")
-    grad = cost.ambient_gradient(p)
-
-    def hess_apply(xi):
-        return cost.ambient_hessian_apply(p, np.asarray(xi, dtype=float))
-
-    return grad, hess_apply
 
 
 def riemannian_gradient_gr(cost: CostFunction, p: Projector) -> GrTangent:
     """[P, [P, grad_F(P)]], the tangent projection of the ambient gradient."""
-    pm = p.mat
-    grad = cost.ambient_gradient(pm)
-    if grad.shape != pm.shape:
-        raise DimensionMismatch("ambient gradient shape mismatch")
-    return GrTangent(p, symmetrize(ad_squared(pm, grad)))
+    return tangent_project(p, cost.ambient_gradient(p.mat))
 
 
 def riemannian_hessian_apply_gr(cost: CostFunction, p: Projector, xi) -> GrTangent:
@@ -240,10 +241,7 @@ def riemannian_hessian_apply_gr(cost: CostFunction, p: Projector, xi) -> GrTange
 
 def riemannian_gradient_lg(cost: CostFunction, p: LagProjector) -> np.ndarray:
     """pi(grad_F(P)) with the J-corrected tangent projection."""
-    grad = cost.ambient_gradient(p.mat)
-    if grad.shape != p.mat.shape:
-        raise DimensionMismatch("ambient gradient shape mismatch")
-    return lg_tangent_project(p, grad)
+    return lg_tangent_project(p, cost.ambient_gradient(p.mat))
 
 
 def riemannian_hessian_apply_lg(cost: CostFunction, p: LagProjector, xi) -> np.ndarray:

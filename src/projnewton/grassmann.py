@@ -34,8 +34,8 @@ __all__ = [
     "tangent_from_param",
     "param_from_tangent",
     "geodesic",
-    "principal_angles",
     "distance",
+    "frame_distance",
     "distance_via_cosines",
     "distance_via_sines",
     "chart_factor",
@@ -83,6 +83,10 @@ class Projector:
         if not 0 < m < mat.shape[0]:
             raise BadRank(f"rank {m} outside (0, {mat.shape[0]})")
         return cls(mat, m)
+
+    def basis(self):
+        """Orthonormal basis (n, m) of the range: leading eigenvectors."""
+        return sym_eig(self.mat)[1][:, : self.rank]
 
 
 @dataclass(frozen=True)
@@ -237,33 +241,35 @@ def geodesic(p0: Projector, xi0, t: float, frame: OrthoFrame | None = None) -> P
     return Projector(frame.theta.T @ rot @ phat @ rot.T @ frame.theta, m)
 
 
-def _subspace_trig(p: Projector, q: Projector):
-    """Cosines and sines of the principal angles between range(P), range(Q).
-
-    With U_q an orthonormal basis of range(Q), the cosines are the singular
-    values of P U_q and the sines those of (I - P) U_q, so only Q needs an
-    eigendecomposition.
-    """
-    if p.mat.shape != q.mat.shape or p.rank != q.rank:
-        raise DimensionMismatch("projectors live on different Grassmannians")
-    uq = sym_eig(q.mat)[1][:, : q.rank]
-    puq = p.mat @ uq
-    cos = np.clip(np.linalg.svd(puq, compute_uv=False), 0.0, 1.0)
-    sin = np.clip(np.linalg.svd(uq - puq, compute_uv=False), 0.0, 1.0)
-    return np.sort(cos)[::-1], np.sort(sin)
-
-
-def principal_angles(p: Projector, q: Projector) -> np.ndarray:
-    """Principal angles in ascending order, accurate for both tiny and
-    near-maximal angles (sine evaluation for small, cosine for large)."""
-    cos, sin = _subspace_trig(p, q)
-    return np.where(cos > np.cos(np.pi / 4), np.arcsin(sin), np.arccos(cos))
+def _distance(cos_mat, sin_mat):
+    """sqrt(2 sum_i theta_i^2) over the principal angles theta_i, from
+    matrices whose singular values are their cosines and their sines (sines
+    missing when m > n/2 are zero); sines below pi/4 and cosines above keep
+    tiny and near-right angles accurate."""
+    cos = np.sort(np.clip(np.linalg.svd(cos_mat, compute_uv=False), 0.0, 1.0))[::-1]
+    sin = np.clip(np.linalg.svd(sin_mat, compute_uv=False), 0.0, 1.0)
+    sin = np.sort(np.concatenate([np.zeros(cos.size - sin.size), sin]))
+    theta = np.where(cos > np.cos(np.pi / 4), np.arcsin(sin), np.arccos(cos))
+    return float(np.sqrt(2.0 * np.sum(theta * theta)))
 
 
 def distance(p: Projector, q: Projector) -> float:
-    """Geodesic distance sqrt(2 sum_i theta_i^2) over the principal angles."""
-    theta = principal_angles(p, q)
-    return float(np.sqrt(2.0 * np.sum(theta * theta)))
+    """Geodesic distance between range(P) and range(Q): with U a basis of
+    range(Q), the cosines of the principal angles are the singular values
+    of P U and the sines those of (I - P) U, so only Q is eigendecomposed."""
+    if p.mat.shape != q.mat.shape or p.rank != q.rank:
+        raise DimensionMismatch("projectors live on different Grassmannians")
+    uq = q.basis()
+    puq = p.mat @ uq
+    return _distance(puq, uq - puq)
+
+
+def frame_distance(frame: OrthoFrame, basis) -> float:
+    """``distance`` from the frame's subspace to range(U), U orthonormal
+    (n, m), from the frame rows: the cosines are the singular values of
+    Theta[:m] U (m x m) and the sines those of Theta[m:] U."""
+    m = frame.rank
+    return _distance(frame.theta[:m] @ basis, frame.theta[m:] @ basis)
 
 
 def distance_via_cosines(p: Projector, q: Projector) -> float:

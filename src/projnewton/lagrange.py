@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import TOL
-from .decomp import require_symmetric, sym_eig, symmetrize
+from .decomp import require_symmetric, symmetrize
 from .errors import DimensionMismatch, NotAProjector
 from .grassmann import (
     OrthoFrame,
@@ -150,8 +150,7 @@ def lag_frame_from_projector(p: LagProjector) -> SymplecticFrame:
     """Recover an orthogonal-symplectic frame from a Lagrangian projector."""
     if not isinstance(p, LagProjector):
         p = LagProjector.from_matrix(p)
-    _, vectors = sym_eig(p.mat)
-    return symplectic_frame_from_basis(vectors[:, : p.half_dim])
+    return symplectic_frame_from_basis(p.basis())
 
 
 def lg_tangent_from_param(frame: SymplecticFrame, z) -> np.ndarray:

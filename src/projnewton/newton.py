@@ -12,7 +12,9 @@ iterates; only nu does.
 There is one engine: each cost solves its own Newton equation in frame
 coordinates (``CostFunction.newton_solve``), and ``newton_step`` pushes
 the solution forward.  Algorithms 1-3 are this iteration for the trace
-cost on both manifolds and for the invariant-subspace cost.
+cost on both manifolds and for the invariant-subspace cost.  The loop
+reads its diagnostics from the frames too: value and gradient block from
+``CostFunction.frame_terms``, distances from the frame rows.
 
 No globalization is attempted: the method is local, and runs started far
 from a nondegenerate critical point may diverge; the trace reports it.
@@ -25,19 +27,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import (
-    CostFunction,
-    InvariantSubspaceCost,
-    riemannian_gradient_gr,
-    riemannian_gradient_lg,
-)
+from .costs import CostFunction, InvariantSubspaceCost
 from .errors import (
     InsufficientData,
     NoConvergence,
     SingularOperator,
     SpectralOverlap,
 )
-from .grassmann import CHART_NAMES, OrthoFrame, distance, push_frame
+from .grassmann import CHART_NAMES, OrthoFrame, frame_distance, push_frame
 from .lagrange import SymplecticFrame
 
 __all__ = [
@@ -54,7 +51,6 @@ __all__ = [
     "estimate_quadratic_rate",
     "rate_from_trace",
     "perturb_frame",
-    "perturb_lag_frame",
 ]
 
 
@@ -202,21 +198,26 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
     """Iterate Newton steps until the gradient norm, step norm, or
     iteration budget stops the run.
 
+    Every reported number is read from the frames: per iteration, the
+    value and gradient block G of ``cost.frame_terms`` (blocks of
+    B = Theta A Theta^T for the trace and invariant costs; the gradient
+    norm is sqrt(2) ||G||); after the loop, the distances from the frame
+    rows (``grassmann.frame_distance``), the symplecticity residuals, and
+    the invariance residuals ||B21|| = sqrt(cost).  No projector or ambient
+    gradient is formed; only the reference is eigendecomposed, once.
+
     Parameters
     ----------
     cost : CostFunction
-        Solves the Newton equation (e.g. a HamiltonianRayleighCost on a
-        SymplecticFrame for ``rayleigh-lg``).
+        Gives the frame terms and solves the Newton equation (e.g. a
+        HamiltonianRayleighCost on a SymplecticFrame for ``rayleigh-lg``).
     start : OrthoFrame
-        A ``SymplecticFrame`` runs on the Lagrange Grassmannian: the
-        gradient uses the J-corrected tangent projection, and each record
-        adds the frame's symplecticity residual.  Steps use the same charts
-        on both manifolds.
+        A ``SymplecticFrame`` runs on the Lagrange Grassmannian, with the
+        same charts.
     config : NewtonConfig
     reference : Projector or None
-        When given (a ``LagProjector`` is one), each record carries the
-        geodesic distance to it; otherwise distances to the final iterate
-        are filled in afterwards.
+        When given (a ``LagProjector`` is one), distances measure to it;
+        otherwise to the final iterate.
     method : str
         One of ``METHODS``.  The cost determines the Newton equation;
         ``invariant-recursive`` selects the recursive four-term solver.
@@ -232,35 +233,21 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     solver = "recursive" if method == "invariant-recursive" else "direct"
-    lagrangian = isinstance(start, SymplecticFrame)
-    invariant = isinstance(cost, InvariantSubspaceCost)
     trace = NewtonTrace()
     trace.distance_reference = "supplied" if reference is not None else "final"
-    if lagrangian:
-        trace.extras["symplecticity_residuals"] = []
-    if invariant:
-        trace.extras["invariance_residuals"] = []
     frame = start
-    iterates = []
+    frames = []
     tiny_step = False
     t0 = time.perf_counter()
     for iteration in range(config.max_iters + 1):
-        point = frame.projector()
-        if lagrangian:
-            grad_norm = float(np.linalg.norm(riemannian_gradient_lg(cost, point)))
-            trace.extras["symplecticity_residuals"].append(frame.symplecticity_residual())
-        else:
-            grad_norm = riemannian_gradient_gr(cost, point).norm
-        if invariant:
-            residual = np.linalg.norm((np.eye(point.dim) - point.mat) @ cost.a @ point.mat)
-            trace.extras["invariance_residuals"].append(float(residual))
-        iterates.append(point)
+        value, grad_block = cost.frame_terms(frame)
+        frames.append(frame)
         record = IterationRecord(
             iteration=iteration,
-            cost=cost.value(point.mat),
-            grad_norm=grad_norm,
+            cost=value,
+            grad_norm=float(np.sqrt(2.0) * np.linalg.norm(grad_block)),
             step_norm=0.0,
-            distance=distance(point, reference) if reference is not None else None,
+            distance=None,
             elapsed=time.perf_counter() - t0,
         )
         trace.records.append(record)
@@ -268,7 +255,7 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
             trace.status = Status.CONVERGED
             break
         try:
-            if grad_norm <= config.grad_tol:
+            if record.grad_norm <= config.grad_tol:
                 # certify nondegeneracy: a vanishing gradient at a degenerate
                 # point (singular Newton system) is a failure mode, not success
                 cost.newton_solve(frame, solver)
@@ -289,29 +276,25 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
             break
         record.step_norm = info.step_norm
         tiny_step = info.step_norm <= config.step_tol
-    if reference is None and iterates:
-        final = iterates[-1]
-        for record, point in zip(trace.records, iterates):
-            record.distance = distance(point, final)
+    basis = frame.basis() if reference is None else reference.basis()
+    for record, iterate in zip(trace.records, frames):
+        record.distance = frame_distance(iterate, basis)
+    if isinstance(start, SymplecticFrame):
+        trace.extras["symplecticity_residuals"] = [f.symplecticity_residual() for f in frames]
+    if isinstance(cost, InvariantSubspaceCost):
+        trace.extras["invariance_residuals"] = [float(np.sqrt(r.cost)) for r in trace.records]
     trace.extras["final_frame"] = frame
     return trace
 
 
 def perturb_frame(frame: OrthoFrame, eps, seed, chart="exp") -> OrthoFrame:
     """Move a frame a geodesic distance ``eps`` in a random tangent
-    direction (the exponential chart preserves that distance exactly)."""
+    direction (the exponential chart preserves that distance exactly); a
+    ``SymplecticFrame`` moves along a symmetric Z and stays symplectic."""
     rng = np.random.default_rng(seed)
     m, k = frame.rank, frame.dim - frame.rank
     z = rng.standard_normal((m, k))
-    z *= eps / (np.sqrt(2.0) * np.linalg.norm(z))
-    return push_frame(frame, z, chart)
-
-
-def perturb_lag_frame(frame: SymplecticFrame, eps, seed, chart="exp") -> SymplecticFrame:
-    """Same as ``perturb_frame`` for symplectic frames (symmetric Z)."""
-    rng = np.random.default_rng(seed)
-    n = frame.rank
-    z = rng.standard_normal((n, n))
-    z = 0.5 * (z + z.T)
+    if isinstance(frame, SymplecticFrame):
+        z = 0.5 * (z + z.T)
     z *= eps / (np.sqrt(2.0) * np.linalg.norm(z))
     return push_frame(frame, z, chart)

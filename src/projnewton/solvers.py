@@ -195,7 +195,9 @@ def solve_invariant_newton_recursive(a11, a12, a21, a22, z0=None, max_sweeps=100
         If A11 and A22 have (numerically) intersecting spectra, in which
         case neither Sylvester equation is solvable.
     NoConvergence
-        If the sweep limit is reached before the update stabilizes.
+        If the sweep limit is reached before the update stabilizes, or at
+        the first sweep whose update is not finite; carries the last finite
+        relative update.
     """
     a11, a12, a21, a22 = (np.atleast_2d(np.asarray(b, dtype=float)) for b in (a11, a12, a21, a22))
     m, k = a12.shape
@@ -215,10 +217,18 @@ def solve_invariant_newton_recursive(a11, a12, a21, a22, z0=None, max_sweeps=100
     inv2 = _checked_inverse(op2)
     z = np.zeros((m, k)) if z0 is None else np.asarray(z0, dtype=float).reshape(m, k).copy()
     residual = np.inf
-    for _ in range(max_sweeps):
+    for sweep in range(1, max_sweeps + 1):
         rhs = c + a21.T @ (z.T @ a12 + a21 @ z) + (a12 @ z.T + z @ a21) @ a21.T
         z_new = (inv2 @ (inv1 @ rhs.reshape(-1))).reshape(m, k)
-        residual = np.linalg.norm(z_new - z) / max(np.linalg.norm(z_new), np.finfo(float).tiny)
+        # a diverging sweep overflows in these norms first; stop on it below
+        with np.errstate(over="ignore", invalid="ignore"):
+            update = np.linalg.norm(z_new - z) / max(np.linalg.norm(z_new), np.finfo(float).tiny)
+        if not np.isfinite(update):
+            raise NoConvergence(
+                f"recursive sweep {sweep} overflowed, last finite relative update {residual:.3e}",
+                residual,
+            )
+        residual = update
         z = z_new
         if residual <= tol:
             return z

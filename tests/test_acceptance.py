@@ -48,7 +48,6 @@ from projnewton.newton import (
     NewtonConfig,
     Status,
     perturb_frame,
-    perturb_lag_frame,
     rate_from_trace,
     run_newton,
 )
@@ -416,7 +415,7 @@ def test_criterion_7_algorithm2():
             h = _random_hamiltonian((n, seed), n)
             _, vectors = sym_eig(h)
             dom = symplectic_frame_from_basis(vectors[:, :n])
-            start_frame = perturb_lag_frame(dom, 0.05, 2000 + seed)
+            start_frame = perturb_frame(dom, 0.05, 2000 + seed)
             trace = run_newton(
                 HamiltonianRayleighCost(h), start_frame,
                 NewtonConfig(grad_tol=1e-12, max_iters=8),

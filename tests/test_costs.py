@@ -6,10 +6,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from projnewton.costs import (
+    CostFunction,
     HamiltonianRayleighCost,
     InvariantSubspaceCost,
     RayleighCost,
-    invariant_cost_ambient,
     riemannian_gradient_gr,
     riemannian_gradient_lg,
     riemannian_hessian_apply_gr,
@@ -22,6 +22,7 @@ from projnewton.grassmann import (
     Projector,
     chart_point,
     commutator,
+    param_from_tangent,
     random_projector,
     tangent_from_param,
 )
@@ -268,7 +269,7 @@ class TestInvariantCostAmbient:
     def test_identity_matrix(self, rng):
         n = 4
         p = random_symmetric(rng, n)
-        grad, _ = invariant_cost_ambient(np.eye(n), p)
+        grad = InvariantSubspaceCost(np.eye(n)).ambient_gradient(p)
         assert_allclose(grad, np.eye(n) - 2.0 * p, atol=1e-12)
 
     def test_gradient_finite_difference(self, rng):
@@ -276,7 +277,7 @@ class TestInvariantCostAmbient:
         a = rng.standard_normal((n, n))
         cost = InvariantSubspaceCost(a)
         p = random_symmetric(rng, n)
-        grad, _ = invariant_cost_ambient(a, p)
+        grad = cost.ambient_gradient(p)
         h = 1e-5
         direction = random_symmetric(rng, n)
         fd = (cost.value(p + h * direction) - cost.value(p - h * direction)) / (2 * h)
@@ -286,10 +287,12 @@ class TestInvariantCostAmbient:
         n = 4
         a = rng.standard_normal((n, n))
         p = random_symmetric(rng, n)
-        _, hess_apply = invariant_cost_ambient(a, p)
+        cost = InvariantSubspaceCost(a)
         xi = random_symmetric(rng, n)
         eta = random_symmetric(rng, n)
-        assert abs(np.trace(hess_apply(xi) @ eta) - np.trace(hess_apply(eta) @ xi)) <= 1e-10
+        hess_xi = cost.ambient_hessian_apply(p, xi)
+        hess_eta = cost.ambient_hessian_apply(p, eta)
+        assert abs(np.trace(hess_xi @ eta) - np.trace(hess_eta @ xi)) <= 1e-10
 
     def test_global_minima_are_invariant_subspaces(self, rng):
         # cost is zero exactly when the subspace is invariant
@@ -307,3 +310,56 @@ class TestInvariantCostAmbient:
         residual = np.linalg.norm((np.eye(n) - p_rand.mat) @ a @ p_rand.mat)
         assert abs(cost.value(p_rand.mat) - residual**2) <= 1e-10
         assert cost.value(p_rand.mat) > 1e-4
+
+
+class _QuadraticCost(CostFunction):
+    """0.5 ||P - B||^2: no frame formulas of its own, so it takes the fallback."""
+
+    def __init__(self, b):
+        self.b = b
+
+    def value(self, p):
+        return 0.5 * np.linalg.norm(p - self.b) ** 2
+
+    def ambient_gradient(self, p):
+        return p - self.b
+
+    def ambient_hessian_apply(self, p, xi):
+        return xi
+
+
+class TestFrameTerms:
+    """``frame_terms`` against the ambient oracles, to 1e-12 relative to the
+    data scale: ||A||_F for the trace and quadratic costs, ||A||_F^2 for the
+    invariant cost."""
+
+    @pytest.mark.parametrize("n,m", [(5, 2), (7, 5), (12, 3)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_grassmann_costs(self, n, m, seed):
+        gen = np.random.default_rng(seed)
+        p, frame = random_projector(n, m, 100 + seed)
+        a = gen.standard_normal((n, n))
+        sym = random_symmetric(gen, n)
+        cases = [
+            (RayleighCost(sym), np.linalg.norm(sym)),
+            (InvariantSubspaceCost(a), np.linalg.norm(a) ** 2),
+            (_QuadraticCost(sym), np.linalg.norm(sym) + np.sqrt(m)),
+        ]
+        for cost, scale in cases:
+            value, block = cost.frame_terms(frame)
+            grad = riemannian_gradient_gr(cost, p)
+            assert abs(value - cost.value(p.mat)) <= 1e-12 * scale
+            assert np.abs(block - param_from_tangent(frame, grad)).max() <= 1e-12 * scale
+            assert abs(np.sqrt(2.0) * np.linalg.norm(block) - grad.norm) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_hamiltonian_cost_on_symplectic_frames(self, n, seed):
+        cost = _hamiltonian(np.random.default_rng(seed), n)
+        p, frame = random_lag_projector(n, 200 + seed)
+        scale = np.linalg.norm(cost.h)
+        value, block = cost.frame_terms(frame)
+        grad = riemannian_gradient_lg(cost, p)
+        assert abs(value - cost.value(p.mat)) <= 1e-12 * scale
+        assert np.abs(block - param_from_tangent(frame, grad)).max() <= 1e-12 * scale
+        assert abs(np.sqrt(2.0) * np.linalg.norm(block) - np.linalg.norm(grad)) <= 1e-12 * scale

@@ -20,6 +20,7 @@ from projnewton.grassmann import (
     distance,
     distance_via_cosines,
     distance_via_sines,
+    frame_distance,
     frame_from_projector,
     geodesic,
     param_from_tangent,
@@ -214,6 +215,43 @@ class TestDistance:
             q = chart_exp(frame, zz)
             d = distance(p, q)
             assert abs(d - eps) <= 1e-4 * eps + 1e-15
+
+    @pytest.mark.parametrize("n,m", [(5, 2), (6, 3), (7, 5), (9, 8), (12, 3)])
+    @pytest.mark.parametrize("angles", ["near-zero", "generic", "near-right"])
+    def test_frame_distance_matches_oracles(self, n, m, angles):
+        # the angles are the singular values of Z in the exponential chart
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            p, frame = random_projector(n, m, seed)
+            r = min(m, n - m)
+            if angles == "near-zero":
+                sigma = 1e-9 * rng.uniform(0.5, 1.0, r)
+            elif angles == "near-right":
+                sigma = np.pi / 2 - 1e-9 * rng.uniform(0.5, 1.0, r)
+            else:
+                sigma = rng.uniform(0.1, 1.4, r)
+            u = np.linalg.qr(rng.standard_normal((m, r)))[0]
+            v = np.linalg.qr(rng.standard_normal((n - m, r)))[0]
+            target = push_frame(frame, u @ np.diag(sigma) @ v.T, "exp")
+            q = target.projector()
+            d = frame_distance(frame, target.basis())
+            assert abs(d - np.sqrt(2.0) * np.linalg.norm(sigma)) <= 1e-14
+            assert abs(d - distance(p, q)) <= 1e-14
+            # the eigenvalue routes read cos^2 and sin^2, so near 0 and pi/2
+            # they keep only half the digits
+            tol = 1e-12 if angles == "generic" else 1e-6
+            assert abs(d - distance_via_cosines(p, q)) <= tol
+            assert abs(d - distance_via_sines(p, q)) <= tol
+
+    def test_frame_distance_is_distance_to_the_range(self):
+        # any orthonormal basis of the target gives the same distance
+        p, frame = random_projector(7, 3, 4)
+        q, target = random_projector(7, 3, 5)
+        rot = qr_positive(np.random.default_rng(6).standard_normal((3, 3)))[0]
+        expected = distance(p, q)
+        assert abs(frame_distance(frame, target.basis()) - expected) <= 1e-14
+        assert abs(frame_distance(frame, target.basis() @ rot) - expected) <= 1e-14
+        assert abs(frame_distance(frame, q.basis()) - expected) <= 1e-14
 
 
 class TestCharts:

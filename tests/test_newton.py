@@ -26,7 +26,6 @@ from projnewton.newton import (
     estimate_quadratic_rate,
     newton_step,
     perturb_frame,
-    perturb_lag_frame,
     rate_from_trace,
     run_newton,
 )
@@ -154,11 +153,13 @@ class TestGenericStep:
         assert np.abs(z_gen - cost.newton_solve(frame, solver)).max() <= 1e-9
 
     def test_hamiltonian_cost_on_grassmann_frame(self, rng):
-        # on an orthogonal frame, tr(H P) is a trace cost on Gr(n, 2n)
+        # on an orthogonal frame, tr(H P) is a trace cost on Gr(n, 2n): its
+        # Sylvester solve agrees with the dense fallback
         cost, dom = _hamiltonian_with_frame(rng, 2)
         frame = perturb_frame(OrthoFrame(dom.theta, 2), 0.1, 4)
-        z_gen = cost.newton_solve(frame)
-        assert np.abs(z_gen - RayleighCost(cost.h).newton_solve(frame)).max() <= 1e-12
+        z_gen = CostFunction.newton_solve(cost, frame)
+        assert np.abs(z_gen - cost.newton_solve(frame)).max() <= 1e-12
+        assert np.array_equal(cost.newton_solve(frame), RayleighCost(cost.h).newton_solve(frame))
 
     def test_fallback_rejects_symplectic_frames(self, rng):
         cost, frame = _hamiltonian_with_frame(rng, 2)
@@ -231,7 +232,7 @@ class TestAlgorithm2:
     def test_quadratic_convergence(self):
         rng = np.random.default_rng(5)
         cost, dom = _hamiltonian_with_frame(rng, 2)
-        start = perturb_lag_frame(dom, 0.05, 31)
+        start = perturb_frame(dom, 0.05, 31)
         trace = run_newton(
             cost, start, NewtonConfig(grad_tol=1e-12, max_iters=10),
             reference=dom.projector(), method="rayleigh-lg",
@@ -242,15 +243,34 @@ class TestAlgorithm2:
     @pytest.mark.parametrize("nu", ["exp", "qr", "cayley"])
     def test_step_is_the_grassmann_push_without_qr(self, rng, nu):
         cost, dom = _hamiltonian_with_frame(rng, 3)
-        frame = perturb_lag_frame(dom, 0.2, 5)
+        frame = perturb_frame(dom, 0.2, 5)
         stepped, _ = newton_step(cost, frame, NewtonConfig(nu=nu))
         assert isinstance(stepped, SymplecticFrame)
         expected = frame.advance(chart_factor(cost.newton_solve(frame), nu))
         assert np.array_equal(stepped.theta, expected.theta)
 
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gradient_ignores_a_non_hamiltonian_perturbation(self, n, seed):
+        # the Lagrangian gradient block is sym(B12): a symmetric, not
+        # Hamiltonian perturbation of H that passes the cost's JHJ = H check
+        # leaves an antisymmetric part in B12 that no Lagrangian step removes
+        rng = np.random.default_rng(seed)
+        cost, dom = _hamiltonian_with_frame(rng, n)
+        e = random_symmetric(rng, 2 * n)
+        e *= 5e-11 * np.abs(cost.h).max() / np.abs(e).max()
+        trace = run_newton(
+            HamiltonianRayleighCost(cost.h + e), dom, NewtonConfig(),
+            reference=dom.projector(), method="rayleigh-lg",
+        )
+        assert trace.status == Status.CONVERGED
+        assert trace.records[-1].iteration <= 2
+        # converged on the gradient test, not only on the step-size test
+        assert trace.records[-1].grad_norm <= NewtonConfig().grad_tol
+
     def test_symplecticity_preserved_over_steps(self, rng):
         cost, dom = _hamiltonian_with_frame(rng, 3)
-        frame = perturb_lag_frame(dom, 0.4, 8)
+        frame = perturb_frame(dom, 0.4, 8)
         for _ in range(10):
             frame, _ = newton_step(cost, frame, NewtonConfig())
             assert frame.symplecticity_residual() <= 1e-9
@@ -326,7 +346,7 @@ class TestOneStepContraction:
             rng = np.random.default_rng(seed)
             cost, dom = _hamiltonian_with_frame(rng, 3)
             for eps in (1e-2, 1e-3):
-                start = perturb_lag_frame(dom, eps, 70 + seed)
+                start = perturb_frame(dom, eps, 70 + seed)
                 stepped, _ = newton_step(cost, start, NewtonConfig())
                 e1 = distance(stepped.projector().as_projector(), dom.projector().as_projector())
                 assert e1 <= 50.0 * eps**2, (seed, eps, e1)
@@ -402,6 +422,40 @@ class TestRunNewton:
         )
         assert trace.status == Status.CONVERGED
         assert trace.extras["invariance_residuals"][-1] <= 1e-10
+
+    @pytest.mark.parametrize("eps,max_iters", [(0.05, 50), (0.02, 50), (0.3, 2)])
+    @pytest.mark.parametrize("referenced", [True, False])
+    def test_loop_reads_the_frame(self, monkeypatch, eps, max_iters, referenced):
+        # no ambient gradient, no projector and no n x n eigendecomposition
+        # per iteration: only the reference basis, once per run
+        import projnewton.costs
+        import projnewton.newton
+
+        n = 12
+        a, dom = _gapped_symmetric(np.random.default_rng(3), n, 3)
+        reference = dom.projector() if referenced else None
+        start = perturb_frame(dom, eps, 4)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("n x n work inside run_newton")
+
+        for name in ("riemannian_gradient_gr", "riemannian_gradient_lg"):
+            monkeypatch.setattr(projnewton.costs, name, forbidden)
+            monkeypatch.setattr(projnewton.newton, name, forbidden, raising=False)
+        monkeypatch.setattr(OrthoFrame, "projector", forbidden)
+        eigh = np.linalg.eigh
+        square = []
+
+        def counting_eigh(mat, *args, **kwargs):
+            if np.shape(mat) == (n, n):
+                square.append(mat)
+            return eigh(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        trace = run_newton(RayleighCost(a), start, NewtonConfig(max_iters=max_iters),
+                           reference=reference, method="rayleigh-gr")
+        assert len(trace.records) >= 3
+        assert len(square) == (1 if referenced else 0)
 
     def test_distance_to_final_fallback(self, rng):
         a, dom = _gapped_symmetric(rng, 5, 2)

@@ -1,10 +1,13 @@
 """Matrix-equation solver tests against brute-force vectorized oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from projnewton.errors import NoConvergence, SingularOperator, SpectralOverlap
+from projnewton.grassmann import random_projector
 from projnewton.solvers import (
     invariant_newton_rhs,
     solve_dense,
@@ -169,6 +172,18 @@ class TestInvariantRecursive:
         with pytest.raises(NoConvergence) as info:
             solve_invariant_newton_recursive(a11, a12, a21, a22, max_sweeps=20)
         assert info.value.residual is not None
+
+    def test_stops_at_the_first_overflowing_sweep(self):
+        # a Gaussian 6 x 6 matrix at a random start: the sweeps grow until
+        # the update norm overflows, long before max_sweeps
+        a = np.random.default_rng(1).standard_normal((6, 6))
+        theta = random_projector(6, 2, 1)[1].theta
+        b = theta @ a @ theta.T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoConvergence, match="overflowed") as info:
+                solve_invariant_newton_recursive(b[:2, :2], b[:2, 2:], b[2:, :2], b[2:, 2:])
+        assert np.isfinite(info.value.residual)
 
     def test_spectral_overlap(self, rng):
         a = rng.standard_normal((2, 2))
