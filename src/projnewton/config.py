@@ -29,7 +29,8 @@ class Tolerances:
     frame_reconstruction: float = 1e-9
     # ||P J P|| for Lagrangian projectors, ||Theta^T J Theta - J|| for frames
     lagrangian: float = 1e-10
-    # relative spectral-gap floor for Sylvester / Lyapunov solvability
+    # relative floor on Sylvester / Lyapunov spectral gaps and on the
+    # recursive four-term solver's 1-norm separation 1/||op^-1||_1
     spectral_gap: float = 1e-8
     # condition-number ceiling for dense matrix-equation operators
     condition_limit: float = 1e12

@@ -14,7 +14,8 @@ is Theta^T M diag(I_m, 0) M^T Theta and the new frame is M^T Theta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import copy
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,13 +120,21 @@ class OrthoFrame:
         return Projector(th[:m].T @ th[:m], m)
 
     def advance(self, factor):
-        """Right-multiply Theta^T by an orthogonal hat-space factor."""
-        return replace(self, theta=factor.T @ self.theta)
+        """Right-multiply Theta^T by an orthogonal hat-space factor.  Not
+        re-checked: a long qr or Cayley step misses the orthogonality floor
+        by round-off that ``reorthogonalized`` removes."""
+        return self._with_theta(factor.T @ self.theta)
 
     def reorthogonalized(self):
         """Snap the frame back onto the orthogonal group via positive QR."""
         q, _ = qr_positive(self.theta.T)
-        return replace(self, theta=q.T)
+        return self._with_theta(q.T)
+
+    def _with_theta(self, theta):
+        """This frame with new rows; frames are checked where they enter."""
+        out = copy.copy(self)
+        object.__setattr__(out, "theta", theta)
+        return out
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from a nondegenerate critical point may diverge; the trace reports it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -235,7 +235,7 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
     solver = "recursive" if method == "invariant-recursive" else "direct"
     trace = NewtonTrace()
     trace.distance_reference = "supplied" if reference is not None else "final"
-    frame = start
+    frame = replace(start)  # re-runs the entry checks: pushes skip them
     frames = []
     tiny_step = False
     t0 = time.perf_counter()

@@ -5,10 +5,11 @@ solved by double diagonalization, which yields the exact spectral-gap
 diagnostics for free.  The four-term matrix equation of the invariant-
 subspace Newton step is solved either densely (Kronecker assembly on the
 m(n-m)-dimensional parameter space) or by the alternating-Sylvester
-recursion; the recursion carries an explicit no-convergence outcome since
-no general guarantee exists for it.  Dense operators are inverted once
-each by LAPACK behind the library's relative singularity floor
-(``solve_dense`` for a single right-hand side).
+recursion, which factors one Sylvester operator (the other half-sweep's is
+its transpose) and takes the 1-norm separation 1/||op^-1||_1 as its gap;
+it has an explicit no-convergence outcome, as nothing guarantees it
+converges.  Dense operators are inverted once by LAPACK behind the
+library's relative singularity floor (``solve_dense`` for one vector).
 """
 
 from __future__ import annotations
@@ -121,18 +122,24 @@ def invariant_newton_operator(a11, a12, a21, a22):
     k = a22.shape[0]
     im = np.eye(m)
     ik = np.eye(k)
-    op = np.kron(a11 @ a11.T, ik)
-    op -= np.kron(a11, a22)
-    op -= np.kron(a11.T, a22.T)
-    op += np.kron(im, a22.T @ a22)
-    op -= np.kron(a21.T @ a21, ik)
-    op -= np.kron(im, a21 @ a21.T)
+    op = _kron(a11 @ a11.T, ik)
+    op -= _kron(a11, a22)
+    op -= _kron(a11.T, a22.T)
+    op += _kron(im, a22.T @ a22)
+    op -= _kron(a21.T @ a21, ik)
+    op -= _kron(im, a21 @ a21.T)
     # the Z^T terms act on vec_r(Z^T), whose entry j*m + i is Z[i, j],
     # entry i*k + j of vec_r(Z)
     perm = np.arange(m * k).reshape(k, m).T.reshape(-1)
-    op -= np.kron(a21.T, a12.T)[:, perm]
-    op -= np.kron(a12, a21)[:, perm]
+    op -= _kron(a21.T, a12.T)[:, perm]
+    op -= _kron(a12, a21)[:, perm]
     return op
+
+
+def _kron(a, b):
+    """``np.kron`` of 2-D arrays: the same products, without its overhead."""
+    (p, q), (r, s) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
 
 
 def invariant_newton_rhs(a11, a21, a22):
@@ -192,8 +199,8 @@ def solve_invariant_newton_recursive(a11, a12, a21, a22, z0=None, max_sweeps=100
     Raises
     ------
     SpectralOverlap
-        If A11 and A22 have (numerically) intersecting spectra, in which
-        case neither Sylvester equation is solvable.
+        If the separation 1/||op^-1||_1 of the Sylvester operator (far
+        below the eigenvalue gap for non-normal blocks) is below the floor.
     NoConvergence
         If the sweep limit is reached before the update stabilizes, or at
         the first sweep whose update is not finite; carries the last finite
@@ -202,24 +209,27 @@ def solve_invariant_newton_recursive(a11, a12, a21, a22, z0=None, max_sweeps=100
     a11, a12, a21, a22 = (np.atleast_2d(np.asarray(b, dtype=float)) for b in (a11, a12, a21, a22))
     m, k = a12.shape
     c = invariant_newton_rhs(a11, a21, a22)
-    ik = np.eye(k)
-    op1 = np.kron(a11, ik) - np.kron(np.eye(m), a22.T)
-    op2 = np.kron(a11.T, ik) - np.kron(np.eye(m), a22)
-    gap = min(_min_singular_estimate(op1), _min_singular_estimate(op2))
+    op1 = _kron(a11, np.eye(k)) - _kron(np.eye(m), a22.T)
+    # the second half-sweep's operator A11^T (x) I - I (x) A22 is op1^T
+    try:
+        inv1 = np.linalg.inv(op1)
+        gap = 1.0 / np.linalg.norm(inv1, 1)
+    except np.linalg.LinAlgError:
+        gap = 0.0
     scale = max(np.linalg.norm(a11), np.linalg.norm(a22), np.finfo(float).tiny)
     if gap <= TOL.spectral_gap * scale:
         raise SpectralOverlap(
-            f"Sylvester operator nearly singular: estimate {gap:.3e}",
+            f"Sylvester operator nearly singular: separation {gap:.3e}",
             SpectralGapReport(gap, False),
         )
-    # both Sylvester operators are the same in every sweep: invert them once
-    inv1 = _checked_inverse(op1)
-    inv2 = _checked_inverse(op2)
+    # the 1-norm condition number is ||op1||_1 / gap: the singularity floor
+    if gap <= TOL.pivot * np.linalg.norm(op1, 1):
+        raise SingularOperator(f"condition number reaches 1 / {TOL.pivot:.1e}")
     z = np.zeros((m, k)) if z0 is None else np.asarray(z0, dtype=float).reshape(m, k).copy()
     residual = np.inf
     for sweep in range(1, max_sweeps + 1):
         rhs = c + a21.T @ (z.T @ a12 + a21 @ z) + (a12 @ z.T + z @ a21) @ a21.T
-        z_new = (inv2 @ (inv1 @ rhs.reshape(-1))).reshape(m, k)
+        z_new = (inv1.T @ (inv1 @ rhs.reshape(-1))).reshape(m, k)
         # a diverging sweep overflows in these norms first; stop on it below
         with np.errstate(over="ignore", invalid="ignore"):
             update = np.linalg.norm(z_new - z) / max(np.linalg.norm(z_new), np.finfo(float).tiny)
@@ -236,11 +246,6 @@ def solve_invariant_newton_recursive(a11, a12, a21, a22, z0=None, max_sweeps=100
         f"recursive sweeps did not settle, last relative update {residual:.3e}",
         residual,
     )
-
-
-def _min_singular_estimate(op):
-    """Smallest singular value of a dense operator (exact at desk scale)."""
-    return float(np.linalg.svd(op, compute_uv=False)[-1])
 
 
 def solve_dense(h, g):

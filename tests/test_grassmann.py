@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from projnewton.config import TOL
 from projnewton.decomp import qr_positive
 from projnewton.errors import BadRank, DimensionMismatch, NotAProjector
 from projnewton.grassmann import (
     CHART_NAMES,
+    OrthoFrame,
     Projector,
     cayley_transform,
     chart_cayley,
@@ -389,6 +391,23 @@ class TestFrameAdvance:
             z = 0.01 * rng.standard_normal((2, 2))
             frame = push_frame(frame, z, "qr")
         assert np.abs(frame.theta @ frame.theta.T - np.eye(4)).max() <= 1e-12
+
+    @pytest.mark.parametrize("chart", ["qr", "cayley"])
+    def test_long_step_is_reorthogonalized_not_rejected(self, chart):
+        # a 1e4-long step misses the orthogonality floor by round-off; the
+        # push must hand it on so that re-orthogonalization removes it
+        frame = _frame(6, 2)
+        z = 1e4 * np.random.default_rng(0).standard_normal((2, 4))
+        pushed = push_frame(frame, z, chart)
+        assert np.abs(pushed.theta @ pushed.theta.T - np.eye(6)).max() > TOL.frame_orthogonality
+        snapped = pushed.reorthogonalized()
+        assert np.abs(snapped.theta @ snapped.theta.T - np.eye(6)).max() <= TOL.frame_orthogonality
+        assert distance(snapped.projector(), pushed.projector()) <= 1e-6
+
+    def test_constructor_checks_orthogonality(self):
+        theta = _frame(5, 2).theta
+        with pytest.raises(NotAProjector, match="orthogonality"):
+            OrthoFrame(1.001 * theta, 2)
 
     def test_param_round_trip(self, rng):
         _, frame = random_projector(5, 2, 1)

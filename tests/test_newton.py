@@ -4,6 +4,7 @@ solve, fixed points, convergence and rate classification."""
 import numpy as np
 import pytest
 
+from projnewton.config import TOL
 from projnewton.costs import (
     CostFunction,
     HamiltonianRayleighCost,
@@ -11,13 +12,14 @@ from projnewton.costs import (
     RayleighCost,
 )
 from projnewton.decomp import qr_positive, sym_eig, symmetrize
-from projnewton.errors import InsufficientData
+from projnewton.errors import InsufficientData, NotAProjector
 from projnewton.grassmann import (
     OrthoFrame,
     Projector,
     chart_factor,
     distance,
     frame_from_projector,
+    random_projector,
 )
 from projnewton.lagrange import SymplecticFrame, symplectic_frame_from_basis
 from projnewton.newton import (
@@ -401,11 +403,38 @@ class TestRunNewton:
         assert trace.records[-1].distance <= 1e-8
 
     def test_iterates_are_projectors(self, rng):
-        # constructors validate invariants; a full run exercises them
+        # pushes are not re-checked; re-orthogonalization keeps the frames
         a, dom = _gapped_symmetric(rng, 6, 3)
         start = perturb_frame(dom, 0.3, 7)
         trace = run_newton(RayleighCost(a), start, NewtonConfig(max_iters=8), method="rayleigh-gr")
         assert len(trace.records) >= 1
+        theta = trace.extras["final_frame"].theta
+        assert np.abs(theta @ theta.T - np.eye(6)).max() <= TOL.frame_orthogonality
+
+    def test_long_step_ends_with_a_status(self):
+        # from this random start a qr push of a step longer than 2000 misses
+        # the orthogonality floor by round-off; the run goes on to a status
+        a = np.random.default_rng(17).standard_normal((12, 6))[6:]
+        start = random_projector(6, 2, 0)[1]
+        trace = run_newton(InvariantSubspaceCost(a), start, NewtonConfig(nu="qr"),
+                           method="invariant-direct")
+        assert max(r.step_norm for r in trace.records) >= 1e3
+        assert trace.status in {Status.CONVERGED, Status.MAX_ITERS, Status.SINGULAR_HESSIAN,
+                                Status.SPECTRAL_OVERLAP, Status.NO_CONVERGENCE}
+
+    def test_start_frame_is_checked(self, rng):
+        # frames are checked where they enter: a pushed start is re-checked,
+        # a symplectic one for symplecticity as well
+        a, dom = _gapped_symmetric(rng, 6, 3)
+        with pytest.raises(NotAProjector, match="orthogonality"):
+            run_newton(RayleighCost(a), dom.advance(1.001 * np.eye(6)), NewtonConfig(),
+                       method="rayleigh-gr")
+        h = np.diag([3.0, 2.0, 1.0, -3.0, -2.0, -1.0])
+        lag = symplectic_frame_from_basis(np.eye(6)[:, :3])
+        swap = np.eye(6)[[0, 1, 3, 2, 4, 5]]
+        with pytest.raises(NotAProjector, match="symplecticity"):
+            run_newton(HamiltonianRayleighCost(h), lag.advance(swap), NewtonConfig(),
+                       method="rayleigh-lg")
 
     def test_invariant_method_tracks_residuals(self):
         rng = np.random.default_rng(53)

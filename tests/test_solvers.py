@@ -1,14 +1,23 @@
 """Matrix-equation solver tests against brute-force vectorized oracles."""
 
+import os
+import subprocess
+import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import projnewton
+import projnewton.solvers
+from projnewton.config import TOL
 from projnewton.errors import NoConvergence, SingularOperator, SpectralOverlap
 from projnewton.grassmann import random_projector
 from projnewton.solvers import (
+    _kron,
+    invariant_newton_operator,
     invariant_newton_rhs,
     solve_dense,
     solve_invariant_newton_direct,
@@ -221,8 +230,9 @@ class TestSolveDense:
 
 
 class TestOperatorInverses:
-    """Each dense operator is inverted once per solve: two inverses per
-    recursive solve whatever its sweep count, one per direct solve."""
+    """Each dense operator is inverted once per solve, whatever the sweep
+    count: the recursion's second half-sweep uses the transpose of its one
+    inverse, and its separation estimate needs no SVD."""
 
     @staticmethod
     def _blocks(coupling):
@@ -255,20 +265,113 @@ class TestOperatorInverses:
         monkeypatch.setattr(np.linalg, "inv", counting)
         return calls
 
-    def test_recursive_two_per_solve(self, monkeypatch):
+    def test_recursive_one_per_solve(self, monkeypatch):
         couplings = (0.01, 0.1, 0.5)
         sweeps = [self._sweeps(self._blocks(c)) for c in couplings]
         assert len(set(sweeps)) == len(couplings) and min(sweeps) > 1
         calls = self._count_inverses(monkeypatch)
+        svds = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: svds.append(1) or svd(*a, **kw))
         for coupling in couplings:
             calls.clear()
             solve_invariant_newton_recursive(*self._blocks(coupling))
-            assert calls == [(6, 6), (6, 6)]
+            assert calls == [(6, 6)]
+        assert svds == []
 
     def test_direct_one_per_solve(self, monkeypatch):
         calls = self._count_inverses(monkeypatch)
         solve_invariant_newton_direct(*self._blocks(0.1))
         assert calls == [(6, 6)]
+
+
+class TestSeparationEstimate:
+    """The recursion's gap is sep = 1 / ||op^-1||_1 of its Sylvester
+    operator op = A11 (x) I - I (x) A22^T, within sqrt(d) of sigma_min."""
+
+    @staticmethod
+    def _operator(a11, a22):
+        m, k = a11.shape[0], a22.shape[0]
+        return np.kron(a11, np.eye(k)) - np.kron(np.eye(m), a22.T)
+
+    @staticmethod
+    def _blocks(kind, gen):
+        """Random blocks, or Q T Q^T with T upper triangular whose strict
+        upper part is 0 (normal) or 30 times Gaussian (far from normal)."""
+        if kind == "random":
+            return gen.standard_normal((3, 3)) + 3.0 * np.eye(3), gen.standard_normal((4, 4)) - 3.0 * np.eye(4)
+        coupling = 30.0 if kind == "non-normal" else 0.0
+        blocks = []
+        for size, shift in ((3, 2.0), (4, -2.0)):
+            t = np.triu(coupling * gen.standard_normal((size, size)), 1)
+            t += np.diag(shift + gen.uniform(0.0, 1.0, size))
+            q, _ = np.linalg.qr(gen.standard_normal((size, size)))
+            blocks.append(q @ t @ q.T)
+        return blocks
+
+    @pytest.mark.parametrize("kind", ["random", "normal", "non-normal"])
+    def test_within_sqrt_d_of_sigma_min(self, kind):
+        for seed in range(5):
+            op = self._operator(*self._blocks(kind, np.random.default_rng(seed)))
+            sigma_min = np.linalg.svd(op, compute_uv=False)[-1]
+            sep = 1.0 / np.linalg.norm(np.linalg.inv(op), 1)
+            root_d = np.sqrt(op.shape[0])
+            assert sigma_min / root_d <= sep <= root_d * sigma_min
+
+    def test_overlap_raised_on_small_sep_despite_eigenvalue_gap(self):
+        # eigenvalues 1 and 0 / -0.5 are well apart, but the strongly
+        # non-normal blocks put the Sylvester operator near singularity
+        a11 = np.array([[1.0, 1e5], [0.0, 1.0]])
+        a22 = np.array([[0.0, 1e5], [0.0, -0.5]])
+        gaps = np.abs(np.linalg.eigvals(a11)[:, None] - np.linalg.eigvals(a22)[None, :])
+        assert gaps.min() >= 0.5
+        scale = max(np.linalg.norm(a11), np.linalg.norm(a22))
+        sigma_min = np.linalg.svd(self._operator(a11, a22), compute_uv=False)[-1]
+        assert sigma_min <= 1e-8 * scale
+        with pytest.raises(SpectralOverlap) as info:
+            solve_invariant_newton_recursive(a11, np.zeros((2, 2)), np.zeros((2, 2)), a22)
+        assert not info.value.report.solvable
+        # the reported separation is the 1-norm one, within sqrt(d) = 2
+        assert sigma_min / 2.0 <= info.value.report.min_gap <= 2.0 * sigma_min
+
+    def test_condition_floor_still_raises_singular_operator(self, monkeypatch):
+        # with the default floors the gap test fires first at any size that
+        # fits in memory; a coarse pivot floor reaches the condition test
+        monkeypatch.setattr(projnewton.solvers, "TOL", replace(TOL, pivot=1e-3))
+        a11 = np.diag([10.0, 1e-3])
+        with pytest.raises(SingularOperator, match="condition number"):
+            solve_invariant_newton_recursive(a11, np.zeros((2, 1)), np.zeros((1, 2)), np.zeros((1, 1)))
+
+    def test_overlap_raised_on_identical_blocks(self):
+        a = np.diag([1.0, 2.0])
+        with pytest.raises(SpectralOverlap) as info:
+            solve_invariant_newton_recursive(a, np.zeros((2, 2)), np.zeros((2, 2)), a)
+        assert info.value.report.min_gap == 0.0
+
+
+def _invariant_operator_kron_oracle(a11, a12, a21, a22):
+    """The four-term operator assembled with ``np.kron``, term by term in
+    the library's order, so equal products give a bit-identical sum."""
+    m, k = a12.shape
+    im, ik = np.eye(m), np.eye(k)
+    perm = np.arange(m * k).reshape(k, m).T.reshape(-1)
+    op = np.kron(a11 @ a11.T, ik)
+    op -= np.kron(a11, a22)
+    op -= np.kron(a11.T, a22.T)
+    op += np.kron(im, a22.T @ a22)
+    op -= np.kron(a21.T @ a21, ik)
+    op -= np.kron(im, a21 @ a21.T)
+    op -= np.kron(a21.T, a12.T)[:, perm]
+    op -= np.kron(a12, a21)[:, perm]
+    return op
+
+
+@pytest.mark.parametrize("m,k", [(3, 4), (1, 4), (3, 1)], ids=["m3-k4", "m1", "k1"])
+def test_kron_helper_operator_is_bit_identical(m, k):
+    gen = np.random.default_rng(10 * m + k)
+    blocks = [gen.standard_normal(shape) for shape in ((m, m), (m, k), (k, m), (k, k))]
+    assert np.array_equal(invariant_newton_operator(*blocks), _invariant_operator_kron_oracle(*blocks))
+    assert np.array_equal(_kron(blocks[1], blocks[2]), np.kron(blocks[1], blocks[2]))
 
 
 class TestOverlapDetection:
@@ -280,3 +383,27 @@ class TestOverlapDetection:
         assert np.linalg.svd(op, compute_uv=False)[-1] <= 1e-12
         with pytest.raises(SpectralOverlap):
             solve_sylvester(a, a, np.ones((2, 2)))
+
+
+_NO_SCIPY_SCRIPT = """
+import sys
+import numpy as np
+import projnewton
+from projnewton.solvers import solve_invariant_newton_direct, solve_invariant_newton_recursive
+gen = np.random.default_rng(0)
+blocks = (gen.standard_normal((2, 2)) + 3.0 * np.eye(2), gen.standard_normal((2, 3)),
+          0.1 * gen.standard_normal((3, 2)), gen.standard_normal((3, 3)) - 3.0 * np.eye(3))
+solve_invariant_newton_recursive(*blocks)
+solve_invariant_newton_direct(*blocks)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_solvers_run_without_scipy():
+    # scipy is a test-only extra: importing it would cost set-up time and
+    # memory in every process that imports projnewton
+    src = os.path.dirname(os.path.dirname(projnewton.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
