@@ -130,7 +130,11 @@ def sym_eig(mat):
     ConvergenceFailure
         If the LAPACK eigensolver does not converge.
     """
-    a = require_symmetric(mat, what="sym_eig input")
+    return _eigh_descending(require_symmetric(mat, what="sym_eig input"))
+
+
+def _eigh_descending(a):
+    """``sym_eig`` of a matrix its caller has already checked symmetric."""
     try:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:

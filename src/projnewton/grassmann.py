@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import TOL
 from .decomp import cholesky_upper, exp_skew_pair, qr_positive, sym_eig, symmetrize
-from .errors import BadRank, DimensionMismatch, NotAProjector
+from .errors import BadRank, DimensionMismatch, NotAProjector, SingularInput
 
 __all__ = [
     "Projector",
@@ -254,12 +254,13 @@ def _distance(cos_mat, sin_mat):
     """sqrt(2 sum_i theta_i^2) over the principal angles theta_i, from
     matrices whose singular values are their cosines and their sines (sines
     missing when m > n/2 are zero); sines below pi/4 and cosines above keep
-    tiny and near-right angles accurate."""
-    cos = np.sort(np.clip(np.linalg.svd(cos_mat, compute_uv=False), 0.0, 1.0))[::-1]
+    tiny and near-right angles accurate.  Leading axes are batch axes."""
+    cos = np.sort(np.clip(np.linalg.svd(cos_mat, compute_uv=False), 0.0, 1.0))[..., ::-1]
     sin = np.clip(np.linalg.svd(sin_mat, compute_uv=False), 0.0, 1.0)
-    sin = np.sort(np.concatenate([np.zeros(cos.size - sin.size), sin]))
+    pad = np.zeros(sin.shape[:-1] + (cos.shape[-1] - sin.shape[-1],))
+    sin = np.sort(np.concatenate([pad, sin], axis=-1))
     theta = np.where(cos > np.cos(np.pi / 4), np.arcsin(sin), np.arccos(cos))
-    return float(np.sqrt(2.0 * np.sum(theta * theta)))
+    return np.sqrt(2.0 * np.sum(theta * theta, axis=-1))
 
 
 def distance(p: Projector, q: Projector) -> float:
@@ -270,7 +271,7 @@ def distance(p: Projector, q: Projector) -> float:
         raise DimensionMismatch("projectors live on different Grassmannians")
     uq = q.basis()
     puq = p.mat @ uq
-    return _distance(puq, uq - puq)
+    return float(_distance(puq, uq - puq))
 
 
 def frame_distance(frame: OrthoFrame, basis) -> float:
@@ -278,7 +279,7 @@ def frame_distance(frame: OrthoFrame, basis) -> float:
     (n, m), from the frame rows: the cosines are the singular values of
     Theta[:m] U (m x m) and the sines those of Theta[m:] U."""
     m = frame.rank
-    return _distance(frame.theta[:m] @ basis, frame.theta[m:] @ basis)
+    return float(_distance(frame.theta[:m] @ basis, frame.theta[m:] @ basis))
 
 
 def distance_via_cosines(p: Projector, q: Projector) -> float:
@@ -324,8 +325,8 @@ def chart_factor(z, chart):
     if chart == "qr":
         r11 = cholesky_upper(np.eye(m) + z @ z.T)
         r22 = cholesky_upper(np.eye(k) + z.T @ z)
-        r11_inv = np.linalg.solve(r11, np.eye(m))
-        r22_inv = np.linalg.solve(r22, np.eye(k))
+        r11_inv = np.linalg.inv(r11)
+        r22_inv = np.linalg.inv(r22)
         out = np.empty((m + k, m + k))
         out[:m, :m] = r11_inv
         out[:m, m:] = -z @ r22_inv
@@ -340,8 +341,11 @@ def chart_factor(z, chart):
         left[:m, m:] = -z
         left[m:, :m] = z.T
         left[m:, m:] = np.eye(k) - 0.25 * ztz
-        inv1 = np.linalg.solve(np.eye(m) + 0.25 * zzt, np.eye(m))
-        inv2 = np.linalg.solve(np.eye(k) + 0.25 * ztz, np.eye(k))
+        try:
+            inv1 = np.linalg.inv(np.eye(m) + 0.25 * zzt)
+            inv2 = np.linalg.inv(np.eye(k) + 0.25 * ztz)
+        except np.linalg.LinAlgError as exc:  # a step too long for round-off to form
+            raise SingularInput(f"Cayley factor I + Z^T Z / 4 is singular: {exc}") from exc
         out = left.copy()
         out[:, :m] = left[:, :m] @ inv1
         out[:, m:] = left[:, m:] @ inv2

@@ -31,10 +31,12 @@ from .costs import CostFunction, InvariantSubspaceCost
 from .errors import (
     InsufficientData,
     NoConvergence,
+    NotPositiveDefinite,
+    SingularInput,
     SingularOperator,
     SpectralOverlap,
 )
-from .grassmann import CHART_NAMES, OrthoFrame, frame_distance, push_frame
+from .grassmann import CHART_NAMES, OrthoFrame, _distance, push_frame
 from .lagrange import SymplecticFrame
 
 __all__ = [
@@ -187,11 +189,20 @@ def newton_step(cost: CostFunction, frame, config: NewtonConfig, solver="direct"
     forward with the ``nu`` chart.
 
     The pushed frame is re-orthogonalized; a ``SymplecticFrame`` keeps
-    itself (``SymplecticFrame.reorthogonalized``).
+    itself (``SymplecticFrame.reorthogonalized``).  An overlong step's norm
+    is rescaled; one overflowing the chart's Gram blocks is ``NoConvergence``.
     """
     z = cost.newton_solve(frame, solver)
-    info = StepInfo(z, float(np.sqrt(2.0) * np.linalg.norm(z)))
-    return push_frame(frame, z, config.nu).reorthogonalized(), info
+    with np.errstate(over="ignore", invalid="ignore"):
+        step_norm = np.sqrt(2.0) * np.linalg.norm(z)
+        if np.isinf(step_norm):
+            big = np.abs(z).max()
+            step_norm = np.sqrt(2.0) * big * np.linalg.norm(z / big)
+        try:
+            pushed = push_frame(frame, z, config.nu)
+        except (NotPositiveDefinite, SingularInput) as exc:
+            raise NoConvergence(f"{config.nu} chart factor cannot be formed: {exc}") from exc
+    return pushed.reorthogonalized(), StepInfo(z, float(step_norm))
 
 
 def run_newton(cost, start, config: NewtonConfig, reference=None, method="generic"):
@@ -202,8 +213,8 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
     value and gradient block G of ``cost.frame_terms`` (blocks of
     B = Theta A Theta^T for the trace and invariant costs; the gradient
     norm is sqrt(2) ||G||); after the loop, the distances from the frame
-    rows (``grassmann.frame_distance``), the symplecticity residuals, and
-    the invariance residuals ||B21|| = sqrt(cost).  No projector or ambient
+    rows in one stacked pass, the symplecticity residuals, and the
+    invariance residuals ||B21|| = sqrt(cost).  No projector or ambient
     gradient is formed; only the reference is eigendecomposed, once.
 
     Parameters
@@ -277,8 +288,10 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
         record.step_norm = info.step_norm
         tiny_step = info.step_norm <= config.step_tol
     basis = frame.basis() if reference is None else reference.basis()
-    for record, iterate in zip(trace.records, frames):
-        record.distance = frame_distance(iterate, basis)
+    thetas = np.stack([f.theta for f in frames])
+    distances = _distance(thetas[:, : frame.rank] @ basis, thetas[:, frame.rank :] @ basis)
+    for record, dist in zip(trace.records, distances):
+        record.distance = float(dist)
     if isinstance(start, SymplecticFrame):
         trace.extras["symplecticity_residuals"] = [f.symplecticity_residual() for f in frames]
     if isinstance(cost, InvariantSubspaceCost):

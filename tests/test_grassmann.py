@@ -5,10 +5,17 @@ import pytest
 from numpy.testing import assert_allclose
 
 from projnewton.config import TOL
-from projnewton.decomp import qr_positive
-from projnewton.errors import BadRank, DimensionMismatch, NotAProjector
+from projnewton.decomp import cholesky_upper, qr_positive
+from projnewton.errors import (
+    BadRank,
+    DimensionMismatch,
+    NotAProjector,
+    NotPositiveDefinite,
+    SingularInput,
+)
 from projnewton.grassmann import (
     CHART_NAMES,
+    _distance,
     OrthoFrame,
     Projector,
     cayley_transform,
@@ -255,8 +262,57 @@ class TestDistance:
         assert abs(frame_distance(frame, target.basis() @ rot) - expected) <= 1e-14
         assert abs(frame_distance(frame, q.basis()) - expected) <= 1e-14
 
+    @pytest.mark.parametrize("case", ["m<n/2", "m>n/2", "symplectic"])
+    def test_stacked_distances_match_frame_distance(self, case):
+        # run_newton takes every iterate's distance in one stacked pass
+        from projnewton.lagrange import random_lag_projector
+
+        rng = np.random.default_rng(8)
+        if case == "symplectic":
+            target = random_lag_projector(4, 99)[1]
+            frames = [random_lag_projector(4, seed)[1] for seed in range(5)]
+            z = rng.standard_normal((4, 4))
+            z = z + z.T
+        else:
+            n, m = (9, 2) if case == "m<n/2" else (9, 7)
+            target = random_projector(n, m, 99)[1]
+            frames = [random_projector(n, m, seed)[1] for seed in range(5)]
+            z = rng.standard_normal((m, n - m))
+        # the target itself, and tiny and near-right angles from it
+        frames += [target] + [push_frame(target, t * z / np.linalg.norm(z, 2), "exp")
+                              for t in (1e-9, 1e-3, np.pi / 2 - 1e-9)]
+        m, basis = target.rank, target.basis()
+        thetas = np.stack([f.theta for f in frames])
+        stacked = _distance(thetas[:, :m] @ basis, thetas[:, m:] @ basis)
+        assert stacked.shape == (len(frames),)
+        for dist, frame in zip(stacked, frames):
+            assert abs(dist - frame_distance(frame, basis)) <= 1e-15
+
 
 class TestCharts:
+    @pytest.mark.parametrize("m,k", [(2, 3), (1, 4), (4, 1)])
+    def test_factor_inverses_match_solves_bitwise(self, m, k):
+        # np.linalg.inv is LAPACK gesv against the identity, as solve(., I) is
+        z = np.random.default_rng(m + 10 * k).standard_normal((m, k))
+        i11 = np.linalg.solve(cholesky_upper(np.eye(m) + z @ z.T), np.eye(m))
+        i22 = np.linalg.solve(cholesky_upper(np.eye(k) + z.T @ z), np.eye(k))
+        assert np.array_equal(chart_factor(z, "qr"),
+                              np.block([[i11, -z @ i22], [z.T @ i11, i22]]))
+        left = np.block([[np.eye(m) - 0.25 * z @ z.T, -z], [z.T, np.eye(k) - 0.25 * z.T @ z]])
+        c11 = np.linalg.solve(np.eye(m) + 0.25 * z @ z.T, np.eye(m))
+        c22 = np.linalg.solve(np.eye(k) + 0.25 * z.T @ z, np.eye(k))
+        assert np.array_equal(chart_factor(z, "cayley"),
+                              np.hstack([left[:, :m] @ c11, left[:, m:] @ c22]))
+
+    def test_overlong_step_factor_raises_a_library_error(self):
+        # I + Z^T Z and I + Z^T Z / 4 lose their identity to round-off
+        z = np.full((1, 2), 1e9)
+        with pytest.raises(NotPositiveDefinite):
+            chart_factor(z, "qr")
+        with pytest.raises(SingularInput, match="Cayley"):
+            chart_factor(z, "cayley")
+        assert np.all(np.isfinite(chart_factor(z, "exp")))
+
     @pytest.mark.parametrize("chart", CHART_NAMES)
     def test_zero_returns_base(self, chart):
         p, frame = random_projector(5, 2, 0)

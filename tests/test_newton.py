@@ -1,6 +1,8 @@
 """Newton engine tests: the dense fallback against each cost's own Newton
 solve, fixed points, convergence and rate classification."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,12 +14,13 @@ from projnewton.costs import (
     RayleighCost,
 )
 from projnewton.decomp import qr_positive, sym_eig, symmetrize
-from projnewton.errors import InsufficientData, NotAProjector
+from projnewton.errors import InsufficientData, NoConvergence, NotAProjector
 from projnewton.grassmann import (
     OrthoFrame,
     Projector,
     chart_factor,
     distance,
+    frame_distance,
     frame_from_projector,
     random_projector,
 )
@@ -493,3 +496,82 @@ class TestRunNewton:
         assert trace.distance_reference == "final"
         assert trace.records[-1].distance <= 1e-14
         assert trace.records[0].distance > 0.0
+
+    @pytest.mark.parametrize("method", ["rayleigh-gr", "rayleigh-lg"])
+    @pytest.mark.parametrize("referenced", [True, False])
+    def test_distances_in_one_stacked_pass(self, monkeypatch, method, referenced):
+        import projnewton.grassmann
+        import projnewton.newton
+
+        calls = []
+
+        def counting(cos_mat, sin_mat):
+            calls.append(np.shape(cos_mat))
+            return projnewton.grassmann._distance(cos_mat, sin_mat)
+
+        monkeypatch.setattr(projnewton.newton, "_distance", counting)
+        if method == "rayleigh-gr":
+            a, dom = _gapped_symmetric(np.random.default_rng(5), 8, 3)
+            cost = RayleighCost(a)
+        else:
+            cost, dom = _hamiltonian_with_frame(np.random.default_rng(5), 3)
+        start = perturb_frame(dom, 0.05, 2)
+        trace = run_newton(cost, start, NewtonConfig(), method=method,
+                           reference=dom.projector() if referenced else None)
+        assert len(calls) == 1
+        assert calls[0] == (len(trace.records), dom.rank, dom.rank)
+        assert all(isinstance(r.distance, float) for r in trace.records)
+        if not referenced:
+            basis = trace.extras["final_frame"].basis()
+            assert abs(trace.records[0].distance - frame_distance(start, basis)) <= 1e-15
+
+
+class _FixedStep(CostFunction):
+    """A cost whose Newton solve returns a given step."""
+
+    def __init__(self, z):
+        self.z = z
+
+    def newton_solve(self, frame, solver="direct"):
+        return self.z
+
+
+def _long_step_problem():
+    # from this start the recursive solver settles on a Newton step of norm
+    # ~1.9e154, whose sum of squares overflows
+    a = np.random.default_rng(15).standard_normal((6, 6))
+    a[2:, :2] = 0.0
+    return InvariantSubspaceCost(a), random_projector(6, 2, 7)[1]
+
+
+class TestLongSteps:
+    @pytest.mark.parametrize("nu", ["exp", "qr", "cayley"])
+    def test_run_ends_with_no_convergence(self, nu):
+        cost, start = _long_step_problem()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = run_newton(cost, start, NewtonConfig(nu=nu), method="invariant-recursive")
+        assert trace.status == Status.NO_CONVERGENCE
+        assert all(np.isfinite(r.step_norm) for r in trace.records)
+
+    def test_overflowing_step_norm_is_rescaled(self):
+        frame = random_projector(3, 1, 0)[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, info = newton_step(_FixedStep(np.full((1, 2), 1e200)), frame,
+                                  NewtonConfig(nu="exp"))
+        assert abs(info.step_norm - 2e200) <= 1e-15 * 2e200
+
+    def test_finite_step_norm_is_unchanged(self, rng):
+        z = rng.standard_normal((2, 3))
+        _, info = newton_step(_FixedStep(z), random_projector(5, 2, 0)[1], NewtonConfig())
+        assert info.step_norm == float(np.sqrt(2.0) * np.linalg.norm(z))
+
+    @pytest.mark.parametrize("nu,check", [("qr", "positive definite"), ("cayley", "singular")])
+    def test_unformable_chart_factor_is_no_convergence(self, nu, check):
+        # I + Z^T Z loses its identity to round-off: rank 1 in dimension 2
+        frame = random_projector(3, 1, 0)[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoConvergence, match=f"{nu} chart factor.*{check}"):
+                newton_step(_FixedStep(np.full((1, 2), 1e9)), frame, NewtonConfig(nu=nu))

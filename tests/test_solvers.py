@@ -13,7 +13,8 @@ from numpy.testing import assert_allclose
 import projnewton
 import projnewton.solvers
 from projnewton.config import TOL
-from projnewton.errors import NoConvergence, SingularOperator, SpectralOverlap
+from projnewton.decomp import require_symmetric, sym_eig, symmetrize
+from projnewton.errors import NoConvergence, NotSymmetric, SingularOperator, SpectralOverlap
 from projnewton.grassmann import random_projector
 from projnewton.solvers import (
     _kron,
@@ -118,6 +119,63 @@ class TestLyapunov:
     def test_overlap_on_opposite_pair(self):
         with pytest.raises(SpectralOverlap):
             solve_lyapunov(np.diag([1.0, -1.0]), np.eye(2))
+
+
+def _sylvester_sym_eig_oracle(a11, a22, c):
+    """Double diagonalization through the public ``sym_eig``, which checks
+    each block again."""
+    lam, u = sym_eig(require_symmetric(a11))
+    mu, v = sym_eig(require_symmetric(a22))
+    return u @ ((u.T @ c @ v) / (lam[:, None] - mu[None, :])) @ v.T
+
+
+def _lyapunov_sym_eig_oracle(a11, c):
+    lam, u = sym_eig(require_symmetric(a11))
+    c = require_symmetric(c)
+    return symmetrize(u @ ((u.T @ c @ u) / (lam[:, None] + lam[None, :])) @ u.T)
+
+
+def _near_symmetric(gen, n, shift):
+    """Symmetric block plus an asymmetric defect within the entry check."""
+    return random_symmetric(gen, n) + shift * np.eye(n) + 1e-14 * gen.standard_normal((n, n))
+
+
+class TestBlocksCheckedOnce:
+    # the solvers check each block at entry and then diagonalize it without
+    # re-checking; the arithmetic is that of the checking route
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sylvester_matches_sym_eig_route(self, seed):
+        gen = np.random.default_rng(seed)
+        m, k = (int(d) for d in gen.integers(1, 8, 2))
+        a11, a22 = _near_symmetric(gen, m, 4.0), _near_symmetric(gen, k, -4.0)
+        c = gen.standard_normal((m, k))
+        assert np.array_equal(solve_sylvester(a11, a22, c), _sylvester_sym_eig_oracle(a11, a22, c))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lyapunov_matches_sym_eig_route(self, seed):
+        gen = np.random.default_rng(seed)
+        n = int(gen.integers(1, 8))
+        a11, c = _near_symmetric(gen, n, 4.0), _near_symmetric(gen, n, 0.0)
+        assert np.array_equal(solve_lyapunov(a11, c), _lyapunov_sym_eig_oracle(a11, c))
+
+    @pytest.mark.parametrize("block", ["A11", "A22"])
+    def test_sylvester_rejects_an_asymmetric_block(self, rng, block):
+        blocks = {"A11": random_symmetric(rng, 3) + 4.0 * np.eye(3),
+                  "A22": random_symmetric(rng, 2) - 4.0 * np.eye(2)}
+        blocks[block] = blocks[block] + 1e-6 * np.triu(np.ones_like(blocks[block]), 1)
+        with pytest.raises(NotSymmetric, match=block):
+            solve_sylvester(blocks["A11"], blocks["A22"], np.ones((3, 2)))
+
+    @pytest.mark.parametrize("operand", ["A11", "right-hand side"])
+    def test_lyapunov_rejects_an_asymmetric_operand(self, rng, operand):
+        a11, c = random_symmetric(rng, 3) + 4.0 * np.eye(3), random_symmetric(rng, 3)
+        skew = 1e-6 * np.triu(np.ones((3, 3)), 1)
+        if operand == "A11":
+            a11 = a11 + skew
+        else:
+            c = c + skew
+        with pytest.raises(NotSymmetric, match=operand):
+            solve_lyapunov(a11, c)
 
 
 class TestInvariantDirect:
