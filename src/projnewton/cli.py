@@ -19,7 +19,6 @@ converged within the iteration budget, 3 solver or degeneracy error.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 import time
@@ -401,12 +400,9 @@ def build_parser():
     return parser
 
 
-_parser = functools.cache(build_parser)  # one per process, built on first use
-
-
 def main(argv=None):
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ProjNewtonError as exc:
         print(f"error: {exc}", file=sys.stderr)

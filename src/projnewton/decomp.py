@@ -32,6 +32,7 @@ __all__ = [
     "qr_positive",
     "cholesky_upper",
     "sym_eig",
+    "eigh_descending",
     "exp_skew_pair",
     "symmetrize",
     "require_symmetric",
@@ -130,11 +131,11 @@ def sym_eig(mat):
     ConvergenceFailure
         If the LAPACK eigensolver does not converge.
     """
-    return _eigh_descending(require_symmetric(mat, what="sym_eig input"))
+    return eigh_descending(require_symmetric(mat, what="sym_eig input"))
 
 
-def _eigh_descending(a):
-    """``sym_eig`` of a matrix its caller has already checked symmetric."""
+def eigh_descending(a):
+    """``sym_eig`` of a matrix its caller has checked with ``require_symmetric``."""
     try:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:

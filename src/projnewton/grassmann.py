@@ -37,6 +37,7 @@ __all__ = [
     "geodesic",
     "distance",
     "frame_distance",
+    "frame_distances",
     "distance_via_cosines",
     "distance_via_sines",
     "chart_factor",
@@ -256,9 +257,8 @@ def _distance(cos_mat, sin_mat):
     missing when m > n/2 are zero); sines below pi/4 and cosines above keep
     tiny and near-right angles accurate.  Leading axes are batch axes."""
     cos = np.sort(np.clip(np.linalg.svd(cos_mat, compute_uv=False), 0.0, 1.0))[..., ::-1]
-    sin = np.clip(np.linalg.svd(sin_mat, compute_uv=False), 0.0, 1.0)
-    pad = np.zeros(sin.shape[:-1] + (cos.shape[-1] - sin.shape[-1],))
-    sin = np.sort(np.concatenate([pad, sin], axis=-1))
+    sin = np.sort(np.clip(np.linalg.svd(sin_mat, compute_uv=False), 0.0, 1.0))
+    sin = np.concatenate([np.zeros(cos.shape[:-1] + (cos.shape[-1] - sin.shape[-1],)), sin], -1)
     theta = np.where(cos > np.cos(np.pi / 4), np.arcsin(sin), np.arccos(cos))
     return np.sqrt(2.0 * np.sum(theta * theta, axis=-1))
 
@@ -278,8 +278,14 @@ def frame_distance(frame: OrthoFrame, basis) -> float:
     """``distance`` from the frame's subspace to range(U), U orthonormal
     (n, m), from the frame rows: the cosines are the singular values of
     Theta[:m] U (m x m) and the sines those of Theta[m:] U."""
-    m = frame.rank
-    return float(_distance(frame.theta[:m] @ basis, frame.theta[m:] @ basis))
+    return float(frame_distances([frame], basis)[0])
+
+
+def frame_distances(frames, basis):
+    """``frame_distance`` of each frame (one rank), as an array, in one
+    batched pass over the stacked rows Theta U (frames x n x m)."""
+    rows = np.stack([frame.theta @ basis for frame in frames])
+    return _distance(rows[:, : frames[0].rank], rows[:, frames[0].rank :])
 
 
 def distance_via_cosines(p: Projector, q: Projector) -> float:
@@ -322,35 +328,37 @@ def chart_factor(z, chart):
     m, k = z.shape
     if chart == "exp":
         return exp_skew_pair(-z)
-    if chart == "qr":
-        r11 = cholesky_upper(np.eye(m) + z @ z.T)
-        r22 = cholesky_upper(np.eye(k) + z.T @ z)
-        r11_inv = np.linalg.inv(r11)
-        r22_inv = np.linalg.inv(r22)
+    if chart not in CHART_NAMES:
+        raise ValueError(f"unknown chart {chart!r}, expected one of {CHART_NAMES}")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overlong step: checked below
+        zzt, ztz = z @ z.T, z.T @ z
         out = np.empty((m + k, m + k))
-        out[:m, :m] = r11_inv
-        out[:m, m:] = -z @ r22_inv
-        out[m:, :m] = z.T @ r11_inv
-        out[m:, m:] = r22_inv
-        return out
-    if chart == "cayley":
-        zzt = z @ z.T
-        ztz = z.T @ z
-        left = np.empty((m + k, m + k))
-        left[:m, :m] = np.eye(m) - 0.25 * zzt
-        left[:m, m:] = -z
-        left[m:, :m] = z.T
-        left[m:, m:] = np.eye(k) - 0.25 * ztz
-        try:
-            inv1 = np.linalg.inv(np.eye(m) + 0.25 * zzt)
-            inv2 = np.linalg.inv(np.eye(k) + 0.25 * ztz)
-        except np.linalg.LinAlgError as exc:  # a step too long for round-off to form
-            raise SingularInput(f"Cayley factor I + Z^T Z / 4 is singular: {exc}") from exc
-        out = left.copy()
-        out[:, :m] = left[:, :m] @ inv1
-        out[:, m:] = left[:, m:] @ inv2
-        return out
-    raise ValueError(f"unknown chart {chart!r}, expected one of {CHART_NAMES}")
+        if chart == "qr":
+            r11 = cholesky_upper(np.eye(m) + zzt)
+            r22 = cholesky_upper(np.eye(k) + ztz)
+            r11_inv, r22_inv = np.linalg.inv(r11), np.linalg.inv(r22)
+            out[:m, :m] = r11_inv
+            out[:m, m:] = -z @ r22_inv
+            out[m:, :m] = z.T @ r11_inv
+            out[m:, m:] = r22_inv
+            formed = np.isfinite(r11).all() and np.isfinite(r22).all()
+        else:
+            left = np.empty((m + k, m + k))
+            left[:m, :m] = np.eye(m) - 0.25 * zzt
+            left[:m, m:] = -z
+            left[m:, :m] = z.T
+            left[m:, m:] = np.eye(k) - 0.25 * ztz
+            try:
+                inv1 = np.linalg.inv(np.eye(m) + 0.25 * zzt)
+                inv2 = np.linalg.inv(np.eye(k) + 0.25 * ztz)
+            except np.linalg.LinAlgError as exc:  # its identity lost to round-off
+                raise SingularInput(f"Cayley factor I + Z^T Z / 4 is singular: {exc}") from exc
+            out[:, :m] = left[:, :m] @ inv1
+            out[:, m:] = left[:, m:] @ inv2
+            formed = True
+    if not (formed and np.isfinite(out).all()):  # Z Z^T or its products overflowed
+        raise SingularInput(f"{chart} chart factor overflows: the step is too long")
+    return out
 
 
 def chart_point(frame: OrthoFrame, z, chart) -> Projector:

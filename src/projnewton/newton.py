@@ -36,7 +36,7 @@ from .errors import (
     SingularOperator,
     SpectralOverlap,
 )
-from .grassmann import CHART_NAMES, OrthoFrame, _distance, push_frame
+from .grassmann import CHART_NAMES, OrthoFrame, frame_distances, push_frame
 from .lagrange import SymplecticFrame
 
 __all__ = [
@@ -186,23 +186,20 @@ def rate_from_trace(trace: NewtonTrace) -> QuadraticRateEstimate:
 
 def newton_step(cost: CostFunction, frame, config: NewtonConfig, solver="direct"):
     """One Newton step: the cost's Newton solve in frame coordinates, pushed
-    forward with the ``nu`` chart.
+    forward with the ``nu`` chart (a step too long to push: ``NoConvergence``).
 
     The pushed frame is re-orthogonalized; a ``SymplecticFrame`` keeps
-    itself (``SymplecticFrame.reorthogonalized``).  An overlong step's norm
-    is rescaled; one overflowing the chart's Gram blocks is ``NoConvergence``.
+    itself (``SymplecticFrame.reorthogonalized``).
     """
     z = cost.newton_solve(frame, solver)
-    with np.errstate(over="ignore", invalid="ignore"):
-        step_norm = np.sqrt(2.0) * np.linalg.norm(z)
-        if np.isinf(step_norm):
-            big = np.abs(z).max()
-            step_norm = np.sqrt(2.0) * big * np.linalg.norm(z / big)
-        try:
-            pushed = push_frame(frame, z, config.nu)
-        except (NotPositiveDefinite, SingularInput) as exc:
-            raise NoConvergence(f"{config.nu} chart factor cannot be formed: {exc}") from exc
-    return pushed.reorthogonalized(), StepInfo(z, float(step_norm))
+    with np.errstate(over="ignore"):  # an overflowing sum of squares is rescaled
+        norm = np.linalg.norm(z)
+        norm = norm if np.isfinite(norm) else np.abs(z).max() * np.linalg.norm(z / np.abs(z).max())
+    try:
+        pushed = push_frame(frame, z, config.nu).reorthogonalized()
+    except (NotPositiveDefinite, SingularInput) as exc:
+        raise NoConvergence(f"step not pushed with the {config.nu} chart: {exc}") from exc
+    return pushed, StepInfo(z, float(np.sqrt(2.0) * norm))
 
 
 def run_newton(cost, start, config: NewtonConfig, reference=None, method="generic"):
@@ -213,8 +210,8 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
     value and gradient block G of ``cost.frame_terms`` (blocks of
     B = Theta A Theta^T for the trace and invariant costs; the gradient
     norm is sqrt(2) ||G||); after the loop, the distances from the frame
-    rows in one stacked pass, the symplecticity residuals, and the
-    invariance residuals ||B21|| = sqrt(cost).  No projector or ambient
+    rows (``grassmann.frame_distances``), the symplecticity residuals, and
+    the invariance residuals ||B21|| = sqrt(cost).  No projector or ambient
     gradient is formed; only the reference is eigendecomposed, once.
 
     Parameters
@@ -288,9 +285,7 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
         record.step_norm = info.step_norm
         tiny_step = info.step_norm <= config.step_tol
     basis = frame.basis() if reference is None else reference.basis()
-    thetas = np.stack([f.theta for f in frames])
-    distances = _distance(thetas[:, : frame.rank] @ basis, thetas[:, frame.rank :] @ basis)
-    for record, dist in zip(trace.records, distances):
+    for record, dist in zip(trace.records, frame_distances(frames, basis)):
         record.distance = float(dist)
     if isinstance(start, SymplecticFrame):
         trace.extras["symplecticity_residuals"] = [f.symplecticity_residual() for f in frames]

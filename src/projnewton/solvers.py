@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .decomp import _eigh_descending, require_symmetric, symmetrize
+from .decomp import eigh_descending, require_symmetric, symmetrize
 from .errors import (
     DimensionMismatch,
     NoConvergence,
@@ -67,8 +67,8 @@ def solve_sylvester(a11, a22, c):
             f"right-hand side shape {c.shape} does not match blocks "
             f"{a11.shape[0]}x{a22.shape[0]}"
         )
-    lam, u = _eigh_descending(a11)
-    mu, v = _eigh_descending(a22)
+    lam, u = eigh_descending(a11)
+    mu, v = eigh_descending(a22)
     gaps = np.abs(lam[:, None] - mu[None, :])
     min_gap = float(gaps.min())
     scale = max(np.linalg.norm(a11), np.linalg.norm(a22), np.finfo(float).tiny)
@@ -95,7 +95,7 @@ def solve_lyapunov(a11, c):
     c = require_symmetric(c, what="Lyapunov right-hand side")
     if c.shape != a11.shape:
         raise DimensionMismatch("right-hand side shape mismatch")
-    lam, u = _eigh_descending(a11)
+    lam, u = eigh_descending(a11)
     sums = np.abs(lam[:, None] + lam[None, :])
     min_gap = float(sums.min())
     scale = max(np.linalg.norm(a11), np.finfo(float).tiny)

@@ -1,5 +1,7 @@
 """Geometry tests: projections, geodesics, distance, and the three charts."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -30,6 +32,7 @@ from projnewton.grassmann import (
     distance_via_cosines,
     distance_via_sines,
     frame_distance,
+    frame_distances,
     frame_from_projector,
     geodesic,
     param_from_tangent,
@@ -263,8 +266,9 @@ class TestDistance:
         assert abs(frame_distance(frame, q.basis()) - expected) <= 1e-14
 
     @pytest.mark.parametrize("case", ["m<n/2", "m>n/2", "symplectic"])
-    def test_stacked_distances_match_frame_distance(self, case):
-        # run_newton takes every iterate's distance in one stacked pass
+    def test_stacked_distances_match_per_frame_distances(self, case):
+        # run_newton takes every iterate's distance in one stacked pass; the
+        # oracle is one _distance call per frame on its own row blocks
         from projnewton.lagrange import random_lag_projector
 
         rng = np.random.default_rng(8)
@@ -282,10 +286,10 @@ class TestDistance:
         frames += [target] + [push_frame(target, t * z / np.linalg.norm(z, 2), "exp")
                               for t in (1e-9, 1e-3, np.pi / 2 - 1e-9)]
         m, basis = target.rank, target.basis()
-        thetas = np.stack([f.theta for f in frames])
-        stacked = _distance(thetas[:, :m] @ basis, thetas[:, m:] @ basis)
+        stacked = frame_distances(frames, basis)
         assert stacked.shape == (len(frames),)
         for dist, frame in zip(stacked, frames):
+            assert abs(dist - _distance(frame.theta[:m] @ basis, frame.theta[m:] @ basis)) <= 1e-15
             assert abs(dist - frame_distance(frame, basis)) <= 1e-15
 
 
@@ -312,6 +316,15 @@ class TestCharts:
         with pytest.raises(SingularInput, match="Cayley"):
             chart_factor(z, "cayley")
         assert np.all(np.isfinite(chart_factor(z, "exp")))
+
+    @pytest.mark.parametrize("chart", ["qr", "cayley"])
+    def test_overflowing_gram_blocks_raise_a_library_error(self, chart):
+        # Z Z^T overflows: LAPACK gives an inf Cholesky factor or a NaN inverse
+        z = np.full((1, 2), 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularInput, match="overflow"):
+                chart_factor(z, chart)
 
     @pytest.mark.parametrize("chart", CHART_NAMES)
     def test_zero_returns_base(self, chart):

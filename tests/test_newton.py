@@ -14,7 +14,7 @@ from projnewton.costs import (
     RayleighCost,
 )
 from projnewton.decomp import qr_positive, sym_eig, symmetrize
-from projnewton.errors import InsufficientData, NoConvergence, NotAProjector
+from projnewton.errors import InsufficientData, NoConvergence, NotAProjector, SingularInput
 from projnewton.grassmann import (
     OrthoFrame,
     Projector,
@@ -504,12 +504,13 @@ class TestRunNewton:
         import projnewton.newton
 
         calls = []
+        kernel = projnewton.grassmann._distance
 
         def counting(cos_mat, sin_mat):
             calls.append(np.shape(cos_mat))
-            return projnewton.grassmann._distance(cos_mat, sin_mat)
+            return kernel(cos_mat, sin_mat)
 
-        monkeypatch.setattr(projnewton.newton, "_distance", counting)
+        monkeypatch.setattr(projnewton.grassmann, "_distance", counting)
         if method == "rayleigh-gr":
             a, dom = _gapped_symmetric(np.random.default_rng(5), 8, 3)
             cost = RayleighCost(a)
@@ -562,6 +563,26 @@ class TestLongSteps:
                                   NewtonConfig(nu="exp"))
         assert abs(info.step_norm - 2e200) <= 1e-15 * 2e200
 
+    @pytest.mark.parametrize("nu", ["qr", "cayley"])
+    def test_overflowing_gram_blocks_are_no_convergence(self, nu):
+        # Z Z^T overflows to inf: LAPACK would return an inf or NaN factor
+        frame = random_projector(3, 1, 0)[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoConvergence, match=f"{nu} chart: .*overflow"):
+                newton_step(_FixedStep(np.full((1, 2), 1e200)), frame, NewtonConfig(nu=nu))
+
+    def test_unorthogonalizable_push_is_no_convergence(self, monkeypatch):
+        # a factor formed in round-off can still push the frame to a
+        # rank-deficient one (qr, Z = [[1e26, 1e23]] from this frame)
+        def rank_deficient(self):
+            raise SingularInput("rank deficiency detected")
+
+        monkeypatch.setattr(OrthoFrame, "reorthogonalized", rank_deficient)
+        frame = random_projector(3, 1, 0)[1]
+        with pytest.raises(NoConvergence, match="qr chart: rank deficiency"):
+            newton_step(_FixedStep(np.ones((1, 2))), frame, NewtonConfig(nu="qr"))
+
     def test_finite_step_norm_is_unchanged(self, rng):
         z = rng.standard_normal((2, 3))
         _, info = newton_step(_FixedStep(z), random_projector(5, 2, 0)[1], NewtonConfig())
@@ -573,5 +594,5 @@ class TestLongSteps:
         frame = random_projector(3, 1, 0)[1]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NoConvergence, match=f"{nu} chart factor.*{check}"):
+            with pytest.raises(NoConvergence, match=f"{nu} chart: .*{check}"):
                 newton_step(_FixedStep(np.full((1, 2), 1e9)), frame, NewtonConfig(nu=nu))
