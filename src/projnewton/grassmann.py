@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 CHART_NAMES = ("exp", "qr", "cayley")
+_STEP_LIMIT = 1e150  # qr/Cayley: Z Z^T and its products stay finite below it for n < 1e5
 
 
 @dataclass(frozen=True)
@@ -282,8 +283,7 @@ def frame_distance(frame: OrthoFrame, basis) -> float:
 
 
 def frame_distances(frames, basis):
-    """``frame_distance`` of each frame (one rank), as an array, in one
-    batched pass over the stacked rows Theta U (frames x n x m)."""
+    """``frame_distance`` of each frame (one rank), one batched pass over rows Theta U."""
     rows = np.stack([frame.theta @ basis for frame in frames])
     return _distance(rows[:, : frames[0].rank], rows[:, frames[0].rank :])
 
@@ -328,37 +328,37 @@ def chart_factor(z, chart):
     m, k = z.shape
     if chart == "exp":
         return exp_skew_pair(-z)
-    if chart not in CHART_NAMES:
-        raise ValueError(f"unknown chart {chart!r}, expected one of {CHART_NAMES}")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overlong step: checked below
-        zzt, ztz = z @ z.T, z.T @ z
+    if not np.abs(z).max() <= _STEP_LIMIT:  # also a NaN step
+        raise SingularInput(f"{chart} chart step entry beyond {_STEP_LIMIT:g}: Z Z^T overflows")
+    if chart == "qr":
+        r11 = cholesky_upper(np.eye(m) + z @ z.T)
+        r22 = cholesky_upper(np.eye(k) + z.T @ z)
+        r11_inv = np.linalg.inv(r11)
+        r22_inv = np.linalg.inv(r22)
         out = np.empty((m + k, m + k))
-        if chart == "qr":
-            r11 = cholesky_upper(np.eye(m) + zzt)
-            r22 = cholesky_upper(np.eye(k) + ztz)
-            r11_inv, r22_inv = np.linalg.inv(r11), np.linalg.inv(r22)
-            out[:m, :m] = r11_inv
-            out[:m, m:] = -z @ r22_inv
-            out[m:, :m] = z.T @ r11_inv
-            out[m:, m:] = r22_inv
-            formed = np.isfinite(r11).all() and np.isfinite(r22).all()
-        else:
-            left = np.empty((m + k, m + k))
-            left[:m, :m] = np.eye(m) - 0.25 * zzt
-            left[:m, m:] = -z
-            left[m:, :m] = z.T
-            left[m:, m:] = np.eye(k) - 0.25 * ztz
-            try:
-                inv1 = np.linalg.inv(np.eye(m) + 0.25 * zzt)
-                inv2 = np.linalg.inv(np.eye(k) + 0.25 * ztz)
-            except np.linalg.LinAlgError as exc:  # its identity lost to round-off
-                raise SingularInput(f"Cayley factor I + Z^T Z / 4 is singular: {exc}") from exc
-            out[:, :m] = left[:, :m] @ inv1
-            out[:, m:] = left[:, m:] @ inv2
-            formed = True
-    if not (formed and np.isfinite(out).all()):  # Z Z^T or its products overflowed
-        raise SingularInput(f"{chart} chart factor overflows: the step is too long")
-    return out
+        out[:m, :m] = r11_inv
+        out[:m, m:] = -z @ r22_inv
+        out[m:, :m] = z.T @ r11_inv
+        out[m:, m:] = r22_inv
+        return out
+    if chart == "cayley":
+        zzt = z @ z.T
+        ztz = z.T @ z
+        left = np.empty((m + k, m + k))
+        left[:m, :m] = np.eye(m) - 0.25 * zzt
+        left[:m, m:] = -z
+        left[m:, :m] = z.T
+        left[m:, m:] = np.eye(k) - 0.25 * ztz
+        try:
+            inv1 = np.linalg.inv(np.eye(m) + 0.25 * zzt)
+            inv2 = np.linalg.inv(np.eye(k) + 0.25 * ztz)
+        except np.linalg.LinAlgError as exc:  # a step too long for round-off to form
+            raise SingularInput(f"Cayley factor I + Z^T Z / 4 is singular: {exc}") from exc
+        out = left.copy()
+        out[:, :m] = left[:, :m] @ inv1
+        out[:, m:] = left[:, m:] @ inv2
+        return out
+    raise ValueError(f"unknown chart {chart!r}, expected one of {CHART_NAMES}")
 
 
 def chart_point(frame: OrthoFrame, z, chart) -> Projector:

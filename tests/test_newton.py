@@ -501,7 +501,6 @@ class TestRunNewton:
     @pytest.mark.parametrize("referenced", [True, False])
     def test_distances_in_one_stacked_pass(self, monkeypatch, method, referenced):
         import projnewton.grassmann
-        import projnewton.newton
 
         calls = []
         kernel = projnewton.grassmann._distance
@@ -574,7 +573,7 @@ class TestLongSteps:
 
     def test_unorthogonalizable_push_is_no_convergence(self, monkeypatch):
         # a factor formed in round-off can still push the frame to a
-        # rank-deficient one (qr, Z = [[1e26, 1e23]] from this frame)
+        # rank-deficient one (qr, Z = [1, 1e-3] * 1e26 from this frame)
         def rank_deficient(self):
             raise SingularInput("rank deficiency detected")
 
