@@ -12,6 +12,9 @@ Matrix files are UTF-8 text with one whitespace-separated row per line;
 repeated identical invocations produce byte-identical reports apart from
 the ``elapsed_seconds`` field.
 
+A run stops once the gradient norm is at most ``--tol`` times ||A||_F
+(||A||_F^2 for invariant): its status does not depend on the units of A.
+
 Exit codes: 0 converged / all checks passed, 1 input error, 2 not
 converged within the iteration budget, 3 solver or degeneracy error.
 """
@@ -351,7 +354,8 @@ def _add_common(parser, need_m):
     parser.add_argument("--nu", default=defaults.nu, choices=CHART_NAMES,
                         help="push-forward chart (default %(default)s)")
     parser.add_argument("--tol", type=float, default=defaults.grad_tol,
-                        help="gradient-norm stopping tolerance (default %(default)s)")
+                        help="gradient-norm stopping tolerance, relative to ||A||_F "
+                             "(||A||_F^2 for invariant) (default %(default)s)")
     parser.add_argument("--max-iters", type=int, default=defaults.max_iters, dest="max_iters",
                         help="iteration budget (default %(default)s)")
     parser.add_argument("--seed", type=_nonneg_int, default=0,

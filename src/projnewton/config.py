@@ -37,6 +37,10 @@ class Tolerances:
     # central finite-difference step sizes (first / second derivatives)
     fd_step_first: float = 1e-4
     fd_step_second: float = 1e-3
+    # Newton stop: gradient norm relative to ``CostFunction.scale``
+    grad_tol: float = 1e-11
+    # Newton stop: step norm, an angle in radians (no data scale)
+    step_tol: float = 1e-15
 
 
 TOL = Tolerances()

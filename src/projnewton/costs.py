@@ -54,7 +54,10 @@ __all__ = [
 
 class CostFunction:
     """Base interface: ambient value, gradient and Hessian action, and the
-    Newton solve in frame coordinates."""
+    Newton solve in frame coordinates.  ``scale`` is the data scale of the
+    Newton gradient test; this fallback's 1.0 makes that test absolute."""
+
+    scale = 1.0
 
     def value(self, p):
         raise NotImplementedError
@@ -112,6 +115,7 @@ class RayleighCost(CostFunction):
 
     def __post_init__(self):
         object.__setattr__(self, "a", require_symmetric(self.a, what="Rayleigh matrix"))
+        object.__setattr__(self, "scale", float(np.linalg.norm(self.a)))  # B12 is linear in A
 
     def value(self, p):
         return float(np.trace(self.a @ p))
@@ -149,6 +153,7 @@ class InvariantSubspaceCost(CostFunction):
         if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.all(np.isfinite(a)):
             raise DimensionMismatch("cost matrix must be square with finite entries")
         object.__setattr__(self, "a", a)
+        object.__setattr__(self, "scale", float(np.sum(a * a)))  # the gradient is quadratic in A
 
     def value(self, p):
         n = self.a.shape[0]
@@ -201,6 +206,7 @@ class HamiltonianRayleighCost(RayleighCost):
         if defect > TOL.lagrangian * max(1.0, np.abs(h).max()):
             raise NotSymmetric(f"JHJ - H residual {defect:.3e}; not symmetric Hamiltonian")
         object.__setattr__(self, "a", h)
+        object.__setattr__(self, "scale", float(np.linalg.norm(h)))
 
     @property
     def h(self):

@@ -45,14 +45,17 @@ def symmetrize(mat):
 
 
 def require_symmetric(mat, tol=None, what="matrix"):
-    """Validate the relative symmetry defect and return the symmetrized copy."""
+    """Validate finiteness and the relative symmetry defect; return the symmetrized copy."""
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"{what} must be square, got shape {mat.shape}")
-    scale = max(1.0, np.abs(mat).max())
+    scale = np.abs(mat).max()
+    if not np.isfinite(scale):  # a NaN defect would pass the test below
+        i, j = np.argwhere(~np.isfinite(mat))[0]
+        raise NotSymmetric(f"{what} has a non-finite entry {mat[i, j]} at ({i}, {j})")
     tol = TOL.symmetry if tol is None else tol
     defect = np.abs(mat - mat.T).max()
-    if defect > tol * scale:
+    if defect > tol * max(1.0, scale):
         raise NotSymmetric(f"{what} symmetry defect {defect:.3e} exceeds {tol:.1e} relative")
     return symmetrize(mat)
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import TOL
 from .costs import CostFunction, InvariantSubspaceCost
 from .errors import (
     InsufficientData,
@@ -70,21 +71,22 @@ class Status:
 @dataclass(frozen=True)
 class NewtonConfig:
     """Iteration parameters.  ``nu`` is the push-forward chart; the
-    pull-back chart ``mu`` does not change the iterates (module docstring)."""
+    pull-back chart ``mu`` does not change the iterates (module docstring).
+    ``grad_tol`` is relative to ``CostFunction.scale``; ``step_tol``, an angle, is not."""
 
     mu: str = "exp"
     nu: str = "qr"
     max_iters: int = 50
-    grad_tol: float = 1e-12
-    step_tol: float = 1e-15
+    grad_tol: float = TOL.grad_tol
+    step_tol: float = TOL.step_tol
 
     def __post_init__(self):
         if self.mu not in CHART_NAMES or self.nu not in CHART_NAMES:
             raise ValueError(f"charts must be among {CHART_NAMES}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.grad_tol <= 0.0 or self.step_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.grad_tol < np.inf and 0.0 < self.step_tol < np.inf):
+            raise ValueError("tolerances must be positive and finite")
 
 
 @dataclass
@@ -204,7 +206,9 @@ def newton_step(cost: CostFunction, frame, config: NewtonConfig, solver="direct"
 
 def run_newton(cost, start, config: NewtonConfig, reference=None, method="generic"):
     """Iterate Newton steps until the gradient norm, step norm, or
-    iteration budget stops the run.
+    iteration budget stops the run.  The gradient test is relative,
+    ||grad|| <= ``config.grad_tol * cost.scale``, so a status does not depend
+    on the units of A; a step norm is an angle, tested against ``step_tol``.
 
     Every reported number is read from the frames: per iteration, the
     value and gradient block G of ``cost.frame_terms`` (blocks of
@@ -246,6 +250,7 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
     frame = replace(start)  # re-runs the entry checks: pushes skip them
     frames = []
     tiny_step = False
+    grad_tol = config.grad_tol * cost.scale
     t0 = time.perf_counter()
     for iteration in range(config.max_iters + 1):
         value, grad_block = cost.frame_terms(frame)
@@ -263,7 +268,7 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
             trace.status = Status.CONVERGED
             break
         try:
-            if record.grad_norm <= config.grad_tol:
+            if record.grad_norm <= grad_tol:
                 # certify nondegeneracy: a vanishing gradient at a degenerate
                 # point (singular Newton system) is a failure mode, not success
                 cost.newton_solve(frame, solver)

@@ -83,6 +83,8 @@ class TestRayleighGr:
         assert main(["rayleigh-gr", path, "--m", "1", "--seed", "-1"]) == 1
         assert main(["rayleigh-gr", path, "--m", "1", "--perturb", "-0.1"]) == 1
         assert main(["rayleigh-gr", path, "--m", "1", "--tol", "-1"]) == 1
+        assert main(["rayleigh-gr", path, "--m", "1", "--tol", "nan"]) == 1
+        assert main(["rayleigh-gr", path, "--m", "1", "--tol", "inf"]) == 1
         assert main(["rayleigh-gr", path, "--m", "1", "--max-iters", "0"]) == 1
         assert main(["no-such-command"]) == 1
 

@@ -3,13 +3,17 @@ diagonal, upper Cholesky factor, descending eigenvalues, error types),
 checked against references that do not call the wrapped routine:
 modified Gram-Schmidt for QR, scipy's syevr driver for eigh."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
+from projnewton.costs import RayleighCost
 from projnewton.decomp import cholesky_upper, exp_skew_pair, qr_positive, sym_eig
 from projnewton.errors import NotPositiveDefinite, NotSymmetric, SingularInput
+from projnewton.solvers import solve_sylvester
 
 
 def _modified_gram_schmidt(m):
@@ -152,6 +156,28 @@ class TestSymEig:
             assert_allclose(vectors * signs, ref_vectors, atol=1e-12 * scale / gap)
             assert np.linalg.norm(s @ vectors - vectors * values) <= 1e-12 * scale
             assert np.linalg.norm(vectors.T @ vectors - np.eye(7)) <= 1e-12
+
+
+class TestNonFiniteRejected:
+    """A NaN or inf entry makes the symmetry defect NaN, which no threshold
+    test rejects; ``require_symmetric`` rejects it by name instead."""
+
+    CALLS = {
+        "sym_eig": sym_eig,
+        "cholesky_upper": cholesky_upper,
+        "solve_sylvester": lambda a: solve_sylvester(a, -np.eye(2), np.ones((3, 2))),
+        "RayleighCost": RayleighCost,
+    }
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_raises_without_a_warning(self, call, bad):
+        a = np.diag([3.0, 2.0, 1.0])
+        a[0, 2] = a[2, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotSymmetric, match="non-finite entry"):
+                self.CALLS[call](a)
 
 
 class TestExpSkewPair:

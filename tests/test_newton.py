@@ -81,6 +81,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             NewtonConfig(grad_tol=0.0)
 
+    @pytest.mark.parametrize("field", ["grad_tol", "step_tol"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_tolerance(self, field, value):
+        # a NaN tolerance never stops a run, and neither value fits a JSON report
+        with pytest.raises(ValueError, match="finite"):
+            NewtonConfig(**{field: value})
+
 
 class TestRateEstimator:
     def test_exact_quadratic_sequence(self):

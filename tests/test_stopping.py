@@ -1,0 +1,168 @@
+"""The Newton stopping rule: a gradient test relative to the cost's data
+scale, so that a run's status and length do not depend on the units of A.
+
+Regression tests pin two runs that stalled at round-off above an absolute
+threshold and ended ``MaxIters``; property tests check that status and
+iteration count survive A -> cA and A -> Q A Q^T, and that the final
+frames are projectors (Lagrangian ones on the Lagrange Grassmannian)."""
+
+import numpy as np
+import pytest
+
+from projnewton.config import TOL
+from projnewton.costs import (
+    CostFunction,
+    HamiltonianRayleighCost,
+    InvariantSubspaceCost,
+    RayleighCost,
+)
+from projnewton.grassmann import CHART_NAMES, OrthoFrame
+from projnewton.lagrange import SymplecticFrame, sympl_form
+from projnewton.newton import NewtonConfig, Status, perturb_frame, run_newton
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+START_DISTANCE = 0.05
+
+
+def _orthogonal(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def _orthosymplectic(rng, n):
+    """[[X, -Y], [Y, X]] from a random unitary X + iY (complex QR)."""
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    u, r = np.linalg.qr(z)
+    u = u * (np.diag(r) / np.abs(np.diag(r)))
+    return np.block([[u.real, -u.imag], [u.imag, u.real]])
+
+
+def _eigspace_problem(n, m, c, seed):
+    """A = c Q diag(2n, ..., n+1) Q^T and the frame of its dominant
+    m-dimensional eigenspace (the benchmark's rayleigh-gr spectrum)."""
+    q = _orthogonal(np.random.default_rng(seed), n)
+    a = (q * (c * np.arange(2.0 * n, n, -1.0))) @ q.T
+    return 0.5 * (a + a.T), OrthoFrame(q.T, m)
+
+
+def _iterations(trace):
+    return len(trace.records) - 1
+
+
+class TestScale:
+    def test_trace_costs_scale_with_the_norm_of_a(self, rng):
+        a = rng.standard_normal((4, 4))
+        a = a + a.T
+        assert RayleighCost(a).scale == pytest.approx(np.linalg.norm(a), rel=1e-15)
+        h = HamiltonianRayleighCost.from_blocks(a[:2, :2], a[2:, 2:])
+        assert h.scale == pytest.approx(np.linalg.norm(h.h), rel=1e-15)
+
+    def test_invariant_cost_scales_with_the_squared_norm(self, rng):
+        a = rng.standard_normal((5, 5))
+        assert InvariantSubspaceCost(a).scale == pytest.approx(np.sum(a * a), rel=1e-14)
+
+    def test_fallback_test_is_absolute(self):
+        assert CostFunction.scale == 1.0
+
+    def test_defaults_live_in_the_tolerances(self):
+        config = NewtonConfig()
+        assert (config.grad_tol, config.step_tol) == (TOL.grad_tol, TOL.step_tol)
+
+
+class TestRoundOffStall:
+    """Runs whose gradient settled at round-off above the absolute 1e-12."""
+
+    @pytest.mark.parametrize("nu", CHART_NAMES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_scaled_eigspace_converges(self, seed, nu):
+        # the benchmark's c = 1e3 problem: ||A|| = 4e4, gradient floor ~1e-11
+        a, planted = _eigspace_problem(10, 2, 1e3, 3)
+        start = perturb_frame(planted, START_DISTANCE, seed)
+        trace = run_newton(RayleighCost(a), start, NewtonConfig(nu=nu))
+        assert trace.status == Status.CONVERGED
+        assert _iterations(trace) <= 3
+
+    def test_large_unscaled_eigspace_converges(self):
+        # n = 400, m = 10, spectrum 800 ... 401: the gradient floor is 3e-12
+        a, planted = _eigspace_problem(400, 10, 1.0, 4)
+        start = perturb_frame(planted, START_DISTANCE, 0)
+        trace = run_newton(RayleighCost(a), start, NewtonConfig(max_iters=4))
+        assert trace.status == Status.CONVERGED
+
+
+# -- property tests -------------------------------------------------------
+
+METHODS = ("rayleigh-gr", "rayleigh-lg", "invariant-direct", "invariant-recursive")
+
+
+@st.composite
+def problems(draw, method):
+    """(matrix, start frame, rotation) for a well-separated problem of the
+    method, started 0.05 from its solution; the rotation keeps the
+    manifold (orthogonal-symplectic on the Lagrange Grassmannian)."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if method == "rayleigh-lg":
+        n = draw(st.integers(2, 5))
+        u = _orthosymplectic(rng, n)
+        lam = np.sort(rng.uniform(1.0, 3.0, n))[::-1]
+        a = (u * np.concatenate([lam, -lam])) @ u.T
+        planted = SymplecticFrame(u.T)
+        rotation = _orthosymplectic(rng, n)
+    else:
+        n = draw(st.integers(4, 10))
+        m = draw(st.integers(1, n - 1))
+        q = _orthogonal(rng, n)
+        top, rest = rng.uniform(2.0, 3.0, m), rng.uniform(-1.0, 1.0, n - m)
+        if method == "rayleigh-gr":
+            a = (q * np.concatenate([top, rest])) @ q.T
+        else:
+            t = 0.3 * np.triu(rng.standard_normal((n, n)), 1)
+            t += np.diag(np.concatenate([top, rest]))
+            a = q @ t @ q.T
+        planted = OrthoFrame(q.T, m)
+        rotation = _orthogonal(rng, n)
+    start = perturb_frame(planted, START_DISTANCE, seed)
+    return a, start, rotation
+
+
+def _cost(method, a):
+    if method == "rayleigh-lg":
+        return HamiltonianRayleighCost(0.5 * (a + a.T))
+    if method == "rayleigh-gr":
+        return RayleighCost(0.5 * (a + a.T))
+    return InvariantSubspaceCost(a)
+
+
+def _rotated(frame, q):
+    theta = frame.theta @ q.T
+    if isinstance(frame, SymplecticFrame):
+        return SymplecticFrame(theta)
+    return OrthoFrame(theta, frame.rank)
+
+
+@pytest.mark.parametrize("nu", CHART_NAMES)
+@pytest.mark.parametrize("method", METHODS)
+@hypothesis.given(data=st.data())
+def test_status_ignores_units_and_rotations(method, nu, data):
+    a, start, q = data.draw(problems(method))
+    config = NewtonConfig(nu=nu)
+
+    def run(mat, frame):
+        trace = run_newton(_cost(method, mat), frame, config, method=method)
+        return trace.status, _iterations(trace), trace
+
+    status, iters, trace = run(a, start)
+    assert status == Status.CONVERGED
+    for c in (1e-3, 1e3):
+        assert run(c * a, start)[:2] == (status, iters), f"A -> {c:g} A"
+    assert run(q @ a @ q.T, _rotated(start, q))[:2] == (status, iters), "A -> Q A Q^T"
+
+    p = trace.extras["final_frame"].projector().mat
+    assert np.abs(p @ p - p).max() <= TOL.projector
+    assert abs(np.trace(p) - start.rank) <= TOL.projector
+    if method == "rayleigh-lg":
+        assert np.abs(p @ sympl_form(start.rank) @ p).max() <= TOL.lagrangian
+        assert max(trace.extras["symplecticity_residuals"]) <= TOL.lagrangian
