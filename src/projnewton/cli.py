@@ -25,6 +25,7 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
@@ -339,12 +340,12 @@ def _nonneg_int(text):
 
 def _nonneg_float(text):
     value = float(text)
-    if value < 0.0:
-        raise argparse.ArgumentTypeError("must be non-negative")
+    if not 0.0 <= value < np.inf:
+        raise argparse.ArgumentTypeError("must be non-negative and finite")
     return value
 
 
-def _add_common(parser, need_m):
+def _add_common(parser, need_m, solver=False):
     parser.add_argument("matrix", help="path to the matrix file")
     if need_m:
         parser.add_argument("--m", type=int, required=True, help="subspace dimension")
@@ -365,6 +366,9 @@ def _add_common(parser, need_m):
     parser.add_argument("--perturb", type=_nonneg_float, default=None,
                         help="rotate the start away by this geodesic distance")
     parser.add_argument("--out", default=None, help="write the JSON report here")
+    if solver:
+        parser.add_argument("--solver", default="direct", choices=("direct", "recursive"),
+                            help="matrix-equation solver for the Newton step")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -375,38 +379,48 @@ class _Parser(argparse.ArgumentParser):
         raise ProjNewtonError(message)
 
 
-def build_parser():
+def _add_check(parser):
+    parser.add_argument("--sizes", default=None, help="comma-separated ambient dimensions")
+    parser.add_argument("--inject-fault", action="store_true",
+                        help="append an always-failing suite (harness self-test)")
+
+
+# name -> (help, add_arguments, handler), in the order top-level help lists them
+_COMMANDS = {
+    "rayleigh-gr": ("maximize tr(A P) over rank-m projectors",
+                    partial(_add_common, need_m=True), _cmd_rayleigh_gr),
+    "rayleigh-lg": ("optimize tr(H P) over Lagrangian projectors",
+                    partial(_add_common, need_m=False), _cmd_rayleigh_lg),
+    "invariant": ("compute an invariant subspace of a square matrix",
+                  partial(_add_common, need_m=True, solver=True), _cmd_invariant),
+    "check": ("run the seeded invariant suites", _add_check, _cmd_check),
+}
+
+
+def build_parser(command=None):
+    """The parser with only ``command``'s subparser if it is known, else with all.
+
+    A call parses one command, and building the others cost more than that parse.
+    Any other first word (``-h``, a typo) gets every subparser, so top-level help
+    and the "invalid choice" error still list all commands.
+    """
     parser = _Parser(
         prog="projnewton",
         description="Newton iterations on Grassmann and Lagrange-Grassmann manifolds",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("rayleigh-gr", help="maximize tr(A P) over rank-m projectors")
-    _add_common(p, need_m=True)
-    p.set_defaults(func=_cmd_rayleigh_gr)
-
-    p = sub.add_parser("rayleigh-lg", help="optimize tr(H P) over Lagrangian projectors")
-    _add_common(p, need_m=False)
-    p.set_defaults(func=_cmd_rayleigh_lg)
-
-    p = sub.add_parser("invariant", help="compute an invariant subspace of a square matrix")
-    _add_common(p, need_m=True)
-    p.add_argument("--solver", default="direct", choices=("direct", "recursive"),
-                   help="matrix-equation solver for the Newton step")
-    p.set_defaults(func=_cmd_invariant)
-
-    p = sub.add_parser("check", help="run the seeded invariant suites")
-    p.add_argument("--sizes", default=None, help="comma-separated ambient dimensions")
-    p.add_argument("--inject-fault", action="store_true",
-                   help="append an always-failing suite (harness self-test)")
-    p.set_defaults(func=_cmd_check)
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        help_text, add_arguments, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         return args.func(args)
     except ProjNewtonError as exc:
         print(f"error: {exc}", file=sys.stderr)

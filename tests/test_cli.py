@@ -1,5 +1,6 @@
 """CLI end-to-end tests: parsing, exit codes, JSON schema, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import projnewton
-from projnewton.cli import load_matrix, main
+from projnewton.cli import build_parser, load_matrix, main
 from projnewton.costs import InvariantSubspaceCost
 from projnewton.decomp import qr_positive
 from projnewton.errors import ProjNewtonError
@@ -87,6 +88,13 @@ class TestRayleighGr:
         assert main(["rayleigh-gr", path, "--m", "1", "--tol", "inf"]) == 1
         assert main(["rayleigh-gr", path, "--m", "1", "--max-iters", "0"]) == 1
         assert main(["no-such-command"]) == 1
+
+    # "-inf" alone would read as an option, so every value is attached with "="
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_perturb_rejected(self, tmp_path, capsys, value):
+        path = _write_matrix(tmp_path / "a.txt", np.diag([4.0, 3.0, 1.0]))
+        assert main(["rayleigh-gr", path, "--m", "1", f"--perturb={value}"]) == 1
+        assert capsys.readouterr().err.startswith("error: argument --perturb: ")
 
     def test_start_file_and_perturb(self, tmp_path, capsys):
         a = np.diag([5.0, 4.0, 1.0, 0.5])
@@ -345,3 +353,77 @@ def test_import_builds_no_parser():
     out = subprocess.run([sys.executable, "-c", _NO_PARSER_SCRIPT], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "0"
+
+
+_COMMAND_NAMES = ("rayleigh-gr", "rayleigh-lg", "invariant", "check")
+
+
+def _command_argv(tmp_path, command):
+    if command == "check":
+        return ["check", "--sizes", "2,x"]
+    return _report_argv(tmp_path, {"invariant": "invariant-recursive"}.get(command, command))
+
+
+@pytest.fixture
+def built_subparsers(monkeypatch):
+    """Names of the subparsers constructed while the test runs."""
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting_add_parser(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
+    return built
+
+
+class TestCommandParser:
+    """``main`` builds the invoked command's subparser alone; the result
+    must be indistinguishable from the parser with every subparser."""
+
+    @pytest.mark.parametrize("command", _COMMAND_NAMES)
+    def test_matches_full_parser(self, tmp_path, capsys, command):
+        argv = _command_argv(tmp_path, command)
+        assert vars(build_parser(command).parse_args(argv)) == vars(build_parser().parse_args(argv))
+        helps = []
+        for parser in (build_parser(command), build_parser()):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([command, "--help"])
+            assert exc.value.code == 0
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1]
+        assert helps[0].startswith(f"usage: projnewton {command} ")
+
+    @pytest.mark.parametrize("command", _COMMAND_NAMES)
+    def test_main_builds_one_subparser(self, tmp_path, capsys, built_subparsers, command):
+        code = main(_command_argv(tmp_path, command))
+        assert code == (1 if command == "check" else 0)
+        assert built_subparsers == [command]
+
+    def test_main_reads_sys_argv(self, tmp_path, capsys, monkeypatch, built_subparsers):
+        out = tmp_path / "r.json"
+        argv = _command_argv(tmp_path, "rayleigh-lg") + ["--out", str(out)]
+        monkeypatch.setattr(sys, "argv", ["projnewton"] + argv)
+        assert main() == 0
+        assert json.loads(out.read_text())["command"] == "rayleigh-lg"
+        assert built_subparsers == ["rayleigh-lg"]
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert text == build_parser().format_help()
+        assert "{rayleigh-gr,rayleigh-lg,invariant,check}" in text
+        assert "compute an invariant subspace of a square matrix" in text
+
+    @pytest.mark.parametrize("argv", [["no-such-command"], ["--perturb", "0.1"], []])
+    def test_other_first_words_get_every_command(self, capsys, built_subparsers, argv):
+        assert main(argv) == 1
+        assert built_subparsers == list(_COMMAND_NAMES)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if argv[:1] == ["no-such-command"]:
+            assert "invalid choice: 'no-such-command'" in err
+            assert all(name in err for name in _COMMAND_NAMES)
