@@ -201,8 +201,11 @@ def _final_block(final_projector, extra_residuals):
 def _emit(report, out_path):
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            raise ProjNewtonError(f"cannot write {out_path}: {exc}") from exc
     else:
         print(text)
 

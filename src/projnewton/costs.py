@@ -18,6 +18,12 @@ from the blocks of B = Theta A Theta^T: a Sylvester equation for tr(A P)
 Grassmannian (Algorithm 2), the four-term equation for the
 invariant-subspace cost (Algorithm 3).  Any other cost falls back to its
 ambient data: value(P), and the dense Riemannian Newton equation.
+
+Data is checked where it enters: each cost checks its matrix when it is
+built.  ``frame_terms`` hands B on, so a Newton iterate forms it once, and
+the Newton solves symmetrize the blocks they cut from B and call the
+solvers' unchecked cores (``solve_sylvester_unchecked``,
+``solve_lyapunov_unchecked``) instead of checking them again.
 """
 
 from __future__ import annotations
@@ -27,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .decomp import require_symmetric, symmetrize
-from .errors import DimensionMismatch, NotSymmetric
+from .decomp import frobenius_norm, require_symmetric, symmetrize
+from .errors import DimensionMismatch, NotSymmetric, ScaleOverflow
 from .grassmann import GrTangent, Projector, ad_squared, commutator, tangent_project
 from .lagrange import LagProjector, SymplecticFrame, lg_tangent_project, sympl_form
 from .solvers import (
@@ -36,8 +42,8 @@ from .solvers import (
     solve_dense,
     solve_invariant_newton_direct,
     solve_invariant_newton_recursive,
-    solve_lyapunov,
-    solve_sylvester,
+    solve_lyapunov_unchecked,
+    solve_sylvester_unchecked,
 )
 
 __all__ = [
@@ -69,22 +75,23 @@ class CostFunction:
         raise NotImplementedError
 
     def frame_terms(self, frame):
-        """Value and gradient block G at ``frame``: the Riemannian gradient is
-        Theta^T [[0, G], [G^T, 0]] Theta, of norm sqrt(2) ||G||.  This
-        fallback evaluates value(P) and G = (Theta grad_F Theta^T)_12."""
+        """Value, gradient block G and the data ``newton_solve`` reuses at
+        ``frame``: the Riemannian gradient is Theta^T [[0, G], [G^T, 0]] Theta,
+        of norm sqrt(2) ||G||.  This fallback gives value(P),
+        G = (Theta grad_F Theta^T)_12 and, as data, Theta grad_F Theta^T."""
         p = frame.projector().mat
         g = frame.theta @ self.ambient_gradient(p) @ frame.theta.T
-        return self.value(p), g[: frame.rank, frame.rank :]
+        return self.value(p), g[: frame.rank, frame.rank :], g
 
-    def newton_solve(self, frame, solver="direct"):
+    def newton_solve(self, frame, solver="direct", b=None):
         """Newton tangent parameter Z at ``frame``: Hess(Z) = -grad in frame
         coordinates (Absil, Mahony & Sepulchre 2008, ch. 6).
 
-        With G = Theta grad_F Theta^T, the gradient is G12 and the Hessian
-        maps Z to (Theta Hess_F(xi) Theta^T)_12 - (G11 Z - Z G22), where
-        xi = Theta^T [[0, Z], [Z^T, 0]] Theta.  Its d x d matrix, d = m(n-m),
-        is assembled column by column and solved densely; ``solver`` is
-        unused.  Grassmann frames only.
+        With G = Theta grad_F Theta^T (``b`` when given), the gradient is G12
+        and the Hessian maps Z to (Theta Hess_F(xi) Theta^T)_12 - (G11 Z -
+        Z G22), where xi = Theta^T [[0, Z], [Z^T, 0]] Theta.  Its d x d
+        matrix, d = m(n-m), is assembled column by column and solved densely;
+        ``solver`` is unused.  Grassmann frames only.
         """
         if isinstance(frame, SymplecticFrame):
             raise ValueError("the dense Newton fallback operates on Grassmann frames")
@@ -92,7 +99,7 @@ class CostFunction:
         n, m = frame.dim, frame.rank
         k = n - m
         p = frame.projector().mat
-        g = theta @ self.ambient_gradient(p) @ theta.T
+        g = theta @ self.ambient_gradient(p) @ theta.T if b is None else b
         g11, g22 = g[:m, :m], g[m:, m:]
         hess = np.empty((m * k, m * k))
         xi_hat = np.zeros((n, n))
@@ -115,7 +122,8 @@ class RayleighCost(CostFunction):
 
     def __post_init__(self):
         object.__setattr__(self, "a", require_symmetric(self.a, what="Rayleigh matrix"))
-        object.__setattr__(self, "scale", float(np.linalg.norm(self.a)))  # B12 is linear in A
+        # B12 is linear in A
+        object.__setattr__(self, "scale", _finite_scale(frobenius_norm(self.a)))
 
     def value(self, p):
         return float(np.trace(self.a @ p))
@@ -127,18 +135,18 @@ class RayleighCost(CostFunction):
         return np.zeros_like(self.a)
 
     def frame_terms(self, frame):
-        """tr B11 and B12; sym(B12) on a symplectic frame, which is the
+        """tr B11, B12 and B; sym(B12) on a symplectic frame, which is the
         J-corrected tangent projection in frame coordinates."""
         m = frame.rank
         b = frame.theta @ self.a @ frame.theta.T
         b12 = symmetrize(b[:m, m:]) if isinstance(frame, SymplecticFrame) else b[:m, m:]
-        return float(np.trace(b[:m, :m])), b12
+        return float(np.trace(b[:m, :m])), b12, b
 
-    def newton_solve(self, frame, solver="direct"):
-        """Algorithm 1: the Sylvester equation B11 Z - Z B22 = B12."""
+    def newton_solve(self, frame, solver="direct", b=None):
+        """Algorithm 1: the Sylvester equation B11 Z - Z B22 = B12; B is ``b`` if given."""
         m = frame.rank
-        b = frame.theta @ self.a @ frame.theta.T
-        return solve_sylvester(symmetrize(b[:m, :m]), symmetrize(b[m:, m:]), b[:m, m:])
+        b = frame.theta @ self.a @ frame.theta.T if b is None else b
+        return solve_sylvester_unchecked(symmetrize(b[:m, :m]), symmetrize(b[m:, m:]), b[:m, m:])
 
 
 @dataclass(frozen=True)
@@ -153,7 +161,8 @@ class InvariantSubspaceCost(CostFunction):
         if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.all(np.isfinite(a)):
             raise DimensionMismatch("cost matrix must be square with finite entries")
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "scale", float(np.sum(a * a)))  # the gradient is quadratic in A
+        with np.errstate(over="ignore"):  # the gradient is quadratic in A
+            object.__setattr__(self, "scale", _finite_scale(np.sum(a * a)))
 
     def value(self, p):
         n = self.a.shape[0]
@@ -169,19 +178,19 @@ class InvariantSubspaceCost(CostFunction):
         return symmetrize(-a.T @ xi @ a - a @ xi @ a.T)
 
     def frame_terms(self, frame):
-        """||B21||^2 and B21^T B22 - B11 B21^T, the Newton right-hand side;
-        ||B21|| is the invariance residual ||(I - P) A P||."""
+        """||B21||^2, B21^T B22 - B11 B21^T (the Newton right-hand side) and
+        B; ||B21|| is the invariance residual ||(I - P) A P||."""
         m = frame.rank
         b = frame.theta @ self.a @ frame.theta.T
         b21 = b[m:, :m]
-        return float(np.sum(b21 * b21)), invariant_newton_rhs(b[:m, :m], b21, b[m:, m:])
+        return float(np.sum(b21 * b21)), invariant_newton_rhs(b[:m, :m], b21, b[m:, m:]), b
 
-    def newton_solve(self, frame, solver="direct"):
+    def newton_solve(self, frame, solver="direct", b=None):
         """Algorithm 3: minus the solution of the four-term equation, solved
         densely (``solver="direct"``) or by alternating Sylvester sweeps
-        (``"recursive"``)."""
+        (``"recursive"``); B is ``b`` if given."""
         m = frame.rank
-        b = frame.theta @ self.a @ frame.theta.T
+        b = frame.theta @ self.a @ frame.theta.T if b is None else b
         blocks = b[:m, :m], b[:m, m:], b[m:, :m], b[m:, m:]
         if solver == "direct":
             return -solve_invariant_newton_direct(*blocks)
@@ -206,7 +215,7 @@ class HamiltonianRayleighCost(RayleighCost):
         if defect > TOL.lagrangian * max(1.0, np.abs(h).max()):
             raise NotSymmetric(f"JHJ - H residual {defect:.3e}; not symmetric Hamiltonian")
         object.__setattr__(self, "a", h)
-        object.__setattr__(self, "scale", float(np.linalg.norm(h)))
+        object.__setattr__(self, "scale", _finite_scale(frobenius_norm(h)))
 
     @property
     def h(self):
@@ -219,14 +228,21 @@ class HamiltonianRayleighCost(RayleighCost):
         t = require_symmetric(t, what="T block")
         return cls(np.block([[s, t], [t, -s]]))
 
-    def newton_solve(self, frame, solver="direct"):
+    def newton_solve(self, frame, solver="direct", b=None):
         """Algorithm 2: the Lyapunov equation B11 Z + Z B11 = B12 with
         symmetric Z; on a frame that is not symplectic, Algorithm 1."""
         if not isinstance(frame, SymplecticFrame):
-            return super().newton_solve(frame, solver)
+            return super().newton_solve(frame, solver, b)
         n = frame.rank
-        b = frame.theta @ self.a @ frame.theta.T
-        return solve_lyapunov(symmetrize(b[:n, :n]), symmetrize(b[:n, n:]))
+        b = frame.theta @ self.a @ frame.theta.T if b is None else b
+        return solve_lyapunov_unchecked(symmetrize(b[:n, :n]), symmetrize(b[:n, n:]))
+
+
+def _finite_scale(scale):
+    """A cost's data scale as a float; ``ScaleOverflow`` if it is infinite."""
+    if not np.isfinite(scale):
+        raise ScaleOverflow(f"cost data scale is {scale}: the matrix entries are too large")
+    return float(scale)
 
 
 def riemannian_gradient_gr(cost: CostFunction, p: Projector) -> GrTangent:

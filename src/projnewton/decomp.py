@@ -17,6 +17,8 @@ values and are safe to call concurrently.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .config import TOL
@@ -34,9 +36,22 @@ __all__ = [
     "sym_eig",
     "eigh_descending",
     "exp_skew_pair",
+    "frobenius_norm",
     "symmetrize",
     "require_symmetric",
 ]
+
+
+def frobenius_norm(mat):
+    """||M||_F, bit for bit as ``np.linalg.norm`` computes it, except that a
+    sum of squares that overflows on finite entries is rescaled by max|M|."""
+    x = np.asarray(mat, dtype=float).ravel(order="K")
+    with np.errstate(over="ignore"):
+        sq = x.dot(x)
+        if sq == np.inf and np.isfinite(x).all():
+            peak = np.abs(x).max()
+            return float(peak * np.linalg.norm(x / peak))
+    return math.sqrt(sq)
 
 
 def symmetrize(mat):
@@ -111,10 +126,16 @@ def cholesky_upper(mat):
 
     Raises
     ------
+    NotSymmetric
+        If ``mat`` fails ``require_symmetric``, the check at this entry.
     NotPositiveDefinite
         If LAPACK meets a non-positive pivot.
     """
-    s = require_symmetric(mat, what="cholesky input")
+    return cholesky_upper_unchecked(require_symmetric(mat, what="cholesky input"))
+
+
+def cholesky_upper_unchecked(s):
+    """``cholesky_upper`` of an exactly symmetric finite matrix, unchecked."""
     try:
         return np.linalg.cholesky(s).T
     except np.linalg.LinAlgError as exc:
@@ -131,6 +152,8 @@ def sym_eig(mat):
 
     Raises
     ------
+    NotSymmetric
+        If ``mat`` fails ``require_symmetric``, the check at this entry.
     ConvergenceFailure
         If the LAPACK eigensolver does not converge.
     """

@@ -15,6 +15,10 @@ class SingularInput(ProjNewtonError):
     """A factorization met a (numerically) rank-deficient input."""
 
 
+class ScaleOverflow(ProjNewtonError):
+    """The data scale of an input (||A||_F, or ||A||_F^2) overflows."""
+
+
 class NotPositiveDefinite(ProjNewtonError):
     """Cholesky pivot was non-positive."""
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .decomp import cholesky_upper, exp_skew_pair, qr_positive, sym_eig, symmetrize
+from .decomp import cholesky_upper_unchecked, exp_skew_pair, qr_positive, sym_eig, symmetrize
 from .errors import BadRank, DimensionMismatch, NotAProjector, SingularInput
 
 __all__ = [
@@ -323,6 +323,12 @@ def chart_factor(z, chart):
     frame is M^T Theta.  The hat-space commutator of the tangent vector
     [[0, Z], [Z^T, 0]] with the base point is [[0, -Z], [Z^T, 0]], which
     fixes the sign conventions below.
+
+    The qr and Cayley charts first reject a step with an entry beyond
+    ``_STEP_LIMIT`` (``SingularInput``).  Below it the Gram blocks
+    I + Z Z^T and I + Z^T Z are finite, and they are exactly symmetric as
+    formed, so the qr chart factors them without ``require_symmetric``; a
+    failed factorization still raises ``NotPositiveDefinite``.
     """
     z = np.atleast_2d(np.asarray(z, dtype=float))
     m, k = z.shape
@@ -331,8 +337,8 @@ def chart_factor(z, chart):
     if not np.abs(z).max() <= _STEP_LIMIT:  # also a NaN step
         raise SingularInput(f"{chart} chart step entry beyond {_STEP_LIMIT:g}: Z Z^T overflows")
     if chart == "qr":
-        r11 = cholesky_upper(np.eye(m) + z @ z.T)
-        r22 = cholesky_upper(np.eye(k) + z.T @ z)
+        r11 = cholesky_upper_unchecked(np.eye(m) + z @ z.T)
+        r22 = cholesky_upper_unchecked(np.eye(k) + z.T @ z)
         r11_inv = np.linalg.inv(r11)
         r22_inv = np.linalg.inv(r22)
         out = np.empty((m + k, m + k))

@@ -29,6 +29,7 @@ import numpy as np
 
 from .config import TOL
 from .costs import CostFunction, InvariantSubspaceCost
+from .decomp import frobenius_norm
 from .errors import (
     InsufficientData,
     NoConvergence,
@@ -186,17 +187,16 @@ def rate_from_trace(trace: NewtonTrace) -> QuadraticRateEstimate:
     return estimate_quadratic_rate(errors)
 
 
-def newton_step(cost: CostFunction, frame, config: NewtonConfig, solver="direct"):
+def newton_step(cost: CostFunction, frame, config: NewtonConfig, solver="direct", b=None):
     """One Newton step: the cost's Newton solve in frame coordinates, pushed
-    forward with the ``nu`` chart (a step too long to push: ``NoConvergence``).
+    forward with the ``nu`` chart (a step too long to push: ``NoConvergence``);
+    ``b`` is the data of ``cost.frame_terms`` at ``frame``, if at hand.
 
     The pushed frame is re-orthogonalized; a ``SymplecticFrame`` keeps
     itself (``SymplecticFrame.reorthogonalized``).
     """
-    z = cost.newton_solve(frame, solver)
-    with np.errstate(over="ignore"):  # an overflowing sum of squares is rescaled
-        norm = np.linalg.norm(z)
-        norm = norm if np.isfinite(norm) else np.abs(z).max() * np.linalg.norm(z / np.abs(z).max())
+    z = cost.newton_solve(frame, solver, b)
+    norm = frobenius_norm(z)
     try:
         pushed = push_frame(frame, z, config.nu).reorthogonalized()
     except (NotPositiveDefinite, SingularInput) as exc:
@@ -213,7 +213,8 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
     Every reported number is read from the frames: per iteration, the
     value and gradient block G of ``cost.frame_terms`` (blocks of
     B = Theta A Theta^T for the trace and invariant costs; the gradient
-    norm is sqrt(2) ||G||); after the loop, the distances from the frame
+    norm is sqrt(2) ||G||; the Newton solve reuses B, so each iterate forms
+    it once); after the loop, the distances from the frame
     rows (``grassmann.frame_distances``), the symplecticity residuals, and
     the invariance residuals ||B21|| = sqrt(cost).  No projector or ambient
     gradient is formed; only the reference is eigendecomposed, once.
@@ -253,12 +254,12 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
     grad_tol = config.grad_tol * cost.scale
     t0 = time.perf_counter()
     for iteration in range(config.max_iters + 1):
-        value, grad_block = cost.frame_terms(frame)
+        value, grad_block, b = cost.frame_terms(frame)
         frames.append(frame)
         record = IterationRecord(
             iteration=iteration,
             cost=value,
-            grad_norm=float(np.sqrt(2.0) * np.linalg.norm(grad_block)),
+            grad_norm=float(np.sqrt(2.0) * frobenius_norm(grad_block)),
             step_norm=0.0,
             distance=None,
             elapsed=time.perf_counter() - t0,
@@ -271,13 +272,13 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
             if record.grad_norm <= grad_tol:
                 # certify nondegeneracy: a vanishing gradient at a degenerate
                 # point (singular Newton system) is a failure mode, not success
-                cost.newton_solve(frame, solver)
+                cost.newton_solve(frame, solver, b)
                 trace.status = Status.CONVERGED
                 break
             if iteration == config.max_iters:
                 trace.status = Status.MAX_ITERS
                 break
-            frame, info = newton_step(cost, frame, config, solver)
+            frame, info = newton_step(cost, frame, config, solver, b)
         except SpectralOverlap:
             trace.status = Status.SPECTRAL_OVERLAP
             break

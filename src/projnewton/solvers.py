@@ -10,6 +10,11 @@ its transpose) and takes the 1-norm separation 1/||op^-1||_1 as its gap;
 it has an explicit no-convergence outcome, as nothing guarantees it
 converges.  Dense operators are inverted once by LAPACK behind the
 library's relative singularity floor (``solve_dense`` for one vector).
+
+``solve_sylvester`` and ``solve_lyapunov`` check their blocks where they
+enter (``require_symmetric``, shapes); ``solve_sylvester_unchecked`` and
+``solve_lyapunov_unchecked`` are the same solves without the checks, for
+blocks their caller has just symmetrized, as the costs' Newton solves do.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .decomp import eigh_descending, require_symmetric, symmetrize
+from .decomp import eigh_descending, frobenius_norm, require_symmetric, symmetrize
 from .errors import (
     DimensionMismatch,
     NoConvergence,
@@ -55,6 +60,8 @@ def solve_sylvester(a11, a22, c):
 
     Raises
     ------
+    NotSymmetric, DimensionMismatch
+        If a block fails the entry checks.
     SpectralOverlap
         If the spectra of A11 and A22 are closer than the relative gap
         tolerance; carries a ``SpectralGapReport``.
@@ -67,11 +74,16 @@ def solve_sylvester(a11, a22, c):
             f"right-hand side shape {c.shape} does not match blocks "
             f"{a11.shape[0]}x{a22.shape[0]}"
         )
+    return solve_sylvester_unchecked(a11, a22, c)
+
+
+def solve_sylvester_unchecked(a11, a22, c):
+    """``solve_sylvester`` on exactly symmetric finite blocks, unchecked."""
     lam, u = eigh_descending(a11)
     mu, v = eigh_descending(a22)
     gaps = np.abs(lam[:, None] - mu[None, :])
     min_gap = float(gaps.min())
-    scale = max(np.linalg.norm(a11), np.linalg.norm(a22), np.finfo(float).tiny)
+    scale = max(frobenius_norm(a11), frobenius_norm(a22), np.finfo(float).tiny)
     if min_gap <= TOL.spectral_gap * scale:
         raise SpectralOverlap(
             f"spectra of A11 and A22 overlap: min gap {min_gap:.3e}",
@@ -88,6 +100,8 @@ def solve_lyapunov(a11, c):
 
     Raises
     ------
+    NotSymmetric, DimensionMismatch
+        If a block fails the entry checks.
     SpectralOverlap
         If some eigenvalue pair of A11 nearly sums to zero.
     """
@@ -95,10 +109,15 @@ def solve_lyapunov(a11, c):
     c = require_symmetric(c, what="Lyapunov right-hand side")
     if c.shape != a11.shape:
         raise DimensionMismatch("right-hand side shape mismatch")
+    return solve_lyapunov_unchecked(a11, c)
+
+
+def solve_lyapunov_unchecked(a11, c):
+    """``solve_lyapunov`` on exactly symmetric finite blocks, unchecked."""
     lam, u = eigh_descending(a11)
     sums = np.abs(lam[:, None] + lam[None, :])
     min_gap = float(sums.min())
-    scale = max(np.linalg.norm(a11), np.finfo(float).tiny)
+    scale = max(frobenius_norm(a11), np.finfo(float).tiny)
     if min_gap <= TOL.spectral_gap * scale:
         raise SpectralOverlap(
             f"eigenvalue pair of A11 sums to {min_gap:.3e}",
@@ -111,9 +130,9 @@ def solve_lyapunov(a11, c):
 def invariant_newton_operator(a11, a12, a21, a22):
     """Dense operator of the invariant-subspace Newton equation on vec(Z).
 
-    Row-major vectorization; assembled from Kronecker identities
-    vec(A Z B) = (A kron B^T) vec(Z) and a column permutation for the
-    Z^T terms.  The equation reads
+    Row-major vectorization: vec(A Z B) = (A kron B^T) vec(Z), whose entry
+    (i k + j, p k + q) is A[i, p] B^T[j, q]; a Z^T term reads Z[q, p], so
+    its factors pair (i, q) with (j, p).  The equation reads
 
         A11 (A11^T Z - Z A22^T) - (A11^T Z - Z A22^T) A22
         - A21^T (Z^T A12 + A21 Z) - (A12 Z^T + Z A21) A21^T  =  C.
@@ -122,24 +141,32 @@ def invariant_newton_operator(a11, a12, a21, a22):
     k = a22.shape[0]
     im = np.eye(m)
     ik = np.eye(k)
-    op = _kron(a11 @ a11.T, ik)
-    op -= _kron(a11, a22)
-    op -= _kron(a11.T, a22.T)
-    op += _kron(im, a22.T @ a22)
-    op -= _kron(a21.T @ a21, ik)
-    op -= _kron(im, a21 @ a21.T)
-    # the Z^T terms act on vec_r(Z^T), whose entry j*m + i is Z[i, j],
-    # entry i*k + j of vec_r(Z)
-    perm = np.arange(m * k).reshape(k, m).T.reshape(-1)
-    op -= _kron(a21.T, a12.T)[:, perm]
-    op -= _kron(a12, a21)[:, perm]
+    return _kron_sum(m, k, (
+        (1, *_pair(a11 @ a11.T, ik)),
+        (-1, *_pair(a11, a22)),
+        (-1, *_pair(a11.T, a22.T)),
+        (1, *_pair(im, a22.T @ a22)),
+        (-1, *_pair(a21.T @ a21, ik)),
+        (-1, *_pair(im, a21 @ a21.T)),
+        (-1, a21.T[:, None, None, :], a12.T[None, :, :, None]),
+        (-1, a12[:, None, None, :], a21[None, :, :, None]),
+    ))
+
+
+def _pair(a, b):
+    """The factors A[i, p] and B[j, q] of A kron B in an (m, k, m, k) view."""
+    return a[:, None, :, None], b[None, :, None, :]
+
+
+def _kron_sum(m, k, terms):
+    """The d x d operator, d = m k, that sums the products of the 4-D factor
+    pairs ``(sign, x, y)`` in order, in place, with one reused temporary."""
+    op = np.empty((m * k, m * k))
+    out, tmp = op.reshape(m, k, m, k), np.empty((m, k, m, k))
+    np.multiply(*terms[0][1:], out=out)
+    for sign, x, y in terms[1:]:
+        (np.add if sign > 0 else np.subtract)(out, np.multiply(x, y, out=tmp), out=out)
     return op
-
-
-def _kron(a, b):
-    """``np.kron`` of 2-D arrays: the same products, without its overhead."""
-    (p, q), (r, s) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
 
 
 def invariant_newton_rhs(a11, a21, a22):
@@ -209,7 +236,7 @@ def solve_invariant_newton_recursive(a11, a12, a21, a22, z0=None, max_sweeps=100
     a11, a12, a21, a22 = (np.atleast_2d(np.asarray(b, dtype=float)) for b in (a11, a12, a21, a22))
     m, k = a12.shape
     c = invariant_newton_rhs(a11, a21, a22)
-    op1 = _kron(a11, np.eye(k)) - _kron(np.eye(m), a22.T)
+    op1 = _kron_sum(m, k, ((1, *_pair(a11, np.eye(k))), (-1, *_pair(np.eye(m), a22.T))))
     # the second half-sweep's operator A11^T (x) I - I (x) A22 is op1^T
     try:
         inv1 = np.linalg.inv(op1)

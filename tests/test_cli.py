@@ -70,6 +70,30 @@ class TestRayleighGr:
         assert rows[0]["iter"] == 0
         assert {"iter", "cost", "grad_norm", "step_norm", "distance"} <= set(rows[0])
 
+    def test_unwritable_out_is_an_input_error(self, tmp_path, capsys):
+        path = _write_matrix(tmp_path / "a.txt", np.diag([4.0, 3.0, 1.0]))
+        out = tmp_path / "missing-dir" / "x.json"
+        assert main(["rayleigh-gr", path, "--m", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("c", [1e150, 1e160, 1e300])
+    def test_huge_entries_run_as_unscaled(self, tmp_path, capsys, c):
+        a = np.diag([4.0, 3.0, 2.0, 1.0])
+        reports = []
+        for scale in (1.0, c):
+            path = _write_matrix(tmp_path / "a.txt", scale * a)
+            assert main(["rayleigh-gr", path, "--m", "2", "--seed", "3"]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert [len(r["iterations"]) for r in reports] == [len(reports[0]["iterations"])] * 2
+        assert reports[1]["status"] == "Converged"
+
+    def test_invariant_scale_overflow_is_an_input_error(self, tmp_path, capsys):
+        path = _write_matrix(tmp_path / "a.txt", 1e160 * np.diag([4.0, 3.0, 2.0]))
+        assert main(["invariant", path, "--m", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error: cost data scale is inf")
+
     def test_bad_rank_exit_code(self, tmp_path, capsys):
         path = _write_matrix(tmp_path / "a.txt", np.diag([1.0, 2.0]))
         assert main(["rayleigh-gr", path, "--m", "0"]) == 1
@@ -317,7 +341,7 @@ def test_long_step_exits_with_a_run_status(tmp_path, capsys, nu):
 @pytest.mark.parametrize("nu", ["exp", "qr", "cayley"])
 def test_overflowing_step_exits_with_a_run_status(tmp_path, capsys, monkeypatch, nu):
     # every Newton step has entries 1e200, so Z Z^T overflows to inf
-    def huge_step(self, frame, solver="direct"):
+    def huge_step(self, frame, solver="direct", b=None):
         return np.full((frame.rank, frame.dim - frame.rank), 1e200)
 
     monkeypatch.setattr(InvariantSubspaceCost, "newton_solve", huge_step)

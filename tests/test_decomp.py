@@ -11,9 +11,9 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from projnewton.costs import RayleighCost
-from projnewton.decomp import cholesky_upper, exp_skew_pair, qr_positive, sym_eig
+from projnewton.decomp import cholesky_upper, exp_skew_pair, frobenius_norm, qr_positive, sym_eig
 from projnewton.errors import NotPositiveDefinite, NotSymmetric, SingularInput
-from projnewton.solvers import solve_sylvester
+from projnewton.solvers import solve_lyapunov, solve_sylvester
 
 
 def _modified_gram_schmidt(m):
@@ -166,6 +166,9 @@ class TestNonFiniteRejected:
         "sym_eig": sym_eig,
         "cholesky_upper": cholesky_upper,
         "solve_sylvester": lambda a: solve_sylvester(a, -np.eye(2), np.ones((3, 2))),
+        "solve_sylvester_a22": lambda a: solve_sylvester(-np.eye(2), a, np.ones((2, 3))),
+        "solve_lyapunov": lambda a: solve_lyapunov(a, np.eye(3)),
+        "solve_lyapunov_rhs": lambda a: solve_lyapunov(np.eye(3), a),
         "RayleighCost": RayleighCost,
     }
 
@@ -178,6 +181,29 @@ class TestNonFiniteRejected:
             warnings.simplefilter("error")
             with pytest.raises(NotSymmetric, match="non-finite entry"):
                 self.CALLS[call](a)
+
+
+class TestFrobeniusNorm:
+    def test_bit_identical_to_numpy_below_overflow(self, rng):
+        for c in (1e-300, 1e-8, 1.0, 1e8, 1e150):
+            a = c * rng.standard_normal((7, 9))
+            for view in (a, a.T, a[1:5, ::2], np.asfortranarray(a)):
+                assert frobenius_norm(view) == np.linalg.norm(view)
+
+    def test_overflowing_sum_of_squares_is_rescaled(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = frobenius_norm(np.full((2, 3), 1e200))
+        assert norm == pytest.approx(np.sqrt(6.0) * 1e200, rel=1e-15)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_entries_without_a_warning(self, bad):
+        a = np.ones((2, 2))
+        a[0, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = frobenius_norm(a)
+        assert np.isnan(norm) if np.isnan(bad) else norm == np.inf
 
 
 class TestExpSkewPair:

@@ -539,7 +539,7 @@ class _FixedStep(CostFunction):
     def __init__(self, z):
         self.z = z
 
-    def newton_solve(self, frame, solver="direct"):
+    def newton_solve(self, frame, solver="direct", b=None):
         return self.z
 
 

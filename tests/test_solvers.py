@@ -17,7 +17,8 @@ from projnewton.decomp import require_symmetric, sym_eig, symmetrize
 from projnewton.errors import NoConvergence, NotSymmetric, SingularOperator, SpectralOverlap
 from projnewton.grassmann import random_projector
 from projnewton.solvers import (
-    _kron,
+    _kron_sum,
+    _pair,
     invariant_newton_operator,
     invariant_newton_rhs,
     solve_dense,
@@ -429,7 +430,20 @@ def test_kron_helper_operator_is_bit_identical(m, k):
     gen = np.random.default_rng(10 * m + k)
     blocks = [gen.standard_normal(shape) for shape in ((m, m), (m, k), (k, m), (k, k))]
     assert np.array_equal(invariant_newton_operator(*blocks), _invariant_operator_kron_oracle(*blocks))
-    assert np.array_equal(_kron(blocks[1], blocks[2]), np.kron(blocks[1], blocks[2]))
+    a, b = blocks[0], blocks[3]
+    assert np.array_equal(_kron_sum(m, k, ((1, *_pair(a, b)),)), np.kron(a, b))
+
+
+@pytest.mark.parametrize("m,k", [(1, 1), (1, 5), (4, 1), (3, 5), (8, 16)])
+def test_in_place_operator_matches_the_kron_oracle(m, k):
+    # the terms are summed in place in the oracle's order: equal bits,
+    # signed zeros included
+    gen = np.random.default_rng(100 * m + k)
+    blocks = [gen.standard_normal(shape) for shape in ((m, m), (m, k), (k, m), (k, k))]
+    op = invariant_newton_operator(*blocks)
+    oracle = _invariant_operator_kron_oracle(*blocks)
+    assert np.array_equal(op, oracle)
+    assert op.tobytes() == oracle.tobytes()
 
 
 class TestOverlapDetection:

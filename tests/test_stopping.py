@@ -16,6 +16,7 @@ from projnewton.costs import (
     InvariantSubspaceCost,
     RayleighCost,
 )
+from projnewton.errors import ScaleOverflow
 from projnewton.grassmann import CHART_NAMES, OrthoFrame
 from projnewton.lagrange import SymplecticFrame, sympl_form
 from projnewton.newton import NewtonConfig, Status, perturb_frame, run_newton
@@ -62,6 +63,42 @@ class TestScale:
     def test_invariant_cost_scales_with_the_squared_norm(self, rng):
         a = rng.standard_normal((5, 5))
         assert InvariantSubspaceCost(a).scale == pytest.approx(np.sum(a * a), rel=1e-14)
+
+    def test_trace_cost_scale_survives_huge_entries(self, rng):
+        # ||A||_F^2 overflows above ~1.3e154: the norm is rescaled instead,
+        # and a norm that does not overflow keeps its bits
+        a = rng.standard_normal((4, 4))
+        a = a + a.T
+        for c in (1e150, 1e160, 1e300):
+            assert RayleighCost(c * a).scale == pytest.approx(c * np.linalg.norm(a), rel=1e-15)
+            h = HamiltonianRayleighCost.from_blocks(c * a[:2, :2], c * a[2:, 2:])
+            assert h.scale == pytest.approx(c * np.linalg.norm(h.h / c), rel=1e-15)
+        assert RayleighCost(1e150 * a).scale == float(np.linalg.norm(1e150 * a))
+
+    def test_invariant_cost_rejects_an_overflowing_scale(self, rng):
+        a = rng.standard_normal((4, 4))
+        InvariantSubspaceCost(1e150 * a)
+        with pytest.raises(ScaleOverflow, match="cost data scale is inf"):
+            InvariantSubspaceCost(1e160 * a)
+
+    @pytest.mark.parametrize("nu", CHART_NAMES)
+    @pytest.mark.parametrize("lagrangian", [False, True], ids=["gr", "lg"])
+    def test_huge_entries_keep_status_and_length(self, lagrangian, nu):
+        if lagrangian:
+            q = _orthosymplectic(np.random.default_rng(5), 3)
+            s = np.diag([3.0, 2.0, -1.0])
+            a = q @ np.block([[s, np.zeros((3, 3))], [np.zeros((3, 3)), -s]]) @ q.T
+            a = 0.5 * (a + a.T)
+            planted = SymplecticFrame(q.T)
+        else:
+            a, planted = _eigspace_problem(6, 2, 1.0, 5)
+        start = perturb_frame(planted, START_DISTANCE, 1)
+        runs = []
+        for c in (1.0, 1e160):
+            cost = HamiltonianRayleighCost(c * a) if lagrangian else RayleighCost(c * a)
+            runs.append(run_newton(cost, start, NewtonConfig(nu=nu)))
+        assert runs[0].status == runs[1].status == Status.CONVERGED
+        assert _iterations(runs[1]) == _iterations(runs[0])
 
     def test_fallback_test_is_absolute(self):
         assert CostFunction.scale == 1.0
