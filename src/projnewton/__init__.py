@@ -20,9 +20,6 @@ from .grassmann import (
     GrTangent,
     OrthoFrame,
     Projector,
-    chart_cayley,
-    chart_exp,
-    chart_qr,
     distance,
     frame_from_projector,
     geodesic,
@@ -32,9 +29,6 @@ from .grassmann import (
 from .lagrange import (
     LagProjector,
     SymplecticFrame,
-    lg_chart_cayley,
-    lg_chart_exp,
-    lg_chart_qr,
     lg_tangent_project,
     random_lag_projector,
     symplectic_frame_from_basis,

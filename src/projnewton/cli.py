@@ -5,7 +5,6 @@ Subcommands
 rayleigh-gr   Newton iteration for tr(A P) over rank-m projectors.
 rayleigh-lg   Newton iteration for tr(H P) over Lagrangian projectors.
 invariant     Newton iteration for ||(I - P) A P||^2 (invariant subspaces).
-check         Seeded invariant suites over a size grid.
 
 Matrix files are UTF-8 text with one whitespace-separated row per line;
 '#' starts a comment.  Reports are JSON documents (schema version "1");
@@ -15,8 +14,8 @@ the ``elapsed_seconds`` field.
 A run stops once the gradient norm is at most ``--tol`` times ||A||_F
 (||A||_F^2 for invariant): its status does not depend on the units of A.
 
-Exit codes: 0 converged / all checks passed, 1 input error, 2 not
-converged within the iteration budget, 3 solver or degeneracy error.
+Exit codes: 0 converged, 1 input error, 2 not converged within the
+iteration budget, 3 solver or degeneracy error.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from .newton import (
     rate_from_trace,
     run_newton,
 )
-from .suites import DEFAULT_SIZES, run_all_suites
 
 _STATUS_EXIT = {
     Status.CONVERGED: 0,
@@ -317,23 +315,6 @@ def _cmd_invariant(args):
     return _run_report("invariant", args, cost, start, None, f"invariant-{args.solver}", extras)
 
 
-def _cmd_check(args):
-    sizes = DEFAULT_SIZES
-    if args.sizes:
-        try:
-            sizes = tuple(int(tok) for tok in args.sizes.split(","))
-        except ValueError as exc:
-            raise ProjNewtonError(f"--sizes expects a comma-separated list: {exc}") from exc
-        if any(s < 2 for s in sizes):
-            raise ProjNewtonError("--sizes entries must be at least 2")
-    results = run_all_suites(sizes, inject_fault=args.inject_fault)
-    for result in results:
-        print(result.describe())
-    failed = [r for r in results if not r.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} suites passed")
-    return 0 if not failed else 1
-
-
 def _nonneg_int(text):
     value = int(text)
     if value < 0:
@@ -382,12 +363,6 @@ class _Parser(argparse.ArgumentParser):
         raise ProjNewtonError(message)
 
 
-def _add_check(parser):
-    parser.add_argument("--sizes", default=None, help="comma-separated ambient dimensions")
-    parser.add_argument("--inject-fault", action="store_true",
-                        help="append an always-failing suite (harness self-test)")
-
-
 # name -> (help, add_arguments, handler), in the order top-level help lists them
 _COMMANDS = {
     "rayleigh-gr": ("maximize tr(A P) over rank-m projectors",
@@ -396,7 +371,6 @@ _COMMANDS = {
                     partial(_add_common, need_m=False), _cmd_rayleigh_lg),
     "invariant": ("compute an invariant subspace of a square matrix",
                   partial(_add_common, need_m=True, solver=True), _cmd_invariant),
-    "check": ("run the seeded invariant suites", _add_check, _cmd_check),
 }
 
 

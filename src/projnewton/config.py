@@ -34,8 +34,7 @@ class Tolerances:
     spectral_gap: float = 1e-8
     # condition-number ceiling for dense matrix-equation operators
     condition_limit: float = 1e12
-    # central finite-difference step sizes (first / second derivatives)
-    fd_step_first: float = 1e-4
+    # central finite-difference step of chart_second_derivative_check
     fd_step_second: float = 1e-3
     # Newton stop: gradient norm relative to ``CostFunction.scale``
     grad_tol: float = 1e-11

@@ -41,9 +41,6 @@ __all__ = [
     "distance_via_cosines",
     "distance_via_sines",
     "chart_factor",
-    "chart_exp",
-    "chart_qr",
-    "chart_cayley",
     "chart_point",
     "push_frame",
     "cayley_transform",
@@ -376,21 +373,6 @@ def chart_point(frame: OrthoFrame, z, chart) -> Projector:
     factor = chart_factor(z, chart)
     cols = frame.theta.T @ factor[:, :m]
     return Projector(cols @ cols.T, m)
-
-
-def chart_exp(frame: OrthoFrame, z) -> Projector:
-    """Riemannian normal coordinates (geodesic chart)."""
-    return chart_point(frame, z, "exp")
-
-
-def chart_qr(frame: OrthoFrame, z) -> Projector:
-    """QR coordinates: positive-QR factor of I + [xi, P] in the frame."""
-    return chart_point(frame, z, "qr")
-
-
-def chart_cayley(frame: OrthoFrame, z) -> Projector:
-    """Cayley coordinates: Cay([xi, P]) P Cay(-[xi, P]) in closed form."""
-    return chart_point(frame, z, "cayley")
 
 
 def push_frame(frame: OrthoFrame, z, chart) -> OrthoFrame:

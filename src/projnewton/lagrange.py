@@ -39,9 +39,6 @@ __all__ = [
     "lg_tangent_from_param",
     "lg_param_from_tangent",
     "lg_chart_point",
-    "lg_chart_exp",
-    "lg_chart_qr",
-    "lg_chart_cayley",
 ]
 
 
@@ -168,19 +165,3 @@ def lg_chart_point(frame: SymplecticFrame, z, chart) -> LagProjector:
     """The Grassmann chart at a symmetric parameter Z."""
     z = require_symmetric(z, what="chart parameter")
     return LagProjector(chart_point(frame, z, chart).mat, frame.rank)
-
-
-def lg_chart_exp(frame: SymplecticFrame, z) -> LagProjector:
-    """Riemannian normal coordinates: basis [cos Z; sin Z] in the frame."""
-    return lg_chart_point(frame, z, "exp")
-
-
-def lg_chart_qr(frame: SymplecticFrame, z) -> LagProjector:
-    """QR coordinates with the orthogonal-symplectic Q-factor
-    [[R^-1, -Z R^-1], [Z R^-1, R^-1]], R^T R = I + Z^2."""
-    return lg_chart_point(frame, z, "qr")
-
-
-def lg_chart_cayley(frame: SymplecticFrame, z) -> LagProjector:
-    """Cayley coordinates in closed form with (I + Z^2/4)^{-2}."""
-    return lg_chart_point(frame, z, "cayley")

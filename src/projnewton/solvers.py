@@ -209,7 +209,7 @@ def solve_invariant_newton_direct(a11, a12, a21, a22):
     return sol.reshape(m, k)
 
 
-def solve_invariant_newton_recursive(a11, a12, a21, a22, z0=None, max_sweeps=100, tol=1e-12):
+def solve_invariant_newton_recursive(a11, a12, a21, a22, max_sweeps=100, tol=1e-12):
     """Solve the four-term Newton equation by alternating Sylvester sweeps.
 
     Each sweep moves the coupling terms to the right-hand side at the
@@ -252,7 +252,7 @@ def solve_invariant_newton_recursive(a11, a12, a21, a22, z0=None, max_sweeps=100
     # the 1-norm condition number is ||op1||_1 / gap: the singularity floor
     if gap <= TOL.pivot * np.linalg.norm(op1, 1):
         raise SingularOperator(f"condition number reaches 1 / {TOL.pivot:.1e}")
-    z = np.zeros((m, k)) if z0 is None else np.asarray(z0, dtype=float).reshape(m, k).copy()
+    z = np.zeros((m, k))
     residual = np.inf
     for sweep in range(1, max_sweeps + 1):
         rhs = c + a21.T @ (z.T @ a12 + a21 @ z) + (a12 @ z.T + z @ a21) @ a21.T

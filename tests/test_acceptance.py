@@ -109,7 +109,7 @@ def test_criterion_1_geometry_suite():
     start = time.perf_counter()
     worst_proj = worst_metric = worst_geo = 0.0
     h = 1e-3
-    for n in range(3, 11):
+    for n in range(2, 13):
         for m in range(1, n):
             for seed in range(20):
                 gen = np.random.default_rng((n, m, seed))

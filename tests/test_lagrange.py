@@ -18,8 +18,6 @@ from projnewton.lagrange import (
     LagProjector,
     SymplecticFrame,
     lag_frame_from_projector,
-    lg_chart_cayley,
-    lg_chart_exp,
     lg_chart_point,
     lg_param_from_tangent,
     lg_tangent_from_param,
@@ -126,13 +124,13 @@ class TestLgCharts:
 
     def test_exp_scalar_quarter_turn(self):
         frame = SymplecticFrame(np.eye(2))
-        out = lg_chart_exp(frame, np.array([[np.pi / 2]]))
+        out = lg_chart_point(frame, np.array([[np.pi / 2]]), "exp")
         assert_allclose(out.mat, np.array([[0.0, 0.0], [0.0, 1.0]]), atol=1e-15)
 
     def test_cayley_scalar_case(self):
         # parameter 2 sends the first axis to the second: basis (1 - 1, ±2)
         frame = SymplecticFrame(np.eye(2))
-        out = lg_chart_cayley(frame, np.array([[2.0]]))
+        out = lg_chart_point(frame, np.array([[2.0]]), "cayley")
         assert_allclose(out.mat, np.array([[0.0, 0.0], [0.0, 1.0]]), atol=1e-14)
 
     @pytest.mark.parametrize("chart", LG_CHARTS)
@@ -170,7 +168,7 @@ class TestLgCharts:
         xi = lg_tangent_from_param(frame, z)
         k = commutator(xi, p.mat)
         direct = cayley_transform(k) @ p.mat @ cayley_transform(-k)
-        assert np.abs(lg_chart_cayley(frame, z).mat - direct).max() <= 1e-10
+        assert np.abs(lg_chart_point(frame, z, "cayley").mat - direct).max() <= 1e-10
 
     def test_exp_dual_route(self, rng):
         p, frame = random_lag_projector(2, 8)
@@ -178,7 +176,7 @@ class TestLgCharts:
         xi = lg_tangent_from_param(frame, z)
         k = commutator(xi, p.mat)
         direct = scipy.linalg.expm(k) @ p.mat @ scipy.linalg.expm(-k)
-        assert np.abs(lg_chart_exp(frame, z).mat - direct).max() <= 1e-10
+        assert np.abs(lg_chart_point(frame, z, "exp").mat - direct).max() <= 1e-10
 
     def test_pairwise_cubic_agreement(self, rng):
         _, frame = random_lag_projector(3, 9)
@@ -196,7 +194,7 @@ class TestLgCharts:
     def test_rejects_asymmetric_parameter(self):
         _, frame = random_lag_projector(2, 0)
         with pytest.raises(NotSymmetric):
-            lg_chart_exp(frame, np.array([[0.0, 1.0], [0.0, 0.0]]))
+            lg_chart_point(frame, np.array([[0.0, 1.0], [0.0, 0.0]]), "exp")
 
     def test_param_round_trip(self, rng):
         _, frame = random_lag_projector(3, 11)
@@ -228,7 +226,7 @@ class TestEmbedding:
         xi = lg_tangent_from_param(frame, z)
         for t in (0.3, 1.0):
             a = geodesic(p.as_projector(), xi, t).mat
-            b = lg_chart_exp(frame, t * z).mat
+            b = lg_chart_point(frame, t * z, "exp").mat
             assert np.abs(a - b).max() <= 1e-9
 
     def test_distance_works_on_embedded_points(self):
