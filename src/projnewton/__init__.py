@@ -14,7 +14,7 @@ from .costs import (
     riemannian_hessian_apply_gr,
     riemannian_hessian_apply_lg,
 )
-from .decomp import cholesky_upper, exp_skew_pair, qr_positive, sym_eig
+from .decomp import cholesky_upper, qr_positive, sym_eig
 from .grassmann import (
     CHART_NAMES,
     GrTangent,

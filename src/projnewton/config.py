@@ -40,6 +40,16 @@ class Tolerances:
     grad_tol: float = 1e-11
     # Newton stop: step norm, an angle in radians (no data scale)
     step_tol: float = 1e-15
+    # recursive four-term solver: a sweep whose update, relative to the
+    # iterate, falls to recursive_tol ends the solve; after
+    # recursive_max_sweeps sweeps it raises NoConvergence
+    recursive_tol: float = 1e-12
+    recursive_max_sweeps: int = 100
+    # quadratic-rate verdict: the least-squares slope of log e_{k+1} against
+    # log e_k reaches rate_slope, and no ratio e_{k+1} / e_k^2 exceeds the
+    # one before it by more than the factor rate_growth
+    rate_slope: float = 1.7
+    rate_growth: float = 10.0
 
 
 TOL = Tolerances()

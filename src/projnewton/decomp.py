@@ -4,15 +4,10 @@ LAPACK (through ``numpy.linalg``) does the factorizations; these wrappers
 fix the conventions on top.  The QR factorization has positive diagonal
 entries of R (which makes the factorization unique and the Q-factor a
 smooth function of the input), the Cholesky factor is returned in
-upper-triangular form R with R^T R = S, the symmetric eigensolver orders
-eigenvalues descending with an orthogonal eigenvector matrix, and the
-paired-skew exponential evaluates
-
-    exp([[0, Z], [-Z^T, 0]])
-
-in closed form through the SVD of Z.  LAPACK failures surface as the
-library's own error types.  All kernels are pure functions of ndarray
-values and are safe to call concurrently.
+upper-triangular form R with R^T R = S, and the symmetric eigensolver
+orders eigenvalues descending with an orthogonal eigenvector matrix.
+LAPACK failures surface as the library's own error types.  All kernels
+are pure functions of ndarray values and are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -35,7 +30,6 @@ __all__ = [
     "cholesky_upper",
     "sym_eig",
     "eigh_descending",
-    "exp_skew_pair",
     "frobenius_norm",
     "symmetrize",
     "require_symmetric",
@@ -168,31 +162,3 @@ def eigh_descending(a):
         raise ConvergenceFailure(f"symmetric eigensolver did not converge: {exc}") from exc
     return values[::-1], vectors[:, ::-1]
 
-
-def exp_skew_pair(z):
-    """Closed-form exponential of the paired skew block matrix.
-
-    For Z of shape (m, k) returns the (m+k)-by-(m+k) orthogonal matrix
-
-        exp([[0, Z], [-Z^T, 0]])
-          = [[cos sqrt(Z Z^T),          Z sinc sqrt(Z^T Z)],
-             [-sinc sqrt(Z^T Z) Z^T,    cos sqrt(Z^T Z)  ]]
-
-    computed through the SVD of Z (trigonometric functions applied to the
-    singular values), so no series truncation is involved.
-    """
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    m, k = z.shape
-    u, sig, vt = np.linalg.svd(z)
-    r = sig.size
-    cos_m = u @ np.diag(np.concatenate([np.cos(sig), np.ones(m - r)])) @ u.T
-    cos_k = vt.T @ np.diag(np.concatenate([np.cos(sig), np.ones(k - r)])) @ vt
-    sin_rect = np.zeros((m, k))
-    sin_rect[:r, :r] = np.diag(np.sin(sig))
-    upper = u @ sin_rect @ vt
-    out = np.empty((m + k, m + k))
-    out[:m, :m] = cos_m
-    out[:m, m:] = upper
-    out[m:, :m] = -upper.T
-    out[m:, m:] = cos_k
-    return out

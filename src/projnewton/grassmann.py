@@ -8,19 +8,24 @@ idempotent, trace m).  Algorithms iterate an orthogonal frame Theta with
 so the working objects in "frame coordinates" carry hats: the base point is
 diag(I_m, 0) and a tangent vector is [[0, Z], [Z^T, 0]] for an m-by-(n-m)
 parameter block Z.  The three local parametrizations (geodesic/exponential,
-QR, Cayley) all act by an orthogonal hat-space factor M: the new projector
-is Theta^T M diag(I_m, 0) M^T Theta and the new frame is M^T Theta.
+QR, Cayley) all move the frame by a rotation in the principal planes of Z:
+with the thin SVD Z = U diag(sigma) W^T, the plane of (u_i, w_i) turns by
+an angle phi(sigma_i), which is sigma for exp, arctan(sigma) for qr (the
+graph chart Z -> span Theta^T [I; Z^T]) and 2 arctan(sigma / 2) for Cayley.
+``push_frame`` applies that rotation to the rows of Theta in O(n m (n - m))
+and keeps the frame orthogonal to round-off for any finite step.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import TOL
-from .decomp import cholesky_upper_unchecked, exp_skew_pair, qr_positive, sym_eig, symmetrize
+from .decomp import qr_positive, sym_eig, symmetrize
 from .errors import BadRank, DimensionMismatch, NotAProjector, SingularInput
 
 __all__ = [
@@ -40,15 +45,20 @@ __all__ = [
     "frame_distances",
     "distance_via_cosines",
     "distance_via_sines",
-    "chart_factor",
     "chart_point",
     "push_frame",
     "cayley_transform",
     "CHART_NAMES",
 ]
 
-CHART_NAMES = ("exp", "qr", "cayley")
-_STEP_LIMIT = 1e150  # qr/Cayley: Z Z^T and its products stay finite below it for n < 1e5
+# the angle phi(sigma) through which each chart turns a principal plane of
+# the step Z with singular value sigma; every one is sigma + O(sigma^3)
+_CHART_ANGLES = {
+    "exp": lambda sigma: sigma,
+    "qr": np.arctan,
+    "cayley": lambda sigma: 2.0 * np.arctan(0.5 * sigma),
+}
+CHART_NAMES = tuple(_CHART_ANGLES)
 
 
 @dataclass(frozen=True)
@@ -71,6 +81,8 @@ class Projector:
         mat = np.asarray(mat, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise NotAProjector(f"projector must be square, got {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise NotAProjector("projector has a non-finite entry")
         if np.abs(mat - mat.T).max() > TOL.projector:
             raise NotAProjector("matrix is not symmetric")
         tr = float(np.trace(mat))
@@ -99,6 +111,8 @@ class OrthoFrame:
     def __post_init__(self):
         object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
         n = self.theta.shape[0]
+        if not np.isfinite(self.theta).all():
+            raise NotAProjector("frame has a non-finite entry")
         defect = np.abs(self.theta @ self.theta.T - np.eye(n)).max()
         if defect > TOL.frame_orthogonality:
             raise NotAProjector(f"frame orthogonality defect {defect:.3e}")
@@ -117,17 +131,6 @@ class OrthoFrame:
         th = self.theta
         m = self.rank
         return Projector(th[:m].T @ th[:m], m)
-
-    def advance(self, factor):
-        """Right-multiply Theta^T by an orthogonal hat-space factor.  Not
-        re-checked: a long qr or Cayley step misses the orthogonality floor
-        by round-off that ``reorthogonalized`` removes."""
-        return self._with_theta(factor.T @ self.theta)
-
-    def reorthogonalized(self):
-        """Snap the frame back onto the orthogonal group via positive QR."""
-        q, _ = qr_positive(self.theta.T)
-        return self._with_theta(q.T)
 
     def _with_theta(self, theta):
         """This frame with new rows; frames are checked where they enter."""
@@ -232,9 +235,9 @@ def param_from_tangent(frame: OrthoFrame, xi) -> np.ndarray:
 def geodesic(p0: Projector, xi0, t: float, frame: OrthoFrame | None = None) -> Projector:
     """Point at time t of the geodesic with initial position/velocity.
 
-    Evaluates exp(t [xi, P]) P exp(-t [xi, P]) through the closed-form
-    paired-skew exponential in a frame of the base point (recovered from
-    the projector unless one is supplied).
+    Evaluates exp(t [xi, P]) P exp(-t [xi, P]) as the exp push of
+    -t K12, K12 the off-diagonal block of [xi, P] in a frame of the base
+    point (recovered from the projector unless one is supplied).
     """
     xi = xi0.mat if isinstance(xi0, GrTangent) else np.asarray(xi0, dtype=float)
     if xi.shape != p0.mat.shape:
@@ -243,10 +246,7 @@ def geodesic(p0: Projector, xi0, t: float, frame: OrthoFrame | None = None) -> P
         frame = frame_from_projector(p0)
     m = frame.rank
     k_hat = frame.theta @ commutator(xi, p0.mat) @ frame.theta.T
-    rot = exp_skew_pair(t * k_hat[:m, m:])
-    phat = np.zeros((frame.dim, frame.dim))
-    phat[:m, :m] = np.eye(m)
-    return Projector(frame.theta.T @ rot @ phat @ rot.T @ frame.theta, m)
+    return push_frame(frame, -t * k_hat[:m, m:], "exp").projector()
 
 
 def _distance(cos_mat, sin_mat):
@@ -313,75 +313,49 @@ def cayley_transform(omega):
     return np.linalg.solve((2.0 * eye - omega).T, (2.0 * eye + omega).T).T
 
 
-def chart_factor(z, chart):
-    """Orthogonal hat-space factor M of a chart at tangent parameter Z.
-
-    The chart value at Z is Theta^T M diag(I_m, 0) M^T Theta and the pushed
-    frame is M^T Theta.  The hat-space commutator of the tangent vector
-    [[0, Z], [Z^T, 0]] with the base point is [[0, -Z], [Z^T, 0]], which
-    fixes the sign conventions below.
-
-    The qr and Cayley charts first reject a step with an entry beyond
-    ``_STEP_LIMIT`` (``SingularInput``).  Below it the Gram blocks
-    I + Z Z^T and I + Z^T Z are finite, and they are exactly symmetric as
-    formed, so the qr chart factors them without ``require_symmetric``; a
-    failed factorization still raises ``NotPositiveDefinite``.
-    """
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    m, k = z.shape
-    if chart == "exp":
-        return exp_skew_pair(-z)
-    if not np.abs(z).max() <= _STEP_LIMIT:  # also a NaN step
-        raise SingularInput(f"{chart} chart step entry beyond {_STEP_LIMIT:g}: Z Z^T overflows")
-    if chart == "qr":
-        r11 = cholesky_upper_unchecked(np.eye(m) + z @ z.T)
-        r22 = cholesky_upper_unchecked(np.eye(k) + z.T @ z)
-        r11_inv = np.linalg.inv(r11)
-        r22_inv = np.linalg.inv(r22)
-        out = np.empty((m + k, m + k))
-        out[:m, :m] = r11_inv
-        out[:m, m:] = -z @ r22_inv
-        out[m:, :m] = z.T @ r11_inv
-        out[m:, m:] = r22_inv
-        return out
-    if chart == "cayley":
-        zzt = z @ z.T
-        ztz = z.T @ z
-        left = np.empty((m + k, m + k))
-        left[:m, :m] = np.eye(m) - 0.25 * zzt
-        left[:m, m:] = -z
-        left[m:, :m] = z.T
-        left[m:, m:] = np.eye(k) - 0.25 * ztz
-        try:
-            inv1 = np.linalg.inv(np.eye(m) + 0.25 * zzt)
-            inv2 = np.linalg.inv(np.eye(k) + 0.25 * ztz)
-        except np.linalg.LinAlgError as exc:  # a step too long for round-off to form
-            raise SingularInput(f"Cayley factor I + Z^T Z / 4 is singular: {exc}") from exc
-        out = left.copy()
-        out[:, :m] = left[:, :m] @ inv1
-        out[:, m:] = left[:, m:] @ inv2
-        return out
-    raise ValueError(f"unknown chart {chart!r}, expected one of {CHART_NAMES}")
-
-
 def chart_point(frame: OrthoFrame, z, chart) -> Projector:
-    """Evaluate a local parametrization at tangent parameter Z."""
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    n, m = frame.dim, frame.rank
-    if z.shape != (m, n - m):
-        raise DimensionMismatch(f"expected parameter shape {(m, n - m)}, got {z.shape}")
-    factor = chart_factor(z, chart)
-    cols = frame.theta.T @ factor[:, :m]
-    return Projector(cols @ cols.T, m)
+    """Evaluate a local parametrization at tangent parameter Z: the
+    projector of the pushed frame."""
+    return push_frame(frame, z, chart).projector()
 
 
 def push_frame(frame: OrthoFrame, z, chart) -> OrthoFrame:
-    """Advance a frame along a chart step: Theta'^T = Theta^T M."""
+    """Advance a frame along the chart step Z, in O(n m (n - m)).
+
+    In hat space the step is the rotation [[I + U (c - 1) U^T, U s W^T],
+    [-W s U^T, I + W (c - 1) W^T]] (for exp, exp([[0, Z], [-Z^T, 0]])),
+    with Z = U diag(sigma) W^T the thin SVD, c = cos phi, s = sin phi and
+    phi = phi(sigma) the chart's angle.  It is applied to the two row
+    blocks of Theta; c - 1 = -2 sin^2(phi / 2) keeps short steps exact.
+    No factor is formed and nothing is re-orthogonalized: U and W are
+    orthonormal, so the rows stay orthonormal to round-off at any finite
+    step length.  The pushed frame is not re-checked.
+
+    A step that is not finite, or whose Gram matrix Z Z^T overflows
+    (sigma_max^2 = inf), raises ``SingularInput``.
+    """
     z = np.atleast_2d(np.asarray(z, dtype=float))
     n, m = frame.dim, frame.rank
     if z.shape != (m, n - m):
         raise DimensionMismatch(f"expected parameter shape {(m, n - m)}, got {z.shape}")
-    return frame.advance(chart_factor(z, chart))
+    if chart not in _CHART_ANGLES:
+        raise ValueError(f"unknown chart {chart!r}, expected one of {CHART_NAMES}")
+    if not np.isfinite(z).all():
+        raise SingularInput("step has a non-finite entry")
+    u, sigma, wt = np.linalg.svd(z, full_matrices=False)
+    top = float(sigma[0])
+    if not math.isfinite(top * top):  # a Python float overflows without a warning
+        raise SingularInput(f"step Z Z^T overflows: sigma_max = {top:.3e}")
+    phi = _CHART_ANGLES[chart](sigma)[:, None]
+    cos_m1 = -2.0 * np.sin(0.5 * phi) ** 2
+    sin = np.sin(phi)
+    lead_u = u.T @ frame.theta[:m]
+    rest_w = wt @ frame.theta[m:]
+    theta = np.empty_like(frame.theta)
+    np.matmul(u, cos_m1 * lead_u + sin * rest_w, out=theta[:m])
+    np.matmul(wt.T, cos_m1 * rest_w - sin * lead_u, out=theta[m:])
+    theta += frame.theta
+    return frame._with_theta(theta)
 
 
 def chart_second_derivative_check(frame: OrthoFrame, z, chart, h=None):

@@ -5,8 +5,10 @@ the standard symplectic form J; ``LagProjector`` is a ``Projector`` and
 ``SymplecticFrame`` an ``OrthoFrame`` that is also symplectic.  Tangent
 parameters are symmetric n-by-n blocks.  The submanifold is totally
 geodesic, so geodesics and distances are the Grassmann ones, and so are the
-three charts: at a symmetric Z their factors have the commuting-with-J block
-form [[X, -Y], [Y, X]], which keeps frames symplectic.  Only the tangent
+three chart pushes: at a symmetric Z the singular vectors pair up as
+W = U diag(sign) and the rotation the push applies has the
+commuting-with-J block form [[X, -Y], [Y, X]], so a pushed frame stays
+symplectic to round-off with no correction step.  Only the tangent
 projection carries a J-corrected formula.
 """
 
@@ -101,13 +103,6 @@ class SymplecticFrame(OrthoFrame):
     def symplecticity_residual(self):
         j = sympl_form(self.rank)
         return float(np.abs(self.theta.T @ j @ self.theta - j).max())
-
-    def reorthogonalized(self):
-        """The frame unchanged: a plain QR step would destroy symplecticity,
-        and the chart factors at symmetric Z are orthogonal-symplectic, which
-        keeps both residuals at round-off over the run lengths this library
-        targets."""
-        return self
 
 
 def lg_tangent_project(p: LagProjector, x) -> np.ndarray:

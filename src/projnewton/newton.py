@@ -3,18 +3,22 @@
 One iteration pulls the cost back through a chart mu centered at the
 current point, takes a Euclidean Newton step at 0, and pushes the step
 forward through a chart nu.  The three charts share the same 2-jet at 0:
-identity derivative, and second derivative Theta^T diag(-2 Z Z^T,
-2 Z^T Z) Theta (``grassmann.chart_second_derivative_check`` shows it).
-The pulled-back gradient and Hessian at 0 depend only on that 2-jet, so
-they are the Riemannian ones for every mu, and mu does not change the
-iterates; only nu does.
+each turns the principal planes of Z through an angle sigma + O(sigma^3),
+so all have identity derivative and second derivative Theta^T
+diag(-2 Z Z^T, 2 Z^T Z) Theta (``grassmann.chart_second_derivative_check``
+shows it).  The pulled-back gradient and Hessian at 0 depend only on that
+2-jet, so they are the Riemannian ones for every mu, and mu does not
+change the iterates; only nu does.
 
 There is one engine: each cost solves its own Newton equation in frame
 coordinates (``CostFunction.newton_solve``), and ``newton_step`` pushes
-the solution forward.  Algorithms 1-3 are this iteration for the trace
-cost on both manifolds and for the invariant-subspace cost.  The loop
-reads its diagnostics from the frames too: value and gradient block from
-``CostFunction.frame_terms``, distances from the frame rows.
+the solution forward with ``grassmann.push_frame``: an O(n m (n - m))
+update of the frame rows that keeps them orthogonal (and symplectic) to
+round-off, so no step re-orthogonalizes.  Algorithms 1-3 are this
+iteration for the trace cost on both manifolds and for the
+invariant-subspace cost.  The loop reads its diagnostics from the frames
+too: value and gradient block from ``CostFunction.frame_terms``,
+distances from the frame rows.
 
 No globalization is attempted: the method is local, and runs started far
 from a nondegenerate critical point may diverge; the trace reports it.
@@ -33,7 +37,6 @@ from .decomp import frobenius_norm
 from .errors import (
     InsufficientData,
     NoConvergence,
-    NotPositiveDefinite,
     SingularInput,
     SingularOperator,
     SpectralOverlap,
@@ -129,9 +132,9 @@ class QuadraticRateEstimate:
     """Ratios e_{k+1}/e_k^2, the fitted log-log slope, and the verdict.
 
     The verdict is quadratic when the ratios stay bounded (no consecutive
-    growth beyond a factor 10; shrinking ratios, as in super-quadratic
-    runs, pass) and the least-squares slope of log e_{k+1} against
-    log e_k is at least 1.7.
+    growth beyond the factor ``TOL.rate_growth``; shrinking ratios, as in
+    super-quadratic runs, pass) and the least-squares slope of log e_{k+1}
+    against log e_k is at least ``TOL.rate_slope``.
     """
 
     ratios: tuple
@@ -168,9 +171,9 @@ def estimate_quadratic_rate(errors) -> QuadraticRateEstimate:
         )
     e = np.asarray(usable)
     ratios = e[1:] / e[:-1] ** 2
-    bounded = all(ratios[i + 1] <= 10.0 * ratios[i] for i in range(len(ratios) - 1))
+    bounded = all(ratios[i + 1] <= TOL.rate_growth * ratios[i] for i in range(len(ratios) - 1))
     slope = float(np.polyfit(np.log(e[:-1]), np.log(e[1:]), 1)[0])
-    verdict = bool(bounded and slope >= 1.7)
+    verdict = bool(bounded and slope >= TOL.rate_slope)
     return QuadraticRateEstimate(tuple(ratios), slope, verdict, tuple(usable))
 
 
@@ -189,17 +192,16 @@ def rate_from_trace(trace: NewtonTrace) -> QuadraticRateEstimate:
 
 def newton_step(cost: CostFunction, frame, config: NewtonConfig, solver="direct", b=None):
     """One Newton step: the cost's Newton solve in frame coordinates, pushed
-    forward with the ``nu`` chart (a step too long to push: ``NoConvergence``);
-    ``b`` is the data of ``cost.frame_terms`` at ``frame``, if at hand.
-
-    The pushed frame is re-orthogonalized; a ``SymplecticFrame`` keeps
-    itself (``SymplecticFrame.reorthogonalized``).
+    forward with the ``nu`` chart (a non-finite step, or one whose Z Z^T
+    overflows: ``NoConvergence``); ``b`` is the data of ``cost.frame_terms``
+    at ``frame``, if at hand.  The push keeps the frame orthogonal, and a
+    ``SymplecticFrame`` symplectic, without a correction step.
     """
     z = cost.newton_solve(frame, solver, b)
     norm = frobenius_norm(z)
     try:
-        pushed = push_frame(frame, z, config.nu).reorthogonalized()
-    except (NotPositiveDefinite, SingularInput) as exc:
+        pushed = push_frame(frame, z, config.nu)
+    except SingularInput as exc:
         raise NoConvergence(f"step not pushed with the {config.nu} chart: {exc}") from exc
     return pushed, StepInfo(z, float(np.sqrt(2.0) * norm))
 

@@ -209,7 +209,8 @@ def solve_invariant_newton_direct(a11, a12, a21, a22):
     return sol.reshape(m, k)
 
 
-def solve_invariant_newton_recursive(a11, a12, a21, a22, max_sweeps=100, tol=1e-12):
+def solve_invariant_newton_recursive(a11, a12, a21, a22, max_sweeps=TOL.recursive_max_sweeps,
+                                     tol=TOL.recursive_tol):
     """Solve the four-term Newton equation by alternating Sylvester sweeps.
 
     Each sweep moves the coupling terms to the right-hand side at the

@@ -311,9 +311,11 @@ def test_long_step_exits_with_a_run_status(tmp_path, capsys, nu):
     out = tmp_path / "r.json"
     code = main(["invariant", _long_step_matrix(tmp_path), "--m", "2", "--solver", "recursive",
                  "--seed", "7", "--nu", nu, "--out", str(out)])
-    assert code in (2, 3)
+    assert code == (2 if nu == "cayley" else 3)
     report = json.loads(out.read_text())
-    assert report["status"] == "NoConvergence"
+    # the Cayley push turns each plane by pi to round-off at this length,
+    # which keeps the subspace: that run repeats the step to its budget
+    assert report["status"] == ("MaxIters" if nu == "cayley" else "NoConvergence")
     assert all(np.isfinite(row["step_norm"]) for row in report["iterations"])
     assert capsys.readouterr().err == ""
 
@@ -328,9 +330,9 @@ def test_overflowing_step_exits_with_a_run_status(tmp_path, capsys, monkeypatch,
     out = tmp_path / "r.json"
     code = main(["invariant", _long_step_matrix(tmp_path), "--m", "2", "--seed", "7",
                  "--nu", nu, "--max-iters", "3", "--out", str(out)])
-    assert code in (2, 3)
+    assert code == 3
     report = json.loads(out.read_text())
-    assert report["status"] == ("MaxIters" if nu == "exp" else "NoConvergence")
+    assert report["status"] == "NoConvergence"
     assert all(np.isfinite(row["step_norm"]) for row in report["iterations"])
     assert capsys.readouterr().err == ""
 

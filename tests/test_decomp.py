@@ -11,8 +11,9 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from projnewton.costs import RayleighCost
-from projnewton.decomp import cholesky_upper, exp_skew_pair, frobenius_norm, qr_positive, sym_eig
+from projnewton.decomp import cholesky_upper, frobenius_norm, qr_positive, sym_eig
 from projnewton.errors import NotPositiveDefinite, NotSymmetric, SingularInput
+from projnewton.grassmann import OrthoFrame, push_frame
 from projnewton.solvers import solve_lyapunov, solve_sylvester
 
 
@@ -206,7 +207,16 @@ class TestFrobeniusNorm:
         assert np.isnan(norm) if np.isnan(bad) else norm == np.inf
 
 
+def exp_skew_pair(z):
+    """exp([[0, Z], [-Z^T, 0]]): the exp push of the identity frame by Z."""
+    m, k = np.shape(z)
+    return push_frame(OrthoFrame(np.eye(m + k), m), z, "exp").theta
+
+
 class TestExpSkewPair:
+    """The paired-skew exponential the exp chart applies, read off the
+    push of the identity frame."""
+
     def test_zero(self):
         assert_allclose(exp_skew_pair(np.zeros((2, 3))), np.eye(5), atol=1e-15)
 

@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from projnewton.config import TOL
-from projnewton.decomp import cholesky_upper, qr_positive
+from projnewton.decomp import qr_positive
 from projnewton.errors import (
     BadRank,
     DimensionMismatch,
     NotAProjector,
-    NotPositiveDefinite,
     SingularInput,
 )
 from projnewton.grassmann import (
@@ -21,7 +19,6 @@ from projnewton.grassmann import (
     OrthoFrame,
     Projector,
     cayley_transform,
-    chart_factor,
     chart_point,
     chart_second_derivative_check,
     commutator,
@@ -130,6 +127,13 @@ class TestFrameFromProjector:
     def test_rejects_non_projector(self):
         with pytest.raises(NotAProjector):
             frame_from_projector(np.array([[0.5, 0.0], [0.0, 0.5]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_from_matrix_rejects_non_finite_entries(self, bad):
+        mat = np.full((3, 3), np.nan)
+        mat[1, 1] = bad
+        with pytest.raises(NotAProjector, match="non-finite"):
+            Projector.from_matrix(mat)
 
 
 class TestGeodesic:
@@ -290,38 +294,58 @@ class TestDistance:
             assert abs(dist - frame_distance(frame, basis)) <= 1e-15
 
 
+def _factor(z, chart):
+    """The chart's orthogonal hat-space factor M at Z: the pushed frame is
+    M^T Theta, so M is the transposed push of the identity frame."""
+    m, k = np.shape(z)
+    return push_frame(OrthoFrame(np.eye(m + k), m), z, chart).theta.T
+
+
+def _inv_sqrt(s):
+    values, vectors = np.linalg.eigh(s)
+    return (vectors / np.sqrt(values)) @ vectors.T
+
+
 class TestCharts:
     @pytest.mark.parametrize("m,k", [(2, 3), (1, 4), (4, 1)])
-    def test_factor_inverses_match_solves_bitwise(self, m, k):
-        # np.linalg.inv is LAPACK gesv against the identity, as solve(., I) is
+    def test_factor_matches_dense_closed_form(self, m, k):
+        # qr: the polar factor [[R, -Z S], [Z^T R, S]], R = (I + Z Z^T)^(-1/2),
+        # S = (I + Z^T Z)^(-1/2); Cayley: (2I + K)(2I - K)^(-1), K the hat
+        # commutator [[0, -Z], [Z^T, 0]]
         z = np.random.default_rng(m + 10 * k).standard_normal((m, k))
-        i11 = np.linalg.solve(cholesky_upper(np.eye(m) + z @ z.T), np.eye(m))
-        i22 = np.linalg.solve(cholesky_upper(np.eye(k) + z.T @ z), np.eye(k))
-        assert np.array_equal(chart_factor(z, "qr"),
-                              np.block([[i11, -z @ i22], [z.T @ i11, i22]]))
-        left = np.block([[np.eye(m) - 0.25 * z @ z.T, -z], [z.T, np.eye(k) - 0.25 * z.T @ z]])
-        c11 = np.linalg.solve(np.eye(m) + 0.25 * z @ z.T, np.eye(m))
-        c22 = np.linalg.solve(np.eye(k) + 0.25 * z.T @ z, np.eye(k))
-        assert np.array_equal(chart_factor(z, "cayley"),
-                              np.hstack([left[:, :m] @ c11, left[:, m:] @ c22]))
+        r, s = _inv_sqrt(np.eye(m) + z @ z.T), _inv_sqrt(np.eye(k) + z.T @ z)
+        polar = np.block([[r, -z @ s], [z.T @ r, s]])
+        assert np.abs(_factor(z, "qr") - polar).max() <= 1e-14
+        k_hat = np.block([[np.zeros((m, m)), -z], [z.T, np.zeros((k, k))]])
+        assert np.abs(_factor(z, "cayley") - cayley_transform(k_hat)).max() <= 1e-14
 
-    def test_overlong_step_factor_raises_a_library_error(self):
-        # I + Z^T Z and I + Z^T Z / 4 lose their identity to round-off
+    def test_long_step_factor_is_formed(self):
+        # I + Z Z^T loses its identity to round-off at this length; the
+        # rotation the push applies does not form it
         z = np.full((1, 2), 1e9)
-        with pytest.raises(NotPositiveDefinite):
-            chart_factor(z, "qr")
-        with pytest.raises(SingularInput, match="Cayley"):
-            chart_factor(z, "cayley")
-        assert np.all(np.isfinite(chart_factor(z, "exp")))
+        for chart in CHART_NAMES:
+            f = _factor(z, chart)
+            assert np.abs(f.T @ f - np.eye(3)).max() <= 1e-15
+        # the graph chart at Z is span [1; Z^T]: its first column
+        graph = np.array([1.0, 1e9, 1e9]) / np.sqrt(1.0 + 2e18)
+        assert np.abs(_factor(z, "qr")[:, 0] - graph).max() <= 1e-15
 
-    @pytest.mark.parametrize("chart", ["qr", "cayley"])
+    @pytest.mark.parametrize("chart", CHART_NAMES)
     def test_overflowing_gram_blocks_raise_a_library_error(self, chart):
-        # Z Z^T overflows: LAPACK gives an inf Cholesky factor or a NaN inverse
+        # Z Z^T overflows: sigma_max^2 is not finite
         z = np.full((1, 2), 1e200)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularInput, match="overflow"):
-                chart_factor(z, chart)
+                push_frame(_frame(3, 1), z, chart)
+
+    def test_overlong_step_factor_raises_a_library_error(self):
+        # an infinite or NaN step has no factor
+        for bad in (np.inf, -np.inf, np.nan):
+            z = np.array([[1.0, bad]])
+            for chart in CHART_NAMES:
+                with pytest.raises(SingularInput, match="non-finite"):
+                    push_frame(_frame(3, 1), z, chart)
 
     @pytest.mark.parametrize("chart", CHART_NAMES)
     def test_zero_returns_base(self, chart):
@@ -376,7 +400,7 @@ class TestCharts:
     def test_chart_factors_orthogonal(self, rng):
         z = rng.standard_normal((2, 4))
         for chart in CHART_NAMES:
-            f = chart_factor(z, chart)
+            f = _factor(z, chart)
             assert np.abs(f.T @ f - np.eye(6)).max() <= 1e-12
 
 
@@ -459,21 +483,28 @@ class TestFrameAdvance:
         assert np.abs(frame.theta @ frame.theta.T - np.eye(4)).max() <= 1e-12
 
     @pytest.mark.parametrize("chart", ["qr", "cayley"])
-    def test_long_step_is_reorthogonalized_not_rejected(self, chart):
-        # a 1e4-long step misses the orthogonality floor by round-off; the
-        # push must hand it on so that re-orthogonalization removes it
+    def test_long_step_stays_orthogonal(self, chart):
+        # a 1e4-long step, which the chart factors formed from I + Z Z^T
+        # pushed off the orthogonality floor, stays at round-off
         frame = _frame(6, 2)
         z = 1e4 * np.random.default_rng(0).standard_normal((2, 4))
         pushed = push_frame(frame, z, chart)
-        assert np.abs(pushed.theta @ pushed.theta.T - np.eye(6)).max() > TOL.frame_orthogonality
-        snapped = pushed.reorthogonalized()
-        assert np.abs(snapped.theta @ snapped.theta.T - np.eye(6)).max() <= TOL.frame_orthogonality
-        assert distance(snapped.projector(), pushed.projector()) <= 1e-6
+        assert np.abs(pushed.theta @ pushed.theta.T - np.eye(6)).max() <= 1e-14
 
     def test_constructor_checks_orthogonality(self):
         theta = _frame(5, 2).theta
         with pytest.raises(NotAProjector, match="orthogonality"):
             OrthoFrame(1.001 * theta, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_constructor_rejects_non_finite_frames(self, bad):
+        # a NaN orthogonality defect would pass a "defect > tol" test
+        theta = _frame(5, 2).theta.copy()
+        theta[1, 3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotAProjector, match="non-finite"):
+                OrthoFrame(theta, 2)
 
     def test_param_round_trip(self, rng):
         _, frame = random_projector(5, 2, 1)

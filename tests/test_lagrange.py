@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 from projnewton.errors import NotAProjector, NotSymmetric
 from projnewton.grassmann import (
     cayley_transform,
-    chart_factor,
     commutator,
     distance,
     geodesic,
@@ -47,6 +46,20 @@ class TestLagProjector:
         mat = np.diag([1.0, 0.0, 1.0, 0.0])
         with pytest.raises(NotAProjector):
             LagProjector.from_matrix(mat)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_from_matrix_rejects_non_finite_entries(self, bad):
+        mat = np.diag([1.0, 1.0, 0.0, 0.0])
+        mat[2, 3] = mat[3, 2] = bad
+        with pytest.raises(NotAProjector, match="non-finite"):
+            LagProjector.from_matrix(mat)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_frame_rejects_non_finite_entries(self, bad):
+        theta = random_lag_projector(2, 3)[1].theta.copy()
+        theta[0, 2] = bad
+        with pytest.raises(NotAProjector, match="non-finite"):
+            SymplecticFrame(theta)
 
     def test_zero_generator_frame(self):
         frame = SymplecticFrame(np.eye(6))
@@ -144,9 +157,10 @@ class TestLgCharts:
 
     @pytest.mark.parametrize("chart", LG_CHARTS)
     def test_chart_factor_orthogonal_symplectic(self, chart, rng):
-        # the Grassmann factor at symmetric Z is [[X, -Y], [Y, X]]
+        # the Grassmann factor at symmetric Z is [[X, -Y], [Y, X]]; it is the
+        # transposed push of the identity frame
         z = _sym(rng, 4)
-        factor = chart_factor(z, chart)
+        factor = push_frame(SymplecticFrame(np.eye(8)), z, chart).theta.T
         j = sympl_form(4)
         assert np.abs(factor.T @ factor - np.eye(8)).max() <= 1e-10
         assert np.abs(factor.T @ j @ factor - j).max() <= 1e-10

@@ -1,5 +1,6 @@
 """Matrix-equation solver tests against brute-force vectorized oracles."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -214,6 +215,11 @@ class TestInvariantDirect:
 
 
 class TestInvariantRecursive:
+    def test_sweep_limits_come_from_config(self):
+        params = inspect.signature(solve_invariant_newton_recursive).parameters
+        assert params["tol"].default == TOL.recursive_tol == 1e-12
+        assert params["max_sweeps"].default == TOL.recursive_max_sweeps == 100
+
     def test_zero_rhs_one_sweep(self, rng):
         a11 = rng.standard_normal((2, 2)) + 3.0 * np.eye(2)
         a22 = rng.standard_normal((2, 2)) - 3.0 * np.eye(2)
