@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
 import time
 from functools import partial
@@ -256,12 +257,11 @@ def _cmd_rayleigh_gr(args):
     natural = _dominant_frame(a, args.m)
     base = _frame_from_start_file(args.start, n, args.m) if args.start else None
     start = _select_start(args, base, natural)
-    reference = natural.projector()
 
     def extras(trace, final_projector):
         return {"distance_to_dominant": trace.records[-1].distance}
 
-    return _run_report("rayleigh-gr", args, cost, start, reference, "rayleigh-gr", extras)
+    return _run_report("rayleigh-gr", args, cost, start, natural, "rayleigh-gr", extras)
 
 
 def _cmd_rayleigh_lg(args):
@@ -281,7 +281,6 @@ def _cmd_rayleigh_lg(args):
             raise ProjNewtonError("start basis does not span a Lagrangian subspace")
         base = symplectic_frame_from_basis(u)
     start = _select_start(args, base, natural)
-    reference = natural.projector()
 
     def extras(trace, final_projector):
         sympl = trace.extras.get("symplecticity_residuals", [])
@@ -292,7 +291,7 @@ def _cmd_rayleigh_lg(args):
             "lagrangian_residual": float(pjp),
         }
 
-    return _run_report("rayleigh-lg", args, cost, start, reference, "rayleigh-lg", extras)
+    return _run_report("rayleigh-lg", args, cost, start, natural, "rayleigh-lg", extras)
 
 
 def _cmd_invariant(args):
@@ -359,6 +358,11 @@ class _Parser(argparse.ArgumentParser):
     """Argument errors map to the input-error exit code (1), not argparse's 2,
     which this tool reserves for runs that exhaust the iteration budget."""
 
+    def __init__(self, **kwargs):
+        # argparse's default width, read once here instead of on every add_argument
+        width = shutil.get_terminal_size().columns - 2
+        super().__init__(formatter_class=partial(argparse.HelpFormatter, width=width), **kwargs)
+
     def error(self, message):
         raise ProjNewtonError(message)
 
@@ -374,30 +378,34 @@ _COMMANDS = {
 }
 
 
-def build_parser(command=None):
-    """The parser with only ``command``'s subparser if it is known, else with all.
+def _add_command(parser, name):
+    """Declare command ``name``'s arguments and handler on ``parser``."""
+    _, add_arguments, handler = _COMMANDS[name]
+    add_arguments(parser)
+    parser.set_defaults(func=handler, command=name)
+    return parser
 
-    A call parses one command, and building the others cost more than that parse.
-    Any other first word (``-h``, a typo) gets every subparser, so top-level help
-    and the "invalid choice" error still list all commands.
-    """
+
+def build_parser():
+    """The parser with every command's subparser: for ``-h``, typos and an empty argv."""
     parser = _Parser(
         prog="projnewton",
         description="Newton iterations on Grassmann and Lagrange-Grassmann manifolds",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in [command] if command in _COMMANDS else _COMMANDS:
-        help_text, add_arguments, handler = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        add_arguments(p)
-        p.set_defaults(func=handler)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        name = argv[0] if argv else None
+        if name in _COMMANDS:  # build_parser's subparser for this command, alone
+            args = _add_command(_Parser(prog=f"projnewton {name}"), name).parse_args(argv[1:])
+        else:
+            args = build_parser().parse_args(argv)
         return args.func(args)
     except ProjNewtonError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,6 +8,7 @@ quantity they guard (documented per field).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 
@@ -50,6 +51,8 @@ class Tolerances:
     # one before it by more than the factor rate_growth
     rate_slope: float = 1.7
     rate_growth: float = 10.0
+    # the rate estimator drops errors (distances) at or below this round-off floor
+    rate_floor: float = 10 * sys.float_info.epsilon
 
 
 TOL = Tolerances()

@@ -125,13 +125,8 @@ def cholesky_upper(mat):
     NotPositiveDefinite
         If LAPACK meets a non-positive pivot.
     """
-    return cholesky_upper_unchecked(require_symmetric(mat, what="cholesky input"))
-
-
-def cholesky_upper_unchecked(s):
-    """``cholesky_upper`` of an exactly symmetric finite matrix, unchecked."""
     try:
-        return np.linalg.cholesky(s).T
+        return np.linalg.cholesky(require_symmetric(mat, what="cholesky input")).T
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"cholesky input is not positive definite: {exc}") from exc
 

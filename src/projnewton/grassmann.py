@@ -254,8 +254,8 @@ def _distance(cos_mat, sin_mat):
     matrices whose singular values are their cosines and their sines (sines
     missing when m > n/2 are zero); sines below pi/4 and cosines above keep
     tiny and near-right angles accurate.  Leading axes are batch axes."""
-    cos = np.sort(np.clip(np.linalg.svd(cos_mat, compute_uv=False), 0.0, 1.0))[..., ::-1]
-    sin = np.sort(np.clip(np.linalg.svd(sin_mat, compute_uv=False), 0.0, 1.0))
+    cos = np.clip(np.linalg.svd(cos_mat, compute_uv=False), 0.0, 1.0)  # svd: descending
+    sin = np.clip(np.linalg.svd(sin_mat, compute_uv=False), 0.0, 1.0)[..., ::-1]
     sin = np.concatenate([np.zeros(cos.shape[:-1] + (cos.shape[-1] - sin.shape[-1],)), sin], -1)
     theta = np.where(cos > np.cos(np.pi / 4), np.arcsin(sin), np.arccos(cos))
     return np.sqrt(2.0 * np.sum(theta * theta, axis=-1))

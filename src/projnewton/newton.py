@@ -147,18 +147,19 @@ def estimate_quadratic_rate(errors) -> QuadraticRateEstimate:
     """Classify the tail of a positive error sequence.
 
     Only the longest strictly decreasing suffix with entries above
-    10 * machine epsilon is used; at least 3 such entries are required.
+    ``TOL.rate_floor`` is used; at least 3 such entries are required.  The
+    slope is the closed-form least-squares fit sum(x~ y~) / sum(x~^2) over
+    the centered logs x~ of e_k and y~ of e_{k+1}.
 
     Raises
     ------
     InsufficientData
         If fewer than three usable entries remain.
     """
-    floor = 10.0 * np.finfo(float).eps
     seq = []
     for value in errors:
         value = float(value)
-        if value <= floor:
+        if value <= TOL.rate_floor:
             break
         seq.append(value)
     start = len(seq) - 1
@@ -172,7 +173,9 @@ def estimate_quadratic_rate(errors) -> QuadraticRateEstimate:
     e = np.asarray(usable)
     ratios = e[1:] / e[:-1] ** 2
     bounded = all(ratios[i + 1] <= TOL.rate_growth * ratios[i] for i in range(len(ratios) - 1))
-    slope = float(np.polyfit(np.log(e[:-1]), np.log(e[1:]), 1)[0])
+    x, y = np.log(e[:-1]), np.log(e[1:])
+    x, y = x - x.mean(), y - y.mean()
+    slope = float(x @ y / (x @ x))
     verdict = bool(bounded and slope >= TOL.rate_slope)
     return QuadraticRateEstimate(tuple(ratios), slope, verdict, tuple(usable))
 
@@ -219,7 +222,7 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
     it once); after the loop, the distances from the frame
     rows (``grassmann.frame_distances``), the symplecticity residuals, and
     the invariance residuals ||B21|| = sqrt(cost).  No projector or ambient
-    gradient is formed; only the reference is eigendecomposed, once.
+    gradient is formed; a ``Projector`` reference is eigendecomposed, once.
 
     Parameters
     ----------
@@ -230,9 +233,10 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
         A ``SymplecticFrame`` runs on the Lagrange Grassmannian, with the
         same charts.
     config : NewtonConfig
-    reference : Projector or None
-        When given (a ``LagProjector`` is one), distances measure to it;
-        otherwise to the final iterate.
+    reference : Projector, OrthoFrame or None
+        A ``Projector``, or a frame whose leading rows span the reference
+        (its ``basis()``, a copy of the rows: no eigendecomposition).  When
+        given, distances measure to it; otherwise to the final iterate.
     method : str
         One of ``METHODS``.  The cost determines the Newton equation;
         ``invariant-recursive`` selects the recursive four-term solver.

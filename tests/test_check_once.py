@@ -1,10 +1,9 @@
 """Check once, form once: a Newton iterate forms B = Theta A Theta^T once,
 and nothing inside ``run_newton`` re-runs ``require_symmetric``.  The
-costs check their matrix when built; the Newton solves hand blocks they
-have just symmetrized to the solvers' unchecked cores, and the qr chart
-factors its Gram blocks unchecked.  The public solvers and kernels keep
-their entry checks, and each unchecked core returns exactly what its
-checked entry returns."""
+costs check their matrix when built, and the Newton solves hand blocks
+they have just symmetrized to the solvers' unchecked cores.  The public
+solvers and kernels keep their entry checks, and each unchecked core
+returns exactly what its checked entry returns."""
 
 import sys
 
@@ -15,7 +14,6 @@ import projnewton.decomp
 from projnewton.costs import HamiltonianRayleighCost, InvariantSubspaceCost, RayleighCost
 from projnewton.decomp import (
     cholesky_upper,
-    cholesky_upper_unchecked,
     eigh_descending,
     require_symmetric,
     sym_eig,
@@ -139,12 +137,6 @@ class TestUncheckedCoresMatch:
         a11, _ = _gapped_blocks(rng)
         c = random_symmetric(rng, 3)
         assert np.array_equal(solve_lyapunov(a11, c), solve_lyapunov_unchecked(a11, c))
-
-    def test_cholesky(self, rng):
-        x = rng.standard_normal((5, 3))
-        s = np.eye(5) + x @ x.T  # exactly symmetric as formed, like the qr chart's blocks
-        assert np.array_equal(s, s.T)
-        assert np.array_equal(cholesky_upper(s), cholesky_upper_unchecked(s))
 
     def test_sym_eig(self, rng):
         s = random_symmetric(rng, 6)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import projnewton
+from projnewton import cli
 from projnewton.cli import build_parser, load_matrix, main
 from projnewton.costs import InvariantSubspaceCost
 from projnewton.decomp import qr_positive
@@ -298,6 +299,23 @@ def test_byte_identical_reports(tmp_path, case):
     assert _strip_elapsed(out1.read_text()) == _strip_elapsed(out2.read_text())
 
 
+@pytest.mark.parametrize("case", ["rayleigh-gr", "rayleigh-lg"])
+def test_answer_is_eigendecomposed_once(tmp_path, capsys, monkeypatch, case):
+    # the dominant frame is both the start's origin and the distance reference
+    argv = _report_argv(tmp_path, case)
+    dim = load_matrix(argv[1]).shape[0]
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    assert main(argv) == 0
+    assert shapes.count((dim, dim)) == 1
+
+
 def _long_step_matrix(tmp_path):
     # from random_projector(6, 2, 7) the recursive solver settles on a Newton
     # step of norm ~1.9e154, whose sum of squares overflows
@@ -382,35 +400,74 @@ def built_subparsers(monkeypatch):
     return built
 
 
+@pytest.fixture
+def built_parsers(monkeypatch):
+    """Progs of the ``ArgumentParser``s constructed while the test runs."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+def _outcome(capsys, call, argv):
+    """(exit code, stdout, stderr) of ``call(argv)``, a ``SystemExit`` included."""
+    try:
+        code = call(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _main_with_full_parser(argv):
+    """``main`` with ``build_parser()`` for every argv."""
+    try:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except ProjNewtonError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+_HELP_ARGVS = [["--help"]] + [[name, "--help"] for name in _COMMAND_NAMES]
+
+
 class TestCommandParser:
-    """``main`` builds the invoked command's subparser alone; the result
-    must be indistinguishable from the parser with every subparser."""
+    """``main`` builds one parser, for the invoked command alone; the result
+    must be indistinguishable from ``build_parser()``, which has every
+    command as a subparser."""
 
     @pytest.mark.parametrize("command", _COMMAND_NAMES)
-    def test_matches_full_parser(self, tmp_path, capsys, command):
+    def test_matches_full_parser(self, tmp_path, capsys, monkeypatch, command):
+        parsed = []
+        help_text, add_arguments, _ = cli._COMMANDS[command]
+        monkeypatch.setitem(cli._COMMANDS, command, (help_text, add_arguments, parsed.append))
         argv = _command_argv(tmp_path, command)
-        assert vars(build_parser(command).parse_args(argv)) == vars(build_parser().parse_args(argv))
-        helps = []
-        for parser in (build_parser(command), build_parser()):
-            with pytest.raises(SystemExit) as exc:
-                parser.parse_args([command, "--help"])
-            assert exc.value.code == 0
-            helps.append(capsys.readouterr().out)
+        main(argv)
+        assert vars(parsed[0]) == vars(build_parser().parse_args(argv))
+        helps = [_outcome(capsys, call, [command, "--help"])
+                 for call in (main, build_parser().parse_args)]
         assert helps[0] == helps[1]
-        assert helps[0].startswith(f"usage: projnewton {command} ")
+        assert helps[0][0] == 0
+        assert helps[0][1].startswith(f"usage: projnewton {command} ")
 
     @pytest.mark.parametrize("command", _COMMAND_NAMES)
-    def test_main_builds_one_subparser(self, tmp_path, capsys, built_subparsers, command):
+    def test_main_builds_one_subparser(self, tmp_path, capsys, built_parsers, command):
         assert main(_command_argv(tmp_path, command)) == 0
-        assert built_subparsers == [command]
+        assert built_parsers == [f"projnewton {command}"]
 
-    def test_main_reads_sys_argv(self, tmp_path, capsys, monkeypatch, built_subparsers):
+    def test_main_reads_sys_argv(self, tmp_path, capsys, monkeypatch, built_parsers):
         out = tmp_path / "r.json"
         argv = _command_argv(tmp_path, "rayleigh-lg") + ["--out", str(out)]
         monkeypatch.setattr(sys, "argv", ["projnewton"] + argv)
         assert main() == 0
         assert json.loads(out.read_text())["command"] == "rayleigh-lg"
-        assert built_subparsers == ["rayleigh-lg"]
+        assert built_parsers == ["projnewton rayleigh-lg"]
 
     def test_top_level_help_lists_every_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -430,3 +487,32 @@ class TestCommandParser:
         if argv[:1] in (["no-such-command"], ["check"]):
             assert f"invalid choice: '{argv[0]}'" in err
             assert all(name in err for name in _COMMAND_NAMES)
+
+    def test_exit_codes_and_output_match_full_parser(self, tmp_path, capsys):
+        gr, lg, inv = (_command_argv(tmp_path, name)[:2] for name in _COMMAND_NAMES)
+        argvs = _HELP_ARGVS + [
+            ["rayleigh-gr"], gr, ["invariant"], inv,  # missing arguments
+            inv + ["--m", "2", "--solver", "bad"],
+            gr + ["--m", "2", "--no-such-option"],
+            lg + ["--perturb", "nan"],
+            ["check"],
+            [],
+        ]
+        for argv in argvs:
+            got = _outcome(capsys, main, argv)
+            assert got == _outcome(capsys, _main_with_full_parser, argv), argv
+            assert got[0] in (0, 1)
+            assert (got[2] == "") == (got[0] == 0), argv
+
+    def test_help_wraps_as_argparse_does(self, capsys, monkeypatch):
+        helps = {}
+        for columns in (40, 80, 200):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            with monkeypatch.context() as plain:
+                # argparse's own formatter, which reads the width on every construction
+                plain.setattr(cli, "_Parser", argparse.ArgumentParser)
+                parse = build_parser().parse_args
+                expected = [_outcome(capsys, parse, argv) for argv in _HELP_ARGVS]
+            assert [_outcome(capsys, main, argv) for argv in _HELP_ARGVS] == expected
+            helps[columns] = expected
+        assert helps[40] != helps[80] != helps[200] != helps[40]

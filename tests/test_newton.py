@@ -3,6 +3,7 @@ solve, fixed points, convergence and rate classification."""
 
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -130,6 +131,48 @@ class TestRateEstimator:
         errors = [1e-1, 1e-2, 1e-4, 1e-8, 1e-16, 3e-16]
         est = estimate_quadratic_rate(errors)
         assert len(est.usable) == 4
+
+    def test_floor_comes_from_config(self, monkeypatch):
+        import projnewton.newton
+
+        errors = [1e-1, 1e-2, 1e-4, 1e-8, 1e-16, 3e-16]
+        assert TOL.rate_floor == 10.0 * np.finfo(float).eps
+        monkeypatch.setattr(projnewton.newton, "TOL", replace(TOL, rate_floor=1e-6))
+        assert estimate_quadratic_rate(errors).usable == (1e-1, 1e-2, 1e-4)
+        monkeypatch.setattr(projnewton.newton, "TOL", replace(TOL, rate_floor=1e-3))
+        with pytest.raises(InsufficientData):
+            estimate_quadratic_rate(errors)
+
+    @staticmethod
+    def _exact_slope(e):
+        """Least-squares slope of log e_{k+1} on log e_k in rational arithmetic."""
+        x = [Fraction(v) for v in np.log(e[:-1])]
+        y = [Fraction(v) for v in np.log(e[1:])]
+        mx, my = sum(x) / len(x), sum(y) / len(y)
+        return float(sum((a - mx) * (b - my) for a, b in zip(x, y))
+                     / sum((a - mx) ** 2 for a in x))
+
+    @pytest.mark.parametrize("kind", ["newton-tail", "uniform", "log-uniform"])
+    def test_closed_form_slope(self, kind):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            k = int(rng.integers(3, 12))
+            if kind == "newton-tail":  # e_{k+1} = c e_k^p, c <= 1 < p: at least 3 usable
+                e = [rng.uniform(1e-2, 0.3)]
+                while len(e) < k and e[-1] > TOL.rate_floor:
+                    e.append(e[-1] ** rng.uniform(1.5, 2.2) * rng.uniform(0.1, 1.0))
+            elif kind == "uniform":
+                e = np.sort(rng.uniform(1e-14, 1.0, k))[::-1]
+            else:
+                e = 10.0 ** -np.sort(rng.uniform(0.0, 14.0, k))
+            est = estimate_quadratic_rate(e)
+            u = np.asarray(est.usable)
+            assert abs(est.slope - self._exact_slope(u)) <= 1e-14 * abs(est.slope)
+            if kind == "newton-tail":
+                # polyfit's own least-squares solve is off the exact fit by up
+                # to 2e-13 on the other kinds, so it is the oracle here only
+                fitted = np.polyfit(np.log(u[:-1]), np.log(u[1:]), 1)[0]
+                assert abs(est.slope - fitted) <= 1e-13 * abs(fitted)
 
 
 def _constructed_invariant(seed, m, k):
