@@ -9,7 +9,8 @@ invariant     Newton iteration for ||(I - P) A P||^2 (invariant subspaces).
 Matrix files are UTF-8 text with one whitespace-separated row per line;
 '#' starts a comment.  Reports are JSON documents (schema version "1");
 repeated identical invocations produce byte-identical reports apart from
-the ``elapsed_seconds`` field.
+the ``elapsed_seconds`` field.  ``--out`` is overwritten in place, never
+emptied first, and the write is not atomic.
 
 A run stops once the gradient norm is at most ``--tol`` times ||A||_F
 (||A||_F^2 for invariant): its status does not depend on the units of A.
@@ -22,7 +23,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
+import stat
 import sys
 import time
 from functools import partial
@@ -201,8 +204,11 @@ def _emit(report, out_path):
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     if out_path:
         try:
-            with open(out_path, "w", encoding="utf-8") as handle:
+            with open(out_path, "w", encoding="utf-8",  # emptying first costs more than writing
+                      opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as handle:
                 handle.write(text + "\n")
+                if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):  # not /dev/null or a pipe
+                    handle.truncate()
         except OSError as exc:
             raise ProjNewtonError(f"cannot write {out_path}: {exc}") from exc
     else:

@@ -197,11 +197,12 @@ def solve_invariant_newton_direct(a11, a12, a21, a22):
         np.linalg.norm(a12, 1), np.linalg.norm(a21, 1),
     ) ** 2
     data_scale = max(data_scale, np.finfo(float).tiny)
-    if np.linalg.norm(op, 1) <= TOL.pivot * data_scale:
+    op_norm = np.linalg.norm(op, 1)
+    if op_norm <= TOL.pivot * data_scale:
         raise SingularOperator("Newton operator vanished at the data scale")
-    inv = _checked_inverse(op)
+    inv, inv_norm = _checked_inverse(op, op_norm)
     sol = inv @ rhs
-    cond = data_scale * np.linalg.norm(inv, 1)
+    cond = data_scale * inv_norm
     if cond > TOL.condition_limit:
         raise SingularOperator(
             f"Newton operator condition estimate {cond:.3e} exceeds limit"
@@ -237,8 +238,10 @@ def solve_invariant_newton_recursive(a11, a12, a21, a22, max_sweeps=TOL.recursiv
     a11, a12, a21, a22 = (np.atleast_2d(np.asarray(b, dtype=float)) for b in (a11, a12, a21, a22))
     m, k = a12.shape
     c = invariant_newton_rhs(a11, a21, a22)
-    op1 = _kron_sum(m, k, ((1, *_pair(a11, np.eye(k))), (-1, *_pair(np.eye(m), a22.T))))
-    # the second half-sweep's operator A11^T (x) I - I (x) A22 is op1^T
+    # op1 = A11 (x) I - I (x) A22^T; op1^T is the second half-sweep's A11^T (x) I - I (x) A22
+    op1 = np.zeros((m * k, m * k))
+    op1.reshape(m, k, m, k)[:, np.arange(k), :, np.arange(k)] = a11
+    op1.reshape(m, k, m, k)[np.arange(m), :, np.arange(m), :] -= a22.T
     try:
         inv1 = np.linalg.inv(op1)
         gap = 1.0 / np.linalg.norm(inv1, 1)
@@ -293,20 +296,21 @@ def solve_dense(h, g):
     d = a.shape[0]
     if b.shape != (d,):
         raise DimensionMismatch(f"right-hand side must have shape ({d},)")
-    return _checked_inverse(a) @ b
+    return _checked_inverse(a, np.linalg.norm(a, 1))[0] @ b
 
 
-def _checked_inverse(a):
-    """LAPACK inverse of a square operator behind the relative singularity
-    floor: ``SingularOperator`` if ``a`` is exactly singular or its 1-norm
-    condition number reaches 1 / ``TOL.pivot``."""
+def _checked_inverse(a, a_norm):
+    """LAPACK inverse of a square operator of 1-norm ``a_norm``, and its 1-norm, behind
+    the relative singularity floor: ``SingularOperator`` if ``a`` is exactly
+    singular or its 1-norm condition number reaches 1 / ``TOL.pivot``."""
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise SingularOperator(f"operator is singular: {exc}") from exc
-    cond = np.linalg.norm(a, 1) * np.linalg.norm(inv, 1)
+    inv_norm = np.linalg.norm(inv, 1)
+    cond = a_norm * inv_norm
     if cond * TOL.pivot >= 1.0:
         raise SingularOperator(
             f"condition number {cond:.3e} reaches 1 / {TOL.pivot:.1e}"
         )
-    return inv
+    return inv, inv_norm

@@ -299,6 +299,48 @@ def test_byte_identical_reports(tmp_path, case):
     assert _strip_elapsed(out1.read_text()) == _strip_elapsed(out2.read_text())
 
 
+class TestReportFile:
+    """``--out`` is overwritten in place: regular files lose their old tail,
+    devices are written without being cut, and every failure is an input error."""
+
+    @staticmethod
+    def _argv(tmp_path):
+        return _report_argv(tmp_path, "rayleigh-gr") + ["--seed", "3", "--out"]
+
+    def test_longer_file_is_replaced_by_exactly_the_report(self, tmp_path, capsys):
+        argv = self._argv(tmp_path)
+        assert main(argv[:-1]) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "report.json"
+        out.write_bytes(b"x" * 100_000)
+        inode = out.stat().st_ino
+        assert main(argv + [str(out)]) == 0
+        assert out.stat().st_ino == inode
+        assert _strip_elapsed(out.read_text()) == _strip_elapsed(printed)
+
+    def test_missing_file_is_created(self, tmp_path, capsys):
+        out = tmp_path / "new.json"
+        assert main(self._argv(tmp_path) + [str(out)]) == 0
+        assert json.loads(out.read_text())["status"] == "Converged"
+
+    def test_dev_null_is_written_without_truncating(self, tmp_path, capsys):
+        assert main(self._argv(tmp_path) + [os.devnull]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd") or not os.path.exists("/dev/full"),
+                        reason="needs /dev/full and /proc/self/fd")
+    def test_full_device_is_an_input_error_and_leaks_no_descriptor(self, tmp_path, capsys):
+        argv = self._argv(tmp_path) + ["/dev/full"]
+        open_fds = len(os.listdir("/proc/self/fd"))
+        assert main(argv) == 1
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+        assert capsys.readouterr().err.startswith("error: cannot write /dev/full: ")
+
+    def test_directory_is_an_input_error(self, tmp_path, capsys):
+        assert main(self._argv(tmp_path) + [str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")
+
+
 @pytest.mark.parametrize("case", ["rayleigh-gr", "rayleigh-lg"])
 def test_answer_is_eigendecomposed_once(tmp_path, capsys, monkeypatch, case):
     # the dominant frame is both the start's origin and the distance reference

@@ -452,6 +452,26 @@ def test_in_place_operator_matches_the_kron_oracle(m, k):
     assert op.tobytes() == oracle.tobytes()
 
 
+@pytest.mark.parametrize("m,k", [(1, 1), (1, 5), (4, 1), (3, 5), (8, 16)])
+def test_recursive_sylvester_operator_matches_the_kron_oracle(monkeypatch, m, k):
+    # the one operator the recursion inverts, against an independent np.kron assembly
+    gen = np.random.default_rng(200 * m + k)
+    a11 = gen.standard_normal((m, m)) + 4.0 * np.eye(m)
+    a22 = gen.standard_normal((k, k)) - 4.0 * np.eye(k)
+    inverted = []
+    inv = np.linalg.inv
+
+    def recording_inv(a):
+        inverted.append(np.array(a))
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", recording_inv)
+    solve_invariant_newton_recursive(a11, np.zeros((m, k)), np.zeros((k, m)), a22)
+    oracle = np.kron(a11, np.eye(k)) - np.kron(np.eye(m), a22.T)
+    assert len(inverted) == 1
+    assert np.array_equal(inverted[0], oracle)
+
+
 class TestOverlapDetection:
     def test_kron_smallest_singular_value_criterion(self):
         # crafted degenerate instance: identical blocks give a singular
