@@ -9,27 +9,19 @@ from .costs import (
     HamiltonianRayleighCost,
     InvariantSubspaceCost,
     RayleighCost,
-    riemannian_gradient_gr,
-    riemannian_gradient_lg,
-    riemannian_hessian_apply_gr,
-    riemannian_hessian_apply_lg,
 )
-from .decomp import cholesky_upper, qr_positive, sym_eig
+from .decomp import qr_positive, sym_eig
 from .grassmann import (
     CHART_NAMES,
     GrTangent,
     OrthoFrame,
     Projector,
-    distance,
     frame_from_projector,
-    geodesic,
     random_projector,
-    tangent_project,
 )
 from .lagrange import (
     LagProjector,
     SymplecticFrame,
-    lg_tangent_project,
     random_lag_projector,
     symplectic_frame_from_basis,
     sympl_form,

@@ -35,8 +35,6 @@ class Tolerances:
     spectral_gap: float = 1e-8
     # condition-number ceiling for dense matrix-equation operators
     condition_limit: float = 1e12
-    # central finite-difference step of chart_second_derivative_check
-    fd_step_second: float = 1e-3
     # Newton stop: gradient norm relative to ``CostFunction.scale``
     grad_tol: float = 1e-11
     # Newton stop: step norm, an angle in radians (no data scale)
@@ -51,7 +49,9 @@ class Tolerances:
     # one before it by more than the factor rate_growth
     rate_slope: float = 1.7
     rate_growth: float = 10.0
-    # the rate estimator drops errors (distances) at or below this round-off floor
+    # the rate estimator drops errors (distances) at or below this round-off
+    # floor; a Newton step of norm >= pi/2 that moves the subspace no further
+    # than rate_floor sqrt(n) has stalled
     rate_floor: float = 10 * sys.float_info.epsilon
 
 

@@ -1,23 +1,17 @@
-"""Cost functions and their Riemannian gradients/Hessians on both manifolds.
+"""Cost functions on both manifolds, in frame coordinates.
 
 A cost is described by its ambient data on symmetric matrices: a value, a
-gradient, and the Hessian as an action (operator form).  The Riemannian
-quantities are assembled from the ambient ones with the tangent projections:
-
-    Grassmann:  grad = [P, [P, grad_F]]
-                Hess(xi) = [P, [P, Hess_F(xi)]] - [P, [grad_F, xi]]
-    Lagrange:   grad = pi(grad_F)
-                Hess(xi) = pi(Hess_F(xi)) - pi([P, [grad_F, xi]])
-
-with pi(X) = (1/2)[P, [P, J X J + X]] on the Lagrange Grassmannian.
-
-Each cost also gives its value and gradient block (``frame_terms``) and
-solves its own Newton equation (``newton_solve``) in frame coordinates,
-from the blocks of B = Theta A Theta^T: a Sylvester equation for tr(A P)
-(Algorithm 1), a Lyapunov equation for tr(H P) on the Lagrange
-Grassmannian (Algorithm 2), the four-term equation for the
-invariant-subspace cost (Algorithm 3).  Any other cost falls back to its
-ambient data: value(P), and the dense Riemannian Newton equation.
+gradient, and the Hessian as an action (operator form).  Each cost gives
+its value and gradient block (``frame_terms``) and solves its own Newton
+equation (``newton_solve``) in frame coordinates, from the blocks of
+B = Theta A Theta^T: a Sylvester equation for tr(A P) (Algorithm 1), a
+Lyapunov equation for tr(H P) on the Lagrange Grassmannian (Algorithm 2),
+the four-term equation for the invariant-subspace cost (Algorithm 3).  Any
+other cost falls back to its ambient data: value(P), and the dense
+Riemannian Newton equation, whose gradient and Hessian blocks it reads in
+the frame (Absil, Mahony & Sepulchre 2008, ch. 5-6).  The same gradient
+and Hessian in projector coordinates are test references
+(``tests/oracles.py``).
 
 Data is checked where it enters: each cost checks its matrix when it is
 built.  ``frame_terms`` hands B on, so a Newton iterate forms it once, and
@@ -35,8 +29,7 @@ import numpy as np
 from .config import TOL
 from .decomp import frobenius_norm, require_symmetric, symmetrize
 from .errors import DimensionMismatch, NotSymmetric, ScaleOverflow
-from .grassmann import GrTangent, Projector, ad_squared, commutator, tangent_project
-from .lagrange import LagProjector, SymplecticFrame, lg_tangent_project, sympl_form
+from .lagrange import SymplecticFrame, sympl_form
 from .solvers import (
     invariant_newton_rhs,
     solve_dense,
@@ -51,10 +44,6 @@ __all__ = [
     "RayleighCost",
     "InvariantSubspaceCost",
     "HamiltonianRayleighCost",
-    "riemannian_gradient_gr",
-    "riemannian_hessian_apply_gr",
-    "riemannian_gradient_lg",
-    "riemannian_hessian_apply_lg",
 ]
 
 
@@ -243,35 +232,3 @@ def _finite_scale(scale):
     if not np.isfinite(scale):
         raise ScaleOverflow(f"cost data scale is {scale}: the matrix entries are too large")
     return float(scale)
-
-
-def riemannian_gradient_gr(cost: CostFunction, p: Projector) -> GrTangent:
-    """[P, [P, grad_F(P)]], the tangent projection of the ambient gradient."""
-    return tangent_project(p, cost.ambient_gradient(p.mat))
-
-
-def riemannian_hessian_apply_gr(cost: CostFunction, p: Projector, xi) -> GrTangent:
-    """Riemannian Hessian action on a tangent vector at P."""
-    pm = p.mat
-    xim = xi.mat if isinstance(xi, GrTangent) else np.asarray(xi, dtype=float)
-    if xim.shape != pm.shape:
-        raise DimensionMismatch("tangent vector shape mismatch")
-    term = ad_squared(pm, cost.ambient_hessian_apply(pm, xim))
-    term = term - commutator(pm, commutator(cost.ambient_gradient(pm), xim))
-    return GrTangent(p, symmetrize(term))
-
-
-def riemannian_gradient_lg(cost: CostFunction, p: LagProjector) -> np.ndarray:
-    """pi(grad_F(P)) with the J-corrected tangent projection."""
-    return lg_tangent_project(p, cost.ambient_gradient(p.mat))
-
-
-def riemannian_hessian_apply_lg(cost: CostFunction, p: LagProjector, xi) -> np.ndarray:
-    """pi(Hess_F(P)(xi)) - pi([P, [grad_F(P), xi]])."""
-    pm = p.mat
-    xim = np.asarray(xi, dtype=float)
-    if xim.shape != pm.shape:
-        raise DimensionMismatch("tangent vector shape mismatch")
-    hess = cost.ambient_hessian_apply(pm, xim)
-    mixed = commutator(pm, commutator(cost.ambient_gradient(pm), xim))
-    return lg_tangent_project(p, hess) - lg_tangent_project(p, mixed)

@@ -3,10 +3,9 @@
 LAPACK (through ``numpy.linalg``) does the factorizations; these wrappers
 fix the conventions on top.  The QR factorization has positive diagonal
 entries of R (which makes the factorization unique and the Q-factor a
-smooth function of the input), the Cholesky factor is returned in
-upper-triangular form R with R^T R = S, and the symmetric eigensolver
-orders eigenvalues descending with an orthogonal eigenvector matrix.
-LAPACK failures surface as the library's own error types.  All kernels
+smooth function of the input), and the symmetric eigensolver orders
+eigenvalues descending with an orthogonal eigenvector matrix.  LAPACK
+failures surface as the library's own error types.  All kernels
 are pure functions of ndarray values and are safe to call concurrently.
 """
 
@@ -17,17 +16,10 @@ import math
 import numpy as np
 
 from .config import TOL
-from .errors import (
-    ConvergenceFailure,
-    DimensionMismatch,
-    NotPositiveDefinite,
-    NotSymmetric,
-    SingularInput,
-)
+from .errors import ConvergenceFailure, DimensionMismatch, NotSymmetric, SingularInput
 
 __all__ = [
     "qr_positive",
-    "cholesky_upper",
     "sym_eig",
     "eigh_descending",
     "frobenius_norm",
@@ -53,7 +45,7 @@ def symmetrize(mat):
     return 0.5 * (mat + mat.T)
 
 
-def require_symmetric(mat, tol=None, what="matrix"):
+def require_symmetric(mat, what="matrix"):
     """Validate finiteness and the relative symmetry defect; return the symmetrized copy."""
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -62,10 +54,11 @@ def require_symmetric(mat, tol=None, what="matrix"):
     if not np.isfinite(scale):  # a NaN defect would pass the test below
         i, j = np.argwhere(~np.isfinite(mat))[0]
         raise NotSymmetric(f"{what} has a non-finite entry {mat[i, j]} at ({i}, {j})")
-    tol = TOL.symmetry if tol is None else tol
     defect = np.abs(mat - mat.T).max()
-    if defect > tol * max(1.0, scale):
-        raise NotSymmetric(f"{what} symmetry defect {defect:.3e} exceeds {tol:.1e} relative")
+    if defect > TOL.symmetry * max(1.0, scale):
+        raise NotSymmetric(
+            f"{what} symmetry defect {defect:.3e} exceeds {TOL.symmetry:.1e} relative"
+        )
     return symmetrize(mat)
 
 
@@ -111,26 +104,6 @@ def qr_positive(mat):
     return q * signs, (r.T * signs).T
 
 
-def cholesky_upper(mat):
-    """Upper-triangular Cholesky factor R with R^T R = S.
-
-    Parameters
-    ----------
-    mat : (n, n) symmetric positive-definite array
-
-    Raises
-    ------
-    NotSymmetric
-        If ``mat`` fails ``require_symmetric``, the check at this entry.
-    NotPositiveDefinite
-        If LAPACK meets a non-positive pivot.
-    """
-    try:
-        return np.linalg.cholesky(require_symmetric(mat, what="cholesky input")).T
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"cholesky input is not positive definite: {exc}") from exc
-
-
 def sym_eig(mat):
     """Eigendecomposition of a symmetric matrix (LAPACK ``eigh``).
 
@@ -156,4 +129,3 @@ def eigh_descending(a):
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"symmetric eigensolver did not converge: {exc}") from exc
     return values[::-1], vectors[:, ::-1]
-

@@ -19,10 +19,6 @@ class ScaleOverflow(ProjNewtonError):
     """The data scale of an input (||A||_F, or ||A||_F^2) overflows."""
 
 
-class NotPositiveDefinite(ProjNewtonError):
-    """Cholesky pivot was non-positive."""
-
-
 class ConvergenceFailure(ProjNewtonError):
     """An iterative kernel exhausted its sweep budget."""
 

@@ -34,20 +34,11 @@ __all__ = [
     "GrTangent",
     "commutator",
     "ad_squared",
-    "tangent_project",
     "random_projector",
     "frame_from_projector",
-    "tangent_from_param",
-    "param_from_tangent",
-    "geodesic",
-    "distance",
     "frame_distance",
     "frame_distances",
-    "distance_via_cosines",
-    "distance_via_sines",
-    "chart_point",
     "push_frame",
-    "cayley_transform",
     "CHART_NAMES",
 ]
 
@@ -139,6 +130,9 @@ class OrthoFrame:
         return out
 
 
+# GrTangent and its check (commutator, ad_squared) serve only the tests'
+# P-coordinate references; they stay here because the benchmark's tracer
+# (newtonbench/tracer.py) wraps GrTangent.__post_init__ when it installs
 @dataclass(frozen=True)
 class GrTangent:
     """A tangent vector at ``base``: symmetric and fixed by ad_P^2."""
@@ -167,14 +161,6 @@ def commutator(a, b):
 def ad_squared(p, x):
     """[P, [P, X]]; for symmetric X this is the tangent-space projection."""
     return commutator(p, commutator(p, x))
-
-
-def tangent_project(p: Projector, x) -> GrTangent:
-    """Orthogonal projection of a symmetric matrix onto the tangent space."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != p.mat.shape:
-        raise DimensionMismatch(f"expected shape {p.mat.shape}, got {x.shape}")
-    return GrTangent(p, symmetrize(ad_squared(p.mat, x)))
 
 
 def random_projector(n, m, seed):
@@ -213,42 +199,6 @@ def frame_from_projector(p: Projector) -> OrthoFrame:
     return frame
 
 
-def tangent_from_param(frame: OrthoFrame, z) -> GrTangent:
-    """Ambient tangent vector Theta^T [[0, Z], [Z^T, 0]] Theta."""
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    n, m = frame.dim, frame.rank
-    if z.shape != (m, n - m):
-        raise DimensionMismatch(f"expected parameter shape {(m, n - m)}, got {z.shape}")
-    xi_hat = np.zeros((n, n))
-    xi_hat[:m, m:] = z
-    xi_hat[m:, :m] = z.T
-    return GrTangent(frame.projector(), frame.theta.T @ xi_hat @ frame.theta)
-
-
-def param_from_tangent(frame: OrthoFrame, xi) -> np.ndarray:
-    """Off-diagonal block of the tangent vector in frame coordinates."""
-    mat = xi.mat if isinstance(xi, GrTangent) else np.asarray(xi, dtype=float)
-    m = frame.rank
-    return (frame.theta @ mat @ frame.theta.T)[:m, m:]
-
-
-def geodesic(p0: Projector, xi0, t: float, frame: OrthoFrame | None = None) -> Projector:
-    """Point at time t of the geodesic with initial position/velocity.
-
-    Evaluates exp(t [xi, P]) P exp(-t [xi, P]) as the exp push of
-    -t K12, K12 the off-diagonal block of [xi, P] in a frame of the base
-    point (recovered from the projector unless one is supplied).
-    """
-    xi = xi0.mat if isinstance(xi0, GrTangent) else np.asarray(xi0, dtype=float)
-    if xi.shape != p0.mat.shape:
-        raise DimensionMismatch("geodesic velocity shape mismatch")
-    if frame is None:
-        frame = frame_from_projector(p0)
-    m = frame.rank
-    k_hat = frame.theta @ commutator(xi, p0.mat) @ frame.theta.T
-    return push_frame(frame, -t * k_hat[:m, m:], "exp").projector()
-
-
 def _distance(cos_mat, sin_mat):
     """sqrt(2 sum_i theta_i^2) over the principal angles theta_i, from
     matrices whose singular values are their cosines and their sines (sines
@@ -261,21 +211,11 @@ def _distance(cos_mat, sin_mat):
     return np.sqrt(2.0 * np.sum(theta * theta, axis=-1))
 
 
-def distance(p: Projector, q: Projector) -> float:
-    """Geodesic distance between range(P) and range(Q): with U a basis of
-    range(Q), the cosines of the principal angles are the singular values
-    of P U and the sines those of (I - P) U, so only Q is eigendecomposed."""
-    if p.mat.shape != q.mat.shape or p.rank != q.rank:
-        raise DimensionMismatch("projectors live on different Grassmannians")
-    uq = q.basis()
-    puq = p.mat @ uq
-    return float(_distance(puq, uq - puq))
-
-
 def frame_distance(frame: OrthoFrame, basis) -> float:
-    """``distance`` from the frame's subspace to range(U), U orthonormal
-    (n, m), from the frame rows: the cosines are the singular values of
-    Theta[:m] U (m x m) and the sines those of Theta[m:] U."""
+    """Geodesic distance from the frame's subspace to range(U), U
+    orthonormal (n, m), from the frame rows: the cosines of the principal
+    angles are the singular values of Theta[:m] U (m x m) and the sines
+    those of Theta[m:] U."""
     return float(frame_distances([frame], basis)[0])
 
 
@@ -283,40 +223,6 @@ def frame_distances(frames, basis):
     """``frame_distance`` of each frame (one rank), one batched pass over rows Theta U."""
     rows = np.stack([frame.theta @ basis for frame in frames])
     return _distance(rows[:, : frames[0].rank], rows[:, frames[0].rank :])
-
-
-def distance_via_cosines(p: Projector, q: Projector) -> float:
-    """Distance from the eigenvalues of the leading block of Q in a P-frame:
-    sqrt(2 sum arccos^2 sqrt(lambda_i)), the 2m <= n reduction."""
-    fp = frame_from_projector(p)
-    m = p.rank
-    block = fp.theta[:m] @ q.mat @ fp.theta[:m].T
-    lam = np.clip(sym_eig(block)[0], 0.0, 1.0)
-    return float(np.sqrt(2.0 * np.sum(np.arccos(np.sqrt(lam)) ** 2)))
-
-
-def distance_via_sines(p: Projector, q: Projector) -> float:
-    """Distance from the trailing block of Q in a P-frame:
-    sqrt(2 sum arcsin^2 sqrt(mu_i)), the 2m > n reduction."""
-    fp = frame_from_projector(p)
-    m = p.rank
-    block = fp.theta[m:] @ q.mat @ fp.theta[m:].T
-    mu = np.clip(sym_eig(block)[0], 0.0, 1.0)
-    return float(np.sqrt(2.0 * np.sum(np.arcsin(np.sqrt(mu)) ** 2)))
-
-
-def cayley_transform(omega):
-    """(2I + Omega)(2I - Omega)^{-1} for skew Omega; orthogonal output."""
-    omega = np.asarray(omega, dtype=float)
-    n = omega.shape[0]
-    eye = np.eye(n)
-    return np.linalg.solve((2.0 * eye - omega).T, (2.0 * eye + omega).T).T
-
-
-def chart_point(frame: OrthoFrame, z, chart) -> Projector:
-    """Evaluate a local parametrization at tangent parameter Z: the
-    projector of the pushed frame."""
-    return push_frame(frame, z, chart).projector()
 
 
 def push_frame(frame: OrthoFrame, z, chart) -> OrthoFrame:
@@ -356,16 +262,3 @@ def push_frame(frame: OrthoFrame, z, chart) -> OrthoFrame:
     np.matmul(wt.T, cos_m1 * rest_w - sin * lead_u, out=theta[m:])
     theta += frame.theta
     return frame._with_theta(theta)
-
-
-def chart_second_derivative_check(frame: OrthoFrame, z, chart, h=None):
-    """Central finite-difference second derivative of the chart at 0.
-
-    For every chart this approximates Theta^T diag(-2 Z Z^T, 2 Z^T Z) Theta
-    up to O(h^2).
-    """
-    h = TOL.fd_step_second if h is None else h
-    plus = chart_point(frame, h * np.asarray(z, dtype=float), chart).mat
-    minus = chart_point(frame, -h * np.asarray(z, dtype=float), chart).mat
-    base = frame.projector().mat
-    return (plus - 2.0 * base + minus) / (h * h)

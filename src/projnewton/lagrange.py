@@ -8,8 +8,9 @@ geodesic, so geodesics and distances are the Grassmann ones, and so are the
 three chart pushes: at a symmetric Z the singular vectors pair up as
 W = U diag(sign) and the rotation the push applies has the
 commuting-with-J block form [[X, -Y], [Y, X]], so a pushed frame stays
-symplectic to round-off with no correction step.  Only the tangent
-projection carries a J-corrected formula.
+symplectic to round-off with no correction step.  The J-corrected
+tangent projection is needed only in frame coordinates, where it is the
+symmetric part of the gradient block (``RayleighCost.frame_terms``).
 """
 
 from __future__ import annotations
@@ -19,28 +20,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import TOL
-from .decomp import require_symmetric, symmetrize
 from .errors import DimensionMismatch, NotAProjector
-from .grassmann import (
-    OrthoFrame,
-    Projector,
-    ad_squared,
-    chart_point,
-    param_from_tangent,
-    tangent_from_param,
-)
+from .grassmann import OrthoFrame, Projector
 
 __all__ = [
     "sympl_form",
     "LagProjector",
     "SymplecticFrame",
-    "lg_tangent_project",
     "random_lag_projector",
     "symplectic_frame_from_basis",
     "lag_frame_from_projector",
-    "lg_tangent_from_param",
-    "lg_param_from_tangent",
-    "lg_chart_point",
 ]
 
 
@@ -54,10 +43,6 @@ def sympl_form(n):
 
 class LagProjector(Projector):
     """Rank-n projector on R^{2n} with P J P = 0."""
-
-    @property
-    def half_dim(self):
-        return self.rank
 
     def as_projector(self) -> Projector:
         """The point itself: a Lagrangian projector is a Grassmannian one."""
@@ -105,16 +90,6 @@ class SymplecticFrame(OrthoFrame):
         return float(np.abs(self.theta.T @ j @ self.theta - j).max())
 
 
-def lg_tangent_project(p: LagProjector, x) -> np.ndarray:
-    """Projection of a symmetric matrix onto the Lagrangian tangent space:
-    (1/2) [P, [P, J X J + X]]."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != p.mat.shape:
-        raise DimensionMismatch(f"expected shape {p.mat.shape}, got {x.shape}")
-    j = sympl_form(p.half_dim)
-    return symmetrize(0.5 * ad_squared(p.mat, j @ x @ j + x))
-
-
 def random_lag_projector(n, seed):
     """Seeded random Lagrangian point from the orthogonal-symplectic frame
     [[X, -Y], [Y, X]] of a random unitary X + iY: the Q-factor, with its
@@ -143,20 +118,3 @@ def lag_frame_from_projector(p: LagProjector) -> SymplecticFrame:
     if not isinstance(p, LagProjector):
         p = LagProjector.from_matrix(p)
     return symplectic_frame_from_basis(p.basis())
-
-
-def lg_tangent_from_param(frame: SymplecticFrame, z) -> np.ndarray:
-    """Ambient tangent vector Theta^T [[0, Z], [Z, 0]] Theta, Z symmetric."""
-    z = require_symmetric(z, what="tangent parameter")
-    return tangent_from_param(frame, z).mat
-
-
-def lg_param_from_tangent(frame: SymplecticFrame, xi) -> np.ndarray:
-    """Symmetric off-diagonal block of the tangent vector in frame coordinates."""
-    return symmetrize(param_from_tangent(frame, xi))
-
-
-def lg_chart_point(frame: SymplecticFrame, z, chart) -> LagProjector:
-    """The Grassmann chart at a symmetric parameter Z."""
-    z = require_symmetric(z, what="chart parameter")
-    return LagProjector(chart_point(frame, z, chart).mat, frame.rank)

@@ -5,10 +5,10 @@ current point, takes a Euclidean Newton step at 0, and pushes the step
 forward through a chart nu.  The three charts share the same 2-jet at 0:
 each turns the principal planes of Z through an angle sigma + O(sigma^3),
 so all have identity derivative and second derivative Theta^T
-diag(-2 Z Z^T, 2 Z^T Z) Theta (``grassmann.chart_second_derivative_check``
-shows it).  The pulled-back gradient and Hessian at 0 depend only on that
-2-jet, so they are the Riemannian ones for every mu, and mu does not
-change the iterates; only nu does.
+diag(-2 Z Z^T, 2 Z^T Z) Theta (the tests check it by finite differences).
+The pulled-back gradient and Hessian at 0 depend only on that 2-jet, so
+they are the Riemannian ones for every mu, and mu does not change the
+iterates; only nu does.
 
 There is one engine: each cost solves its own Newton equation in frame
 coordinates (``CostFunction.newton_solve``), and ``newton_step`` pushes
@@ -41,7 +41,7 @@ from .errors import (
     SingularOperator,
     SpectralOverlap,
 )
-from .grassmann import CHART_NAMES, OrthoFrame, frame_distances, push_frame
+from .grassmann import CHART_NAMES, OrthoFrame, frame_distance, frame_distances, push_frame
 from .lagrange import SymplecticFrame
 
 __all__ = [
@@ -199,14 +199,30 @@ def newton_step(cost: CostFunction, frame, config: NewtonConfig, solver="direct"
     overflows: ``NoConvergence``); ``b`` is the data of ``cost.frame_terms``
     at ``frame``, if at hand.  The push keeps the frame orthogonal, and a
     ``SymplecticFrame`` symplectic, without a correction step.
+
+    A step with ||Z||_F >= pi/2 has stalled (``NoConvergence``) when it
+    moves the subspace no further than ``config.step_tol`` or the distance's
+    round-off floor ``TOL.rate_floor`` sqrt(n): a plane turned by pi (exp at
+    sigma = pi, Cayley as sigma grows) is where it was.  Below pi/2 every
+    chart turns each plane by phi(sigma) <= sigma < pi/2, so none can stall.
     """
     z = cost.newton_solve(frame, solver, b)
     norm = frobenius_norm(z)
+    step_norm = float(np.sqrt(2.0) * norm)
     try:
         pushed = push_frame(frame, z, config.nu)
     except SingularInput as exc:
         raise NoConvergence(f"step not pushed with the {config.nu} chart: {exc}") from exc
-    return pushed, StepInfo(z, float(np.sqrt(2.0) * norm))
+    if norm >= 0.5 * np.pi:
+        moved = frame_distance(pushed, frame.basis())
+        floor = TOL.rate_floor * np.sqrt(frame.dim)
+        if moved <= max(config.step_tol, floor):
+            raise NoConvergence(
+                f"stalled step: the {config.nu} push moved the subspace {moved:.3e}, "
+                f"not beyond step_tol {config.step_tol:.1e} or the round-off floor "
+                f"{floor:.1e}, at step norm {step_norm:.3e}"
+            )
+    return pushed, StepInfo(z, step_norm)
 
 
 def run_newton(cost, start, config: NewtonConfig, reference=None, method="generic"):
@@ -307,7 +323,7 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
     return trace
 
 
-def perturb_frame(frame: OrthoFrame, eps, seed, chart="exp") -> OrthoFrame:
+def perturb_frame(frame: OrthoFrame, eps, seed) -> OrthoFrame:
     """Move a frame a geodesic distance ``eps`` in a random tangent
     direction (the exponential chart preserves that distance exactly); a
     ``SymplecticFrame`` moves along a symmetric Z and stays symplectic."""
@@ -317,4 +333,4 @@ def perturb_frame(frame: OrthoFrame, eps, seed, chart="exp") -> OrthoFrame:
     if isinstance(frame, SymplecticFrame):
         z = 0.5 * (z + z.T)
     z *= eps / (np.sqrt(2.0) * np.linalg.norm(z))
-    return push_frame(frame, z, chart)
+    return push_frame(frame, z, "exp")

@@ -46,10 +46,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpectralGapReport:
-    """Minimal eigenvalue separation behind a solvability decision."""
+    """The minimal spectral separation that a ``SpectralOverlap`` reports."""
 
     min_gap: float
-    solvable: bool
 
 
 def solve_sylvester(a11, a22, c):
@@ -87,7 +86,7 @@ def solve_sylvester_unchecked(a11, a22, c):
     if min_gap <= TOL.spectral_gap * scale:
         raise SpectralOverlap(
             f"spectra of A11 and A22 overlap: min gap {min_gap:.3e}",
-            SpectralGapReport(min_gap, False),
+            SpectralGapReport(min_gap),
         )
     z = u @ ((u.T @ c @ v) / (lam[:, None] - mu[None, :])) @ v.T
     return z
@@ -121,7 +120,7 @@ def solve_lyapunov_unchecked(a11, c):
     if min_gap <= TOL.spectral_gap * scale:
         raise SpectralOverlap(
             f"eigenvalue pair of A11 sums to {min_gap:.3e}",
-            SpectralGapReport(min_gap, False),
+            SpectralGapReport(min_gap),
         )
     z = u @ ((u.T @ c @ u) / (lam[:, None] + lam[None, :])) @ u.T
     return symmetrize(z)
@@ -251,7 +250,7 @@ def solve_invariant_newton_recursive(a11, a12, a21, a22, max_sweeps=TOL.recursiv
     if gap <= TOL.spectral_gap * scale:
         raise SpectralOverlap(
             f"Sylvester operator nearly singular: separation {gap:.3e}",
-            SpectralGapReport(gap, False),
+            SpectralGapReport(gap),
         )
     # the 1-norm condition number is ||op1||_1 / gap: the singularity floor
     if gap <= TOL.pivot * np.linalg.norm(op1, 1):

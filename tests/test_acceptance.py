@@ -15,10 +15,6 @@ from projnewton.costs import (
     HamiltonianRayleighCost,
     InvariantSubspaceCost,
     RayleighCost,
-    riemannian_gradient_gr,
-    riemannian_gradient_lg,
-    riemannian_hessian_apply_gr,
-    riemannian_hessian_apply_lg,
 )
 from projnewton.decomp import qr_positive, sym_eig, symmetrize
 from projnewton.errors import InsufficientData, SpectralOverlap
@@ -26,24 +22,12 @@ from projnewton.grassmann import (
     CHART_NAMES,
     OrthoFrame,
     Projector,
-    chart_point,
     commutator,
-    distance,
-    distance_via_cosines,
-    distance_via_sines,
     frame_from_projector,
-    geodesic,
+    push_frame,
     random_projector,
-    tangent_from_param,
-    tangent_project,
 )
-from projnewton.lagrange import (
-    lg_chart_point,
-    lg_tangent_from_param,
-    random_lag_projector,
-    symplectic_frame_from_basis,
-    sympl_form,
-)
+from projnewton.lagrange import random_lag_projector, symplectic_frame_from_basis, sympl_form
 from projnewton.newton import (
     NewtonConfig,
     Status,
@@ -59,19 +43,28 @@ from projnewton.solvers import (
     solve_sylvester,
 )
 
+from conftest import random_symmetric
+from oracles import (
+    distance,
+    distance_via_cosines,
+    distance_via_sines,
+    geodesic,
+    riemannian_gradient_gr,
+    riemannian_gradient_lg,
+    riemannian_hessian_apply_gr,
+    riemannian_hessian_apply_lg,
+    tangent_from_param,
+    tangent_project,
+)
+
 
 def _report(line):
     print(f"[acceptance] {line}")
 
 
-def _random_sym(gen, n):
-    a = gen.standard_normal((n, n))
-    return 0.5 * (a + a.T)
-
-
 def _gapped_symmetric(seed, n, m, gap=1.0):
     gen = np.random.default_rng(seed)
-    a = _random_sym(gen, n)
+    a = random_symmetric(gen, n)
     values, vectors = sym_eig(a)
     values = values.copy()
     values[:m] += gap
@@ -85,8 +78,8 @@ def _gapped_symmetric(seed, n, m, gap=1.0):
 
 def _random_hamiltonian(seed, n):
     gen = np.random.default_rng(seed)
-    s = _random_sym(gen, n)
-    t = _random_sym(gen, n)
+    s = random_symmetric(gen, n)
+    t = random_symmetric(gen, n)
     return np.block([[s, t], [t, -s]])
 
 
@@ -114,8 +107,8 @@ def test_criterion_1_geometry_suite():
             for seed in range(20):
                 gen = np.random.default_rng((n, m, seed))
                 p, frame = random_projector(n, m, seed)
-                x = _random_sym(gen, n)
-                y = _random_sym(gen, n)
+                x = random_symmetric(gen, n)
+                y = random_symmetric(gen, n)
                 pi_x = tangent_project(p, x).mat
                 worst_proj = max(worst_proj, np.abs(tangent_project(p, pi_x).mat - pi_x).max())
                 worst_proj = max(
@@ -169,20 +162,20 @@ def test_criterion_2_chart_suite():
             z /= np.linalg.norm(z)
             xi = tangent_from_param(frame, z).mat
             for chart in CHART_NAMES:
-                q = chart_point(frame, z, chart)
+                q = push_frame(frame, z, chart).projector()
                 worst_valid = max(worst_valid, np.linalg.norm(q.mat @ q.mat - q.mat))
                 worst_valid = max(worst_valid, abs(np.trace(q.mat) - m))
                 deriv = (
-                    chart_point(frame, h * z, chart).mat
-                    - chart_point(frame, -h * z, chart).mat
+                    push_frame(frame, h * z, chart).projector().mat
+                    - push_frame(frame, -h * z, chart).projector().mat
                 ) / (2 * h)
                 worst_deriv = max(worst_deriv, np.abs(deriv - xi).max())
             for a, b in (("exp", "qr"), ("exp", "cayley"), ("qr", "cayley")):
                 diffs = [
                     max(
                         np.abs(
-                            chart_point(frame, e * z, a).mat
-                            - chart_point(frame, e * z, b).mat
+                            push_frame(frame, e * z, a).projector().mat
+                            - push_frame(frame, e * z, b).projector().mat
                         ).max(),
                         1e-300,
                     )
@@ -194,17 +187,17 @@ def test_criterion_2_chart_suite():
         for seed in range(5):
             gen = np.random.default_rng((n, seed, 21))
             p, frame = random_lag_projector(n, seed)
-            z = _random_sym(gen, n)
+            z = random_symmetric(gen, n)
             z /= np.linalg.norm(z)
-            xi = lg_tangent_from_param(frame, z)
+            xi = tangent_from_param(frame, z).mat
             j = sympl_form(n)
             for chart in ("exp", "qr", "cayley"):
-                q = lg_chart_point(frame, z, chart)
+                q = push_frame(frame, z, chart).projector()
                 worst_valid = max(worst_valid, np.linalg.norm(q.mat @ q.mat - q.mat))
                 worst_valid = max(worst_valid, np.abs(q.mat @ j @ q.mat).max())
                 deriv = (
-                    lg_chart_point(frame, h * z, chart).mat
-                    - lg_chart_point(frame, -h * z, chart).mat
+                    push_frame(frame, h * z, chart).projector().mat
+                    - push_frame(frame, -h * z, chart).projector().mat
                 ) / (2 * h)
                 worst_deriv = max(worst_deriv, np.abs(deriv - xi).max())
             if n >= 2:
@@ -212,8 +205,8 @@ def test_criterion_2_chart_suite():
                     diffs = [
                         max(
                             np.abs(
-                                lg_chart_point(frame, e * z, a).mat
-                                - lg_chart_point(frame, e * z, b).mat
+                                push_frame(frame, e * z, a).projector().mat
+                                - push_frame(frame, e * z, b).projector().mat
                             ).max(),
                             1e-300,
                         )
@@ -276,11 +269,11 @@ def test_criterion_4_derivative_oracles():
         z = gen.standard_normal((m, n - m))
         z /= np.linalg.norm(z)
         xi = tangent_from_param(frame, z)
-        for cost in (RayleighCost(_random_sym(gen, n)), InvariantSubspaceCost(gen.standard_normal((n, n)))):
+        for cost in (RayleighCost(random_symmetric(gen, n)), InvariantSubspaceCost(gen.standard_normal((n, n)))):
             grad = np.trace(riemannian_gradient_gr(cost, p).mat @ xi.mat)
             hess = np.trace(riemannian_hessian_apply_gr(cost, p, xi).mat @ xi.mat)
             for chart in CHART_NAMES:
-                f = lambda zz: cost.value(chart_point(frame, zz, chart).mat)
+                f = lambda zz: cost.value(push_frame(frame, zz, chart).projector().mat)
                 fd_grad = (f(h1 * z) - f(-h1 * z)) / (2 * h1)
                 fd_hess = (f(h2 * z) - 2 * f(np.zeros_like(z)) + f(-h2 * z)) / h2**2
                 worst = max(worst, abs(fd_grad - grad) / max(1.0, abs(grad)))
@@ -288,14 +281,14 @@ def test_criterion_4_derivative_oracles():
         # Lagrange cost
         nl = 3
         pl, framel = random_lag_projector(nl, seed)
-        zl = _random_sym(gen, nl)
+        zl = random_symmetric(gen, nl)
         zl /= np.linalg.norm(zl)
-        xil = lg_tangent_from_param(framel, zl)
+        xil = tangent_from_param(framel, zl).mat
         cost = HamiltonianRayleighCost(_random_hamiltonian(seed, nl))
         grad = np.trace(riemannian_gradient_lg(cost, pl) @ xil)
         hess = np.trace(riemannian_hessian_apply_lg(cost, pl, xil) @ xil)
         for chart in ("exp", "qr", "cayley"):
-            f = lambda zz: cost.value(lg_chart_point(framel, zz, chart).mat)
+            f = lambda zz: cost.value(push_frame(framel, zz, chart).projector().mat)
             fd_grad = (f(h1 * zl) - f(-h1 * zl)) / (2 * h1)
             fd_hess = (f(h2 * zl) - 2 * f(np.zeros_like(zl)) + f(-h2 * zl)) / h2**2
             worst = max(worst, abs(fd_grad - grad) / max(1.0, abs(grad)))
@@ -314,8 +307,8 @@ def test_criterion_5_solver_suite():
     # Sylvester up to d = 64
     for m, k, seed in ((4, 4, 0), (8, 8, 1), (8, 8, 2)):
         gen = np.random.default_rng(seed)
-        a11 = _random_sym(gen, m) + 4.0 * np.eye(m)
-        a22 = _random_sym(gen, k) - 4.0 * np.eye(k)
+        a11 = random_symmetric(gen, m) + 4.0 * np.eye(m)
+        a22 = random_symmetric(gen, k) - 4.0 * np.eye(k)
         c = gen.standard_normal((m, k))
         z = solve_sylvester(a11, a22, c)
         op = np.kron(a11, np.eye(k)) - np.kron(np.eye(m), a22.T)
@@ -324,8 +317,8 @@ def test_criterion_5_solver_suite():
     # Lyapunov up to d = 64
     for n, seed in ((4, 3), (8, 4)):
         gen = np.random.default_rng(seed)
-        a11 = _random_sym(gen, n) + 4.0 * np.eye(n)
-        c = _random_sym(gen, n)
+        a11 = random_symmetric(gen, n) + 4.0 * np.eye(n)
+        c = random_symmetric(gen, n)
         z = solve_lyapunov(a11, c)
         op = np.kron(a11, np.eye(n)) + np.kron(np.eye(n), a11)
         oracle = np.linalg.solve(op, c.reshape(-1)).reshape(n, n)

@@ -12,12 +12,7 @@ import pytest
 
 import projnewton.decomp
 from projnewton.costs import HamiltonianRayleighCost, InvariantSubspaceCost, RayleighCost
-from projnewton.decomp import (
-    cholesky_upper,
-    eigh_descending,
-    require_symmetric,
-    sym_eig,
-)
+from projnewton.decomp import eigh_descending, require_symmetric, sym_eig
 from projnewton.errors import NotSymmetric
 from projnewton.grassmann import CHART_NAMES, OrthoFrame
 from projnewton.lagrange import symplectic_frame_from_basis
@@ -157,7 +152,6 @@ ENTRY_CHECKS = {
                         "A11 symmetry defect"),
     "solve_lyapunov": (lambda: solve_lyapunov(np.eye(3), _asymmetric(3)),
                        "Lyapunov right-hand side symmetry defect"),
-    "cholesky_upper": (lambda: cholesky_upper(_asymmetric(3)), "cholesky input symmetry defect"),
     "sym_eig": (lambda: sym_eig(_asymmetric(3)), "sym_eig input symmetry defect"),
 }
 

@@ -1,5 +1,5 @@
 """Kernel tests: the conventions the LAPACK wrappers add (positive QR
-diagonal, upper Cholesky factor, descending eigenvalues, error types),
+diagonal, descending eigenvalues, error types),
 checked against references that do not call the wrapped routine:
 modified Gram-Schmidt for QR, scipy's syevr driver for eigh."""
 
@@ -11,8 +11,8 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from projnewton.costs import RayleighCost
-from projnewton.decomp import cholesky_upper, frobenius_norm, qr_positive, sym_eig
-from projnewton.errors import NotPositiveDefinite, NotSymmetric, SingularInput
+from projnewton.decomp import frobenius_norm, qr_positive, sym_eig
+from projnewton.errors import NotSymmetric, SingularInput
 from projnewton.grassmann import OrthoFrame, push_frame
 from projnewton.solvers import solve_lyapunov, solve_sylvester
 
@@ -88,30 +88,6 @@ class TestQrPositive:
         assert_allclose(proj @ y, y, atol=1e-12)
 
 
-class TestCholeskyUpper:
-    def test_identity(self):
-        assert_allclose(cholesky_upper(np.eye(3)), np.eye(3), atol=1e-14)
-
-    def test_diagonal(self):
-        assert_allclose(cholesky_upper(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-14)
-
-    def test_reconstruction(self, rng):
-        z = rng.standard_normal((3, 2))
-        s = np.eye(3) + z @ z.T
-        r = cholesky_upper(s)
-        assert np.linalg.norm(r.T @ r - s) <= 1e-12 * np.linalg.norm(s)
-        assert np.all(np.diag(r) > 0)
-        assert_allclose(r, np.triu(r), atol=0)
-
-    def test_not_positive_definite(self):
-        with pytest.raises(NotPositiveDefinite):
-            cholesky_upper(np.diag([1.0, -1.0]))
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(NotSymmetric):
-            cholesky_upper(np.array([[1.0, 0.5], [0.0, 1.0]]))
-
-
 class TestSymEig:
     def test_diagonal_descending(self):
         values, vectors = sym_eig(np.diag([1.0, 4.0, 2.0]))
@@ -165,7 +141,6 @@ class TestNonFiniteRejected:
 
     CALLS = {
         "sym_eig": sym_eig,
-        "cholesky_upper": cholesky_upper,
         "solve_sylvester": lambda a: solve_sylvester(a, -np.eye(2), np.ones((3, 2))),
         "solve_sylvester_a22": lambda a: solve_sylvester(-np.eye(2), a, np.ones((2, 3))),
         "solve_lyapunov": lambda a: solve_lyapunov(a, np.eye(3)),
@@ -258,8 +233,8 @@ class TestQrCholeskyRoundTrip:
             z = gen.standard_normal((m, k))
             x = np.block([[np.eye(m), z], [-z.T, np.eye(k)]])
             q, r = qr_positive(x)
-            r11 = cholesky_upper(np.eye(m) + z @ z.T)
-            r22 = cholesky_upper(np.eye(k) + z.T @ z)
+            r11 = np.linalg.cholesky(np.eye(m) + z @ z.T).T
+            r22 = np.linalg.cholesky(np.eye(k) + z.T @ z).T
             xq = np.block(
                 [
                     [np.linalg.solve(r11.T, np.eye(m)).T, z @ np.linalg.inv(r22)],

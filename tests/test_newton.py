@@ -21,7 +21,6 @@ from projnewton.grassmann import (
     CHART_NAMES,
     OrthoFrame,
     Projector,
-    distance,
     frame_distance,
     frame_from_projector,
     push_frame,
@@ -39,6 +38,7 @@ from projnewton.newton import (
 )
 
 from conftest import random_symmetric
+from oracles import distance
 
 
 def _gapped_symmetric(rng, n, m, gap=1.0):
@@ -534,9 +534,6 @@ class TestRunNewton:
     def test_loop_reads_the_frame(self, monkeypatch, eps, max_iters, referenced):
         # no ambient gradient, no projector and no n x n eigendecomposition
         # per iteration: only the reference basis, once per run
-        import projnewton.costs
-        import projnewton.newton
-
         n = 12
         a, dom = _gapped_symmetric(np.random.default_rng(3), n, 3)
         reference = dom.projector() if referenced else None
@@ -545,9 +542,7 @@ class TestRunNewton:
         def forbidden(*args, **kwargs):
             raise AssertionError("n x n work inside run_newton")
 
-        for name in ("riemannian_gradient_gr", "riemannian_gradient_lg"):
-            monkeypatch.setattr(projnewton.costs, name, forbidden)
-            monkeypatch.setattr(projnewton.newton, name, forbidden, raising=False)
+        monkeypatch.setattr(RayleighCost, "ambient_gradient", forbidden)
         monkeypatch.setattr(OrthoFrame, "projector", forbidden)
         eigh = np.linalg.eigh
         square = []
@@ -610,6 +605,13 @@ class _FixedStep(CostFunction):
         return self.z
 
 
+class _StalledRayleigh(RayleighCost):
+    """The trace cost with every Newton step replaced by Z = pi I."""
+
+    def newton_solve(self, frame, solver="direct", b=None):
+        return np.pi * np.eye(frame.rank)
+
+
 def _long_step_problem():
     # from this start the recursive solver settles on a Newton step of norm
     # ~1.9e154, whose sum of squares overflows
@@ -623,13 +625,34 @@ class TestLongSteps:
     def test_run_ends_with_no_convergence(self, nu):
         # the step is pushed (its sigma_max^2 is finite).  Cayley turns each
         # plane by 2 arctan(sigma / 2), here pi to round-off, which leaves the
-        # subspace where it was: that run repeats the step to its budget
+        # subspace where it was: that step has stalled, and the run ends at once
         cost, start = _long_step_problem()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             trace = run_newton(cost, start, NewtonConfig(nu=nu), method="invariant-recursive")
-        assert trace.status == (Status.MAX_ITERS if nu == "cayley" else Status.NO_CONVERGENCE)
+        assert trace.status == Status.NO_CONVERGENCE
         assert all(np.isfinite(r.step_norm) for r in trace.records)
+        if nu == "cayley":
+            assert len(trace.records) == 1
+
+    @pytest.mark.parametrize("n", [4, 10, 40])
+    def test_stalled_exp_step_is_no_convergence(self, n):
+        # the exp chart turns every principal plane of Z = pi I by pi, which
+        # returns the subspace to where it was; the distance it measures is
+        # round-off, which grows with n and can pass step_tol (1.5e-15 at n = 10)
+        for seed in range(20):
+            frame = random_projector(n, n // 2, seed)[1]
+            with pytest.raises(NoConvergence, match="stalled step: the exp push moved"):
+                newton_step(_FixedStep(np.pi * np.eye(n // 2)), frame, NewtonConfig(nu="exp"))
+
+    def test_stalled_run_ends_after_one_step(self):
+        # with step_tol alone as the test, this start ran to MaxIters: the
+        # stalled step measured 1.0e-15
+        a, dom = _gapped_symmetric(np.random.default_rng(0), 4, 2)
+        trace = run_newton(_StalledRayleigh(a), perturb_frame(dom, 0.05, 1),
+                           NewtonConfig(nu="exp"), method="rayleigh-gr")
+        assert trace.status == Status.NO_CONVERGENCE
+        assert len(trace.records) == 1
 
     def test_overflowing_step_norm_is_rescaled(self):
         # ||Z||_F^2 = 2e308 overflows, sigma_max^2 = 1e308 does not: pushed

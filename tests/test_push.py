@@ -7,9 +7,11 @@ import pytest
 import scipy.linalg
 
 from projnewton.costs import RayleighCost
-from projnewton.grassmann import CHART_NAMES, OrthoFrame, cayley_transform, push_frame
+from projnewton.grassmann import CHART_NAMES, OrthoFrame, push_frame
 from projnewton.lagrange import random_lag_projector
 from projnewton.newton import NewtonConfig, Status, perturb_frame, run_newton
+
+from oracles import cayley_transform
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies

@@ -90,7 +90,6 @@ class TestSylvester:
         with pytest.raises(SpectralOverlap) as info:
             solve_sylvester(a, a, np.ones((3, 3)))
         assert info.value.report.min_gap <= 1e-12
-        assert not info.value.report.solvable
 
 
 class TestLyapunov:
@@ -395,7 +394,6 @@ class TestSeparationEstimate:
         assert sigma_min <= 1e-8 * scale
         with pytest.raises(SpectralOverlap) as info:
             solve_invariant_newton_recursive(a11, np.zeros((2, 2)), np.zeros((2, 2)), a22)
-        assert not info.value.report.solvable
         # the reported separation is the 1-norm one, within sqrt(d) = 2
         assert sigma_min / 2.0 <= info.value.report.min_gap <= 2.0 * sigma_min
 
