@@ -33,6 +33,9 @@ class Tolerances:
     # relative floor on Sylvester / Lyapunov spectral gaps and on the
     # recursive four-term solver's 1-norm separation 1/||op^-1||_1
     spectral_gap: float = 1e-8
+    # round-off allowance of the separation bounds that certify Converged,
+    # per unit of dimension and data scale (costs.separation_bound)
+    separation_roundoff: float = 8 * sys.float_info.epsilon
     # condition-number ceiling for dense matrix-equation operators
     condition_limit: float = 1e12
     # Newton stop: gradient norm relative to ``CostFunction.scale``

@@ -17,7 +17,8 @@ Data is checked where it enters: each cost checks its matrix when it is
 built.  ``frame_terms`` hands B on, so a Newton iterate forms it once, and
 the Newton solves symmetrize the blocks they cut from B and call the
 solvers' unchecked cores (``solve_sylvester_unchecked``,
-``solve_lyapunov_unchecked``) instead of checking them again.
+``solve_lyapunov_unchecked``) instead of checking them again.  The
+separation bounds are Weyl's and the Banach lemma (Stewart & Sun 1990).
 """
 
 from __future__ import annotations
@@ -74,7 +75,8 @@ class CostFunction:
 
     def newton_solve(self, frame, solver="direct", b=None):
         """Newton tangent parameter Z at ``frame``: Hess(Z) = -grad in frame
-        coordinates (Absil, Mahony & Sepulchre 2008, ch. 6).
+        coordinates (Absil, Mahony & Sepulchre 2008, ch. 6), and the
+        separation its solver measured (None: no ``separation_bound``).
 
         With G = Theta grad_F Theta^T (``b`` when given), the gradient is G12
         and the Hessian maps Z to (Theta Hess_F(xi) Theta^T)_12 - (G11 Z -
@@ -99,7 +101,12 @@ class CostFunction:
             xi_hat[m:, :m] = z.T
             h_hat = theta @ self.ambient_hessian_apply(p, theta.T @ xi_hat @ theta) @ theta.T
             hess[:, col] = (h_hat[:m, m:] - (g11 @ z - z @ g22)).reshape(-1)
-        return solve_dense(hess, -g[:m, m:].reshape(-1)).reshape(m, k)
+        return solve_dense(hess, -g[:m, m:].reshape(-1)).reshape(m, k), None
+
+    def separation_bound(self, frame, b, last_b, separation):
+        """(Lower bound, floor) of the separation a Newton solve at ``frame``
+        (data ``b``) measures, from the solve's at ``last_b``; None: no bound."""
+        return None
 
 
 @dataclass(frozen=True)
@@ -136,6 +143,16 @@ class RayleighCost(CostFunction):
         m = frame.rank
         b = frame.theta @ self.a @ frame.theta.T if b is None else b
         return solve_sylvester_unchecked(symmetrize(b[:m, :m]), symmetrize(b[m:, m:]), b[:m, m:])
+
+    def separation_bound(self, frame, b, last_b, separation):
+        """Algorithm 1: min |lambda_i(B11) - mu_j(B22)| moves by at most
+        ||dB11||_F + ||dB22||_F (symmetrized blocks); the Sylvester floor."""
+        m = frame.rank
+        new, step = symmetrize(b), symmetrize(b - last_b)
+        scale = max(frobenius_norm(new[:m, :m]), frobenius_norm(new[m:, m:]))
+        slack = frobenius_norm(step[:m, :m]) + frobenius_norm(step[m:, m:])
+        slack += TOL.separation_roundoff * frame.dim * scale
+        return separation - slack, TOL.spectral_gap * scale
 
 
 @dataclass(frozen=True)
@@ -182,10 +199,22 @@ class InvariantSubspaceCost(CostFunction):
         b = frame.theta @ self.a @ frame.theta.T if b is None else b
         blocks = b[:m, :m], b[:m, m:], b[m:, :m], b[m:, m:]
         if solver == "direct":
-            return -solve_invariant_newton_direct(*blocks)
+            return -solve_invariant_newton_direct(*blocks), None
         if solver == "recursive":
-            return -solve_invariant_newton_recursive(*blocks)
+            z, separation = solve_invariant_newton_recursive(*blocks)
+            return -z, separation
         raise ValueError(f"unknown solver {solver!r}, expected 'direct' or 'recursive'")
+
+    def separation_bound(self, frame, b, last_b, separation):
+        """Recursive Algorithm 3: 1/||op1^-1||_1, op1 = B11 (x) I - I (x) B22^T,
+        moves by at most ||dB11||_1 + ||dB22||_inf; ||op1||_1 <= ||B11||_1 +
+        ||B22||_inf.  The bound checks the point; the sweeps are not run."""
+        m, step = frame.rank, b - last_b
+        op_norm = np.linalg.norm(b[:m, :m], 1) + np.linalg.norm(b[m:, m:], np.inf)
+        scale = max(frobenius_norm(b[:m, :m]), frobenius_norm(b[m:, m:]))
+        slack = np.linalg.norm(step[:m, :m], 1) + np.linalg.norm(step[m:, m:], np.inf)
+        slack += TOL.separation_roundoff * m * (frame.dim - m) * op_norm
+        return separation - slack, max(TOL.spectral_gap * scale, TOL.pivot * op_norm)
 
 
 @dataclass(frozen=True)
@@ -225,6 +254,17 @@ class HamiltonianRayleighCost(RayleighCost):
         n = frame.rank
         b = frame.theta @ self.a @ frame.theta.T if b is None else b
         return solve_lyapunov_unchecked(symmetrize(b[:n, :n]), symmetrize(b[:n, n:]))
+
+    def separation_bound(self, frame, b, last_b, separation):
+        """Algorithm 2: min |lambda_i + lambda_j| of B11 moves by at most
+        2 ||dB11||_F; Algorithm 1's bound off a symplectic frame."""
+        if not isinstance(frame, SymplecticFrame):
+            return super().separation_bound(frame, b, last_b, separation)
+        n = frame.rank
+        scale = frobenius_norm(symmetrize(b[:n, :n]))
+        slack = 2.0 * frobenius_norm(symmetrize(b[:n, :n] - last_b[:n, :n]))
+        slack += TOL.separation_roundoff * frame.dim * scale
+        return separation - slack, TOL.spectral_gap * scale
 
 
 def _finite_scale(scale):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import TOL
 from .decomp import qr_positive, sym_eig, symmetrize
-from .errors import BadRank, DimensionMismatch, NotAProjector, SingularInput
+from .errors import BadRank, DimensionMismatch, NotAProjector, NotSymmetric, SingularInput
 
 __all__ = [
     "Projector",
@@ -98,6 +98,7 @@ class OrthoFrame:
 
     theta: np.ndarray
     rank: int
+    symmetric_steps = False  # push_frame takes only symmetric Z (SymplecticFrame)
 
     def __post_init__(self):
         object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
@@ -238,7 +239,8 @@ def push_frame(frame: OrthoFrame, z, chart) -> OrthoFrame:
     step length.  The pushed frame is not re-checked.
 
     A step that is not finite, or whose Gram matrix Z Z^T overflows
-    (sigma_max^2 = inf), raises ``SingularInput``.
+    (sigma_max^2 = inf), raises ``SingularInput``; a step on a ``SymplecticFrame``
+    that fails the test of ``require_symmetric`` raises ``NotSymmetric``.
     """
     z = np.atleast_2d(np.asarray(z, dtype=float))
     n, m = frame.dim, frame.rank
@@ -248,6 +250,10 @@ def push_frame(frame: OrthoFrame, z, chart) -> OrthoFrame:
         raise ValueError(f"unknown chart {chart!r}, expected one of {CHART_NAMES}")
     if not np.isfinite(z).all():
         raise SingularInput("step has a non-finite entry")
+    if frame.symmetric_steps:
+        defect = np.abs(z - z.T).max()
+        if defect > TOL.symmetry * max(1.0, np.abs(z).max()):
+            raise NotSymmetric(f"step on a symplectic frame has symmetry defect {defect:.3e}")
     u, sigma, wt = np.linalg.svd(z, full_matrices=False)
     top = float(sigma[0])
     if not math.isfinite(top * top):  # a Python float overflows without a warning

@@ -70,6 +70,7 @@ class SymplecticFrame(OrthoFrame):
     rank n is half the dimension of Theta."""
 
     rank: int = field(init=False)
+    symmetric_steps = True
 
     def __post_init__(self):
         n2 = np.shape(self.theta)[0]

@@ -121,10 +121,11 @@ class NewtonTrace:
 
 @dataclass(frozen=True)
 class StepInfo:
-    """Outcome of a single Newton step."""
+    """Outcome of a single Newton step; ``separation`` is its solve's, or None."""
 
     param: np.ndarray
     step_norm: float
+    separation: float | None
 
 
 @dataclass(frozen=True)
@@ -206,7 +207,7 @@ def newton_step(cost: CostFunction, frame, config: NewtonConfig, solver="direct"
     sigma = pi, Cayley as sigma grows) is where it was.  Below pi/2 every
     chart turns each plane by phi(sigma) <= sigma < pi/2, so none can stall.
     """
-    z = cost.newton_solve(frame, solver, b)
+    z, separation = cost.newton_solve(frame, solver, b)
     norm = frobenius_norm(z)
     step_norm = float(np.sqrt(2.0) * norm)
     try:
@@ -222,7 +223,7 @@ def newton_step(cost: CostFunction, frame, config: NewtonConfig, solver="direct"
                 f"not beyond step_tol {config.step_tol:.1e} or the round-off floor "
                 f"{floor:.1e}, at step norm {step_norm:.3e}"
             )
-    return pushed, StepInfo(z, step_norm)
+    return pushed, StepInfo(z, step_norm, separation)
 
 
 def run_newton(cost, start, config: NewtonConfig, reference=None, method="generic"):
@@ -261,9 +262,10 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
     -------
     NewtonTrace
         Terminal status ``Converged`` certifies a nondegenerate critical
-        point: when the gradient norm drops below tolerance, one more
-        Newton system is solved, and a singular/unsolvable system
-        surfaces as ``SingularHessian``/``SpectralOverlap`` instead.
+        point: below grad_tol, by ``cost.separation_bound`` if it clears its
+        floor, else by one more Newton solve, where a singular/unsolvable
+        system surfaces as ``SingularHessian``/``SpectralOverlap`` instead.
+        ``extras["certified_by"]`` is "bound", "solve", or "step" (tiny step).
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -272,7 +274,7 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
     trace.distance_reference = "supplied" if reference is not None else "final"
     frame = replace(start)  # re-runs the entry checks: pushes skip them
     frames = []
-    tiny_step = False
+    tiny_step, last = False, None  # last: B and separation of the last step's solve
     grad_tol = config.grad_tol * cost.scale
     t0 = time.perf_counter()
     for iteration in range(config.max_iters + 1):
@@ -288,13 +290,18 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
         )
         trace.records.append(record)
         if tiny_step:
-            trace.status = Status.CONVERGED
+            trace.status, trace.extras["certified_by"] = Status.CONVERGED, "step"
             break
         try:
             if record.grad_norm <= grad_tol:
                 # certify nondegeneracy: a vanishing gradient at a degenerate
                 # point (singular Newton system) is a failure mode, not success
-                cost.newton_solve(frame, solver, b)
+                bound = cost.separation_bound(frame, b, *last) if last else None
+                if bound is not None and bound[0] > bound[1]:
+                    trace.extras["certified_by"] = "bound"
+                else:
+                    cost.newton_solve(frame, solver, b)
+                    trace.extras["certified_by"] = "solve"
                 trace.status = Status.CONVERGED
                 break
             if iteration == config.max_iters:
@@ -311,6 +318,7 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
             trace.status = Status.NO_CONVERGENCE
             break
         record.step_norm = info.step_norm
+        last = None if info.separation is None else (b, info.separation)
         tiny_step = info.step_norm <= config.step_tol
     basis = frame.basis() if reference is None else reference.basis()
     for record, dist in zip(trace.records, frame_distances(frames, basis)):

@@ -15,6 +15,7 @@ library's relative singularity floor (``solve_dense`` for one vector).
 enter (``require_symmetric``, shapes); ``solve_sylvester_unchecked`` and
 ``solve_lyapunov_unchecked`` are the same solves without the checks, for
 blocks their caller has just symmetrized, as the costs' Newton solves do.
+They and the recursive solver return the separation they measured too.
 """
 
 from __future__ import annotations
@@ -73,11 +74,11 @@ def solve_sylvester(a11, a22, c):
             f"right-hand side shape {c.shape} does not match blocks "
             f"{a11.shape[0]}x{a22.shape[0]}"
         )
-    return solve_sylvester_unchecked(a11, a22, c)
+    return solve_sylvester_unchecked(a11, a22, c)[0]
 
 
 def solve_sylvester_unchecked(a11, a22, c):
-    """``solve_sylvester`` on exactly symmetric finite blocks, unchecked."""
+    """``solve_sylvester`` on exactly symmetric finite blocks, unchecked; returns (Z, min_gap)."""
     lam, u = eigh_descending(a11)
     mu, v = eigh_descending(a22)
     gaps = np.abs(lam[:, None] - mu[None, :])
@@ -89,7 +90,7 @@ def solve_sylvester_unchecked(a11, a22, c):
             SpectralGapReport(min_gap),
         )
     z = u @ ((u.T @ c @ v) / (lam[:, None] - mu[None, :])) @ v.T
-    return z
+    return z, min_gap
 
 
 def solve_lyapunov(a11, c):
@@ -108,11 +109,11 @@ def solve_lyapunov(a11, c):
     c = require_symmetric(c, what="Lyapunov right-hand side")
     if c.shape != a11.shape:
         raise DimensionMismatch("right-hand side shape mismatch")
-    return solve_lyapunov_unchecked(a11, c)
+    return solve_lyapunov_unchecked(a11, c)[0]
 
 
 def solve_lyapunov_unchecked(a11, c):
-    """``solve_lyapunov`` on exactly symmetric finite blocks, unchecked."""
+    """``solve_lyapunov`` on exactly symmetric finite blocks, unchecked; returns (Z, min_gap)."""
     lam, u = eigh_descending(a11)
     sums = np.abs(lam[:, None] + lam[None, :])
     min_gap = float(sums.min())
@@ -123,7 +124,7 @@ def solve_lyapunov_unchecked(a11, c):
             SpectralGapReport(min_gap),
         )
     z = u @ ((u.T @ c @ u) / (lam[:, None] + lam[None, :])) @ u.T
-    return symmetrize(z)
+    return symmetrize(z), min_gap
 
 
 def invariant_newton_operator(a11, a12, a21, a22):
@@ -222,7 +223,7 @@ def solve_invariant_newton_recursive(a11, a12, a21, a22, max_sweeps=TOL.recursiv
     starting from Z' = 0.  A fixed point satisfies the direct equation.
     The sweeps contract when the coupling blocks are small (near an
     invariant subspace); otherwise ``NoConvergence`` is raised and the
-    caller may fall back to the direct solver.
+    caller may fall back to the direct solver.  Returns Z and the separation.
 
     Raises
     ------
@@ -271,7 +272,7 @@ def solve_invariant_newton_recursive(a11, a12, a21, a22, max_sweeps=TOL.recursiv
         residual = update
         z = z_new
         if residual <= tol:
-            return z
+            return z, gap
     raise NoConvergence(
         f"recursive sweeps did not settle, last relative update {residual:.3e}",
         residual,

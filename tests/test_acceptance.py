@@ -346,7 +346,7 @@ def test_criterion_5_solver_suite():
             ).reshape(-1)
         oracle = np.linalg.solve(op, invariant_newton_rhs(a11, a21, a22).reshape(-1)).reshape(m, k)
         worst_inv = max(worst_inv, np.abs(z - oracle).max())
-        z_rec = solve_invariant_newton_recursive(a11, a12, a21, a22)
+        z_rec = solve_invariant_newton_recursive(a11, a12, a21, a22)[0]
         worst_rec = max(worst_rec, np.abs(z_rec - z).max())
     # overlap detection on identical blocks
     overlap_raised = False
@@ -470,14 +470,14 @@ def test_criterion_9_specialization_consistency():
         a, dom = _gapped_symmetric(100 + seed, 5, 2, gap=1.0)
         frame = perturb_frame(dom, 0.2, 4000 + seed)
         cost = RayleighCost(a)
-        z_gen = CostFunction.newton_solve(cost, frame)
-        worst = max(worst, np.abs(z_gen - cost.newton_solve(frame)).max())
+        z_gen = CostFunction.newton_solve(cost, frame)[0]
+        worst = max(worst, np.abs(z_gen - cost.newton_solve(frame)[0]).max())
         a, target = _constructed_invariant_instance(5000 + seed)
         frame = perturb_frame(frame_from_projector(target), 0.05, 6000 + seed)
         cost = InvariantSubspaceCost(a)
-        z_gen = CostFunction.newton_solve(cost, frame)
+        z_gen = CostFunction.newton_solve(cost, frame)[0]
         for solver in ("direct", "recursive"):
-            worst = max(worst, np.abs(z_gen - cost.newton_solve(frame, solver)).max())
+            worst = max(worst, np.abs(z_gen - cost.newton_solve(frame, solver)[0]).max())
     _report(
         f"C9 dense fallback vs the cost's own Newton solve: worst difference "
         f"{worst:.2e} (<=1e-9): "

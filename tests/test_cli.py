@@ -384,7 +384,7 @@ def test_long_step_exits_with_a_run_status(tmp_path, capsys, nu):
 def test_overflowing_step_exits_with_a_run_status(tmp_path, capsys, monkeypatch, nu):
     # every Newton step has entries 1e200, so Z Z^T overflows to inf
     def huge_step(self, frame, solver="direct", b=None):
-        return np.full((frame.rank, frame.dim - frame.rank), 1e200)
+        return np.full((frame.rank, frame.dim - frame.rank), 1e200), None
 
     monkeypatch.setattr(InvariantSubspaceCost, "newton_solve", huge_step)
     out = tmp_path / "r.json"

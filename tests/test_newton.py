@@ -192,7 +192,7 @@ class TestGenericStep:
     def test_fixed_point_at_critical(self, rng):
         a, frame = _gapped_symmetric(rng, 5, 2)
         cost = RayleighCost(a)
-        assert np.sqrt(2.0) * np.linalg.norm(CostFunction.newton_solve(cost, frame)) <= 1e-10
+        assert np.sqrt(2.0) * np.linalg.norm(CostFunction.newton_solve(cost, frame)[0]) <= 1e-10
         new_frame, info = newton_step(cost, frame, NewtonConfig())
         assert info.step_norm <= 1e-10
         assert np.abs(new_frame.projector().mat - frame.projector().mat).max() <= 1e-10
@@ -201,8 +201,8 @@ class TestGenericStep:
         a = np.diag([2.0, 1.0])
         frame = perturb_frame(frame_from_projector(Projector(np.diag([1.0, 0.0]), 1)), 0.1, 3)
         cost = RayleighCost(a)
-        z_gen = CostFunction.newton_solve(cost, frame)
-        assert np.abs(z_gen - cost.newton_solve(frame)).max() <= 1e-12
+        z_gen = CostFunction.newton_solve(cost, frame)[0]
+        assert np.abs(z_gen - cost.newton_solve(frame)[0]).max() <= 1e-12
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_algorithm1_random(self, seed):
@@ -210,8 +210,8 @@ class TestGenericStep:
         a, dom = _gapped_symmetric(rng, 5, 2)
         frame = perturb_frame(dom, 0.2, seed + 50)
         cost = RayleighCost(a)
-        z_gen = CostFunction.newton_solve(cost, frame)
-        assert np.abs(z_gen - cost.newton_solve(frame)).max() <= 1e-12
+        z_gen = CostFunction.newton_solve(cost, frame)[0]
+        assert np.abs(z_gen - cost.newton_solve(frame)[0]).max() <= 1e-12
 
     @pytest.mark.parametrize("solver", ["direct", "recursive"])
     @pytest.mark.parametrize("seed", range(3))
@@ -219,17 +219,17 @@ class TestGenericStep:
         a, target = _constructed_invariant(seed, 2, 3)
         frame = perturb_frame(frame_from_projector(target), 0.05, seed + 90)
         cost = InvariantSubspaceCost(a)
-        z_gen = CostFunction.newton_solve(cost, frame)
-        assert np.abs(z_gen - cost.newton_solve(frame, solver)).max() <= 1e-9
+        z_gen = CostFunction.newton_solve(cost, frame)[0]
+        assert np.abs(z_gen - cost.newton_solve(frame, solver)[0]).max() <= 1e-9
 
     def test_hamiltonian_cost_on_grassmann_frame(self, rng):
         # on an orthogonal frame, tr(H P) is a trace cost on Gr(n, 2n): its
         # Sylvester solve agrees with the dense fallback
         cost, dom = _hamiltonian_with_frame(rng, 2)
         frame = perturb_frame(OrthoFrame(dom.theta, 2), 0.1, 4)
-        z_gen = CostFunction.newton_solve(cost, frame)
-        assert np.abs(z_gen - cost.newton_solve(frame)).max() <= 1e-12
-        assert np.array_equal(cost.newton_solve(frame), RayleighCost(cost.h).newton_solve(frame))
+        z_gen = CostFunction.newton_solve(cost, frame)[0]
+        assert np.abs(z_gen - cost.newton_solve(frame)[0]).max() <= 1e-12
+        assert np.array_equal(cost.newton_solve(frame)[0], RayleighCost(cost.h).newton_solve(frame)[0])
 
     def test_fallback_rejects_symplectic_frames(self, rng):
         cost, frame = _hamiltonian_with_frame(rng, 2)
@@ -316,7 +316,7 @@ class TestAlgorithm2:
         frame = perturb_frame(dom, 0.2, 5)
         stepped, _ = newton_step(cost, frame, NewtonConfig(nu=nu))
         assert isinstance(stepped, SymplecticFrame)
-        expected = push_frame(frame, cost.newton_solve(frame), nu)
+        expected = push_frame(frame, cost.newton_solve(frame)[0], nu)
         assert np.array_equal(stepped.theta, expected.theta)
 
     @pytest.mark.parametrize("n", [4, 8])
@@ -602,14 +602,14 @@ class _FixedStep(CostFunction):
         self.z = z
 
     def newton_solve(self, frame, solver="direct", b=None):
-        return self.z
+        return self.z, None
 
 
 class _StalledRayleigh(RayleighCost):
     """The trace cost with every Newton step replaced by Z = pi I."""
 
     def newton_solve(self, frame, solver="direct", b=None):
-        return np.pi * np.eye(frame.rank)
+        return np.pi * np.eye(frame.rank), None
 
 
 def _long_step_problem():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from projnewton.costs import RayleighCost
+from projnewton.costs import HamiltonianRayleighCost, RayleighCost
+from projnewton.errors import NotSymmetric
 from projnewton.grassmann import CHART_NAMES, OrthoFrame, push_frame
 from projnewton.lagrange import random_lag_projector
 from projnewton.newton import NewtonConfig, Status, perturb_frame, run_newton
@@ -109,6 +110,30 @@ def test_symplectic_frames_stay_symplectic(chart, data):
         frame = push_frame(frame, z + z.T, chart)
     assert frame.symplecticity_residual() <= 2e-14
     assert _defect(frame) <= 2e-14
+
+
+@pytest.mark.parametrize("chart", CHART_NAMES)
+def test_nonsymmetric_step_on_a_symplectic_frame_is_rejected(chart):
+    # this step left the Lagrange Grassmannian (symplecticity residual 0.84)
+    # while the pushed frame stayed typed SymplecticFrame
+    frame = random_lag_projector(2, 0)[1]
+    with pytest.raises(NotSymmetric, match="symmetry defect 1.000e\\+00"):
+        push_frame(frame, [[0.0, 1.0], [0.0, 0.0]], chart)
+    # round-off asymmetry still pushes, relative to max(1, max |Z|) as the
+    # entry checks measure it: a short step's is not relative to the step
+    for z in ([[1.0, 1e-3], [1e-3 + 1e-15, 2.0]], [[1e-9, 1e-7], [1e-7 + 1e-17, 0.0]]):
+        assert push_frame(frame, z, chart).symplecticity_residual() <= 1e-10
+
+
+def test_trace_cost_runs_on_symplectic_frames():
+    # the plain trace cost of a symmetric Hamiltonian H on a symplectic
+    # frame: its Sylvester step is symmetric only to round-off, relative to
+    # ||H|| rather than to the step, and still pushes to the end of the run
+    h = HamiltonianRayleighCost.from_blocks(np.diag([3.0, 2.0, 1.0]), np.diag([0.5, 0.1, 0.2]))
+    trace = run_newton(RayleighCost(h.h), random_lag_projector(3, 1)[1], NewtonConfig(),
+                       method="rayleigh-lg")
+    assert trace.status == Status.CONVERGED
+    assert max(trace.extras["symplecticity_residuals"]) <= 1e-14
 
 
 @pytest.mark.parametrize("chart", CHART_NAMES)

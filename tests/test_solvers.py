@@ -222,7 +222,7 @@ class TestInvariantRecursive:
     def test_zero_rhs_one_sweep(self, rng):
         a11 = rng.standard_normal((2, 2)) + 3.0 * np.eye(2)
         a22 = rng.standard_normal((2, 2)) - 3.0 * np.eye(2)
-        z = solve_invariant_newton_recursive(a11, rng.standard_normal((2, 2)), np.zeros((2, 2)), a22)
+        z = solve_invariant_newton_recursive(a11, rng.standard_normal((2, 2)), np.zeros((2, 2)), a22)[0]
         assert np.abs(z).max() <= 1e-12
 
     def test_agrees_with_direct(self, rng):
@@ -232,7 +232,7 @@ class TestInvariantRecursive:
             a22 = gen.standard_normal((3, 3)) - 3.0 * np.eye(3)
             a12 = gen.standard_normal((2, 3))
             a21 = 0.2 * gen.standard_normal((3, 2))
-            z_rec = solve_invariant_newton_recursive(a11, a12, a21, a22)
+            z_rec = solve_invariant_newton_recursive(a11, a12, a21, a22)[0]
             z_dir = solve_invariant_newton_direct(a11, a12, a21, a22)
             assert np.abs(z_rec - z_dir).max() <= 1e-6 * max(1.0, np.abs(z_dir).max())
 

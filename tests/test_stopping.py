@@ -189,13 +189,15 @@ def test_status_ignores_units_and_rotations(method, nu, data):
 
     def run(mat, frame):
         trace = run_newton(_cost(method, mat), frame, config, method=method)
-        return trace.status, _iterations(trace), trace
+        return trace.status, _iterations(trace), trace.extras.get("certified_by"), trace
 
-    status, iters, trace = run(a, start)
+    # nor do they change which path certified the run
+    status, iters, path, trace = run(a, start)
     assert status == Status.CONVERGED
+    assert path == ("solve" if method == "invariant-direct" else "bound")
     for c in (1e-3, 1e3):
-        assert run(c * a, start)[:2] == (status, iters), f"A -> {c:g} A"
-    assert run(q @ a @ q.T, _rotated(start, q))[:2] == (status, iters), "A -> Q A Q^T"
+        assert run(c * a, start)[:3] == (status, iters, path), f"A -> {c:g} A"
+    assert run(q @ a @ q.T, _rotated(start, q))[:3] == (status, iters, path), "A -> Q A Q^T"
 
     p = trace.extras["final_frame"].projector().mat
     assert np.abs(p @ p - p).max() <= TOL.projector
