@@ -4,8 +4,8 @@ A cost is described by its ambient data on symmetric matrices: a value, a
 gradient, and the Hessian as an action (operator form).  Each cost gives
 its value and gradient block (``frame_terms``) and solves its own Newton
 equation (``newton_solve``) in frame coordinates, from the blocks of
-B = Theta A Theta^T: a Sylvester equation for tr(A P) (Algorithm 1), a
-Lyapunov equation for tr(H P) on the Lagrange Grassmannian (Algorithm 2),
+B = Theta A Theta^T: a Sylvester equation for tr(A P) (Algorithm 1), and
+on the Lagrange Grassmannian its projection onto symmetric Z (Algorithm 2);
 the four-term equation for the invariant-subspace cost (Algorithm 3).  Any
 other cost falls back to its ambient data: value(P), and the dense
 Riemannian Newton equation, whose gradient and Hessian blocks it reads in
@@ -139,14 +139,20 @@ class RayleighCost(CostFunction):
         return float(np.trace(b[:m, :m])), b12, b
 
     def newton_solve(self, frame, solver="direct", b=None):
-        """Algorithm 1: the Sylvester equation B11 Z - Z B22 = B12; B is ``b`` if given."""
+        """Algorithm 1: B11 Z - Z B22 = B12 (B is ``b`` if given); on a symplectic
+        frame, Algorithm 2: its projection onto symmetric Z, the Lyapunov
+        equation M Z + Z M = sym(B12) with M = (B11 - B22) / 2, for any A."""
         m = frame.rank
         b = frame.theta @ self.a @ frame.theta.T if b is None else b
+        if isinstance(frame, SymplecticFrame):
+            return solve_lyapunov_unchecked(symmetrize(0.5 * (b[:m, :m] - b[m:, m:])),
+                                            symmetrize(b[:m, m:]))
         return solve_sylvester_unchecked(symmetrize(b[:m, :m]), symmetrize(b[m:, m:]), b[:m, m:])
 
     def separation_bound(self, frame, b, last_b, separation):
-        """Algorithm 1: min |lambda_i(B11) - mu_j(B22)| moves by at most
-        ||dB11||_F + ||dB22||_F (symmetrized blocks); the Sylvester floor."""
+        """Algorithms 1-2: min |lambda_i(B11) - mu_j(B22)|, or min |lambda_i +
+        lambda_j| of M, moves by at most ||dB11||_F + ||dB22||_F (symmetrized
+        blocks; Weyl); the Sylvester floor, at least the Lyapunov one."""
         m = frame.rank
         new, step = symmetrize(b), symmetrize(b - last_b)
         scale = max(frobenius_norm(new[:m, :m]), frobenius_norm(new[m:, m:]))
@@ -194,7 +200,9 @@ class InvariantSubspaceCost(CostFunction):
     def newton_solve(self, frame, solver="direct", b=None):
         """Algorithm 3: minus the solution of the four-term equation, solved
         densely (``solver="direct"``) or by alternating Sylvester sweeps
-        (``"recursive"``); B is ``b`` if given."""
+        (``"recursive"``); B is ``b`` if given.  Grassmann frames only."""
+        if isinstance(frame, SymplecticFrame):
+            raise ValueError("the invariant-subspace Newton solve operates on Grassmann frames")
         m = frame.rank
         b = frame.theta @ self.a @ frame.theta.T if b is None else b
         blocks = b[:m, :m], b[:m, m:], b[m:, :m], b[m:, m:]
@@ -219,21 +227,19 @@ class InvariantSubspaceCost(CostFunction):
 
 @dataclass(frozen=True)
 class HamiltonianRayleighCost(RayleighCost):
-    """Trace cost tr(H P) on the Lagrange Grassmannian, with H symmetric
-    Hamiltonian: H = [[S, T], [T, -S]] for symmetric S, T (J H J = H).  On
-    a frame that is not symplectic it is the Grassmann trace cost."""
+    """The trace cost of a symmetric Hamiltonian H = [[S, T], [T, -S]],
+    S and T symmetric (J H J = H): the paper's Algorithm 2, where the
+    Lyapunov matrix (B11 - B22) / 2 is B11.  It only checks the structure."""
 
     def __post_init__(self):
-        h = require_symmetric(self.a, what="Hamiltonian cost matrix")
-        n2 = h.shape[0]
+        super().__post_init__()
+        h, n2 = self.a, self.a.shape[0]
         if n2 % 2:
             raise DimensionMismatch("symmetric Hamiltonian must have even dimension")
         j = sympl_form(n2 // 2)
         defect = np.abs(j @ h @ j - h).max()
         if defect > TOL.lagrangian * max(1.0, np.abs(h).max()):
             raise NotSymmetric(f"JHJ - H residual {defect:.3e}; not symmetric Hamiltonian")
-        object.__setattr__(self, "a", h)
-        object.__setattr__(self, "scale", _finite_scale(frobenius_norm(h)))
 
     @property
     def h(self):
@@ -245,26 +251,6 @@ class HamiltonianRayleighCost(RayleighCost):
         s = require_symmetric(s, what="S block")
         t = require_symmetric(t, what="T block")
         return cls(np.block([[s, t], [t, -s]]))
-
-    def newton_solve(self, frame, solver="direct", b=None):
-        """Algorithm 2: the Lyapunov equation B11 Z + Z B11 = B12 with
-        symmetric Z; on a frame that is not symplectic, Algorithm 1."""
-        if not isinstance(frame, SymplecticFrame):
-            return super().newton_solve(frame, solver, b)
-        n = frame.rank
-        b = frame.theta @ self.a @ frame.theta.T if b is None else b
-        return solve_lyapunov_unchecked(symmetrize(b[:n, :n]), symmetrize(b[:n, n:]))
-
-    def separation_bound(self, frame, b, last_b, separation):
-        """Algorithm 2: min |lambda_i + lambda_j| of B11 moves by at most
-        2 ||dB11||_F; Algorithm 1's bound off a symplectic frame."""
-        if not isinstance(frame, SymplecticFrame):
-            return super().separation_bound(frame, b, last_b, separation)
-        n = frame.rank
-        scale = frobenius_norm(symmetrize(b[:n, :n]))
-        slack = 2.0 * frobenius_norm(symmetrize(b[:n, :n] - last_b[:n, :n]))
-        slack += TOL.separation_roundoff * frame.dim * scale
-        return separation - slack, TOL.spectral_gap * scale
 
 
 def _finite_scale(scale):

@@ -10,7 +10,8 @@ W = U diag(sign) and the rotation the push applies has the
 commuting-with-J block form [[X, -Y], [Y, X]], so a pushed frame stays
 symplectic to round-off with no correction step.  The J-corrected
 tangent projection is needed only in frame coordinates, where it is the
-symmetric part of the gradient block (``RayleighCost.frame_terms``).
+symmetric part of the gradient block (``RayleighCost.frame_terms``); the
+Newton equation is the Grassmann one projected onto symmetric Z as well.
 """
 
 from __future__ import annotations

@@ -76,21 +76,21 @@ class Status:
 class NewtonConfig:
     """Iteration parameters.  ``nu`` is the push-forward chart; the
     pull-back chart ``mu`` does not change the iterates (module docstring).
-    ``grad_tol`` is relative to ``CostFunction.scale``; ``step_tol``, an angle, is not."""
+    ``grad_tol`` is relative to ``CostFunction.scale``.  The step test is the
+    fixed angle ``TOL.step_tol``, in radians, as no data scale enters it."""
 
     mu: str = "exp"
     nu: str = "qr"
     max_iters: int = 50
     grad_tol: float = TOL.grad_tol
-    step_tol: float = TOL.step_tol
 
     def __post_init__(self):
         if self.mu not in CHART_NAMES or self.nu not in CHART_NAMES:
             raise ValueError(f"charts must be among {CHART_NAMES}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not (0.0 < self.grad_tol < np.inf and 0.0 < self.step_tol < np.inf):
-            raise ValueError("tolerances must be positive and finite")
+        if not 0.0 < self.grad_tol < np.inf:
+            raise ValueError("grad_tol must be positive and finite")
 
 
 @dataclass
@@ -202,7 +202,7 @@ def newton_step(cost: CostFunction, frame, config: NewtonConfig, solver="direct"
     ``SymplecticFrame`` symplectic, without a correction step.
 
     A step with ||Z||_F >= pi/2 has stalled (``NoConvergence``) when it
-    moves the subspace no further than ``config.step_tol`` or the distance's
+    moves the subspace no further than ``TOL.step_tol`` or the distance's
     round-off floor ``TOL.rate_floor`` sqrt(n): a plane turned by pi (exp at
     sigma = pi, Cayley as sigma grows) is where it was.  Below pi/2 every
     chart turns each plane by phi(sigma) <= sigma < pi/2, so none can stall.
@@ -217,10 +217,10 @@ def newton_step(cost: CostFunction, frame, config: NewtonConfig, solver="direct"
     if norm >= 0.5 * np.pi:
         moved = frame_distance(pushed, frame.basis())
         floor = TOL.rate_floor * np.sqrt(frame.dim)
-        if moved <= max(config.step_tol, floor):
+        if moved <= max(TOL.step_tol, floor):
             raise NoConvergence(
                 f"stalled step: the {config.nu} push moved the subspace {moved:.3e}, "
-                f"not beyond step_tol {config.step_tol:.1e} or the round-off floor "
+                f"not beyond step_tol {TOL.step_tol:.1e} or the round-off floor "
                 f"{floor:.1e}, at step norm {step_norm:.3e}"
             )
     return pushed, StepInfo(z, step_norm, separation)
@@ -230,7 +230,7 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
     """Iterate Newton steps until the gradient norm, step norm, or
     iteration budget stops the run.  The gradient test is relative,
     ||grad|| <= ``config.grad_tol * cost.scale``, so a status does not depend
-    on the units of A; a step norm is an angle, tested against ``step_tol``.
+    on the units of A; a step norm is an angle, tested against ``TOL.step_tol``.
 
     Every reported number is read from the frames: per iteration, the
     value and gradient block G of ``cost.frame_terms`` (blocks of
@@ -245,7 +245,7 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
     ----------
     cost : CostFunction
         Gives the frame terms and solves the Newton equation (e.g. a
-        HamiltonianRayleighCost on a SymplecticFrame for ``rayleigh-lg``).
+        RayleighCost on a SymplecticFrame for ``rayleigh-lg``).
     start : OrthoFrame
         A ``SymplecticFrame`` runs on the Lagrange Grassmannian, with the
         same charts.
@@ -319,7 +319,7 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
             break
         record.step_norm = info.step_norm
         last = None if info.separation is None else (b, info.separation)
-        tiny_step = info.step_norm <= config.step_tol
+        tiny_step = info.step_norm <= TOL.step_tol
     basis = frame.basis() if reference is None else reference.basis()
     for record, dist in zip(trace.records, frame_distances(frames, basis)):
         record.distance = float(dist)

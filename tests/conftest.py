@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from projnewton.decomp import sym_eig
+from projnewton.lagrange import symplectic_frame_from_basis, sympl_form
+
 try:
     from hypothesis import settings
 except ImportError:  # the property tests skip themselves
@@ -26,3 +29,15 @@ def random_symmetric(rng, n, scale=1.0):
 def random_skew(rng, n, scale=1.0):
     a = rng.standard_normal((n, n))
     return scale * 0.5 * (a - a.T)
+
+
+def lagrangian_trace_problem(rng, n):
+    """A random symmetric A of size 2n that is not Hamiltonian, and the
+    symplectic frame of the maximizer of tr(A P) on the Lagrange
+    Grassmannian.  For Lagrangian P, J P J^T = I - P, so tr(A P) = tr(H P) +
+    tr(A) / 2 with H = (A + J A J) / 2 symmetric Hamiltonian; H's positive
+    eigenspace, which J maps onto the negative one, is the maximizer."""
+    a = random_symmetric(rng, 2 * n)
+    j = sympl_form(n)
+    _, vectors = sym_eig(0.5 * (a + j @ a @ j))
+    return a, symplectic_frame_from_basis(vectors[:, :n])

@@ -54,6 +54,10 @@ def test_deleted_attributes_are_gone():
     assert not hasattr(projnewton.LagProjector, "half_dim")
     assert not hasattr(TOL, "fd_step_second")
     assert "solvable" not in {f.name for f in dataclasses.fields(projnewton.SpectralGapReport)}
+    # the step test reads the constant TOL.step_tol, not a config field
+    assert "step_tol" not in {f.name for f in dataclasses.fields(projnewton.NewtonConfig)}
+    # the Hamiltonian cost only checks its structure: RayleighCost solves and bounds
+    assert not {"newton_solve", "separation_bound"} & set(vars(projnewton.HamiltonianRayleighCost))
 
 
 def test_library_imports_nothing_from_the_tests():

@@ -11,15 +11,18 @@ and still fails, where no bound certifies."""
 import numpy as np
 import pytest
 
+from projnewton.config import TOL
 from projnewton.costs import HamiltonianRayleighCost, InvariantSubspaceCost, RayleighCost
 from projnewton.grassmann import CHART_NAMES, OrthoFrame, push_frame
-from projnewton.lagrange import SymplecticFrame
+from projnewton.lagrange import SymplecticFrame, sympl_form
 from projnewton.newton import NewtonConfig, Status, perturb_frame, run_newton
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-METHODS = ("rayleigh-gr", "rayleigh-lg", "invariant-recursive")
+# rayleigh-lg-general: the trace cost of a symmetric A that is not
+# Hamiltonian, on the Lagrange Grassmannian (Algorithm 2 in (B11 - B22) / 2)
+METHODS = ("rayleigh-gr", "rayleigh-lg", "rayleigh-lg-general", "invariant-recursive")
 
 
 def _orthogonal(rng, n):
@@ -38,17 +41,22 @@ def _orthosymplectic(rng, n):
 @st.composite
 def problems(draw, method):
     """(cost, start) for a well-separated problem of the method, its
-    spectrum scaled by 1e-3 to 1e3, started 0.01 to 0.3 from its solution."""
+    spectrum scaled by 1e-3 to 1e3, started 0.01 to 0.3 from its solution.
+    rayleigh-lg-general adds to H a symmetric K with J K J = -K, as large:
+    tr(K P) = tr(K) / 2 on every Lagrangian P, so the solution stays."""
     seed = draw(st.integers(0, 2**32 - 1))
     scale = 10.0 ** draw(st.floats(-3.0, 3.0))
     distance = draw(st.floats(0.01, 0.3))
     rng = np.random.default_rng(seed)
-    if method == "rayleigh-lg":
+    if method.startswith("rayleigh-lg"):
         n = draw(st.integers(2, 5))
         u = _orthosymplectic(rng, n)
         lam = scale * np.sort(rng.uniform(1.0, 3.0, n))[::-1]
         h = (u * np.concatenate([lam, -lam])) @ u.T
         cost, planted = HamiltonianRayleighCost(0.5 * (h + h.T)), SymplecticFrame(u.T)
+        if method == "rayleigh-lg-general":
+            x, j = scale * rng.standard_normal((2 * n, 2 * n)), sympl_form(n)
+            cost = RayleighCost(cost.h + 0.5 * (x + x.T - j @ (x + x.T) @ j))
     else:
         n = draw(st.integers(4, 10))
         m = draw(st.integers(1, n - 1))
@@ -191,5 +199,5 @@ class TestFallback:
         cost, planted = _gapped_rayleigh()
         trace = run_newton(cost, perturb_frame(planted, 0.05, 1), NewtonConfig(grad_tol=1e-300))
         assert trace.status == Status.CONVERGED
-        assert trace.records[-2].step_norm <= NewtonConfig().step_tol
+        assert trace.records[-2].step_norm <= TOL.step_tol
         assert trace.extras["certified_by"] == "step"

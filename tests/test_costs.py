@@ -16,7 +16,7 @@ from projnewton.errors import NotSymmetric
 from projnewton.grassmann import CHART_NAMES, Projector, commutator, push_frame, random_projector
 from projnewton.lagrange import LagProjector, random_lag_projector
 
-from conftest import random_symmetric
+from conftest import lagrangian_trace_problem, random_symmetric
 from oracles import (
     lg_tangent_project,
     param_from_tangent,
@@ -354,3 +354,34 @@ class TestFrameTerms:
         assert abs(value - cost.value(p.mat)) <= 1e-12 * scale
         assert np.abs(block - param_from_tangent(frame, grad)).max() <= 1e-12 * scale
         assert abs(np.sqrt(2.0) * np.linalg.norm(block) - np.linalg.norm(grad)) <= 1e-12 * scale
+
+
+def _dense_lagrangian_step(cost, frame):
+    """The Newton step on the Lagrange Grassmannian from the projector-
+    coordinate oracles: Hess(xi) = -grad solved over the basis E_ij + E_ji
+    of symmetric tangent parameters."""
+    p, n = frame.projector(), frame.rank
+    basis = []
+    for i in range(n):
+        for j in range(i, n):
+            e = np.zeros((n, n))
+            e[i, j] = e[j, i] = 1.0
+            basis.append(e)
+    hess = [param_from_tangent(frame, riemannian_hessian_apply_lg(
+        cost, p, tangent_from_param(frame, e).mat)).reshape(-1) for e in basis]
+    grad = param_from_tangent(frame, riemannian_gradient_lg(cost, p)).reshape(-1)
+    coef = np.linalg.lstsq(np.array(hess).T, -grad, rcond=None)[0]
+    return sum(c * e for c, e in zip(coef, basis))
+
+
+class TestLagrangianNewtonStep:
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_trace_cost_matches_the_dense_step(self, n):
+        # a symmetric A that is not Hamiltonian: the Lyapunov step in
+        # (B11 - B22) / 2 is the Riemannian Newton step on the submanifold
+        a, _ = lagrangian_trace_problem(np.random.default_rng(n), n)
+        _, frame = random_lag_projector(n, 300 + n)
+        cost = RayleighCost(a)
+        z, _ = cost.newton_solve(frame)
+        dense = _dense_lagrangian_step(cost, frame)
+        assert np.linalg.norm(z - dense) <= 1e-12 * np.linalg.norm(dense)

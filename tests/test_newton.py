@@ -26,7 +26,7 @@ from projnewton.grassmann import (
     push_frame,
     random_projector,
 )
-from projnewton.lagrange import SymplecticFrame, symplectic_frame_from_basis
+from projnewton.lagrange import SymplecticFrame, random_lag_projector, symplectic_frame_from_basis
 from projnewton.newton import (
     NewtonConfig,
     Status,
@@ -37,7 +37,7 @@ from projnewton.newton import (
     run_newton,
 )
 
-from conftest import random_symmetric
+from conftest import lagrangian_trace_problem, random_symmetric
 from oracles import distance
 
 
@@ -84,7 +84,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             NewtonConfig(grad_tol=0.0)
 
-    @pytest.mark.parametrize("field", ["grad_tol", "step_tol"])
+    @pytest.mark.parametrize("field", ["grad_tol"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_non_finite_tolerance(self, field, value):
         # a NaN tolerance never stops a run, and neither value fits a JSON report
@@ -338,6 +338,16 @@ class TestAlgorithm2:
         # converged on the gradient test, not only on the step-size test
         assert trace.records[-1].grad_norm <= NewtonConfig().grad_tol
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_trace_cost_of_a_non_hamiltonian_matrix_converges(self, n):
+        # Algorithm 2 runs for any symmetric A: its Lyapunov matrix is
+        # (B11 - B22) / 2, and a run from 0.05 away reaches the maximizer
+        a, dom = lagrangian_trace_problem(np.random.default_rng(n), n)
+        trace = run_newton(RayleighCost(a), perturb_frame(dom, 0.05, n), NewtonConfig(),
+                           reference=dom, method="rayleigh-lg")
+        assert trace.status == Status.CONVERGED
+        assert rate_from_trace(trace).verdict
+
     def test_symplecticity_preserved_over_steps(self, rng):
         cost, dom = _hamiltonian_with_frame(rng, 3)
         frame = perturb_frame(dom, 0.4, 8)
@@ -396,6 +406,15 @@ class TestAlgorithm3:
             f_rec, _ = newton_step(InvariantSubspaceCost(a), f_rec, NewtonConfig(), "recursive")
         assert distance(f_dir.projector(), f_rec.projector()) <= 1e-6
 
+    @pytest.mark.parametrize("method", ["invariant-direct", "invariant-recursive"])
+    def test_symplectic_frame_is_refused(self, method):
+        # the four-term step is not symmetric: both solvers refuse the frame
+        # before solving, as the dense fallback does
+        a = np.random.default_rng(0).standard_normal((6, 6))
+        with pytest.raises(ValueError, match="Grassmann frames"):
+            run_newton(InvariantSubspaceCost(a), random_lag_projector(3, 1)[1], NewtonConfig(),
+                       method=method)
+
 
 class TestOneStepContraction:
     """One step from distance eps lands within O(eps^2); a flipped
@@ -450,10 +469,11 @@ class TestRunNewton:
         a, dom = _gapped_symmetric(rng, 5, 2)
         start = perturb_frame(dom, 0.05, 5)
         trace = run_newton(
-            RayleighCost(a), start, NewtonConfig(max_iters=1, grad_tol=1e-16, step_tol=1e-30),
+            RayleighCost(a), start, NewtonConfig(max_iters=1, grad_tol=1e-16),
             method="rayleigh-gr",
         )
-        assert trace.status in (Status.MAX_ITERS, Status.CONVERGED)
+        # one step from 0.05 leaves the gradient at 2e-4, far above 1e-16 ||A||
+        assert trace.status == Status.MAX_ITERS
 
     @pytest.mark.parametrize("mu", ["exp", "qr", "cayley"])
     @pytest.mark.parametrize("nu", ["exp", "qr", "cayley"])

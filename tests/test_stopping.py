@@ -105,7 +105,7 @@ class TestScale:
 
     def test_defaults_live_in_the_tolerances(self):
         config = NewtonConfig()
-        assert (config.grad_tol, config.step_tol) == (TOL.grad_tol, TOL.step_tol)
+        assert config.grad_tol == TOL.grad_tol
 
 
 class TestRoundOffStall:
