@@ -38,7 +38,6 @@ from .newton import (
     run_newton,
 )
 from .solvers import (
-    SpectralGapReport,
     solve_dense,
     solve_invariant_newton_direct,
     solve_invariant_newton_recursive,

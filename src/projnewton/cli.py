@@ -105,23 +105,32 @@ def _require_hamiltonian_input(mat):
     if mat.shape[0] % 2:
         raise InputNotHamiltonianSymmetric("input dimension must be even (2n)")
     j = sympl_form(mat.shape[0] // 2)
+    jmj = j @ mat @ j
     scale = max(1.0, np.abs(mat).max())
-    if np.abs(j @ mat @ j - mat).max() > TOL.input_symmetry * scale:
+    if np.abs(jmj - mat).max() > TOL.input_symmetry * scale:
         raise InputNotHamiltonianSymmetric(
             "input lacks the symmetric-Hamiltonian block structure [[S, T], [T, -S]]"
         )
     # project onto the structure, which the cost checks at a tighter tolerance
-    return 0.5 * (mat + j @ mat @ j)
+    return 0.5 * (mat + jmj)
 
 
-def _frame_from_start_file(path, n, m):
+def _frame_from_start_file(path, n, m, lagrangian=False):
+    """The frame of the n x m start basis in ``path``, by positive QR; with
+    ``lagrangian`` (n = 2m) a symplectic frame, of a basis that must span a
+    Lagrangian subspace."""
     basis = load_matrix(path)
     if basis.shape != (n, m):
         raise ProjNewtonError(
             f"start basis must be {n}x{m} to match the problem, got {basis.shape}"
         )
     q, _ = qr_positive(basis)
-    return _oriented_frame(q.T, m)
+    if not lagrangian:
+        return _oriented_frame(q.T, m)
+    u = q[:, :m]
+    if np.abs(u.T @ sympl_form(m) @ u).max() > TOL.input_symmetry:
+        raise ProjNewtonError("start basis does not span a Lagrangian subspace")
+    return symplectic_frame_from_basis(u)
 
 
 def _dominant_frame(a, m):
@@ -275,17 +284,7 @@ def _cmd_rayleigh_lg(args):
     n = h.shape[0] // 2
     cost = HamiltonianRayleighCost(h)
     natural = _dominant_lag_frame(h)
-    base = None
-    if args.start:
-        basis = load_matrix(args.start)
-        if basis.shape != (2 * n, n):
-            raise ProjNewtonError(f"start basis must be {2 * n}x{n}, got {basis.shape}")
-        q, _ = qr_positive(basis)
-        u = q[:, :n]
-        j = sympl_form(n)
-        if np.abs(u.T @ j @ u).max() > TOL.input_symmetry:
-            raise ProjNewtonError("start basis does not span a Lagrangian subspace")
-        base = symplectic_frame_from_basis(u)
+    base = _frame_from_start_file(args.start, 2 * n, n, lagrangian=True) if args.start else None
     start = _select_start(args, base, natural)
 
     def extras(trace, final_projector):

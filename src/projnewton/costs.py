@@ -18,7 +18,9 @@ built.  ``frame_terms`` hands B on, so a Newton iterate forms it once, and
 the Newton solves symmetrize the blocks they cut from B and call the
 solvers' unchecked cores (``solve_sylvester_unchecked``,
 ``solve_lyapunov_unchecked``) instead of checking them again.  The
-separation bounds are Weyl's and the Banach lemma (Stewart & Sun 1990).
+separation bounds are Weyl's and the Banach lemma (Stewart & Sun 1990); the
+floor they must clear is the solvers' ``separation_floor`` of the blocks the
+Newton solve would see.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .errors import DimensionMismatch, NotSymmetric, ScaleOverflow
 from .lagrange import SymplecticFrame, sympl_form
 from .solvers import (
     invariant_newton_rhs,
+    separation_floor,
     solve_dense,
     solve_invariant_newton_direct,
     solve_invariant_newton_recursive,
@@ -152,13 +155,13 @@ class RayleighCost(CostFunction):
     def separation_bound(self, frame, b, last_b, separation):
         """Algorithms 1-2: min |lambda_i(B11) - mu_j(B22)|, or min |lambda_i +
         lambda_j| of M, moves by at most ||dB11||_F + ||dB22||_F (symmetrized
-        blocks; Weyl); the Sylvester floor, at least the Lyapunov one."""
+        blocks; Weyl), less round-off at the data scale ||A||_F; the Sylvester
+        floor of the blocks, at least the Lyapunov one of M."""
         m = frame.rank
         new, step = symmetrize(b), symmetrize(b - last_b)
-        scale = max(frobenius_norm(new[:m, :m]), frobenius_norm(new[m:, m:]))
         slack = frobenius_norm(step[:m, :m]) + frobenius_norm(step[m:, m:])
-        slack += TOL.separation_roundoff * frame.dim * scale
-        return separation - slack, TOL.spectral_gap * scale
+        slack += TOL.separation_roundoff * frame.dim * self.scale
+        return separation - slack, separation_floor(new[:m, :m], new[m:, m:])
 
 
 @dataclass(frozen=True)
@@ -219,10 +222,9 @@ class InvariantSubspaceCost(CostFunction):
         ||B22||_inf.  The bound checks the point; the sweeps are not run."""
         m, step = frame.rank, b - last_b
         op_norm = np.linalg.norm(b[:m, :m], 1) + np.linalg.norm(b[m:, m:], np.inf)
-        scale = max(frobenius_norm(b[:m, :m]), frobenius_norm(b[m:, m:]))
         slack = np.linalg.norm(step[:m, :m], 1) + np.linalg.norm(step[m:, m:], np.inf)
         slack += TOL.separation_roundoff * m * (frame.dim - m) * op_norm
-        return separation - slack, max(TOL.spectral_gap * scale, TOL.pivot * op_norm)
+        return separation - slack, separation_floor(b[:m, :m], b[m:, m:])
 
 
 @dataclass(frozen=True)

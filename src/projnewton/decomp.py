@@ -32,10 +32,10 @@ def frobenius_norm(mat):
     """||M||_F, bit for bit as ``np.linalg.norm`` computes it, except that a
     sum of squares that overflows on finite entries is rescaled by max|M|."""
     x = np.asarray(mat, dtype=float).ravel(order="K")
-    with np.errstate(over="ignore"):
-        sq = x.dot(x)
-        if sq == np.inf and np.isfinite(x).all():
-            peak = np.abs(x).max()
+    sq = np.vdot(x, x)  # the BLAS dot of x.dot(x), which warns on overflow; vdot does not
+    if sq == np.inf and np.isfinite(x).all():
+        peak = np.abs(x).max()
+        with np.errstate(over="ignore"):
             return float(peak * np.linalg.norm(x / peak))
     return math.sqrt(sq)
 

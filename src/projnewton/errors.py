@@ -36,15 +36,15 @@ class BadRank(ProjNewtonError):
 
 
 class SpectralOverlap(ProjNewtonError):
-    """Sylvester/Lyapunov coefficient spectra are too close to solve.
+    """The separation of a Sylvester, Lyapunov or recursive four-term solve
+    is at or below its floor (``solvers.separation_floor``).
 
-    Carries a ``report`` attribute (a ``SpectralGapReport``) with the
-    measured minimal gap.
+    Carries the measured separation ``min_gap``.
     """
 
-    def __init__(self, message, report=None):
+    def __init__(self, message, min_gap=None):
         super().__init__(message)
-        self.report = report
+        self.min_gap = min_gap
 
 
 class SingularOperator(ProjNewtonError):

@@ -123,7 +123,6 @@ class NewtonTrace:
 class StepInfo:
     """Outcome of a single Newton step; ``separation`` is its solve's, or None."""
 
-    param: np.ndarray
     step_norm: float
     separation: float | None
 
@@ -223,7 +222,7 @@ def newton_step(cost: CostFunction, frame, config: NewtonConfig, solver="direct"
                 f"not beyond step_tol {TOL.step_tol:.1e} or the round-off floor "
                 f"{floor:.1e}, at step norm {step_norm:.3e}"
             )
-    return pushed, StepInfo(z, step_norm, separation)
+    return pushed, StepInfo(step_norm, separation)
 
 
 def run_newton(cost, start, config: NewtonConfig, reference=None, method="generic"):

@@ -2,14 +2,17 @@
 
 Sylvester and Lyapunov equations with symmetric coefficient blocks are
 solved by double diagonalization, which yields the exact spectral-gap
-diagnostics for free.  The four-term matrix equation of the invariant-
-subspace Newton step is solved either densely (Kronecker assembly on the
-m(n-m)-dimensional parameter space) or by the alternating-Sylvester
-recursion, which factors one Sylvester operator (the other half-sweep's is
-its transpose) and takes the 1-norm separation 1/||op^-1||_1 as its gap;
-it has an explicit no-convergence outcome, as nothing guarantees it
-converges.  Dense operators are inverted once by LAPACK behind the
-library's relative singularity floor (``solve_dense`` for one vector).
+diagnostics for free; the Lyapunov equation is the Sylvester kernel at
+A22 = -A11.  The four-term matrix equation of the invariant-subspace Newton
+step is solved either densely (Kronecker assembly on the m(n-m)-dimensional
+parameter space) or by the alternating-Sylvester recursion, which factors
+one Sylvester operator (the other half-sweep's is its transpose) and takes
+the 1-norm separation 1/||op^-1||_1 as its gap; it has an explicit
+no-convergence outcome, as nothing guarantees it converges.  Dense
+operators are inverted once by LAPACK behind the library's relative
+singularity floor (``solve_dense`` for one vector).  ``separation_floor``
+is the one floor of the Sylvester, Lyapunov and recursive solves' separations,
+which the costs' ``separation_bound`` read too.
 
 ``solve_sylvester`` and ``solve_lyapunov`` check their blocks where they
 enter (``require_symmetric``, shapes); ``solve_sylvester_unchecked`` and
@@ -20,7 +23,7 @@ They and the recursive solver return the separation they measured too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
 
 import numpy as np
 
@@ -34,7 +37,7 @@ from .errors import (
 )
 
 __all__ = [
-    "SpectralGapReport",
+    "separation_floor",
     "solve_sylvester",
     "solve_lyapunov",
     "solve_invariant_newton_direct",
@@ -45,11 +48,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SpectralGapReport:
-    """The minimal spectral separation that a ``SpectralOverlap`` reports."""
-
-    min_gap: float
+def separation_floor(*blocks):
+    """The floor at or below which a Newton solve on the coefficient
+    ``blocks`` raises ``SpectralOverlap``: ``TOL.spectral_gap`` times the
+    largest ||block||_F, at least ``tiny``.  The solves and the costs'
+    ``separation_bound`` read it here."""
+    return TOL.spectral_gap * max(*map(frobenius_norm, blocks), sys.float_info.min)
 
 
 def solve_sylvester(a11, a22, c):
@@ -63,8 +67,8 @@ def solve_sylvester(a11, a22, c):
     NotSymmetric, DimensionMismatch
         If a block fails the entry checks.
     SpectralOverlap
-        If the spectra of A11 and A22 are closer than the relative gap
-        tolerance; carries a ``SpectralGapReport``.
+        If min |lambda_i - mu_j| is at or below ``separation_floor(A11,
+        A22)``; carries it as ``min_gap``.
     """
     a11 = require_symmetric(a11, what="A11")
     a22 = require_symmetric(a22, what="A22")
@@ -79,18 +83,19 @@ def solve_sylvester(a11, a22, c):
 
 def solve_sylvester_unchecked(a11, a22, c):
     """``solve_sylvester`` on exactly symmetric finite blocks, unchecked; returns (Z, min_gap)."""
-    lam, u = eigh_descending(a11)
-    mu, v = eigh_descending(a22)
-    gaps = np.abs(lam[:, None] - mu[None, :])
-    min_gap = float(gaps.min())
-    scale = max(frobenius_norm(a11), frobenius_norm(a22), np.finfo(float).tiny)
-    if min_gap <= TOL.spectral_gap * scale:
-        raise SpectralOverlap(
-            f"spectra of A11 and A22 overlap: min gap {min_gap:.3e}",
-            SpectralGapReport(min_gap),
-        )
-    z = u @ ((u.T @ c @ v) / (lam[:, None] - mu[None, :])) @ v.T
-    return z, min_gap
+    return _spectral_solve(*eigh_descending(a11), *eigh_descending(a22), c,
+                           separation_floor(a11, a22))
+
+
+def _spectral_solve(lam, u, mu, v, c, floor):
+    """U [ (U^T C V)_ij / (lambda_i - mu_j) ] V^T and min |lambda_i - mu_j|,
+    which must clear ``floor`` (``SpectralOverlap`` otherwise)."""
+    gaps = lam[:, None] - mu[None, :]
+    min_gap = float(np.abs(gaps).min())
+    if min_gap <= floor:
+        raise SpectralOverlap(f"spectra overlap: min gap {min_gap:.3e} at or below the floor "
+                              f"{floor:.3e}", min_gap)
+    return u @ ((u.T @ c @ v) / gaps) @ v.T, min_gap
 
 
 def solve_lyapunov(a11, c):
@@ -103,7 +108,8 @@ def solve_lyapunov(a11, c):
     NotSymmetric, DimensionMismatch
         If a block fails the entry checks.
     SpectralOverlap
-        If some eigenvalue pair of A11 nearly sums to zero.
+        If min |lambda_i + lambda_j| over the eigenvalues of A11 is at or
+        below ``separation_floor(A11)``; carries it as ``min_gap``.
     """
     a11 = require_symmetric(a11, what="A11")
     c = require_symmetric(c, what="Lyapunov right-hand side")
@@ -113,17 +119,10 @@ def solve_lyapunov(a11, c):
 
 
 def solve_lyapunov_unchecked(a11, c):
-    """``solve_lyapunov`` on exactly symmetric finite blocks, unchecked; returns (Z, min_gap)."""
+    """``solve_lyapunov`` on exactly symmetric finite blocks, unchecked; returns (Z, min_gap):
+    the Sylvester kernel at A22 = -A11 (lambda_i - (-lambda_j) rounds as lambda_i + lambda_j)."""
     lam, u = eigh_descending(a11)
-    sums = np.abs(lam[:, None] + lam[None, :])
-    min_gap = float(sums.min())
-    scale = max(frobenius_norm(a11), np.finfo(float).tiny)
-    if min_gap <= TOL.spectral_gap * scale:
-        raise SpectralOverlap(
-            f"eigenvalue pair of A11 sums to {min_gap:.3e}",
-            SpectralGapReport(min_gap),
-        )
-    z = u @ ((u.T @ c @ u) / (lam[:, None] + lam[None, :])) @ u.T
+    z, min_gap = _spectral_solve(lam, u, -lam, u, c, separation_floor(a11))
     return symmetrize(z), min_gap
 
 
@@ -229,7 +228,8 @@ def solve_invariant_newton_recursive(a11, a12, a21, a22, max_sweeps=TOL.recursiv
     ------
     SpectralOverlap
         If the separation 1/||op^-1||_1 of the Sylvester operator (far
-        below the eigenvalue gap for non-normal blocks) is below the floor.
+        below the eigenvalue gap for non-normal blocks) is at or below
+        ``separation_floor(A11, A22)``; carries it as ``min_gap``.
     NoConvergence
         If the sweep limit is reached before the update stabilizes, or at
         the first sweep whose update is not finite; carries the last finite
@@ -247,15 +247,11 @@ def solve_invariant_newton_recursive(a11, a12, a21, a22, max_sweeps=TOL.recursiv
         gap = 1.0 / np.linalg.norm(inv1, 1)
     except np.linalg.LinAlgError:
         gap = 0.0
-    scale = max(np.linalg.norm(a11), np.linalg.norm(a22), np.finfo(float).tiny)
-    if gap <= TOL.spectral_gap * scale:
-        raise SpectralOverlap(
-            f"Sylvester operator nearly singular: separation {gap:.3e}",
-            SpectralGapReport(gap),
-        )
-    # the 1-norm condition number is ||op1||_1 / gap: the singularity floor
-    if gap <= TOL.pivot * np.linalg.norm(op1, 1):
-        raise SingularOperator(f"condition number reaches 1 / {TOL.pivot:.1e}")
+    del op1  # the sweeps need only its inverse: free the d x d operator before them
+    floor = separation_floor(a11, a22)
+    if gap <= floor:
+        raise SpectralOverlap(f"Sylvester operator nearly singular: separation {gap:.3e} "
+                              f"at or below the floor {floor:.3e}", gap)
     z = np.zeros((m, k))
     residual = np.inf
     for sweep in range(1, max_sweeps + 1):

@@ -18,14 +18,15 @@ SRC = pathlib.Path(projnewton.__file__).parent
 MODULES = sorted(f"projnewton.{info.name}" for info in pkgutil.iter_modules([str(SRC)]))
 
 # moved to tests/oracles.py, or deleted as wrappers of a call the tests make
-# directly (push_frame(frame, z, chart).projector(), np.linalg.cholesky)
+# directly (push_frame(frame, z, chart).projector(), np.linalg.cholesky), or
+# of one float (SpectralGapReport: SpectralOverlap carries min_gap)
 GONE = """
     tangent_project tangent_from_param param_from_tangent geodesic distance
     distance_via_cosines distance_via_sines cayley_transform chart_point
     chart_second_derivative_check lg_tangent_project lg_tangent_from_param
     lg_param_from_tangent lg_chart_point riemannian_gradient_gr
     riemannian_gradient_lg riemannian_hessian_apply_gr riemannian_hessian_apply_lg
-    cholesky_upper NotPositiveDefinite
+    cholesky_upper NotPositiveDefinite SpectralGapReport
 """.split()
 
 
@@ -53,7 +54,8 @@ def test_moved_and_deleted_names_are_gone(name):
 def test_deleted_attributes_are_gone():
     assert not hasattr(projnewton.LagProjector, "half_dim")
     assert not hasattr(TOL, "fd_step_second")
-    assert "solvable" not in {f.name for f in dataclasses.fields(projnewton.SpectralGapReport)}
+    assert "param" not in {f.name for f in dataclasses.fields(projnewton.newton.StepInfo)}
+    assert not hasattr(projnewton.errors.SpectralOverlap("overlap", 0.0), "report")
     # the step test reads the constant TOL.step_tol, not a config field
     assert "step_tol" not in {f.name for f in dataclasses.fields(projnewton.NewtonConfig)}
     # the Hamiltonian cost only checks its structure: RayleighCost solves and bounds
@@ -71,6 +73,15 @@ def test_library_imports_nothing_from_the_tests():
             else:
                 continue
             assert not {"oracles", "conftest", "tests"} & set(roots), (path.name, roots)
+
+
+def test_the_separation_floor_is_written_once():
+    # the Newton solves and the costs' separation bounds read one floor,
+    # solvers.separation_floor; no floor elsewhere takes TOL.spectral_gap
+    readers = [path.name for path in sorted(SRC.glob("*.py"))
+               if re.search(r"\bTOL\.spectral_gap\b", path.read_text())]
+    assert readers == ["solvers.py"]
+    assert not re.search(r"\bTOL\.pivot\b", (SRC / "costs.py").read_text())
 
 
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(Tolerances)])

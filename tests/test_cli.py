@@ -141,6 +141,12 @@ class TestRayleighGr:
         ])
         assert code == 2
 
+    def test_start_file_of_the_wrong_shape_rejected(self, tmp_path, capsys):
+        path = _write_matrix(tmp_path / "a.txt", np.diag([4.0, 3.0, 2.0, 1.0]))
+        start = _write_matrix(tmp_path / "s.txt", np.eye(4)[:, :3])
+        assert main(["rayleigh-gr", path, "--m", "2", "--start", start]) == 1
+        assert "start basis must be 4x2" in capsys.readouterr().err
+
     def test_nondefault_chart_pair_converges(self, tmp_path):
         path = _write_matrix(tmp_path / "a.txt", np.diag([4.0, 3.0, 2.0, 1.0]))
         out = tmp_path / "report.json"
@@ -199,6 +205,33 @@ class TestRayleighLg:
         path = _write_matrix(tmp_path / "h.txt", np.eye(3))
         assert main(["rayleigh-lg", path]) == 1
 
+    @pytest.mark.parametrize("perturb", [[], ["--perturb", "0.05"]], ids=["at-start", "perturbed"])
+    def test_lagrangian_start_file(self, tmp_path, perturb):
+        # a non-orthonormal basis of the maximizer: the start is its QR frame
+        h = self._hamiltonian(3, 4)
+        path = _write_matrix(tmp_path / "h.txt", h)
+        _, vectors = np.linalg.eigh(h)
+        mix = np.array([[2.0, 0.3, 0.0], [0.0, 1.0, -0.5], [0.1, 0.0, 0.7]])
+        start = _write_matrix(tmp_path / "s.txt", vectors[:, ::-1][:, :3] @ mix)
+        out = tmp_path / "report.json"
+        assert main(["rayleigh-lg", path, "--start", start, *perturb, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["status"] == "Converged"
+        assert report["final"]["extra_residuals"]["lagrangian_residual"] <= 1e-9
+
+    def test_non_lagrangian_start_file_rejected(self, tmp_path, capsys):
+        path = _write_matrix(tmp_path / "h.txt", self._hamiltonian(2, 0))
+        # span(e1, e3): e1^T J e3 = 1
+        start = _write_matrix(tmp_path / "s.txt", np.eye(4)[:, [0, 2]])
+        assert main(["rayleigh-lg", path, "--start", start]) == 1
+        assert "does not span a Lagrangian subspace" in capsys.readouterr().err
+
+    def test_start_file_of_the_wrong_shape_rejected(self, tmp_path, capsys):
+        path = _write_matrix(tmp_path / "h.txt", self._hamiltonian(2, 0))
+        start = _write_matrix(tmp_path / "s.txt", np.eye(4)[:, :3])
+        assert main(["rayleigh-lg", path, "--start", start]) == 1
+        assert "start basis must be 4x2" in capsys.readouterr().err
+
     def test_structure_violation_rejected(self, tmp_path, capsys):
         path = _write_matrix(tmp_path / "h.txt", np.diag([1.0, 2.0, 3.0, 4.0]))
         assert main(["rayleigh-lg", path]) == 1
@@ -231,6 +264,12 @@ class TestInvariant:
     def test_identity_is_degenerate(self, tmp_path, capsys):
         path = _write_matrix(tmp_path / "a.txt", np.eye(4))
         assert main(["invariant", path, "--m", "2"]) == 3
+
+    def test_perturb_without_start_rejected(self, tmp_path, capsys):
+        # the random start is no reference to perturb from
+        path, _, _ = self._constructed(tmp_path)
+        assert main(["invariant", path, "--m", "2", "--perturb", "0.1"]) == 1
+        assert "needs a computable reference" in capsys.readouterr().err
 
     def test_nondefault_chart_pair_converges(self, tmp_path):
         path, start, _ = self._constructed(tmp_path)

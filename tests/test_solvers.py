@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -89,7 +88,7 @@ class TestSylvester:
         a = random_symmetric(rng, 3)
         with pytest.raises(SpectralOverlap) as info:
             solve_sylvester(a, a, np.ones((3, 3)))
-        assert info.value.report.min_gap <= 1e-12
+        assert info.value.min_gap <= 1e-12
 
 
 class TestLyapunov:
@@ -395,21 +394,37 @@ class TestSeparationEstimate:
         with pytest.raises(SpectralOverlap) as info:
             solve_invariant_newton_recursive(a11, np.zeros((2, 2)), np.zeros((2, 2)), a22)
         # the reported separation is the 1-norm one, within sqrt(d) = 2
-        assert sigma_min / 2.0 <= info.value.report.min_gap <= 2.0 * sigma_min
+        assert sigma_min / 2.0 <= info.value.min_gap <= 2.0 * sigma_min
 
-    def test_condition_floor_still_raises_singular_operator(self, monkeypatch):
-        # with the default floors the gap test fires first at any size that
-        # fits in memory; a coarse pivot floor reaches the condition test
-        monkeypatch.setattr(projnewton.solvers, "TOL", replace(TOL, pivot=1e-3))
-        a11 = np.diag([10.0, 1e-3])
-        with pytest.raises(SingularOperator, match="condition number"):
-            solve_invariant_newton_recursive(a11, np.zeros((2, 1)), np.zeros((1, 2)), np.zeros((1, 1)))
+    @pytest.mark.parametrize("m,k", [(1, 1), (2, 7), (12, 5), (40, 40)])
+    @pytest.mark.parametrize("kind", ["gaussian", "column", "row"])
+    def test_condition_floor_lies_below_the_separation_floor(self, m, k, kind):
+        # ||op1||_1 <= ||A11||_1 + ||A22||_inf <= (sqrt(m) + sqrt(k)) max ||A_ii||_F,
+        # so TOL.pivot ||op1||_1 stays below separation_floor(A11, A22) while
+        # sqrt(m) + sqrt(k) < TOL.spectral_gap / TOL.pivot = 1e4: a 1-norm
+        # condition test on op1 could never fire after the gap test passed.
+        # "column" and "row" blocks reach the norm inequalities' equality
+        gen = np.random.default_rng(1000 * m + k)
+        for scale in (1e-3, 1.0, 1e3):
+            a11 = scale * gen.standard_normal((m, m))
+            a22 = scale * gen.standard_normal((k, k))
+            if kind == "column":
+                a11[:, 1:] = 0.0
+            elif kind == "row":
+                a22[1:] = 0.0
+            op1 = np.kron(a11, np.eye(k)) - np.kron(np.eye(m), a22.T)
+            op_norm = np.linalg.norm(op1, 1)
+            # equalities up to the order of summation
+            assert op_norm <= (1.0 + 1e-12) * (np.linalg.norm(a11, 1) + np.linalg.norm(a22, np.inf))
+            largest = max(np.linalg.norm(a11), np.linalg.norm(a22))
+            assert op_norm <= (1.0 + 1e-12) * (np.sqrt(m) + np.sqrt(k)) * largest
+            assert TOL.pivot * op_norm < projnewton.solvers.separation_floor(a11, a22)
 
     def test_overlap_raised_on_identical_blocks(self):
         a = np.diag([1.0, 2.0])
         with pytest.raises(SpectralOverlap) as info:
             solve_invariant_newton_recursive(a, np.zeros((2, 2)), np.zeros((2, 2)), a)
-        assert info.value.report.min_gap == 0.0
+        assert info.value.min_gap == 0.0
 
 
 def _invariant_operator_kron_oracle(a11, a12, a21, a22):
