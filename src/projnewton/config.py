@@ -19,8 +19,9 @@ class Tolerances:
     # relative symmetry / Hamiltonian-structure defect of CLI input files,
     # and the PJP defect of a Lagrangian start basis
     input_symmetry: float = 1e-8
-    # relative floor below which a QR diagonal entry, or the reciprocal
-    # condition number of a dense operator, counts as singular
+    # relative floor below which a QR diagonal entry, or the reciprocal condition
+    # number of a dense operator (in the direct four-term solve, taken against
+    # at least the data scale max ||A_ij||_1^2), counts as singular
     pivot: float = 1e-12
     # projector defects: ||P^2 - P||, |tr P - m|
     projector: float = 1e-10
@@ -36,8 +37,6 @@ class Tolerances:
     # round-off allowance of the separation bounds that certify Converged,
     # per unit of dimension and data scale (costs.separation_bound)
     separation_roundoff: float = 8 * sys.float_info.epsilon
-    # condition-number ceiling for dense matrix-equation operators
-    condition_limit: float = 1e12
     # Newton stop: gradient norm relative to ``CostFunction.scale``
     grad_tol: float = 1e-11
     # Newton stop: step norm, an angle in radians (no data scale)

@@ -221,8 +221,8 @@ class InvariantSubspaceCost(CostFunction):
         moves by at most ||dB11||_1 + ||dB22||_inf; ||op1||_1 <= ||B11||_1 +
         ||B22||_inf.  The bound checks the point; the sweeps are not run."""
         m, step = frame.rank, b - last_b
-        op_norm = np.linalg.norm(b[:m, :m], 1) + np.linalg.norm(b[m:, m:], np.inf)
-        slack = np.linalg.norm(step[:m, :m], 1) + np.linalg.norm(step[m:, m:], np.inf)
+        op_norm = np.abs(b[:m, :m]).sum(axis=0).max() + np.abs(b[m:, m:]).sum(axis=1).max()
+        slack = np.abs(step[:m, :m]).sum(axis=0).max() + np.abs(step[m:, m:]).sum(axis=1).max()
         slack += TOL.separation_roundoff * m * (frame.dim - m) * op_norm
         return separation - slack, separation_floor(b[:m, :m], b[m:, m:])
 

@@ -200,11 +200,11 @@ def newton_step(cost: CostFunction, frame, config: NewtonConfig, solver="direct"
     at ``frame``, if at hand.  The push keeps the frame orthogonal, and a
     ``SymplecticFrame`` symplectic, without a correction step.
 
-    A step with ||Z||_F >= pi/2 has stalled (``NoConvergence``) when it
-    moves the subspace no further than ``TOL.step_tol`` or the distance's
-    round-off floor ``TOL.rate_floor`` sqrt(n): a plane turned by pi (exp at
-    sigma = pi, Cayley as sigma grows) is where it was.  Below pi/2 every
-    chart turns each plane by phi(sigma) <= sigma < pi/2, so none can stall.
+    A step with ||Z||_F >= pi/2 has stalled (``NoConvergence``) when it moves
+    the subspace no further than the distance's round-off floor ``TOL.rate_floor``
+    sqrt(n) (> ``TOL.step_tol``): a plane turned by pi (exp at sigma = pi, Cayley
+    as sigma grows) is where it was.  Below pi/2 every chart turns each plane
+    by phi(sigma) <= sigma < pi/2, so none can stall.
     """
     z, separation = cost.newton_solve(frame, solver, b)
     norm = frobenius_norm(z)
@@ -216,11 +216,10 @@ def newton_step(cost: CostFunction, frame, config: NewtonConfig, solver="direct"
     if norm >= 0.5 * np.pi:
         moved = frame_distance(pushed, frame.basis())
         floor = TOL.rate_floor * np.sqrt(frame.dim)
-        if moved <= max(TOL.step_tol, floor):
+        if moved <= floor:
             raise NoConvergence(
                 f"stalled step: the {config.nu} push moved the subspace {moved:.3e}, "
-                f"not beyond step_tol {TOL.step_tol:.1e} or the round-off floor "
-                f"{floor:.1e}, at step norm {step_norm:.3e}"
+                f"not beyond the round-off floor {floor:.1e}, at step norm {step_norm:.3e}"
             )
     return pushed, StepInfo(step_norm, separation)
 

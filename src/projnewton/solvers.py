@@ -8,11 +8,12 @@ step is solved either densely (Kronecker assembly on the m(n-m)-dimensional
 parameter space) or by the alternating-Sylvester recursion, which factors
 one Sylvester operator (the other half-sweep's is its transpose) and takes
 the 1-norm separation 1/||op^-1||_1 as its gap; it has an explicit
-no-convergence outcome, as nothing guarantees it converges.  Dense
-operators are inverted once by LAPACK behind the library's relative
-singularity floor (``solve_dense`` for one vector).  ``separation_floor``
-is the one floor of the Sylvester, Lyapunov and recursive solves' separations,
-which the costs' ``separation_bound`` read too.
+no-convergence outcome, as nothing guarantees it converges.  Both four-term
+solves check the block shapes where they enter.  Dense operators are inverted
+once by LAPACK behind the relative singularity floor ``TOL.pivot``, the direct
+four-term solve's one singularity test (``solve_dense`` for one vector).
+``separation_floor`` is the one floor of the Sylvester, Lyapunov and
+recursive solves' separations, which the costs' ``separation_bound`` read too.
 
 ``solve_sylvester`` and ``solve_lyapunov`` check their blocks where they
 enter (``require_symmetric``, shapes); ``solve_sylvester_unchecked`` and
@@ -178,39 +179,31 @@ def solve_invariant_newton_direct(a11, a12, a21, a22):
 
     Raises
     ------
+    DimensionMismatch
+        If the block shapes are not (m, m), (m, k), (k, m), (k, k).
     SingularOperator
-        If the assembled operator is singular or its condition estimate
-        exceeds the configured ceiling (degenerate Hessian).
+        If the operator is singular, or max(||op||_1, max ||A_ij||_1^2)
+        ||op^-1||_1 reaches 1 / ``TOL.pivot`` (degenerate Hessian).
     """
-    a11, a12, a21, a22 = (np.atleast_2d(np.asarray(b, dtype=float)) for b in (a11, a12, a21, a22))
-    m, k = a12.shape
-    if a11.shape != (m, m) or a22.shape != (k, k) or a21.shape != (k, m):
-        raise DimensionMismatch("inconsistent block shapes")
+    a11, a12, a21, a22 = _four_term_blocks(a11, a12, a21, a22)
     op = invariant_newton_operator(a11, a12, a21, a22)
-    rhs = invariant_newton_rhs(a11, a21, a22).reshape(-1)
-    # the operator is quadratic in the blocks; conditioning is judged
-    # against that data scale, so an operator that collapsed to round-off
-    # (every subspace invariant) counts as degenerate
-    data_scale = max(
-        np.linalg.norm(a11, 1), np.linalg.norm(a22, 1),
-        np.linalg.norm(a12, 1), np.linalg.norm(a21, 1),
-    ) ** 2
-    data_scale = max(data_scale, np.finfo(float).tiny)
-    op_norm = np.linalg.norm(op, 1)
-    if op_norm <= TOL.pivot * data_scale:
-        raise SingularOperator("Newton operator vanished at the data scale")
-    inv, inv_norm = _checked_inverse(op, op_norm)
-    sol = inv @ rhs
-    cond = data_scale * inv_norm
-    if cond > TOL.condition_limit:
-        raise SingularOperator(
-            f"Newton operator condition estimate {cond:.3e} exceeds limit"
-        )
-    return sol.reshape(m, k)
+    # the operator is quadratic in the blocks; judged against at least that data scale,
+    # an operator that collapsed to round-off (every subspace invariant) is degenerate
+    data_scale = max(_norm_1(a11), _norm_1(a22), _norm_1(a12), _norm_1(a21)) ** 2
+    inv = _checked_inverse(op, max(_norm_1(op), data_scale))
+    return (inv @ invariant_newton_rhs(a11, a21, a22).reshape(-1)).reshape(a12.shape)
 
 
-def solve_invariant_newton_recursive(a11, a12, a21, a22, max_sweeps=TOL.recursive_max_sweeps,
-                                     tol=TOL.recursive_tol):
+def _four_term_blocks(*blocks):
+    """The blocks as floats shaped (m, m), (m, k), (k, m), (k, k); else ``DimensionMismatch``."""
+    a11, a12, a21, a22 = (np.atleast_2d(np.asarray(b, dtype=float)) for b in blocks)
+    m, k = a12.shape[0], a12.shape[-1]
+    if a12.shape != (m, k) or a11.shape != (m, m) or a22.shape != (k, k) or a21.shape != (k, m):
+        raise DimensionMismatch("inconsistent block shapes")
+    return a11, a12, a21, a22
+
+
+def solve_invariant_newton_recursive(a11, a12, a21, a22):
     """Solve the four-term Newton equation by alternating Sylvester sweeps.
 
     Each sweep moves the coupling terms to the right-hand side at the
@@ -221,21 +214,23 @@ def solve_invariant_newton_recursive(a11, a12, a21, a22, max_sweeps=TOL.recursiv
 
     starting from Z' = 0.  A fixed point satisfies the direct equation.
     The sweeps contract when the coupling blocks are small (near an
-    invariant subspace); otherwise ``NoConvergence`` is raised and the
-    caller may fall back to the direct solver.  Returns Z and the separation.
+    invariant subspace); otherwise ``NoConvergence`` is raised, which ends
+    the Newton run.  Returns Z and the separation.
 
     Raises
     ------
+    DimensionMismatch
+        If the block shapes are not (m, m), (m, k), (k, m), (k, k).
     SpectralOverlap
         If the separation 1/||op^-1||_1 of the Sylvester operator (far
         below the eigenvalue gap for non-normal blocks) is at or below
         ``separation_floor(A11, A22)``; carries it as ``min_gap``.
     NoConvergence
-        If the sweep limit is reached before the update stabilizes, or at
-        the first sweep whose update is not finite; carries the last finite
-        relative update.
+        If no relative update of the first ``TOL.recursive_max_sweeps`` sweeps
+        falls to ``TOL.recursive_tol``, or at the first sweep whose update is
+        not finite; carries the last finite relative update.
     """
-    a11, a12, a21, a22 = (np.atleast_2d(np.asarray(b, dtype=float)) for b in (a11, a12, a21, a22))
+    a11, a12, a21, a22 = _four_term_blocks(a11, a12, a21, a22)
     m, k = a12.shape
     c = invariant_newton_rhs(a11, a21, a22)
     # op1 = A11 (x) I - I (x) A22^T; op1^T is the second half-sweep's A11^T (x) I - I (x) A22
@@ -244,7 +239,7 @@ def solve_invariant_newton_recursive(a11, a12, a21, a22, max_sweeps=TOL.recursiv
     op1.reshape(m, k, m, k)[np.arange(m), :, np.arange(m), :] -= a22.T
     try:
         inv1 = np.linalg.inv(op1)
-        gap = 1.0 / np.linalg.norm(inv1, 1)
+        gap = 1.0 / _norm_1(inv1)
     except np.linalg.LinAlgError:
         gap = 0.0
     del op1  # the sweeps need only its inverse: free the d x d operator before them
@@ -254,7 +249,7 @@ def solve_invariant_newton_recursive(a11, a12, a21, a22, max_sweeps=TOL.recursiv
                               f"at or below the floor {floor:.3e}", gap)
     z = np.zeros((m, k))
     residual = np.inf
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, TOL.recursive_max_sweeps + 1):
         rhs = c + a21.T @ (z.T @ a12 + a21 @ z) + (a12 @ z.T + z @ a21) @ a21.T
         z_new = (inv1.T @ (inv1 @ rhs.reshape(-1))).reshape(m, k)
         # a diverging sweep overflows in these norms first; stop on it below
@@ -267,7 +262,7 @@ def solve_invariant_newton_recursive(a11, a12, a21, a22, max_sweeps=TOL.recursiv
             )
         residual = update
         z = z_new
-        if residual <= tol:
+        if residual <= TOL.recursive_tol:
             return z, gap
     raise NoConvergence(
         f"recursive sweeps did not settle, last relative update {residual:.3e}",
@@ -292,21 +287,25 @@ def solve_dense(h, g):
     d = a.shape[0]
     if b.shape != (d,):
         raise DimensionMismatch(f"right-hand side must have shape ({d},)")
-    return _checked_inverse(a, np.linalg.norm(a, 1))[0] @ b
+    return _checked_inverse(a, _norm_1(a)) @ b
 
 
 def _checked_inverse(a, a_norm):
-    """LAPACK inverse of a square operator of 1-norm ``a_norm``, and its 1-norm, behind
-    the relative singularity floor: ``SingularOperator`` if ``a`` is exactly
-    singular or its 1-norm condition number reaches 1 / ``TOL.pivot``."""
+    """LAPACK inverse of a square operator of 1-norm (or scale) ``a_norm``, behind the
+    relative singularity floor: ``SingularOperator`` if ``a`` is exactly singular or
+    ``a_norm`` ||a^-1||_1 reaches 1 / ``TOL.pivot``."""
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise SingularOperator(f"operator is singular: {exc}") from exc
-    inv_norm = np.linalg.norm(inv, 1)
-    cond = a_norm * inv_norm
+    cond = a_norm * _norm_1(inv)
     if cond * TOL.pivot >= 1.0:
         raise SingularOperator(
             f"condition number {cond:.3e} reaches 1 / {TOL.pivot:.1e}"
         )
-    return inv, inv_norm
+    return inv
+
+
+def _norm_1(x):
+    """||x||_1, the largest column sum of |x|: np.linalg.norm's sum without its dispatch."""
+    return np.abs(x).sum(axis=0).max()

@@ -84,6 +84,26 @@ def test_the_separation_floor_is_written_once():
     assert not re.search(r"\bTOL\.pivot\b", (SRC / "costs.py").read_text())
 
 
+def _functions_where(path, found):
+    """Names of the functions in ``path`` whose body has a node for which ``found`` holds."""
+    tree = ast.parse(path.read_text())
+    return {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+            and any(found(inner) for inner in ast.walk(node))}
+
+
+def test_one_singularity_floor_for_dense_operators():
+    # the direct four-term solve's singularity test is _checked_inverse's,
+    # against at least the data scale; no condition ceiling sits beside it
+    assert "condition_limit" not in {f.name for f in dataclasses.fields(Tolerances)}
+    reads_pivot = {name for path in sorted(SRC.glob("*.py")) for name in _functions_where(
+        path, lambda node: isinstance(node, ast.Attribute) and node.attr == "pivot"
+        and isinstance(node.value, ast.Name) and node.value.id == "TOL")}
+    assert reads_pivot == {"_checked_inverse", "qr_positive"}
+    raises_singular = _functions_where(SRC / "solvers.py", lambda node: isinstance(node, ast.Raise)
+                                       and "SingularOperator" in ast.unparse(node.exc))
+    assert raises_singular == {"_checked_inverse"}
+
+
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(Tolerances)])
 def test_every_tolerance_is_read(field):
     source = "\n".join(path.read_text() for path in sorted(SRC.glob("*.py")))

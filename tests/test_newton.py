@@ -665,6 +665,11 @@ class TestLongSteps:
             with pytest.raises(NoConvergence, match="stalled step: the exp push moved"):
                 newton_step(_FixedStep(np.pi * np.eye(n // 2)), frame, NewtonConfig(nu="exp"))
 
+    def test_stall_floor_exceeds_step_tol(self):
+        # the stalled-step test compares with TOL.rate_floor sqrt(n) alone: every
+        # frame has n >= 2, where that floor lies above TOL.step_tol
+        assert TOL.rate_floor * np.sqrt(2.0) > TOL.step_tol
+
     def test_stalled_run_ends_after_one_step(self):
         # with step_tol alone as the test, this start ran to MaxIters: the
         # stalled step measured 1.0e-15

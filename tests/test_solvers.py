@@ -1,5 +1,6 @@
 """Matrix-equation solver tests against brute-force vectorized oracles."""
 
+import dataclasses
 import inspect
 import os
 import subprocess
@@ -14,7 +15,13 @@ import projnewton
 import projnewton.solvers
 from projnewton.config import TOL
 from projnewton.decomp import require_symmetric, sym_eig, symmetrize
-from projnewton.errors import NoConvergence, NotSymmetric, SingularOperator, SpectralOverlap
+from projnewton.errors import (
+    DimensionMismatch,
+    NoConvergence,
+    NotSymmetric,
+    SingularOperator,
+    SpectralOverlap,
+)
 from projnewton.grassmann import random_projector
 from projnewton.solvers import (
     _kron_sum,
@@ -212,11 +219,104 @@ class TestInvariantDirect:
             solve_invariant_newton_direct(eye[:1, :1], np.zeros((1, 1)), np.zeros((1, 1)), eye[:1, :1])
 
 
+@pytest.mark.parametrize("solver", [solve_invariant_newton_direct, solve_invariant_newton_recursive],
+                         ids=["direct", "recursive"])
+@pytest.mark.parametrize("block,shape", [
+    ("a21", (2, 3)), ("a22", (2, 2)), ("a11", (3, 3)), ("a22", (3, 2)), ("a12", (3, 2)),
+    ("a12", (2, 1, 3)),
+], ids=["a21-m-by-k", "a22-m-by-m", "a11-k-by-k", "a22-not-square", "a12-k-by-m", "a12-3d"])
+def test_four_term_solvers_check_block_shapes(solver, block, shape):
+    # m = 2, k = 3: A11 2x2, A12 2x3, A21 3x2, A22 3x3; one block of a wrong shape
+    gen = np.random.default_rng(3)
+    blocks = {"a11": gen.standard_normal((2, 2)) + 3.0 * np.eye(2), "a12": gen.standard_normal((2, 3)),
+              "a21": 0.1 * gen.standard_normal((3, 2)), "a22": gen.standard_normal((3, 3)) - 3.0 * np.eye(3)}
+    solver(*blocks.values())
+    blocks[block] = gen.standard_normal(shape)
+    with pytest.raises(DimensionMismatch, match="inconsistent block shapes"):
+        solver(*(b.tolist() for b in blocks.values()))
+
+
+def _four_term_cases(count, seed):
+    """Random blocks with (m, k) <= 4, scaled 1e-3 to 1e3, from near-scalar A,
+    shared eigenvalues of A11 and A22, rank one plus noise, and generic A; the
+    noise level eps spreads the direct operator's condition across 1 / TOL.pivot."""
+    gen = np.random.default_rng(seed)
+    for case in range(count):
+        m, k = (int(d) for d in gen.integers(1, 5, 2))
+        n, kind, eps = m + k, case % 4, 10.0 ** gen.uniform(-9.0, -2.0)
+        noise = gen.standard_normal((n, n))
+        if kind == 0:
+            a = np.eye(n) + eps * noise
+        elif kind == 1:
+            # block diagonal up to eps, A11 and A22 sharing one eigenvalue
+            lam = gen.standard_normal(n)
+            lam[m] = lam[0]
+            q1, q2 = (np.linalg.qr(gen.standard_normal((d, d)))[0] for d in (m, k))
+            a = eps * noise
+            a[:m, :m] += (q1 * lam[:m]) @ q1.T
+            a[m:, m:] += (q2 * lam[m:]) @ q2.T
+        elif kind == 2:
+            a = np.outer(gen.standard_normal(n), gen.standard_normal(n)) + eps * noise
+        else:
+            a = noise
+        a *= 10.0 ** gen.uniform(-3.0, 3.0)
+        # contiguous copies: a matmul on a strided view may sum in another order
+        yield [np.array(b) for b in (a[:m, :m], a[:m, m:], a[m:, :m], a[m:, m:])]
+
+
+def _direct_outcome(blocks):
+    try:
+        return solve_invariant_newton_direct(*blocks)
+    except SingularOperator:
+        return None
+
+
+class TestDirectSingularity:
+    """The direct solve's one singularity test: LAPACK's exact singularity, or
+    max(||L||_1, data scale) ||L^-1||_1 >= 1 / TOL.pivot, the data scale
+    being max ||A_ij||_1^2."""
+
+    def test_outcome_is_scale_invariant(self):
+        # a power-of-two scale c of the blocks scales L by c^2 and L^-1 and the
+        # right-hand side exactly: the status and the bits of Z do not change
+        gen = np.random.default_rng(11)
+        singular = 0
+        for blocks in _four_term_cases(400, 1):
+            z = _direct_outcome(blocks)
+            singular += z is None
+            for j in gen.integers(-20, 21, 5):
+                z_scaled = _direct_outcome([2.0 ** j * b for b in blocks])
+                assert (z is None) == (z_scaled is None)
+                assert z is None or np.array_equal(z, z_scaled)
+        assert 0 < singular < 400
+
+    def test_raises_exactly_on_the_criterion(self):
+        outcomes, by_scale = set(), 0
+        for blocks in _four_term_cases(1000, 2):
+            op = invariant_newton_operator(*blocks)
+            data_scale = max(np.linalg.norm(b, 1) for b in blocks) ** 2
+            try:
+                inv_norm = np.linalg.norm(np.linalg.inv(op), 1)
+            except np.linalg.LinAlgError:
+                singular = True
+            else:
+                op_norm = np.linalg.norm(op, 1)
+                singular = max(op_norm, data_scale) * inv_norm * TOL.pivot >= 1.0
+                by_scale += singular and op_norm * inv_norm * TOL.pivot < 1.0
+            assert (_direct_outcome(blocks) is None) == singular
+            outcomes.add(singular)
+        # both outcomes occur, and the data scale decides some of them
+        assert outcomes == {True, False}
+        assert by_scale > 0
+
+
 class TestInvariantRecursive:
     def test_sweep_limits_come_from_config(self):
+        # the sweeps read TOL when called; the solver takes no limits of its own
         params = inspect.signature(solve_invariant_newton_recursive).parameters
-        assert params["tol"].default == TOL.recursive_tol == 1e-12
-        assert params["max_sweeps"].default == TOL.recursive_max_sweeps == 100
+        assert not {"max_sweeps", "tol"} & set(params)
+        assert TOL.recursive_tol == 1e-12
+        assert TOL.recursive_max_sweeps == 100
 
     def test_zero_rhs_one_sweep(self, rng):
         a11 = rng.standard_normal((2, 2)) + 3.0 * np.eye(2)
@@ -235,14 +335,15 @@ class TestInvariantRecursive:
             z_dir = solve_invariant_newton_direct(a11, a12, a21, a22)
             assert np.abs(z_rec - z_dir).max() <= 1e-6 * max(1.0, np.abs(z_dir).max())
 
-    def test_no_convergence_reported(self, rng):
-        # strong coupling defeats the contraction
+    def test_no_convergence_reported(self, monkeypatch):
+        # strong coupling defeats the contraction: 20 sweeps do not settle it
+        monkeypatch.setattr(projnewton.solvers, "TOL", dataclasses.replace(TOL, recursive_max_sweeps=20))
         a11 = np.eye(2) * 2.0
         a22 = -np.eye(2) * 2.0
         a12 = 10.0 * np.ones((2, 2))
         a21 = 10.0 * np.ones((2, 2))
-        with pytest.raises(NoConvergence) as info:
-            solve_invariant_newton_recursive(a11, a12, a21, a22, max_sweeps=20)
+        with pytest.raises(NoConvergence, match="did not settle") as info:
+            solve_invariant_newton_recursive(a11, a12, a21, a22)
         assert info.value.residual is not None
 
     def test_stops_at_the_first_overflowing_sweep(self):
@@ -309,11 +410,13 @@ class TestOperatorInverses:
     @staticmethod
     def _sweeps(blocks):
         for sweeps in range(1, 100):
-            try:
-                solve_invariant_newton_recursive(*blocks, max_sweeps=sweeps)
-                return sweeps
-            except NoConvergence:
-                pass
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(projnewton.solvers, "TOL", dataclasses.replace(TOL, recursive_max_sweeps=sweeps))
+                try:
+                    solve_invariant_newton_recursive(*blocks)
+                    return sweeps
+                except NoConvergence:
+                    pass
         raise AssertionError("recursion did not settle in 99 sweeps")
 
     @staticmethod
