@@ -40,7 +40,6 @@ from .newton import (
 from .solvers import (
     solve_dense,
     solve_invariant_newton_direct,
-    solve_invariant_newton_recursive,
     solve_lyapunov,
     solve_sylvester,
 )

@@ -251,7 +251,6 @@ def _run_report(command, args, cost, start_frame, reference, method, extra_fn):
             "seed": args.seed,
             "start": args.start,
             "perturb": args.perturb,
-            "solver": getattr(args, "solver", None),
         },
         "iterations": _trace_rows(trace),
         "status": trace.status,
@@ -316,7 +315,7 @@ def _cmd_invariant(args):
         residuals = trace.extras["invariance_residuals"]
         return {"invariance_residual": residuals[-1], "invariance_history": residuals}
 
-    return _run_report("invariant", args, cost, start, None, f"invariant-{args.solver}", extras)
+    return _run_report("invariant", args, cost, start, None, "invariant-direct", extras)
 
 
 def _nonneg_int(text):
@@ -333,7 +332,7 @@ def _nonneg_float(text):
     return value
 
 
-def _add_common(parser, need_m, solver=False):
+def _add_common(parser, need_m):
     parser.add_argument("matrix", help="path to the matrix file")
     if need_m:
         parser.add_argument("--m", type=int, required=True, help="subspace dimension")
@@ -354,9 +353,6 @@ def _add_common(parser, need_m, solver=False):
     parser.add_argument("--perturb", type=_nonneg_float, default=None,
                         help="rotate the start away by this geodesic distance")
     parser.add_argument("--out", default=None, help="write the JSON report here")
-    if solver:
-        parser.add_argument("--solver", default="direct", choices=("direct", "recursive"),
-                            help="matrix-equation solver for the Newton step")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -379,7 +375,7 @@ _COMMANDS = {
     "rayleigh-lg": ("optimize tr(H P) over Lagrangian projectors",
                     partial(_add_common, need_m=False), _cmd_rayleigh_lg),
     "invariant": ("compute an invariant subspace of a square matrix",
-                  partial(_add_common, need_m=True, solver=True), _cmd_invariant),
+                  partial(_add_common, need_m=True), _cmd_invariant),
 }
 
 

@@ -21,7 +21,8 @@ class Tolerances:
     input_symmetry: float = 1e-8
     # relative floor below which a QR diagonal entry, or the reciprocal condition
     # number of a dense operator (in the direct four-term solve, taken against
-    # at least the data scale max ||A_ij||_1^2), counts as singular
+    # at least the data scale max ||A_ij||_1^2), counts as singular; it scales
+    # the four-term operator's separation floor too (solvers.four_term_floor)
     pivot: float = 1e-12
     # projector defects: ||P^2 - P||, |tr P - m|
     projector: float = 1e-10
@@ -31,8 +32,7 @@ class Tolerances:
     frame_reconstruction: float = 1e-9
     # ||P J P|| for Lagrangian projectors, ||Theta^T J Theta - J|| for frames
     lagrangian: float = 1e-10
-    # relative floor on Sylvester / Lyapunov spectral gaps and on the
-    # recursive four-term solver's 1-norm separation 1/||op^-1||_1
+    # relative floor on Sylvester / Lyapunov spectral gaps
     spectral_gap: float = 1e-8
     # round-off allowance of the separation bounds that certify Converged,
     # per unit of dimension and data scale (costs.separation_bound)
@@ -41,11 +41,6 @@ class Tolerances:
     grad_tol: float = 1e-11
     # Newton stop: step norm, an angle in radians (no data scale)
     step_tol: float = 1e-15
-    # recursive four-term solver: a sweep whose update, relative to the
-    # iterate, falls to recursive_tol ends the solve; after
-    # recursive_max_sweeps sweeps it raises NoConvergence
-    recursive_tol: float = 1e-12
-    recursive_max_sweeps: int = 100
     # quadratic-rate verdict: the least-squares slope of log e_{k+1} against
     # log e_k reaches rate_slope, and no ratio e_{k+1} / e_k^2 exceeds the
     # one before it by more than the factor rate_growth

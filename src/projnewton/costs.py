@@ -19,8 +19,8 @@ the Newton solves symmetrize the blocks they cut from B and call the
 solvers' unchecked cores (``solve_sylvester_unchecked``,
 ``solve_lyapunov_unchecked``) instead of checking them again.  The
 separation bounds are Weyl's and the Banach lemma (Stewart & Sun 1990); the
-floor they must clear is the solvers' ``separation_floor`` of the blocks the
-Newton solve would see.
+floor they must clear is the solvers' floor of the blocks or operator the
+Newton solve would see (``separation_floor``, ``four_term_floor``).
 """
 
 from __future__ import annotations
@@ -34,11 +34,11 @@ from .decomp import frobenius_norm, require_symmetric, symmetrize
 from .errors import DimensionMismatch, NotSymmetric, ScaleOverflow
 from .lagrange import SymplecticFrame, sympl_form
 from .solvers import (
+    four_term_floor,
     invariant_newton_rhs,
     separation_floor,
     solve_dense,
     solve_invariant_newton_direct,
-    solve_invariant_newton_recursive,
     solve_lyapunov_unchecked,
     solve_sylvester_unchecked,
 )
@@ -76,7 +76,7 @@ class CostFunction:
         g = frame.theta @ self.ambient_gradient(p) @ frame.theta.T
         return self.value(p), g[: frame.rank, frame.rank :], g
 
-    def newton_solve(self, frame, solver="direct", b=None):
+    def newton_solve(self, frame, b=None):
         """Newton tangent parameter Z at ``frame``: Hess(Z) = -grad in frame
         coordinates (Absil, Mahony & Sepulchre 2008, ch. 6), and the
         separation its solver measured (None: no ``separation_bound``).
@@ -84,8 +84,8 @@ class CostFunction:
         With G = Theta grad_F Theta^T (``b`` when given), the gradient is G12
         and the Hessian maps Z to (Theta Hess_F(xi) Theta^T)_12 - (G11 Z -
         Z G22), where xi = Theta^T [[0, Z], [Z^T, 0]] Theta.  Its d x d
-        matrix, d = m(n-m), is assembled column by column and solved densely;
-        ``solver`` is unused.  Grassmann frames only.
+        matrix, d = m(n-m), is assembled column by column and solved densely.
+        Grassmann frames only.
         """
         if isinstance(frame, SymplecticFrame):
             raise ValueError("the dense Newton fallback operates on Grassmann frames")
@@ -141,7 +141,7 @@ class RayleighCost(CostFunction):
         b12 = symmetrize(b[:m, m:]) if isinstance(frame, SymplecticFrame) else b[:m, m:]
         return float(np.trace(b[:m, :m])), b12, b
 
-    def newton_solve(self, frame, solver="direct", b=None):
+    def newton_solve(self, frame, b=None):
         """Algorithm 1: B11 Z - Z B22 = B12 (B is ``b`` if given); on a symplectic
         frame, Algorithm 2: its projection onto symmetric Z, the Lyapunov
         equation M Z + Z M = sym(B12) with M = (B11 - B22) / 2, for any A."""
@@ -200,31 +200,38 @@ class InvariantSubspaceCost(CostFunction):
         b21 = b[m:, :m]
         return float(np.sum(b21 * b21)), invariant_newton_rhs(b[:m, :m], b21, b[m:, m:]), b
 
-    def newton_solve(self, frame, solver="direct", b=None):
+    def newton_solve(self, frame, b=None):
         """Algorithm 3: minus the solution of the four-term equation, solved
-        densely (``solver="direct"``) or by alternating Sylvester sweeps
-        (``"recursive"``); B is ``b`` if given.  Grassmann frames only."""
+        densely, and the separation 1/||L^-1||_1 of its operator L; B is ``b``
+        if given.  Grassmann frames only."""
         if isinstance(frame, SymplecticFrame):
             raise ValueError("the invariant-subspace Newton solve operates on Grassmann frames")
         m = frame.rank
         b = frame.theta @ self.a @ frame.theta.T if b is None else b
-        blocks = b[:m, :m], b[:m, m:], b[m:, :m], b[m:, m:]
-        if solver == "direct":
-            return -solve_invariant_newton_direct(*blocks), None
-        if solver == "recursive":
-            z, separation = solve_invariant_newton_recursive(*blocks)
-            return -z, separation
-        raise ValueError(f"unknown solver {solver!r}, expected 'direct' or 'recursive'")
+        z, separation = solve_invariant_newton_direct(b[:m, :m], b[:m, m:], b[m:, :m], b[m:, m:])
+        return -z, separation
 
     def separation_bound(self, frame, b, last_b, separation):
-        """Recursive Algorithm 3: 1/||op1^-1||_1, op1 = B11 (x) I - I (x) B22^T,
-        moves by at most ||dB11||_1 + ||dB22||_inf; ||op1||_1 <= ||B11||_1 +
-        ||B22||_inf.  The bound checks the point; the sweeps are not run."""
-        m, step = frame.rank, b - last_b
-        op_norm = np.abs(b[:m, :m]).sum(axis=0).max() + np.abs(b[m:, m:]).sum(axis=1).max()
-        slack = np.abs(step[:m, :m]).sum(axis=0).max() + np.abs(step[m:, m:]).sum(axis=1).max()
-        slack += TOL.separation_roundoff * m * (frame.dim - m) * op_norm
-        return separation - slack, separation_floor(b[:m, :m], b[m:, m:])
+        """Algorithm 3: 1/||L^-1||_1 moves by at most ||dL||_1 (Banach lemma).
+
+        L = G (x) I + I (x) H - B11 (x) B22 - B11^T (x) B22^T - (the two Z^T
+        terms, in B21^T, B12^T and in B12, B21), with G = B11 B11^T - B21^T B21
+        and H = B22^T B22 - B21 B21^T (``solvers.invariant_newton_operator``).
+        Every term, the Z^T ones too, has 1-norm at most ||X||_1 ||Y||_1 <=
+        sqrt(rows X rows Y) ||X||_F ||Y||_F, and its change splits as
+        dX (x) Y' + X (x) dY.  With delta = ||dB||_F and ||B||_F = ||A||_F,
+        ||dG||_F and ||dH||_F are at most 2 delta 2 ||A||_F, so
+
+            ||dL||_1 <= (2 sqrt(m) + 2 sqrt(k) + 4 sqrt(d)) delta 2 ||A||_F
+                     <= 16 sqrt(d) delta ||A||_F,    d = m k,
+
+        less round-off per unit of d and of ||L||_1 <= 3 sqrt(d) ||A||_F^2.
+        The floor is ``four_term_floor``, at least the solve's singularity test."""
+        m, k = frame.rank, frame.dim - frame.rank
+        root_d = np.sqrt(m * k)
+        slack = 16.0 * root_d * frobenius_norm(b - last_b) * np.sqrt(self.scale)
+        slack += TOL.separation_roundoff * m * k * 3.0 * root_d * self.scale
+        return separation - slack, four_term_floor(m, k, self.scale)
 
 
 @dataclass(frozen=True)

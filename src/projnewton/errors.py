@@ -20,7 +20,7 @@ class ScaleOverflow(ProjNewtonError):
 
 
 class ConvergenceFailure(ProjNewtonError):
-    """An iterative kernel exhausted its sweep budget."""
+    """LAPACK's symmetric eigensolver did not converge (``decomp.eigh_descending``)."""
 
 
 class NotSymmetric(ProjNewtonError):
@@ -36,8 +36,8 @@ class BadRank(ProjNewtonError):
 
 
 class SpectralOverlap(ProjNewtonError):
-    """The separation of a Sylvester, Lyapunov or recursive four-term solve
-    is at or below its floor (``solvers.separation_floor``).
+    """The separation of a Sylvester or Lyapunov solve is at or below its
+    floor (``solvers.separation_floor``).
 
     Carries the measured separation ``min_gap``.
     """
@@ -52,14 +52,8 @@ class SingularOperator(ProjNewtonError):
 
 
 class NoConvergence(ProjNewtonError):
-    """The recursive matrix-equation sweep did not settle.
-
-    Carries the last relative update ``residual``.
-    """
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """A Newton step cannot be pushed forward (not finite, or its Z Z^T
+    overflows), or it has stalled: a long step left the subspace in place."""
 
 
 class InsufficientData(ProjNewtonError):

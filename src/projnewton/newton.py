@@ -193,7 +193,7 @@ def rate_from_trace(trace: NewtonTrace) -> QuadraticRateEstimate:
     return estimate_quadratic_rate(errors)
 
 
-def newton_step(cost: CostFunction, frame, config: NewtonConfig, solver="direct", b=None):
+def newton_step(cost: CostFunction, frame, config: NewtonConfig, b=None):
     """One Newton step: the cost's Newton solve in frame coordinates, pushed
     forward with the ``nu`` chart (a non-finite step, or one whose Z Z^T
     overflows: ``NoConvergence``); ``b`` is the data of ``cost.frame_terms``
@@ -206,7 +206,7 @@ def newton_step(cost: CostFunction, frame, config: NewtonConfig, solver="direct"
     as sigma grows) is where it was.  Below pi/2 every chart turns each plane
     by phi(sigma) <= sigma < pi/2, so none can stall.
     """
-    z, separation = cost.newton_solve(frame, solver, b)
+    z, separation = cost.newton_solve(frame, b)
     norm = frobenius_norm(z)
     step_norm = float(np.sqrt(2.0) * norm)
     try:
@@ -253,8 +253,8 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
         (its ``basis()``, a copy of the rows: no eigendecomposition).  When
         given, distances measure to it; otherwise to the final iterate.
     method : str
-        One of ``METHODS``.  The cost determines the Newton equation;
-        ``invariant-recursive`` selects the recursive four-term solver.
+        One of ``METHODS``.  The cost determines the Newton equation and its
+        solve: the name is checked, and selects nothing.
 
     Returns
     -------
@@ -267,7 +267,6 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
-    solver = "recursive" if method == "invariant-recursive" else "direct"
     trace = NewtonTrace()
     trace.distance_reference = "supplied" if reference is not None else "final"
     frame = replace(start)  # re-runs the entry checks: pushes skip them
@@ -298,14 +297,14 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
                 if bound is not None and bound[0] > bound[1]:
                     trace.extras["certified_by"] = "bound"
                 else:
-                    cost.newton_solve(frame, solver, b)
+                    cost.newton_solve(frame, b)
                     trace.extras["certified_by"] = "solve"
                 trace.status = Status.CONVERGED
                 break
             if iteration == config.max_iters:
                 trace.status = Status.MAX_ITERS
                 break
-            frame, info = newton_step(cost, frame, config, solver, b)
+            frame, info = newton_step(cost, frame, config, b)
         except SpectralOverlap:
             trace.status = Status.SPECTRAL_OVERLAP
             break

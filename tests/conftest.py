@@ -16,6 +16,14 @@ else:
     settings.load_profile("projnewton")
 
 
+# a Newton step of norm ~1.9e154 on Gr(2, 6): its sum of squares overflows,
+# its sigma_max^2 (1.7e308) does not, so every chart can push it
+LONG_STEP = np.array([
+    [3.9221831029637414e+153, 3.4712853130772397e+153, 1.0553232387396958e+153, -1.0696857508103120e+152],
+    [7.6506021655121645e+153, 7.8137166019757931e+153, -2.5008147156300203e+152, 5.7622056337666854e+153],
+])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

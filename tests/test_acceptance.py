@@ -38,7 +38,6 @@ from projnewton.newton import (
 from projnewton.solvers import (
     invariant_newton_rhs,
     solve_invariant_newton_direct,
-    solve_invariant_newton_recursive,
     solve_lyapunov,
     solve_sylvester,
 )
@@ -303,7 +302,7 @@ def test_criterion_4_derivative_oracles():
 
 
 def test_criterion_5_solver_suite():
-    worst_syl = worst_lya = worst_inv = worst_rec = 0.0
+    worst_syl = worst_lya = worst_inv = 0.0
     # Sylvester up to d = 64
     for m, k, seed in ((4, 4, 0), (8, 8, 1), (8, 8, 2)):
         gen = np.random.default_rng(seed)
@@ -323,15 +322,15 @@ def test_criterion_5_solver_suite():
         op = np.kron(a11, np.eye(n)) + np.kron(np.eye(n), a11)
         oracle = np.linalg.solve(op, c.reshape(-1)).reshape(n, n)
         worst_lya = max(worst_lya, np.abs(z - oracle).max())
-    # four-term direct solver up to d = 64; coupling kept weak so the
-    # alternating sweeps are contractive (well-conditioned instances)
+    # four-term direct solver up to d = 64; coupling kept weak
+    # (well-conditioned instances)
     for m, k, seed in ((2, 2, 5), (4, 4, 6), (8, 8, 7)):
         gen = np.random.default_rng(seed)
         a11 = gen.standard_normal((m, m)) + 4.0 * np.eye(m)
         a22 = gen.standard_normal((k, k)) - 4.0 * np.eye(k)
         a12 = gen.standard_normal((m, k))
         a21 = (0.3 / k) * gen.standard_normal((k, m))
-        z = solve_invariant_newton_direct(a11, a12, a21, a22)
+        z = solve_invariant_newton_direct(a11, a12, a21, a22)[0]
         d = m * k
         op = np.zeros((d, d))
         for j in range(d):
@@ -346,24 +345,21 @@ def test_criterion_5_solver_suite():
             ).reshape(-1)
         oracle = np.linalg.solve(op, invariant_newton_rhs(a11, a21, a22).reshape(-1)).reshape(m, k)
         worst_inv = max(worst_inv, np.abs(z - oracle).max())
-        z_rec = solve_invariant_newton_recursive(a11, a12, a21, a22)[0]
-        worst_rec = max(worst_rec, np.abs(z_rec - z).max())
     # overlap detection on identical blocks
     overlap_raised = False
     try:
         solve_sylvester(np.diag([1.0, 2.0]), np.diag([1.0, 2.0]), np.ones((2, 2)))
     except SpectralOverlap:
         overlap_raised = True
-    ok = worst_syl <= 1e-9 and worst_lya <= 1e-9 and worst_inv <= 1e-9 and worst_rec <= 1e-6 and overlap_raised
+    ok = worst_syl <= 1e-9 and worst_lya <= 1e-9 and worst_inv <= 1e-9 and overlap_raised
     _report(
         f"C5 solver suite: sylvester {worst_syl:.2e}, lyapunov {worst_lya:.2e}, "
-        f"direct {worst_inv:.2e} (<=1e-9), recursive-vs-direct {worst_rec:.2e} (<=1e-6), "
+        f"direct {worst_inv:.2e} (<=1e-9), "
         f"overlap raised {overlap_raised}: " + ("PASS" if ok else "FAIL")
     )
     assert worst_syl <= 1e-9
     assert worst_lya <= 1e-9
     assert worst_inv <= 1e-9
-    assert worst_rec <= 1e-6
     assert overlap_raised
 
 
@@ -476,8 +472,7 @@ def test_criterion_9_specialization_consistency():
         frame = perturb_frame(frame_from_projector(target), 0.05, 6000 + seed)
         cost = InvariantSubspaceCost(a)
         z_gen = CostFunction.newton_solve(cost, frame)[0]
-        for solver in ("direct", "recursive"):
-            worst = max(worst, np.abs(z_gen - cost.newton_solve(frame, solver)[0]).max())
+        worst = max(worst, np.abs(z_gen - cost.newton_solve(frame)[0]).max())
     _report(
         f"C9 dense fallback vs the cost's own Newton solve: worst difference "
         f"{worst:.2e} (<=1e-9): "

@@ -5,28 +5,33 @@ the library, and every tolerance the library declares is read by it."""
 import ast
 import dataclasses
 import importlib
+import inspect
 import pathlib
 import pkgutil
 import re
 
+import numpy as np
 import pytest
 
 import projnewton
 from projnewton.config import TOL, Tolerances
+from projnewton.newton import METHODS
 
 SRC = pathlib.Path(projnewton.__file__).parent
 MODULES = sorted(f"projnewton.{info.name}" for info in pkgutil.iter_modules([str(SRC)]))
 
 # moved to tests/oracles.py, or deleted as wrappers of a call the tests make
 # directly (push_frame(frame, z, chart).projector(), np.linalg.cholesky), or
-# of one float (SpectralGapReport: SpectralOverlap carries min_gap)
+# of one float (SpectralGapReport: SpectralOverlap carries min_gap); the
+# alternating-Sylvester four-term solver, as the dense solve is certified by
+# its own bound
 GONE = """
     tangent_project tangent_from_param param_from_tangent geodesic distance
     distance_via_cosines distance_via_sines cayley_transform chart_point
     chart_second_derivative_check lg_tangent_project lg_tangent_from_param
     lg_param_from_tangent lg_chart_point riemannian_gradient_gr
     riemannian_gradient_lg riemannian_hessian_apply_gr riemannian_hessian_apply_lg
-    cholesky_upper NotPositiveDefinite SpectralGapReport
+    cholesky_upper NotPositiveDefinite SpectralGapReport solve_invariant_newton_recursive
 """.split()
 
 
@@ -60,6 +65,33 @@ def test_deleted_attributes_are_gone():
     assert "step_tol" not in {f.name for f in dataclasses.fields(projnewton.NewtonConfig)}
     # the Hamiltonian cost only checks its structure: RayleighCost solves and bounds
     assert not {"newton_solve", "separation_bound"} & set(vars(projnewton.HamiltonianRayleighCost))
+    # one four-term solver: no sweep limits, no sweep residual, nothing to choose
+    assert not {"recursive_tol", "recursive_max_sweeps"} & {f.name for f in dataclasses.fields(Tolerances)}
+    assert not hasattr(projnewton.errors.NoConvergence("stalled"), "residual")
+    solves = [projnewton.newton_step, projnewton.run_newton] + [
+        cls.newton_solve for cls in (projnewton.CostFunction, projnewton.RayleighCost,
+                                     projnewton.InvariantSubspaceCost)]
+    assert [f for f in solves if "solver" in inspect.signature(f).parameters] == []
+
+
+def test_run_newton_accepts_every_method_name():
+    # the benchmark passes each of METHODS; the name selects no solver, so the
+    # two invariant names run the same solves, bit for bit
+    a = np.random.default_rng(4).standard_normal((6, 6))
+    a[2:, :2] *= 1e-2
+    start = projnewton.newton.perturb_frame(projnewton.OrthoFrame(np.eye(6), 2), 0.05, 4)
+    traces = {method: projnewton.run_newton(projnewton.InvariantSubspaceCost(a), start,
+                                            projnewton.NewtonConfig(), method=method)
+              for method in METHODS}
+    direct, recursive = traces["invariant-direct"], traces["invariant-recursive"]
+    assert direct.status == projnewton.Status.CONVERGED
+    assert [dataclasses.replace(r, elapsed=0.0) for r in direct.records] == \
+        [dataclasses.replace(r, elapsed=0.0) for r in recursive.records]
+    assert direct.extras["certified_by"] == recursive.extras["certified_by"] == "bound"
+    assert np.array_equal(direct.extras["final_frame"].theta, recursive.extras["final_frame"].theta)
+    with pytest.raises(ValueError, match="unknown method"):
+        projnewton.run_newton(projnewton.InvariantSubspaceCost(a), start, projnewton.NewtonConfig(),
+                              method="invariant")
 
 
 def test_library_imports_nothing_from_the_tests():
@@ -93,12 +125,13 @@ def _functions_where(path, found):
 
 def test_one_singularity_floor_for_dense_operators():
     # the direct four-term solve's singularity test is _checked_inverse's,
-    # against at least the data scale; no condition ceiling sits beside it
+    # against at least the data scale; no condition ceiling sits beside it.
+    # four_term_floor, the floor of the invariant cost's bound, lies above it
     assert "condition_limit" not in {f.name for f in dataclasses.fields(Tolerances)}
     reads_pivot = {name for path in sorted(SRC.glob("*.py")) for name in _functions_where(
         path, lambda node: isinstance(node, ast.Attribute) and node.attr == "pivot"
         and isinstance(node.value, ast.Name) and node.value.id == "TOL")}
-    assert reads_pivot == {"_checked_inverse", "qr_positive"}
+    assert reads_pivot == {"_checked_inverse", "qr_positive", "four_term_floor"}
     raises_singular = _functions_where(SRC / "solvers.py", lambda node: isinstance(node, ast.Raise)
                                        and "SingularOperator" in ast.unparse(node.exc))
     assert raises_singular == {"_checked_inverse"}

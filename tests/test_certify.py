@@ -19,8 +19,9 @@ from projnewton.grassmann import CHART_NAMES, OrthoFrame, push_frame
 from projnewton.lagrange import SymplecticFrame, sympl_form
 from projnewton.newton import NewtonConfig, Status, perturb_frame, run_newton
 from projnewton.solvers import (
+    four_term_floor,
+    invariant_newton_operator,
     separation_floor,
-    solve_invariant_newton_recursive,
     solve_lyapunov_unchecked,
     solve_sylvester_unchecked,
 )
@@ -30,7 +31,7 @@ st = hypothesis.strategies
 
 # rayleigh-lg-general: the trace cost of a symmetric A that is not
 # Hamiltonian, on the Lagrange Grassmannian (Algorithm 2 in (B11 - B22) / 2)
-METHODS = ("rayleigh-gr", "rayleigh-lg", "rayleigh-lg-general", "invariant-recursive")
+METHODS = ("rayleigh-gr", "rayleigh-lg", "rayleigh-lg-general", "invariant-direct")
 
 
 def _orthogonal(rng, n):
@@ -58,7 +59,7 @@ def _planted_triangular(rng, n, m, scale):
 
 def _basin_measure(t, m, distance):
     """distance ||T12||_2 ||T||_2 / gap^2, gap the eigenvalue gap between the
-    leading m diagonal entries of T and the rest.  Newton's sweeps contract
+    leading m diagonal entries of T and the rest.  Newton's iterates contract
     as ||B21|| ||B12|| / sep^2 (Stewart 1973), and a start ``distance`` away
     has ||B21|| up to about distance ||T||, ||B12|| about ||T12||."""
     diag = np.diag(t)
@@ -66,9 +67,9 @@ def _basin_measure(t, m, distance):
     return distance * np.linalg.norm(t[:m, m:], 2) * np.linalg.norm(t, 2) / gap**2
 
 
-# inside Newton's basin for the recursive sweeps: of 14500 problems drawn
-# as below at scale 1, starts 0.15 to 0.3 away, every run whose sweeps did
-# not settle measured 0.186 or more
+# well inside Newton's basin; the start of
+# test_start_outside_the_basin_certifies_a_point_that_is_not_invariant
+# measures 0.24 and converges to a critical point that is not the planted one
 BASIN = 0.1
 
 
@@ -76,7 +77,7 @@ BASIN = 0.1
 def problems(draw, method):
     """(cost, start) for a well-separated problem of the method, its
     spectrum scaled by 1e-3 to 1e3, started 0.01 to 0.3 from its solution,
-    and for invariant-recursive inside the basin (``_basin_measure`` at most
+    and for invariant-direct inside the basin (``_basin_measure`` at most
     ``BASIN``).  rayleigh-lg-general adds to H a symmetric K with J K J = -K,
     as large: tr(K P) = tr(K) / 2 on every Lagrangian P, so the solution stays."""
     seed = draw(st.integers(0, 2**32 - 1))
@@ -113,12 +114,11 @@ def test_bound_never_exceeds_the_measured_separation(method, nu, data):
     # the Newton iteration by hand, with a solve at every iterate: the
     # bound from the solve before is held to the separation this one measures
     cost, frame = data.draw(problems(method))
-    solver = "recursive" if method == "invariant-recursive" else "direct"
     grad_tol = NewtonConfig().grad_tol * cost.scale
     last, bounds = None, 0
     for _ in range(10):
         _, grad, b = cost.frame_terms(frame)
-        z, separation = cost.newton_solve(frame, solver, b)
+        z, separation = cost.newton_solve(frame, b)
         if last is not None:
             bound, floor = cost.separation_bound(frame, b, *last)
             assert bound <= separation, f"bound {bound:.17e} > separation {separation:.17e}"
@@ -134,20 +134,27 @@ def test_bound_never_exceeds_the_measured_separation(method, nu, data):
     assert bounds >= 1 and bound > floor
 
 
-def test_start_outside_the_basin_ends_no_convergence():
-    # ROADMAP item 4: 0.3 from this planted subspace (basin measure 0.24)
-    # the recursive sweeps do not settle at the start; the direct solve
-    # converges from it
+def test_start_outside_the_basin_certifies_a_point_that_is_not_invariant():
+    # 0.3 from this planted subspace (basin measure 0.24) both method names
+    # run the one direct solve and end Converged, certified by the bound, at a
+    # nondegenerate critical point of ||(I - P) A P||^2 that is no invariant
+    # subspace: the residual ||B21|| is 0.898, 28% of ||A||_F, and B11 = 1.610
+    # is no eigenvalue of A.  Converged certifies a critical point, not an answer
     rng = np.random.default_rng(2274029156)
     q, t = _planted_triangular(rng, 6, 1, 1.0)
     assert _basin_measure(t, 1, 0.3) > 2.0 * BASIN
-    cost = InvariantSubspaceCost(q @ t @ q.T)
+    a = q @ t @ q.T
     start = perturb_frame(OrthoFrame(q.T, 1), 0.3, 2274029156)
-    trace = run_newton(cost, start, NewtonConfig(), method="invariant-recursive")
-    assert trace.status == Status.NO_CONVERGENCE
-    assert len(trace.records) == 1
-    direct = run_newton(cost, start, NewtonConfig(), method="invariant-direct")
-    assert direct.status == Status.CONVERGED
+    for method in ("invariant-direct", "invariant-recursive"):
+        trace = run_newton(InvariantSubspaceCost(a), start, NewtonConfig(), method=method)
+        assert trace.status == Status.CONVERGED
+        assert trace.extras["certified_by"] == "bound"
+        residual = trace.extras["invariance_residuals"][-1]
+        assert abs(residual - 0.898) <= 1e-3
+        assert 0.28 <= residual / np.linalg.norm(a) <= 0.29
+        final = trace.extras["final_frame"].theta
+        b11 = (final @ a @ final.T)[0, 0]
+        assert np.abs(np.linalg.eigvals(a) - b11).min() >= 0.5
 
 
 def _gapped_rayleigh(seed=3, n=7, m=2):
@@ -186,8 +193,8 @@ class _CountingRayleigh(RayleighCost):
         object.__setattr__(self, "solves", [])
         object.__setattr__(self, "forced", separation)
 
-    def newton_solve(self, frame, solver="direct", b=None):
-        z, separation = super().newton_solve(frame, solver, b)
+    def newton_solve(self, frame, b=None):
+        z, separation = super().newton_solve(frame, b)
         self.solves.append(separation)
         return z, separation if self.forced is None else self.forced
 
@@ -228,7 +235,6 @@ class TestFallback:
     @pytest.mark.parametrize("method, status", [
         ("rayleigh-gr", Status.SPECTRAL_OVERLAP),
         ("rayleigh-lg", Status.SPECTRAL_OVERLAP),
-        ("invariant-recursive", Status.SPECTRAL_OVERLAP),
         ("invariant-direct", Status.SINGULAR_HESSIAN),
     ])
     def test_degenerate_final_point_fails_through_the_solve(self, method, status, nu):
@@ -253,11 +259,13 @@ class TestFallback:
 
 
 class TestSeparationFloor:
-    """The bounds clear the floor the Newton solve would enforce: both read
-    ``solvers.separation_floor``, of the blocks that solve sees."""
+    """The bounds clear the floor the Newton solve would enforce: the trace
+    cost's reads ``solvers.separation_floor`` of the blocks its solve sees, the
+    invariant cost's ``solvers.four_term_floor``, at least the singularity test
+    of the operator the direct solve inverts."""
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
-    @pytest.mark.parametrize("method", ["rayleigh-gr", "rayleigh-lg", "invariant-recursive"])
+    @pytest.mark.parametrize("method", ["rayleigh-gr", "rayleigh-lg", "invariant-direct"])
     def test_bound_floor_is_the_floor_of_the_solves_blocks(self, method, scale):
         rng = np.random.default_rng(round(np.log10(scale)) + 7)
         for n in (3, 4, 6):
@@ -275,8 +283,13 @@ class TestSeparationFloor:
             b, last_b = cost.frame_terms(frame)[2], cost.frame_terms(last)[2]
             _, floor = cost.separation_bound(frame, b, last_b, 1.0)
             b11, b22 = b[:m, :m], b[m:, m:]
-            if method == "invariant-recursive":
-                assert floor == separation_floor(b11, b22)
+            if method == "invariant-direct":
+                blocks = b11, b[:m, m:], b[m:, :m], b22
+                assert floor == four_term_floor(m, n - m, cost.scale)
+                # the direct solve's own test, max(||L||_1, max ||B_ij||_1^2) TOL.pivot
+                solve_floor = max(np.linalg.norm(invariant_newton_operator(*blocks), 1),
+                                  max(np.linalg.norm(blk, 1) for blk in blocks) ** 2)
+                assert floor >= TOL.pivot * solve_floor
             else:
                 assert floor == separation_floor(symmetrize(b11), symmetrize(b22))
             if method == "rayleigh-lg":
@@ -285,7 +298,7 @@ class TestSeparationFloor:
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("factor", [0.1, 0.9, 1.1, 10.0])
-    @pytest.mark.parametrize("solve", ["sylvester", "lyapunov", "recursive"])
+    @pytest.mark.parametrize("solve", ["sylvester", "lyapunov"])
     def test_solves_raise_exactly_at_or_below_the_floor(self, solve, factor, scale):
         # blocks whose eigenvalue gap is factor times their floor: the solve
         # returns a separation above separation_floor of its blocks, or
@@ -295,11 +308,9 @@ class TestSeparationFloor:
         spectrum = [3.0, 1.0, 2.0, 0.0] if solve == "lyapunov" else [3.0, 1.0, -1.5, 2.5]
         a = symmetrize((q * (scale * np.array(spectrum))) @ q.T)
         shift = factor * separation_floor(a)
-        zeros = np.zeros((4, 4))
         runs = {
             "sylvester": lambda a11, a22: solve_sylvester_unchecked(a11, a22, np.ones((4, 4))),
             "lyapunov": lambda m_: solve_lyapunov_unchecked(m_, np.eye(4)),
-            "recursive": lambda a11, a22: solve_invariant_newton_recursive(a11, zeros, zeros, a22),
         }
         blocks = (a + 0.5 * shift * np.eye(4),) if solve == "lyapunov" else (a, a + shift * np.eye(4))
         floor = separation_floor(*blocks)
@@ -311,7 +322,4 @@ class TestSeparationFloor:
         else:
             raised = False
             assert separation > floor
-        # the recursive solver's 1-norm separation lies up to sqrt(d) = 4 below
-        # the gap of its (here symmetric) operator
-        if solve != "recursive" or not 1.0 < factor < 4.0:
-            assert raised == (factor < 1.0)
+        assert raised == (factor < 1.0)

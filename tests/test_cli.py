@@ -16,6 +16,8 @@ from projnewton.costs import InvariantSubspaceCost
 from projnewton.decomp import qr_positive
 from projnewton.errors import ProjNewtonError
 
+from conftest import LONG_STEP
+
 
 def _write_matrix(path, mat, header=None):
     with open(path, "w", encoding="utf-8") as handle:
@@ -284,33 +286,28 @@ class TestInvariant:
         assert report["final"]["extra_residuals"]["invariance_residual"] <= 1e-9
 
     @pytest.mark.parametrize("nu", ["exp", "qr", "cayley"])
-    def test_recursive_with_every_push_forward_chart(self, tmp_path, nu):
+    def test_every_push_forward_chart(self, tmp_path, nu):
         path, start, _ = self._constructed(tmp_path)
         out = tmp_path / "r.json"
         code = main([
             "invariant", path, "--m", "2", "--start", start, "--perturb", "0.05",
-            "--solver", "recursive", "--nu", nu, "--out", str(out),
+            "--nu", nu, "--out", str(out),
         ])
         assert code == 0
         report = json.loads(out.read_text())
         assert report["status"] == "Converged"
         assert report["final"]["extra_residuals"]["invariance_residual"] <= 1e-9
 
-    def test_recursive_matches_direct(self, tmp_path):
-        path, start, target = self._constructed(tmp_path)
-        outs = []
-        for solver in ("direct", "recursive"):
-            out = tmp_path / f"r_{solver}.json"
-            code = main([
-                "invariant", path, "--m", "2", "--start", start,
-                "--perturb", "0.02", "--solver", solver, "--out", str(out),
-            ])
-            assert code == 0
-            report = json.loads(out.read_text())
-            outs.append(report["final"])
-        assert abs(outs[0]["frobenius_norm"] - outs[1]["frobenius_norm"]) <= 1e-6
-        assert outs[0]["extra_residuals"]["invariance_residual"] <= 1e-10
-        assert outs[1]["extra_residuals"]["invariance_residual"] <= 1e-10
+    def test_solver_option_is_gone(self, tmp_path, capsys):
+        # the direct four-term solve is the only one: no option chooses it,
+        # and the report's config names none
+        path, start, _ = self._constructed(tmp_path)
+        argv = ["invariant", path, "--m", "2", "--start", start]
+        assert main(argv + ["--solver", "direct"]) == 1
+        assert "unrecognized arguments: --solver direct" in capsys.readouterr().err
+        out = tmp_path / "r.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert "solver" not in json.loads(out.read_text())["config"]
 
 
 def _report_argv(tmp_path, case):
@@ -322,14 +319,13 @@ def _report_argv(tmp_path, case):
         charts = ["--mu", "qr", "--nu", "cayley"] if case.endswith("qr-cayley") else []
         return ["rayleigh-lg", path] + charts
     path, start, _ = TestInvariant._constructed(tmp_path)
-    return ["invariant", path, "--m", "2", "--start", start, "--perturb", "0.05",
-            "--solver", "recursive"]
+    return ["invariant", path, "--m", "2", "--start", start, "--perturb", "0.05"]
 
 
 # the non-diagonal inputs make the start frame depend on the signs LAPACK
 # gives eigenvectors and QR factors, which must be the same on every run
 @pytest.mark.parametrize(
-    "case", ["rayleigh-gr", "rayleigh-lg", "rayleigh-lg-qr-cayley", "invariant-recursive"])
+    "case", ["rayleigh-gr", "rayleigh-lg", "rayleigh-lg-qr-cayley", "invariant"])
 def test_byte_identical_reports(tmp_path, case):
     argv = _report_argv(tmp_path, case) + ["--seed", "3"]
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -398,32 +394,22 @@ def test_answer_is_eigendecomposed_once(tmp_path, capsys, monkeypatch, case):
 
 
 def _long_step_matrix(tmp_path):
-    # from random_projector(6, 2, 7) the recursive solver settles on a Newton
-    # step of norm ~1.9e154, whose sum of squares overflows
     a = np.random.default_rng(15).standard_normal((6, 6))
     a[2:, :2] = 0.0
     return _write_matrix(tmp_path / "a15.txt", a)
 
 
 @pytest.mark.parametrize("nu", ["exp", "qr", "cayley"])
-def test_long_step_exits_with_a_run_status(tmp_path, capsys, nu):
-    out = tmp_path / "r.json"
-    code = main(["invariant", _long_step_matrix(tmp_path), "--m", "2", "--solver", "recursive",
-                 "--seed", "7", "--nu", nu, "--out", str(out)])
-    assert code == 3
-    report = json.loads(out.read_text())
-    # the Cayley push turns each plane by pi to round-off at this length,
-    # which keeps the subspace: that step has stalled, and the run ends
-    assert report["status"] == "NoConvergence"
-    assert all(np.isfinite(row["step_norm"]) for row in report["iterations"])
-    assert capsys.readouterr().err == ""
+@pytest.mark.parametrize("first", ["overflowing", "long"])
+def test_overflowing_step_exits_with_a_run_status(tmp_path, capsys, monkeypatch, first, nu):
+    # every Newton step has entries 1e200, so Z Z^T overflows to inf; with
+    # "long", the first step is LONG_STEP, of norm ~1.9e154, which is pushed,
+    # except by Cayley: it turns each plane by pi to round-off at this length,
+    # which keeps the subspace, so that step has stalled and the run ends
+    steps = [LONG_STEP] if first == "long" else []
 
-
-@pytest.mark.parametrize("nu", ["exp", "qr", "cayley"])
-def test_overflowing_step_exits_with_a_run_status(tmp_path, capsys, monkeypatch, nu):
-    # every Newton step has entries 1e200, so Z Z^T overflows to inf
-    def huge_step(self, frame, solver="direct", b=None):
-        return np.full((frame.rank, frame.dim - frame.rank), 1e200), None
+    def huge_step(self, frame, b=None):
+        return (steps.pop(0) if steps else np.full((frame.rank, frame.dim - frame.rank), 1e200)), None
 
     monkeypatch.setattr(InvariantSubspaceCost, "newton_solve", huge_step)
     out = tmp_path / "r.json"
@@ -433,6 +419,9 @@ def test_overflowing_step_exits_with_a_run_status(tmp_path, capsys, monkeypatch,
     report = json.loads(out.read_text())
     assert report["status"] == "NoConvergence"
     assert all(np.isfinite(row["step_norm"]) for row in report["iterations"])
+    if first == "long":
+        assert len(report["iterations"]) == (1 if nu == "cayley" else 2)
+        assert nu == "cayley" or report["iterations"][0]["step_norm"] > 1e154
     assert capsys.readouterr().err == ""
 
 
@@ -464,7 +453,7 @@ _COMMAND_NAMES = ("rayleigh-gr", "rayleigh-lg", "invariant")
 
 
 def _command_argv(tmp_path, command):
-    return _report_argv(tmp_path, {"invariant": "invariant-recursive"}.get(command, command))
+    return _report_argv(tmp_path, command)
 
 
 @pytest.fixture
@@ -573,7 +562,7 @@ class TestCommandParser:
         gr, lg, inv = (_command_argv(tmp_path, name)[:2] for name in _COMMAND_NAMES)
         argvs = _HELP_ARGVS + [
             ["rayleigh-gr"], gr, ["invariant"], inv,  # missing arguments
-            inv + ["--m", "2", "--solver", "bad"],
+            inv + ["--m", "2", "--nu", "bad"],
             gr + ["--m", "2", "--no-such-option"],
             lg + ["--perturb", "nan"],
             ["check"],

@@ -15,7 +15,7 @@ from projnewton.costs import (
     InvariantSubspaceCost,
     RayleighCost,
 )
-from projnewton.decomp import qr_positive, sym_eig, symmetrize
+from projnewton.decomp import frobenius_norm, qr_positive, sym_eig, symmetrize
 from projnewton.errors import InsufficientData, NoConvergence, NotAProjector
 from projnewton.grassmann import (
     CHART_NAMES,
@@ -37,7 +37,7 @@ from projnewton.newton import (
     run_newton,
 )
 
-from conftest import lagrangian_trace_problem, random_symmetric
+from conftest import LONG_STEP, lagrangian_trace_problem, random_symmetric
 from oracles import distance
 
 
@@ -213,14 +213,13 @@ class TestGenericStep:
         z_gen = CostFunction.newton_solve(cost, frame)[0]
         assert np.abs(z_gen - cost.newton_solve(frame)[0]).max() <= 1e-12
 
-    @pytest.mark.parametrize("solver", ["direct", "recursive"])
     @pytest.mark.parametrize("seed", range(3))
-    def test_matches_algorithm3(self, seed, solver):
+    def test_matches_algorithm3(self, seed):
         a, target = _constructed_invariant(seed, 2, 3)
         frame = perturb_frame(frame_from_projector(target), 0.05, seed + 90)
         cost = InvariantSubspaceCost(a)
         z_gen = CostFunction.newton_solve(cost, frame)[0]
-        assert np.abs(z_gen - cost.newton_solve(frame, solver)[0]).max() <= 1e-9
+        assert np.abs(z_gen - cost.newton_solve(frame)[0]).max() <= 1e-9
 
     def test_hamiltonian_cost_on_grassmann_frame(self, rng):
         # on an orthogonal frame, tr(H P) is a trace cost on Gr(n, 2n): its
@@ -377,8 +376,7 @@ class TestAlgorithm3:
         assert np.linalg.norm((np.eye(3) - p.mat) @ a @ p.mat) <= 1e-10
         assert distance(p, target) <= 1e-9
 
-    @pytest.mark.parametrize("solver", ["direct", "recursive"])
-    def test_constructed_nonsymmetric_subspace(self, solver):
+    def test_constructed_nonsymmetric_subspace(self):
         rng = np.random.default_rng(11)
         b1 = rng.standard_normal((2, 2)) + 3.0 * np.eye(2)
         b2 = rng.standard_normal((2, 2)) - 1.0 * np.eye(2)
@@ -388,28 +386,13 @@ class TestAlgorithm3:
         target = Projector(t[:, :2] @ t[:, :2].T, 2)
         frame = perturb_frame(frame_from_projector(target), 0.05, 3)
         for _ in range(6):
-            frame, _ = newton_step(InvariantSubspaceCost(a), frame, NewtonConfig(), solver)
+            frame, _ = newton_step(InvariantSubspaceCost(a), frame, NewtonConfig())
         assert distance(frame.projector(), target) <= 1e-8
-
-    def test_direct_and_recursive_same_limit(self):
-        rng = np.random.default_rng(29)
-        b1 = rng.standard_normal((2, 2)) + 3.0 * np.eye(2)
-        b2 = rng.standard_normal((3, 3)) - 1.0 * np.eye(3)
-        s = np.block([[b1, np.zeros((2, 3))], [np.zeros((3, 2)), b2]])
-        t, _ = qr_positive(rng.standard_normal((5, 5)))
-        a = t @ s @ t.T
-        target = Projector(t[:, :2] @ t[:, :2].T, 2)
-        start = perturb_frame(frame_from_projector(target), 0.05, 4)
-        f_dir, f_rec = start, start
-        for _ in range(6):
-            f_dir, _ = newton_step(InvariantSubspaceCost(a), f_dir, NewtonConfig(), "direct")
-            f_rec, _ = newton_step(InvariantSubspaceCost(a), f_rec, NewtonConfig(), "recursive")
-        assert distance(f_dir.projector(), f_rec.projector()) <= 1e-6
 
     @pytest.mark.parametrize("method", ["invariant-direct", "invariant-recursive"])
     def test_symplectic_frame_is_refused(self, method):
-        # the four-term step is not symmetric: both solvers refuse the frame
-        # before solving, as the dense fallback does
+        # the four-term step is not symmetric: the solve refuses the frame,
+        # under either method name, before solving, as the dense fallback does
         a = np.random.default_rng(0).standard_normal((6, 6))
         with pytest.raises(ValueError, match="Grassmann frames"):
             run_newton(InvariantSubspaceCost(a), random_lag_projector(3, 1)[1], NewtonConfig(),
@@ -621,23 +604,35 @@ class _FixedStep(CostFunction):
     def __init__(self, z):
         self.z = z
 
-    def newton_solve(self, frame, solver="direct", b=None):
+    def newton_solve(self, frame, b=None):
         return self.z, None
 
 
 class _StalledRayleigh(RayleighCost):
     """The trace cost with every Newton step replaced by Z = pi I."""
 
-    def newton_solve(self, frame, solver="direct", b=None):
+    def newton_solve(self, frame, b=None):
         return np.pi * np.eye(frame.rank), None
 
 
+class _StepSequence(InvariantSubspaceCost):
+    """The invariant-subspace cost whose Newton solves return the given
+    steps in turn, the last one from then on."""
+
+    def __init__(self, a, steps):
+        super().__init__(a)
+        object.__setattr__(self, "steps", list(steps))
+
+    def newton_solve(self, frame, b=None):
+        return (self.steps.pop(0) if len(self.steps) > 1 else self.steps[0]), None
+
+
 def _long_step_problem():
-    # from this start the recursive solver settles on a Newton step of norm
-    # ~1.9e154, whose sum of squares overflows
+    # LONG_STEP, of norm ~1.9e154 (its sum of squares overflows, its
+    # sigma_max^2 does not), then a step whose Z Z^T overflows, which ends the run
     a = np.random.default_rng(15).standard_normal((6, 6))
     a[2:, :2] = 0.0
-    return InvariantSubspaceCost(a), random_projector(6, 2, 7)[1]
+    return _StepSequence(a, [LONG_STEP, np.full((2, 4), 1e200)]), random_projector(6, 2, 7)[1]
 
 
 class TestLongSteps:
@@ -649,11 +644,14 @@ class TestLongSteps:
         cost, start = _long_step_problem()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            trace = run_newton(cost, start, NewtonConfig(nu=nu), method="invariant-recursive")
+            trace = run_newton(cost, start, NewtonConfig(nu=nu), method="invariant-direct")
         assert trace.status == Status.NO_CONVERGENCE
         assert all(np.isfinite(r.step_norm) for r in trace.records)
         if nu == "cayley":
             assert len(trace.records) == 1
+        else:
+            assert len(trace.records) == 2
+            assert trace.records[0].step_norm == np.sqrt(2.0) * frobenius_norm(LONG_STEP)
 
     @pytest.mark.parametrize("n", [4, 10, 40])
     def test_stalled_exp_step_is_no_convergence(self, n):

@@ -1,11 +1,8 @@
 """Matrix-equation solver tests against brute-force vectorized oracles."""
 
-import dataclasses
-import inspect
 import os
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -15,22 +12,14 @@ import projnewton
 import projnewton.solvers
 from projnewton.config import TOL
 from projnewton.decomp import require_symmetric, sym_eig, symmetrize
-from projnewton.errors import (
-    DimensionMismatch,
-    NoConvergence,
-    NotSymmetric,
-    SingularOperator,
-    SpectralOverlap,
-)
-from projnewton.grassmann import random_projector
+from projnewton.errors import DimensionMismatch, NotSymmetric, SingularOperator, SpectralOverlap
 from projnewton.solvers import (
-    _kron_sum,
     _pair,
+    four_term_floor,
     invariant_newton_operator,
     invariant_newton_rhs,
     solve_dense,
     solve_invariant_newton_direct,
-    solve_invariant_newton_recursive,
     solve_lyapunov,
     solve_sylvester,
 )
@@ -189,7 +178,7 @@ class TestInvariantDirect:
     def test_homogeneous(self, rng):
         a11 = random_symmetric(rng, 2) + 3.0 * np.eye(2)
         a22 = random_symmetric(rng, 2) - 3.0 * np.eye(2)
-        z = solve_invariant_newton_direct(a11, rng.standard_normal((2, 2)), np.zeros((2, 2)), a22)
+        z = solve_invariant_newton_direct(a11, rng.standard_normal((2, 2)), np.zeros((2, 2)), a22)[0]
         assert np.abs(z).max() <= 1e-12
 
     def test_block_diagonal_critical_point(self, rng):
@@ -197,7 +186,7 @@ class TestInvariantDirect:
         a11 = rng.standard_normal((2, 2)) + 3.0 * np.eye(2)
         a22 = rng.standard_normal((2, 2)) - 3.0 * np.eye(2)
         a12 = rng.standard_normal((2, 2))
-        z = solve_invariant_newton_direct(a11, a12, np.zeros((2, 2)), a22)
+        z = solve_invariant_newton_direct(a11, a12, np.zeros((2, 2)), a22)[0]
         assert np.abs(z).max() <= 1e-12
 
     def test_against_brute_force_oracle(self, rng):
@@ -207,8 +196,11 @@ class TestInvariantDirect:
             a22 = gen.standard_normal((2, 2)) - 3.0 * np.eye(2)
             a12 = gen.standard_normal((2, 2))
             a21 = 0.3 * gen.standard_normal((2, 2))
-            z = solve_invariant_newton_direct(a11, a12, a21, a22)
+            z, separation = solve_invariant_newton_direct(a11, a12, a21, a22)
             assert np.abs(z - _invariant_oracle(a11, a12, a21, a22)).max() <= 1e-9
+            # the separation is that of the operator the solve inverted
+            op = invariant_newton_operator(a11, a12, a21, a22)
+            assert separation == 1.0 / np.abs(np.linalg.inv(op)).sum(axis=0).max()
             residual = _invariant_lhs(z, a11, a12, a21, a22) - invariant_newton_rhs(a11, a21, a22)
             assert np.linalg.norm(residual) <= 1e-8 * max(1.0, np.linalg.norm(z))
 
@@ -219,21 +211,19 @@ class TestInvariantDirect:
             solve_invariant_newton_direct(eye[:1, :1], np.zeros((1, 1)), np.zeros((1, 1)), eye[:1, :1])
 
 
-@pytest.mark.parametrize("solver", [solve_invariant_newton_direct, solve_invariant_newton_recursive],
-                         ids=["direct", "recursive"])
 @pytest.mark.parametrize("block,shape", [
     ("a21", (2, 3)), ("a22", (2, 2)), ("a11", (3, 3)), ("a22", (3, 2)), ("a12", (3, 2)),
     ("a12", (2, 1, 3)),
 ], ids=["a21-m-by-k", "a22-m-by-m", "a11-k-by-k", "a22-not-square", "a12-k-by-m", "a12-3d"])
-def test_four_term_solvers_check_block_shapes(solver, block, shape):
+def test_four_term_solve_checks_block_shapes(block, shape):
     # m = 2, k = 3: A11 2x2, A12 2x3, A21 3x2, A22 3x3; one block of a wrong shape
     gen = np.random.default_rng(3)
     blocks = {"a11": gen.standard_normal((2, 2)) + 3.0 * np.eye(2), "a12": gen.standard_normal((2, 3)),
               "a21": 0.1 * gen.standard_normal((3, 2)), "a22": gen.standard_normal((3, 3)) - 3.0 * np.eye(3)}
-    solver(*blocks.values())
+    solve_invariant_newton_direct(*blocks.values())
     blocks[block] = gen.standard_normal(shape)
     with pytest.raises(DimensionMismatch, match="inconsistent block shapes"):
-        solver(*(b.tolist() for b in blocks.values()))
+        solve_invariant_newton_direct(*(b.tolist() for b in blocks.values()))
 
 
 def _four_term_cases(count, seed):
@@ -266,7 +256,7 @@ def _four_term_cases(count, seed):
 
 def _direct_outcome(blocks):
     try:
-        return solve_invariant_newton_direct(*blocks)
+        return solve_invariant_newton_direct(*blocks)[0]
     except SingularOperator:
         return None
 
@@ -310,60 +300,6 @@ class TestDirectSingularity:
         assert by_scale > 0
 
 
-class TestInvariantRecursive:
-    def test_sweep_limits_come_from_config(self):
-        # the sweeps read TOL when called; the solver takes no limits of its own
-        params = inspect.signature(solve_invariant_newton_recursive).parameters
-        assert not {"max_sweeps", "tol"} & set(params)
-        assert TOL.recursive_tol == 1e-12
-        assert TOL.recursive_max_sweeps == 100
-
-    def test_zero_rhs_one_sweep(self, rng):
-        a11 = rng.standard_normal((2, 2)) + 3.0 * np.eye(2)
-        a22 = rng.standard_normal((2, 2)) - 3.0 * np.eye(2)
-        z = solve_invariant_newton_recursive(a11, rng.standard_normal((2, 2)), np.zeros((2, 2)), a22)[0]
-        assert np.abs(z).max() <= 1e-12
-
-    def test_agrees_with_direct(self, rng):
-        for seed in range(6):
-            gen = np.random.default_rng(seed)
-            a11 = gen.standard_normal((2, 2)) + 3.0 * np.eye(2)
-            a22 = gen.standard_normal((3, 3)) - 3.0 * np.eye(3)
-            a12 = gen.standard_normal((2, 3))
-            a21 = 0.2 * gen.standard_normal((3, 2))
-            z_rec = solve_invariant_newton_recursive(a11, a12, a21, a22)[0]
-            z_dir = solve_invariant_newton_direct(a11, a12, a21, a22)
-            assert np.abs(z_rec - z_dir).max() <= 1e-6 * max(1.0, np.abs(z_dir).max())
-
-    def test_no_convergence_reported(self, monkeypatch):
-        # strong coupling defeats the contraction: 20 sweeps do not settle it
-        monkeypatch.setattr(projnewton.solvers, "TOL", dataclasses.replace(TOL, recursive_max_sweeps=20))
-        a11 = np.eye(2) * 2.0
-        a22 = -np.eye(2) * 2.0
-        a12 = 10.0 * np.ones((2, 2))
-        a21 = 10.0 * np.ones((2, 2))
-        with pytest.raises(NoConvergence, match="did not settle") as info:
-            solve_invariant_newton_recursive(a11, a12, a21, a22)
-        assert info.value.residual is not None
-
-    def test_stops_at_the_first_overflowing_sweep(self):
-        # a Gaussian 6 x 6 matrix at a random start: the sweeps grow until
-        # the update norm overflows, long before max_sweeps
-        a = np.random.default_rng(1).standard_normal((6, 6))
-        theta = random_projector(6, 2, 1)[1].theta
-        b = theta @ a @ theta.T
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NoConvergence, match="overflowed") as info:
-                solve_invariant_newton_recursive(b[:2, :2], b[:2, 2:], b[2:, :2], b[2:, 2:])
-        assert np.isfinite(info.value.residual)
-
-    def test_spectral_overlap(self, rng):
-        a = rng.standard_normal((2, 2))
-        with pytest.raises(SpectralOverlap):
-            solve_invariant_newton_recursive(a, np.zeros((2, 2)), np.zeros((2, 2)), a)
-
-
 class TestSolveDense:
     def test_identity(self, rng):
         g = rng.standard_normal(4)
@@ -394,154 +330,106 @@ class TestSolveDense:
 
 
 class TestOperatorInverses:
-    """Each dense operator is inverted once per solve, whatever the sweep
-    count: the recursion's second half-sweep uses the transpose of its one
-    inverse, and its separation estimate needs no SVD."""
-
-    @staticmethod
-    def _blocks(coupling):
-        gen = np.random.default_rng(7)
-        a11 = gen.standard_normal((2, 2)) + 3.0 * np.eye(2)
-        a22 = gen.standard_normal((3, 3)) - 3.0 * np.eye(3)
-        a12 = gen.standard_normal((2, 3))
-        a21 = coupling * gen.standard_normal((3, 2))
-        return a11, a12, a21, a22
-
-    @staticmethod
-    def _sweeps(blocks):
-        for sweeps in range(1, 100):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(projnewton.solvers, "TOL", dataclasses.replace(TOL, recursive_max_sweeps=sweeps))
-                try:
-                    solve_invariant_newton_recursive(*blocks)
-                    return sweeps
-                except NoConvergence:
-                    pass
-        raise AssertionError("recursion did not settle in 99 sweeps")
-
-    @staticmethod
-    def _count_inverses(monkeypatch):
-        calls = []
-        inv = np.linalg.inv
-
-        def counting(a):
-            calls.append(a.shape)
-            return inv(a)
-
-        monkeypatch.setattr(np.linalg, "inv", counting)
-        return calls
-
-    def test_recursive_one_per_solve(self, monkeypatch):
-        couplings = (0.01, 0.1, 0.5)
-        sweeps = [self._sweeps(self._blocks(c)) for c in couplings]
-        assert len(set(sweeps)) == len(couplings) and min(sweeps) > 1
-        calls = self._count_inverses(monkeypatch)
-        svds = []
-        svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: svds.append(1) or svd(*a, **kw))
-        for coupling in couplings:
-            calls.clear()
-            solve_invariant_newton_recursive(*self._blocks(coupling))
-            assert calls == [(6, 6)]
-        assert svds == []
+    """The four-term solve inverts its operator once, and reads its
+    separation 1/||L^-1||_1 from that inverse: no SVD."""
 
     def test_direct_one_per_solve(self, monkeypatch):
-        calls = self._count_inverses(monkeypatch)
-        solve_invariant_newton_direct(*self._blocks(0.1))
+        gen = np.random.default_rng(7)
+        blocks = (gen.standard_normal((2, 2)) + 3.0 * np.eye(2), gen.standard_normal((2, 3)),
+                  0.1 * gen.standard_normal((3, 2)), gen.standard_normal((3, 3)) - 3.0 * np.eye(3))
+        calls, svds = [], []
+        inv, svd = np.linalg.inv, np.linalg.svd
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: svds.append(1) or svd(*a, **kw))
+        solve_invariant_newton_direct(*blocks)
         assert calls == [(6, 6)]
+        assert svds == []
 
 
 class TestSeparationEstimate:
-    """The recursion's gap is sep = 1 / ||op^-1||_1 of its Sylvester
-    operator op = A11 (x) I - I (x) A22^T, within sqrt(d) of sigma_min."""
-
-    @staticmethod
-    def _operator(a11, a22):
-        m, k = a11.shape[0], a22.shape[0]
-        return np.kron(a11, np.eye(k)) - np.kron(np.eye(m), a22.T)
+    """The four-term solve's separation 1/||L^-1||_1 lies within sqrt(d) of
+    sigma_min(L): ||X||_1 and ||X||_2 are within sqrt(d) of each other."""
 
     @staticmethod
     def _blocks(kind, gen):
-        """Random blocks, or Q T Q^T with T upper triangular whose strict
-        upper part is 0 (normal) or 30 times Gaussian (far from normal)."""
+        """A11 (3 x 3) and A22 (4 x 4) random, or Q T Q^T with T upper
+        triangular whose strict upper part is 0 (normal) or 30 times Gaussian
+        (far from normal); coupling blocks 0.1 N(0, 1)."""
         if kind == "random":
-            return gen.standard_normal((3, 3)) + 3.0 * np.eye(3), gen.standard_normal((4, 4)) - 3.0 * np.eye(4)
-        coupling = 30.0 if kind == "non-normal" else 0.0
-        blocks = []
-        for size, shift in ((3, 2.0), (4, -2.0)):
-            t = np.triu(coupling * gen.standard_normal((size, size)), 1)
-            t += np.diag(shift + gen.uniform(0.0, 1.0, size))
-            q, _ = np.linalg.qr(gen.standard_normal((size, size)))
-            blocks.append(q @ t @ q.T)
-        return blocks
+            a11, a22 = gen.standard_normal((3, 3)) + 3.0 * np.eye(3), gen.standard_normal((4, 4)) - 3.0 * np.eye(4)
+        else:
+            coupling = 30.0 if kind == "non-normal" else 0.0
+            diagonal = []
+            for size, shift in ((3, 2.0), (4, -2.0)):
+                t = np.triu(coupling * gen.standard_normal((size, size)), 1)
+                t += np.diag(shift + gen.uniform(0.0, 1.0, size))
+                q, _ = np.linalg.qr(gen.standard_normal((size, size)))
+                diagonal.append(q @ t @ q.T)
+            a11, a22 = diagonal
+        return a11, 0.1 * gen.standard_normal((3, 4)), 0.1 * gen.standard_normal((4, 3)), a22
 
     @pytest.mark.parametrize("kind", ["random", "normal", "non-normal"])
     def test_within_sqrt_d_of_sigma_min(self, kind):
         for seed in range(5):
-            op = self._operator(*self._blocks(kind, np.random.default_rng(seed)))
-            sigma_min = np.linalg.svd(op, compute_uv=False)[-1]
-            sep = 1.0 / np.linalg.norm(np.linalg.inv(op), 1)
-            root_d = np.sqrt(op.shape[0])
+            blocks = self._blocks(kind, np.random.default_rng(seed))
+            sigma_min = np.linalg.svd(invariant_newton_operator(*blocks), compute_uv=False)[-1]
+            sep = solve_invariant_newton_direct(*blocks)[1]
+            root_d = np.sqrt(12.0)
             assert sigma_min / root_d <= sep <= root_d * sigma_min
 
-    def test_overlap_raised_on_small_sep_despite_eigenvalue_gap(self):
-        # eigenvalues 1 and 0 / -0.5 are well apart, but the strongly
-        # non-normal blocks put the Sylvester operator near singularity
-        a11 = np.array([[1.0, 1e5], [0.0, 1.0]])
-        a22 = np.array([[0.0, 1e5], [0.0, -0.5]])
-        gaps = np.abs(np.linalg.eigvals(a11)[:, None] - np.linalg.eigvals(a22)[None, :])
-        assert gaps.min() >= 0.5
-        scale = max(np.linalg.norm(a11), np.linalg.norm(a22))
-        sigma_min = np.linalg.svd(self._operator(a11, a22), compute_uv=False)[-1]
-        assert sigma_min <= 1e-8 * scale
-        with pytest.raises(SpectralOverlap) as info:
-            solve_invariant_newton_recursive(a11, np.zeros((2, 2)), np.zeros((2, 2)), a22)
-        # the reported separation is the 1-norm one, within sqrt(d) = 2
-        assert sigma_min / 2.0 <= info.value.min_gap <= 2.0 * sigma_min
 
-    @pytest.mark.parametrize("m,k", [(1, 1), (2, 7), (12, 5), (40, 40)])
-    @pytest.mark.parametrize("kind", ["gaussian", "column", "row"])
-    def test_condition_floor_lies_below_the_separation_floor(self, m, k, kind):
-        # ||op1||_1 <= ||A11||_1 + ||A22||_inf <= (sqrt(m) + sqrt(k)) max ||A_ii||_F,
-        # so TOL.pivot ||op1||_1 stays below separation_floor(A11, A22) while
-        # sqrt(m) + sqrt(k) < TOL.spectral_gap / TOL.pivot = 1e4: a 1-norm
-        # condition test on op1 could never fire after the gap test passed.
-        # "column" and "row" blocks reach the norm inequalities' equality
-        gen = np.random.default_rng(1000 * m + k)
-        for scale in (1e-3, 1.0, 1e3):
-            a11 = scale * gen.standard_normal((m, m))
-            a22 = scale * gen.standard_normal((k, k))
-            if kind == "column":
-                a11[:, 1:] = 0.0
-            elif kind == "row":
-                a22[1:] = 0.0
-            op1 = np.kron(a11, np.eye(k)) - np.kron(np.eye(m), a22.T)
-            op_norm = np.linalg.norm(op1, 1)
-            # equalities up to the order of summation
-            assert op_norm <= (1.0 + 1e-12) * (np.linalg.norm(a11, 1) + np.linalg.norm(a22, np.inf))
-            largest = max(np.linalg.norm(a11), np.linalg.norm(a22))
-            assert op_norm <= (1.0 + 1e-12) * (np.sqrt(m) + np.sqrt(k)) * largest
-            assert TOL.pivot * op_norm < projnewton.solvers.separation_floor(a11, a22)
+@pytest.mark.parametrize("m,k", [(1, 1), (1, 6), (6, 1), (2, 5), (4, 4)])
+@pytest.mark.parametrize("kind", ["random", "rank-one", "near-diagonal"])
+def test_four_term_bound_inequalities(kind, m, k):
+    # the three inequalities behind InvariantSubspaceCost.separation_bound and
+    # four_term_floor, for A and an orthogonally similar A' = Q A Q^T (a Newton
+    # step moves B so), with ||A||_F taken as the larger of the two:
+    #   ||L' - L||_1 <= (2 sqrt(m) + 2 sqrt(k) + 4 sqrt(d)) ||A' - A||_F 2 ||A||_F,
+    #   ||L||_1 <= 3 sqrt(d) ||A||_F^2,  max ||A_ij||_1^2 <= max(m, k) ||A||_F^2,
+    # and so four_term_floor >= TOL.pivot max(||L||_1, max ||A_ij||_1^2)
+    gen = np.random.default_rng([m, k, len(kind)])
+    n, d = m + k, m * k
 
-    def test_overlap_raised_on_identical_blocks(self):
-        a = np.diag([1.0, 2.0])
-        with pytest.raises(SpectralOverlap) as info:
-            solve_invariant_newton_recursive(a, np.zeros((2, 2)), np.zeros((2, 2)), a)
-        assert info.value.min_gap == 0.0
+    def blocks(a):
+        return a[:m, :m], a[:m, m:], a[m:, :m], a[m:, m:]
+
+    worst = np.zeros(3)
+    for _ in range(40):
+        if kind == "random":
+            a = gen.standard_normal((n, n))
+        elif kind == "rank-one":
+            a = np.outer(gen.standard_normal(n), gen.standard_normal(n))
+        else:
+            a = np.diag(gen.standard_normal(n)) + 1e-3 * gen.standard_normal((n, n))
+        a *= 10.0 ** gen.uniform(-3.0, 3.0)
+        turn = 10.0 ** gen.uniform(-6.0, 0.0) * gen.standard_normal((n, n))
+        q = np.linalg.qr(np.eye(n) + turn)[0]
+        a_new = q @ a @ q.T
+        norm_a = max(np.linalg.norm(a), np.linalg.norm(a_new))
+        op, op_new = invariant_newton_operator(*blocks(a)), invariant_newton_operator(*blocks(a_new))
+        change = np.linalg.norm(op_new - op, 1) / (
+            (2.0 * np.sqrt(m) + 2.0 * np.sqrt(k) + 4.0 * np.sqrt(d)) * np.linalg.norm(a_new - a) * 2.0 * norm_a)
+        scale = np.linalg.norm(a) ** 2
+        largest_block = max(np.linalg.norm(b, 1) for b in blocks(a)) ** 2
+        worst = np.maximum(worst, [change, np.linalg.norm(op, 1) / (3.0 * np.sqrt(d) * scale),
+                                   largest_block / (max(m, k) * scale)])
+        assert four_term_floor(m, k, scale) >= TOL.pivot * max(np.linalg.norm(op, 1), largest_block)
+    assert np.all(worst <= 1.0), worst
+    # the bound's slack 16 sqrt(d) delta ||A||_F covers the first
+    assert 2.0 * (2.0 * np.sqrt(m) + 2.0 * np.sqrt(k) + 4.0 * np.sqrt(d)) <= 16.0 * np.sqrt(d)
 
 
 def _invariant_operator_kron_oracle(a11, a12, a21, a22):
     """The four-term operator assembled with ``np.kron``, term by term in
-    the library's order, so equal products give a bit-identical sum."""
+    the library's order (G kron I, I kron H, then the four products), so equal
+    products give a bit-identical sum."""
     m, k = a12.shape
     im, ik = np.eye(m), np.eye(k)
     perm = np.arange(m * k).reshape(k, m).T.reshape(-1)
-    op = np.kron(a11 @ a11.T, ik)
+    op = np.kron(a11 @ a11.T - a21.T @ a21, ik)
+    op += np.kron(im, a22.T @ a22 - a21 @ a21.T)
     op -= np.kron(a11, a22)
     op -= np.kron(a11.T, a22.T)
-    op += np.kron(im, a22.T @ a22)
-    op -= np.kron(a21.T @ a21, ik)
-    op -= np.kron(im, a21 @ a21.T)
     op -= np.kron(a21.T, a12.T)[:, perm]
     op -= np.kron(a12, a21)[:, perm]
     return op
@@ -553,7 +441,7 @@ def test_kron_helper_operator_is_bit_identical(m, k):
     blocks = [gen.standard_normal(shape) for shape in ((m, m), (m, k), (k, m), (k, k))]
     assert np.array_equal(invariant_newton_operator(*blocks), _invariant_operator_kron_oracle(*blocks))
     a, b = blocks[0], blocks[3]
-    assert np.array_equal(_kron_sum(m, k, ((1, *_pair(a, b)),)), np.kron(a, b))
+    assert np.array_equal(np.multiply(*_pair(a, b)).reshape(m * k, m * k), np.kron(a, b))
 
 
 @pytest.mark.parametrize("m,k", [(1, 1), (1, 5), (4, 1), (3, 5), (8, 16)])
@@ -566,26 +454,6 @@ def test_in_place_operator_matches_the_kron_oracle(m, k):
     oracle = _invariant_operator_kron_oracle(*blocks)
     assert np.array_equal(op, oracle)
     assert op.tobytes() == oracle.tobytes()
-
-
-@pytest.mark.parametrize("m,k", [(1, 1), (1, 5), (4, 1), (3, 5), (8, 16)])
-def test_recursive_sylvester_operator_matches_the_kron_oracle(monkeypatch, m, k):
-    # the one operator the recursion inverts, against an independent np.kron assembly
-    gen = np.random.default_rng(200 * m + k)
-    a11 = gen.standard_normal((m, m)) + 4.0 * np.eye(m)
-    a22 = gen.standard_normal((k, k)) - 4.0 * np.eye(k)
-    inverted = []
-    inv = np.linalg.inv
-
-    def recording_inv(a):
-        inverted.append(np.array(a))
-        return inv(a)
-
-    monkeypatch.setattr(np.linalg, "inv", recording_inv)
-    solve_invariant_newton_recursive(a11, np.zeros((m, k)), np.zeros((k, m)), a22)
-    oracle = np.kron(a11, np.eye(k)) - np.kron(np.eye(m), a22.T)
-    assert len(inverted) == 1
-    assert np.array_equal(inverted[0], oracle)
 
 
 class TestOverlapDetection:
@@ -603,11 +471,10 @@ _NO_SCIPY_SCRIPT = """
 import sys
 import numpy as np
 import projnewton
-from projnewton.solvers import solve_invariant_newton_direct, solve_invariant_newton_recursive
+from projnewton.solvers import solve_invariant_newton_direct
 gen = np.random.default_rng(0)
 blocks = (gen.standard_normal((2, 2)) + 3.0 * np.eye(2), gen.standard_normal((2, 3)),
           0.1 * gen.standard_normal((3, 2)), gen.standard_normal((3, 3)) - 3.0 * np.eye(3))
-solve_invariant_newton_recursive(*blocks)
 solve_invariant_newton_direct(*blocks)
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """

@@ -131,7 +131,7 @@ class TestRoundOffStall:
 
 # -- property tests -------------------------------------------------------
 
-METHODS = ("rayleigh-gr", "rayleigh-lg", "invariant-direct", "invariant-recursive")
+METHODS = ("rayleigh-gr", "rayleigh-lg", "invariant-direct")
 
 
 @st.composite
@@ -194,7 +194,7 @@ def test_status_ignores_units_and_rotations(method, nu, data):
     # nor do they change which path certified the run
     status, iters, path, trace = run(a, start)
     assert status == Status.CONVERGED
-    assert path == ("solve" if method == "invariant-direct" else "bound")
+    assert path == "bound"
     for c in (1e-3, 1e3):
         assert run(c * a, start)[:3] == (status, iters, path), f"A -> {c:g} A"
     assert run(q @ a @ q.T, _rotated(start, q))[:3] == (status, iters, path), "A -> Q A Q^T"
