@@ -157,6 +157,43 @@ def test_start_outside_the_basin_certifies_a_point_that_is_not_invariant():
         assert np.abs(np.linalg.eigvals(a) - b11).min() >= 0.5
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("m,k", [(1, 1), (1, 6), (6, 1), (2, 5), (4, 4)])
+@pytest.mark.parametrize("kind", ["random", "near-rank-one", "near-diagonal"])
+def test_a_certifying_bound_is_confirmed_by_the_next_solve(kind, m, k, scale):
+    # two frames of one A, any rotation apart and not only a Newton step: the
+    # invariant cost's bound from the solve at the first never exceeds the
+    # separation the solve at the second measures, nor does the Banach lemma
+    # |sep' - sep| <= ||L' - L||_1 behind it fail, near-singular L included
+    gen = np.random.default_rng([m, k, len(kind), round(np.log10(scale)) + 3])
+    n, d = m + k, m * k
+    certified = 0
+    for _ in range(40):
+        if kind == "random":
+            a = gen.standard_normal((n, n))
+        elif kind == "near-rank-one":
+            a = np.outer(gen.standard_normal(n), gen.standard_normal(n)) + 1e-3 * gen.standard_normal((n, n))
+        else:
+            a = np.diag(gen.standard_normal(n)) + 1e-3 * gen.standard_normal((n, n))
+        cost = InvariantSubspaceCost(scale * a)
+        frame = OrthoFrame(_orthogonal(gen, n), m)
+        turn = 10.0 ** gen.uniform(-12.0, 0.0) * gen.standard_normal((n, n))
+        q, r = np.linalg.qr(np.eye(n) + turn)
+        moved = OrthoFrame((q * np.sign(np.diag(r))) @ frame.theta, m)
+        b, b_moved = cost.frame_terms(frame)[2], cost.frame_terms(moved)[2]
+        separation = cost.newton_solve(frame, b)[1]
+        bound, floor = cost.separation_bound(moved, b_moved, b, separation)
+        assert floor == four_term_floor(m, k, cost.scale)
+        measured = cost.newton_solve(moved, b_moved)[1]
+        assert bound <= measured, f"bound {bound:.17e} > separation {measured:.17e}"
+        ops = [invariant_newton_operator(x[:m, :m], x[:m, m:], x[m:, :m], x[m:, m:]) for x in (b, b_moved)]
+        change = np.linalg.norm(ops[1] - ops[0], 1)
+        assert abs(measured - separation) <= change + TOL.separation_roundoff * d * 3.0 * np.sqrt(d) * cost.scale
+        certified += bound > floor
+    # small turns certify, large ones do not
+    assert 1 <= certified < 40
+
+
 def _gapped_rayleigh(seed=3, n=7, m=2):
     q = _orthogonal(np.random.default_rng(seed), n)
     a = (q * np.arange(2.0 * n, n, -1.0)) @ q.T
@@ -295,6 +332,30 @@ class TestSeparationFloor:
             if method == "rayleigh-lg":
                 # the Lyapunov solve's own floor, of M = (B11 - B22) / 2, is lower
                 assert floor >= separation_floor(symmetrize(0.5 * (b11 - b22)))
+
+    @pytest.mark.parametrize("power", [-20, -1, 1, 20])
+    @pytest.mark.parametrize("method", ["rayleigh-gr", "rayleigh-lg", "invariant-direct"])
+    def test_certification_does_not_depend_on_units(self, method, power):
+        # A times c = 2^power scales B exactly, so the measured separation,
+        # the bound and its floor scale by c (trace cost) or c^2 (invariant
+        # cost) bit for bit: whether a step certifies does not depend on units
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((6, 6))
+        if method == "rayleigh-lg":
+            last, z = SymplecticFrame(_orthosymplectic(rng, 3).T), symmetrize(rng.standard_normal((3, 3)))
+        else:
+            last, z = OrthoFrame(_orthogonal(rng, 6), 3), rng.standard_normal((3, 3))
+        frame = push_frame(last, 1e-6 * z, "exp")
+        c, results = 2.0 ** power, []
+        for y in (x, c * x):
+            cost = InvariantSubspaceCost(y) if method == "invariant-direct" else RayleighCost(0.5 * (y + y.T))
+            b, last_b = cost.frame_terms(frame)[2], cost.frame_terms(last)[2]
+            separation = cost.newton_solve(last, last_b)[1]
+            results.append((separation, *cost.separation_bound(frame, b, last_b, separation)))
+        units = c ** 2 if method == "invariant-direct" else c
+        assert results[1] == tuple(units * value for value in results[0])
+        _, bound, floor = results[0]
+        assert bound > floor
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("factor", [0.1, 0.9, 1.1, 10.0])

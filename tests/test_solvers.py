@@ -204,6 +204,40 @@ class TestInvariantDirect:
             residual = _invariant_lhs(z, a11, a12, a21, a22) - invariant_newton_rhs(a11, a21, a22)
             assert np.linalg.norm(residual) <= 1e-8 * max(1.0, np.linalg.norm(z))
 
+    def test_shared_spectrum_is_singular(self, rng):
+        # A11 = A22 symmetric and no coupling: L = (A11 (x) I - I (x) A11)^2,
+        # whose kernel holds every Z that commutes with A11
+        a = random_symmetric(rng, 3)
+        with pytest.raises(SingularOperator):
+            solve_invariant_newton_direct(a, np.zeros((3, 3)), np.zeros((3, 3)), a)
+
+    def test_singular_on_small_separation_despite_eigenvalue_gap(self):
+        # eigenvalues 1 and 0 / -0.5 are well apart, but with no coupling L is
+        # S^T S for S(Z) = A11^T Z - Z A22^T, which these strongly non-normal
+        # blocks put within 1e-8 ||A||_F of singular: the solve raises
+        a11 = np.array([[1.0, 1e5], [0.0, 1.0]])
+        a22 = np.array([[0.0, 1e5], [0.0, -0.5]])
+        gaps = np.abs(np.linalg.eigvals(a11)[:, None] - np.linalg.eigvals(a22)[None, :])
+        assert gaps.min() >= 0.5
+        s = np.kron(a11.T, np.eye(2)) - np.kron(np.eye(2), a22)
+        assert np.linalg.svd(s, compute_uv=False)[-1] <= 1e-8 * np.linalg.norm(a11)
+        with pytest.raises(SingularOperator):
+            solve_invariant_newton_direct(a11, np.zeros((2, 2)), np.zeros((2, 2)), a22)
+
+    def test_separation_has_the_units_of_the_operator(self):
+        # blocks times c = 2^j scale L by c^2 exactly, and its separation with it
+        solved = 0
+        for blocks in _four_term_cases(200, 3):
+            try:
+                separation = solve_invariant_newton_direct(*blocks)[1]
+            except SingularOperator:
+                continue
+            solved += 1
+            for j in (-20, -1, 1, 20):
+                scaled = solve_invariant_newton_direct(*(2.0 ** j * b for b in blocks))[1]
+                assert scaled == 4.0 ** j * separation
+        assert solved >= 100
+
     def test_fully_degenerate(self):
         # every subspace of the identity is invariant: zero operator
         eye = np.eye(2)
