@@ -10,7 +10,8 @@ Matrix files are UTF-8 text with one whitespace-separated row per line;
 '#' starts a comment.  Reports are JSON documents (schema version "1");
 repeated identical invocations produce byte-identical reports apart from
 the ``elapsed_seconds`` field.  ``--out`` is overwritten in place, never
-emptied first, and the write is not atomic.
+emptied first, and the write is not atomic.  A process builds each
+command's parser once, on its first call, and later ``main`` calls reuse it.
 
 A run stops once the gradient norm is at most ``--tol`` times ||A||_F
 (||A||_F^2 for invariant): its status does not depend on the units of A.
@@ -24,11 +25,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
 import stat
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -76,6 +76,8 @@ def load_matrix(path):
                     raise ProjNewtonError(f"{path}:{line_no}: {exc}") from exc
     except OSError as exc:
         raise ProjNewtonError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ProjNewtonError(f"{path}: not UTF-8 text: {exc}") from exc
     if not rows:
         raise ProjNewtonError(f"{path}: no matrix rows found")
     width = len(rows[0])
@@ -359,11 +361,6 @@ class _Parser(argparse.ArgumentParser):
     """Argument errors map to the input-error exit code (1), not argparse's 2,
     which this tool reserves for runs that exhaust the iteration budget."""
 
-    def __init__(self, **kwargs):
-        # argparse's default width, read once here instead of on every add_argument
-        width = shutil.get_terminal_size().columns - 2
-        super().__init__(formatter_class=partial(argparse.HelpFormatter, width=width), **kwargs)
-
     def error(self, message):
         raise ProjNewtonError(message)
 
@@ -379,11 +376,12 @@ _COMMANDS = {
 }
 
 
-def _add_command(parser, name):
-    """Declare command ``name``'s arguments and handler on ``parser``."""
-    _, add_arguments, handler = _COMMANDS[name]
-    add_arguments(parser)
-    parser.set_defaults(func=handler, command=name)
+@cache
+def _command_parser(name):
+    """``build_parser``'s subparser for command ``name``, alone, built on first use."""
+    parser = _Parser(prog=f"projnewton {name}")
+    _COMMANDS[name][1](parser)
+    parser.set_defaults(command=name)
     return parser
 
 
@@ -394,20 +392,19 @@ def build_parser():
         description="Newton iterations on Grassmann and Lagrange-Grassmann manifolds",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _) in _COMMANDS.items():
-        _add_command(sub.add_parser(name, help=help_text), name)
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     try:
-        name = argv[0] if argv else None
-        if name in _COMMANDS:  # build_parser's subparser for this command, alone
-            args = _add_command(_Parser(prog=f"projnewton {name}"), name).parse_args(argv[1:])
+        if argv and argv[0] in _COMMANDS:
+            args = _command_parser(argv[0]).parse_args(argv[1:])
         else:
             args = build_parser().parse_args(argv)
-        return args.func(args)
+        return _COMMANDS[args.command][2](args)
     except ProjNewtonError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

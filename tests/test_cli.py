@@ -55,6 +55,21 @@ class TestMatrixFiles:
         with pytest.raises(ProjNewtonError):
             load_matrix("/nonexistent/matrix.txt")
 
+    @pytest.mark.parametrize("which", ["matrix", "start"])
+    def test_non_utf8_file_is_an_input_error(self, tmp_path, capsys, which):
+        # the decode error is a ValueError raised while the lines are read
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"1 2\n\xff\xfe 3\n")
+        argv = ["rayleigh-gr", str(bad), "--m", "1"]
+        if which == "start":
+            argv = ["rayleigh-gr", _write_matrix(tmp_path / "a.txt", np.diag([2.0, 1.0])),
+                    "--m", "1", "--start", str(bad)]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {bad}: not UTF-8 text: ")
+        assert "Traceback" not in err
+
 
 class TestRayleighGr:
     def test_diagonal_end_to_end(self, tmp_path, capsys):
@@ -439,13 +454,19 @@ print(len(built))
 """
 
 
+def _fresh_process(*args):
+    """A new Python process running ``args``, with this library on its path."""
+    src = os.path.dirname(os.path.dirname(projnewton.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
 def test_import_builds_no_parser():
     # the benchmark's set-up time imports the library: the CLI parser is
     # built by main, not at import
-    src = os.path.dirname(os.path.dirname(projnewton.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", _NO_PARSER_SCRIPT], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
+    out = _fresh_process("-c", _NO_PARSER_SCRIPT)
+    assert out.returncode == 0
     assert out.stdout.strip() == "0"
 
 
@@ -454,6 +475,35 @@ _COMMAND_NAMES = ("rayleigh-gr", "rayleigh-lg", "invariant")
 
 def _command_argv(tmp_path, command):
     return _report_argv(tmp_path, command)
+
+
+def _start_argv(tmp_path, command):
+    """(argv without start options, path of a start basis) for ``command``."""
+    if command == "invariant":
+        path, start, _ = TestInvariant._constructed(tmp_path)
+        return ["invariant", path, "--m", "2"], start
+    argv = _report_argv(tmp_path, command)
+    mat = load_matrix(argv[1])
+    m = int(argv[3]) if command == "rayleigh-gr" else mat.shape[0] // 2
+    _, vectors = np.linalg.eigh(mat)
+    return argv, _write_matrix(tmp_path / "s.txt", vectors[:, ::-1][:, :m])
+
+
+def _record_args(monkeypatch, command):
+    """The namespaces ``main`` hands ``command``'s handler, which still runs."""
+    seen = []
+    help_text, add_arguments, handler = cli._COMMANDS[command]
+    monkeypatch.setitem(cli._COMMANDS, command, (
+        help_text, add_arguments, lambda args: seen.append(vars(args)) or handler(args)))
+    return seen
+
+
+@pytest.fixture
+def fresh_command_parsers():
+    """Forget the command parsers built before the test, and those it builds."""
+    cli._command_parser.cache_clear()
+    yield
+    cli._command_parser.cache_clear()
 
 
 @pytest.fixture
@@ -498,7 +548,7 @@ def _main_with_full_parser(argv):
     """``main`` with ``build_parser()`` for every argv."""
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        return cli._COMMANDS[args.command][2](args)
     except ProjNewtonError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -508,9 +558,9 @@ _HELP_ARGVS = [["--help"]] + [[name, "--help"] for name in _COMMAND_NAMES]
 
 
 class TestCommandParser:
-    """``main`` builds one parser, for the invoked command alone; the result
-    must be indistinguishable from ``build_parser()``, which has every
-    command as a subparser."""
+    """``main`` builds a parser for the invoked command alone, once per
+    process; the result must be indistinguishable from ``build_parser()``,
+    which has every command as a subparser."""
 
     @pytest.mark.parametrize("command", _COMMAND_NAMES)
     def test_matches_full_parser(self, tmp_path, capsys, monkeypatch, command):
@@ -527,17 +577,62 @@ class TestCommandParser:
         assert helps[0][1].startswith(f"usage: projnewton {command} ")
 
     @pytest.mark.parametrize("command", _COMMAND_NAMES)
-    def test_main_builds_one_subparser(self, tmp_path, capsys, built_parsers, command):
-        assert main(_command_argv(tmp_path, command)) == 0
+    def test_main_builds_one_subparser(self, tmp_path, capsys, fresh_command_parsers,
+                                       built_parsers, command):
+        argv = _command_argv(tmp_path, command)
+        assert main(argv) == 0
+        assert built_parsers == [f"projnewton {command}"]
+        assert main(argv) == 0
+        assert main(argv + ["--seed", "1"]) == 0
         assert built_parsers == [f"projnewton {command}"]
 
-    def test_main_reads_sys_argv(self, tmp_path, capsys, monkeypatch, built_parsers):
+    def test_main_reads_sys_argv(self, tmp_path, capsys, monkeypatch, fresh_command_parsers,
+                                 built_parsers):
         out = tmp_path / "r.json"
         argv = _command_argv(tmp_path, "rayleigh-lg") + ["--out", str(out)]
         monkeypatch.setattr(sys, "argv", ["projnewton"] + argv)
         assert main() == 0
         assert json.loads(out.read_text())["command"] == "rayleigh-lg"
         assert built_parsers == ["projnewton rayleigh-lg"]
+        out.unlink()
+        assert main() == 0
+        assert json.loads(out.read_text())["command"] == "rayleigh-lg"
+        assert built_parsers == ["projnewton rayleigh-lg"]
+
+    @pytest.mark.parametrize("command", _COMMAND_NAMES)
+    def test_cached_parser_keeps_no_state(self, tmp_path, capsys, monkeypatch, command):
+        # every per-call option set, then the defaults: each call parses as
+        # build_parser() does and reports as a new process does
+        base, start = _start_argv(tmp_path, command)
+        out, fresh_out = tmp_path / "r.json", tmp_path / "fresh.json"
+        seen = _record_args(monkeypatch, command)
+        calls = [base + ["--start", start, "--perturb", "0.1", "--nu", "cayley", "--out", str(out)],
+                 base]
+        for argv in calls:
+            fresh = _fresh_process("-m", "projnewton.cli",
+                                   *(str(fresh_out) if arg == str(out) else arg for arg in argv))
+            assert main(argv) == fresh.returncode
+            assert seen.pop() == vars(build_parser().parse_args(argv))
+            printed = capsys.readouterr().out
+            report, expected = ((out.read_text(), fresh_out.read_text()) if "--out" in argv
+                                else (printed, fresh.stdout))
+            assert json.loads(report)["config"]["start"] == (start if "--out" in argv else None)
+            assert _strip_elapsed(report) == _strip_elapsed(expected)
+
+    @pytest.mark.parametrize("bad", [["--nu", "bad"], ["--perturb", "nan"],
+                                     ["--no-such-option"], ["--m"]],
+                             ids=["choice", "type", "unknown-option", "missing-value"])
+    def test_argparse_error_leaves_the_parser_usable(self, tmp_path, capsys, monkeypatch, bad):
+        argv = _command_argv(tmp_path, "rayleigh-gr")
+        seen = _record_args(monkeypatch, "rayleigh-gr")
+        assert main(argv) == 0
+        before = capsys.readouterr().out
+        assert main(argv + bad) == 1
+        assert capsys.readouterr().err.startswith("error: argument" if bad != ["--no-such-option"]
+                                                  else "error: unrecognized arguments: ")
+        assert main(argv) == 0
+        assert _strip_elapsed(capsys.readouterr().out) == _strip_elapsed(before)
+        assert seen == [vars(build_parser().parse_args(argv))] * 2
 
     def test_top_level_help_lists_every_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
