@@ -158,10 +158,10 @@ class RayleighCost(CostFunction):
         blocks; Weyl), less round-off at the data scale ||A||_F; the Sylvester
         floor of the blocks, at least the Lyapunov one of M."""
         m = frame.rank
-        new, step = symmetrize(b), symmetrize(b - last_b)
-        slack = frobenius_norm(step[:m, :m]) + frobenius_norm(step[m:, m:])
+        b11, b22, last11, last22 = b[:m, :m], b[m:, m:], last_b[:m, :m], last_b[m:, m:]
+        slack = frobenius_norm(symmetrize(b11 - last11)) + frobenius_norm(symmetrize(b22 - last22))
         slack += TOL.separation_roundoff * frame.dim * self.scale
-        return separation - slack, separation_floor(new[:m, :m], new[m:, m:])
+        return separation - slack, separation_floor(symmetrize(b11), symmetrize(b22))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ and keeps the frame orthogonal to round-off for any finite step.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -102,6 +101,8 @@ class OrthoFrame:
 
     def __post_init__(self):
         object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
+        if self.theta.ndim != 2 or self.theta.shape[0] != self.theta.shape[1]:
+            raise DimensionMismatch(f"frame must be square, got shape {self.theta.shape}")
         n = self.theta.shape[0]
         if not np.isfinite(self.theta).all():
             raise NotAProjector("frame has a non-finite entry")
@@ -125,9 +126,9 @@ class OrthoFrame:
         return Projector(th[:m].T @ th[:m], m)
 
     def _with_theta(self, theta):
-        """This frame with new rows; frames are checked where they enter."""
-        out = copy.copy(self)
-        object.__setattr__(out, "theta", theta)
+        """This frame with new rows, unchecked: frames are checked where they enter."""
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__, theta=theta)
         return out
 
 
@@ -204,11 +205,17 @@ def _distance(cos_mat, sin_mat):
     """sqrt(2 sum_i theta_i^2) over the principal angles theta_i, from
     matrices whose singular values are their cosines and their sines (sines
     missing when m > n/2 are zero); sines below pi/4 and cosines above keep
-    tiny and near-right angles accurate.  Leading axes are batch axes."""
-    cos = np.clip(np.linalg.svd(cos_mat, compute_uv=False), 0.0, 1.0)  # svd: descending
-    sin = np.clip(np.linalg.svd(sin_mat, compute_uv=False), 0.0, 1.0)[..., ::-1]
-    sin = np.concatenate([np.zeros(cos.shape[:-1] + (cos.shape[-1] - sin.shape[-1],)), sin], -1)
-    theta = np.where(cos > np.cos(np.pi / 4), np.arcsin(sin), np.arccos(cos))
+    tiny and near-right angles accurate (Knyazev & Argentati 2002).  Leading
+    axes are batch axes.  The cosines are decomposed only when a sine passes
+    0.7: below, every cosine is at least 0.714 > cos(pi/4), by far more than
+    a frame's round-off, so every angle is an arcsine either way."""
+    sin = np.clip(np.linalg.svd(sin_mat, compute_uv=False), 0.0, 1.0)[..., ::-1]  # ascending
+    sin = np.concatenate([np.zeros(sin.shape[:-1] + (min(cos_mat.shape[-2:]) - sin.shape[-1],)),
+                          sin], -1)
+    theta = np.arcsin(sin)
+    if sin[..., -1].max() > 0.7:
+        cos = np.clip(np.linalg.svd(cos_mat, compute_uv=False), 0.0, 1.0)  # descending
+        theta = np.where(cos > np.cos(np.pi / 4), theta, np.arccos(cos))
     return np.sqrt(2.0 * np.sum(theta * theta, axis=-1))
 
 

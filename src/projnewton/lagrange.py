@@ -74,7 +74,7 @@ class SymplecticFrame(OrthoFrame):
     symmetric_steps = True
 
     def __post_init__(self):
-        n2 = np.shape(self.theta)[0]
+        n2 = np.shape(self.theta)[0] if np.ndim(self.theta) == 2 else 0  # OrthoFrame rejects it
         if n2 % 2:
             raise DimensionMismatch("symplectic frame must have even dimension")
         object.__setattr__(self, "rank", n2 // 2)

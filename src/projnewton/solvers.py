@@ -145,6 +145,11 @@ def invariant_newton_operator(a11, a12, a21, a22):
     - A21 A21^T.  G kron I and I kron H are written onto block diagonals; the
     other four are subtracted in place, in that order, with one temporary.
     """
+    return _operator_and_scratch(a11, a12, a21, a22)[0]
+
+
+def _operator_and_scratch(a11, a12, a21, a22):
+    """``invariant_newton_operator`` and the spent d x d temporary it was assembled with."""
     m = a11.shape[0]
     k = a22.shape[0]
     op = np.zeros((m * k, m * k))
@@ -155,7 +160,7 @@ def invariant_newton_operator(a11, a12, a21, a22):
                  (a21.T[:, None, None, :], a12.T[None, :, :, None]),
                  (a12[:, None, None, :], a21[None, :, :, None])):
         np.subtract(out, np.multiply(x, y, out=tmp), out=out)
-    return op
+    return op, tmp.reshape(op.shape)
 
 
 def _pair(a, b):
@@ -181,11 +186,16 @@ def solve_invariant_newton_direct(a11, a12, a21, a22):
         ||op^-1||_1 reaches 1 / ``TOL.pivot`` (degenerate Hessian).
     """
     a11, a12, a21, a22 = _four_term_blocks(a11, a12, a21, a22)
-    op = invariant_newton_operator(a11, a12, a21, a22)
+    op, scratch = _operator_and_scratch(a11, a12, a21, a22)
     # the operator is quadratic in the blocks; judged against at least that data scale,
     # an operator that collapsed to round-off (every subspace invariant) is degenerate
     data_scale = max(_norm_1(a11), _norm_1(a22), _norm_1(a12), _norm_1(a21)) ** 2
-    inv, inv_norm = _checked_inverse(op, max(_norm_1(op), data_scale))
+    # |op| and |op^-1| go to spent d x d buffers: two fewer allocations of that size,
+    # which at d = 128 (128 KiB) sits at glibc's mmap and trim threshold; the scratch
+    # is freed before the inverse, so the heap peaks no higher than it would without it
+    op_norm = _norm_1(op, scratch)
+    del scratch
+    inv, inv_norm = _checked_inverse(op, max(op_norm, data_scale), scratch=op)
     z = (inv @ invariant_newton_rhs(a11, a21, a22).reshape(-1)).reshape(a12.shape)
     return z, float(1.0 / inv_norm)
 
@@ -219,15 +229,16 @@ def solve_dense(h, g):
     return _checked_inverse(a, _norm_1(a))[0] @ b
 
 
-def _checked_inverse(a, a_norm):
+def _checked_inverse(a, a_norm, scratch=None):
     """LAPACK inverse of a square operator of 1-norm (or scale) ``a_norm`` and its
     1-norm, behind the relative singularity floor: ``SingularOperator`` if ``a`` is
-    exactly singular or ``a_norm`` ||a^-1||_1 reaches 1 / ``TOL.pivot``."""
+    exactly singular or ``a_norm`` ||a^-1||_1 reaches 1 / ``TOL.pivot``.  |a^-1| is
+    written to ``scratch`` if given, which may be ``a`` itself."""
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise SingularOperator(f"operator is singular: {exc}") from exc
-    inv_norm = _norm_1(inv)
+    inv_norm = _norm_1(inv, scratch)
     cond = a_norm * inv_norm
     if cond * TOL.pivot >= 1.0:
         raise SingularOperator(
@@ -236,6 +247,7 @@ def _checked_inverse(a, a_norm):
     return inv, inv_norm
 
 
-def _norm_1(x):
-    """||x||_1, the largest column sum of |x|: np.linalg.norm's sum without its dispatch."""
-    return np.abs(x).sum(axis=0).max()
+def _norm_1(x, out=None):
+    """||x||_1, the largest column sum of |x| (written to ``out`` if given):
+    np.linalg.norm's sum without its dispatch."""
+    return np.abs(x, out=out).sum(axis=0).max()

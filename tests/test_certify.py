@@ -13,7 +13,7 @@ import pytest
 
 from projnewton.config import TOL
 from projnewton.costs import HamiltonianRayleighCost, InvariantSubspaceCost, RayleighCost
-from projnewton.decomp import symmetrize
+from projnewton.decomp import frobenius_norm, symmetrize
 from projnewton.errors import SpectralOverlap
 from projnewton.grassmann import CHART_NAMES, OrthoFrame, push_frame
 from projnewton.lagrange import SymplecticFrame, sympl_form
@@ -105,6 +105,23 @@ def problems(draw, method):
             cost = InvariantSubspaceCost(q @ t @ q.T)
         planted = OrthoFrame(q.T, m)
     return cost, perturb_frame(planted, distance, seed)
+
+
+def _trace_problem(method, seed):
+    """(trace cost, start 0.1 from its solution) of a fixed well-separated problem."""
+    rng = np.random.default_rng(seed)
+    if method == "rayleigh-gr":
+        q = _orthogonal(rng, 7)
+        a = (q * np.arange(7.0, 0.0, -1.0)) @ q.T
+        return RayleighCost(0.5 * (a + a.T)), perturb_frame(OrthoFrame(q.T, 3), 0.1, seed)
+    u = _orthosymplectic(rng, 3)
+    lam = np.array([3.0, 2.0, 1.0])
+    h = (u * np.concatenate([lam, -lam])) @ u.T
+    cost = HamiltonianRayleighCost(0.5 * (h + h.T))
+    if method == "rayleigh-lg-general":
+        x, j = rng.standard_normal((6, 6)), sympl_form(3)
+        cost = RayleighCost(cost.h + 0.5 * (x + x.T - j @ (x + x.T) @ j))
+    return cost, perturb_frame(SymplecticFrame(u.T), 0.1, seed)
 
 
 @pytest.mark.parametrize("nu", CHART_NAMES)
@@ -332,6 +349,36 @@ class TestSeparationFloor:
             if method == "rayleigh-lg":
                 # the Lyapunov solve's own floor, of M = (B11 - B22) / 2, is lower
                 assert floor >= separation_floor(symmetrize(0.5 * (b11 - b22)))
+
+    @pytest.mark.parametrize("data", ["newton", "non-symmetric"])
+    @pytest.mark.parametrize("method", ["rayleigh-gr", "rayleigh-lg", "rayleigh-lg-general"])
+    def test_trace_bound_reads_only_the_diagonal_blocks(self, method, data):
+        # the bound and floor equal, bit for bit, those of symmetrizing all
+        # of B and of B - B_last before cutting the diagonal blocks out
+        def whole_b(cost, frame, b, last_b, separation):
+            m = frame.rank
+            new, step = symmetrize(b), symmetrize(b - last_b)
+            slack = frobenius_norm(step[:m, :m]) + frobenius_norm(step[m:, m:])
+            slack += TOL.separation_roundoff * frame.dim * cost.scale
+            return separation - slack, separation_floor(new[:m, :m], new[m:, m:])
+
+        cases = 0
+        for seed in range(4):
+            cost, frame = _trace_problem(method, seed)
+            rng = np.random.default_rng(seed)
+            last = None
+            for _ in range(6):
+                _, _, b = cost.frame_terms(frame)
+                if data == "non-symmetric":
+                    b = b + 1e-3 * rng.standard_normal(b.shape)
+                z, separation = cost.newton_solve(frame, b)
+                if last is not None:
+                    bound = cost.separation_bound(frame, b, *last)
+                    assert bound == whole_b(cost, frame, b, *last)
+                    cases += 1
+                last = (b, separation)
+                frame = push_frame(frame, z, "qr")
+        assert cases == 20
 
     @pytest.mark.parametrize("power", [-20, -1, 1, 20])
     @pytest.mark.parametrize("method", ["rayleigh-gr", "rayleigh-lg", "invariant-direct"])

@@ -295,6 +295,98 @@ class TestDistance:
             assert abs(dist - frame_distance(frame, basis)) <= 1e-15
 
 
+def _two_svd_distance(cos_mat, sin_mat):
+    """The reference for ``_distance``: both SVDs always, and an arcsine
+    wherever the cosine clears cos(pi/4)."""
+    cos = np.clip(np.linalg.svd(cos_mat, compute_uv=False), 0.0, 1.0)
+    sin = np.clip(np.linalg.svd(sin_mat, compute_uv=False), 0.0, 1.0)[..., ::-1]
+    sin = np.concatenate([np.zeros(cos.shape[:-1] + (cos.shape[-1] - sin.shape[-1],)), sin], -1)
+    theta = np.where(cos > np.cos(np.pi / 4), np.arcsin(sin), np.arccos(cos))
+    return np.sqrt(2.0 * np.sum(theta * theta, axis=-1))
+
+
+def _turned(frame, angles, seed):
+    """``frame`` pushed by exp through the principal ``angles`` (as many as
+    min(m, n - m)), in directions drawn from ``seed``; symmetric on a
+    symplectic frame, where the angles are |eigenvalues| of Z."""
+    rng = np.random.default_rng(seed)
+    m, k = frame.rank, frame.dim - frame.rank
+    u = np.linalg.qr(rng.standard_normal((m, len(angles))))[0]
+    if frame.symmetric_steps:
+        return push_frame(frame, u @ np.diag(angles) @ u.T, "exp")
+    v = np.linalg.qr(rng.standard_normal((k, len(angles))))[0]
+    return push_frame(frame, u @ np.diag(angles) @ v.T, "exp")
+
+
+class TestOneSvdDistance:
+    """``_distance`` decomposes the cosines only when a sine passes 0.7, and
+    its distances equal those of both decompositions, bit for bit."""
+
+    @staticmethod
+    def _batch(case, largest, seed=0):
+        from projnewton.lagrange import random_lag_projector
+
+        if case == "symplectic":
+            target = random_lag_projector(4, 99)[1]
+        else:
+            target = random_projector(*{"m<n/2": (9, 2), "m>n/2": (9, 7)}[case], 99)[1]
+        r = min(target.rank, target.dim - target.rank)
+        rng = np.random.default_rng(seed)
+        frames = [target]
+        for i, top in enumerate(largest):
+            angles = np.concatenate([[top], rng.uniform(0.0, min(top, 0.6), r - 1)])
+            frames.append(_turned(target, angles, 10 * seed + i))
+        return frames, target.rank, target.basis()
+
+    @staticmethod
+    def _counted(monkeypatch, frames, m, basis):
+        svd, calls = np.linalg.svd, []
+
+        def counting(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return svd(*args, **kwargs)
+
+        rows = np.stack([frame.theta @ basis for frame in frames])
+        expected = _two_svd_distance(rows[:, :m], rows[:, m:])
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        got = _distance(rows[:, :m], rows[:, m:])
+        monkeypatch.undo()
+        assert np.array_equal(got, expected)
+        assert np.array_equal(frame_distances(frames, basis), expected)
+        return calls
+
+    @pytest.mark.parametrize("case", ["m<n/2", "m>n/2", "symplectic"])
+    def test_sines_up_to_07_take_one_svd(self, monkeypatch, case):
+        frames, m, basis = self._batch(case, [1e-12, 1e-3, 0.3, np.arcsin(0.69)])
+        calls = self._counted(monkeypatch, frames, m, basis)
+        assert calls == [(len(frames), basis.shape[0] - m, m)]  # the sine blocks only
+
+    @pytest.mark.parametrize("case", ["m<n/2", "m>n/2", "symplectic"])
+    @pytest.mark.parametrize("top", [np.pi / 4 + 1e-3, np.pi / 2 - 1e-9],
+                             ids=["just-past", "near-right"])
+    def test_an_angle_past_pi_over_4_takes_the_cosines(self, monkeypatch, case, top):
+        frames, m, basis = self._batch(case, [1e-12, 0.3, top])
+        calls = self._counted(monkeypatch, frames, m, basis)
+        assert calls == [(len(frames), basis.shape[0] - m, m), (len(frames), m, m)]
+
+    @pytest.mark.parametrize("case", ["m<n/2", "m>n/2", "symplectic"])
+    @pytest.mark.parametrize("offset", [-1e-12, -1e-13, 0.0, 1e-13, 1e-12])
+    def test_sines_near_07(self, monkeypatch, case, offset):
+        # either branch may run at the threshold; the bits are the same
+        frames, m, basis = self._batch(case, [np.arcsin(0.7 + offset)] * 3, seed=1)
+        assert len(self._counted(monkeypatch, frames, m, basis)) in (1, 2)
+
+    def test_single_frames_and_the_p_coordinate_oracle(self):
+        # one frame, unbatched, with m > n/2: the sines are padded with zeros
+        frames, m, basis = self._batch("m>n/2", [0.5, 1.2])
+        for frame in frames:
+            cos_mat, sin_mat = frame.theta[:m] @ basis, frame.theta[m:] @ basis
+            assert _distance(cos_mat, sin_mat) == _two_svd_distance(cos_mat, sin_mat)
+            # the oracle's (n, m) cosine matrix P U: as many sines as cosines
+            puq = frame.projector().mat @ basis
+            assert _distance(puq, basis - puq) == _two_svd_distance(puq, basis - puq)
+
+
 def _factor(z, chart):
     """The chart's orthogonal hat-space factor M at Z: the pushed frame is
     M^T Theta, so M is the transposed push of the identity frame."""
@@ -510,6 +602,39 @@ class TestFrameAdvance:
             warnings.simplefilter("error")
             with pytest.raises(NotAProjector, match="non-finite"):
                 OrthoFrame(theta, 2)
+
+    def test_constructor_requires_square_rows(self):
+        # a row-orthonormal (2, 3) theta passes theta theta^T = I
+        from projnewton.lagrange import SymplecticFrame
+
+        for theta in (np.eye(2, 3), np.eye(3, 2), np.ones(3), np.float64(1.0), np.ones((1, 2, 2))):
+            with pytest.raises(DimensionMismatch, match="square"):
+                OrthoFrame(theta, 1)
+        for theta in (np.eye(2, 4), np.eye(4, 2), np.ones(4), np.float64(1.0)):
+            with pytest.raises(DimensionMismatch, match="square"):
+                SymplecticFrame(theta)
+
+    @pytest.mark.parametrize("kind", ["grassmann", "symplectic"])
+    def test_with_theta_keeps_the_frame_and_checks_nothing(self, monkeypatch, kind):
+        from projnewton.lagrange import SymplecticFrame, random_lag_projector
+
+        frame = _frame(6, 2) if kind == "grassmann" else random_lag_projector(3, 0)[1]
+        rows = frame.theta.copy()
+        new = 1.5 * frame.theta  # not orthogonal: only an entry check would notice
+
+        def forbidden(self):
+            raise AssertionError("a frame was checked")
+
+        monkeypatch.setattr(type(frame), "__post_init__", forbidden)
+        out = frame._with_theta(new)
+        assert type(out) is type(frame)
+        assert isinstance(out, SymplecticFrame) == (kind == "symplectic")
+        assert out.rank == frame.rank and out.symmetric_steps == frame.symmetric_steps
+        assert out.theta is new and out.theta is not frame.theta
+        assert np.array_equal(frame.theta, rows)
+        assert vars(out) is not vars(frame) and vars(out).keys() == vars(frame).keys()
+        with pytest.raises(AttributeError):
+            out.theta = rows  # still frozen
 
     def test_param_round_trip(self, rng):
         _, frame = random_projector(5, 2, 1)

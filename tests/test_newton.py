@@ -16,7 +16,7 @@ from projnewton.costs import (
     RayleighCost,
 )
 from projnewton.decomp import frobenius_norm, qr_positive, sym_eig, symmetrize
-from projnewton.errors import InsufficientData, NoConvergence, NotAProjector
+from projnewton.errors import DimensionMismatch, InsufficientData, NoConvergence, NotAProjector
 from projnewton.grassmann import (
     CHART_NAMES,
     OrthoFrame,
@@ -596,6 +596,66 @@ class TestRunNewton:
         if not referenced:
             basis = trace.extras["final_frame"].basis()
             assert abs(trace.records[0].distance - frame_distance(start, basis)) <= 1e-15
+
+
+def _problem_05_away(method, seed=5):
+    """(cost, planted frame, start 0.05 away) of a well-separated problem."""
+    rng = np.random.default_rng(seed)
+    if method == "rayleigh-gr":
+        a, dom = _gapped_symmetric(rng, 8, 3)
+        cost = RayleighCost(a)
+    elif method == "rayleigh-lg":
+        cost, dom = _hamiltonian_with_frame(rng, 3)
+    else:
+        a, target = _constructed_invariant(seed, 2, 4)
+        cost, dom = InvariantSubspaceCost(a), frame_from_projector(target)
+    return cost, dom, perturb_frame(dom, 0.05, seed)
+
+
+class TestFixedCosts:
+    """What a run pays beside its Newton solves: one SVD per push, one SVD
+    for all the distances after the loop, and no copy of a frame."""
+
+    @pytest.mark.parametrize("method", ["rayleigh-gr", "rayleigh-lg", "invariant-direct"])
+    @pytest.mark.parametrize("referenced", [True, False])
+    def test_one_svd_per_push_plus_one(self, monkeypatch, method, referenced):
+        cost, dom, start = _problem_05_away(method)
+        reference = dom.projector() if referenced else None
+        svd, shapes = np.linalg.svd, []
+
+        def counting(*args, **kwargs):
+            shapes.append(np.shape(args[0]))
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        trace = run_newton(cost, start, NewtonConfig(), reference=reference, method=method)
+        assert trace.status == Status.CONVERGED
+        pushes = len(trace.records) - 1
+        assert pushes >= 2
+        m, k = dom.rank, dom.dim - dom.rank
+        # the steps Z (m x k), then the sine blocks of every iterate
+        assert shapes == [(m, k)] * pushes + [(len(trace.records), k, m)]
+
+    @pytest.mark.parametrize("method", ["rayleigh-gr", "rayleigh-lg", "invariant-direct"])
+    def test_a_run_copies_no_frame(self, monkeypatch, method):
+        import copy
+
+        cost, _, start = _problem_05_away(method)
+
+        def forbidden(*args):
+            raise AssertionError("copy.copy called")
+
+        monkeypatch.setattr(copy, "copy", forbidden)
+        trace = run_newton(cost, start, NewtonConfig(), method=method)
+        assert trace.status == Status.CONVERGED
+        assert type(trace.extras["final_frame"]) is type(start)
+
+    def test_a_non_square_start_is_rejected(self):
+        # (2, 3) rows are orthonormal but no frame of R^3; unchecked, a run
+        # iterates 2-row frames and reports Converged
+        with pytest.raises(DimensionMismatch, match="square"):
+            run_newton(RayleighCost(np.diag([3.0, 2.0, 1.0])), OrthoFrame(np.eye(2, 3), 1),
+                       NewtonConfig())
 
 
 class _FixedStep(CostFunction):

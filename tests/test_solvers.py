@@ -379,6 +379,73 @@ class TestOperatorInverses:
         assert calls == [(6, 6)]
         assert svds == []
 
+    @staticmethod
+    def _blocks(m, k):
+        gen = np.random.default_rng(10 * m + k)
+        return (gen.standard_normal((m, m)) + 3.0 * np.eye(m), gen.standard_normal((m, k)),
+                0.1 * gen.standard_normal((k, m)), gen.standard_normal((k, k)) - 3.0 * np.eye(k))
+
+    @pytest.mark.parametrize("m,k", [(1, 1), (2, 3), (3, 5), (8, 16)])
+    def test_direct_solve_keeps_its_bits(self, m, k):
+        # the reference allocates |op| and |op^-1|; the solve writes them to
+        # spent buffers of its own.  (8, 16): d = 128, arrays of 128 KiB
+        blocks = self._blocks(m, k)
+        copies = [b.copy() for b in blocks]
+        z, separation = solve_invariant_newton_direct(*blocks)
+        op = invariant_newton_operator(*blocks)
+        inv = np.linalg.inv(op)
+        rhs = invariant_newton_rhs(blocks[0], blocks[2], blocks[3]).reshape(-1)
+        assert np.array_equal(z, (inv @ rhs).reshape(m, k))
+        assert separation == float(1.0 / np.abs(inv).sum(axis=0).max())
+        assert all(np.array_equal(b, c) for b, c in zip(blocks, copies))
+
+    @pytest.mark.parametrize("m,k", [(2, 3), (8, 16)])
+    def test_direct_solve_takes_no_absolute_copy_of_its_operators(self, monkeypatch, m, k):
+        d, unbuffered = m * k, []
+        absolute = np.abs
+
+        def watched(x, *args, **kwargs):
+            if np.shape(x) == (d, d) and kwargs.get("out") is None:
+                unbuffered.append(x)
+            return absolute(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "abs", watched)
+        solve_invariant_newton_direct(*self._blocks(m, k))
+        assert unbuffered == []
+
+    def test_direct_solve_holds_only_its_operator_when_it_inverts(self, monkeypatch):
+        # the assembly's scratch is freed before the inverse, so the heap peaks
+        # no higher than it would without it; at d = 128 these arrays are
+        # 128 KiB, glibc's mmap and trim threshold, where a higher peak put the
+        # benchmark's (24, 8) solve in its slow mode
+        import tracemalloc
+
+        blocks, size, held = self._blocks(8, 16), 128 * 128 * 8, []
+        inv = np.linalg.inv
+
+        def watched(a):
+            held.append(tracemalloc.get_traced_memory()[0] - base)
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", watched)
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solve_invariant_newton_direct(*blocks)
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert len(held) == 1
+        assert size <= held[0] < 1.5 * size
+
+    def test_dense_solve_leaves_its_operator(self, rng):
+        h = rng.standard_normal((6, 6)) + 3.0 * np.eye(6)
+        rows, g = h.copy(), rng.standard_normal(6)
+        x = solve_dense(h, g)
+        assert h.tobytes() == rows.tobytes()
+        assert np.array_equal(x, np.linalg.inv(rows) @ g)
+
 
 class TestSeparationEstimate:
     """The four-term solve's separation 1/||L^-1||_1 lies within sqrt(d) of
