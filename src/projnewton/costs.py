@@ -15,9 +15,10 @@ and Hessian in projector coordinates are test references
 
 Data is checked where it enters: each cost checks its matrix when it is
 built.  ``frame_terms`` hands B on, so a Newton iterate forms it once, and
-the Newton solves symmetrize the blocks they cut from B and call the
-solvers' unchecked cores (``solve_sylvester_unchecked``,
-``solve_lyapunov_unchecked``) instead of checking them again.  The
+the Newton solves call the solvers' unchecked cores instead of checking
+their blocks again: ``solve_sylvester_unchecked`` and
+``solve_lyapunov_unchecked`` on the blocks they cut from B and symmetrize,
+``solve_invariant_newton_unchecked`` on B itself.  The
 separation bounds are Weyl's and the Banach lemma (Stewart & Sun 1990); the
 floor they must clear is the solvers' floor of the blocks or operator the
 Newton solve would see (``separation_floor``, ``four_term_floor``).
@@ -38,7 +39,7 @@ from .solvers import (
     invariant_newton_rhs,
     separation_floor,
     solve_dense,
-    solve_invariant_newton_direct,
+    solve_invariant_newton_unchecked,
     solve_lyapunov_unchecked,
     solve_sylvester_unchecked,
 )
@@ -206,9 +207,8 @@ class InvariantSubspaceCost(CostFunction):
         if given.  Grassmann frames only."""
         if isinstance(frame, SymplecticFrame):
             raise ValueError("the invariant-subspace Newton solve operates on Grassmann frames")
-        m = frame.rank
         b = frame.theta @ self.a @ frame.theta.T if b is None else b
-        z, separation = solve_invariant_newton_direct(b[:m, :m], b[:m, m:], b[m:, :m], b[m:, m:])
+        z, separation = solve_invariant_newton_unchecked(b, frame.rank)
         return -z, separation
 
     def separation_bound(self, frame, b, last_b, separation):

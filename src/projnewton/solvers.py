@@ -5,7 +5,7 @@ solved by double diagonalization, which yields the exact spectral-gap
 diagnostics for free; the Lyapunov equation is the Sylvester kernel at
 A22 = -A11.  The four-term matrix equation of the invariant-subspace Newton
 step is solved densely: Kronecker assembly on the m(n-m)-dimensional
-parameter space, after a check of the block shapes.  Dense operators are
+parameter space.  Dense operators are
 inverted once by LAPACK behind the relative singularity floor ``TOL.pivot``,
 the four-term solve's one singularity test (``solve_dense`` for one vector);
 the 1-norm of the inverse gives that solve's separation 1/||L^-1||_1 too.
@@ -13,11 +13,12 @@ the 1-norm of the inverse gives that solve's separation 1/||L^-1||_1 too.
 separations, and ``four_term_floor`` the one of the four-term operator's; the
 costs' ``separation_bound`` read them.
 
-``solve_sylvester`` and ``solve_lyapunov`` check their blocks where they
-enter (``require_symmetric``, shapes); ``solve_sylvester_unchecked`` and
-``solve_lyapunov_unchecked`` are the same solves without the checks, for
-blocks their caller has just symmetrized, as the costs' Newton solves do.
-They and the four-term solve return the separation they measured too.
+``solve_sylvester``, ``solve_lyapunov`` and ``solve_invariant_newton_direct``
+check their operands where they enter (``require_symmetric``, shapes, finite
+entries); ``solve_sylvester_unchecked``, ``solve_lyapunov_unchecked`` and
+``solve_invariant_newton_unchecked`` are the same solves without the checks,
+for the blocks of B the costs' Newton solves hand them.  The cores and the
+four-term solve return the separation they measured too.
 """
 
 from __future__ import annotations
@@ -159,7 +160,9 @@ def _operator_and_scratch(a11, a12, a21, a22):
     for x, y in (_pair(a11, a22), _pair(a11.T, a22.T),
                  (a21.T[:, None, None, :], a12.T[None, :, :, None]),
                  (a12[:, None, None, :], a21[None, :, :, None])):
-        np.subtract(out, np.multiply(x, y, out=tmp), out=out)
+        # x broadcast into tmp first: two broadcast operands make numpy buffer the product
+        tmp[...] = x
+        np.subtract(out, np.multiply(tmp, y, out=tmp), out=out)
     return op, tmp.reshape(op.shape)
 
 
@@ -180,16 +183,26 @@ def solve_invariant_newton_direct(a11, a12, a21, a22):
     Raises
     ------
     DimensionMismatch
-        If the block shapes are not (m, m), (m, k), (k, m), (k, k).
+        If the block shapes are not (m, m), (m, k), (k, m), (k, k), or an
+        entry is not finite.
     SingularOperator
         If the operator is singular, or max(||op||_1, max ||A_ij||_1^2)
         ||op^-1||_1 reaches 1 / ``TOL.pivot`` (degenerate Hessian).
     """
     a11, a12, a21, a22 = _four_term_blocks(a11, a12, a21, a22)
+    return solve_invariant_newton_unchecked(np.block([[a11, a12], [a21, a22]]), a11.shape[0])
+
+
+def solve_invariant_newton_unchecked(b, m):
+    """``solve_invariant_newton_direct`` on the blocks of a finite B = [[A11, A12],
+    [A21, A22]] with A11 m x m, unchecked; returns (Z, 1/||op^-1||_1)."""
+    a11, a12, a21, a22 = b[:m, :m], b[:m, m:], b[m:, :m], b[m:, m:]
     op, scratch = _operator_and_scratch(a11, a12, a21, a22)
     # the operator is quadratic in the blocks; judged against at least that data scale,
-    # an operator that collapsed to round-off (every subspace invariant) is degenerate
-    data_scale = max(_norm_1(a11), _norm_1(a22), _norm_1(a12), _norm_1(a21)) ** 2
+    # max ||A_ij||_1^2 (the blocks' column sums are those of |B[:m]| and |B[m:]|), an
+    # operator that collapsed to round-off (every subspace invariant) is degenerate
+    abs_b = np.abs(b)
+    data_scale = max(abs_b[:m].sum(axis=0).max(), abs_b[m:].sum(axis=0).max()) ** 2
     # |op| and |op^-1| go to spent d x d buffers: two fewer allocations of that size,
     # which at d = 128 (128 KiB) sits at glibc's mmap and trim threshold; the scratch
     # is freed before the inverse, so the heap peaks no higher than it would without it
@@ -201,11 +214,14 @@ def solve_invariant_newton_direct(a11, a12, a21, a22):
 
 
 def _four_term_blocks(*blocks):
-    """The blocks as floats shaped (m, m), (m, k), (k, m), (k, k); else ``DimensionMismatch``."""
+    """The blocks as floats shaped (m, m), (m, k), (k, m), (k, k), with finite
+    entries; else ``DimensionMismatch``."""
     a11, a12, a21, a22 = (np.atleast_2d(np.asarray(b, dtype=float)) for b in blocks)
     m, k = a12.shape[0], a12.shape[-1]
     if a12.shape != (m, k) or a11.shape != (m, m) or a22.shape != (k, k) or a21.shape != (k, m):
         raise DimensionMismatch("inconsistent block shapes")
+    if not all(np.isfinite(b).all() for b in (a11, a12, a21, a22)):
+        raise DimensionMismatch("four-term blocks must have finite entries")
     return a11, a12, a21, a22
 
 
@@ -214,6 +230,8 @@ def solve_dense(h, g):
 
     Raises
     ------
+    DimensionMismatch
+        If H is not square, g not of its size, or an entry is not finite.
     SingularOperator
         If H is exactly singular, or its condition number
         ||H||_1 ||H^-1||_1 reaches 1 / ``TOL.pivot`` (the relative
@@ -226,21 +244,23 @@ def solve_dense(h, g):
     d = a.shape[0]
     if b.shape != (d,):
         raise DimensionMismatch(f"right-hand side must have shape ({d},)")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise DimensionMismatch("operator and right-hand side must have finite entries")
     return _checked_inverse(a, _norm_1(a))[0] @ b
 
 
 def _checked_inverse(a, a_norm, scratch=None):
     """LAPACK inverse of a square operator of 1-norm (or scale) ``a_norm`` and its
     1-norm, behind the relative singularity floor: ``SingularOperator`` if ``a`` is
-    exactly singular or ``a_norm`` ||a^-1||_1 reaches 1 / ``TOL.pivot``.  |a^-1| is
-    written to ``scratch`` if given, which may be ``a`` itself."""
+    exactly singular or ``a_norm`` ||a^-1||_1 reaches 1 / ``TOL.pivot`` or is NaN.
+    |a^-1| is written to ``scratch`` if given, which may be ``a`` itself."""
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise SingularOperator(f"operator is singular: {exc}") from exc
     inv_norm = _norm_1(inv, scratch)
     cond = a_norm * inv_norm
-    if cond * TOL.pivot >= 1.0:
+    if not cond * TOL.pivot < 1.0:
         raise SingularOperator(
             f"condition number {cond:.3e} reaches 1 / {TOL.pivot:.1e}"
         )

@@ -11,15 +11,21 @@ from numpy.testing import assert_allclose
 import projnewton
 import projnewton.solvers
 from projnewton.config import TOL
+from projnewton.costs import InvariantSubspaceCost
 from projnewton.decomp import require_symmetric, sym_eig, symmetrize
 from projnewton.errors import DimensionMismatch, NotSymmetric, SingularOperator, SpectralOverlap
+from projnewton.grassmann import OrthoFrame
+from projnewton.newton import NewtonConfig, Status, perturb_frame, run_newton
 from projnewton.solvers import (
+    _checked_inverse,
+    _norm_1,
     _pair,
     four_term_floor,
     invariant_newton_operator,
     invariant_newton_rhs,
     solve_dense,
     solve_invariant_newton_direct,
+    solve_invariant_newton_unchecked,
     solve_lyapunov,
     solve_sylvester,
 )
@@ -260,6 +266,21 @@ def test_four_term_solve_checks_block_shapes(block, shape):
         solve_invariant_newton_direct(*(b.tolist() for b in blocks.values()))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("block", ["a11", "a12", "a21", "a22"])
+def test_four_term_solve_rejects_non_finite_blocks(block, value):
+    # NaN >= 1 is False, so a NaN would pass a singularity test read that way
+    # and come back as Z all NaN; the invariant cost rejects the same A as well
+    gen = np.random.default_rng(3)
+    blocks = {"a11": gen.standard_normal((2, 2)) + 3.0 * np.eye(2), "a12": gen.standard_normal((2, 3)),
+              "a21": 0.1 * gen.standard_normal((3, 2)), "a22": gen.standard_normal((3, 3)) - 3.0 * np.eye(3)}
+    blocks[block][0, 1] = value
+    with pytest.raises(DimensionMismatch, match="finite"):
+        solve_invariant_newton_direct(*blocks.values())
+    with pytest.raises(DimensionMismatch, match="finite"):
+        InvariantSubspaceCost(np.block([[blocks["a11"], blocks["a12"]], [blocks["a21"], blocks["a22"]]]))
+
+
 def _four_term_cases(count, seed):
     """Random blocks with (m, k) <= 4, scaled 1e-3 to 1e3, from near-scalar A,
     shared eigenvalues of A11 and A22, rank one plus noise, and generic A; the
@@ -362,6 +383,20 @@ class TestSolveDense:
         g = rng.standard_normal(6)
         assert_allclose(solve_dense(h, g), np.linalg.solve(h, g), atol=1e-10)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("operand", ["H", "g"])
+    def test_rejects_non_finite_entries(self, operand, value):
+        # LAPACK inverts eye(3) with one NaN without an error: x would be [nan, 1, 1]
+        h, g = np.eye(3), np.ones(3)
+        (h if operand == "H" else g)[0] = value
+        with pytest.raises(DimensionMismatch, match="finite"):
+            solve_dense(h, g)
+
+    def test_nan_condition_number_is_singular(self):
+        # the floor reads "not below 1 / TOL.pivot", so a NaN scale cannot pass it
+        with pytest.raises(SingularOperator):
+            _checked_inverse(np.eye(2), np.nan)
+
 
 class TestOperatorInverses:
     """The four-term solve inverts its operator once, and reads its
@@ -385,19 +420,43 @@ class TestOperatorInverses:
         return (gen.standard_normal((m, m)) + 3.0 * np.eye(m), gen.standard_normal((m, k)),
                 0.1 * gen.standard_normal((k, m)), gen.standard_normal((k, k)) - 3.0 * np.eye(k))
 
-    @pytest.mark.parametrize("m,k", [(1, 1), (2, 3), (3, 5), (8, 16)])
-    def test_direct_solve_keeps_its_bits(self, m, k):
+    @staticmethod
+    def _near_scalar_blocks(m, k):
+        """A close to diag(3 I, 3.5 I): L is about (1/2)^2 I, so the data scale
+        max ||A_ij||_1^2, read in A22's rows, sets the singularity test's scale."""
+        gen = np.random.default_rng(10 * m + k)
+        return (3.0 * np.eye(m) + 1e-2 * gen.standard_normal((m, m)), 1e-2 * gen.standard_normal((m, k)),
+                1e-2 * gen.standard_normal((k, m)), 3.5 * np.eye(k) + 1e-2 * gen.standard_normal((k, k)))
+
+    @pytest.mark.parametrize("kind", ["generic", "near-scalar"])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("m,k", [(1, 1), (2, 3), (3, 5), (6, 10), (8, 16)])
+    def test_direct_solve_keeps_its_bits(self, monkeypatch, m, k, scale, kind):
         # the reference allocates |op| and |op^-1|; the solve writes them to
-        # spent buffers of its own.  (8, 16): d = 128, arrays of 128 KiB
-        blocks = self._blocks(m, k)
-        copies = [b.copy() for b in blocks]
+        # spent buffers of its own.  (8, 16): d = 128, arrays of 128 KiB.  The
+        # unchecked core on B = [[A11, A12], [A21, A22]] gives the checked
+        # entry's bits, and its one pass over |B| the four blocks' 1-norms
+        make = self._blocks if kind == "generic" else self._near_scalar_blocks
+        blocks = [scale * b for b in make(m, k)]
+        b = np.block([blocks[:2], blocks[2:]])
+        copies = [x.copy() for x in (*blocks, b)]
+        floors, checked_inverse = [], projnewton.solvers._checked_inverse
+        monkeypatch.setattr(projnewton.solvers, "_checked_inverse",
+                            lambda op, a_norm, **kw: floors.append(a_norm) or checked_inverse(op, a_norm, **kw))
         z, separation = solve_invariant_newton_direct(*blocks)
+        z_core, separation_core = solve_invariant_newton_unchecked(b, m)
         op = invariant_newton_operator(*blocks)
         inv = np.linalg.inv(op)
         rhs = invariant_newton_rhs(blocks[0], blocks[2], blocks[3]).reshape(-1)
         assert np.array_equal(z, (inv @ rhs).reshape(m, k))
-        assert separation == float(1.0 / np.abs(inv).sum(axis=0).max())
-        assert all(np.array_equal(b, c) for b, c in zip(blocks, copies))
+        assert z_core.tobytes() == z.tobytes()
+        assert separation == separation_core == float(1.0 / np.abs(inv).sum(axis=0).max())
+        assert all(np.array_equal(x, c) for x, c in zip((*blocks, b), copies))
+        abs_b = np.abs(b)
+        data_scale = max(_norm_1(x) for x in blocks)
+        assert max(abs_b[:m].sum(axis=0).max(), abs_b[m:].sum(axis=0).max()) == data_scale
+        assert floors == 2 * [max(_norm_1(op), data_scale ** 2)]
+        assert kind == "generic" or data_scale ** 2 > _norm_1(op)
 
     @pytest.mark.parametrize("m,k", [(2, 3), (8, 16)])
     def test_direct_solve_takes_no_absolute_copy_of_its_operators(self, monkeypatch, m, k):
@@ -438,6 +497,39 @@ class TestOperatorInverses:
                 tracemalloc.stop()
         assert len(held) == 1
         assert size <= held[0] < 1.5 * size
+
+    def test_operator_assembly_takes_no_iterator_buffers(self):
+        # a product of two broadcast views makes numpy's iterator buffer about
+        # one more d x d array: the assembly would peak at 3.02 of them
+        import tracemalloc
+
+        blocks, size = self._blocks(8, 16), 128 * 128 * 8
+        invariant_newton_operator(*blocks)
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            invariant_newton_operator(*blocks)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert 2 * size <= peak <= 2.6 * size
+
+    def test_newton_runs_check_no_blocks(self, monkeypatch):
+        # the invariant cost hands its own finite B to the unchecked core
+        gen = np.random.default_rng(5)
+        q = np.linalg.qr(gen.standard_normal((6, 6)))[0]
+        s = np.triu(gen.standard_normal((6, 6))) + np.diag([3.0, 3.0, 3.0, 0.0, 0.0, 0.0])
+        checked = []
+        monkeypatch.setattr(projnewton.solvers, "_four_term_blocks", lambda *b: checked.append(b))
+        start = perturb_frame(OrthoFrame(q.T, 3), 0.05, 1)
+        trace = run_newton(InvariantSubspaceCost(q @ s @ q.T), start, NewtonConfig(grad_tol=1e-12),
+                           method="invariant-direct")
+        assert trace.status == Status.CONVERGED
+        assert len(trace.records) > 2
+        assert checked == []
 
     def test_dense_solve_leaves_its_operator(self, rng):
         h = rng.standard_normal((6, 6)) + 3.0 * np.eye(6)
