@@ -20,9 +20,9 @@ class Tolerances:
     # and the PJP defect of a Lagrangian start basis
     input_symmetry: float = 1e-8
     # relative floor below which a QR diagonal entry, or the reciprocal condition
-    # number of a dense operator (in the direct four-term solve, taken against
+    # number of a dense operator (in the four-term certificate, taken against
     # at least the data scale max ||A_ij||_1^2), counts as singular; it scales
-    # the four-term operator's separation floor too (solvers.four_term_floor)
+    # the four-term operator's floor too (solvers.four_term_floor)
     pivot: float = 1e-12
     # projector defects: ||P^2 - P||, |tr P - m|
     projector: float = 1e-10
@@ -34,8 +34,8 @@ class Tolerances:
     lagrangian: float = 1e-10
     # relative floor on Sylvester / Lyapunov spectral gaps
     spectral_gap: float = 1e-8
-    # round-off allowance of the separation bounds that certify Converged,
-    # per unit of dimension and data scale (costs.separation_bound)
+    # round-off allowance per unit of dimension and data scale of the trace costs'
+    # separation bounds and of the four-term operator's Cholesky certificate
     separation_roundoff: float = 8 * sys.float_info.epsilon
     # Newton stop: gradient norm relative to ``CostFunction.scale``
     grad_tol: float = 1e-11

@@ -18,10 +18,11 @@ built.  ``frame_terms`` hands B on, so a Newton iterate forms it once, and
 the Newton solves call the solvers' unchecked cores instead of checking
 their blocks again: ``solve_sylvester_unchecked`` and
 ``solve_lyapunov_unchecked`` on the blocks they cut from B and symmetrize,
-``solve_invariant_newton_unchecked`` on B itself.  The
-separation bounds are Weyl's and the Banach lemma (Stewart & Sun 1990); the
-floor they must clear is the solvers' floor of the blocks or operator the
-Newton solve would see (``separation_floor``, ``four_term_floor``).
+``solve_invariant_newton_unchecked`` on B itself.  A critical point is
+certified by the trace costs' ``separation_bound`` (Weyl; Stewart & Sun
+1990) above the ``separation_floor`` of the blocks the Newton solve would
+see, else by ``certify``: one Cholesky factorization of the four-term
+operator for the invariant-subspace cost, one more Newton solve otherwise.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .decomp import frobenius_norm, require_symmetric, symmetrize
 from .errors import DimensionMismatch, NotSymmetric, ScaleOverflow
 from .lagrange import SymplecticFrame, sympl_form
 from .solvers import (
-    four_term_floor,
+    certify_invariant_newton,
     invariant_newton_rhs,
     separation_floor,
     solve_dense,
@@ -111,6 +112,12 @@ class CostFunction:
         """(Lower bound, floor) of the separation a Newton solve at ``frame``
         (data ``b``) measures, from the solve's at ``last_b``; None: no bound."""
         return None
+
+    def certify(self, frame, b):
+        """Certify a critical point at ``frame`` (data ``b``) nondegenerate by one
+        more Newton solve, which raises where it is singular; returns "solve"."""
+        self.newton_solve(frame, b)
+        return "solve"
 
 
 @dataclass(frozen=True)
@@ -202,36 +209,20 @@ class InvariantSubspaceCost(CostFunction):
         return float(np.sum(b21 * b21)), invariant_newton_rhs(b[:m, :m], b21, b[m:, m:]), b
 
     def newton_solve(self, frame, b=None):
-        """Algorithm 3: minus the solution of the four-term equation, solved
-        densely, and the separation 1/||L^-1||_1 of its operator L; B is ``b``
+        """Algorithm 3: minus the solution of the four-term equation, by one LU
+        solve, and no separation (``certify`` stands in for a bound); B is ``b``
         if given.  Grassmann frames only."""
         if isinstance(frame, SymplecticFrame):
             raise ValueError("the invariant-subspace Newton solve operates on Grassmann frames")
         b = frame.theta @ self.a @ frame.theta.T if b is None else b
-        z, separation = solve_invariant_newton_unchecked(b, frame.rank)
-        return -z, separation
+        return -solve_invariant_newton_unchecked(b, frame.rank), None
 
-    def separation_bound(self, frame, b, last_b, separation):
-        """Algorithm 3: 1/||L^-1||_1 moves by at most ||dL||_1 (Banach lemma).
-
-        L = G (x) I + I (x) H - B11 (x) B22 - B11^T (x) B22^T - (the two Z^T
-        terms, in B21^T, B12^T and in B12, B21), with G = B11 B11^T - B21^T B21
-        and H = B22^T B22 - B21 B21^T (``solvers.invariant_newton_operator``).
-        Every term, the Z^T ones too, has 1-norm at most ||X||_1 ||Y||_1 <=
-        sqrt(rows X rows Y) ||X||_F ||Y||_F, and its change splits as
-        dX (x) Y' + X (x) dY.  With delta = ||dB||_F and ||B||_F = ||A||_F,
-        ||dG||_F and ||dH||_F are at most 2 delta 2 ||A||_F, so
-
-            ||dL||_1 <= (2 sqrt(m) + 2 sqrt(k) + 4 sqrt(d)) delta 2 ||A||_F
-                     <= 16 sqrt(d) delta ||A||_F,    d = m k,
-
-        less round-off per unit of d and of ||L||_1 <= 3 sqrt(d) ||A||_F^2.
-        The floor is ``four_term_floor``, at least the solve's singularity test."""
-        m, k = frame.rank, frame.dim - frame.rank
-        root_d = np.sqrt(m * k)
-        slack = 16.0 * root_d * frobenius_norm(b - last_b) * np.sqrt(self.scale)
-        slack += TOL.separation_roundoff * m * k * 3.0 * root_d * self.scale
-        return separation - slack, four_term_floor(m, k, self.scale)
+    def certify(self, frame, b):
+        """Algorithm 3: ``solvers.certify_invariant_newton`` of B = ``b`` at the
+        data scale ||A||_F^2, "cholesky" or "solve".  Grassmann frames only."""
+        if isinstance(frame, SymplecticFrame):
+            raise ValueError("the invariant-subspace Newton solve operates on Grassmann frames")
+        return certify_invariant_newton(b, frame.rank, self.scale)
 
 
 @dataclass(frozen=True)

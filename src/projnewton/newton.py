@@ -261,9 +261,10 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
     NewtonTrace
         Terminal status ``Converged`` certifies a nondegenerate critical
         point: below grad_tol, by ``cost.separation_bound`` if it clears its
-        floor, else by one more Newton solve, where a singular/unsolvable
-        system surfaces as ``SingularHessian``/``SpectralOverlap`` instead.
-        ``extras["certified_by"]`` is "bound", "solve", or "step" (tiny step).
+        floor, else by ``cost.certify`` (one more Newton solve, or a Cholesky
+        factorization), where a singular/unsolvable system surfaces as
+        ``SingularHessian``/``SpectralOverlap`` instead.  ``extras["certified_by"]``
+        is "bound", "cholesky", "solve", or "step" (tiny step).
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -297,8 +298,7 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
                 if bound is not None and bound[0] > bound[1]:
                     trace.extras["certified_by"] = "bound"
                 else:
-                    cost.newton_solve(frame, b)
-                    trace.extras["certified_by"] = "solve"
+                    trace.extras["certified_by"] = cost.certify(frame, b)
                 trace.status = Status.CONVERGED
                 break
             if iteration == config.max_iters:

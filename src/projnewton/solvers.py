@@ -3,22 +3,20 @@
 Sylvester and Lyapunov equations with symmetric coefficient blocks are
 solved by double diagonalization, which yields the exact spectral-gap
 diagnostics for free; the Lyapunov equation is the Sylvester kernel at
-A22 = -A11.  The four-term matrix equation of the invariant-subspace Newton
-step is solved densely: Kronecker assembly on the m(n-m)-dimensional
-parameter space.  Dense operators are
-inverted once by LAPACK behind the relative singularity floor ``TOL.pivot``,
-the four-term solve's one singularity test (``solve_dense`` for one vector);
-the 1-norm of the inverse gives that solve's separation 1/||L^-1||_1 too.
-``separation_floor`` is the one floor of the Sylvester and Lyapunov solves'
-separations, and ``four_term_floor`` the one of the four-term operator's; the
-costs' ``separation_bound`` read them.
+A22 = -A11.  The four-term equation of the invariant-subspace Newton step is
+solved densely: Kronecker assembly on the m(n-m)-dimensional parameter space
+and one LU solve.  Its operator, a symmetric Hessian, is certified by one
+Cholesky factorization, else by its inverse behind the relative singularity
+floor ``TOL.pivot`` (``solve_dense``'s test too).  ``separation_floor`` is the
+one floor of the Sylvester and Lyapunov separations, ``four_term_floor`` the
+one of the four-term operator's.
 
 ``solve_sylvester``, ``solve_lyapunov`` and ``solve_invariant_newton_direct``
 check their operands where they enter (``require_symmetric``, shapes, finite
 entries); ``solve_sylvester_unchecked``, ``solve_lyapunov_unchecked`` and
 ``solve_invariant_newton_unchecked`` are the same solves without the checks,
-for the blocks of B the costs' Newton solves hand them.  The cores and the
-four-term solve return the separation they measured too.
+for the blocks of B the costs' Newton solves hand them.  The Sylvester and
+Lyapunov cores return the separation they measured too.
 """
 
 from __future__ import annotations
@@ -37,6 +35,7 @@ __all__ = [
     "solve_sylvester",
     "solve_lyapunov",
     "solve_invariant_newton_direct",
+    "certify_invariant_newton",
     "invariant_newton_operator",
     "invariant_newton_rhs",
     "solve_dense",
@@ -146,11 +145,6 @@ def invariant_newton_operator(a11, a12, a21, a22):
     - A21 A21^T.  G kron I and I kron H are written onto block diagonals; the
     other four are subtracted in place, in that order, with one temporary.
     """
-    return _operator_and_scratch(a11, a12, a21, a22)[0]
-
-
-def _operator_and_scratch(a11, a12, a21, a22):
-    """``invariant_newton_operator`` and the spent d x d temporary it was assembled with."""
     m = a11.shape[0]
     k = a22.shape[0]
     op = np.zeros((m * k, m * k))
@@ -163,7 +157,7 @@ def _operator_and_scratch(a11, a12, a21, a22):
         # x broadcast into tmp first: two broadcast operands make numpy buffer the product
         tmp[...] = x
         np.subtract(out, np.multiply(tmp, y, out=tmp), out=out)
-    return op, tmp.reshape(op.shape)
+    return op
 
 
 def _pair(a, b):
@@ -177,40 +171,63 @@ def invariant_newton_rhs(a11, a21, a22):
 
 
 def solve_invariant_newton_direct(a11, a12, a21, a22):
-    """Solve the four-term Newton equation densely on the parameter space;
-    returns Z and the separation 1/||op^-1||_1 of the operator it inverted.
-
-    Raises
-    ------
-    DimensionMismatch
-        If the block shapes are not (m, m), (m, k), (k, m), (k, k), or an
-        entry is not finite.
-    SingularOperator
-        If the operator is singular, or max(||op||_1, max ||A_ij||_1^2)
-        ||op^-1||_1 reaches 1 / ``TOL.pivot`` (degenerate Hessian).
-    """
+    """Solve the four-term Newton equation densely and certify its operator; returns Z.
+    ``DimensionMismatch`` if the block shapes are not (m, m), (m, k), (k, m), (k, k) or an
+    entry is not finite; ``SingularOperator`` if the operator is singular, or
+    max(||op||_1, max ||A_ij||_1^2) ||op^-1||_1 reaches 1 / ``TOL.pivot`` and no
+    Cholesky factorization proves it positive definite (degenerate Hessian)."""
     a11, a12, a21, a22 = _four_term_blocks(a11, a12, a21, a22)
-    return solve_invariant_newton_unchecked(np.block([[a11, a12], [a21, a22]]), a11.shape[0])
+    b, m = np.block([[a11, a12], [a21, a22]]), a11.shape[0]
+    z = solve_invariant_newton_unchecked(b, m)
+    certify_invariant_newton(b, m, np.vdot(b, b))
+    return z
 
 
 def solve_invariant_newton_unchecked(b, m):
-    """``solve_invariant_newton_direct`` on the blocks of a finite B = [[A11, A12],
-    [A21, A22]] with A11 m x m, unchecked; returns (Z, 1/||op^-1||_1)."""
+    """The step of ``solve_invariant_newton_direct`` on a finite B = [[A11, A12],
+    [A21, A22]], A11 m x m, unchecked and uncertified: Z by one LU solve;
+    ``SingularOperator`` only if the operator is exactly singular."""
     a11, a12, a21, a22 = b[:m, :m], b[:m, m:], b[m:, :m], b[m:, m:]
-    op, scratch = _operator_and_scratch(a11, a12, a21, a22)
-    # the operator is quadratic in the blocks; judged against at least that data scale,
-    # max ||A_ij||_1^2 (the blocks' column sums are those of |B[:m]| and |B[m:]|), an
-    # operator that collapsed to round-off (every subspace invariant) is degenerate
-    abs_b = np.abs(b)
-    data_scale = max(abs_b[:m].sum(axis=0).max(), abs_b[m:].sum(axis=0).max()) ** 2
-    # |op| and |op^-1| go to spent d x d buffers: two fewer allocations of that size,
-    # which at d = 128 (128 KiB) sits at glibc's mmap and trim threshold; the scratch
-    # is freed before the inverse, so the heap peaks no higher than it would without it
-    op_norm = _norm_1(op, scratch)
-    del scratch
-    inv, inv_norm = _checked_inverse(op, max(op_norm, data_scale), scratch=op)
-    z = (inv @ invariant_newton_rhs(a11, a21, a22).reshape(-1)).reshape(a12.shape)
-    return z, float(1.0 / inv_norm)
+    try:
+        z = np.linalg.solve(invariant_newton_operator(a11, a12, a21, a22),
+                            invariant_newton_rhs(a11, a21, a22).reshape(-1))
+    except np.linalg.LinAlgError as exc:
+        raise SingularOperator(f"operator is singular: {exc}") from exc
+    return z.reshape(a12.shape)
+
+
+def certify_invariant_newton(b, m, scale):
+    """Certify the four-term operator L of a finite B (blocks as above, d = m k,
+    ``scale`` = ||B||_F^2): "cholesky" if a Cholesky factorization of L - tau I
+    succeeds, else "solve" if the inverse's singularity test passes (a saddle, or
+    L near f = ``four_term_floor``), else ``SingularOperator``.  With u = eps / 2,
+    nu = (d + 1) u, gamma_{d+1} = nu / (1 - nu) and eta = 2^-1074 in Rump's margin,
+
+    tau = sqrt(d) (f + 16 u 3 d scale) + nu sum|L_ii| / (1 - 2 nu) + 4 eta (2 (d + 1) + max|L_ii|).
+
+    L* of B, the Hessian of ||(I - P) A P||^2, is symmetric.  An entry of L rounds at most
+    max(m, k) + 6 < 8 d times, so |L - L*| <= 8 d u |L|_+, the operator of the |A_ij| with
+    all signs +, whose 1-, inf- and 2-norms are at most 3 sqrt(d) scale: the second term
+    bounds the 2-norm of sym(L) - L*, and of the error of the shifted lower triangle that
+    LAPACK factors.  A Cholesky of M that runs to completion factors M + dM with ||dM||_2
+    below the last two terms (Rump 2006, "Verification of positive definiteness", BIT 46).
+    So success puts lambda_min(L*), lambda_min(sym L) and sigma_min(L) above sqrt(d) f:
+    ||L^-1||_1 <= sqrt(d) ||L^-1||_2 < 1 / f, and f >= TOL.pivot max(||L||_1, max ||A_ij||_1^2)
+    passes the inverse's test, which judges L against at least that data scale."""
+    op = invariant_newton_operator(b[:m, :m], b[:m, m:], b[m:, :m], b[m:, m:])
+    d, diagonal = op.shape[0], op.diagonal().copy()
+    nu, size = (d + 1) * sys.float_info.epsilon / 2, np.abs(diagonal)
+    tau = np.sqrt(d) * (four_term_floor(m, d // m, scale) + TOL.separation_roundoff * 3 * d * scale)
+    tau += nu / (1.0 - 2.0 * nu) * size.sum() + 4 * 5e-324 * (2 * (d + 1) + size.max())
+    op.flat[:: d + 1] -= tau
+    try:
+        np.linalg.cholesky(op)
+        return "cholesky"
+    except np.linalg.LinAlgError:
+        op.flat[:: d + 1] = diagonal
+    data_scale = max(np.linalg.norm(b[:m], 1), np.linalg.norm(b[m:], 1)) ** 2
+    _checked_inverse(op, max(np.linalg.norm(op, 1), data_scale))
+    return "solve"
 
 
 def _four_term_blocks(*blocks):
@@ -246,28 +263,20 @@ def solve_dense(h, g):
         raise DimensionMismatch(f"right-hand side must have shape ({d},)")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise DimensionMismatch("operator and right-hand side must have finite entries")
-    return _checked_inverse(a, _norm_1(a))[0] @ b
+    return _checked_inverse(a, np.linalg.norm(a, 1)) @ b
 
 
-def _checked_inverse(a, a_norm, scratch=None):
-    """LAPACK inverse of a square operator of 1-norm (or scale) ``a_norm`` and its
-    1-norm, behind the relative singularity floor: ``SingularOperator`` if ``a`` is
-    exactly singular or ``a_norm`` ||a^-1||_1 reaches 1 / ``TOL.pivot`` or is NaN.
-    |a^-1| is written to ``scratch`` if given, which may be ``a`` itself."""
+def _checked_inverse(a, a_norm):
+    """LAPACK inverse of a square operator of 1-norm (or scale) ``a_norm``, behind
+    the relative singularity floor: ``SingularOperator`` if ``a`` is exactly
+    singular or ``a_norm`` ||a^-1||_1 reaches 1 / ``TOL.pivot`` or is NaN."""
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise SingularOperator(f"operator is singular: {exc}") from exc
-    inv_norm = _norm_1(inv, scratch)
-    cond = a_norm * inv_norm
+    cond = a_norm * np.linalg.norm(inv, 1)
     if not cond * TOL.pivot < 1.0:
         raise SingularOperator(
             f"condition number {cond:.3e} reaches 1 / {TOL.pivot:.1e}"
         )
-    return inv, inv_norm
-
-
-def _norm_1(x, out=None):
-    """||x||_1, the largest column sum of |x| (written to ``out`` if given):
-    np.linalg.norm's sum without its dispatch."""
-    return np.abs(x, out=out).sum(axis=0).max()
+    return inv

@@ -330,7 +330,7 @@ def test_criterion_5_solver_suite():
         a22 = gen.standard_normal((k, k)) - 4.0 * np.eye(k)
         a12 = gen.standard_normal((m, k))
         a21 = (0.3 / k) * gen.standard_normal((k, m))
-        z = solve_invariant_newton_direct(a11, a12, a21, a22)[0]
+        z = solve_invariant_newton_direct(a11, a12, a21, a22)
         d = m * k
         op = np.zeros((d, d))
         for j in range(d):

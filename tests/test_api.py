@@ -65,6 +65,10 @@ def test_deleted_attributes_are_gone():
     assert "step_tol" not in {f.name for f in dataclasses.fields(projnewton.NewtonConfig)}
     # the Hamiltonian cost only checks its structure: RayleighCost solves and bounds
     assert not {"newton_solve", "separation_bound"} & set(vars(projnewton.HamiltonianRayleighCost))
+    # Algorithm 3 is certified by a Cholesky factorization, not by a bound
+    assert "separation_bound" not in vars(projnewton.InvariantSubspaceCost)
+    assert not hasattr(projnewton.solvers, "_operator_and_scratch")
+    assert "scratch" not in inspect.signature(projnewton.solvers._checked_inverse).parameters
     # one four-term solver: no sweep limits, no sweep residual, nothing to choose
     assert not {"recursive_tol", "recursive_max_sweeps"} & {f.name for f in dataclasses.fields(Tolerances)}
     assert not hasattr(projnewton.errors.NoConvergence("stalled"), "residual")
@@ -87,7 +91,7 @@ def test_run_newton_accepts_every_method_name():
     assert direct.status == projnewton.Status.CONVERGED
     assert [dataclasses.replace(r, elapsed=0.0) for r in direct.records] == \
         [dataclasses.replace(r, elapsed=0.0) for r in recursive.records]
-    assert direct.extras["certified_by"] == recursive.extras["certified_by"] == "bound"
+    assert direct.extras["certified_by"] == recursive.extras["certified_by"] == "cholesky"
     assert np.array_equal(direct.extras["final_frame"].theta, recursive.extras["final_frame"].theta)
     with pytest.raises(ValueError, match="unknown method"):
         projnewton.run_newton(projnewton.InvariantSubspaceCost(a), start, projnewton.NewtonConfig(),
@@ -124,9 +128,11 @@ def _functions_where(path, found):
 
 
 def test_one_singularity_floor_for_dense_operators():
-    # the direct four-term solve's singularity test is _checked_inverse's,
+    # the four-term certificate's singularity test is _checked_inverse's,
     # against at least the data scale; no condition ceiling sits beside it.
-    # four_term_floor, the floor of the invariant cost's bound, lies above it
+    # four_term_floor, which the Cholesky certificate holds the operator
+    # above, lies above it.  The four-term step raises only where LAPACK's LU
+    # finds the operator exactly singular, and only _checked_inverse inverts
     assert "condition_limit" not in {f.name for f in dataclasses.fields(Tolerances)}
     reads_pivot = {name for path in sorted(SRC.glob("*.py")) for name in _functions_where(
         path, lambda node: isinstance(node, ast.Attribute) and node.attr == "pivot"
@@ -134,7 +140,10 @@ def test_one_singularity_floor_for_dense_operators():
     assert reads_pivot == {"_checked_inverse", "qr_positive", "four_term_floor"}
     raises_singular = _functions_where(SRC / "solvers.py", lambda node: isinstance(node, ast.Raise)
                                        and "SingularOperator" in ast.unparse(node.exc))
-    assert raises_singular == {"_checked_inverse"}
+    assert raises_singular == {"_checked_inverse", "solve_invariant_newton_unchecked"}
+    inverts = {name for path in sorted(SRC.glob("*.py")) for name in _functions_where(
+        path, lambda node: isinstance(node, ast.Attribute) and node.attr == "inv")}
+    assert inverts == {"_checked_inverse"}
 
 
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(Tolerances)])

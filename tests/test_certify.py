@@ -1,12 +1,16 @@
-"""Certifying ``Converged`` from the last Newton solve's separation.
+"""Certifying ``Converged`` at the last iterate without a blind re-solve.
 
-``CostFunction.separation_bound`` moves the separation a Newton solve
-measured to the next iterate, by the change of the blocks of B in between;
-``run_newton`` certifies a critical point with it when the bound clears
-the solver's floor, and solves one more Newton system otherwise.  The
-property test checks that no bound exceeds the separation a solve measures
-at the same iterate; the fallback tests check that the solve still runs,
-and still fails, where no bound certifies."""
+``CostFunction.separation_bound`` moves the separation a trace cost's
+Newton solve measured to the next iterate, by the change of the blocks of B
+in between; ``run_newton`` certifies a critical point with it when the
+bound clears the solver's floor, and calls ``cost.certify`` otherwise: one
+more Newton solve, or for the invariant-subspace cost one Cholesky
+factorization of its four-term operator L less a margin
+(``solvers.certify_invariant_newton``), with the dense inverse behind it.
+The property tests check that no bound exceeds the separation a solve
+measures at the same iterate, and that a Cholesky certificate holds L's
+spectrum above the floor; the fallback tests check that the solve still
+runs, and still fails, where nothing else certifies."""
 
 import numpy as np
 import pytest
@@ -14,11 +18,13 @@ import pytest
 from projnewton.config import TOL
 from projnewton.costs import HamiltonianRayleighCost, InvariantSubspaceCost, RayleighCost
 from projnewton.decomp import frobenius_norm, symmetrize
-from projnewton.errors import SpectralOverlap
+from projnewton.errors import SingularOperator, SpectralOverlap
 from projnewton.grassmann import CHART_NAMES, OrthoFrame, push_frame
 from projnewton.lagrange import SymplecticFrame, sympl_form
 from projnewton.newton import NewtonConfig, Status, perturb_frame, run_newton
 from projnewton.solvers import (
+    _checked_inverse,
+    certify_invariant_newton,
     four_term_floor,
     invariant_newton_operator,
     separation_floor,
@@ -32,6 +38,7 @@ st = hypothesis.strategies
 # rayleigh-lg-general: the trace cost of a symmetric A that is not
 # Hamiltonian, on the Lagrange Grassmannian (Algorithm 2 in (B11 - B22) / 2)
 METHODS = ("rayleigh-gr", "rayleigh-lg", "rayleigh-lg-general", "invariant-direct")
+TRACE_METHODS = METHODS[:3]
 
 
 def _orthogonal(rng, n):
@@ -124,8 +131,56 @@ def _trace_problem(method, seed):
     return cost, perturb_frame(SymplecticFrame(u.T), 0.1, seed)
 
 
+def _certify(cost, frame, b):
+    """``cost.certify``, "singular" for ``SingularOperator``."""
+    try:
+        return cost.certify(frame, b)
+    except SingularOperator:
+        return "singular"
+
+
+def _operator(b, m):
+    return invariant_newton_operator(b[:m, :m], b[:m, m:], b[m:, :m], b[m:, m:])
+
+
+def _checked_certificate(b, m, scale):
+    """``certify_invariant_newton`` at B, held to the spectrum of its operator L:
+    "cholesky" only with lambda_min above sqrt(d) ``four_term_floor``, of L (the
+    lower triangle, as eigvalsh reads it) and of sym(L), and with an inverse
+    that the singularity test accepts; any other outcome only with lambda_min(L)
+    below twice the shift tau (its docstring's formula, without the underflow
+    term), and "solve" exactly where that test accepts L.  Returns the outcome,
+    "singular" for ``SingularOperator``."""
+    op = _operator(b, m)
+    d = op.shape[0]
+    floor = np.sqrt(d) * four_term_floor(m, d // m, scale)
+    nu = (d + 1) * np.finfo(float).eps / 2
+    g = nu / (1.0 - nu)
+    tau = floor + np.sqrt(d) * TOL.separation_roundoff * 3.0 * d * scale
+    tau += g / (1.0 - g) * np.abs(np.diag(op)).sum()
+    data_scale = max(np.linalg.norm(x, 1) for x in (b[:m, :m], b[:m, m:], b[m:, :m], b[m:, m:])) ** 2
+    try:
+        _checked_inverse(op, max(np.linalg.norm(op, 1), data_scale))
+        accepted = True
+    except SingularOperator:
+        accepted = False
+    try:
+        outcome = certify_invariant_newton(b, m, scale)
+    except SingularOperator:
+        outcome = "singular"
+    lam = np.linalg.eigvalsh(op).min()
+    if outcome == "cholesky":
+        assert lam > floor, f"lambda_min {lam:.17e} <= sqrt(d) floor {floor:.17e}"
+        assert np.linalg.eigvalsh(0.5 * (op + op.T)).min() > floor
+        assert accepted
+    else:
+        assert lam <= 2.0 * tau, f"lambda_min {lam:.3e} above twice the shift {tau:.3e}"
+        assert accepted == (outcome == "solve")
+    return outcome
+
+
 @pytest.mark.parametrize("nu", CHART_NAMES)
-@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("method", TRACE_METHODS)
 @hypothesis.given(data=st.data())
 def test_bound_never_exceeds_the_measured_separation(method, nu, data):
     # the Newton iteration by hand, with a solve at every iterate: the
@@ -151,12 +206,35 @@ def test_bound_never_exceeds_the_measured_separation(method, nu, data):
     assert bounds >= 1 and bound > floor
 
 
+@pytest.mark.parametrize("nu", CHART_NAMES)
+@hypothesis.given(data=st.data())
+def test_the_certificate_holds_along_the_run(nu, data):
+    # the Newton iteration by hand, with the certificate at every iterate:
+    # wherever it says "cholesky", L's spectrum clears the floor; at the
+    # critical point, which is inside the basin, it says "cholesky" as
+    # run_newton finds
+    cost, frame = data.draw(problems("invariant-direct"))
+    grad_tol = NewtonConfig().grad_tol * cost.scale
+    for _ in range(10):
+        _, grad, b = cost.frame_terms(frame)
+        outcome = _checked_certificate(b, frame.rank, cost.scale)
+        assert _certify(cost, frame, b) == outcome
+        if np.sqrt(2.0) * np.linalg.norm(grad) <= grad_tol:
+            break
+        frame = push_frame(frame, cost.newton_solve(frame, b)[0], nu)
+    else:
+        pytest.fail("no critical point within 10 steps")
+    assert outcome == "cholesky"
+
+
 def test_start_outside_the_basin_certifies_a_point_that_is_not_invariant():
     # 0.3 from this planted subspace (basin measure 0.24) both method names
-    # run the one direct solve and end Converged, certified by the bound, at a
-    # nondegenerate critical point of ||(I - P) A P||^2 that is no invariant
-    # subspace: the residual ||B21|| is 0.898, 28% of ||A||_F, and B11 = 1.610
-    # is no eigenvalue of A.  Converged certifies a critical point, not an answer
+    # run the one direct solve and end Converged at a nondegenerate critical
+    # point of ||(I - P) A P||^2 that is no invariant subspace: the residual
+    # ||B21|| is 0.898, 28% of ||A||_F, and B11 = 1.610 is no eigenvalue of A.
+    # It is a saddle, L having the eigenvalue -2.08: the Cholesky certificate
+    # fails there and the dense inverse certifies it.  Converged certifies a
+    # critical point, not an answer
     rng = np.random.default_rng(2274029156)
     q, t = _planted_triangular(rng, 6, 1, 1.0)
     assert _basin_measure(t, 1, 0.3) > 2.0 * BASIN
@@ -165,50 +243,48 @@ def test_start_outside_the_basin_certifies_a_point_that_is_not_invariant():
     for method in ("invariant-direct", "invariant-recursive"):
         trace = run_newton(InvariantSubspaceCost(a), start, NewtonConfig(), method=method)
         assert trace.status == Status.CONVERGED
-        assert trace.extras["certified_by"] == "bound"
+        assert trace.extras["certified_by"] == "solve"
         residual = trace.extras["invariance_residuals"][-1]
         assert abs(residual - 0.898) <= 1e-3
         assert 0.28 <= residual / np.linalg.norm(a) <= 0.29
         final = trace.extras["final_frame"].theta
-        b11 = (final @ a @ final.T)[0, 0]
-        assert np.abs(np.linalg.eigvals(a) - b11).min() >= 0.5
+        b = final @ a @ final.T
+        assert np.abs(np.linalg.eigvals(a) - b[0, 0]).min() >= 0.5
+        spectrum = np.linalg.eigvalsh(_operator(b, 1))
+        assert abs(spectrum[0] + 2.08) <= 5e-3 and spectrum[1] > 0.0
+        assert _checked_certificate(b, 1, np.sum(a * a)) == "solve"
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
 @pytest.mark.parametrize("m,k", [(1, 1), (1, 6), (6, 1), (2, 5), (4, 4)])
 @pytest.mark.parametrize("kind", ["random", "near-rank-one", "near-diagonal"])
-def test_a_certifying_bound_is_confirmed_by_the_next_solve(kind, m, k, scale):
-    # two frames of one A, any rotation apart and not only a Newton step: the
-    # invariant cost's bound from the solve at the first never exceeds the
-    # separation the solve at the second measures, nor does the Banach lemma
-    # |sep' - sep| <= ||L' - L||_1 behind it fail, near-singular L included
+def test_a_cholesky_certificate_is_confirmed_by_the_spectrum(kind, m, k, scale):
+    # frames any rotation away from an invariant subspace of A, near-singular
+    # L included: the invariant cost's certificate says "cholesky" only where
+    # L's spectrum clears sqrt(d) four_term_floor, and fails only within twice
+    # its shift of it (_checked_certificate)
     gen = np.random.default_rng([m, k, len(kind), round(np.log10(scale)) + 3])
     n, d = m + k, m * k
     certified = 0
     for _ in range(40):
         if kind == "random":
-            a = gen.standard_normal((n, n))
+            t = gen.standard_normal((n, n))
         elif kind == "near-rank-one":
-            a = np.outer(gen.standard_normal(n), gen.standard_normal(n)) + 1e-3 * gen.standard_normal((n, n))
+            t = np.outer(gen.standard_normal(n), gen.standard_normal(n)) + 1e-3 * gen.standard_normal((n, n))
         else:
-            a = np.diag(gen.standard_normal(n)) + 1e-3 * gen.standard_normal((n, n))
-        cost = InvariantSubspaceCost(scale * a)
-        frame = OrthoFrame(_orthogonal(gen, n), m)
+            t = np.diag(gen.standard_normal(n)) + 1e-3 * gen.standard_normal((n, n))
+        t[m:, :m] = 0.0
+        q = _orthogonal(gen, n)
+        cost = InvariantSubspaceCost(scale * q @ t @ q.T)
         turn = 10.0 ** gen.uniform(-12.0, 0.0) * gen.standard_normal((n, n))
-        q, r = np.linalg.qr(np.eye(n) + turn)
-        moved = OrthoFrame((q * np.sign(np.diag(r))) @ frame.theta, m)
-        b, b_moved = cost.frame_terms(frame)[2], cost.frame_terms(moved)[2]
-        separation = cost.newton_solve(frame, b)[1]
-        bound, floor = cost.separation_bound(moved, b_moved, b, separation)
-        assert floor == four_term_floor(m, k, cost.scale)
-        measured = cost.newton_solve(moved, b_moved)[1]
-        assert bound <= measured, f"bound {bound:.17e} > separation {measured:.17e}"
-        ops = [invariant_newton_operator(x[:m, :m], x[:m, m:], x[m:, :m], x[m:, m:]) for x in (b, b_moved)]
-        change = np.linalg.norm(ops[1] - ops[0], 1)
-        assert abs(measured - separation) <= change + TOL.separation_roundoff * d * 3.0 * np.sqrt(d) * cost.scale
-        certified += bound > floor
-    # small turns certify, large ones do not
-    assert 1 <= certified < 40
+        r_q, r = np.linalg.qr(np.eye(n) + turn)
+        frame = OrthoFrame((r_q * np.sign(np.diag(r))) @ q.T, m)
+        b = cost.frame_terms(frame)[2]
+        outcome = _checked_certificate(b, m, cost.scale)
+        assert _certify(cost, frame, b) == outcome
+        certified += outcome == "cholesky"
+    # near the subspace it certifies; far from it, for d > 1, not always
+    assert 1 <= certified and (certified < 40 or d == 1)
 
 
 def _gapped_rayleigh(seed=3, n=7, m=2):
@@ -294,13 +370,61 @@ class TestFallback:
     def test_degenerate_final_point_fails_through_the_solve(self, method, status, nu):
         # one step, whose solve still measures a gap above the floor, reaches
         # the gradient tolerance at a point whose gap is round-off: the bound
-        # from that step must not clear the floor, and the solve fails
+        # from that step must not clear the floor, nor the invariant cost's
+        # Cholesky certificate succeed, and the solve fails
         cost, start = _degenerate_problem(method)
         trace = run_newton(cost, start, NewtonConfig(nu=nu), method=method)
         assert trace.status == status
         assert len(trace.records) == 2
         assert trace.records[-1].grad_norm <= NewtonConfig().grad_tol * cost.scale
         assert "certified_by" not in trace.extras
+
+    def test_invariant_run_solves_once_per_step_and_factors_once(self, monkeypatch):
+        # Algorithm 3: one LU solve per step and one Cholesky factorization at
+        # the critical point, which certifies it; no inverse is formed
+        q, t = _planted_triangular(np.random.default_rng(8), 7, 3, 1.0)
+        start = perturb_frame(OrthoFrame(q.T, 3), 0.05, 8)
+        calls = {"solve": 0, "cholesky": 0, "inv": 0}
+        for name in calls:
+            def counted(*args, _name=name, _call=getattr(np.linalg, name)):
+                calls[_name] += 1
+                return _call(*args)
+            monkeypatch.setattr(np.linalg, name, counted)
+        trace = run_newton(InvariantSubspaceCost(q @ t @ q.T), start, NewtonConfig())
+        assert trace.status == Status.CONVERGED
+        assert trace.extras["certified_by"] == "cholesky"
+        assert calls == {"solve": len(trace.records) - 1, "cholesky": 1, "inv": 0}
+
+    @pytest.mark.parametrize("nu", CHART_NAMES)
+    def test_near_singular_minimizer_is_refused_by_the_certificate(self, nu):
+        # A = diag(2, 1, 1 + delta) + 0.3 e1 e3^T, m = 1, started 1e-3 and 0.1
+        # from e2: B22 keeps an eigenvalue within delta of B11's, so L at the
+        # critical point is singular to round-off.  Every run ends
+        # SingularHessian.  A step raises only where LAPACK's LU finds its L
+        # exactly singular; otherwise the run reaches the gradient tolerance
+        # and the certificate refuses the point (its Cholesky fails, and its
+        # inverse is refused)
+        planted, grad_tol = OrthoFrame(np.eye(3)[[1, 0, 2]], 1), NewtonConfig().grad_tol
+        refused = 0
+        for delta in (0.0, 1e-16, 1e-14, 1e-12, 1e-11, 1e-10):
+            a = np.diag([2.0, 1.0, 1.0 + delta])
+            a[0, 2] = 0.3
+            cost = InvariantSubspaceCost(a)
+            for eps in (1e-3, 0.1):
+                for seed in (0, 1):
+                    trace = run_newton(cost, perturb_frame(planted, eps, seed), NewtonConfig(nu=nu))
+                    assert trace.status == Status.SINGULAR_HESSIAN
+                    assert "certified_by" not in trace.extras
+                    assert all(r.grad_norm > grad_tol * cost.scale for r in trace.records[:-1])
+                    frame = trace.extras["final_frame"]
+                    _, rhs, b = cost.frame_terms(frame)
+                    if trace.records[-1].grad_norm <= grad_tol * cost.scale:
+                        refused += 1
+                        assert _checked_certificate(b, 1, cost.scale) == "singular"
+                    else:
+                        with pytest.raises(np.linalg.LinAlgError):
+                            np.linalg.solve(_operator(b, 1), rhs.reshape(-1))
+        assert refused >= 22
 
     def test_tiny_step_is_recorded(self):
         # with no reachable gradient tolerance the run stops on a step below
@@ -314,9 +438,10 @@ class TestFallback:
 
 class TestSeparationFloor:
     """The bounds clear the floor the Newton solve would enforce: the trace
-    cost's reads ``solvers.separation_floor`` of the blocks its solve sees, the
-    invariant cost's ``solvers.four_term_floor``, at least the singularity test
-    of the operator the direct solve inverts."""
+    cost's reads ``solvers.separation_floor`` of the blocks its solve sees.  The
+    invariant cost has no bound; its certificate holds the operator above
+    sqrt(d) ``solvers.four_term_floor``, at least the singularity test of the
+    operator the dense inverse would see."""
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("method", ["rayleigh-gr", "rayleigh-lg", "invariant-direct"])
@@ -335,17 +460,18 @@ class TestSeparationFloor:
                         else InvariantSubspaceCost(x))
                 frame, last = (OrthoFrame(_orthogonal(rng, n), m) for _ in range(2))
             b, last_b = cost.frame_terms(frame)[2], cost.frame_terms(last)[2]
-            _, floor = cost.separation_bound(frame, b, last_b, 1.0)
             b11, b22 = b[:m, :m], b[m:, m:]
             if method == "invariant-direct":
+                assert cost.separation_bound(frame, b, last_b, 1.0) is None
                 blocks = b11, b[:m, m:], b[m:, :m], b22
-                assert floor == four_term_floor(m, n - m, cost.scale)
                 # the direct solve's own test, max(||L||_1, max ||B_ij||_1^2) TOL.pivot
                 solve_floor = max(np.linalg.norm(invariant_newton_operator(*blocks), 1),
                                   max(np.linalg.norm(blk, 1) for blk in blocks) ** 2)
-                assert floor >= TOL.pivot * solve_floor
-            else:
-                assert floor == separation_floor(symmetrize(b11), symmetrize(b22))
+                assert four_term_floor(m, n - m, cost.scale) >= TOL.pivot * solve_floor
+                _checked_certificate(b, m, cost.scale)
+                continue
+            _, floor = cost.separation_bound(frame, b, last_b, 1.0)
+            assert floor == separation_floor(symmetrize(b11), symmetrize(b22))
             if method == "rayleigh-lg":
                 # the Lyapunov solve's own floor, of M = (B11 - B22) / 2, is lower
                 assert floor >= separation_floor(symmetrize(0.5 * (b11 - b22)))
@@ -384,23 +510,37 @@ class TestSeparationFloor:
     @pytest.mark.parametrize("method", ["rayleigh-gr", "rayleigh-lg", "invariant-direct"])
     def test_certification_does_not_depend_on_units(self, method, power):
         # A times c = 2^power scales B exactly, so the measured separation,
-        # the bound and its floor scale by c (trace cost) or c^2 (invariant
-        # cost) bit for bit: whether a step certifies does not depend on units
+        # the bound and its floor scale by c bit for bit (trace cost), and the
+        # four-term operator and the certificate's shift by c^2 (invariant
+        # cost): whether a point certifies, and how, does not depend on units,
+        # nor do the bits of the invariant step
         rng = np.random.default_rng(5)
         x = rng.standard_normal((6, 6))
+        c = 2.0 ** power
+        if method == "invariant-direct":
+            q, t = _planted_triangular(rng, 6, 3, 1.0)
+            near = perturb_frame(OrthoFrame(q.T, 3), 1e-6, 5)
+            far = OrthoFrame(_orthogonal(rng, 6), 3)
+            a, outcomes = q @ t @ q.T, []
+            for frame, y in ((near, a), (near, c * a), (far, x), (far, c * x)):
+                cost = InvariantSubspaceCost(y)
+                b = cost.frame_terms(frame)[2]
+                outcomes.append((_certify(cost, frame, b), cost.newton_solve(frame, b)[0].tobytes()))
+            assert outcomes[0] == outcomes[1] and outcomes[2] == outcomes[3]
+            assert outcomes[0][0] == "cholesky"
+            return
         if method == "rayleigh-lg":
             last, z = SymplecticFrame(_orthosymplectic(rng, 3).T), symmetrize(rng.standard_normal((3, 3)))
         else:
             last, z = OrthoFrame(_orthogonal(rng, 6), 3), rng.standard_normal((3, 3))
         frame = push_frame(last, 1e-6 * z, "exp")
-        c, results = 2.0 ** power, []
+        results = []
         for y in (x, c * x):
-            cost = InvariantSubspaceCost(y) if method == "invariant-direct" else RayleighCost(0.5 * (y + y.T))
+            cost = RayleighCost(0.5 * (y + y.T))
             b, last_b = cost.frame_terms(frame)[2], cost.frame_terms(last)[2]
             separation = cost.newton_solve(last, last_b)[1]
             results.append((separation, *cost.separation_bound(frame, b, last_b, separation)))
-        units = c ** 2 if method == "invariant-direct" else c
-        assert results[1] == tuple(units * value for value in results[0])
+        assert results[1] == tuple(c * value for value in results[0])
         _, bound, floor = results[0]
         assert bound > floor
 

@@ -18,8 +18,8 @@ from projnewton.grassmann import OrthoFrame
 from projnewton.newton import NewtonConfig, Status, perturb_frame, run_newton
 from projnewton.solvers import (
     _checked_inverse,
-    _norm_1,
     _pair,
+    certify_invariant_newton,
     four_term_floor,
     invariant_newton_operator,
     invariant_newton_rhs,
@@ -184,7 +184,7 @@ class TestInvariantDirect:
     def test_homogeneous(self, rng):
         a11 = random_symmetric(rng, 2) + 3.0 * np.eye(2)
         a22 = random_symmetric(rng, 2) - 3.0 * np.eye(2)
-        z = solve_invariant_newton_direct(a11, rng.standard_normal((2, 2)), np.zeros((2, 2)), a22)[0]
+        z = solve_invariant_newton_direct(a11, rng.standard_normal((2, 2)), np.zeros((2, 2)), a22)
         assert np.abs(z).max() <= 1e-12
 
     def test_block_diagonal_critical_point(self, rng):
@@ -192,7 +192,7 @@ class TestInvariantDirect:
         a11 = rng.standard_normal((2, 2)) + 3.0 * np.eye(2)
         a22 = rng.standard_normal((2, 2)) - 3.0 * np.eye(2)
         a12 = rng.standard_normal((2, 2))
-        z = solve_invariant_newton_direct(a11, a12, np.zeros((2, 2)), a22)[0]
+        z = solve_invariant_newton_direct(a11, a12, np.zeros((2, 2)), a22)
         assert np.abs(z).max() <= 1e-12
 
     def test_against_brute_force_oracle(self, rng):
@@ -202,11 +202,12 @@ class TestInvariantDirect:
             a22 = gen.standard_normal((2, 2)) - 3.0 * np.eye(2)
             a12 = gen.standard_normal((2, 2))
             a21 = 0.3 * gen.standard_normal((2, 2))
-            z, separation = solve_invariant_newton_direct(a11, a12, a21, a22)
+            z = solve_invariant_newton_direct(a11, a12, a21, a22)
             assert np.abs(z - _invariant_oracle(a11, a12, a21, a22)).max() <= 1e-9
-            # the separation is that of the operator the solve inverted
+            # Z is one LU solve with the operator, bit for bit
             op = invariant_newton_operator(a11, a12, a21, a22)
-            assert separation == 1.0 / np.abs(np.linalg.inv(op)).sum(axis=0).max()
+            rhs = invariant_newton_rhs(a11, a21, a22).reshape(-1)
+            assert z.tobytes() == np.linalg.solve(op, rhs).reshape(2, 2).tobytes()
             residual = _invariant_lhs(z, a11, a12, a21, a22) - invariant_newton_rhs(a11, a21, a22)
             assert np.linalg.norm(residual) <= 1e-8 * max(1.0, np.linalg.norm(z))
 
@@ -230,19 +231,21 @@ class TestInvariantDirect:
         with pytest.raises(SingularOperator):
             solve_invariant_newton_direct(a11, np.zeros((2, 2)), np.zeros((2, 2)), a22)
 
-    def test_separation_has_the_units_of_the_operator(self):
-        # blocks times c = 2^j scale L by c^2 exactly, and its separation with it
-        solved = 0
+    def test_certificate_has_no_units(self):
+        # blocks times c = 2^j scale L, the right-hand side and the
+        # certificate's shift by c^2 exactly: the step keeps its bits and the
+        # certificate its outcome
+        outcomes = set()
         for blocks in _four_term_cases(200, 3):
-            try:
-                separation = solve_invariant_newton_direct(*blocks)[1]
-            except SingularOperator:
-                continue
-            solved += 1
+            b, m = np.block([blocks[:2], blocks[2:]]), blocks[0].shape[0]
+            z, outcome = _core_outcome(b, m)
+            outcomes.add(outcome)
             for j in (-20, -1, 1, 20):
-                scaled = solve_invariant_newton_direct(*(2.0 ** j * b for b in blocks))[1]
-                assert scaled == 4.0 ** j * separation
-        assert solved >= 100
+                c = 2.0 ** j
+                z_scaled, scaled = _core_outcome(c * b, m)
+                assert scaled == outcome
+                assert z_scaled.tobytes() == z.tobytes()
+        assert outcomes == {"cholesky", "solve", "singular"}
 
     def test_fully_degenerate(self):
         # every subspace of the identity is invariant: zero operator
@@ -311,9 +314,22 @@ def _four_term_cases(count, seed):
 
 def _direct_outcome(blocks):
     try:
-        return solve_invariant_newton_direct(*blocks)[0]
+        return solve_invariant_newton_direct(*blocks)
     except SingularOperator:
         return None
+
+
+def _core_outcome(b, m):
+    """The core's Z (NaN where LU finds the operator exactly singular) and the
+    certificate's outcome at ||B||_F^2, "singular" for ``SingularOperator``."""
+    try:
+        z = solve_invariant_newton_unchecked(b, m)
+    except SingularOperator:
+        z = np.full((m, b.shape[0] - m), np.nan)
+    try:
+        return z, certify_invariant_newton(b, m, np.vdot(b, b))
+    except SingularOperator:
+        return z, "singular"
 
 
 class TestDirectSingularity:
@@ -398,21 +414,30 @@ class TestSolveDense:
             _checked_inverse(np.eye(2), np.nan)
 
 
-class TestOperatorInverses:
-    """The four-term solve inverts its operator once, and reads its
-    separation 1/||L^-1||_1 from that inverse: no SVD."""
+class TestOperatorFactorizations:
+    """The four-term solve factors its operator once per step, by LU, and its
+    certificate once more, by Cholesky; it inverts the operator only where
+    the Cholesky fails, and takes no SVD."""
 
-    def test_direct_one_per_solve(self, monkeypatch):
-        gen = np.random.default_rng(7)
-        blocks = (gen.standard_normal((2, 2)) + 3.0 * np.eye(2), gen.standard_normal((2, 3)),
-                  0.1 * gen.standard_normal((3, 2)), gen.standard_normal((3, 3)) - 3.0 * np.eye(3))
+    @pytest.mark.parametrize("kind", ["generic", "near-scalar"])
+    def test_direct_one_factorization_each(self, monkeypatch, kind):
+        make = self._blocks if kind == "generic" else self._near_scalar_blocks
         calls, svds = [], []
-        inv, svd = np.linalg.inv, np.linalg.svd
-        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
+        for name in ("solve", "cholesky", "inv"):
+            def counted(a, *args, _name=name, _call=getattr(np.linalg, name)):
+                calls.append((_name, a.shape))
+                return _call(a, *args)
+            monkeypatch.setattr(np.linalg, name, counted)
+        svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: svds.append(1) or svd(*a, **kw))
-        solve_invariant_newton_direct(*blocks)
-        assert calls == [(6, 6)]
+        solve_invariant_newton_direct(*make(2, 3))
+        assert calls == [("solve", (6, 6)), ("cholesky", (6, 6))]
         assert svds == []
+        # blocks whose operator is indefinite: the inverse decides
+        calls.clear()
+        solve_invariant_newton_direct(*make(8, 16))
+        assert [name for name, _ in calls] == (["solve", "cholesky", "inv"] if kind == "generic"
+                                               else ["solve", "cholesky"])
 
     @staticmethod
     def _blocks(m, k):
@@ -432,71 +457,85 @@ class TestOperatorInverses:
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("m,k", [(1, 1), (2, 3), (3, 5), (6, 10), (8, 16)])
     def test_direct_solve_keeps_its_bits(self, monkeypatch, m, k, scale, kind):
-        # the reference allocates |op| and |op^-1|; the solve writes them to
-        # spent buffers of its own.  (8, 16): d = 128, arrays of 128 KiB.  The
-        # unchecked core on B = [[A11, A12], [A21, A22]] gives the checked
-        # entry's bits, and its one pass over |B| the four blocks' 1-norms
+        # the step is one LU solve with the operator, bit for bit, from the
+        # checked entry and from the unchecked core on B = [[A11, A12], [A21,
+        # A22]]; neither writes to its operands.  Where the Cholesky fails, the
+        # inverse sees the operator with its diagonal restored bit for bit, and
+        # judges it against max(||L||_1, max ||A_ij||_1^2)
         make = self._blocks if kind == "generic" else self._near_scalar_blocks
         blocks = [scale * b for b in make(m, k)]
         b = np.block([blocks[:2], blocks[2:]])
         copies = [x.copy() for x in (*blocks, b)]
-        floors, checked_inverse = [], projnewton.solvers._checked_inverse
-        monkeypatch.setattr(projnewton.solvers, "_checked_inverse",
-                            lambda op, a_norm, **kw: floors.append(a_norm) or checked_inverse(op, a_norm, **kw))
-        z, separation = solve_invariant_newton_direct(*blocks)
-        z_core, separation_core = solve_invariant_newton_unchecked(b, m)
+        z = solve_invariant_newton_direct(*blocks)
+        z_core = solve_invariant_newton_unchecked(b, m)
         op = invariant_newton_operator(*blocks)
-        inv = np.linalg.inv(op)
         rhs = invariant_newton_rhs(blocks[0], blocks[2], blocks[3]).reshape(-1)
-        assert np.array_equal(z, (inv @ rhs).reshape(m, k))
+        assert z.tobytes() == np.linalg.solve(op, rhs).reshape(m, k).tobytes()
         assert z_core.tobytes() == z.tobytes()
-        assert separation == separation_core == float(1.0 / np.abs(inv).sum(axis=0).max())
         assert all(np.array_equal(x, c) for x, c in zip((*blocks, b), copies))
-        abs_b = np.abs(b)
-        data_scale = max(_norm_1(x) for x in blocks)
-        assert max(abs_b[:m].sum(axis=0).max(), abs_b[m:].sum(axis=0).max()) == data_scale
-        assert floors == 2 * [max(_norm_1(op), data_scale ** 2)]
-        assert kind == "generic" or data_scale ** 2 > _norm_1(op)
+        seen, checked_inverse = [], projnewton.solvers._checked_inverse
+        monkeypatch.setattr(projnewton.solvers, "_checked_inverse", lambda a, a_norm:
+                            seen.append((a.tobytes(), a_norm)) or checked_inverse(a, a_norm))
+
+        def failing(a):
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        assert certify_invariant_newton(b, m, np.vdot(b, b)) == "solve"
+        data_scale = max(np.linalg.norm(x, 1) for x in blocks)
+        assert seen == [(op.tobytes(), max(np.linalg.norm(op, 1), data_scale ** 2))]
+        assert kind == "generic" or data_scale ** 2 > np.linalg.norm(op, 1)
+        assert all(np.array_equal(x, c) for x, c in zip((*blocks, b), copies))
 
     @pytest.mark.parametrize("m,k", [(2, 3), (8, 16)])
     def test_direct_solve_takes_no_absolute_copy_of_its_operators(self, monkeypatch, m, k):
-        d, unbuffered = m * k, []
+        # the step and a Cholesky certificate that succeeds read no 1-norm:
+        # no |L| or |L^-1| of d x d, in a buffer or not
+        d, copies = m * k, []
         absolute = np.abs
 
         def watched(x, *args, **kwargs):
-            if np.shape(x) == (d, d) and kwargs.get("out") is None:
-                unbuffered.append(x)
+            if np.shape(x) == (d, d):
+                copies.append(x)
             return absolute(x, *args, **kwargs)
 
         monkeypatch.setattr(np, "abs", watched)
-        solve_invariant_newton_direct(*self._blocks(m, k))
-        assert unbuffered == []
+        solve_invariant_newton_direct(*self._near_scalar_blocks(m, k))
+        blocks = self._blocks(m, k)
+        solve_invariant_newton_unchecked(np.block([list(blocks[:2]), list(blocks[2:])]), m)
+        assert copies == []
 
-    def test_direct_solve_holds_only_its_operator_when_it_inverts(self, monkeypatch):
-        # the assembly's scratch is freed before the inverse, so the heap peaks
-        # no higher than it would without it; at d = 128 these arrays are
-        # 128 KiB, glibc's mmap and trim threshold, where a higher peak put the
-        # benchmark's (24, 8) solve in its slow mode
+    @pytest.mark.parametrize("kind", ["generic", "near-scalar"])
+    def test_direct_solve_holds_only_its_operator_when_it_factors(self, monkeypatch, kind):
+        # each factorization (the step's LU, the certificate's Cholesky and,
+        # where that fails, the inverse) sees the operator and no spent d x d
+        # temporary; the step and a successful certificate peak at the
+        # assembly's 2.52 arrays.  At d = 128 these arrays are 128 KiB,
+        # glibc's mmap and trim threshold, where a higher peak put the
+        # benchmark's (24, 8) solve in a slow mode
         import tracemalloc
 
-        blocks, size, held = self._blocks(8, 16), 128 * 128 * 8, []
-        inv = np.linalg.inv
-
-        def watched(a):
-            held.append(tracemalloc.get_traced_memory()[0] - base)
-            return inv(a)
-
-        monkeypatch.setattr(np.linalg, "inv", watched)
+        make = self._blocks if kind == "generic" else self._near_scalar_blocks
+        blocks, size, held = make(8, 16), 128 * 128 * 8, []
+        for name in ("solve", "cholesky", "inv"):
+            def watched(a, *args, _name=name, _call=getattr(np.linalg, name)):
+                held.append((_name, tracemalloc.get_traced_memory()[0] - base))
+                return _call(a, *args)
+            monkeypatch.setattr(np.linalg, name, watched)
         started = not tracemalloc.is_tracing()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
             solve_invariant_newton_direct(*blocks)
+            peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if started:
                 tracemalloc.stop()
-        assert len(held) == 1
-        assert size <= held[0] < 1.5 * size
+        names = ["solve", "cholesky", "inv"] if kind == "generic" else ["solve", "cholesky"]
+        assert [name for name, _ in held] == names
+        assert all(size <= memory < 1.5 * size for _, memory in held)
+        assert kind == "generic" or peak <= 2.6 * size
 
     def test_operator_assembly_takes_no_iterator_buffers(self):
         # a product of two broadcast views makes numpy's iterator buffer about
@@ -539,9 +578,10 @@ class TestOperatorInverses:
         assert np.array_equal(x, np.linalg.inv(rows) @ g)
 
 
-class TestSeparationEstimate:
-    """The four-term solve's separation 1/||L^-1||_1 lies within sqrt(d) of
-    sigma_min(L): ||X||_1 and ||X||_2 are within sqrt(d) of each other."""
+class TestCholeskyCertificate:
+    """A Cholesky certificate holds lambda_min(L) above sqrt(d) four_term_floor,
+    which keeps the separation 1/||L^-1||_1 of the dense inverse's test above
+    the floor: ||X||_1 and ||X||_2 are within sqrt(d) of each other."""
 
     @staticmethod
     def _blocks(kind, gen):
@@ -562,26 +602,43 @@ class TestSeparationEstimate:
         return a11, 0.1 * gen.standard_normal((3, 4)), 0.1 * gen.standard_normal((4, 3)), a22
 
     @pytest.mark.parametrize("kind", ["random", "normal", "non-normal"])
-    def test_within_sqrt_d_of_sigma_min(self, kind):
+    def test_inverse_norm_within_sqrt_d_of_lambda_min(self, kind):
+        root_d, certified = np.sqrt(12.0), 0
         for seed in range(5):
             blocks = self._blocks(kind, np.random.default_rng(seed))
-            sigma_min = np.linalg.svd(invariant_newton_operator(*blocks), compute_uv=False)[-1]
-            sep = solve_invariant_newton_direct(*blocks)[1]
-            root_d = np.sqrt(12.0)
+            b = np.block([list(blocks[:2]), list(blocks[2:])])
+            scale = np.vdot(b, b)
+            op = invariant_newton_operator(*blocks)
+            sigma_min = np.linalg.svd(op, compute_uv=False)[-1]
+            sep = 1.0 / np.linalg.norm(np.linalg.inv(op), 1)
             assert sigma_min / root_d <= sep <= root_d * sigma_min
+            lam = np.linalg.eigvalsh(op).min()
+            if certify_invariant_newton(b, 3, scale) == "cholesky":
+                certified += 1
+                assert lam > root_d * four_term_floor(3, 4, scale)
+                assert sigma_min >= lam * (1.0 - 1e-12)
+                assert sep > four_term_floor(3, 4, scale)
+            else:
+                assert lam < 0.0
+        # the far from normal blocks' coupling outweighs S S^T: saddles, which
+        # the inverse certifies
+        assert certified == (0 if kind == "non-normal" else 5)
 
 
 @pytest.mark.parametrize("m,k", [(1, 1), (1, 6), (6, 1), (2, 5), (4, 4)])
 @pytest.mark.parametrize("kind", ["random", "rank-one", "near-diagonal"])
-def test_four_term_bound_inequalities(kind, m, k):
-    # the three inequalities behind InvariantSubspaceCost.separation_bound and
-    # four_term_floor, for A and an orthogonally similar A' = Q A Q^T (a Newton
-    # step moves B so), with ||A||_F taken as the larger of the two:
-    #   ||L' - L||_1 <= (2 sqrt(m) + 2 sqrt(k) + 4 sqrt(d)) ||A' - A||_F 2 ||A||_F,
-    #   ||L||_1 <= 3 sqrt(d) ||A||_F^2,  max ||A_ij||_1^2 <= max(m, k) ||A||_F^2,
+def test_four_term_certificate_inequalities(kind, m, k):
+    # the inequalities behind certify_invariant_newton's shift and
+    # four_term_floor, with |L|_+ the operator of the |A_ij| with every sign +
+    # and L* the operator assembled in extended precision:
+    #   |L - L*| <= gamma_{max(m,k)+6} |L|_+ < 8 d u |L|_+ entrywise,
+    #   ||L||_1 <= || |L|_+ ||_1 = || |L|_+ ||_inf <= 3 sqrt(d) ||A||_F^2,
+    #   max ||A_ij||_1^2 <= max(m, k) ||A||_F^2,
     # and so four_term_floor >= TOL.pivot max(||L||_1, max ||A_ij||_1^2)
     gen = np.random.default_rng([m, k, len(kind)])
-    n, d = m + k, m * k
+    n, d, u = m + k, m * k, np.finfo(float).eps / 2
+    nu = (max(m, k) + 6) * u
+    extended = np.finfo(np.longdouble).eps < 1e-18
 
     def blocks(a):
         return a[:m, :m], a[:m, m:], a[m:, :m], a[m:, m:]
@@ -595,36 +652,37 @@ def test_four_term_bound_inequalities(kind, m, k):
         else:
             a = np.diag(gen.standard_normal(n)) + 1e-3 * gen.standard_normal((n, n))
         a *= 10.0 ** gen.uniform(-3.0, 3.0)
-        turn = 10.0 ** gen.uniform(-6.0, 0.0) * gen.standard_normal((n, n))
-        q = np.linalg.qr(np.eye(n) + turn)[0]
-        a_new = q @ a @ q.T
-        norm_a = max(np.linalg.norm(a), np.linalg.norm(a_new))
-        op, op_new = invariant_newton_operator(*blocks(a)), invariant_newton_operator(*blocks(a_new))
-        change = np.linalg.norm(op_new - op, 1) / (
-            (2.0 * np.sqrt(m) + 2.0 * np.sqrt(k) + 4.0 * np.sqrt(d)) * np.linalg.norm(a_new - a) * 2.0 * norm_a)
+        op = invariant_newton_operator(*blocks(a))
+        plus = _invariant_operator_kron_oracle(*blocks(abs(a)), plus=True)
+        assert_allclose(plus, plus.T, rtol=1e-13)
+        assert nu / (1.0 - nu) < 8 * d * u
+        if extended:
+            exact = _invariant_operator_kron_oracle(*blocks(a.astype(np.longdouble)))
+            assert np.all(np.abs(op - exact) <= nu / (1.0 - nu) * plus)
+        assert np.all(np.abs(op - op.T) <= 2.0 * nu / (1.0 - nu) * plus)
         scale = np.linalg.norm(a) ** 2
         largest_block = max(np.linalg.norm(b, 1) for b in blocks(a)) ** 2
-        worst = np.maximum(worst, [change, np.linalg.norm(op, 1) / (3.0 * np.sqrt(d) * scale),
+        worst = np.maximum(worst, [np.linalg.norm(op, 1) / np.linalg.norm(plus, 1),
+                                   np.linalg.norm(plus, 1) / (3.0 * np.sqrt(d) * scale),
                                    largest_block / (max(m, k) * scale)])
         assert four_term_floor(m, k, scale) >= TOL.pivot * max(np.linalg.norm(op, 1), largest_block)
     assert np.all(worst <= 1.0), worst
-    # the bound's slack 16 sqrt(d) delta ||A||_F covers the first
-    assert 2.0 * (2.0 * np.sqrt(m) + 2.0 * np.sqrt(k) + 4.0 * np.sqrt(d)) <= 16.0 * np.sqrt(d)
 
 
-def _invariant_operator_kron_oracle(a11, a12, a21, a22):
+def _invariant_operator_kron_oracle(a11, a12, a21, a22, plus=False):
     """The four-term operator assembled with ``np.kron``, term by term in
     the library's order (G kron I, I kron H, then the four products), so equal
-    products give a bit-identical sum."""
+    products give a bit-identical sum; with ``plus``, every sign +."""
     m, k = a12.shape
-    im, ik = np.eye(m), np.eye(k)
+    sign = 1.0 if plus else -1.0
+    im, ik = np.eye(m, dtype=a11.dtype), np.eye(k, dtype=a11.dtype)
     perm = np.arange(m * k).reshape(k, m).T.reshape(-1)
-    op = np.kron(a11 @ a11.T - a21.T @ a21, ik)
-    op += np.kron(im, a22.T @ a22 - a21 @ a21.T)
-    op -= np.kron(a11, a22)
-    op -= np.kron(a11.T, a22.T)
-    op -= np.kron(a21.T, a12.T)[:, perm]
-    op -= np.kron(a12, a21)[:, perm]
+    op = np.kron(a11 @ a11.T + sign * (a21.T @ a21), ik)
+    op += np.kron(im, a22.T @ a22 + sign * (a21 @ a21.T))
+    op += sign * np.kron(a11, a22)
+    op += sign * np.kron(a11.T, a22.T)
+    op += sign * np.kron(a21.T, a12.T)[:, perm]
+    op += sign * np.kron(a12, a21)[:, perm]
     return op
 
 

@@ -191,10 +191,11 @@ def test_status_ignores_units_and_rotations(method, nu, data):
         trace = run_newton(_cost(method, mat), frame, config, method=method)
         return trace.status, _iterations(trace), trace.extras.get("certified_by"), trace
 
-    # nor do they change which path certified the run
+    # nor do they change which path certified the run: the trace costs'
+    # bound, or the invariant cost's Cholesky factorization
     status, iters, path, trace = run(a, start)
     assert status == Status.CONVERGED
-    assert path == "bound"
+    assert path == ("cholesky" if method.startswith("invariant") else "bound")
     for c in (1e-3, 1e3):
         assert run(c * a, start)[:3] == (status, iters, path), f"A -> {c:g} A"
     assert run(q @ a @ q.T, _rotated(start, q))[:3] == (status, iters, path), "A -> Q A Q^T"
