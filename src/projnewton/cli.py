@@ -14,7 +14,9 @@ emptied first, and the write is not atomic.  A process builds each
 command's parser once, on its first call, and later ``main`` calls reuse it.
 
 A run stops once the gradient norm is at most ``--tol`` times ||A||_F
-(||A||_F^2 for invariant): its status does not depend on the units of A.
+(||A||_F^2 for invariant): its status does not depend on the units of A,
+unless A is so small that the gradient underflows (README).  Inputs are
+checked by the library's tests, at the file tolerance ``TOL.input_symmetry``.
 
 Exit codes: 0 converged, 1 input error, 2 not converged within the
 iteration budget, 3 solver or degeneracy error.
@@ -34,16 +36,10 @@ import numpy as np
 
 from .config import TOL
 from .costs import HamiltonianRayleighCost, InvariantSubspaceCost, RayleighCost
-from .decomp import qr_positive, sym_eig
-from .errors import (
-    BadRank,
-    InputNotHamiltonianSymmetric,
-    InputNotSymmetric,
-    InsufficientData,
-    ProjNewtonError,
-)
-from .grassmann import CHART_NAMES, _oriented_frame
-from .lagrange import sympl_form, symplectic_frame_from_basis
+from .decomp import qr_positive, require_symmetric, sym_eig
+from .errors import InsufficientData, ProjNewtonError
+from .grassmann import CHART_NAMES, _oriented_frame, random_projector
+from .lagrange import lagrangian_residual, require_hamiltonian, symplectic_frame_from_basis
 from .newton import (
     NewtonConfig,
     Status,
@@ -89,34 +85,6 @@ def load_matrix(path):
     return mat
 
 
-def _require_square(mat, what="matrix"):
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ProjNewtonError(f"{what} must be square, got {mat.shape}")
-    return mat
-
-
-def _require_symmetric_input(mat):
-    scale = max(1.0, np.abs(mat).max())
-    if np.abs(mat - mat.T).max() > TOL.input_symmetry * scale:
-        raise InputNotSymmetric("input matrix is not symmetric")
-    return 0.5 * (mat + mat.T)
-
-
-def _require_hamiltonian_input(mat):
-    mat = _require_symmetric_input(mat)
-    if mat.shape[0] % 2:
-        raise InputNotHamiltonianSymmetric("input dimension must be even (2n)")
-    j = sympl_form(mat.shape[0] // 2)
-    jmj = j @ mat @ j
-    scale = max(1.0, np.abs(mat).max())
-    if np.abs(jmj - mat).max() > TOL.input_symmetry * scale:
-        raise InputNotHamiltonianSymmetric(
-            "input lacks the symmetric-Hamiltonian block structure [[S, T], [T, -S]]"
-        )
-    # project onto the structure, which the cost checks at a tighter tolerance
-    return 0.5 * (mat + jmj)
-
-
 def _frame_from_start_file(path, n, m, lagrangian=False):
     """The frame of the n x m start basis in ``path``, by positive QR; with
     ``lagrangian`` (n = 2m) a symplectic frame, of a basis that must span a
@@ -130,8 +98,10 @@ def _frame_from_start_file(path, n, m, lagrangian=False):
     if not lagrangian:
         return _oriented_frame(q.T, m)
     u = q[:, :m]
-    if np.abs(u.T @ sympl_form(m) @ u).max() > TOL.input_symmetry:
-        raise ProjNewtonError("start basis does not span a Lagrangian subspace")
+    residual = lagrangian_residual(u)
+    if residual > TOL.input_symmetry:
+        raise ProjNewtonError(f"start basis does not span a Lagrangian subspace: max|U^T J U| "
+                              f"{residual:.3e} exceeds {TOL.input_symmetry:.1e}")
     return symplectic_frame_from_basis(u)
 
 
@@ -265,10 +235,8 @@ def _run_report(command, args, cost, start_frame, reference, method, extra_fn):
 
 
 def _cmd_rayleigh_gr(args):
-    a = _require_symmetric_input(_require_square(load_matrix(args.matrix)))
+    a = require_symmetric(load_matrix(args.matrix), "input matrix", TOL.input_symmetry)
     n = a.shape[0]
-    if not 0 < args.m < n:
-        raise BadRank(f"m must satisfy 0 < m < {n}, got {args.m}")
     cost = RayleighCost(a)
     natural = _dominant_frame(a, args.m)
     base = _frame_from_start_file(args.start, n, args.m) if args.start else None
@@ -281,7 +249,9 @@ def _cmd_rayleigh_gr(args):
 
 
 def _cmd_rayleigh_lg(args):
-    h = _require_hamiltonian_input(_require_square(load_matrix(args.matrix)))
+    h = require_symmetric(load_matrix(args.matrix), "input matrix", TOL.input_symmetry)
+    # project onto the structure, which the cost checks at a tighter tolerance
+    h = 0.5 * (h + require_hamiltonian(h, "input matrix", TOL.input_symmetry))
     n = h.shape[0] // 2
     cost = HamiltonianRayleighCost(h)
     natural = _dominant_lag_frame(h)
@@ -290,27 +260,21 @@ def _cmd_rayleigh_lg(args):
 
     def extras(trace, final_projector):
         sympl = trace.extras.get("symplecticity_residuals", [])
-        pjp = np.abs(final_projector.mat @ sympl_form(n) @ final_projector.mat).max()
         return {
             "symplecticity_residuals": sympl,
             "max_symplecticity_residual": max(sympl) if sympl else None,
-            "lagrangian_residual": float(pjp),
+            "lagrangian_residual": lagrangian_residual(final_projector.mat),
         }
 
     return _run_report("rayleigh-lg", args, cost, start, natural, "rayleigh-lg", extras)
 
 
 def _cmd_invariant(args):
-    a = _require_square(load_matrix(args.matrix))
-    n = a.shape[0]
-    if not 0 < args.m < n:
-        raise BadRank(f"m must satisfy 0 < m < {n}, got {args.m}")
-    cost = InvariantSubspaceCost(a)
+    cost = InvariantSubspaceCost(load_matrix(args.matrix))
+    n = cost.a.shape[0]
     base = _frame_from_start_file(args.start, n, args.m) if args.start else None
     start = _select_start(args, base, None)
     if start is None:
-        from .grassmann import random_projector
-
         start = random_projector(n, args.m, args.seed)[1]
 
     def extras(trace, final_projector):

@@ -33,8 +33,8 @@ import numpy as np
 
 from .config import TOL
 from .decomp import frobenius_norm, require_symmetric, symmetrize
-from .errors import DimensionMismatch, NotSymmetric, ScaleOverflow
-from .lagrange import SymplecticFrame, sympl_form
+from .errors import DimensionMismatch, ScaleOverflow
+from .lagrange import SymplecticFrame, require_hamiltonian
 from .solvers import (
     certify_invariant_newton,
     invariant_newton_rhs,
@@ -233,13 +233,7 @@ class HamiltonianRayleighCost(RayleighCost):
 
     def __post_init__(self):
         super().__post_init__()
-        h, n2 = self.a, self.a.shape[0]
-        if n2 % 2:
-            raise DimensionMismatch("symmetric Hamiltonian must have even dimension")
-        j = sympl_form(n2 // 2)
-        defect = np.abs(j @ h @ j - h).max()
-        if defect > TOL.lagrangian * max(1.0, np.abs(h).max()):
-            raise NotSymmetric(f"JHJ - H residual {defect:.3e}; not symmetric Hamiltonian")
+        require_hamiltonian(self.a, "symmetric Hamiltonian", TOL.lagrangian)
 
     @property
     def h(self):

@@ -45,8 +45,10 @@ def symmetrize(mat):
     return 0.5 * (mat + mat.T)
 
 
-def require_symmetric(mat, what="matrix"):
-    """Validate finiteness and the relative symmetry defect; return the symmetrized copy."""
+def require_symmetric(mat, what="matrix", tol=TOL.symmetry):
+    """Validate finiteness and the symmetry defect max|M - M^T| against ``tol``
+    max(1, max|M|); return the symmetrized copy.  The floor 1 admits the
+    round-off of computed matrices with no units of their own."""
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"{what} must be square, got shape {mat.shape}")
@@ -55,10 +57,8 @@ def require_symmetric(mat, what="matrix"):
         i, j = np.argwhere(~np.isfinite(mat))[0]
         raise NotSymmetric(f"{what} has a non-finite entry {mat[i, j]} at ({i}, {j})")
     defect = np.abs(mat - mat.T).max()
-    if defect > TOL.symmetry * max(1.0, scale):
-        raise NotSymmetric(
-            f"{what} symmetry defect {defect:.3e} exceeds {TOL.symmetry:.1e} relative"
-        )
+    if defect > tol * max(1.0, scale):
+        raise NotSymmetric(f"{what} symmetry defect {defect:.3e} exceeds {tol:.1e} relative")
     return symmetrize(mat)
 
 

@@ -59,10 +59,3 @@ class NoConvergence(ProjNewtonError):
 class InsufficientData(ProjNewtonError):
     """Not enough usable trace entries to estimate a convergence rate."""
 
-
-class InputNotSymmetric(ProjNewtonError):
-    """CLI input matrix is not symmetric within the input tolerance."""
-
-
-class InputNotHamiltonianSymmetric(ProjNewtonError):
-    """CLI input matrix lacks the symmetric-Hamiltonian block structure."""

@@ -12,6 +12,8 @@ symplectic to round-off with no correction step.  The J-corrected
 tangent projection is needed only in frame coordinates, where it is the
 symmetric part of the gradient block (``RayleighCost.frame_terms``); the
 Newton equation is the Grassmann one projected onto symmetric Z as well.
+This module alone builds J, and holds the tests of structure in it:
+``require_hamiltonian`` (J H J = H) and ``lagrangian_residual`` (X^T J X = 0).
 """
 
 from __future__ import annotations
@@ -21,11 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import TOL
-from .errors import DimensionMismatch, NotAProjector
+from .errors import DimensionMismatch, NotAProjector, NotSymmetric
 from .grassmann import OrthoFrame, Projector
 
 __all__ = [
     "sympl_form",
+    "require_hamiltonian",
+    "lagrangian_residual",
     "LagProjector",
     "SymplecticFrame",
     "random_lag_projector",
@@ -40,6 +44,26 @@ def sympl_form(n):
     j[:n, n:] = np.eye(n)
     j[n:, :n] = -np.eye(n)
     return j
+
+
+def require_hamiltonian(h, what, tol):
+    """J H J of a symmetric H of even dimension whose defect max|J H J - H| is at
+    most ``tol`` max(1, max|H|): H = [[S, T], [T, -S]] to that tolerance;
+    else ``DimensionMismatch`` (odd dimension) or ``NotSymmetric``."""
+    if h.shape[0] % 2:
+        raise DimensionMismatch(f"{what} must have even dimension 2n, got {h.shape[0]}")
+    j = sympl_form(h.shape[0] // 2)
+    jhj = j @ h @ j
+    defect = np.abs(jhj - h).max()
+    if defect > tol * max(1.0, np.abs(h).max()):
+        raise NotSymmetric(f"{what} JHJ - H defect {defect:.3e} exceeds {tol:.1e} relative; "
+                           "not symmetric Hamiltonian [[S, T], [T, -S]]")
+    return jhj
+
+
+def lagrangian_residual(x):
+    """max |X^T J X| of a 2n-row X: 0 where its columns span an isotropic subspace."""
+    return float(np.abs(x.T @ sympl_form(x.shape[0] // 2) @ x).max())
 
 
 class LagProjector(Projector):
@@ -58,11 +82,11 @@ class LagProjector(Projector):
                 f"Lagrangian projector needs rank n in dimension 2n, got rank "
                 f"{base.rank} in dimension {n2}"
             )
-        n = n2 // 2
-        residual = np.abs(base.mat @ sympl_form(n) @ base.mat).max()
+        residual = lagrangian_residual(base.mat)
         if residual > TOL.lagrangian:
-            raise NotAProjector(f"PJP residual {residual:.3e} violates the Lagrangian condition")
-        return cls(base.mat, n)
+            raise NotAProjector(f"PJP residual {residual:.3e} exceeds {TOL.lagrangian:.1e}: "
+                                "violates the Lagrangian condition")
+        return cls(base.mat, n2 // 2)
 
 
 @dataclass(frozen=True)

@@ -177,9 +177,10 @@ def solve_invariant_newton_direct(a11, a12, a21, a22):
     max(||op||_1, max ||A_ij||_1^2) ||op^-1||_1 reaches 1 / ``TOL.pivot`` and no
     Cholesky factorization proves it positive definite (degenerate Hessian)."""
     a11, a12, a21, a22 = _four_term_blocks(a11, a12, a21, a22)
-    b, m = np.block([[a11, a12], [a21, a22]]), a11.shape[0]
-    z = solve_invariant_newton_unchecked(b, m)
-    certify_invariant_newton(b, m, np.vdot(b, b))
+    op = invariant_newton_operator(a11, a12, a21, a22)  # the solve's and the certificate's
+    z = _lu_solve(op, invariant_newton_rhs(a11, a21, a22), a12.shape)
+    b = np.block([[a11, a12], [a21, a22]])
+    _certify_operator(op, b, a11.shape[0], np.vdot(b, b))
     return z
 
 
@@ -188,12 +189,17 @@ def solve_invariant_newton_unchecked(b, m):
     [A21, A22]], A11 m x m, unchecked and uncertified: Z by one LU solve;
     ``SingularOperator`` only if the operator is exactly singular."""
     a11, a12, a21, a22 = b[:m, :m], b[:m, m:], b[m:, :m], b[m:, m:]
+    return _lu_solve(invariant_newton_operator(a11, a12, a21, a22),
+                     invariant_newton_rhs(a11, a21, a22), a12.shape)
+
+
+def _lu_solve(op, rhs, shape):
+    """Z of ``shape`` with op vec(Z) = vec(rhs), by one LU solve that leaves ``op`` as it is."""
     try:
-        z = np.linalg.solve(invariant_newton_operator(a11, a12, a21, a22),
-                            invariant_newton_rhs(a11, a21, a22).reshape(-1))
+        z = np.linalg.solve(op, rhs.reshape(-1))
     except np.linalg.LinAlgError as exc:
         raise SingularOperator(f"operator is singular: {exc}") from exc
-    return z.reshape(a12.shape)
+    return z.reshape(shape)
 
 
 def certify_invariant_newton(b, m, scale):
@@ -215,6 +221,12 @@ def certify_invariant_newton(b, m, scale):
     ||L^-1||_1 <= sqrt(d) ||L^-1||_2 < 1 / f, and f >= TOL.pivot max(||L||_1, max ||A_ij||_1^2)
     passes the inverse's test, which judges L against at least that data scale."""
     op = invariant_newton_operator(b[:m, :m], b[:m, m:], b[m:, :m], b[m:, m:])
+    return _certify_operator(op, b, m, scale)
+
+
+def _certify_operator(op, b, m, scale):
+    """``certify_invariant_newton`` with the operator ``op`` of B, built; it shifts op's
+    diagonal in place."""
     d, diagonal = op.shape[0], op.diagonal().copy()
     nu, size = (d + 1) * sys.float_info.epsilon / 2, np.abs(diagonal)
     tau = np.sqrt(d) * (four_term_floor(m, d // m, scale) + TOL.separation_roundoff * 3 * d * scale)

@@ -24,7 +24,8 @@ MODULES = sorted(f"projnewton.{info.name}" for info in pkgutil.iter_modules([str
 # directly (push_frame(frame, z, chart).projector(), np.linalg.cholesky), or
 # of one float (SpectralGapReport: SpectralOverlap carries min_gap); the
 # alternating-Sylvester four-term solver, as the dense solve is certified by
-# its own bound
+# its own bound; the CLI's own input checks and their error classes, as it
+# calls the library's (decomp.require_symmetric, lagrange.require_hamiltonian)
 GONE = """
     tangent_project tangent_from_param param_from_tangent geodesic distance
     distance_via_cosines distance_via_sines cayley_transform chart_point
@@ -32,6 +33,8 @@ GONE = """
     lg_param_from_tangent lg_chart_point riemannian_gradient_gr
     riemannian_gradient_lg riemannian_hessian_apply_gr riemannian_hessian_apply_lg
     cholesky_upper NotPositiveDefinite SpectralGapReport solve_invariant_newton_recursive
+    InputNotSymmetric InputNotHamiltonianSymmetric _require_square _require_symmetric_input
+    _require_hamiltonian_input
 """.split()
 
 
@@ -120,6 +123,19 @@ def test_the_separation_floor_is_written_once():
     assert not re.search(r"\bTOL\.pivot\b", (SRC / "costs.py").read_text())
 
 
+def test_j_and_the_input_tolerance_have_one_home_each():
+    # lagrange alone builds J and holds the structure tests; the CLI alone
+    # reads the looser tolerance of its files, and hands it to the library's checks
+    forms_j = [path.name for path in sorted(SRC.glob("*.py"))
+                if re.search(r"\bsympl_form\(", path.read_text())]
+    assert forms_j == ["lagrange.py"]
+    readers = [path.name for path in sorted(SRC.glob("*.py"))
+               if re.search(r"\bTOL\.input_symmetry\b", path.read_text())]
+    assert readers == ["cli.py"]
+    assert {"InputNotSymmetric", "InputNotHamiltonianSymmetric", "_require_square",
+            "_require_symmetric_input", "_require_hamiltonian_input"} <= set(GONE)
+
+
 def _functions_where(path, found):
     """Names of the functions in ``path`` whose body has a node for which ``found`` holds."""
     tree = ast.parse(path.read_text())
@@ -140,7 +156,7 @@ def test_one_singularity_floor_for_dense_operators():
     assert reads_pivot == {"_checked_inverse", "qr_positive", "four_term_floor"}
     raises_singular = _functions_where(SRC / "solvers.py", lambda node: isinstance(node, ast.Raise)
                                        and "SingularOperator" in ast.unparse(node.exc))
-    assert raises_singular == {"_checked_inverse", "solve_invariant_newton_unchecked"}
+    assert raises_singular == {"_checked_inverse", "_lu_solve"}
     inverts = {name for path in sorted(SRC.glob("*.py")) for name in _functions_where(
         path, lambda node: isinstance(node, ast.Attribute) and node.attr == "inv")}
     assert inverts == {"_checked_inverse"}

@@ -28,6 +28,16 @@ def _write_matrix(path, mat, header=None):
     return str(path)
 
 
+def _input_error(capsys, argv):
+    """The one ``error:`` line an input error prints (exit 1, no traceback)."""
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
 def _strip_elapsed(text):
     return "\n".join(line for line in text.splitlines() if "elapsed_seconds" not in line)
 
@@ -113,13 +123,16 @@ class TestRayleighGr:
         assert capsys.readouterr().err.startswith("error: cost data scale is inf")
 
     def test_bad_rank_exit_code(self, tmp_path, capsys):
+        # the frame the command builds checks --m
         path = _write_matrix(tmp_path / "a.txt", np.diag([1.0, 2.0]))
-        assert main(["rayleigh-gr", path, "--m", "0"]) == 1
-        assert main(["rayleigh-gr", path, "--m", "2"]) == 1
+        for m in ("-1", "0", "2", "3"):
+            line = _input_error(capsys, ["rayleigh-gr", path, "--m", m])
+            assert f"rank {m} outside (0, 2)" in line
 
     def test_not_symmetric_exit_code(self, tmp_path, capsys):
         path = _write_matrix(tmp_path / "a.txt", np.array([[1.0, 2.0], [0.0, 1.0]]))
-        assert main(["rayleigh-gr", path, "--m", "1"]) == 1
+        line = _input_error(capsys, ["rayleigh-gr", path, "--m", "1"])
+        assert "input matrix symmetry defect 2.000e+00 exceeds 1.0e-08 relative" in line
 
     def test_flag_validation_exit_codes(self, tmp_path, capsys):
         path = _write_matrix(tmp_path / "a.txt", np.diag([2.0, 1.0]))
@@ -220,7 +233,13 @@ class TestRayleighLg:
 
     def test_odd_dimension_rejected(self, tmp_path, capsys):
         path = _write_matrix(tmp_path / "h.txt", np.eye(3))
-        assert main(["rayleigh-lg", path]) == 1
+        assert "even dimension 2n, got 3" in _input_error(capsys, ["rayleigh-lg", path])
+
+    def test_m_option_rejected(self, tmp_path, capsys):
+        # the rank is half the dimension of H, so any --m is out of range;
+        # argparse reads it as an ambiguous prefix of --mu and --max-iters
+        path = _write_matrix(tmp_path / "h.txt", self._hamiltonian(2, 0))
+        assert "--m" in _input_error(capsys, ["rayleigh-lg", path, "--m", "2"])
 
     @pytest.mark.parametrize("perturb", [[], ["--perturb", "0.05"]], ids=["at-start", "perturbed"])
     def test_lagrangian_start_file(self, tmp_path, perturb):
@@ -240,8 +259,9 @@ class TestRayleighLg:
         path = _write_matrix(tmp_path / "h.txt", self._hamiltonian(2, 0))
         # span(e1, e3): e1^T J e3 = 1
         start = _write_matrix(tmp_path / "s.txt", np.eye(4)[:, [0, 2]])
-        assert main(["rayleigh-lg", path, "--start", start]) == 1
-        assert "does not span a Lagrangian subspace" in capsys.readouterr().err
+        line = _input_error(capsys, ["rayleigh-lg", path, "--start", start])
+        assert "does not span a Lagrangian subspace" in line
+        assert "max|U^T J U| 1.000e+00 exceeds 1.0e-08" in line
 
     def test_start_file_of_the_wrong_shape_rejected(self, tmp_path, capsys):
         path = _write_matrix(tmp_path / "h.txt", self._hamiltonian(2, 0))
@@ -250,8 +270,11 @@ class TestRayleighLg:
         assert "start basis must be 4x2" in capsys.readouterr().err
 
     def test_structure_violation_rejected(self, tmp_path, capsys):
+        # symmetric, and J diag(S1, S2) J = diag(-S2, -S1): the defect is max|S1 + S2| = 6
         path = _write_matrix(tmp_path / "h.txt", np.diag([1.0, 2.0, 3.0, 4.0]))
-        assert main(["rayleigh-lg", path]) == 1
+        line = _input_error(capsys, ["rayleigh-lg", path])
+        assert "input matrix JHJ - H defect 6.000e+00 exceeds 1.0e-08 relative" in line
+        assert "not symmetric Hamiltonian" in line
 
 
 class TestInvariant:
@@ -281,6 +304,16 @@ class TestInvariant:
     def test_identity_is_degenerate(self, tmp_path, capsys):
         path = _write_matrix(tmp_path / "a.txt", np.eye(4))
         assert main(["invariant", path, "--m", "2"]) == 3
+
+    def test_bad_rank_exit_code(self, tmp_path, capsys):
+        # the random start, or the frame of a --start basis, checks --m
+        path, _, _ = self._constructed(tmp_path)
+        for m in ("-1", "0", "4", "5"):
+            line = _input_error(capsys, ["invariant", path, "--m", m])
+            assert f"rank {m} outside (0, 4)" in line
+        start = _write_matrix(tmp_path / "s.txt", np.eye(4))
+        assert "rank 4 outside (0, 4)" in _input_error(
+            capsys, ["invariant", path, "--m", "4", "--start", start])
 
     def test_perturb_without_start_rejected(self, tmp_path, capsys):
         # the random start is no reference to perturb from

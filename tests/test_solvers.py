@@ -487,6 +487,22 @@ class TestOperatorFactorizations:
         assert kind == "generic" or data_scale ** 2 > np.linalg.norm(op, 1)
         assert all(np.array_equal(x, c) for x, c in zip((*blocks, b), copies))
 
+    @pytest.mark.parametrize("kind", ["generic", "near-scalar"])
+    def test_each_public_call_builds_the_operator_once(self, monkeypatch, kind):
+        # the direct solve hands the operator of its LU solve to the certificate,
+        # whether the Cholesky certifies it or the inverse does
+        make = self._blocks if kind == "generic" else self._near_scalar_blocks
+        blocks = make(8, 16)
+        b, built = np.block([list(blocks[:2]), list(blocks[2:])]), []
+        monkeypatch.setattr(projnewton.solvers, "invariant_newton_operator",
+                            lambda *a: built.append(1) or invariant_newton_operator(*a))
+        for call in (lambda: solve_invariant_newton_direct(*blocks),
+                     lambda: solve_invariant_newton_unchecked(b, 8),
+                     lambda: certify_invariant_newton(b, 8, np.vdot(b, b))):
+            built.clear()
+            call()
+            assert len(built) == 1
+
     @pytest.mark.parametrize("m,k", [(2, 3), (8, 16)])
     def test_direct_solve_takes_no_absolute_copy_of_its_operators(self, monkeypatch, m, k):
         # the step and a Cholesky certificate that succeeds read no 1-norm:
