@@ -18,11 +18,12 @@ built.  ``frame_terms`` hands B on, so a Newton iterate forms it once, and
 the Newton solves call the solvers' unchecked cores instead of checking
 their blocks again: ``solve_sylvester_unchecked`` and
 ``solve_lyapunov_unchecked`` on the blocks they cut from B and symmetrize,
-``solve_invariant_newton_unchecked`` on B itself.  A critical point is
-certified by the trace costs' ``separation_bound`` (Weyl; Stewart & Sun
-1990) above the ``separation_floor`` of the blocks the Newton solve would
-see, else by ``certify``: one Cholesky factorization of the four-term
-operator for the invariant-subspace cost, one more Newton solve otherwise.
+``solve_invariant_newton_unchecked`` on B itself.  Each cost certifies its
+own critical point (``certify``): the trace costs by their
+``separation_bound`` (Weyl; Stewart & Sun 1990) above the
+``separation_floor`` of the blocks the Newton solve would see, the
+invariant-subspace cost by one Cholesky factorization of the four-term
+operator, and otherwise by one more Newton solve.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ class CostFunction:
     def newton_solve(self, frame, b=None):
         """Newton tangent parameter Z at ``frame``: Hess(Z) = -grad in frame
         coordinates (Absil, Mahony & Sepulchre 2008, ch. 6), and the
-        separation its solver measured (None: no ``separation_bound``).
+        separation its solver measured (None: none, as here).
 
         With G = Theta grad_F Theta^T (``b`` when given), the gradient is G12
         and the Hessian maps Z to (Theta Hess_F(xi) Theta^T)_12 - (G11 Z -
@@ -108,14 +109,10 @@ class CostFunction:
             hess[:, col] = (h_hat[:m, m:] - (g11 @ z - z @ g22)).reshape(-1)
         return solve_dense(hess, -g[:m, m:].reshape(-1)).reshape(m, k), None
 
-    def separation_bound(self, frame, b, last_b, separation):
-        """(Lower bound, floor) of the separation a Newton solve at ``frame``
-        (data ``b``) measures, from the solve's at ``last_b``; None: no bound."""
-        return None
-
-    def certify(self, frame, b):
-        """Certify a critical point at ``frame`` (data ``b``) nondegenerate by one
-        more Newton solve, which raises where it is singular; returns "solve"."""
+    def certify(self, frame, b, last=None):
+        """Certify a critical point at ``frame`` (data ``b``) nondegenerate, or
+        raise where it is singular; returns how: "solve", one more Newton solve.
+        ``last`` is the (B, separation) of the last step's solve, or None."""
         self.newton_solve(frame, b)
         return "solve"
 
@@ -171,6 +168,15 @@ class RayleighCost(CostFunction):
         slack += TOL.separation_roundoff * frame.dim * self.scale
         return separation - slack, separation_floor(symmetrize(b11), symmetrize(b22))
 
+    def certify(self, frame, b, last=None):
+        """Algorithms 1-2: "bound" where ``separation_bound`` from ``last``
+        clears its floor, else "solve", one more Newton solve."""
+        if last is not None:
+            bound, floor = self.separation_bound(frame, b, *last)
+            if bound > floor:
+                return "bound"
+        return super().certify(frame, b)
+
 
 @dataclass(frozen=True)
 class InvariantSubspaceCost(CostFunction):
@@ -217,9 +223,10 @@ class InvariantSubspaceCost(CostFunction):
         b = frame.theta @ self.a @ frame.theta.T if b is None else b
         return -solve_invariant_newton_unchecked(b, frame.rank), None
 
-    def certify(self, frame, b):
+    def certify(self, frame, b, last=None):
         """Algorithm 3: ``solvers.certify_invariant_newton`` of B = ``b`` at the
-        data scale ||A||_F^2, "cholesky" or "solve".  Grassmann frames only."""
+        data scale ||A||_F^2, "cholesky" or "solve"; ``last`` goes unused, as the
+        solve measures no separation.  Grassmann frames only."""
         if isinstance(frame, SymplecticFrame):
             raise ValueError("the invariant-subspace Newton solve operates on Grassmann frames")
         return certify_invariant_newton(b, frame.rank, self.scale)

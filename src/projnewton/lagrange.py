@@ -19,6 +19,7 @@ This module alone builds J, and holds the tests of structure in it:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -39,10 +40,17 @@ __all__ = [
 
 
 def sympl_form(n):
-    """The standard symplectic form J = [[0, I], [-I, 0]] on R^{2n}."""
+    """The standard symplectic form J = [[0, I], [-I, 0]] on R^{2n}, a fresh array."""
+    return _sympl_form(n).copy()
+
+
+@cache
+def _sympl_form(n):
+    """J on R^{2n}, built once per n and read-only: the one this module uses."""
     j = np.zeros((2 * n, 2 * n))
     j[:n, n:] = np.eye(n)
     j[n:, :n] = -np.eye(n)
+    j.flags.writeable = False
     return j
 
 
@@ -52,7 +60,7 @@ def require_hamiltonian(h, what, tol):
     else ``DimensionMismatch`` (odd dimension) or ``NotSymmetric``."""
     if h.shape[0] % 2:
         raise DimensionMismatch(f"{what} must have even dimension 2n, got {h.shape[0]}")
-    j = sympl_form(h.shape[0] // 2)
+    j = _sympl_form(h.shape[0] // 2)
     jhj = j @ h @ j
     defect = np.abs(jhj - h).max()
     if defect > tol * max(1.0, np.abs(h).max()):
@@ -63,7 +71,7 @@ def require_hamiltonian(h, what, tol):
 
 def lagrangian_residual(x):
     """max |X^T J X| of a 2n-row X: 0 where its columns span an isotropic subspace."""
-    return float(np.abs(x.T @ sympl_form(x.shape[0] // 2) @ x).max())
+    return float(np.abs(x.T @ _sympl_form(x.shape[0] // 2) @ x).max())
 
 
 class LagProjector(Projector):
@@ -112,7 +120,7 @@ class SymplecticFrame(OrthoFrame):
         return LagProjector(self.theta[:n].T @ self.theta[:n], n)
 
     def symplecticity_residual(self):
-        j = sympl_form(self.rank)
+        j = _sympl_form(self.rank)
         return float(np.abs(self.theta.T @ j @ self.theta - j).max())
 
 
@@ -135,7 +143,7 @@ def symplectic_frame_from_basis(basis) -> SymplecticFrame:
     u = np.asarray(basis, dtype=float)
     if u.ndim != 2 or u.shape[0] != 2 * u.shape[1]:
         raise DimensionMismatch(f"expected a (2n, n) basis, got {u.shape}")
-    j = sympl_form(u.shape[1])
+    j = _sympl_form(u.shape[1])
     return SymplecticFrame(np.hstack([u, -j @ u]).T)
 
 

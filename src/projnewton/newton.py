@@ -11,10 +11,11 @@ they are the Riemannian ones for every mu, and mu does not change the
 iterates; only nu does.
 
 There is one engine: each cost solves its own Newton equation in frame
-coordinates (``CostFunction.newton_solve``), and ``newton_step`` pushes
-the solution forward with ``grassmann.push_frame``: an O(n m (n - m))
-update of the frame rows that keeps them orthogonal (and symplectic) to
-round-off, so no step re-orthogonalizes.  Algorithms 1-3 are this
+coordinates (``CostFunction.newton_solve``) and certifies its own critical
+points (``CostFunction.certify``); ``newton_step`` pushes the solution
+forward with ``grassmann.push_frame``: an O(n m (n - m)) update of the
+frame rows that keeps them orthogonal (and symplectic) to round-off, so
+no step re-orthogonalizes.  Algorithms 1-3 are this
 iteration for the trace cost on both manifolds and for the
 invariant-subspace cost.  The loop reads its diagnostics from the frames
 too: value and gradient block from ``CostFunction.frame_terms``,
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import TOL
-from .costs import CostFunction, InvariantSubspaceCost
+from .costs import CostFunction
 from .decomp import frobenius_norm
 from .errors import (
     InsufficientData,
@@ -235,9 +236,9 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
     B = Theta A Theta^T for the trace and invariant costs; the gradient
     norm is sqrt(2) ||G||; the Newton solve reuses B, so each iterate forms
     it once); after the loop, the distances from the frame
-    rows (``grassmann.frame_distances``), the symplecticity residuals, and
-    the invariance residuals ||B21|| = sqrt(cost).  No projector or ambient
-    gradient is formed; a ``Projector`` reference is eigendecomposed, once.
+    rows (``grassmann.frame_distances``) and the symplecticity residuals.
+    No projector or ambient gradient is formed; a ``Projector`` reference
+    is eigendecomposed, once.
 
     Parameters
     ----------
@@ -260,11 +261,12 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
     -------
     NewtonTrace
         Terminal status ``Converged`` certifies a nondegenerate critical
-        point: below grad_tol, by ``cost.separation_bound`` if it clears its
-        floor, else by ``cost.certify`` (one more Newton solve, or a Cholesky
-        factorization), where a singular/unsolvable system surfaces as
-        ``SingularHessian``/``SpectralOverlap`` instead.  ``extras["certified_by"]``
-        is "bound", "cholesky", "solve", or "step" (tiny step).
+        point: below grad_tol, by ``cost.certify``, given the B and separation
+        of the last step's solve (a bound, one more Newton solve, or a
+        Cholesky factorization), where a singular/unsolvable system surfaces
+        as ``SingularHessian``/``SpectralOverlap`` instead.
+        ``extras["certified_by"]`` is what ``certify`` returns ("bound",
+        "cholesky", "solve"), or "step" (tiny step).
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -294,11 +296,7 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
             if record.grad_norm <= grad_tol:
                 # certify nondegeneracy: a vanishing gradient at a degenerate
                 # point (singular Newton system) is a failure mode, not success
-                bound = cost.separation_bound(frame, b, *last) if last else None
-                if bound is not None and bound[0] > bound[1]:
-                    trace.extras["certified_by"] = "bound"
-                else:
-                    trace.extras["certified_by"] = cost.certify(frame, b)
+                trace.extras["certified_by"] = cost.certify(frame, b, last)
                 trace.status = Status.CONVERGED
                 break
             if iteration == config.max_iters:
@@ -322,8 +320,6 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
         record.distance = float(dist)
     if isinstance(start, SymplecticFrame):
         trace.extras["symplecticity_residuals"] = [f.symplecticity_residual() for f in frames]
-    if isinstance(cost, InvariantSubspaceCost):
-        trace.extras["invariance_residuals"] = [float(np.sqrt(r.cost)) for r in trace.records]
     trace.extras["final_frame"] = frame
     return trace
 

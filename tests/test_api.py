@@ -143,6 +143,22 @@ def _functions_where(path, found):
             and any(found(inner) for inner in ast.walk(node))}
 
 
+def test_the_engine_names_no_concrete_cost():
+    # each cost certifies its own critical point: run_newton makes one
+    # certify call, reads no bound, and imports the base interface alone
+    tree = ast.parse((SRC / "newton.py").read_text())
+    from_costs = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  and node.module == "costs" for alias in node.names}
+    assert from_costs == {"CostFunction"}
+    run = next(node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "run_newton")
+    attributes = [node.attr for node in ast.walk(run) if isinstance(node, ast.Attribute)]
+    assert attributes.count("certify") == 1 and "separation_bound" not in attributes
+    assert not hasattr(projnewton.CostFunction, "separation_bound")
+    for cls in (projnewton.CostFunction, projnewton.RayleighCost, projnewton.InvariantSubspaceCost):
+        assert list(inspect.signature(cls.certify).parameters) == ["self", "frame", "b", "last"]
+
+
 def test_one_singularity_floor_for_dense_operators():
     # the four-term certificate's singularity test is _checked_inverse's,
     # against at least the data scale; no condition ceiling sits beside it.

@@ -1,10 +1,11 @@
 """Certifying ``Converged`` at the last iterate without a blind re-solve.
 
-``CostFunction.separation_bound`` moves the separation a trace cost's
-Newton solve measured to the next iterate, by the change of the blocks of B
-in between; ``run_newton`` certifies a critical point with it when the
-bound clears the solver's floor, and calls ``cost.certify`` otherwise: one
-more Newton solve, or for the invariant-subspace cost one Cholesky
+``run_newton`` certifies a critical point by one call, ``cost.certify``,
+handing it the B and separation of the last step's solve.
+``RayleighCost.separation_bound`` moves that separation to the next iterate,
+by the change of the blocks of B in between, and the trace cost certifies
+with it when the bound clears the solver's floor; otherwise by one more
+Newton solve.  The invariant-subspace cost certifies by one Cholesky
 factorization of its four-term operator L less a margin
 (``solvers.certify_invariant_newton``), with the dense inverse behind it.
 The property tests check that no bound exceeds the separation a solve
@@ -206,6 +207,42 @@ def test_bound_never_exceeds_the_measured_separation(method, nu, data):
     assert bounds >= 1 and bound > floor
 
 
+@pytest.mark.parametrize("method", TRACE_METHODS)
+def test_trace_cost_certifies_from_the_last_solve(monkeypatch, method):
+    # with the last step's (B, separation) the trace cost certifies by its
+    # bound, and solves nothing; without it, or where the bound falls to its
+    # floor, by one more Newton solve
+    cost, frame = _trace_problem(method, 1)
+    grad_tol = NewtonConfig().grad_tol * cost.scale
+    last = None
+    for _ in range(10):
+        _, grad, b = cost.frame_terms(frame)
+        if np.sqrt(2.0) * np.linalg.norm(grad) <= grad_tol:
+            break
+        z, separation = cost.newton_solve(frame, b)
+        last = (b, separation)
+        frame = push_frame(frame, z, "qr")
+    else:
+        pytest.fail("no critical point within 10 steps")
+    solves = []
+    newton_solve = RayleighCost.newton_solve
+    monkeypatch.setattr(RayleighCost, "newton_solve",
+                        lambda self, *args: solves.append(1) or newton_solve(self, *args))
+    assert last is not None and cost.certify(frame, b, last) == "bound" and solves == []
+    assert cost.certify(frame, b) == "solve" and len(solves) == 1
+    assert cost.certify(frame, b, (last[0], 0.0)) == "solve" and len(solves) == 2
+
+
+def test_invariant_cost_certifies_without_the_last_solve():
+    # its Newton solve measures no separation: certify ignores ``last``
+    rng = np.random.default_rng(6)
+    q, t = _planted_triangular(rng, 6, 2, 1.0)
+    cost = InvariantSubspaceCost(q @ t @ q.T)
+    frame = OrthoFrame(q.T, 2)
+    b = cost.frame_terms(frame)[2]
+    assert cost.certify(frame, b) == cost.certify(frame, b, (b, 1.0)) == "cholesky"
+
+
 @pytest.mark.parametrize("nu", CHART_NAMES)
 @hypothesis.given(data=st.data())
 def test_the_certificate_holds_along_the_run(nu, data):
@@ -244,7 +281,7 @@ def test_start_outside_the_basin_certifies_a_point_that_is_not_invariant():
         trace = run_newton(InvariantSubspaceCost(a), start, NewtonConfig(), method=method)
         assert trace.status == Status.CONVERGED
         assert trace.extras["certified_by"] == "solve"
-        residual = trace.extras["invariance_residuals"][-1]
+        residual = np.sqrt(trace.records[-1].cost)  # ||B21||, the invariance residual
         assert abs(residual - 0.898) <= 1e-3
         assert 0.28 <= residual / np.linalg.norm(a) <= 0.29
         final = trace.extras["final_frame"].theta
@@ -462,7 +499,7 @@ class TestSeparationFloor:
             b, last_b = cost.frame_terms(frame)[2], cost.frame_terms(last)[2]
             b11, b22 = b[:m, :m], b[m:, m:]
             if method == "invariant-direct":
-                assert cost.separation_bound(frame, b, last_b, 1.0) is None
+                assert not hasattr(cost, "separation_bound")
                 blocks = b11, b[:m, m:], b[m:, :m], b22
                 # the direct solve's own test, max(||L||_1, max ||B_ij||_1^2) TOL.pivot
                 solve_floor = max(np.linalg.norm(invariant_newton_operator(*blocks), 1),

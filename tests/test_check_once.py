@@ -5,12 +5,15 @@ they have just symmetrized to the solvers' unchecked cores.  The public
 solvers and kernels keep their entry checks, and each unchecked core
 returns exactly what its checked entry returns."""
 
+import inspect
 import sys
 
 import numpy as np
 import pytest
 
 import projnewton.decomp
+from projnewton.cli import main
+from projnewton.config import TOL
 from projnewton.costs import HamiltonianRayleighCost, InvariantSubspaceCost, RayleighCost
 from projnewton.decomp import eigh_descending, require_symmetric, sym_eig
 from projnewton.errors import NotSymmetric
@@ -79,13 +82,15 @@ def test_b_is_formed_once_per_recorded_iterate(method, nu):
     assert counting.products == len(trace.records)
 
 
-def _count_calls(monkeypatch, func):
+def _count_calls(monkeypatch, func, argument="what"):
     """Rebind every module-level binding of ``func`` in the library to a
-    counting wrapper; returns the list of the ``what`` labels it saw."""
-    seen = []
+    counting wrapper; returns the list of the values of ``argument`` it saw."""
+    seen, signature = [], inspect.signature(func)
 
     def counting(*args, **kwargs):
-        seen.append(kwargs.get("what"))
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        seen.append(bound.arguments[argument])
         return func(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -111,6 +116,19 @@ class TestNoRecheckInTheLoop:
         trace = run_newton(cost, start, NewtonConfig(), reference=reference, method=method)
         assert len(trace.records) >= 3
         assert seen == ["sym_eig input"]
+
+
+@pytest.mark.parametrize("command", ["rayleigh-gr", "rayleigh-lg"])
+def test_a_cli_run_checks_symmetry_twice(tmp_path, monkeypatch, command):
+    # once at the file tolerance, in the CLI, and once in the cost: the
+    # natural start eigendecomposes the cost's checked matrix as it is
+    cost, _, _, _ = _problem(command, 4)
+    path = tmp_path / "a.txt"
+    path.write_text("".join(" ".join(map(repr, row)) + "\n" for row in cost.a.tolist()))
+    seen = _count_calls(monkeypatch, require_symmetric, "tol")
+    argv = [command, str(path), "--out", str(tmp_path / "r.json")]
+    assert main(argv + (["--m", "2"] if command == "rayleigh-gr" else [])) == 0
+    assert seen == [TOL.input_symmetry, TOL.symmetry]
 
 
 def _gapped_blocks(rng):

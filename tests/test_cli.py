@@ -236,10 +236,11 @@ class TestRayleighLg:
         assert "even dimension 2n, got 3" in _input_error(capsys, ["rayleigh-lg", path])
 
     def test_m_option_rejected(self, tmp_path, capsys):
-        # the rank is half the dimension of H, so any --m is out of range;
-        # argparse reads it as an ambiguous prefix of --mu and --max-iters
+        # the rank is half the dimension of H, so the command has no --m; as
+        # options are spelled in full, it is no prefix of --mu or --max-iters
         path = _write_matrix(tmp_path / "h.txt", self._hamiltonian(2, 0))
-        assert "--m" in _input_error(capsys, ["rayleigh-lg", path, "--m", "2"])
+        line = _input_error(capsys, ["rayleigh-lg", path, "--m", "2"])
+        assert line == "error: unrecognized arguments: --m 2"
 
     @pytest.mark.parametrize("perturb", [[], ["--perturb", "0.05"]], ids=["at-start", "perturbed"])
     def test_lagrangian_start_file(self, tmp_path, perturb):
@@ -666,6 +667,14 @@ class TestCommandParser:
         assert main(argv) == 0
         assert _strip_elapsed(capsys.readouterr().out) == _strip_elapsed(before)
         assert seen == [vars(build_parser().parse_args(argv))] * 2
+
+    @pytest.mark.parametrize("parse", [main, _main_with_full_parser], ids=["command", "full"])
+    @pytest.mark.parametrize("abbrev", [["--max", "5"], ["--pert", "0.1"]])
+    def test_abbreviated_options_rejected(self, tmp_path, capsys, abbrev, parse):
+        # a prefix of --max-iters or --perturb is no option, with either parser
+        argv = _command_argv(tmp_path, "rayleigh-gr") + abbrev
+        assert _outcome(capsys, parse, argv) == (
+            1, "", f"error: unrecognized arguments: {' '.join(abbrev)}\n")
 
     def test_top_level_help_lists_every_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -5,13 +5,16 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
+import projnewton.lagrange
 from projnewton.errors import NotAProjector
 from projnewton.grassmann import commutator, push_frame
 from projnewton.lagrange import (
     LagProjector,
     SymplecticFrame,
     lag_frame_from_projector,
+    lagrangian_residual,
     random_lag_projector,
+    require_hamiltonian,
     symplectic_frame_from_basis,
     sympl_form,
 )
@@ -27,6 +30,37 @@ from oracles import (
 )
 
 LG_CHARTS = ("exp", "qr", "cayley")
+
+
+class TestSymplForm:
+    """The module builds J once per n and shares it read-only; ``sympl_form``
+    hands each caller a fresh, writable J."""
+
+    def test_sympl_form_is_a_fresh_writable_array(self):
+        expected = np.block([[np.zeros((3, 3)), np.eye(3)], [-np.eye(3), np.zeros((3, 3))]])
+        j = sympl_form(3)
+        assert j.flags.writeable and np.array_equal(j, expected)
+        j[:] = 0.0  # a caller's edit reaches no other J
+        assert np.array_equal(sympl_form(3), expected)
+        assert sympl_form(3) is not sympl_form(3)
+
+    def test_internal_j_is_built_once_per_size_and_read_only(self, rng):
+        cached = projnewton.lagrange._sympl_form
+        cached.cache_clear()
+        s, t = random_symmetric(rng, 3), random_symmetric(rng, 3)
+        h = np.block([[s, t], [t, -s]])
+        j = sympl_form(3)
+        assert np.array_equal(require_hamiltonian(h, "H", 1e-12), j @ h @ j)
+        frame = symplectic_frame_from_basis(random_lag_projector(3, 4)[1].theta[:3].T)
+        assert frame.symplecticity_residual() == float(np.abs(frame.theta.T @ j @ frame.theta - j).max())
+        u = frame.theta[:3].T
+        assert lagrangian_residual(u) == float(np.abs(u.T @ j @ u).max())
+        info = cached.cache_info()
+        assert info.misses == 1 and info.hits >= 4 and info.currsize == 1
+        shared = cached(3)
+        assert shared is cached(3) and not shared.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0, 0] = 1.0
 
 
 class TestLagProjector:

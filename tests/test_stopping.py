@@ -108,6 +108,27 @@ class TestScale:
         assert config.grad_tol == TOL.grad_tol
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: at A 2^-300 the gradient's sum of "
+                   "squares underflows to 0.0 and the run stops at its start")
+def test_tiny_units_keep_status_and_length():
+    # an instance like the benchmark's invariant grid at (16, 6): block
+    # upper-triangular T times 0.05, started 0.05 from its invariant subspace.
+    # On A it converges in 3 iterations; on A 2^-300 it stops at Converged
+    # after 0, certified by "cholesky"
+    rng = np.random.default_rng(16)
+    n, m = 16, 6
+    t = 0.3 * np.triu(rng.standard_normal((n, n)), 1)
+    t[m:, :m] = 0.0
+    t += np.diag(np.concatenate([np.linspace(3.0, 2.0, m), np.linspace(1.0, -1.0, n - m)]))
+    q = _orthogonal(rng, n)
+    a = 0.05 * (q @ t @ q.T)
+    start = perturb_frame(OrthoFrame(q.T, m), START_DISTANCE, 16)
+    runs = [run_newton(InvariantSubspaceCost(c * a), start, NewtonConfig(), method="invariant-direct")
+            for c in (1.0, 2.0**-300)]
+    assert runs[0].status == Status.CONVERGED and _iterations(runs[0]) >= 2
+    assert (runs[1].status, _iterations(runs[1])) == (runs[0].status, _iterations(runs[0]))
+
+
 class TestRoundOffStall:
     """Runs whose gradient settled at round-off above the absolute 1e-12."""
 
