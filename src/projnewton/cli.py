@@ -10,13 +10,13 @@ Matrix files are UTF-8 text with one whitespace-separated row per line;
 '#' starts a comment.  Reports are JSON documents (schema version "1");
 repeated identical invocations produce byte-identical reports apart from
 the ``elapsed_seconds`` field.  ``--out`` is overwritten in place, never
-emptied first, and the write is not atomic.  A process builds each
-command's parser once, on its first call, and later ``main`` calls reuse it.
+emptied first, and the write is not atomic.  A process builds its one
+parser tree on the first ``main`` call, and later calls reuse it.
 
 A run stops once the gradient norm is at most ``--tol`` times ||A||_F
 (||A||_F^2 for invariant): its status does not depend on the units of A,
-unless A is so small that the gradient underflows (README).  Inputs are
-checked by the library's tests, at the file tolerance ``TOL.input_symmetry``.
+unless A is so small that the gradient underflows (README).  The library's
+tests check matrix files at ``TOL.input_symmetry``, a start basis at ``TOL.lagrangian``.
 
 Exit codes: 0 converged, 1 input error, 2 not converged within the
 iteration budget, 3 solver or degeneracy error.
@@ -35,7 +35,7 @@ from functools import cache, partial
 import numpy as np
 
 from .config import TOL
-from .costs import HamiltonianRayleighCost, InvariantSubspaceCost, RayleighCost
+from .costs import InvariantSubspaceCost, RayleighCost
 # sym_eig stays bound: newtonbench/test_tracer.py checks that the tracer rebinds it here
 from .decomp import eigh_descending, qr_positive, require_symmetric, sym_eig  # noqa: F401
 from .errors import InsufficientData, ProjNewtonError
@@ -100,9 +100,9 @@ def _frame_from_start_file(path, n, m, lagrangian=False):
         return _oriented_frame(q.T, m)
     u = q[:, :m]
     residual = lagrangian_residual(u)
-    if residual > TOL.input_symmetry:
+    if residual > TOL.lagrangian:
         raise ProjNewtonError(f"start basis does not span a Lagrangian subspace: max|U^T J U| "
-                              f"{residual:.3e} exceeds {TOL.input_symmetry:.1e}")
+                              f"{residual:.3e} exceeds {TOL.lagrangian:.1e}")
     return symplectic_frame_from_basis(u)
 
 
@@ -175,18 +175,14 @@ def _emit(report, out_path):
         print(text)
 
 
-def _run_report(command, args, cost, start_frame, reference, method, extra_fn):
+def _run_report(command, args, cost, start_frame, reference, extra_fn):
     try:
-        config = NewtonConfig(
-            mu=args.mu,
-            nu=args.nu,
-            max_iters=args.max_iters,
-            grad_tol=args.tol,
-        )
+        config = NewtonConfig(mu=args.mu, nu=args.nu, max_iters=args.max_iters,
+                              grad_tol=args.tol)
     except ValueError as exc:
         raise ProjNewtonError(str(exc)) from exc
     t0 = time.perf_counter()
-    trace = run_newton(cost, start_frame, config, reference=reference, method=method)
+    trace = run_newton(cost, start_frame, config, reference=reference)
     elapsed = time.perf_counter() - t0
     final_projector = trace.extras["final_frame"].projector()
     report = {
@@ -225,15 +221,15 @@ def _cmd_rayleigh_gr(args):
     def extras(trace, final_projector):
         return {"distance_to_dominant": trace.records[-1].distance}
 
-    return _run_report("rayleigh-gr", args, cost, start, natural, "rayleigh-gr", extras)
+    return _run_report("rayleigh-gr", args, cost, start, natural, extras)
 
 
 def _cmd_rayleigh_lg(args):
     h = require_symmetric(load_matrix(args.matrix), "input matrix", TOL.input_symmetry)
-    # project onto the structure, which the cost checks at a tighter tolerance
+    # J (H + J H J) J = J H J + H bit for bit: the projection needs no second check
     h = 0.5 * (h + require_hamiltonian(h, "input matrix", TOL.input_symmetry))
     n = h.shape[0] // 2
-    cost = HamiltonianRayleighCost(h)
+    cost = RayleighCost(h)
     natural = symplectic_frame_from_basis(eigh_descending(cost.a)[1][:, :n])
     base = _frame_from_start_file(args.start, 2 * n, n, lagrangian=True) if args.start else None
     start = _select_start(args, base, natural)
@@ -246,7 +242,7 @@ def _cmd_rayleigh_lg(args):
             "lagrangian_residual": lagrangian_residual(final_projector.mat),
         }
 
-    return _run_report("rayleigh-lg", args, cost, start, natural, "rayleigh-lg", extras)
+    return _run_report("rayleigh-lg", args, cost, start, natural, extras)
 
 
 def _cmd_invariant(args):
@@ -262,7 +258,7 @@ def _cmd_invariant(args):
         residuals = [float(np.sqrt(r.cost)) for r in trace.records]
         return {"invariance_residual": residuals[-1], "invariance_history": residuals}
 
-    return _run_report("invariant", args, cost, start, None, "invariant-direct", extras)
+    return _run_report("invariant", args, cost, start, None, extras)
 
 
 def _nonneg_int(text):
@@ -326,33 +322,33 @@ _COMMANDS = {
 
 
 @cache
-def _command_parser(name):
-    """``build_parser``'s subparser for command ``name``, alone, built on first use."""
-    parser = _Parser(prog=f"projnewton {name}")
-    _COMMANDS[name][1](parser)
-    parser.set_defaults(command=name)
-    return parser
-
-
-def build_parser():
-    """The parser with every command's subparser: for ``-h``, typos and an empty argv."""
+def _parser_tree():
+    """The process's one parser tree, built on first use, and its subparsers by name."""
     parser = _Parser(
         prog="projnewton",
         description="Newton iterations on Grassmann and Lagrange-Grassmann manifolds",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_arguments, _) in _COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_text))
-    return parser
+        command = sub.add_parser(name, help=help_text)
+        add_arguments(command)
+        command.set_defaults(command=name)  # parsed alone, it names its command
+    return parser, sub.choices
+
+
+def build_parser():
+    """The parser with every command's subparser, one per process."""
+    return _parser_tree()[0]
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     try:
-        if argv and argv[0] in _COMMANDS:
-            args = _command_parser(argv[0]).parse_args(argv[1:])
+        parser, subparsers = _parser_tree()
+        if argv and argv[0] in subparsers:
+            args = subparsers[argv[0]].parse_args(argv[1:])
         else:
-            args = build_parser().parse_args(argv)
+            args = parser.parse_args(argv)
         return _COMMANDS[args.command][2](args)
     except ProjNewtonError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,9 +17,9 @@ class Tolerances:
     # relative symmetry / skewness defect of matrix inputs; the default
     # tolerance of decomp.require_symmetric
     symmetry: float = 1e-12
-    # relative symmetry / Hamiltonian-structure defect of CLI input files, and
-    # the max |U^T J U| of a Lagrangian start basis; read by cli.py alone, which
-    # hands it to decomp.require_symmetric and lagrange.require_hamiltonian
+    # relative symmetry / Hamiltonian-structure defect of CLI matrix files; read
+    # by cli.py alone, which hands it to decomp.require_symmetric and
+    # lagrange.require_hamiltonian
     input_symmetry: float = 1e-8
     # relative floor below which a QR diagonal entry, or the reciprocal condition
     # number of a dense operator (in the four-term certificate, taken against
@@ -32,9 +32,9 @@ class Tolerances:
     frame_orthogonality: float = 1e-10
     # ||Theta^T diag(I,0) Theta - P|| when rebuilding a frame from a projector
     frame_reconstruction: float = 1e-9
-    # ||P J P|| for Lagrangian projectors (LagProjector.from_matrix),
-    # ||Theta^T J Theta - J|| for frames (SymplecticFrame), and the JHJ - H
-    # defect, relative to max(1, max|H|), of HamiltonianRayleighCost
+    # ||P J P|| of Lagrangian projectors (LagProjector.from_matrix), ||Theta^T J
+    # Theta - J|| of frames (SymplecticFrame) and max |U^T J U| of CLI start bases,
+    # and the JHJ - H defect, relative to max(1, max|H|), of HamiltonianRayleighCost
     lagrangian: float = 1e-10
     # relative floor on Sylvester / Lyapunov spectral gaps
     spectral_gap: float = 1e-8

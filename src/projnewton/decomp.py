@@ -41,8 +41,9 @@ def frobenius_norm(mat):
 
 
 def symmetrize(mat):
-    """Return (M + M^T)/2; cheap hygiene after composite commutator algebra."""
-    return 0.5 * (mat + mat.T)
+    """Return M/2 + M^T/2, finite for any finite M; hygiene after commutator algebra."""
+    half = 0.5 * mat
+    return half + half.T
 
 
 def require_symmetric(mat, what="matrix", tol=TOL.symmetry):

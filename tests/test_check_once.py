@@ -18,7 +18,7 @@ from projnewton.costs import HamiltonianRayleighCost, InvariantSubspaceCost, Ray
 from projnewton.decomp import eigh_descending, require_symmetric, sym_eig
 from projnewton.errors import NotSymmetric
 from projnewton.grassmann import CHART_NAMES, OrthoFrame
-from projnewton.lagrange import symplectic_frame_from_basis
+from projnewton.lagrange import require_hamiltonian, symplectic_frame_from_basis
 from projnewton.newton import NewtonConfig, Status, perturb_frame, run_newton
 from projnewton.solvers import (
     solve_lyapunov,
@@ -129,6 +129,17 @@ def test_a_cli_run_checks_symmetry_twice(tmp_path, monkeypatch, command):
     argv = [command, str(path), "--out", str(tmp_path / "r.json")]
     assert main(argv + (["--m", "2"] if command == "rayleigh-gr" else [])) == 0
     assert seen == [TOL.input_symmetry, TOL.symmetry]
+
+
+def test_a_rayleigh_lg_cli_run_checks_the_structure_once(tmp_path, monkeypatch):
+    # at the file tolerance, in the CLI: its projection is Hamiltonian bit for
+    # bit, so the cost it builds does not check it again
+    cost, _, _, _ = _problem("rayleigh-lg", 4)
+    path = tmp_path / "h.txt"
+    path.write_text("".join(" ".join(map(repr, row)) + "\n" for row in cost.a.tolist()))
+    seen = _count_calls(monkeypatch, require_hamiltonian, "tol")
+    assert main(["rayleigh-lg", str(path), "--out", str(tmp_path / "r.json")]) == 0
+    assert seen == [TOL.input_symmetry]
 
 
 def _gapped_blocks(rng):

@@ -15,6 +15,7 @@ from projnewton.cli import build_parser, load_matrix, main
 from projnewton.costs import InvariantSubspaceCost
 from projnewton.decomp import qr_positive
 from projnewton.errors import ProjNewtonError
+from projnewton.lagrange import lagrangian_residual, sympl_form
 
 from conftest import LONG_STEP
 
@@ -262,7 +263,21 @@ class TestRayleighLg:
         start = _write_matrix(tmp_path / "s.txt", np.eye(4)[:, [0, 2]])
         line = _input_error(capsys, ["rayleigh-lg", path, "--start", start])
         assert "does not span a Lagrangian subspace" in line
-        assert "max|U^T J U| 1.000e+00 exceeds 1.0e-08" in line
+        assert "max|U^T J U| 1.000e+00 exceeds 1.0e-10" in line
+
+    def test_nearly_lagrangian_start_file_rejected_at_the_frame_tolerance(self, tmp_path, capsys):
+        # max|U^T J U| near 1e-9 passes the file tolerance 1e-8 but not the
+        # frame's 1e-10: the basis check names that, not the frame's defect
+        h = self._hamiltonian(3, 4)
+        path = _write_matrix(tmp_path / "h.txt", h)
+        u = np.linalg.eigh(h)[1][:, ::-1][:, :3]
+        u[:, 0] += 1e-9 * sympl_form(3) @ u[:, 1]  # u1^T J u2 = 1e-9 |u2|^2
+        q = qr_positive(load_matrix(_write_matrix(tmp_path / "s.txt", u)))[0][:, :3]
+        residual = lagrangian_residual(q)
+        assert 5e-10 < residual < 5e-9
+        line = _input_error(capsys, ["rayleigh-lg", path, "--start", str(tmp_path / "s.txt")])
+        assert line == ("error: start basis does not span a Lagrangian subspace: "
+                        f"max|U^T J U| {residual:.3e} exceeds 1.0e-10")
 
     def test_start_file_of_the_wrong_shape_rejected(self, tmp_path, capsys):
         path = _write_matrix(tmp_path / "h.txt", self._hamiltonian(2, 0))
@@ -533,11 +548,11 @@ def _record_args(monkeypatch, command):
 
 
 @pytest.fixture
-def fresh_command_parsers():
-    """Forget the command parsers built before the test, and those it builds."""
-    cli._command_parser.cache_clear()
+def fresh_parser_tree():
+    """Forget the parser tree built before the test, and the one it builds."""
+    cli._parser_tree.cache_clear()
     yield
-    cli._command_parser.cache_clear()
+    cli._parser_tree.cache_clear()
 
 
 @pytest.fixture
@@ -589,12 +604,14 @@ def _main_with_full_parser(argv):
 
 
 _HELP_ARGVS = [["--help"]] + [[name, "--help"] for name in _COMMAND_NAMES]
+# the parsers of the whole tree, in the order they are built
+_TREE_PROGS = ["projnewton"] + [f"projnewton {name}" for name in _COMMAND_NAMES]
 
 
 class TestCommandParser:
-    """``main`` builds a parser for the invoked command alone, once per
-    process; the result must be indistinguishable from ``build_parser()``,
-    which has every command as a subparser."""
+    """``main`` hands the invoked command's arguments to its subparser in the
+    one parser tree of the process, built on first use; the result must be
+    indistinguishable from parsing the whole argv with ``build_parser()``."""
 
     @pytest.mark.parametrize("command", _COMMAND_NAMES)
     def test_matches_full_parser(self, tmp_path, capsys, monkeypatch, command):
@@ -611,27 +628,29 @@ class TestCommandParser:
         assert helps[0][1].startswith(f"usage: projnewton {command} ")
 
     @pytest.mark.parametrize("command", _COMMAND_NAMES)
-    def test_main_builds_one_subparser(self, tmp_path, capsys, fresh_command_parsers,
-                                       built_parsers, command):
+    def test_main_builds_one_tree(self, tmp_path, capsys, fresh_parser_tree, built_parsers,
+                                  command):
         argv = _command_argv(tmp_path, command)
         assert main(argv) == 0
-        assert built_parsers == [f"projnewton {command}"]
+        assert built_parsers == _TREE_PROGS
         assert main(argv) == 0
         assert main(argv + ["--seed", "1"]) == 0
-        assert built_parsers == [f"projnewton {command}"]
+        assert main([]) == 1  # the tree's own error, from the same tree
+        assert build_parser() is build_parser()
+        assert built_parsers == _TREE_PROGS
 
-    def test_main_reads_sys_argv(self, tmp_path, capsys, monkeypatch, fresh_command_parsers,
+    def test_main_reads_sys_argv(self, tmp_path, capsys, monkeypatch, fresh_parser_tree,
                                  built_parsers):
         out = tmp_path / "r.json"
         argv = _command_argv(tmp_path, "rayleigh-lg") + ["--out", str(out)]
         monkeypatch.setattr(sys, "argv", ["projnewton"] + argv)
         assert main() == 0
         assert json.loads(out.read_text())["command"] == "rayleigh-lg"
-        assert built_parsers == ["projnewton rayleigh-lg"]
+        assert built_parsers == _TREE_PROGS
         out.unlink()
         assert main() == 0
         assert json.loads(out.read_text())["command"] == "rayleigh-lg"
-        assert built_parsers == ["projnewton rayleigh-lg"]
+        assert built_parsers == _TREE_PROGS
 
     @pytest.mark.parametrize("command", _COMMAND_NAMES)
     def test_cached_parser_keeps_no_state(self, tmp_path, capsys, monkeypatch, command):
@@ -686,7 +705,8 @@ class TestCommandParser:
         assert "compute an invariant subspace of a square matrix" in text
 
     @pytest.mark.parametrize("argv", [["no-such-command"], ["--perturb", "0.1"], [], ["check"]])
-    def test_other_first_words_get_every_command(self, capsys, built_subparsers, argv):
+    def test_other_first_words_get_every_command(self, capsys, fresh_parser_tree,
+                                                 built_subparsers, argv):
         assert main(argv) == 1
         assert built_subparsers == list(_COMMAND_NAMES)
         err = capsys.readouterr().err
@@ -718,7 +738,7 @@ class TestCommandParser:
             with monkeypatch.context() as plain:
                 # argparse's own formatter, which reads the width on every construction
                 plain.setattr(cli, "_Parser", argparse.ArgumentParser)
-                parse = build_parser().parse_args
+                parse = cli._parser_tree.__wrapped__()[0].parse_args  # not the process's tree
                 expected = [_outcome(capsys, parse, argv) for argv in _HELP_ARGVS]
             assert [_outcome(capsys, main, argv) for argv in _HELP_ARGVS] == expected
             helps[columns] = expected

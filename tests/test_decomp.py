@@ -11,7 +11,7 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from projnewton.costs import RayleighCost
-from projnewton.decomp import frobenius_norm, qr_positive, sym_eig
+from projnewton.decomp import frobenius_norm, qr_positive, sym_eig, symmetrize
 from projnewton.errors import NotSymmetric, SingularInput
 from projnewton.grassmann import OrthoFrame, push_frame
 from projnewton.solvers import solve_lyapunov, solve_sylvester
@@ -116,6 +116,19 @@ class TestSymEig:
             ref = np.sort(np.linalg.eigvalsh(s))[::-1]
             assert_allclose(values, ref, atol=1e-10 * max(1.0, np.linalg.norm(s)))
 
+    def test_entries_near_the_overflow_threshold(self):
+        # M/2 + M^T/2 stays finite where M + M^T overflows (warnings are errors here)
+        a = np.diag([1e308, 1.0])
+        assert np.array_equal(symmetrize(a), a)
+        values, vectors = sym_eig(a)
+        assert np.array_equal(values, [1e308, 1.0])
+        assert np.array_equal(np.abs(vectors), np.eye(2))
+        assert RayleighCost(a).scale == 1e308
+
+    def test_symmetrize_keeps_the_bits_of_the_halved_sum(self, rng):
+        # away from overflow and subnormals, halving is exact either side of the sum
+        s = rng.standard_normal((7, 7)) * np.logspace(-100, 100, 7)
+        assert np.array_equal(symmetrize(s), 0.5 * (s + s.T))
 
     def test_against_scipy_evr(self):
         # scipy's relatively robust representations driver (syevr), not the
