@@ -1,7 +1,8 @@
 """Newton's method on Grassmann and Lagrange-Grassmann manifolds of
-symmetric projection matrices: geometry, charts, matrix-equation solvers,
-and one two-chart Newton engine in which each cost solves its own Newton
-equation (eigenspaces, Lagrangian eigenspaces, invariant subspaces)."""
+symmetric projection matrices: geometry, charts, and one two-chart Newton
+engine in which each cost solves its own Newton equation (eigenspaces,
+Lagrangian eigenspaces, invariant subspaces) with the matrix-equation
+solvers in ``projnewton.solvers``."""
 
 from .config import TOL, Tolerances
 from .costs import (
@@ -36,12 +37,6 @@ from .newton import (
     perturb_frame,
     rate_from_trace,
     run_newton,
-)
-from .solvers import (
-    solve_dense,
-    solve_invariant_newton_direct,
-    solve_lyapunov,
-    solve_sylvester,
 )
 
 __version__ = "0.1.0"

@@ -15,15 +15,13 @@ and Hessian in projector coordinates are test references
 
 Data is checked where it enters: each cost checks its matrix when it is
 built.  ``frame_terms`` hands B on, so a Newton iterate forms it once, and
-the Newton solves call the solvers' unchecked cores instead of checking
-their blocks again: ``solve_sylvester_unchecked`` and
-``solve_lyapunov_unchecked`` on the blocks they cut from B and symmetrize,
-``solve_invariant_newton_unchecked`` on B itself.  Each cost certifies its
-own critical point (``certify``): the trace costs by their
-``separation_bound`` (Weyl; Stewart & Sun 1990) above the
-``separation_floor`` of the blocks the Newton solve would see, the
-invariant-subspace cost by one Cholesky factorization of the four-term
-operator, and otherwise by one more Newton solve.
+the Newton solves hand the solvers, which check nothing, the blocks they
+cut from B and symmetrize (``solve_sylvester``, ``solve_lyapunov``) or B
+itself (``solve_invariant_newton``).  Each cost certifies its own critical
+point (``certify``): the trace costs by their ``separation_bound`` (Weyl;
+Stewart & Sun 1990) above the ``separation_floor`` of the blocks the Newton
+solve would see, the invariant-subspace cost by one Cholesky factorization
+of the four-term operator, and otherwise by one more Newton solve.
 """
 
 from __future__ import annotations
@@ -41,9 +39,9 @@ from .solvers import (
     invariant_newton_rhs,
     separation_floor,
     solve_dense,
-    solve_invariant_newton_unchecked,
-    solve_lyapunov_unchecked,
-    solve_sylvester_unchecked,
+    solve_invariant_newton,
+    solve_lyapunov,
+    solve_sylvester,
 )
 
 __all__ = [
@@ -153,9 +151,8 @@ class RayleighCost(CostFunction):
         m = frame.rank
         b = frame.theta @ self.a @ frame.theta.T if b is None else b
         if isinstance(frame, SymplecticFrame):
-            return solve_lyapunov_unchecked(symmetrize(0.5 * (b[:m, :m] - b[m:, m:])),
-                                            symmetrize(b[:m, m:]))
-        return solve_sylvester_unchecked(symmetrize(b[:m, :m]), symmetrize(b[m:, m:]), b[:m, m:])
+            return solve_lyapunov(symmetrize(0.5 * (b[:m, :m] - b[m:, m:])), symmetrize(b[:m, m:]))
+        return solve_sylvester(symmetrize(b[:m, :m]), symmetrize(b[m:, m:]), b[:m, m:])
 
     def separation_bound(self, frame, b, last_b, separation):
         """Algorithms 1-2: min |lambda_i(B11) - mu_j(B22)|, or min |lambda_i +
@@ -221,7 +218,7 @@ class InvariantSubspaceCost(CostFunction):
         if isinstance(frame, SymplecticFrame):
             raise ValueError("the invariant-subspace Newton solve operates on Grassmann frames")
         b = frame.theta @ self.a @ frame.theta.T if b is None else b
-        return -solve_invariant_newton_unchecked(b, frame.rank), None
+        return -solve_invariant_newton(b, frame.rank), None
 
     def certify(self, frame, b, last=None):
         """Algorithm 3: ``solvers.certify_invariant_newton`` of B = ``b`` at the

@@ -1,4 +1,4 @@
-"""Linear matrix-equation solvers backing the Newton steps.
+"""Linear matrix-equation solvers backing the Newton steps: one per equation.
 
 Sylvester and Lyapunov equations with symmetric coefficient blocks are
 solved by double diagonalization, which yields the exact spectral-gap
@@ -11,12 +11,11 @@ floor ``TOL.pivot`` (``solve_dense``'s test too).  ``separation_floor`` is the
 one floor of the Sylvester and Lyapunov separations, ``four_term_floor`` the
 one of the four-term operator's.
 
-``solve_sylvester``, ``solve_lyapunov`` and ``solve_invariant_newton_direct``
-check their operands where they enter (``require_symmetric``, shapes, finite
-entries); ``solve_sylvester_unchecked``, ``solve_lyapunov_unchecked`` and
-``solve_invariant_newton_unchecked`` are the same solves without the checks,
-for the blocks of B the costs' Newton solves hand them.  The Sylvester and
-Lyapunov cores return the separation they measured too.
+Data is checked where it enters the library: the costs, the frames and the
+CLI.  The solvers take the blocks of B that the costs' Newton solves cut
+from it and do not check them again; a caller outside the loop checks its
+blocks itself (``decomp.require_symmetric``).  The Sylvester and Lyapunov
+solvers return the separation they measured too.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import sys
 import numpy as np
 
 from .config import TOL
-from .decomp import eigh_descending, frobenius_norm, require_symmetric, symmetrize
+from .decomp import eigh_descending, frobenius_norm, symmetrize
 from .errors import DimensionMismatch, SingularOperator, SpectralOverlap
 
 __all__ = [
@@ -34,7 +33,7 @@ __all__ = [
     "four_term_floor",
     "solve_sylvester",
     "solve_lyapunov",
-    "solve_invariant_newton_direct",
+    "solve_invariant_newton",
     "certify_invariant_newton",
     "invariant_newton_operator",
     "invariant_newton_rhs",
@@ -54,39 +53,26 @@ def four_term_floor(m, k, scale):
     """The floor ``TOL.pivot`` max(3 sqrt(d), max(m, k)) ``scale`` of the
     four-term operator's separation 1/||L^-1||_1, d = m k, for blocks of
     A = [[A11, A12], [A21, A22]] with ||A||_F^2 = ``scale``.  It is at least
-    the direct solve's singularity test TOL.pivot max(||L||_1, max ||A_ij||_1^2),
+    the inverse's singularity test TOL.pivot max(||L||_1, max ||A_ij||_1^2),
     as ||L||_1 <= 3 sqrt(d) ||A||_F^2 and ||A_ij||_1^2 <= max(m, k) ||A||_F^2:
-    a separation above it is one that solve accepts."""
+    a separation above it is one that test accepts."""
     return TOL.pivot * max(3.0 * np.sqrt(m * k), max(m, k)) * scale
 
 
 def solve_sylvester(a11, a22, c):
-    """Solve A11 Z - Z A22 = C for symmetric A11, A22.
+    """Solve A11 Z - Z A22 = C for symmetric A11, A22; returns (Z, min_gap).
 
     Both blocks are diagonalized; the solution is U [ (U^T C V)_ij /
-    (lambda_i - mu_j) ] V^T.
+    (lambda_i - mu_j) ] V^T.  The caller checks the blocks: float arrays of
+    shapes (m, m), (k, k) and (m, k), A11 and A22 exactly symmetric (as
+    ``require_symmetric`` returns them), every entry finite.
 
     Raises
     ------
-    NotSymmetric, DimensionMismatch
-        If a block fails the entry checks.
     SpectralOverlap
         If min |lambda_i - mu_j| is at or below ``separation_floor(A11,
         A22)``; carries it as ``min_gap``.
     """
-    a11 = require_symmetric(a11, what="A11")
-    a22 = require_symmetric(a22, what="A22")
-    c = np.atleast_2d(np.asarray(c, dtype=float))
-    if c.shape != (a11.shape[0], a22.shape[0]):
-        raise DimensionMismatch(
-            f"right-hand side shape {c.shape} does not match blocks "
-            f"{a11.shape[0]}x{a22.shape[0]}"
-        )
-    return solve_sylvester_unchecked(a11, a22, c)[0]
-
-
-def solve_sylvester_unchecked(a11, a22, c):
-    """``solve_sylvester`` on exactly symmetric finite blocks, unchecked; returns (Z, min_gap)."""
     return _spectral_solve(*eigh_descending(a11), *eigh_descending(a22), c,
                            separation_floor(a11, a22))
 
@@ -103,28 +89,18 @@ def _spectral_solve(lam, u, mu, v, c, floor):
 
 
 def solve_lyapunov(a11, c):
-    """Solve A11 Z + Z A11 = C for symmetric A11 and symmetric C.
+    """Solve A11 Z + Z A11 = C for symmetric A11 and C; returns (Z, min_gap).
 
-    The solution is symmetric (enforced on output).
+    The Sylvester kernel at A22 = -A11 (lambda_i - (-lambda_j) rounds as
+    lambda_i + lambda_j); Z is symmetric (enforced on output).  The caller
+    checks the blocks: exactly symmetric finite float arrays of one shape.
 
     Raises
     ------
-    NotSymmetric, DimensionMismatch
-        If a block fails the entry checks.
     SpectralOverlap
         If min |lambda_i + lambda_j| over the eigenvalues of A11 is at or
         below ``separation_floor(A11)``; carries it as ``min_gap``.
     """
-    a11 = require_symmetric(a11, what="A11")
-    c = require_symmetric(c, what="Lyapunov right-hand side")
-    if c.shape != a11.shape:
-        raise DimensionMismatch("right-hand side shape mismatch")
-    return solve_lyapunov_unchecked(a11, c)[0]
-
-
-def solve_lyapunov_unchecked(a11, c):
-    """``solve_lyapunov`` on exactly symmetric finite blocks, unchecked; returns (Z, min_gap):
-    the Sylvester kernel at A22 = -A11 (lambda_i - (-lambda_j) rounds as lambda_i + lambda_j)."""
     lam, u = eigh_descending(a11)
     z, min_gap = _spectral_solve(lam, u, -lam, u, c, separation_floor(a11))
     return symmetrize(z), min_gap
@@ -170,36 +146,24 @@ def invariant_newton_rhs(a11, a21, a22):
     return a21.T @ a22 - a11 @ a21.T
 
 
-def solve_invariant_newton_direct(a11, a12, a21, a22):
-    """Solve the four-term Newton equation densely and certify its operator; returns Z.
-    ``DimensionMismatch`` if the block shapes are not (m, m), (m, k), (k, m), (k, k) or an
-    entry is not finite; ``SingularOperator`` if the operator is singular, or
-    max(||op||_1, max ||A_ij||_1^2) ||op^-1||_1 reaches 1 / ``TOL.pivot`` and no
-    Cholesky factorization proves it positive definite (degenerate Hessian)."""
-    a11, a12, a21, a22 = _four_term_blocks(a11, a12, a21, a22)
-    op = invariant_newton_operator(a11, a12, a21, a22)  # the solve's and the certificate's
-    z = _lu_solve(op, invariant_newton_rhs(a11, a21, a22), a12.shape)
-    b = np.block([[a11, a12], [a21, a22]])
-    _certify_operator(op, b, a11.shape[0], np.vdot(b, b))
-    return z
+def solve_invariant_newton(b, m):
+    """Solve the four-term Newton equation of B = [[A11, A12], [A21, A22]],
+    A11 m x m, by one LU solve; returns Z (m x k), uncertified
+    (``certify_invariant_newton`` certifies the operator).  The caller checks
+    B: a square float array with finite entries, 0 < m < its size.
 
-
-def solve_invariant_newton_unchecked(b, m):
-    """The step of ``solve_invariant_newton_direct`` on a finite B = [[A11, A12],
-    [A21, A22]], A11 m x m, unchecked and uncertified: Z by one LU solve;
-    ``SingularOperator`` only if the operator is exactly singular."""
+    Raises
+    ------
+    SingularOperator
+        Only if the operator is exactly singular.
+    """
     a11, a12, a21, a22 = b[:m, :m], b[:m, m:], b[m:, :m], b[m:, m:]
-    return _lu_solve(invariant_newton_operator(a11, a12, a21, a22),
-                     invariant_newton_rhs(a11, a21, a22), a12.shape)
-
-
-def _lu_solve(op, rhs, shape):
-    """Z of ``shape`` with op vec(Z) = vec(rhs), by one LU solve that leaves ``op`` as it is."""
     try:
-        z = np.linalg.solve(op, rhs.reshape(-1))
+        z = np.linalg.solve(invariant_newton_operator(a11, a12, a21, a22),
+                            invariant_newton_rhs(a11, a21, a22).reshape(-1))
     except np.linalg.LinAlgError as exc:
         raise SingularOperator(f"operator is singular: {exc}") from exc
-    return z.reshape(shape)
+    return z.reshape(a12.shape)
 
 
 def certify_invariant_newton(b, m, scale):
@@ -221,12 +185,6 @@ def certify_invariant_newton(b, m, scale):
     ||L^-1||_1 <= sqrt(d) ||L^-1||_2 < 1 / f, and f >= TOL.pivot max(||L||_1, max ||A_ij||_1^2)
     passes the inverse's test, which judges L against at least that data scale."""
     op = invariant_newton_operator(b[:m, :m], b[:m, m:], b[m:, :m], b[m:, m:])
-    return _certify_operator(op, b, m, scale)
-
-
-def _certify_operator(op, b, m, scale):
-    """``certify_invariant_newton`` with the operator ``op`` of B, built; it shifts op's
-    diagonal in place."""
     d, diagonal = op.shape[0], op.diagonal().copy()
     nu, size = (d + 1) * sys.float_info.epsilon / 2, np.abs(diagonal)
     tau = np.sqrt(d) * (four_term_floor(m, d // m, scale) + TOL.separation_roundoff * 3 * d * scale)
@@ -242,40 +200,22 @@ def _certify_operator(op, b, m, scale):
     return "solve"
 
 
-def _four_term_blocks(*blocks):
-    """The blocks as floats shaped (m, m), (m, k), (k, m), (k, k), with finite
-    entries; else ``DimensionMismatch``."""
-    a11, a12, a21, a22 = (np.atleast_2d(np.asarray(b, dtype=float)) for b in blocks)
-    m, k = a12.shape[0], a12.shape[-1]
-    if a12.shape != (m, k) or a11.shape != (m, m) or a22.shape != (k, k) or a21.shape != (k, m):
-        raise DimensionMismatch("inconsistent block shapes")
-    if not all(np.isfinite(b).all() for b in (a11, a12, a21, a22)):
-        raise DimensionMismatch("four-term blocks must have finite entries")
-    return a11, a12, a21, a22
-
-
 def solve_dense(h, g):
-    """Solve H x = g through LAPACK's LU-based inverse of H.
+    """Solve H x = g for a square H and g of its size, through LAPACK's
+    LU-based inverse of H.
 
     Raises
     ------
     DimensionMismatch
-        If H is not square, g not of its size, or an entry is not finite.
+        If an entry of H or g is not finite: a cost's Hessian or gradient.
     SingularOperator
         If H is exactly singular, or its condition number
         ||H||_1 ||H^-1||_1 reaches 1 / ``TOL.pivot`` (the relative
         singularity floor); signals a degenerate Newton system.
     """
-    a = np.asarray(h, dtype=float)
-    b = np.asarray(g, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"operator must be square, got {a.shape}")
-    d = a.shape[0]
-    if b.shape != (d,):
-        raise DimensionMismatch(f"right-hand side must have shape ({d},)")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+    if not (np.isfinite(h).all() and np.isfinite(g).all()):
         raise DimensionMismatch("operator and right-hand side must have finite entries")
-    return _checked_inverse(a, np.linalg.norm(a, 1)) @ b
+    return _checked_inverse(h, np.linalg.norm(h, 1)) @ g
 
 
 def _checked_inverse(a, a_norm):

@@ -36,8 +36,9 @@ from projnewton.newton import (
     run_newton,
 )
 from projnewton.solvers import (
+    certify_invariant_newton,
     invariant_newton_rhs,
-    solve_invariant_newton_direct,
+    solve_invariant_newton,
     solve_lyapunov,
     solve_sylvester,
 )
@@ -309,7 +310,7 @@ def test_criterion_5_solver_suite():
         a11 = random_symmetric(gen, m) + 4.0 * np.eye(m)
         a22 = random_symmetric(gen, k) - 4.0 * np.eye(k)
         c = gen.standard_normal((m, k))
-        z = solve_sylvester(a11, a22, c)
+        z = solve_sylvester(a11, a22, c)[0]
         op = np.kron(a11, np.eye(k)) - np.kron(np.eye(m), a22.T)
         oracle = np.linalg.solve(op, c.reshape(-1)).reshape(m, k)
         worst_syl = max(worst_syl, np.abs(z - oracle).max())
@@ -318,7 +319,7 @@ def test_criterion_5_solver_suite():
         gen = np.random.default_rng(seed)
         a11 = random_symmetric(gen, n) + 4.0 * np.eye(n)
         c = random_symmetric(gen, n)
-        z = solve_lyapunov(a11, c)
+        z = solve_lyapunov(a11, c)[0]
         op = np.kron(a11, np.eye(n)) + np.kron(np.eye(n), a11)
         oracle = np.linalg.solve(op, c.reshape(-1)).reshape(n, n)
         worst_lya = max(worst_lya, np.abs(z - oracle).max())
@@ -330,7 +331,9 @@ def test_criterion_5_solver_suite():
         a22 = gen.standard_normal((k, k)) - 4.0 * np.eye(k)
         a12 = gen.standard_normal((m, k))
         a21 = (0.3 / k) * gen.standard_normal((k, m))
-        z = solve_invariant_newton_direct(a11, a12, a21, a22)
+        b = np.block([[a11, a12], [a21, a22]])
+        z = solve_invariant_newton(b, m)
+        certify_invariant_newton(b, m, np.vdot(b, b))
         d = m * k
         op = np.zeros((d, d))
         for j in range(d):

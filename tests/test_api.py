@@ -25,7 +25,9 @@ MODULES = sorted(f"projnewton.{info.name}" for info in pkgutil.iter_modules([str
 # of one float (SpectralGapReport: SpectralOverlap carries min_gap); the
 # alternating-Sylvester four-term solver, as the dense solve is certified by
 # its own bound; the CLI's own input checks and their error classes, as it
-# calls the library's (decomp.require_symmetric, lagrange.require_hamiltonian)
+# calls the library's (decomp.require_symmetric, lagrange.require_hamiltonian);
+# the checked solver entries beside the Newton loop's solvers, whose callers
+# check their blocks, and the helpers only those entries needed
 GONE = """
     tangent_project tangent_from_param param_from_tangent geodesic distance
     distance_via_cosines distance_via_sines cayley_transform chart_point
@@ -34,7 +36,9 @@ GONE = """
     riemannian_gradient_lg riemannian_hessian_apply_gr riemannian_hessian_apply_lg
     cholesky_upper NotPositiveDefinite SpectralGapReport solve_invariant_newton_recursive
     InputNotSymmetric InputNotHamiltonianSymmetric _require_square _require_symmetric_input
-    _require_hamiltonian_input
+    _require_hamiltonian_input solve_invariant_newton_direct solve_sylvester_unchecked
+    solve_lyapunov_unchecked solve_invariant_newton_unchecked _four_term_blocks
+    _certify_operator _lu_solve
 """.split()
 
 
@@ -79,6 +83,19 @@ def test_deleted_attributes_are_gone():
         cls.newton_solve for cls in (projnewton.CostFunction, projnewton.RayleighCost,
                                      projnewton.InvariantSubspaceCost)]
     assert [f for f in solves if "solver" in inspect.signature(f).parameters] == []
+
+
+def test_one_solver_per_matrix_equation():
+    # the Newton loop's solvers are the only ones: no unchecked twin beside a
+    # checked entry, and the package exports none of them
+    tree = ast.parse((SRC / "solvers.py").read_text())
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert [name for name in defined if name.endswith("_unchecked")] == []
+    assert {name for name in defined if name.startswith("solve_")} == {
+        "solve_sylvester", "solve_lyapunov", "solve_invariant_newton", "solve_dense"}
+    assert [name for name in dir(projnewton) if name.startswith("solve_")] == []
+    assert not {"solvers", ".solvers"} & {node.module for node in ast.walk(
+        ast.parse((SRC / "__init__.py").read_text())) if isinstance(node, ast.ImportFrom)}
 
 
 def test_run_newton_accepts_every_method_name():
@@ -163,8 +180,8 @@ def test_one_singularity_floor_for_dense_operators():
     # the four-term certificate's singularity test is _checked_inverse's,
     # against at least the data scale; no condition ceiling sits beside it.
     # four_term_floor, which the Cholesky certificate holds the operator
-    # above, lies above it.  The four-term step raises only where LAPACK's LU
-    # finds the operator exactly singular, and only _checked_inverse inverts
+    # above, lies above it.  The four-term solver raises only where LAPACK's
+    # LU finds the operator exactly singular, and only _checked_inverse inverts
     assert "condition_limit" not in {f.name for f in dataclasses.fields(Tolerances)}
     reads_pivot = {name for path in sorted(SRC.glob("*.py")) for name in _functions_where(
         path, lambda node: isinstance(node, ast.Attribute) and node.attr == "pivot"
@@ -172,7 +189,7 @@ def test_one_singularity_floor_for_dense_operators():
     assert reads_pivot == {"_checked_inverse", "qr_positive", "four_term_floor"}
     raises_singular = _functions_where(SRC / "solvers.py", lambda node: isinstance(node, ast.Raise)
                                        and "SingularOperator" in ast.unparse(node.exc))
-    assert raises_singular == {"_checked_inverse", "_lu_solve"}
+    assert raises_singular == {"_checked_inverse", "solve_invariant_newton"}
     inverts = {name for path in sorted(SRC.glob("*.py")) for name in _functions_where(
         path, lambda node: isinstance(node, ast.Attribute) and node.attr == "inv")}
     assert inverts == {"_checked_inverse"}

@@ -29,8 +29,8 @@ from projnewton.solvers import (
     four_term_floor,
     invariant_newton_operator,
     separation_floor,
-    solve_lyapunov_unchecked,
-    solve_sylvester_unchecked,
+    solve_lyapunov,
+    solve_sylvester,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -594,8 +594,8 @@ class TestSeparationFloor:
         a = symmetrize((q * (scale * np.array(spectrum))) @ q.T)
         shift = factor * separation_floor(a)
         runs = {
-            "sylvester": lambda a11, a22: solve_sylvester_unchecked(a11, a22, np.ones((4, 4))),
-            "lyapunov": lambda m_: solve_lyapunov_unchecked(m_, np.eye(4)),
+            "sylvester": lambda a11, a22: solve_sylvester(a11, a22, np.ones((4, 4))),
+            "lyapunov": lambda m_: solve_lyapunov(m_, np.eye(4)),
         }
         blocks = (a + 0.5 * shift * np.eye(4),) if solve == "lyapunov" else (a, a + shift * np.eye(4))
         floor = separation_floor(*blocks)

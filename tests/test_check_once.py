@@ -1,9 +1,9 @@
 """Check once, form once: a Newton iterate forms B = Theta A Theta^T once,
 and nothing inside ``run_newton`` re-runs ``require_symmetric``.  The
 costs check their matrix when built, and the Newton solves hand blocks
-they have just symmetrized to the solvers' unchecked cores.  The public
-solvers and kernels keep their entry checks, and each unchecked core
-returns exactly what its checked entry returns."""
+they have just symmetrized to the solvers, which check nothing.  The
+public kernels keep their entry checks, and ``sym_eig`` returns exactly
+what its unchecked core returns."""
 
 import inspect
 import sys
@@ -20,12 +20,6 @@ from projnewton.errors import NotSymmetric
 from projnewton.grassmann import CHART_NAMES, OrthoFrame
 from projnewton.lagrange import require_hamiltonian, symplectic_frame_from_basis
 from projnewton.newton import NewtonConfig, Status, perturb_frame, run_newton
-from projnewton.solvers import (
-    solve_lyapunov,
-    solve_lyapunov_unchecked,
-    solve_sylvester,
-    solve_sylvester_unchecked,
-)
 
 from conftest import random_symmetric
 
@@ -142,25 +136,9 @@ def test_a_rayleigh_lg_cli_run_checks_the_structure_once(tmp_path, monkeypatch):
     assert seen == [TOL.input_symmetry]
 
 
-def _gapped_blocks(rng):
-    a11 = random_symmetric(rng, 3) + 6.0 * np.eye(3)
-    a22 = random_symmetric(rng, 4) - 6.0 * np.eye(4)
-    return a11, a22
-
-
 class TestUncheckedCoresMatch:
-    """On input that passes the entry checks, the checked entry returns
+    """On input that passes the entry check, the checked kernel returns
     exactly (bit for bit) what its core returns."""
-
-    def test_sylvester(self, rng):
-        a11, a22 = _gapped_blocks(rng)
-        c = rng.standard_normal((3, 4))
-        assert np.array_equal(solve_sylvester(a11, a22, c), solve_sylvester_unchecked(a11, a22, c)[0])
-
-    def test_lyapunov(self, rng):
-        a11, _ = _gapped_blocks(rng)
-        c = random_symmetric(rng, 3)
-        assert np.array_equal(solve_lyapunov(a11, c), solve_lyapunov_unchecked(a11, c)[0])
 
     def test_sym_eig(self, rng):
         s = random_symmetric(rng, 6)
@@ -177,10 +155,6 @@ def _asymmetric(n):
 # the full messages of the entry checks; ``tests/test_decomp.py``
 # ``TestNonFiniteRejected`` covers non-finite entries at the same entries
 ENTRY_CHECKS = {
-    "solve_sylvester": (lambda: solve_sylvester(_asymmetric(3), -np.eye(2), np.ones((3, 2))),
-                        "A11 symmetry defect"),
-    "solve_lyapunov": (lambda: solve_lyapunov(np.eye(3), _asymmetric(3)),
-                       "Lyapunov right-hand side symmetry defect"),
     "sym_eig": (lambda: sym_eig(_asymmetric(3)), "sym_eig input symmetry defect"),
 }
 

@@ -12,7 +12,7 @@ from projnewton.costs import (
     RayleighCost,
 )
 from projnewton.decomp import sym_eig
-from projnewton.errors import NotSymmetric
+from projnewton.errors import DimensionMismatch, NotSymmetric
 from projnewton.grassmann import CHART_NAMES, Projector, commutator, push_frame, random_projector
 from projnewton.lagrange import LagProjector, random_lag_projector
 
@@ -302,6 +302,18 @@ class TestInvariantCostAmbient:
         assert abs(cost.value(p_rand.mat) - residual**2) <= 1e-10
         assert cost.value(p_rand.mat) > 1e-4
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("block", ["a11", "a12", "a21", "a22"])
+    def test_rejects_non_finite_blocks(self, block, value):
+        # the four-term solver checks nothing: the cost rejects a non-finite
+        # entry in any block of A where it enters
+        gen = np.random.default_rng(3)
+        blocks = {"a11": gen.standard_normal((2, 2)) + 3.0 * np.eye(2), "a12": gen.standard_normal((2, 3)),
+                  "a21": 0.1 * gen.standard_normal((3, 2)), "a22": gen.standard_normal((3, 3)) - 3.0 * np.eye(3)}
+        blocks[block][0, 1] = value
+        with pytest.raises(DimensionMismatch, match="finite"):
+            InvariantSubspaceCost(np.block([[blocks["a11"], blocks["a12"]], [blocks["a21"], blocks["a22"]]]))
+
 
 class _QuadraticCost(CostFunction):
     """0.5 ||P - B||^2: no frame formulas of its own, so it takes the fallback."""
@@ -317,6 +329,40 @@ class _QuadraticCost(CostFunction):
 
     def ambient_hessian_apply(self, p, xi):
         return xi
+
+
+class _NonFiniteCost(_QuadraticCost):
+    """The quadratic cost with ``bad`` in one entry of its ambient gradient or
+    of each Hessian image, as ``where`` says."""
+
+    def __init__(self, b, where, bad):
+        super().__init__(b)
+        self.where, self.bad = where, bad
+
+    def ambient_gradient(self, p):
+        g = super().ambient_gradient(p)
+        if self.where == "gradient":
+            g[0, 0] = self.bad
+        return g
+
+    def ambient_hessian_apply(self, p, xi):
+        h = np.array(xi)
+        if self.where == "hessian":
+            h[0, 0] = self.bad
+        return h
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("where", ["gradient", "hessian"])
+def test_dense_fallback_rejects_non_finite_data(where, bad):
+    # solve_dense checks the system the fallback assembles from a cost's own
+    # data: unchecked, a NaN Hessian would end in SingularOperator and a NaN
+    # gradient in a NaN step.  The assembly multiplies an infinite gradient
+    # by zeros of the basis matrices, which warns before the check raises
+    _, frame = random_projector(5, 2, 7)
+    cost = _NonFiniteCost(random_symmetric(np.random.default_rng(7), 5), where, bad)
+    with pytest.raises(DimensionMismatch, match="finite"), np.errstate(invalid="ignore"):
+        cost.newton_solve(frame)
 
 
 class TestFrameTerms:

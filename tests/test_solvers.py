@@ -1,4 +1,7 @@
-"""Matrix-equation solver tests against brute-force vectorized oracles."""
+"""Matrix-equation solver tests against brute-force vectorized oracles.
+
+The solvers check nothing: each test hands them blocks it builds, or
+symmetrizes with ``require_symmetric``, itself."""
 
 import os
 import subprocess
@@ -11,11 +14,8 @@ from numpy.testing import assert_allclose
 import projnewton
 import projnewton.solvers
 from projnewton.config import TOL
-from projnewton.costs import InvariantSubspaceCost
 from projnewton.decomp import require_symmetric, sym_eig, symmetrize
-from projnewton.errors import DimensionMismatch, NotSymmetric, SingularOperator, SpectralOverlap
-from projnewton.grassmann import OrthoFrame
-from projnewton.newton import NewtonConfig, Status, perturb_frame, run_newton
+from projnewton.errors import DimensionMismatch, SingularOperator, SpectralOverlap
 from projnewton.solvers import (
     _checked_inverse,
     _pair,
@@ -24,8 +24,7 @@ from projnewton.solvers import (
     invariant_newton_operator,
     invariant_newton_rhs,
     solve_dense,
-    solve_invariant_newton_direct,
-    solve_invariant_newton_unchecked,
+    solve_invariant_newton,
     solve_lyapunov,
     solve_sylvester,
 )
@@ -65,13 +64,14 @@ def _invariant_oracle(a11, a12, a21, a22):
 
 class TestSylvester:
     def test_scalar(self):
-        z = solve_sylvester(np.array([[3.0]]), np.array([[1.0]]), np.array([[2.0]]))
+        z, gap = solve_sylvester(np.array([[3.0]]), np.array([[1.0]]), np.array([[2.0]]))
         assert_allclose(z, np.array([[1.0]]), atol=1e-14)
+        assert gap == 2.0
 
     def test_zero_rhs(self, rng):
         a11 = random_symmetric(rng, 3) + 4.0 * np.eye(3)
         a22 = random_symmetric(rng, 2) - 4.0 * np.eye(2)
-        z = solve_sylvester(a11, a22, np.zeros((3, 2)))
+        z = solve_sylvester(a11, a22, np.zeros((3, 2)))[0]
         assert_allclose(z, np.zeros((3, 2)), atol=1e-14)
 
     def test_against_kron_oracle(self, rng):
@@ -80,7 +80,7 @@ class TestSylvester:
             a11 = random_symmetric(gen, 3) + 3.0 * np.eye(3)
             a22 = random_symmetric(gen, 4) - 3.0 * np.eye(4)
             c = gen.standard_normal((3, 4))
-            z = solve_sylvester(a11, a22, c)
+            z = solve_sylvester(a11, a22, c)[0]
             assert np.abs(z - _sylvester_kron_oracle(a11, a22, c)).max() <= 1e-9
             residual = np.linalg.norm(a11 @ z - z @ a22 - c)
             scale = np.linalg.norm(a11) * np.linalg.norm(z) + np.linalg.norm(c)
@@ -95,27 +95,28 @@ class TestSylvester:
 
 class TestLyapunov:
     def test_identity(self):
-        z = solve_lyapunov(np.eye(2), 2.0 * np.eye(2))
+        z, gap = solve_lyapunov(np.eye(2), 2.0 * np.eye(2))
         assert_allclose(z, np.eye(2), atol=1e-14)
+        assert gap == 2.0
 
     def test_diagonal_case(self):
         a11 = np.diag([1.0, 2.0])
         c = np.array([[2.0, 3.0], [3.0, 8.0]])
-        assert_allclose(solve_lyapunov(a11, c), np.array([[1.0, 1.0], [1.0, 2.0]]), atol=1e-13)
+        assert_allclose(solve_lyapunov(a11, c)[0], np.array([[1.0, 1.0], [1.0, 2.0]]), atol=1e-13)
 
     def test_against_kron_oracle(self, rng):
         for seed in range(6):
             gen = np.random.default_rng(seed)
             a11 = random_symmetric(gen, 4) + 3.0 * np.eye(4)
             c = random_symmetric(gen, 4)
-            z = solve_lyapunov(a11, c)
+            z = solve_lyapunov(a11, c)[0]
             oracle = _sylvester_kron_oracle(a11, -a11, c)
             assert np.abs(z - oracle).max() <= 1e-9
 
     def test_symmetry_preserved(self, rng):
         a11 = random_symmetric(rng, 5) + 4.0 * np.eye(5)
         c = random_symmetric(rng, 5)
-        z = solve_lyapunov(a11, c)
+        z = solve_lyapunov(a11, c)[0]
         assert np.abs(z - z.T).max() <= 1e-12
 
     def test_overlap_on_opposite_pair(self):
@@ -143,48 +144,41 @@ def _near_symmetric(gen, n, shift):
 
 
 class TestBlocksCheckedOnce:
-    # the solvers check each block at entry and then diagonalize it without
-    # re-checking; the arithmetic is that of the checking route
+    # the caller checks each block once (here require_symmetric) and the
+    # solvers diagonalize it without re-checking; the arithmetic is that of
+    # the checking route
     @pytest.mark.parametrize("seed", range(6))
     def test_sylvester_matches_sym_eig_route(self, seed):
         gen = np.random.default_rng(seed)
         m, k = (int(d) for d in gen.integers(1, 8, 2))
         a11, a22 = _near_symmetric(gen, m, 4.0), _near_symmetric(gen, k, -4.0)
         c = gen.standard_normal((m, k))
-        assert np.array_equal(solve_sylvester(a11, a22, c), _sylvester_sym_eig_oracle(a11, a22, c))
+        z = solve_sylvester(require_symmetric(a11), require_symmetric(a22), c)[0]
+        assert np.array_equal(z, _sylvester_sym_eig_oracle(a11, a22, c))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_lyapunov_matches_sym_eig_route(self, seed):
         gen = np.random.default_rng(seed)
         n = int(gen.integers(1, 8))
         a11, c = _near_symmetric(gen, n, 4.0), _near_symmetric(gen, n, 0.0)
-        assert np.array_equal(solve_lyapunov(a11, c), _lyapunov_sym_eig_oracle(a11, c))
+        z = solve_lyapunov(require_symmetric(a11), require_symmetric(c))[0]
+        assert np.array_equal(z, _lyapunov_sym_eig_oracle(a11, c))
 
-    @pytest.mark.parametrize("block", ["A11", "A22"])
-    def test_sylvester_rejects_an_asymmetric_block(self, rng, block):
-        blocks = {"A11": random_symmetric(rng, 3) + 4.0 * np.eye(3),
-                  "A22": random_symmetric(rng, 2) - 4.0 * np.eye(2)}
-        blocks[block] = blocks[block] + 1e-6 * np.triu(np.ones_like(blocks[block]), 1)
-        with pytest.raises(NotSymmetric, match=block):
-            solve_sylvester(blocks["A11"], blocks["A22"], np.ones((3, 2)))
 
-    @pytest.mark.parametrize("operand", ["A11", "right-hand side"])
-    def test_lyapunov_rejects_an_asymmetric_operand(self, rng, operand):
-        a11, c = random_symmetric(rng, 3) + 4.0 * np.eye(3), random_symmetric(rng, 3)
-        skew = 1e-6 * np.triu(np.ones((3, 3)), 1)
-        if operand == "A11":
-            a11 = a11 + skew
-        else:
-            c = c + skew
-        with pytest.raises(NotSymmetric, match=operand):
-            solve_lyapunov(a11, c)
+def _solve_certified(a11, a12, a21, a22):
+    """Z of the four-term solver on B = [[A11, A12], [A21, A22]], returned once
+    ``certify_invariant_newton`` certifies its operator at ||B||_F^2."""
+    b, m = np.block([[a11, a12], [a21, a22]]), a11.shape[0]
+    z = solve_invariant_newton(b, m)
+    certify_invariant_newton(b, m, np.vdot(b, b))
+    return z
 
 
 class TestInvariantDirect:
     def test_homogeneous(self, rng):
         a11 = random_symmetric(rng, 2) + 3.0 * np.eye(2)
         a22 = random_symmetric(rng, 2) - 3.0 * np.eye(2)
-        z = solve_invariant_newton_direct(a11, rng.standard_normal((2, 2)), np.zeros((2, 2)), a22)
+        z = _solve_certified(a11, rng.standard_normal((2, 2)), np.zeros((2, 2)), a22)
         assert np.abs(z).max() <= 1e-12
 
     def test_block_diagonal_critical_point(self, rng):
@@ -192,7 +186,7 @@ class TestInvariantDirect:
         a11 = rng.standard_normal((2, 2)) + 3.0 * np.eye(2)
         a22 = rng.standard_normal((2, 2)) - 3.0 * np.eye(2)
         a12 = rng.standard_normal((2, 2))
-        z = solve_invariant_newton_direct(a11, a12, np.zeros((2, 2)), a22)
+        z = _solve_certified(a11, a12, np.zeros((2, 2)), a22)
         assert np.abs(z).max() <= 1e-12
 
     def test_against_brute_force_oracle(self, rng):
@@ -202,7 +196,7 @@ class TestInvariantDirect:
             a22 = gen.standard_normal((2, 2)) - 3.0 * np.eye(2)
             a12 = gen.standard_normal((2, 2))
             a21 = 0.3 * gen.standard_normal((2, 2))
-            z = solve_invariant_newton_direct(a11, a12, a21, a22)
+            z = _solve_certified(a11, a12, a21, a22)
             assert np.abs(z - _invariant_oracle(a11, a12, a21, a22)).max() <= 1e-9
             # Z is one LU solve with the operator, bit for bit
             op = invariant_newton_operator(a11, a12, a21, a22)
@@ -216,7 +210,7 @@ class TestInvariantDirect:
         # whose kernel holds every Z that commutes with A11
         a = random_symmetric(rng, 3)
         with pytest.raises(SingularOperator):
-            solve_invariant_newton_direct(a, np.zeros((3, 3)), np.zeros((3, 3)), a)
+            _solve_certified(a, np.zeros((3, 3)), np.zeros((3, 3)), a)
 
     def test_singular_on_small_separation_despite_eigenvalue_gap(self):
         # eigenvalues 1 and 0 / -0.5 are well apart, but with no coupling L is
@@ -229,7 +223,7 @@ class TestInvariantDirect:
         s = np.kron(a11.T, np.eye(2)) - np.kron(np.eye(2), a22)
         assert np.linalg.svd(s, compute_uv=False)[-1] <= 1e-8 * np.linalg.norm(a11)
         with pytest.raises(SingularOperator):
-            solve_invariant_newton_direct(a11, np.zeros((2, 2)), np.zeros((2, 2)), a22)
+            _solve_certified(a11, np.zeros((2, 2)), np.zeros((2, 2)), a22)
 
     def test_certificate_has_no_units(self):
         # blocks times c = 2^j scale L, the right-hand side and the
@@ -251,37 +245,7 @@ class TestInvariantDirect:
         # every subspace of the identity is invariant: zero operator
         eye = np.eye(2)
         with pytest.raises(SingularOperator):
-            solve_invariant_newton_direct(eye[:1, :1], np.zeros((1, 1)), np.zeros((1, 1)), eye[:1, :1])
-
-
-@pytest.mark.parametrize("block,shape", [
-    ("a21", (2, 3)), ("a22", (2, 2)), ("a11", (3, 3)), ("a22", (3, 2)), ("a12", (3, 2)),
-    ("a12", (2, 1, 3)),
-], ids=["a21-m-by-k", "a22-m-by-m", "a11-k-by-k", "a22-not-square", "a12-k-by-m", "a12-3d"])
-def test_four_term_solve_checks_block_shapes(block, shape):
-    # m = 2, k = 3: A11 2x2, A12 2x3, A21 3x2, A22 3x3; one block of a wrong shape
-    gen = np.random.default_rng(3)
-    blocks = {"a11": gen.standard_normal((2, 2)) + 3.0 * np.eye(2), "a12": gen.standard_normal((2, 3)),
-              "a21": 0.1 * gen.standard_normal((3, 2)), "a22": gen.standard_normal((3, 3)) - 3.0 * np.eye(3)}
-    solve_invariant_newton_direct(*blocks.values())
-    blocks[block] = gen.standard_normal(shape)
-    with pytest.raises(DimensionMismatch, match="inconsistent block shapes"):
-        solve_invariant_newton_direct(*(b.tolist() for b in blocks.values()))
-
-
-@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
-@pytest.mark.parametrize("block", ["a11", "a12", "a21", "a22"])
-def test_four_term_solve_rejects_non_finite_blocks(block, value):
-    # NaN >= 1 is False, so a NaN would pass a singularity test read that way
-    # and come back as Z all NaN; the invariant cost rejects the same A as well
-    gen = np.random.default_rng(3)
-    blocks = {"a11": gen.standard_normal((2, 2)) + 3.0 * np.eye(2), "a12": gen.standard_normal((2, 3)),
-              "a21": 0.1 * gen.standard_normal((3, 2)), "a22": gen.standard_normal((3, 3)) - 3.0 * np.eye(3)}
-    blocks[block][0, 1] = value
-    with pytest.raises(DimensionMismatch, match="finite"):
-        solve_invariant_newton_direct(*blocks.values())
-    with pytest.raises(DimensionMismatch, match="finite"):
-        InvariantSubspaceCost(np.block([[blocks["a11"], blocks["a12"]], [blocks["a21"], blocks["a22"]]]))
+            _solve_certified(eye[:1, :1], np.zeros((1, 1)), np.zeros((1, 1)), eye[:1, :1])
 
 
 def _four_term_cases(count, seed):
@@ -314,7 +278,7 @@ def _four_term_cases(count, seed):
 
 def _direct_outcome(blocks):
     try:
-        return solve_invariant_newton_direct(*blocks)
+        return _solve_certified(*blocks)
     except SingularOperator:
         return None
 
@@ -323,7 +287,7 @@ def _core_outcome(b, m):
     """The core's Z (NaN where LU finds the operator exactly singular) and the
     certificate's outcome at ||B||_F^2, "singular" for ``SingularOperator``."""
     try:
-        z = solve_invariant_newton_unchecked(b, m)
+        z = solve_invariant_newton(b, m)
     except SingularOperator:
         z = np.full((m, b.shape[0] - m), np.nan)
     try:
@@ -333,9 +297,9 @@ def _core_outcome(b, m):
 
 
 class TestDirectSingularity:
-    """The direct solve's one singularity test: LAPACK's exact singularity, or
-    max(||L||_1, data scale) ||L^-1||_1 >= 1 / TOL.pivot, the data scale
-    being max ||A_ij||_1^2."""
+    """The certified four-term solve's one singularity test: LAPACK's exact
+    singularity, or max(||L||_1, data scale) ||L^-1||_1 >= 1 / TOL.pivot, the
+    data scale being max ||A_ij||_1^2."""
 
     def test_outcome_is_scale_invariant(self):
         # a power-of-two scale c of the blocks scales L by c^2 and L^-1 and the
@@ -430,12 +394,12 @@ class TestOperatorFactorizations:
             monkeypatch.setattr(np.linalg, name, counted)
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: svds.append(1) or svd(*a, **kw))
-        solve_invariant_newton_direct(*make(2, 3))
+        _solve_certified(*make(2, 3))
         assert calls == [("solve", (6, 6)), ("cholesky", (6, 6))]
         assert svds == []
         # blocks whose operator is indefinite: the inverse decides
         calls.clear()
-        solve_invariant_newton_direct(*make(8, 16))
+        _solve_certified(*make(8, 16))
         assert [name for name, _ in calls] == (["solve", "cholesky", "inv"] if kind == "generic"
                                                else ["solve", "cholesky"])
 
@@ -457,21 +421,18 @@ class TestOperatorFactorizations:
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("m,k", [(1, 1), (2, 3), (3, 5), (6, 10), (8, 16)])
     def test_direct_solve_keeps_its_bits(self, monkeypatch, m, k, scale, kind):
-        # the step is one LU solve with the operator, bit for bit, from the
-        # checked entry and from the unchecked core on B = [[A11, A12], [A21,
-        # A22]]; neither writes to its operands.  Where the Cholesky fails, the
-        # inverse sees the operator with its diagonal restored bit for bit, and
-        # judges it against max(||L||_1, max ||A_ij||_1^2)
+        # the step on B = [[A11, A12], [A21, A22]] is one LU solve with the
+        # operator of the blocks, bit for bit, and does not write to B.  Where
+        # the Cholesky fails, the inverse sees the operator with its diagonal
+        # restored bit for bit, and judges it against max(||L||_1, max ||A_ij||_1^2)
         make = self._blocks if kind == "generic" else self._near_scalar_blocks
         blocks = [scale * b for b in make(m, k)]
         b = np.block([blocks[:2], blocks[2:]])
         copies = [x.copy() for x in (*blocks, b)]
-        z = solve_invariant_newton_direct(*blocks)
-        z_core = solve_invariant_newton_unchecked(b, m)
+        z = solve_invariant_newton(b, m)
         op = invariant_newton_operator(*blocks)
         rhs = invariant_newton_rhs(blocks[0], blocks[2], blocks[3]).reshape(-1)
         assert z.tobytes() == np.linalg.solve(op, rhs).reshape(m, k).tobytes()
-        assert z_core.tobytes() == z.tobytes()
         assert all(np.array_equal(x, c) for x, c in zip((*blocks, b), copies))
         seen, checked_inverse = [], projnewton.solvers._checked_inverse
         monkeypatch.setattr(projnewton.solvers, "_checked_inverse", lambda a, a_norm:
@@ -489,15 +450,15 @@ class TestOperatorFactorizations:
 
     @pytest.mark.parametrize("kind", ["generic", "near-scalar"])
     def test_each_public_call_builds_the_operator_once(self, monkeypatch, kind):
-        # the direct solve hands the operator of its LU solve to the certificate,
-        # whether the Cholesky certifies it or the inverse does
+        # the solver and the certificate each build the operator once, and the
+        # certificate factors and inverts that one, whether the Cholesky
+        # certifies it or the inverse does
         make = self._blocks if kind == "generic" else self._near_scalar_blocks
         blocks = make(8, 16)
         b, built = np.block([list(blocks[:2]), list(blocks[2:])]), []
         monkeypatch.setattr(projnewton.solvers, "invariant_newton_operator",
                             lambda *a: built.append(1) or invariant_newton_operator(*a))
-        for call in (lambda: solve_invariant_newton_direct(*blocks),
-                     lambda: solve_invariant_newton_unchecked(b, 8),
+        for call in (lambda: solve_invariant_newton(b, 8),
                      lambda: certify_invariant_newton(b, 8, np.vdot(b, b))):
             built.clear()
             call()
@@ -516,9 +477,9 @@ class TestOperatorFactorizations:
             return absolute(x, *args, **kwargs)
 
         monkeypatch.setattr(np, "abs", watched)
-        solve_invariant_newton_direct(*self._near_scalar_blocks(m, k))
+        _solve_certified(*self._near_scalar_blocks(m, k))
         blocks = self._blocks(m, k)
-        solve_invariant_newton_unchecked(np.block([list(blocks[:2]), list(blocks[2:])]), m)
+        solve_invariant_newton(np.block([list(blocks[:2]), list(blocks[2:])]), m)
         assert copies == []
 
     @pytest.mark.parametrize("kind", ["generic", "near-scalar"])
@@ -543,7 +504,7 @@ class TestOperatorFactorizations:
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            solve_invariant_newton_direct(*blocks)
+            _solve_certified(*blocks)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if started:
@@ -571,20 +532,6 @@ class TestOperatorFactorizations:
             if started:
                 tracemalloc.stop()
         assert 2 * size <= peak <= 2.6 * size
-
-    def test_newton_runs_check_no_blocks(self, monkeypatch):
-        # the invariant cost hands its own finite B to the unchecked core
-        gen = np.random.default_rng(5)
-        q = np.linalg.qr(gen.standard_normal((6, 6)))[0]
-        s = np.triu(gen.standard_normal((6, 6))) + np.diag([3.0, 3.0, 3.0, 0.0, 0.0, 0.0])
-        checked = []
-        monkeypatch.setattr(projnewton.solvers, "_four_term_blocks", lambda *b: checked.append(b))
-        start = perturb_frame(OrthoFrame(q.T, 3), 0.05, 1)
-        trace = run_newton(InvariantSubspaceCost(q @ s @ q.T), start, NewtonConfig(grad_tol=1e-12),
-                           method="invariant-direct")
-        assert trace.status == Status.CONVERGED
-        assert len(trace.records) > 2
-        assert checked == []
 
     def test_dense_solve_leaves_its_operator(self, rng):
         h = rng.standard_normal((6, 6)) + 3.0 * np.eye(6)
@@ -738,11 +685,12 @@ _NO_SCIPY_SCRIPT = """
 import sys
 import numpy as np
 import projnewton
-from projnewton.solvers import solve_invariant_newton_direct
+from projnewton.solvers import certify_invariant_newton, solve_invariant_newton
 gen = np.random.default_rng(0)
-blocks = (gen.standard_normal((2, 2)) + 3.0 * np.eye(2), gen.standard_normal((2, 3)),
-          0.1 * gen.standard_normal((3, 2)), gen.standard_normal((3, 3)) - 3.0 * np.eye(3))
-solve_invariant_newton_direct(*blocks)
+b = np.block([[gen.standard_normal((2, 2)) + 3.0 * np.eye(2), gen.standard_normal((2, 3))],
+              [0.1 * gen.standard_normal((3, 2)), gen.standard_normal((3, 3)) - 3.0 * np.eye(3)]])
+solve_invariant_newton(b, 2)
+certify_invariant_newton(b, 2, np.vdot(b, b))
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
