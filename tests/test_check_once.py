@@ -2,8 +2,8 @@
 and nothing inside ``run_newton`` re-runs ``require_symmetric``.  The
 costs check their matrix when built, and the Newton solves hand blocks
 they have just symmetrized to the solvers, which check nothing.  The
-public kernels keep their entry checks, and ``sym_eig`` returns exactly
-what its unchecked core returns."""
+public kernel and the costs keep their entry checks, and ``sym_eig``
+returns exactly what its unchecked core returns."""
 
 import inspect
 import sys
@@ -156,6 +156,11 @@ def _asymmetric(n):
 # ``TestNonFiniteRejected`` covers non-finite entries at the same entries
 ENTRY_CHECKS = {
     "sym_eig": (lambda: sym_eig(_asymmetric(3)), "sym_eig input symmetry defect"),
+    "RayleighCost": (lambda: RayleighCost(_asymmetric(3)), "Rayleigh matrix symmetry defect"),
+    "HamiltonianRayleighCost.from_blocks-S": (
+        lambda: HamiltonianRayleighCost.from_blocks(_asymmetric(3), np.zeros((3, 3))), "S block symmetry defect"),
+    "HamiltonianRayleighCost.from_blocks-T": (
+        lambda: HamiltonianRayleighCost.from_blocks(np.eye(3), _asymmetric(3)), "T block symmetry defect"),
 }
 
 

@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from projnewton.costs import RayleighCost
+from projnewton.costs import HamiltonianRayleighCost, RayleighCost
 from projnewton.decomp import frobenius_norm, qr_positive, sym_eig, symmetrize
 from projnewton.errors import NotSymmetric, SingularInput
 from projnewton.grassmann import OrthoFrame, push_frame
@@ -149,11 +149,16 @@ class TestSymEig:
 
 class TestNonFiniteRejected:
     """A NaN or inf entry makes the symmetry defect NaN, which no threshold
-    test rejects; ``require_symmetric`` rejects it by name instead."""
+    test rejects; ``require_symmetric`` rejects it by name instead.  The
+    calls are the entries of the data that the Sylvester (Algorithm 1) and
+    Lyapunov (Algorithm 2) solves take, as those solvers check nothing."""
 
     CALLS = {
         "sym_eig": sym_eig,
         "RayleighCost": RayleighCost,
+        "HamiltonianRayleighCost": HamiltonianRayleighCost,
+        "HamiltonianRayleighCost.from_blocks-S": lambda a: HamiltonianRayleighCost.from_blocks(a, np.zeros_like(a)),
+        "HamiltonianRayleighCost.from_blocks-T": lambda a: HamiltonianRayleighCost.from_blocks(np.eye(3), a),
     }
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -92,6 +92,19 @@ class TestSylvester:
             solve_sylvester(a, a, np.ones((3, 3)))
         assert info.value.min_gap <= 1e-12
 
+    @pytest.mark.parametrize("m,k", [(1, 1), (1, 4), (4, 1), (3, 5)])
+    def test_returns_the_separation_it_measured(self, m, k):
+        # the gap is min |lambda_i - mu_j| over the two spectra, on an (m, k) Z
+        gen = np.random.default_rng(10 * m + k)
+        a11 = random_symmetric(gen, m) + 4.0 * np.eye(m)
+        a22 = random_symmetric(gen, k) - 4.0 * np.eye(k)
+        c = gen.standard_normal((m, k))
+        z, gap = solve_sylvester(a11, a22, c)
+        spectra = np.linalg.eigvalsh(a11)[:, None] - np.linalg.eigvalsh(a22)[None, :]
+        assert z.shape == (m, k)
+        assert abs(gap - np.abs(spectra).min()) <= 1e-13 * (np.linalg.norm(a11) + np.linalg.norm(a22))
+        assert gap > 0.0
+
 
 class TestLyapunov:
     def test_identity(self):
@@ -122,6 +135,17 @@ class TestLyapunov:
     def test_overlap_on_opposite_pair(self):
         with pytest.raises(SpectralOverlap):
             solve_lyapunov(np.diag([1.0, -1.0]), np.eye(2))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_returns_the_separation_it_measured(self, n):
+        # the gap is min |lambda_i + lambda_j| over pairs of eigenvalues of A11
+        gen = np.random.default_rng(n)
+        a11 = random_symmetric(gen, n) + 4.0 * np.eye(n)
+        z, gap = solve_lyapunov(a11, random_symmetric(gen, n))
+        lam = np.linalg.eigvalsh(a11)
+        assert z.shape == (n, n)
+        assert abs(gap - np.abs(lam[:, None] + lam[None, :]).min()) <= 1e-13 * np.linalg.norm(a11)
+        assert gap > 0.0
 
 
 def _sylvester_sym_eig_oracle(a11, a22, c):
@@ -204,6 +228,20 @@ class TestInvariantDirect:
             assert z.tobytes() == np.linalg.solve(op, rhs).reshape(2, 2).tobytes()
             residual = _invariant_lhs(z, a11, a12, a21, a22) - invariant_newton_rhs(a11, a21, a22)
             assert np.linalg.norm(residual) <= 1e-8 * max(1.0, np.linalg.norm(z))
+
+    @pytest.mark.parametrize("m,k", [(1, 1), (1, 5), (5, 1), (2, 3), (4, 2)])
+    def test_solves_the_matrix_equation_on_every_block_shape(self, m, k):
+        # A12 is m x k and A21 k x m: Z comes back m x k and solves the
+        # equation written with matrix products, not with the Kronecker operator
+        gen = np.random.default_rng(10 * m + k)
+        a11 = gen.standard_normal((m, m)) + 3.0 * np.eye(m)
+        a22 = gen.standard_normal((k, k)) - 3.0 * np.eye(k)
+        a12, a21 = gen.standard_normal((m, k)), 0.3 * gen.standard_normal((k, m))
+        z = _solve_certified(a11, a12, a21, a22)
+        assert z.shape == (m, k)
+        residual = _invariant_lhs(z, a11, a12, a21, a22) - invariant_newton_rhs(a11, a21, a22)
+        assert np.linalg.norm(residual) <= 1e-8 * max(1.0, np.linalg.norm(z))
+        assert np.abs(z - _invariant_oracle(a11, a12, a21, a22)).max() <= 1e-9
 
     def test_shared_spectrum_is_singular(self, rng):
         # A11 = A22 symmetric and no coupling: L = (A11 (x) I - I (x) A11)^2,
@@ -363,7 +401,7 @@ class TestSolveDense:
         g = rng.standard_normal(6)
         assert_allclose(solve_dense(h, g), np.linalg.solve(h, g), atol=1e-10)
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("operand", ["H", "g"])
     def test_rejects_non_finite_entries(self, operand, value):
         # LAPACK inverts eye(3) with one NaN without an error: x would be [nan, 1, 1]
