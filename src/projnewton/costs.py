@@ -13,15 +13,20 @@ the frame (Absil, Mahony & Sepulchre 2008, ch. 5-6).  The same gradient
 and Hessian in projector coordinates are test references
 (``tests/oracles.py``).
 
+A cost's calls pass a state, a tuple the engine hands on unread:
+``frame_terms`` returns it, ``newton_solve`` hands on its first entry, the
+frame's data (so an iterate forms B = Theta A Theta^T once), with the solve's
+by-products, and ``certify`` reads it and the last step's.
+
 Data is checked where it enters: each cost checks its matrix when it is
-built.  ``frame_terms`` hands B on, so a Newton iterate forms it once, and
-the Newton solves hand the solvers, which check nothing, the blocks they
-cut from B and symmetrize (``solve_sylvester``, ``solve_lyapunov``) or B
-itself (``solve_invariant_newton``).  Each cost certifies its own critical
-point (``certify``): the trace costs by their ``separation_bound`` (Weyl;
-Stewart & Sun 1990) above the ``separation_floor`` of the blocks the Newton
-solve would see, the invariant-subspace cost by one Cholesky factorization
-of the four-term operator, and otherwise by one more Newton solve.
+built.  The Newton solves hand the solvers, which check nothing, the blocks
+they cut from B and symmetrize (``solve_sylvester``, ``solve_lyapunov``), or
+B and the right-hand side ``frame_terms`` formed (``solve_invariant_newton``).
+Each cost certifies its own critical point (``certify``): the trace costs by
+their ``separation_bound`` (Weyl; Stewart & Sun 1990) above the
+``separation_floor`` of the blocks the Newton solve would see, the
+invariant-subspace cost by one Cholesky factorization of the last step's
+four-term operator or its own, and otherwise by one more Newton solve.
 """
 
 from __future__ import annotations
@@ -69,32 +74,33 @@ class CostFunction:
         raise NotImplementedError
 
     def frame_terms(self, frame):
-        """Value, gradient block G and the data ``newton_solve`` reuses at
+        """Value, gradient block G and the state (module docstring) at
         ``frame``: the Riemannian gradient is Theta^T [[0, G], [G^T, 0]] Theta,
         of norm sqrt(2) ||G||.  This fallback gives value(P),
-        G = (Theta grad_F Theta^T)_12 and, as data, Theta grad_F Theta^T."""
+        G = (Theta grad_F Theta^T)_12 and the state (Theta grad_F Theta^T,)."""
         p = frame.projector().mat
         g = frame.theta @ self.ambient_gradient(p) @ frame.theta.T
-        return self.value(p), g[: frame.rank, frame.rank :], g
+        return self.value(p), g[: frame.rank, frame.rank :], (g,)
 
-    def newton_solve(self, frame, b=None):
+    def newton_solve(self, frame, state):
         """Newton tangent parameter Z at ``frame``: Hess(Z) = -grad in frame
-        coordinates (Absil, Mahony & Sepulchre 2008, ch. 6), and the
-        separation its solver measured (None: none, as here).
-
-        With G = Theta grad_F Theta^T (``b`` when given), the gradient is G12
+        coordinates (Absil, Mahony & Sepulchre 2008, ch. 6), and the state
+        handed on, here ``state``.  With (G,) = ``state``, the gradient is G12
         and the Hessian maps Z to (Theta Hess_F(xi) Theta^T)_12 - (G11 Z -
         Z G22), where xi = Theta^T [[0, Z], [Z^T, 0]] Theta.  Its d x d
         matrix, d = m(n-m), is assembled column by column and solved densely.
-        Grassmann frames only.
+        Grassmann frames only; ``DimensionMismatch`` if G, or the Hessian,
+        has an entry that is not finite.
         """
         if isinstance(frame, SymplecticFrame):
             raise ValueError("the dense Newton fallback operates on Grassmann frames")
+        (g,) = state
+        if not np.isfinite(g).all():
+            raise DimensionMismatch("the frame gradient must have finite entries")
         theta = frame.theta
         n, m = frame.dim, frame.rank
         k = n - m
         p = frame.projector().mat
-        g = theta @ self.ambient_gradient(p) @ theta.T if b is None else b
         g11, g22 = g[:m, :m], g[m:, m:]
         hess = np.empty((m * k, m * k))
         xi_hat = np.zeros((n, n))
@@ -105,12 +111,12 @@ class CostFunction:
             xi_hat[m:, :m] = z.T
             h_hat = theta @ self.ambient_hessian_apply(p, theta.T @ xi_hat @ theta) @ theta.T
             hess[:, col] = (h_hat[:m, m:] - (g11 @ z - z @ g22)).reshape(-1)
-        return solve_dense(hess, -g[:m, m:].reshape(-1)).reshape(m, k), None
+        return solve_dense(hess, -g[:m, m:].reshape(-1)).reshape(m, k), state
 
     def certify(self, frame, b, last=None):
-        """Certify a critical point at ``frame`` (data ``b``) nondegenerate, or
+        """Certify a critical point at ``frame`` (state ``b``) nondegenerate, or
         raise where it is singular; returns how: "solve", one more Newton solve.
-        ``last`` is the (B, separation) of the last step's solve, or None."""
+        ``last`` is the state the last step's solve handed on, or None."""
         self.newton_solve(frame, b)
         return "solve"
 
@@ -137,22 +143,26 @@ class RayleighCost(CostFunction):
         return np.zeros_like(self.a)
 
     def frame_terms(self, frame):
-        """tr B11, B12 and B; sym(B12) on a symplectic frame, which is the
-        J-corrected tangent projection in frame coordinates."""
+        """tr B11, B12 and the state (B,); sym(B12) on a symplectic frame, which
+        is the J-corrected tangent projection in frame coordinates."""
         m = frame.rank
         b = frame.theta @ self.a @ frame.theta.T
         b12 = symmetrize(b[:m, m:]) if isinstance(frame, SymplecticFrame) else b[:m, m:]
-        return float(np.trace(b[:m, :m])), b12, b
+        return float(np.trace(b[:m, :m])), b12, (b,)
 
-    def newton_solve(self, frame, b=None):
-        """Algorithm 1: B11 Z - Z B22 = B12 (B is ``b`` if given); on a symplectic
+    def newton_solve(self, frame, state):
+        """Algorithm 1: B11 Z - Z B22 = B12, (B,) = ``state``; on a symplectic
         frame, Algorithm 2: its projection onto symmetric Z, the Lyapunov
-        equation M Z + Z M = sym(B12) with M = (B11 - B22) / 2, for any A."""
+        equation M Z + Z M = sym(B12) with M = (B11 - B22) / 2, for any A.
+        Hands on (B, separation), the separation the solver measured."""
         m = frame.rank
-        b = frame.theta @ self.a @ frame.theta.T if b is None else b
+        (b,) = state
         if isinstance(frame, SymplecticFrame):
-            return solve_lyapunov(symmetrize(0.5 * (b[:m, :m] - b[m:, m:])), symmetrize(b[:m, m:]))
-        return solve_sylvester(symmetrize(b[:m, :m]), symmetrize(b[m:, m:]), b[:m, m:])
+            z, separation = solve_lyapunov(symmetrize(0.5 * (b[:m, :m] - b[m:, m:])),
+                                           symmetrize(b[:m, m:]))
+        else:
+            z, separation = solve_sylvester(symmetrize(b[:m, :m]), symmetrize(b[m:, m:]), b[:m, m:])
+        return z, (b, separation)
 
     def separation_bound(self, frame, b, last_b, separation):
         """Algorithms 1-2: min |lambda_i(B11) - mu_j(B22)|, or min |lambda_i +
@@ -166,10 +176,11 @@ class RayleighCost(CostFunction):
         return separation - slack, separation_floor(symmetrize(b11), symmetrize(b22))
 
     def certify(self, frame, b, last=None):
-        """Algorithms 1-2: "bound" where ``separation_bound`` from ``last``
-        clears its floor, else "solve", one more Newton solve."""
+        """Algorithms 1-2: "bound" where ``separation_bound`` from the last
+        step's state ``last``, (B', separation), clears its floor, else "solve",
+        one more Newton solve; ``b`` is the state (B,) at ``frame``."""
         if last is not None:
-            bound, floor = self.separation_bound(frame, b, *last)
+            bound, floor = self.separation_bound(frame, *b, *last)
             if bound > floor:
                 return "bound"
         return super().certify(frame, b)
@@ -204,29 +215,31 @@ class InvariantSubspaceCost(CostFunction):
         return symmetrize(-a.T @ xi @ a - a @ xi @ a.T)
 
     def frame_terms(self, frame):
-        """||B21||^2, B21^T B22 - B11 B21^T (the Newton right-hand side) and
-        B; ||B21|| is the invariance residual ||(I - P) A P||."""
+        """||B21||^2, C = B21^T B22 - B11 B21^T (the Newton right-hand side) and
+        the state (B, C); ||B21|| is the invariance residual ||(I - P) A P||."""
         m = frame.rank
         b = frame.theta @ self.a @ frame.theta.T
         b21 = b[m:, :m]
-        return float(np.sum(b21 * b21)), invariant_newton_rhs(b[:m, :m], b21, b[m:, m:]), b
+        rhs = invariant_newton_rhs(b[:m, :m], b21, b[m:, m:])
+        return float(np.sum(b21 * b21)), rhs, (b, rhs)
 
-    def newton_solve(self, frame, b=None):
-        """Algorithm 3: minus the solution of the four-term equation, by one LU
-        solve, and no separation (``certify`` stands in for a bound); B is ``b``
-        if given.  Grassmann frames only."""
+    def newton_solve(self, frame, state):
+        """Algorithm 3: minus the solution of the four-term equation of
+        (B, C) = ``state``, by one LU solve; hands on (B, L), L the operator
+        it read.  Grassmann frames only."""
         if isinstance(frame, SymplecticFrame):
             raise ValueError("the invariant-subspace Newton solve operates on Grassmann frames")
-        b = frame.theta @ self.a @ frame.theta.T if b is None else b
-        return -solve_invariant_newton(b, frame.rank), None
+        b, rhs = state
+        z, op = solve_invariant_newton(b, rhs)
+        return -z, (b, op)
 
     def certify(self, frame, b, last=None):
-        """Algorithm 3: ``solvers.certify_invariant_newton`` of B = ``b`` at the
-        data scale ||A||_F^2, "cholesky" or "solve"; ``last`` goes unused, as the
-        solve measures no separation.  Grassmann frames only."""
+        """Algorithm 3: ``solvers.certify_invariant_newton`` of the state's B
+        at the data scale ||A||_F^2, given the last step's (B', L'), "cholesky"
+        or "solve".  Grassmann frames only."""
         if isinstance(frame, SymplecticFrame):
             raise ValueError("the invariant-subspace Newton solve operates on Grassmann frames")
-        return certify_invariant_newton(b, frame.rank, self.scale)
+        return certify_invariant_newton(b[0], frame.rank, self.scale, last)
 
 
 @dataclass(frozen=True)

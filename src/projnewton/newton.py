@@ -12,7 +12,8 @@ iterates; only nu does.
 
 There is one engine: each cost solves its own Newton equation in frame
 coordinates (``CostFunction.newton_solve``) and certifies its own critical
-points (``CostFunction.certify``); ``newton_step`` pushes the solution
+points (``CostFunction.certify``), passing its state between the calls
+through the loop, which does not read it; ``newton_step`` pushes the solution
 forward with ``grassmann.push_frame``: an O(n m (n - m)) update of the
 frame rows that keeps them orthogonal (and symplectic) to round-off, so
 no step re-orthogonalizes.  Algorithms 1-3 are this
@@ -122,10 +123,11 @@ class NewtonTrace:
 
 @dataclass(frozen=True)
 class StepInfo:
-    """Outcome of a single Newton step; ``separation`` is its solve's, or None."""
+    """Outcome of a single Newton step: its norm, and the state its solve
+    handed on, which the cost's ``certify`` reads at the next iterate."""
 
     step_norm: float
-    separation: float | None
+    state: tuple
 
 
 @dataclass(frozen=True)
@@ -194,11 +196,11 @@ def rate_from_trace(trace: NewtonTrace) -> QuadraticRateEstimate:
     return estimate_quadratic_rate(errors)
 
 
-def newton_step(cost: CostFunction, frame, config: NewtonConfig, b=None):
+def newton_step(cost: CostFunction, frame, config: NewtonConfig, state):
     """One Newton step: the cost's Newton solve in frame coordinates, pushed
     forward with the ``nu`` chart (a non-finite step, or one whose Z Z^T
-    overflows: ``NoConvergence``); ``b`` is the data of ``cost.frame_terms``
-    at ``frame``, if at hand.  The push keeps the frame orthogonal, and a
+    overflows: ``NoConvergence``); ``state`` is the state ``cost.frame_terms``
+    gave at ``frame``.  The push keeps the frame orthogonal, and a
     ``SymplecticFrame`` symplectic, without a correction step.
 
     A step with ||Z||_F >= pi/2 has stalled (``NoConvergence``) when it moves
@@ -207,7 +209,7 @@ def newton_step(cost: CostFunction, frame, config: NewtonConfig, b=None):
     as sigma grows) is where it was.  Below pi/2 every chart turns each plane
     by phi(sigma) <= sigma < pi/2, so none can stall.
     """
-    z, separation = cost.newton_solve(frame, b)
+    z, state = cost.newton_solve(frame, state)
     norm = frobenius_norm(z)
     step_norm = float(np.sqrt(2.0) * norm)
     try:
@@ -222,7 +224,7 @@ def newton_step(cost: CostFunction, frame, config: NewtonConfig, b=None):
                 f"stalled step: the {config.nu} push moved the subspace {moved:.3e}, "
                 f"not beyond the round-off floor {floor:.1e}, at step norm {step_norm:.3e}"
             )
-    return pushed, StepInfo(step_norm, separation)
+    return pushed, StepInfo(step_norm, state)
 
 
 def run_newton(cost, start, config: NewtonConfig, reference=None, method="generic"):
@@ -234,11 +236,15 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
     Every reported number is read from the frames: per iteration, the
     value and gradient block G of ``cost.frame_terms`` (blocks of
     B = Theta A Theta^T for the trace and invariant costs; the gradient
-    norm is sqrt(2) ||G||; the Newton solve reuses B, so each iterate forms
-    it once); after the loop, the distances from the frame
+    norm is sqrt(2) ||G||); after the loop, the distances from the frame
     rows (``grassmann.frame_distances``) and the symplecticity residuals.
     No projector or ambient gradient is formed; a ``Projector`` reference
     is eigendecomposed, once.
+
+    The states of ``frame_terms`` and of the step's solve go, unread, to
+    the solve and to ``certify`` at the next iterate.  The loop drops the
+    last step's state before the next step: no iterate holds two four-term
+    operators.
 
     Parameters
     ----------
@@ -261,9 +267,9 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
     -------
     NewtonTrace
         Terminal status ``Converged`` certifies a nondegenerate critical
-        point: below grad_tol, by ``cost.certify``, given the B and separation
-        of the last step's solve (a bound, one more Newton solve, or a
-        Cholesky factorization), where a singular/unsolvable system surfaces
+        point: below grad_tol, by ``cost.certify``, given the iterate's state
+        and the last step's (a bound, one more Newton solve, or a Cholesky
+        factorization), where a singular/unsolvable system surfaces
         as ``SingularHessian``/``SpectralOverlap`` instead.
         ``extras["certified_by"]`` is what ``certify`` returns ("bound",
         "cholesky", "solve"), or "step" (tiny step).
@@ -274,11 +280,11 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
     trace.distance_reference = "supplied" if reference is not None else "final"
     frame = replace(start)  # re-runs the entry checks: pushes skip them
     frames = []
-    tiny_step, last = False, None  # last: B and separation of the last step's solve
+    tiny_step, last = False, None  # last: the state the last step's solve handed on
     grad_tol = config.grad_tol * cost.scale
     t0 = time.perf_counter()
     for iteration in range(config.max_iters + 1):
-        value, grad_block, b = cost.frame_terms(frame)
+        value, grad_block, state = cost.frame_terms(frame)
         frames.append(frame)
         record = IterationRecord(
             iteration=iteration,
@@ -296,13 +302,14 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
             if record.grad_norm <= grad_tol:
                 # certify nondegeneracy: a vanishing gradient at a degenerate
                 # point (singular Newton system) is a failure mode, not success
-                trace.extras["certified_by"] = cost.certify(frame, b, last)
+                trace.extras["certified_by"] = cost.certify(frame, state, last)
                 trace.status = Status.CONVERGED
                 break
             if iteration == config.max_iters:
                 trace.status = Status.MAX_ITERS
                 break
-            frame, info = newton_step(cost, frame, config, b)
+            last = info = None  # one solve's state at a time
+            frame, info = newton_step(cost, frame, config, state)
         except SpectralOverlap:
             trace.status = Status.SPECTRAL_OVERLAP
             break
@@ -312,8 +319,7 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
         except NoConvergence:
             trace.status = Status.NO_CONVERGENCE
             break
-        record.step_norm = info.step_norm
-        last = None if info.separation is None else (b, info.separation)
+        record.step_norm, last = info.step_norm, info.state
         tiny_step = info.step_norm <= TOL.step_tol
     basis = frame.basis() if reference is None else reference.basis()
     for record, dist in zip(trace.records, frame_distances(frames, basis)):

@@ -6,8 +6,9 @@ diagnostics for free; the Lyapunov equation is the Sylvester kernel at
 A22 = -A11.  The four-term equation of the invariant-subspace Newton step is
 solved densely: Kronecker assembly on the m(n-m)-dimensional parameter space
 and one LU solve.  Its operator, a symmetric Hessian, is certified by one
-Cholesky factorization, else by its inverse behind the relative singularity
-floor ``TOL.pivot`` (``solve_dense``'s test too).  ``separation_floor`` is the
+Cholesky factorization, of the last step's operator where Weyl's inequality
+allows, else by its inverse behind the relative singularity floor
+``TOL.pivot`` (``solve_dense``'s test too).  ``separation_floor`` is the
 one floor of the Sylvester and Lyapunov separations, ``four_term_floor`` the
 one of the four-term operator's.
 
@@ -146,27 +147,27 @@ def invariant_newton_rhs(a11, a21, a22):
     return a21.T @ a22 - a11 @ a21.T
 
 
-def solve_invariant_newton(b, m):
-    """Solve the four-term Newton equation of B = [[A11, A12], [A21, A22]],
-    A11 m x m, by one LU solve; returns Z (m x k), uncertified
-    (``certify_invariant_newton`` certifies the operator).  The caller checks
-    B: a square float array with finite entries, 0 < m < its size.
+def solve_invariant_newton(b, c):
+    """Solve the four-term Newton equation L(Z) = C of B = [[A11, A12], [A21, A22]],
+    with C m x k (``invariant_newton_rhs``), A11 m x m, by one LU solve; returns Z,
+    uncertified, and the operator L the solve read, which it leaves as it was:
+    ``certify_invariant_newton`` may factor it at the next iterate.  The caller
+    checks B: a square float array with finite entries, 0 < m < its size.
 
     Raises
     ------
     SingularOperator
         Only if the operator is exactly singular.
     """
-    a11, a12, a21, a22 = b[:m, :m], b[:m, m:], b[m:, :m], b[m:, m:]
+    op = invariant_newton_operator(*_blocks(b, c.shape[0]))
     try:
-        z = np.linalg.solve(invariant_newton_operator(a11, a12, a21, a22),
-                            invariant_newton_rhs(a11, a21, a22).reshape(-1))
+        z = np.linalg.solve(op, c.reshape(-1))
     except np.linalg.LinAlgError as exc:
         raise SingularOperator(f"operator is singular: {exc}") from exc
-    return z.reshape(a12.shape)
+    return z.reshape(c.shape), op
 
 
-def certify_invariant_newton(b, m, scale):
+def certify_invariant_newton(b, m, scale, last=None):
     """Certify the four-term operator L of a finite B (blocks as above, d = m k,
     ``scale`` = ||B||_F^2): "cholesky" if a Cholesky factorization of L - tau I
     succeeds, else "solve" if the inverse's singularity test passes (a saddle, or
@@ -183,21 +184,56 @@ def certify_invariant_newton(b, m, scale):
     below the last two terms (Rump 2006, "Verification of positive definiteness", BIT 46).
     So success puts lambda_min(L*), lambda_min(sym L) and sigma_min(L) above sqrt(d) f:
     ||L^-1||_1 <= sqrt(d) ||L^-1||_2 < 1 / f, and f >= TOL.pivot max(||L||_1, max ||A_ij||_1^2)
-    passes the inverse's test, which judges L against at least that data scale."""
-    op = invariant_newton_operator(b[:m, :m], b[:m, m:], b[m:, :m], b[m:, m:])
+    passes the inverse's test, which judges L against at least that data scale.
+
+    ``last`` is (B', L'), the B of the last step and the operator L' its solve read.
+    Given it, the Cholesky factors L' - (tau' + s) I first, tau' the shift above from the
+    diagonal of L', s >= ||L*(B) - L*(B')||_2 (``_operator_change``): by Weyl's inequality
+    success proves the same of L*(B), and assembles no L.  Otherwise s = 0 with L of B."""
+    if last is not None and _shifted_cholesky(last[1], m, scale, _operator_change(b, last[0], m)):
+        return "cholesky"
+    op = invariant_newton_operator(*_blocks(b, m))
+    if _shifted_cholesky(op, m, scale, 0.0):
+        return "cholesky"
+    data_scale = max(np.linalg.norm(b[:m], 1), np.linalg.norm(b[m:], 1)) ** 2
+    _checked_inverse(op, max(np.linalg.norm(op, 1), data_scale))
+    return "solve"
+
+
+def _shifted_cholesky(op, m, scale, slack):
+    """Whether a Cholesky of ``op`` - (tau + ``slack``) I runs to completion, tau the shift
+    of ``certify_invariant_newton`` from ``op``'s diagonal; ``op`` is left as it was."""
     d, diagonal = op.shape[0], op.diagonal().copy()
     nu, size = (d + 1) * sys.float_info.epsilon / 2, np.abs(diagonal)
     tau = np.sqrt(d) * (four_term_floor(m, d // m, scale) + TOL.separation_roundoff * 3 * d * scale)
     tau += nu / (1.0 - 2.0 * nu) * size.sum() + 4 * 5e-324 * (2 * (d + 1) + size.max())
-    op.flat[:: d + 1] -= tau
+    op.flat[:: d + 1] -= tau + slack
     try:
         np.linalg.cholesky(op)
-        return "cholesky"
+        return True
     except np.linalg.LinAlgError:
+        return False
+    finally:
         op.flat[:: d + 1] = diagonal
-    data_scale = max(np.linalg.norm(b[:m], 1), np.linalg.norm(b[m:], 1)) ** 2
-    _checked_inverse(op, max(np.linalg.norm(op, 1), data_scale))
-    return "solve"
+
+
+def _operator_change(b, last_b, m):
+    """s >= ||L*(B) - L*(B')||_2.  L* sums eight products of blocks X and Y (four in G
+    and H, the two Kronecker terms, the two Z^T terms), each of 2-norm <= ||X||_F ||Y||_F,
+    and XY - X'Y' = (dX (Y + Y') + (X + X') dY) / 2.  With d_ij = ||B_ij - B'_ij||_F and
+    s_ij = ||B_ij + B'_ij||_F, s = (d11 + d22) (s11 + s22) + d21 (2 s21 + s12) + d12 s21,
+    at most 16 ||dB||_F ||A||_F; 1 + 16 u n^2 covers its round-off, barring underflow.
+    The norms are taken of halves, whose squares are at most ||A||_F^2: none overflows."""
+    halves = np.stack((b - last_b, b + last_b)) * 0.5
+    sums = np.add.reduceat(np.add.reduceat(halves * halves, [0, m], axis=1), [0, m], axis=2)
+    (d11, d12), (d21, d22), (s11, s12), (s21, s22) = np.sqrt(sums).reshape(4, 2).tolist()
+    slack = 4.0 * ((d11 + d22) * (s11 + s22) + d21 * (2.0 * s21 + s12) + d12 * s21)
+    return slack * (1.0 + TOL.separation_roundoff * b.shape[0] ** 2)
+
+
+def _blocks(b, m):
+    """A11, A12, A21 and A22 of B, A11 m x m."""
+    return b[:m, :m], b[:m, m:], b[m:, :m], b[m:, m:]
 
 
 def solve_dense(h, g):

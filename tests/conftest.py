@@ -24,6 +24,14 @@ LONG_STEP = np.array([
 ])
 
 
+def newton_solve_at(cost, frame, cls=None):
+    """The Newton solve of ``cls`` at ``frame`` (the cost's own class unless
+    given; ``CostFunction``: the dense fallback), from that class's frame
+    terms: (Z, the state the solve hands on)."""
+    cls = type(cost) if cls is None else cls
+    return cls.newton_solve(cost, frame, cls.frame_terms(cost, frame)[2])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

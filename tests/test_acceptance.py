@@ -43,7 +43,7 @@ from projnewton.solvers import (
     solve_sylvester,
 )
 
-from conftest import random_symmetric
+from conftest import newton_solve_at, random_symmetric
 from oracles import (
     distance,
     distance_via_cosines,
@@ -332,7 +332,7 @@ def test_criterion_5_solver_suite():
         a12 = gen.standard_normal((m, k))
         a21 = (0.3 / k) * gen.standard_normal((k, m))
         b = np.block([[a11, a12], [a21, a22]])
-        z = solve_invariant_newton(b, m)
+        z = solve_invariant_newton(b, invariant_newton_rhs(a11, a21, a22))[0]
         certify_invariant_newton(b, m, np.vdot(b, b))
         d = m * k
         op = np.zeros((d, d))
@@ -469,13 +469,13 @@ def test_criterion_9_specialization_consistency():
         a, dom = _gapped_symmetric(100 + seed, 5, 2, gap=1.0)
         frame = perturb_frame(dom, 0.2, 4000 + seed)
         cost = RayleighCost(a)
-        z_gen = CostFunction.newton_solve(cost, frame)[0]
-        worst = max(worst, np.abs(z_gen - cost.newton_solve(frame)[0]).max())
+        z_gen = newton_solve_at(cost, frame, CostFunction)[0]
+        worst = max(worst, np.abs(z_gen - newton_solve_at(cost, frame)[0]).max())
         a, target = _constructed_invariant_instance(5000 + seed)
         frame = perturb_frame(frame_from_projector(target), 0.05, 6000 + seed)
         cost = InvariantSubspaceCost(a)
-        z_gen = CostFunction.newton_solve(cost, frame)[0]
-        worst = max(worst, np.abs(z_gen - cost.newton_solve(frame)[0]).max())
+        z_gen = newton_solve_at(cost, frame, CostFunction)[0]
+        worst = max(worst, np.abs(z_gen - newton_solve_at(cost, frame)[0]).max())
     _report(
         f"C9 dense fallback vs the cost's own Newton solve: worst difference "
         f"{worst:.2e} (<=1e-9): "

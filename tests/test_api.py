@@ -83,6 +83,9 @@ def test_deleted_attributes_are_gone():
         cls.newton_solve for cls in (projnewton.CostFunction, projnewton.RayleighCost,
                                      projnewton.InvariantSubspaceCost)]
     assert [f for f in solves if "solver" in inspect.signature(f).parameters] == []
+    # one state passes between a cost's calls: no B or separation beside it
+    assert "separation" not in {f.name for f in dataclasses.fields(projnewton.newton.StepInfo)}
+    assert [f for f in solves[:1] + solves[2:] if "b" in inspect.signature(f).parameters] == []
 
 
 def test_one_solver_per_matrix_equation():

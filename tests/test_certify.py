@@ -1,21 +1,24 @@
 """Certifying ``Converged`` at the last iterate without a blind re-solve.
 
 ``run_newton`` certifies a critical point by one call, ``cost.certify``,
-handing it the B and separation of the last step's solve.
-``RayleighCost.separation_bound`` moves that separation to the next iterate,
-by the change of the blocks of B in between, and the trace cost certifies
-with it when the bound clears the solver's floor; otherwise by one more
-Newton solve.  The invariant-subspace cost certifies by one Cholesky
-factorization of its four-term operator L less a margin
-(``solvers.certify_invariant_newton``), with the dense inverse behind it.
-The property tests check that no bound exceeds the separation a solve
-measures at the same iterate, and that a Cholesky certificate holds L's
-spectrum above the floor; the fallback tests check that the solve still
-runs, and still fails, where nothing else certifies."""
+handing it the iterate's state and the one the last step's solve handed on.
+``RayleighCost.separation_bound`` moves that solve's separation to the next
+iterate, by the change of the blocks of B in between, and the trace cost
+certifies with it when the bound clears the solver's floor; otherwise by one
+more Newton solve.  The invariant-subspace cost certifies by one Cholesky
+factorization of the four-term operator L' the last step's solve read, less
+a margin and a bound on the change of L since (Weyl), else of its own L less
+the margin (``solvers.certify_invariant_newton``), with the dense inverse
+behind it.  The property tests check that no bound exceeds the separation a
+solve measures at the same iterate, and that a Cholesky certificate, from
+either operator, holds L's spectrum above the floor; the fallback tests
+check that the solve still runs, and still fails, where nothing else
+certifies."""
 
 import numpy as np
 import pytest
 
+import projnewton.solvers
 from projnewton.config import TOL
 from projnewton.costs import HamiltonianRayleighCost, InvariantSubspaceCost, RayleighCost
 from projnewton.decomp import frobenius_norm, symmetrize
@@ -25,6 +28,8 @@ from projnewton.lagrange import SymplecticFrame, sympl_form
 from projnewton.newton import NewtonConfig, Status, perturb_frame, run_newton
 from projnewton.solvers import (
     _checked_inverse,
+    _operator_change,
+    _shifted_cholesky,
     certify_invariant_newton,
     four_term_floor,
     invariant_newton_operator,
@@ -132,10 +137,10 @@ def _trace_problem(method, seed):
     return cost, perturb_frame(SymplecticFrame(u.T), 0.1, seed)
 
 
-def _certify(cost, frame, b):
+def _certify(cost, frame, state, last=None):
     """``cost.certify``, "singular" for ``SingularOperator``."""
     try:
-        return cost.certify(frame, b)
+        return cost.certify(frame, state, last)
     except SingularOperator:
         return "singular"
 
@@ -190,16 +195,17 @@ def test_bound_never_exceeds_the_measured_separation(method, nu, data):
     grad_tol = NewtonConfig().grad_tol * cost.scale
     last, bounds = None, 0
     for _ in range(10):
-        _, grad, b = cost.frame_terms(frame)
-        z, separation = cost.newton_solve(frame, b)
+        _, grad, state = cost.frame_terms(frame)
+        z, solved = cost.newton_solve(frame, state)
+        separation = solved[1]
         if last is not None:
-            bound, floor = cost.separation_bound(frame, b, *last)
+            bound, floor = cost.separation_bound(frame, *state, *last)
             assert bound <= separation, f"bound {bound:.17e} > separation {separation:.17e}"
             assert floor > 0.0
             bounds += 1
         if np.sqrt(2.0) * np.linalg.norm(grad) <= grad_tol:
             break
-        last = (b, separation)
+        last = solved
         frame = push_frame(frame, z, nu)
     else:
         pytest.fail("no critical point within 10 steps")
@@ -209,18 +215,17 @@ def test_bound_never_exceeds_the_measured_separation(method, nu, data):
 
 @pytest.mark.parametrize("method", TRACE_METHODS)
 def test_trace_cost_certifies_from_the_last_solve(monkeypatch, method):
-    # with the last step's (B, separation) the trace cost certifies by its
-    # bound, and solves nothing; without it, or where the bound falls to its
-    # floor, by one more Newton solve
+    # with the last step's state (B, separation) the trace cost certifies by
+    # its bound, and solves nothing; without it, or where the bound falls to
+    # its floor, by one more Newton solve
     cost, frame = _trace_problem(method, 1)
     grad_tol = NewtonConfig().grad_tol * cost.scale
     last = None
     for _ in range(10):
-        _, grad, b = cost.frame_terms(frame)
+        _, grad, state = cost.frame_terms(frame)
         if np.sqrt(2.0) * np.linalg.norm(grad) <= grad_tol:
             break
-        z, separation = cost.newton_solve(frame, b)
-        last = (b, separation)
+        z, last = cost.newton_solve(frame, state)
         frame = push_frame(frame, z, "qr")
     else:
         pytest.fail("no critical point within 10 steps")
@@ -228,19 +233,65 @@ def test_trace_cost_certifies_from_the_last_solve(monkeypatch, method):
     newton_solve = RayleighCost.newton_solve
     monkeypatch.setattr(RayleighCost, "newton_solve",
                         lambda self, *args: solves.append(1) or newton_solve(self, *args))
-    assert last is not None and cost.certify(frame, b, last) == "bound" and solves == []
-    assert cost.certify(frame, b) == "solve" and len(solves) == 1
-    assert cost.certify(frame, b, (last[0], 0.0)) == "solve" and len(solves) == 2
+    assert last is not None and cost.certify(frame, state, last) == "bound" and solves == []
+    assert cost.certify(frame, state) == "solve" and len(solves) == 1
+    assert cost.certify(frame, state, (last[0], 0.0)) == "solve" and len(solves) == 2
 
 
-def test_invariant_cost_certifies_without_the_last_solve():
-    # its Newton solve measures no separation: certify ignores ``last``
+def _counted_assemblies(monkeypatch):
+    """A list that grows by one at each assembly of a four-term operator."""
+    built, assemble = [], projnewton.solvers.invariant_newton_operator
+    monkeypatch.setattr(projnewton.solvers, "invariant_newton_operator",
+                        lambda *blocks: built.append(1) or assemble(*blocks))
+    return built
+
+
+def test_invariant_cost_certifies_from_the_last_operator(monkeypatch):
+    # given the last step's state (B', L'), the certificate factors L' and
+    # assembles nothing, and leaves L' as it was; given none, it assembles L
+    # of B, once.  At the solution the step is 0: L' is L, its change bound 0
     rng = np.random.default_rng(6)
     q, t = _planted_triangular(rng, 6, 2, 1.0)
     cost = InvariantSubspaceCost(q @ t @ q.T)
     frame = OrthoFrame(q.T, 2)
-    b = cost.frame_terms(frame)[2]
-    assert cost.certify(frame, b) == cost.certify(frame, b, (b, 1.0)) == "cholesky"
+    state = cost.frame_terms(frame)[2]
+    last = cost.newton_solve(frame, state)[1]
+    kept = last[1].copy()
+    built = _counted_assemblies(monkeypatch)
+    assert cost.certify(frame, state, last) == "cholesky" and built == []
+    assert last[1].tobytes() == kept.tobytes()
+    assert cost.certify(frame, state) == "cholesky" and len(built) == 1
+
+
+def _saddle():
+    """(cost, final frame) of the run that ends Converged at a saddle, from
+    test_start_outside_the_basin_certifies_a_point_that_is_not_invariant."""
+    rng = np.random.default_rng(2274029156)
+    q, t = _planted_triangular(rng, 6, 1, 1.0)
+    cost = InvariantSubspaceCost(q @ t @ q.T)
+    start = perturb_frame(OrthoFrame(q.T, 1), 0.3, 2274029156)
+    return cost, run_newton(cost, start, NewtonConfig()).extras["final_frame"]
+
+
+@pytest.mark.parametrize("point", ["minimizer", "saddle"])
+@pytest.mark.parametrize("seed", range(3))
+def test_a_distant_last_state_falls_back_to_the_iterates_operator(monkeypatch, point, seed):
+    # a last state from a frame far from this one: the change bound swamps
+    # L', its Cholesky fails, and the certificate assembles L of B once and
+    # says what it says without a last state
+    if point == "saddle":
+        cost, frame = _saddle()
+    else:
+        q, t = _planted_triangular(np.random.default_rng(seed), 6, 1, 1.0)
+        cost, frame = InvariantSubspaceCost(q @ t @ q.T), OrthoFrame(q.T, 1)
+    far = OrthoFrame(_orthogonal(np.random.default_rng(100 + seed), 6), 1)
+    last = cost.newton_solve(far, cost.frame_terms(far)[2])[1]
+    state = cost.frame_terms(frame)[2]
+    expected = _certify(cost, frame, state)
+    assert expected == ("cholesky" if point == "minimizer" else "solve")
+    built = _counted_assemblies(monkeypatch)
+    assert _certify(cost, frame, state, last) == expected and len(built) == 1
+    assert not _checked_last_step(state[0], last, 1, cost.scale)
 
 
 @pytest.mark.parametrize("nu", CHART_NAMES)
@@ -253,15 +304,94 @@ def test_the_certificate_holds_along_the_run(nu, data):
     cost, frame = data.draw(problems("invariant-direct"))
     grad_tol = NewtonConfig().grad_tol * cost.scale
     for _ in range(10):
-        _, grad, b = cost.frame_terms(frame)
-        outcome = _checked_certificate(b, frame.rank, cost.scale)
-        assert _certify(cost, frame, b) == outcome
+        _, grad, state = cost.frame_terms(frame)
+        outcome = _checked_certificate(state[0], frame.rank, cost.scale)
+        assert _certify(cost, frame, state) == outcome
         if np.sqrt(2.0) * np.linalg.norm(grad) <= grad_tol:
             break
-        frame = push_frame(frame, cost.newton_solve(frame, b)[0], nu)
+        frame = push_frame(frame, cost.newton_solve(frame, state)[0], nu)
     else:
         pytest.fail("no critical point within 10 steps")
     assert outcome == "cholesky"
+
+
+def _checked_last_step(b, last, m, scale):
+    """The Cholesky of ``certify_invariant_newton`` from the last step's state
+    ``last`` = (B', L'), held to the spectrum of B's own operator L: where it
+    succeeds, lambda_min of L (the lower triangle, as eigvalsh reads it) and of
+    sym(L) clear sqrt(d) ``four_term_floor``.  The change bound s covers
+    ||L - L'||_2 up to the two operators' round-off, 8 d u ||A||_F^2 3 sqrt(d)
+    each, and is at most 16 ||B - B'||_F ||A||_F.  Returns whether it succeeded."""
+    last_b, last_op = last
+    op = _operator(b, m)
+    d = op.shape[0]
+    floor = np.sqrt(d) * four_term_floor(m, d // m, scale)
+    slack = _operator_change(b, last_b, m)
+    roundoff = 2.0 * 8 * d * (np.finfo(float).eps / 2) * 3.0 * np.sqrt(d) * scale
+    assert np.linalg.norm(op - last_op, 2) <= slack + roundoff
+    assert slack <= 8.0 * np.linalg.norm(b - last_b) * (np.linalg.norm(b) + np.linalg.norm(last_b)) * (1 + 1e-10)
+    kept = last_op.copy()
+    certified = _shifted_cholesky(last_op, m, scale, slack)
+    assert last_op.tobytes() == kept.tobytes()
+    if certified:
+        lam = np.linalg.eigvalsh(op).min()
+        assert lam > floor, f"lambda_min {lam:.17e} <= sqrt(d) floor {floor:.17e}"
+        assert np.linalg.eigvalsh(0.5 * (op + op.T)).min() > floor
+    return certified
+
+
+@pytest.mark.parametrize("nu", CHART_NAMES)
+@hypothesis.given(data=st.data())
+def test_the_last_step_certificate_holds_along_the_run(nu, data):
+    # the Newton iteration by hand, certifying every iterate from the last
+    # step's state: wherever the last step's operator certifies, L's own
+    # spectrum clears the floor, and where it does not, the certificate is
+    # the one without a last state.  The critical point, inside the basin,
+    # is certified from the last step, as on the benchmark's grids
+    cost, frame = data.draw(problems("invariant-direct"))
+    grad_tol = NewtonConfig().grad_tol * cost.scale
+    last = None
+    for _ in range(10):
+        _, grad, state = cost.frame_terms(frame)
+        if last is not None:
+            from_last = _checked_last_step(state[0], last, frame.rank, cost.scale)
+            expected = "cholesky" if from_last else _checked_certificate(state[0], frame.rank, cost.scale)
+            assert _certify(cost, frame, state, last) == expected
+        if np.sqrt(2.0) * np.linalg.norm(grad) <= grad_tol:
+            break
+        z, last = cost.newton_solve(frame, state)
+        frame = push_frame(frame, z, nu)
+    else:
+        pytest.fail("no critical point within 10 steps")
+    assert last is not None and from_last
+
+
+def test_a_converging_run_assembles_once_per_step_in_bounded_memory(monkeypatch):
+    # (n, m) = (24, 8), d = 128, where an operator's 128 KiB is glibc's mmap
+    # threshold: each step assembles L once, the certificate factors the
+    # last step's L and assembles none, and the run drops that L before the
+    # next step assembles its own.  An assembly peaks at 2.52 operators
+    # (test_solvers), and the loop's frames add about 0.04 an iterate: a
+    # second operator alive at an assembly would put the peak above 3.5
+    import tracemalloc
+
+    q, t = _planted_triangular(np.random.default_rng(24), 24, 8, 1.0)
+    cost = InvariantSubspaceCost(q @ t @ q.T)
+    start = perturb_frame(OrthoFrame(q.T, 8), 0.05, 24)
+    built = _counted_assemblies(monkeypatch)
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        trace = run_newton(cost, start, NewtonConfig())
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert trace.status == Status.CONVERGED and trace.extras["certified_by"] == "cholesky"
+    assert len(trace.records) >= 3 and len(built) == len(trace.records) - 1
+    assert peak < 3.0 * 128 * 128 * 8
 
 
 def test_start_outside_the_basin_certifies_a_point_that_is_not_invariant():
@@ -316,9 +446,9 @@ def test_a_cholesky_certificate_is_confirmed_by_the_spectrum(kind, m, k, scale):
         turn = 10.0 ** gen.uniform(-12.0, 0.0) * gen.standard_normal((n, n))
         r_q, r = np.linalg.qr(np.eye(n) + turn)
         frame = OrthoFrame((r_q * np.sign(np.diag(r))) @ q.T, m)
-        b = cost.frame_terms(frame)[2]
-        outcome = _checked_certificate(b, m, cost.scale)
-        assert _certify(cost, frame, b) == outcome
+        state = cost.frame_terms(frame)[2]
+        outcome = _checked_certificate(state[0], m, cost.scale)
+        assert _certify(cost, frame, state) == outcome
         certified += outcome == "cholesky"
     # near the subspace it certifies; far from it, for d > 1, not always
     assert 1 <= certified and (certified < 40 or d == 1)
@@ -360,10 +490,10 @@ class _CountingRayleigh(RayleighCost):
         object.__setattr__(self, "solves", [])
         object.__setattr__(self, "forced", separation)
 
-    def newton_solve(self, frame, b=None):
-        z, separation = super().newton_solve(frame, b)
+    def newton_solve(self, frame, state):
+        z, (b, separation) = super().newton_solve(frame, state)
         self.solves.append(separation)
-        return z, separation if self.forced is None else self.forced
+        return z, (b, separation if self.forced is None else self.forced)
 
 
 class TestFallback:
@@ -454,7 +584,7 @@ class TestFallback:
                     assert "certified_by" not in trace.extras
                     assert all(r.grad_norm > grad_tol * cost.scale for r in trace.records[:-1])
                     frame = trace.extras["final_frame"]
-                    _, rhs, b = cost.frame_terms(frame)
+                    _, rhs, (b, _) = cost.frame_terms(frame)
                     if trace.records[-1].grad_norm <= grad_tol * cost.scale:
                         refused += 1
                         assert _checked_certificate(b, 1, cost.scale) == "singular"
@@ -496,7 +626,7 @@ class TestSeparationFloor:
                 cost = (RayleighCost(0.5 * (x + x.T)) if method == "rayleigh-gr"
                         else InvariantSubspaceCost(x))
                 frame, last = (OrthoFrame(_orthogonal(rng, n), m) for _ in range(2))
-            b, last_b = cost.frame_terms(frame)[2], cost.frame_terms(last)[2]
+            (b, *_), (last_b, *_) = cost.frame_terms(frame)[2], cost.frame_terms(last)[2]
             b11, b22 = b[:m, :m], b[m:, m:]
             if method == "invariant-direct":
                 assert not hasattr(cost, "separation_bound")
@@ -531,15 +661,15 @@ class TestSeparationFloor:
             rng = np.random.default_rng(seed)
             last = None
             for _ in range(6):
-                _, _, b = cost.frame_terms(frame)
+                _, _, (b,) = cost.frame_terms(frame)
                 if data == "non-symmetric":
                     b = b + 1e-3 * rng.standard_normal(b.shape)
-                z, separation = cost.newton_solve(frame, b)
+                z, solved = cost.newton_solve(frame, (b,))
                 if last is not None:
                     bound = cost.separation_bound(frame, b, *last)
                     assert bound == whole_b(cost, frame, b, *last)
                     cases += 1
-                last = (b, separation)
+                last = solved
                 frame = push_frame(frame, z, "qr")
         assert cases == 20
 
@@ -561,8 +691,8 @@ class TestSeparationFloor:
             a, outcomes = q @ t @ q.T, []
             for frame, y in ((near, a), (near, c * a), (far, x), (far, c * x)):
                 cost = InvariantSubspaceCost(y)
-                b = cost.frame_terms(frame)[2]
-                outcomes.append((_certify(cost, frame, b), cost.newton_solve(frame, b)[0].tobytes()))
+                state = cost.frame_terms(frame)[2]
+                outcomes.append((_certify(cost, frame, state), cost.newton_solve(frame, state)[0].tobytes()))
             assert outcomes[0] == outcomes[1] and outcomes[2] == outcomes[3]
             assert outcomes[0][0] == "cholesky"
             return
@@ -574,8 +704,8 @@ class TestSeparationFloor:
         results = []
         for y in (x, c * x):
             cost = RayleighCost(0.5 * (y + y.T))
-            b, last_b = cost.frame_terms(frame)[2], cost.frame_terms(last)[2]
-            separation = cost.newton_solve(last, last_b)[1]
+            (b,), last_state = cost.frame_terms(frame)[2], cost.frame_terms(last)[2]
+            last_b, separation = cost.newton_solve(last, last_state)[1]
             results.append((separation, *cost.separation_bound(frame, b, last_b, separation)))
         assert results[1] == tuple(c * value for value in results[0])
         _, bound, floor = results[0]

@@ -472,8 +472,8 @@ def test_overflowing_step_exits_with_a_run_status(tmp_path, capsys, monkeypatch,
     # which keeps the subspace, so that step has stalled and the run ends
     steps = [LONG_STEP] if first == "long" else []
 
-    def huge_step(self, frame, b=None):
-        return (steps.pop(0) if steps else np.full((frame.rank, frame.dim - frame.rank), 1e200)), None
+    def huge_step(self, frame, state):
+        return (steps.pop(0) if steps else np.full((frame.rank, frame.dim - frame.rank), 1e200)), state
 
     monkeypatch.setattr(InvariantSubspaceCost, "newton_solve", huge_step)
     out = tmp_path / "r.json"

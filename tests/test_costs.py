@@ -16,7 +16,7 @@ from projnewton.errors import DimensionMismatch, NotSymmetric
 from projnewton.grassmann import CHART_NAMES, Projector, commutator, push_frame, random_projector
 from projnewton.lagrange import LagProjector, random_lag_projector
 
-from conftest import lagrangian_trace_problem, random_symmetric
+from conftest import lagrangian_trace_problem, newton_solve_at, random_symmetric
 from oracles import (
     lg_tangent_project,
     param_from_tangent,
@@ -355,14 +355,18 @@ class _NonFiniteCost(_QuadraticCost):
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("where", ["gradient", "hessian"])
 def test_dense_fallback_rejects_non_finite_data(where, bad):
-    # solve_dense checks the system the fallback assembles from a cost's own
-    # data: unchecked, a NaN Hessian would end in SingularOperator and a NaN
-    # gradient in a NaN step.  The assembly multiplies an infinite gradient
-    # by zeros of the basis matrices, which warns before the check raises
+    # the fallback checks the frame gradient before it assembles a Hessian
+    # column, and solve_dense the Hessian it assembles from a cost's own data:
+    # unchecked, a NaN Hessian would end in SingularOperator and a NaN
+    # gradient in a NaN step.  An infinite gradient raises before the assembly
+    # could multiply it by the zeros of the basis matrices, so nothing warns
     _, frame = random_projector(5, 2, 7)
     cost = _NonFiniteCost(random_symmetric(np.random.default_rng(7), 5), where, bad)
-    with pytest.raises(DimensionMismatch, match="finite"), np.errstate(invalid="ignore"):
-        cost.newton_solve(frame)
+    applied, hessian = [], cost.ambient_hessian_apply
+    cost.ambient_hessian_apply = lambda p, xi: applied.append(1) or hessian(p, xi)
+    with pytest.raises(DimensionMismatch, match="finite"):
+        newton_solve_at(cost, frame)
+    assert len(applied) == (0 if where == "gradient" else 6)
 
 
 class TestFrameTerms:
@@ -428,6 +432,6 @@ class TestLagrangianNewtonStep:
         a, _ = lagrangian_trace_problem(np.random.default_rng(n), n)
         _, frame = random_lag_projector(n, 300 + n)
         cost = RayleighCost(a)
-        z, _ = cost.newton_solve(frame)
+        z, _ = newton_solve_at(cost, frame)
         dense = _dense_lagrangian_step(cost, frame)
         assert np.linalg.norm(z - dense) <= 1e-12 * np.linalg.norm(dense)

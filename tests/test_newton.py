@@ -37,8 +37,13 @@ from projnewton.newton import (
     run_newton,
 )
 
-from conftest import LONG_STEP, lagrangian_trace_problem, random_symmetric
+from conftest import LONG_STEP, lagrangian_trace_problem, newton_solve_at, random_symmetric
 from oracles import distance
+
+
+def _step(cost, frame, config):
+    """``newton_step`` from the cost's own state at ``frame``."""
+    return newton_step(cost, frame, config, cost.frame_terms(frame)[2])
 
 
 def _gapped_symmetric(rng, n, m, gap=1.0):
@@ -192,8 +197,8 @@ class TestGenericStep:
     def test_fixed_point_at_critical(self, rng):
         a, frame = _gapped_symmetric(rng, 5, 2)
         cost = RayleighCost(a)
-        assert np.sqrt(2.0) * np.linalg.norm(CostFunction.newton_solve(cost, frame)[0]) <= 1e-10
-        new_frame, info = newton_step(cost, frame, NewtonConfig())
+        assert np.sqrt(2.0) * np.linalg.norm(newton_solve_at(cost, frame, CostFunction)[0]) <= 1e-10
+        new_frame, info = _step(cost, frame, NewtonConfig())
         assert info.step_norm <= 1e-10
         assert np.abs(new_frame.projector().mat - frame.projector().mat).max() <= 1e-10
 
@@ -201,8 +206,8 @@ class TestGenericStep:
         a = np.diag([2.0, 1.0])
         frame = perturb_frame(frame_from_projector(Projector(np.diag([1.0, 0.0]), 1)), 0.1, 3)
         cost = RayleighCost(a)
-        z_gen = CostFunction.newton_solve(cost, frame)[0]
-        assert np.abs(z_gen - cost.newton_solve(frame)[0]).max() <= 1e-12
+        z_gen = newton_solve_at(cost, frame, CostFunction)[0]
+        assert np.abs(z_gen - newton_solve_at(cost, frame)[0]).max() <= 1e-12
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_algorithm1_random(self, seed):
@@ -210,30 +215,30 @@ class TestGenericStep:
         a, dom = _gapped_symmetric(rng, 5, 2)
         frame = perturb_frame(dom, 0.2, seed + 50)
         cost = RayleighCost(a)
-        z_gen = CostFunction.newton_solve(cost, frame)[0]
-        assert np.abs(z_gen - cost.newton_solve(frame)[0]).max() <= 1e-12
+        z_gen = newton_solve_at(cost, frame, CostFunction)[0]
+        assert np.abs(z_gen - newton_solve_at(cost, frame)[0]).max() <= 1e-12
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_algorithm3(self, seed):
         a, target = _constructed_invariant(seed, 2, 3)
         frame = perturb_frame(frame_from_projector(target), 0.05, seed + 90)
         cost = InvariantSubspaceCost(a)
-        z_gen = CostFunction.newton_solve(cost, frame)[0]
-        assert np.abs(z_gen - cost.newton_solve(frame)[0]).max() <= 1e-9
+        z_gen = newton_solve_at(cost, frame, CostFunction)[0]
+        assert np.abs(z_gen - newton_solve_at(cost, frame)[0]).max() <= 1e-9
 
     def test_hamiltonian_cost_on_grassmann_frame(self, rng):
         # on an orthogonal frame, tr(H P) is a trace cost on Gr(n, 2n): its
         # Sylvester solve agrees with the dense fallback
         cost, dom = _hamiltonian_with_frame(rng, 2)
         frame = perturb_frame(OrthoFrame(dom.theta, 2), 0.1, 4)
-        z_gen = CostFunction.newton_solve(cost, frame)[0]
-        assert np.abs(z_gen - cost.newton_solve(frame)[0]).max() <= 1e-12
-        assert np.array_equal(cost.newton_solve(frame)[0], RayleighCost(cost.h).newton_solve(frame)[0])
+        z_gen = newton_solve_at(cost, frame, CostFunction)[0]
+        assert np.abs(z_gen - newton_solve_at(cost, frame)[0]).max() <= 1e-12
+        assert np.array_equal(newton_solve_at(cost, frame)[0], newton_solve_at(RayleighCost(cost.h), frame)[0])
 
     def test_fallback_rejects_symplectic_frames(self, rng):
         cost, frame = _hamiltonian_with_frame(rng, 2)
         with pytest.raises(ValueError):
-            CostFunction.newton_solve(cost, frame)
+            newton_solve_at(cost, frame, CostFunction)
 
     def test_quadratic_model_cost_converges_fast(self, rng):
         # constant ambient Hessian: F(P) = 0.5 ||P - B||^2
@@ -263,7 +268,7 @@ class TestGenericStep:
 class TestAlgorithm1:
     def test_fixed_point(self, rng):
         a, frame = _gapped_symmetric(rng, 6, 2)
-        new_frame, info = newton_step(RayleighCost(a), frame, NewtonConfig())
+        new_frame, info = _step(RayleighCost(a), frame, NewtonConfig())
         assert info.step_norm <= 1e-10
 
     def test_converges_to_dominant_eigenspace(self):
@@ -271,7 +276,7 @@ class TestAlgorithm1:
         target = Projector(np.diag([1.0, 1.0, 0.0, 0.0]), 2)
         frame = perturb_frame(frame_from_projector(target), 0.08, 7)
         for _ in range(6):
-            frame, _ = newton_step(RayleighCost(a), frame, NewtonConfig())
+            frame, _ = _step(RayleighCost(a), frame, NewtonConfig())
         assert distance(frame.projector(), target) <= 1e-10
 
     def test_run_newton_trace_quadratic(self):
@@ -295,7 +300,7 @@ class TestAlgorithm1:
 class TestAlgorithm2:
     def test_fixed_point(self, rng):
         cost, frame = _hamiltonian_with_frame(rng, 2)
-        _, info = newton_step(cost, frame, NewtonConfig())
+        _, info = _step(cost, frame, NewtonConfig())
         assert info.step_norm <= 1e-9
 
     def test_quadratic_convergence(self):
@@ -313,9 +318,9 @@ class TestAlgorithm2:
     def test_step_is_the_grassmann_push_without_qr(self, rng, nu):
         cost, dom = _hamiltonian_with_frame(rng, 3)
         frame = perturb_frame(dom, 0.2, 5)
-        stepped, _ = newton_step(cost, frame, NewtonConfig(nu=nu))
+        stepped, _ = _step(cost, frame, NewtonConfig(nu=nu))
         assert isinstance(stepped, SymplecticFrame)
-        expected = push_frame(frame, cost.newton_solve(frame)[0], nu)
+        expected = push_frame(frame, newton_solve_at(cost, frame)[0], nu)
         assert np.array_equal(stepped.theta, expected.theta)
 
     @pytest.mark.parametrize("n", [4, 8])
@@ -351,7 +356,7 @@ class TestAlgorithm2:
         cost, dom = _hamiltonian_with_frame(rng, 3)
         frame = perturb_frame(dom, 0.4, 8)
         for _ in range(10):
-            frame, _ = newton_step(cost, frame, NewtonConfig())
+            frame, _ = _step(cost, frame, NewtonConfig())
             assert frame.symplecticity_residual() <= 1e-9
 
 
@@ -363,7 +368,7 @@ class TestAlgorithm3:
         a12 = rng.standard_normal((2, 2))
         a = np.block([[a11, a12], [np.zeros((2, 2)), a22]])
         frame = frame_from_projector(Projector(np.diag([1.0, 1.0, 0.0, 0.0]), 2))
-        _, info = newton_step(InvariantSubspaceCost(a), frame, NewtonConfig())
+        _, info = _step(InvariantSubspaceCost(a), frame, NewtonConfig())
         assert info.step_norm <= 1e-12
 
     def test_converges_to_line_eigenvector(self):
@@ -371,7 +376,7 @@ class TestAlgorithm3:
         target = Projector(np.diag([1.0, 0.0, 0.0]), 1)
         frame = perturb_frame(frame_from_projector(target), 0.05, 2)
         for _ in range(5):
-            frame, _ = newton_step(InvariantSubspaceCost(a), frame, NewtonConfig())
+            frame, _ = _step(InvariantSubspaceCost(a), frame, NewtonConfig())
         p = frame.projector()
         assert np.linalg.norm((np.eye(3) - p.mat) @ a @ p.mat) <= 1e-10
         assert distance(p, target) <= 1e-9
@@ -386,7 +391,7 @@ class TestAlgorithm3:
         target = Projector(t[:, :2] @ t[:, :2].T, 2)
         frame = perturb_frame(frame_from_projector(target), 0.05, 3)
         for _ in range(6):
-            frame, _ = newton_step(InvariantSubspaceCost(a), frame, NewtonConfig())
+            frame, _ = _step(InvariantSubspaceCost(a), frame, NewtonConfig())
         assert distance(frame.projector(), target) <= 1e-8
 
     @pytest.mark.parametrize("method", ["invariant-direct", "invariant-recursive"])
@@ -409,7 +414,7 @@ class TestOneStepContraction:
             a, dom = _gapped_symmetric(np.random.default_rng(seed), 6, 2, gap=2.0)
             for eps in (1e-2, 1e-3):
                 start = perturb_frame(dom, eps, 60 + seed)
-                stepped, _ = newton_step(RayleighCost(a), start, NewtonConfig())
+                stepped, _ = _step(RayleighCost(a), start, NewtonConfig())
                 e1 = distance(stepped.projector(), dom.projector())
                 assert e1 <= 50.0 * eps**2, (seed, eps, e1)
 
@@ -419,7 +424,7 @@ class TestOneStepContraction:
             cost, dom = _hamiltonian_with_frame(rng, 3)
             for eps in (1e-2, 1e-3):
                 start = perturb_frame(dom, eps, 70 + seed)
-                stepped, _ = newton_step(cost, start, NewtonConfig())
+                stepped, _ = _step(cost, start, NewtonConfig())
                 e1 = distance(stepped.projector().as_projector(), dom.projector().as_projector())
                 assert e1 <= 50.0 * eps**2, (seed, eps, e1)
 
@@ -436,7 +441,7 @@ class TestOneStepContraction:
             target = Projector(t[:, :2] @ t[:, :2].T, 2)
             for eps in (1e-2, 1e-3):
                 start = perturb_frame(frame_from_projector(target), eps, 80 + seed)
-                stepped, _ = newton_step(InvariantSubspaceCost(a), start, NewtonConfig())
+                stepped, _ = _step(InvariantSubspaceCost(a), start, NewtonConfig())
                 e1 = distance(stepped.projector(), target)
                 assert e1 <= 50.0 * eps**2, (seed, eps, e1)
 
@@ -664,15 +669,15 @@ class _FixedStep(CostFunction):
     def __init__(self, z):
         self.z = z
 
-    def newton_solve(self, frame, b=None):
-        return self.z, None
+    def newton_solve(self, frame, state):
+        return self.z, state
 
 
 class _StalledRayleigh(RayleighCost):
     """The trace cost with every Newton step replaced by Z = pi I."""
 
-    def newton_solve(self, frame, b=None):
-        return np.pi * np.eye(frame.rank), None
+    def newton_solve(self, frame, state):
+        return np.pi * np.eye(frame.rank), state
 
 
 class _StepSequence(InvariantSubspaceCost):
@@ -683,8 +688,8 @@ class _StepSequence(InvariantSubspaceCost):
         super().__init__(a)
         object.__setattr__(self, "steps", list(steps))
 
-    def newton_solve(self, frame, b=None):
-        return (self.steps.pop(0) if len(self.steps) > 1 else self.steps[0]), None
+    def newton_solve(self, frame, state):
+        return (self.steps.pop(0) if len(self.steps) > 1 else self.steps[0]), state
 
 
 def _long_step_problem():
@@ -721,7 +726,7 @@ class TestLongSteps:
         for seed in range(20):
             frame = random_projector(n, n // 2, seed)[1]
             with pytest.raises(NoConvergence, match="stalled step: the exp push moved"):
-                newton_step(_FixedStep(np.pi * np.eye(n // 2)), frame, NewtonConfig(nu="exp"))
+                newton_step(_FixedStep(np.pi * np.eye(n // 2)), frame, NewtonConfig(nu="exp"), None)
 
     def test_stall_floor_exceeds_step_tol(self):
         # the stalled-step test compares with TOL.rate_floor sqrt(n) alone: every
@@ -742,7 +747,7 @@ class TestLongSteps:
         frame = random_projector(4, 2, 0)[1]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, info = newton_step(_FixedStep(1e154 * np.eye(2)), frame, NewtonConfig(nu="exp"))
+            _, info = newton_step(_FixedStep(1e154 * np.eye(2)), frame, NewtonConfig(nu="exp"), None)
         assert abs(info.step_norm - 2e154) <= 1e-15 * 2e154
 
     @pytest.mark.parametrize("nu", CHART_NAMES)
@@ -752,7 +757,7 @@ class TestLongSteps:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NoConvergence, match=f"{nu} chart: .*overflow"):
-                newton_step(_FixedStep(np.full((1, 2), 1e200)), frame, NewtonConfig(nu=nu))
+                newton_step(_FixedStep(np.full((1, 2), 1e200)), frame, NewtonConfig(nu=nu), None)
 
     def test_unorthogonalizable_push_is_no_convergence(self):
         # a NaN step has no orthogonal push
@@ -762,11 +767,11 @@ class TestLongSteps:
                 warnings.simplefilter("error")
                 with pytest.raises(NoConvergence, match=f"{nu} chart: .*non-finite"):
                     newton_step(_FixedStep(np.array([[np.nan, 1.0]])), frame,
-                                NewtonConfig(nu=nu))
+                                NewtonConfig(nu=nu), None)
 
     def test_finite_step_norm_is_unchanged(self, rng):
         z = rng.standard_normal((2, 3))
-        _, info = newton_step(_FixedStep(z), random_projector(5, 2, 0)[1], NewtonConfig())
+        _, info = newton_step(_FixedStep(z), random_projector(5, 2, 0)[1], NewtonConfig(), None)
         assert info.step_norm == float(np.sqrt(2.0) * np.linalg.norm(z))
 
     @pytest.mark.parametrize("nu", ["qr", "cayley"])
@@ -777,6 +782,6 @@ class TestLongSteps:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             pushed, info = newton_step(_FixedStep(np.full((1, 2), 1e9)), frame,
-                                       NewtonConfig(nu=nu))
+                                       NewtonConfig(nu=nu), None)
         assert np.abs(pushed.theta @ pushed.theta.T - np.eye(3)).max() <= 1e-15
         assert info.step_norm == 2e9

@@ -189,11 +189,17 @@ class TestBlocksCheckedOnce:
         assert np.array_equal(z, _lyapunov_sym_eig_oracle(a11, c))
 
 
+def _four_term_step(b, m):
+    """Z of the four-term solver on B with its right-hand side; the operator
+    it hands on is dropped."""
+    return solve_invariant_newton(b, invariant_newton_rhs(b[:m, :m], b[m:, :m], b[m:, m:]))[0]
+
+
 def _solve_certified(a11, a12, a21, a22):
     """Z of the four-term solver on B = [[A11, A12], [A21, A22]], returned once
     ``certify_invariant_newton`` certifies its operator at ||B||_F^2."""
     b, m = np.block([[a11, a12], [a21, a22]]), a11.shape[0]
-    z = solve_invariant_newton(b, m)
+    z = _four_term_step(b, m)
     certify_invariant_newton(b, m, np.vdot(b, b))
     return z
 
@@ -325,7 +331,7 @@ def _core_outcome(b, m):
     """The core's Z (NaN where LU finds the operator exactly singular) and the
     certificate's outcome at ||B||_F^2, "singular" for ``SingularOperator``."""
     try:
-        z = solve_invariant_newton(b, m)
+        z = _four_term_step(b, m)
     except SingularOperator:
         z = np.full((m, b.shape[0] - m), np.nan)
     try:
@@ -467,10 +473,12 @@ class TestOperatorFactorizations:
         blocks = [scale * b for b in make(m, k)]
         b = np.block([blocks[:2], blocks[2:]])
         copies = [x.copy() for x in (*blocks, b)]
-        z = solve_invariant_newton(b, m)
+        rhs = invariant_newton_rhs(blocks[0], blocks[2], blocks[3])
+        z, solved = solve_invariant_newton(b, rhs)
         op = invariant_newton_operator(*blocks)
-        rhs = invariant_newton_rhs(blocks[0], blocks[2], blocks[3]).reshape(-1)
-        assert z.tobytes() == np.linalg.solve(op, rhs).reshape(m, k).tobytes()
+        assert z.tobytes() == np.linalg.solve(op, rhs.reshape(-1)).reshape(m, k).tobytes()
+        # the operator handed on is the one the LU solve read, left as it was
+        assert solved.tobytes() == op.tobytes()
         assert all(np.array_equal(x, c) for x, c in zip((*blocks, b), copies))
         seen, checked_inverse = [], projnewton.solvers._checked_inverse
         monkeypatch.setattr(projnewton.solvers, "_checked_inverse", lambda a, a_norm:
@@ -496,7 +504,7 @@ class TestOperatorFactorizations:
         b, built = np.block([list(blocks[:2]), list(blocks[2:])]), []
         monkeypatch.setattr(projnewton.solvers, "invariant_newton_operator",
                             lambda *a: built.append(1) or invariant_newton_operator(*a))
-        for call in (lambda: solve_invariant_newton(b, 8),
+        for call in (lambda: _four_term_step(b, 8),
                      lambda: certify_invariant_newton(b, 8, np.vdot(b, b))):
             built.clear()
             call()
@@ -517,7 +525,7 @@ class TestOperatorFactorizations:
         monkeypatch.setattr(np, "abs", watched)
         _solve_certified(*self._near_scalar_blocks(m, k))
         blocks = self._blocks(m, k)
-        solve_invariant_newton(np.block([list(blocks[:2]), list(blocks[2:])]), m)
+        _four_term_step(np.block([list(blocks[:2]), list(blocks[2:])]), m)
         assert copies == []
 
     @pytest.mark.parametrize("kind", ["generic", "near-scalar"])
@@ -723,11 +731,11 @@ _NO_SCIPY_SCRIPT = """
 import sys
 import numpy as np
 import projnewton
-from projnewton.solvers import certify_invariant_newton, solve_invariant_newton
+from projnewton.solvers import certify_invariant_newton, invariant_newton_rhs, solve_invariant_newton
 gen = np.random.default_rng(0)
 b = np.block([[gen.standard_normal((2, 2)) + 3.0 * np.eye(2), gen.standard_normal((2, 3))],
               [0.1 * gen.standard_normal((3, 2)), gen.standard_normal((3, 3)) - 3.0 * np.eye(3)]])
-solve_invariant_newton(b, 2)
+solve_invariant_newton(b, invariant_newton_rhs(b[:2, :2], b[2:, :2], b[2:, 2:]))
 certify_invariant_newton(b, 2, np.vdot(b, b))
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
