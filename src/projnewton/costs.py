@@ -113,11 +113,11 @@ class CostFunction:
             hess[:, col] = (h_hat[:m, m:] - (g11 @ z - z @ g22)).reshape(-1)
         return solve_dense(hess, -g[:m, m:].reshape(-1)).reshape(m, k), state
 
-    def certify(self, frame, b, last=None):
-        """Certify a critical point at ``frame`` (state ``b``) nondegenerate, or
-        raise where it is singular; returns how: "solve", one more Newton solve.
-        ``last`` is the state the last step's solve handed on, or None."""
-        self.newton_solve(frame, b)
+    def certify(self, frame, state, last=None):
+        """Certify a critical point at ``frame`` (state ``state``) nondegenerate,
+        or raise where it is singular; returns how: "solve", one more Newton
+        solve.  ``last`` is the state the last step's solve handed on, or None."""
+        self.newton_solve(frame, state)
         return "solve"
 
 
@@ -175,15 +175,15 @@ class RayleighCost(CostFunction):
         slack += TOL.separation_roundoff * frame.dim * self.scale
         return separation - slack, separation_floor(symmetrize(b11), symmetrize(b22))
 
-    def certify(self, frame, b, last=None):
+    def certify(self, frame, state, last=None):
         """Algorithms 1-2: "bound" where ``separation_bound`` from the last
         step's state ``last``, (B', separation), clears its floor, else "solve",
-        one more Newton solve; ``b`` is the state (B,) at ``frame``."""
+        one more Newton solve; ``state`` is the state (B,) at ``frame``."""
         if last is not None:
-            bound, floor = self.separation_bound(frame, *b, *last)
+            bound, floor = self.separation_bound(frame, *state, *last)
             if bound > floor:
                 return "bound"
-        return super().certify(frame, b)
+        return super().certify(frame, state)
 
 
 @dataclass(frozen=True)
@@ -233,13 +233,13 @@ class InvariantSubspaceCost(CostFunction):
         z, op = solve_invariant_newton(b, rhs)
         return -z, (b, op)
 
-    def certify(self, frame, b, last=None):
+    def certify(self, frame, state, last=None):
         """Algorithm 3: ``solvers.certify_invariant_newton`` of the state's B
         at the data scale ||A||_F^2, given the last step's (B', L'), "cholesky"
         or "solve".  Grassmann frames only."""
         if isinstance(frame, SymplecticFrame):
             raise ValueError("the invariant-subspace Newton solve operates on Grassmann frames")
-        return certify_invariant_newton(b[0], frame.rank, self.scale, last)
+        return certify_invariant_newton(state[0], frame.rank, self.scale, last)
 
 
 @dataclass(frozen=True)

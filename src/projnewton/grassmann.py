@@ -203,15 +203,13 @@ def frame_from_projector(p: Projector) -> OrthoFrame:
 
 def _distance(cos_mat, sin_mat):
     """sqrt(2 sum_i theta_i^2) over the principal angles theta_i, from
-    matrices whose singular values are their cosines and their sines (sines
-    missing when m > n/2 are zero); sines below pi/4 and cosines above keep
-    tiny and near-right angles accurate (Knyazev & Argentati 2002).  Leading
-    axes are batch axes.  The cosines are decomposed only when a sine passes
-    0.7: below, every cosine is at least 0.714 > cos(pi/4), by far more than
-    a frame's round-off, so every angle is an arcsine either way."""
+    matrices whose singular values are their cosines and their sines, as
+    many of each; sines below pi/4 and cosines above keep tiny and
+    near-right angles accurate (Knyazev & Argentati 2002).  Leading axes
+    are batch axes.  The cosines are decomposed only when a sine passes
+    0.7: below, every cosine is at least 0.714 > cos(pi/4), by far more
+    than a frame's round-off, so every angle is an arcsine either way."""
     sin = np.clip(np.linalg.svd(sin_mat, compute_uv=False), 0.0, 1.0)[..., ::-1]  # ascending
-    sin = np.concatenate([np.zeros(sin.shape[:-1] + (min(cos_mat.shape[-2:]) - sin.shape[-1],)),
-                          sin], -1)
     theta = np.arcsin(sin)
     if sin[..., -1].max() > 0.7:
         cos = np.clip(np.linalg.svd(cos_mat, compute_uv=False), 0.0, 1.0)  # descending
@@ -219,18 +217,20 @@ def _distance(cos_mat, sin_mat):
     return np.sqrt(2.0 * np.sum(theta * theta, axis=-1))
 
 
-def frame_distance(frame: OrthoFrame, basis) -> float:
-    """Geodesic distance from the frame's subspace to range(U), U
-    orthonormal (n, m), from the frame rows: the cosines of the principal
-    angles are the singular values of Theta[:m] U (m x m) and the sines
-    those of Theta[m:] U."""
-    return float(frame_distances([frame], basis)[0])
+def frame_distance(frame: OrthoFrame, p) -> float:
+    """Geodesic distance from the frame's subspace to range(P), P the (n, n)
+    matrix of a projector of the frame's rank, from the leading rows
+    Theta_1 (m x n): the cosines of the principal angles are the singular
+    values of Theta_1 P and the sines those of Theta_1 - Theta_1 P."""
+    return float(frame_distances([frame], p)[0])
 
 
-def frame_distances(frames, basis):
-    """``frame_distance`` of each frame (one rank), one batched pass over rows Theta U."""
-    rows = np.stack([frame.theta @ basis for frame in frames])
-    return _distance(rows[:, : frames[0].rank], rows[:, frames[0].rank :])
+def frame_distances(frames, p):
+    """``frame_distance`` of each frame (one rank), one batched pass over
+    the stacked products Theta_1 P."""
+    lead = np.stack([frame.theta[: frame.rank] for frame in frames])
+    cos_mat = lead @ p
+    return _distance(cos_mat, lead - cos_mat)
 
 
 def push_frame(frame: OrthoFrame, z, chart) -> OrthoFrame:

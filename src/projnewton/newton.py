@@ -20,7 +20,8 @@ no step re-orthogonalizes.  Algorithms 1-3 are this
 iteration for the trace cost on both manifolds and for the
 invariant-subspace cost.  The loop reads its diagnostics from the frames
 too: value and gradient block from ``CostFunction.frame_terms``,
-distances from the frame rows.
+distances from the frames' leading rows against the reference's projector
+matrix, which no run eigendecomposes.
 
 No globalization is attempted: the method is local, and runs started far
 from a nondegenerate critical point may diverge; the trace reports it.
@@ -37,8 +38,11 @@ from .config import TOL
 from .costs import CostFunction
 from .decomp import frobenius_norm
 from .errors import (
+    BadRank,
+    DimensionMismatch,
     InsufficientData,
     NoConvergence,
+    NotAProjector,
     SingularInput,
     SingularOperator,
     SpectralOverlap,
@@ -217,7 +221,7 @@ def newton_step(cost: CostFunction, frame, config: NewtonConfig, state):
     except SingularInput as exc:
         raise NoConvergence(f"step not pushed with the {config.nu} chart: {exc}") from exc
     if norm >= 0.5 * np.pi:
-        moved = frame_distance(pushed, frame.basis())
+        moved = frame_distance(pushed, frame.projector().mat)
         floor = TOL.rate_floor * np.sqrt(frame.dim)
         if moved <= floor:
             raise NoConvergence(
@@ -237,9 +241,9 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
     value and gradient block G of ``cost.frame_terms`` (blocks of
     B = Theta A Theta^T for the trace and invariant costs; the gradient
     norm is sqrt(2) ||G||); after the loop, the distances from the frame
-    rows (``grassmann.frame_distances``) and the symplecticity residuals.
-    No projector or ambient gradient is formed; a ``Projector`` reference
-    is eigendecomposed, once.
+    rows (``grassmann.frame_distances``, against the reference's projector
+    matrix P) and the symplecticity residuals.  No ambient gradient is
+    formed, and no projector but P; nothing is eigendecomposed.
 
     The states of ``frame_terms`` and of the step's solve go, unread, to
     the solve and to ``certify`` at the next iterate.  The loop drops the
@@ -256,9 +260,12 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
         same charts.
     config : NewtonConfig
     reference : Projector, OrthoFrame or None
-        A ``Projector``, or a frame whose leading rows span the reference
-        (its ``basis()``, a copy of the rows: no eigendecomposition).  When
-        given, distances measure to it; otherwise to the final iterate.
+        A ``Projector`` (P is its ``mat``), or a frame whose leading rows
+        span the reference (P is its ``projector().mat``).  When given,
+        distances measure to it, and it is checked once, before the loop:
+        the start frame's dimension (``DimensionMismatch``) and rank
+        (``BadRank``), and finite entries (``NotAProjector``).  Otherwise
+        distances measure to the final iterate's projector.
     method : str
         One of ``METHODS``.  The cost determines the Newton equation and its
         solve: the name is checked, and selects nothing.
@@ -279,6 +286,7 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
     trace = NewtonTrace()
     trace.distance_reference = "supplied" if reference is not None else "final"
     frame = replace(start)  # re-runs the entry checks: pushes skip them
+    p = None if reference is None else _reference_matrix(reference, frame)
     frames = []
     tiny_step, last = False, None  # last: the state the last step's solve handed on
     grad_tol = config.grad_tol * cost.scale
@@ -321,13 +329,27 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
             break
         record.step_norm, last = info.step_norm, info.state
         tiny_step = info.step_norm <= TOL.step_tol
-    basis = frame.basis() if reference is None else reference.basis()
-    for record, dist in zip(trace.records, frame_distances(frames, basis)):
+    if p is None:
+        p = frame.projector().mat
+    for record, dist in zip(trace.records, frame_distances(frames, p)):
         record.distance = float(dist)
     if isinstance(start, SymplecticFrame):
         trace.extras["symplecticity_residuals"] = [f.symplecticity_residual() for f in frames]
     trace.extras["final_frame"] = frame
     return trace
+
+
+def _reference_matrix(reference, start):
+    """The projector matrix of a ``Projector`` or frame reference, checked
+    against the start frame: its dimension, its rank and finite entries."""
+    p = reference.projector().mat if isinstance(reference, OrthoFrame) else reference.mat
+    if p.shape != (start.dim, start.dim):
+        raise DimensionMismatch(f"reference has shape {p.shape}, the start frame dimension {start.dim}")
+    if reference.rank != start.rank:
+        raise BadRank(f"reference rank {reference.rank} differs from the start frame's {start.rank}")
+    if not np.isfinite(p).all():
+        raise NotAProjector("reference has a non-finite entry")
+    return p
 
 
 def perturb_frame(frame: OrthoFrame, eps, seed) -> OrthoFrame:

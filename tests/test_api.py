@@ -176,7 +176,7 @@ def test_the_engine_names_no_concrete_cost():
     assert attributes.count("certify") == 1 and "separation_bound" not in attributes
     assert not hasattr(projnewton.CostFunction, "separation_bound")
     for cls in (projnewton.CostFunction, projnewton.RayleighCost, projnewton.InvariantSubspaceCost):
-        assert list(inspect.signature(cls.certify).parameters) == ["self", "frame", "b", "last"]
+        assert list(inspect.signature(cls.certify).parameters) == ["self", "frame", "state", "last"]
 
 
 def test_one_singularity_floor_for_dense_operators():

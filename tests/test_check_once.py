@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import projnewton.decomp
+import projnewton.newton
 from projnewton.cli import main
 from projnewton.config import TOL
 from projnewton.costs import HamiltonianRayleighCost, InvariantSubspaceCost, RayleighCost
@@ -105,11 +106,15 @@ class TestNoRecheckInTheLoop:
         assert seen == []
 
     def test_reference_is_checked_once_per_run(self, monkeypatch):
+        # where it enters: its dimension, rank and finite entries; a
+        # Projector is symmetric by construction, and nothing eigendecomposes it
         cost, start, reference, method = _problem("rayleigh-gr", 3)
-        seen = _count_calls(monkeypatch, require_symmetric)
+        symmetric = _count_calls(monkeypatch, require_symmetric)
+        checked = _count_calls(monkeypatch, projnewton.newton._reference_matrix, "reference")
         trace = run_newton(cost, start, NewtonConfig(), reference=reference, method=method)
         assert len(trace.records) >= 3
-        assert seen == ["sym_eig input"]
+        assert symmetric == []
+        assert len(checked) == 1 and checked[0] is reference
 
 
 @pytest.mark.parametrize("command", ["rayleigh-gr", "rayleigh-lg"])

@@ -248,7 +248,7 @@ class TestDistance:
             v = np.linalg.qr(rng.standard_normal((n - m, r)))[0]
             target = push_frame(frame, u @ np.diag(sigma) @ v.T, "exp")
             q = target.projector()
-            d = frame_distance(frame, target.basis())
+            d = frame_distance(frame, q.mat)
             assert abs(d - np.sqrt(2.0) * np.linalg.norm(sigma)) <= 1e-14
             assert abs(d - distance(p, q)) <= 1e-14
             # the eigenvalue routes read cos^2 and sin^2, so near 0 and pi/2
@@ -258,14 +258,14 @@ class TestDistance:
             assert abs(d - distance_via_sines(p, q)) <= tol
 
     def test_frame_distance_is_distance_to_the_range(self):
-        # any orthonormal basis of the target gives the same distance
+        # the projector of any orthonormal basis of the target gives the same distance
         p, frame = random_projector(7, 3, 4)
         q, target = random_projector(7, 3, 5)
         rot = qr_positive(np.random.default_rng(6).standard_normal((3, 3)))[0]
         expected = distance(p, q)
-        assert abs(frame_distance(frame, target.basis()) - expected) <= 1e-14
-        assert abs(frame_distance(frame, target.basis() @ rot) - expected) <= 1e-14
-        assert abs(frame_distance(frame, q.basis()) - expected) <= 1e-14
+        assert abs(frame_distance(frame, q.mat) - expected) <= 1e-14
+        for u in (target.basis(), target.basis() @ rot, q.basis()):
+            assert abs(frame_distance(frame, u @ u.T) - expected) <= 1e-14
 
     @pytest.mark.parametrize("case", ["m<n/2", "m>n/2", "symplectic"])
     def test_stacked_distances_match_per_frame_distances(self, case):
@@ -287,12 +287,13 @@ class TestDistance:
         # the target itself, and tiny and near-right angles from it
         frames += [target] + [push_frame(target, t * z / np.linalg.norm(z, 2), "exp")
                               for t in (1e-9, 1e-3, np.pi / 2 - 1e-9)]
-        m, basis = target.rank, target.basis()
-        stacked = frame_distances(frames, basis)
+        m, p = target.rank, target.projector().mat
+        stacked = frame_distances(frames, p)
         assert stacked.shape == (len(frames),)
         for dist, frame in zip(stacked, frames):
-            assert abs(dist - _distance(frame.theta[:m] @ basis, frame.theta[m:] @ basis)) <= 1e-15
-            assert abs(dist - frame_distance(frame, basis)) <= 1e-15
+            lead = frame.theta[:m]
+            assert abs(dist - _distance(lead @ p, lead - lead @ p)) <= 1e-15
+            assert abs(dist - frame_distance(frame, p)) <= 1e-15
 
 
 def _two_svd_distance(cos_mat, sin_mat):
@@ -300,7 +301,6 @@ def _two_svd_distance(cos_mat, sin_mat):
     wherever the cosine clears cos(pi/4)."""
     cos = np.clip(np.linalg.svd(cos_mat, compute_uv=False), 0.0, 1.0)
     sin = np.clip(np.linalg.svd(sin_mat, compute_uv=False), 0.0, 1.0)[..., ::-1]
-    sin = np.concatenate([np.zeros(cos.shape[:-1] + (cos.shape[-1] - sin.shape[-1],)), sin], -1)
     theta = np.where(cos > np.cos(np.pi / 4), np.arcsin(sin), np.arccos(cos))
     return np.sqrt(2.0 * np.sum(theta * theta, axis=-1))
 
@@ -336,51 +336,55 @@ class TestOneSvdDistance:
         for i, top in enumerate(largest):
             angles = np.concatenate([[top], rng.uniform(0.0, min(top, 0.6), r - 1)])
             frames.append(_turned(target, angles, 10 * seed + i))
-        return frames, target.rank, target.basis()
+        return frames, target.rank, target.projector().mat
 
     @staticmethod
-    def _counted(monkeypatch, frames, m, basis):
+    def _counted(monkeypatch, frames, m, p):
         svd, calls = np.linalg.svd, []
 
         def counting(*args, **kwargs):
             calls.append(np.shape(args[0]))
             return svd(*args, **kwargs)
 
-        rows = np.stack([frame.theta @ basis for frame in frames])
-        expected = _two_svd_distance(rows[:, :m], rows[:, m:])
+        lead = np.stack([frame.theta[:m] for frame in frames])
+        cos_mat = lead @ p
+        expected = _two_svd_distance(cos_mat, lead - cos_mat)
         monkeypatch.setattr(np.linalg, "svd", counting)
-        got = _distance(rows[:, :m], rows[:, m:])
+        got = _distance(cos_mat, lead - cos_mat)
         monkeypatch.undo()
         assert np.array_equal(got, expected)
-        assert np.array_equal(frame_distances(frames, basis), expected)
+        assert np.array_equal(frame_distances(frames, p), expected)
         return calls
 
     @pytest.mark.parametrize("case", ["m<n/2", "m>n/2", "symplectic"])
     def test_sines_up_to_07_take_one_svd(self, monkeypatch, case):
-        frames, m, basis = self._batch(case, [1e-12, 1e-3, 0.3, np.arcsin(0.69)])
-        calls = self._counted(monkeypatch, frames, m, basis)
-        assert calls == [(len(frames), basis.shape[0] - m, m)]  # the sine blocks only
+        frames, m, p = self._batch(case, [1e-12, 1e-3, 0.3, np.arcsin(0.69)])
+        calls = self._counted(monkeypatch, frames, m, p)
+        assert calls == [(len(frames), m, p.shape[0])]  # the sine blocks only
 
     @pytest.mark.parametrize("case", ["m<n/2", "m>n/2", "symplectic"])
     @pytest.mark.parametrize("top", [np.pi / 4 + 1e-3, np.pi / 2 - 1e-9],
                              ids=["just-past", "near-right"])
     def test_an_angle_past_pi_over_4_takes_the_cosines(self, monkeypatch, case, top):
-        frames, m, basis = self._batch(case, [1e-12, 0.3, top])
-        calls = self._counted(monkeypatch, frames, m, basis)
-        assert calls == [(len(frames), basis.shape[0] - m, m), (len(frames), m, m)]
+        frames, m, p = self._batch(case, [1e-12, 0.3, top])
+        calls = self._counted(monkeypatch, frames, m, p)
+        assert calls == [(len(frames), m, p.shape[0])] * 2
 
     @pytest.mark.parametrize("case", ["m<n/2", "m>n/2", "symplectic"])
     @pytest.mark.parametrize("offset", [-1e-12, -1e-13, 0.0, 1e-13, 1e-12])
     def test_sines_near_07(self, monkeypatch, case, offset):
         # either branch may run at the threshold; the bits are the same
-        frames, m, basis = self._batch(case, [np.arcsin(0.7 + offset)] * 3, seed=1)
-        assert len(self._counted(monkeypatch, frames, m, basis)) in (1, 2)
+        frames, m, p = self._batch(case, [np.arcsin(0.7 + offset)] * 3, seed=1)
+        assert len(self._counted(monkeypatch, frames, m, p)) in (1, 2)
 
     def test_single_frames_and_the_p_coordinate_oracle(self):
-        # one frame, unbatched, with m > n/2: the sines are padded with zeros
-        frames, m, basis = self._batch("m>n/2", [0.5, 1.2])
+        # one frame, unbatched, with m > n/2: the (m, n) sine matrix has
+        # as many singular values as the cosine matrix, n - m of them nonzero
+        frames, m, p = self._batch("m>n/2", [0.5, 1.2])
+        basis = frames[0].basis()  # frames[0] is the target
         for frame in frames:
-            cos_mat, sin_mat = frame.theta[:m] @ basis, frame.theta[m:] @ basis
+            cos_mat = frame.theta[:m] @ p
+            sin_mat = frame.theta[:m] - cos_mat
             assert _distance(cos_mat, sin_mat) == _two_svd_distance(cos_mat, sin_mat)
             # the oracle's (n, m) cosine matrix P U: as many sines as cosines
             puq = frame.projector().mat @ basis

@@ -16,7 +16,13 @@ from projnewton.costs import (
     RayleighCost,
 )
 from projnewton.decomp import frobenius_norm, qr_positive, sym_eig, symmetrize
-from projnewton.errors import DimensionMismatch, InsufficientData, NoConvergence, NotAProjector
+from projnewton.errors import (
+    BadRank,
+    DimensionMismatch,
+    InsufficientData,
+    NoConvergence,
+    NotAProjector,
+)
 from projnewton.grassmann import (
     CHART_NAMES,
     OrthoFrame,
@@ -541,7 +547,8 @@ class TestRunNewton:
     @pytest.mark.parametrize("referenced", [True, False])
     def test_loop_reads_the_frame(self, monkeypatch, eps, max_iters, referenced):
         # no ambient gradient, no projector and no n x n eigendecomposition
-        # per iteration: only the reference basis, once per run
+        # per iteration: no eigendecomposition at all, and the final
+        # frame's projector, once per run, only when no reference is given
         n = 12
         a, dom = _gapped_symmetric(np.random.default_rng(3), n, 3)
         reference = dom.projector() if referenced else None
@@ -551,7 +558,13 @@ class TestRunNewton:
             raise AssertionError("n x n work inside run_newton")
 
         monkeypatch.setattr(RayleighCost, "ambient_gradient", forbidden)
-        monkeypatch.setattr(OrthoFrame, "projector", forbidden)
+        projector, projected = OrthoFrame.projector, []
+
+        def counting_projector(frame):
+            projected.append(frame)
+            return projector(frame)
+
+        monkeypatch.setattr(OrthoFrame, "projector", counting_projector)
         eigh = np.linalg.eigh
         square = []
 
@@ -564,7 +577,8 @@ class TestRunNewton:
         trace = run_newton(RayleighCost(a), start, NewtonConfig(max_iters=max_iters),
                            reference=reference, method="rayleigh-gr")
         assert len(trace.records) >= 3
-        assert len(square) == (1 if referenced else 0)
+        assert square == []
+        assert projected == ([] if referenced else [trace.extras["final_frame"]])
 
     def test_distance_to_final_fallback(self, rng):
         a, dom = _gapped_symmetric(rng, 5, 2)
@@ -596,11 +610,11 @@ class TestRunNewton:
         trace = run_newton(cost, start, NewtonConfig(), method=method,
                            reference=dom.projector() if referenced else None)
         assert len(calls) == 1
-        assert calls[0] == (len(trace.records), dom.rank, dom.rank)
+        assert calls[0] == (len(trace.records), dom.rank, dom.dim)
         assert all(isinstance(r.distance, float) for r in trace.records)
         if not referenced:
-            basis = trace.extras["final_frame"].basis()
-            assert abs(trace.records[0].distance - frame_distance(start, basis)) <= 1e-15
+            p = trace.extras["final_frame"].projector().mat
+            assert abs(trace.records[0].distance - frame_distance(start, p)) <= 1e-15
 
 
 def _problem_05_away(method, seed=5):
@@ -638,8 +652,8 @@ class TestFixedCosts:
         pushes = len(trace.records) - 1
         assert pushes >= 2
         m, k = dom.rank, dom.dim - dom.rank
-        # the steps Z (m x k), then the sine blocks of every iterate
-        assert shapes == [(m, k)] * pushes + [(len(trace.records), k, m)]
+        # the steps Z (m x k), then the sine matrices Theta_1 - Theta_1 P of every iterate
+        assert shapes == [(m, k)] * pushes + [(len(trace.records), m, dom.dim)]
 
     @pytest.mark.parametrize("method", ["rayleigh-gr", "rayleigh-lg", "invariant-direct"])
     def test_a_run_copies_no_frame(self, monkeypatch, method):
@@ -655,12 +669,80 @@ class TestFixedCosts:
         assert trace.status == Status.CONVERGED
         assert type(trace.extras["final_frame"]) is type(start)
 
+    def test_a_projector_reference_is_not_eigendecomposed(self, monkeypatch):
+        # the distances read the reference's matrix: an Algorithm 3 run
+        # eigendecomposes nothing at all
+        cost, dom, start = _problem_05_away("invariant-direct")
+        eigh, calls = np.linalg.eigh, []
+
+        def counting(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        trace = run_newton(cost, start, NewtonConfig(), reference=dom.projector(),
+                           method="invariant-direct")
+        assert trace.status == Status.CONVERGED
+        assert calls == []
+
+    @pytest.mark.parametrize("method", ["rayleigh-gr", "rayleigh-lg", "invariant-direct"])
+    def test_projector_and_frame_references_agree(self, method):
+        # one distance path: the frame's projector is the Projector's matrix
+        cost, dom, start = _problem_05_away(method)
+        by_projector = run_newton(cost, start, NewtonConfig(), reference=dom.projector(),
+                                  method=method)
+        by_frame = run_newton(cost, start, NewtonConfig(), reference=dom, method=method)
+        assert by_projector.status == by_frame.status == Status.CONVERGED
+        assert by_projector.errors() == by_frame.errors()
+        assert by_projector.distance_reference == by_frame.distance_reference == "supplied"
+
     def test_a_non_square_start_is_rejected(self):
         # (2, 3) rows are orthonormal but no frame of R^3; unchecked, a run
         # iterates 2-row frames and reports Converged
         with pytest.raises(DimensionMismatch, match="square"):
             run_newton(RayleighCost(np.diag([3.0, 2.0, 1.0])), OrthoFrame(np.eye(2, 3), 1),
                        NewtonConfig())
+
+
+def _rank_3_run_at_n_8():
+    """(cost, start) of a rank-3 trace-cost run at n = 8."""
+    a, dom = _gapped_symmetric(np.random.default_rng(11), 8, 3)
+    return RayleighCost(a), perturb_frame(dom, 0.05, 12)
+
+
+class TestReferenceEntry:
+    """A reference is checked once, where it enters ``run_newton``, before
+    any iterate: the start frame's dimension and rank, finite entries."""
+
+    @staticmethod
+    def _rejected(monkeypatch, reference, error, match):
+        cost, start = _rank_3_run_at_n_8()
+
+        def forbidden(*args):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(RayleighCost, "frame_terms", forbidden)
+        with pytest.raises(error, match=match):
+            run_newton(cost, start, NewtonConfig(), reference=reference, method="rayleigh-gr")
+
+    @pytest.mark.parametrize("kind,rank", [("projector", 2), ("projector", 4), ("frame", 5)])
+    def test_a_reference_of_another_rank(self, monkeypatch, kind, rank):
+        # a rank-2 projector ran to Converged with distances of 1.9e-14 that
+        # measured nothing; the others raised numpy's ValueError after the run
+        reference = random_projector(8, rank, 0)[0 if kind == "projector" else 1]
+        self._rejected(monkeypatch, reference, BadRank, f"reference rank {rank} differs")
+
+    @pytest.mark.parametrize("kind", ["projector", "frame"])
+    def test_a_reference_of_another_dimension(self, monkeypatch, kind):
+        # a 9 x 9 reference raised numpy's matmul ValueError after the run
+        reference = random_projector(9, 3, 0)[0 if kind == "projector" else 1]
+        self._rejected(monkeypatch, reference, DimensionMismatch, r"reference has shape \(9, 9\)")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_reference(self, monkeypatch, bad):
+        mat = random_projector(8, 3, 0)[0].mat.copy()
+        mat[0, 0] = bad
+        self._rejected(monkeypatch, Projector(mat, 3), NotAProjector, "non-finite")
 
 
 class _FixedStep(CostFunction):
