@@ -14,9 +14,9 @@ emptied first, and the write is not atomic.  A process builds its one
 parser tree on the first ``main`` call, and later calls reuse it.
 
 A run stops once the gradient norm is at most ``--tol`` times ||A||_F
-(||A||_F^2 for invariant): its status does not depend on the units of A,
-unless A is so small that the gradient underflows (README).  The library's
-tests check matrix files at ``TOL.input_symmetry``, a start basis at ``TOL.lagrangian``.
+(||A||_F^2 for invariant): its status does not depend on the units of A.
+The library's tests check matrix files at ``TOL.input_symmetry``, relative to
+max|A| as the costs' own checks are, and a start basis at ``TOL.lagrangian``.
 
 Exit codes: 0 converged, 1 input error, 2 not converged within the
 iteration budget, 3 solver or degeneracy error.
@@ -37,7 +37,7 @@ import numpy as np
 from .config import TOL
 from .costs import InvariantSubspaceCost, RayleighCost
 # sym_eig stays bound: newtonbench/test_tracer.py checks that the tracer rebinds it here
-from .decomp import eigh_descending, qr_positive, require_symmetric, sym_eig  # noqa: F401
+from .decomp import binary_scaled, eigh_descending, qr_positive, require_symmetric, sym_eig  # noqa: F401
 from .errors import InsufficientData, ProjNewtonError
 from .grassmann import CHART_NAMES, _oriented_frame, random_projector
 from .lagrange import lagrangian_residual, require_hamiltonian, symplectic_frame_from_basis
@@ -210,12 +210,11 @@ def _run_report(command, args, cost, start_frame, reference, extra_fn):
 
 
 def _cmd_rayleigh_gr(args):
-    a = require_symmetric(load_matrix(args.matrix), "input matrix", TOL.input_symmetry)
-    n = a.shape[0]
-    cost = RayleighCost(a)
+    a, e = binary_scaled(load_matrix(args.matrix))
+    cost = RayleighCost(np.ldexp(require_symmetric(a, "input matrix", TOL.input_symmetry), e))
     # the dominant eigenframe of the matrix the cost has checked symmetric
     natural = _oriented_frame(eigh_descending(cost.a)[1].T, args.m)
-    base = _frame_from_start_file(args.start, n, args.m) if args.start else None
+    base = _frame_from_start_file(args.start, a.shape[0], args.m) if args.start else None
     start = _select_start(args, base, natural)
 
     def extras(trace, final_projector):
@@ -225,11 +224,11 @@ def _cmd_rayleigh_gr(args):
 
 
 def _cmd_rayleigh_lg(args):
-    h = require_symmetric(load_matrix(args.matrix), "input matrix", TOL.input_symmetry)
+    h, e = binary_scaled(load_matrix(args.matrix))
+    h = require_symmetric(h, "input matrix", TOL.input_symmetry)
     # J (H + J H J) J = J H J + H bit for bit: the projection needs no second check
     h = 0.5 * (h + require_hamiltonian(h, "input matrix", TOL.input_symmetry))
-    n = h.shape[0] // 2
-    cost = RayleighCost(h)
+    cost, n = RayleighCost(np.ldexp(h, e)), h.shape[0] // 2
     natural = symplectic_frame_from_basis(eigh_descending(cost.a)[1][:, :n])
     base = _frame_from_start_file(args.start, 2 * n, n, lagrangian=True) if args.start else None
     start = _select_start(args, base, natural)

@@ -17,9 +17,9 @@ class Tolerances:
     # relative symmetry / skewness defect of matrix inputs; the default
     # tolerance of decomp.require_symmetric
     symmetry: float = 1e-12
-    # relative symmetry / Hamiltonian-structure defect of CLI matrix files; read
-    # by cli.py alone, which hands it to decomp.require_symmetric and
-    # lagrange.require_hamiltonian
+    # symmetry / Hamiltonian-structure defect of CLI matrix files A 2^-e (relative
+    # to max|A|); read by cli.py alone, which hands it to decomp.require_symmetric
+    # and lagrange.require_hamiltonian
     input_symmetry: float = 1e-8
     # relative floor below which a QR diagonal entry, or the reciprocal condition
     # number of a dense operator (in the four-term certificate, taken against
@@ -34,14 +34,14 @@ class Tolerances:
     frame_reconstruction: float = 1e-9
     # ||P J P|| of Lagrangian projectors (LagProjector.from_matrix), ||Theta^T J
     # Theta - J|| of frames (SymplecticFrame) and max |U^T J U| of CLI start bases,
-    # and the JHJ - H defect, relative to max(1, max|H|), of HamiltonianRayleighCost
+    # and the JHJ - H defect of HamiltonianRayleighCost's H 2^-e (relative to max|H|)
     lagrangian: float = 1e-10
     # relative floor on Sylvester / Lyapunov spectral gaps
     spectral_gap: float = 1e-8
     # round-off allowance per unit of dimension and data scale of the trace costs'
     # separation bounds and of the four-term operator's Cholesky certificate
     separation_roundoff: float = 8 * sys.float_info.epsilon
-    # Newton stop: gradient norm relative to ``CostFunction.scale``
+    # Newton stop: gradient norm relative to ``CostFunction.scale``, in the cost's units
     grad_tol: float = 1e-11
     # Newton stop: step norm, an angle in radians (no data scale)
     step_tol: float = 1e-15

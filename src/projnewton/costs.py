@@ -18,15 +18,17 @@ A cost's calls pass a state, a tuple the engine hands on unread:
 frame's data (so an iterate forms B = Theta A Theta^T once), with the solve's
 by-products, and ``certify`` reads it and the last step's.
 
-Data is checked where it enters: each cost checks its matrix when it is
-built.  The Newton solves hand the solvers, which check nothing, the blocks
-they cut from B and symmetrize (``solve_sylvester``, ``solve_lyapunov``), or
-B and the right-hand side ``frame_terms`` formed (``solve_invariant_newton``).
-Each cost certifies its own critical point (``certify``): the trace costs by
-their ``separation_bound`` (Weyl; Stewart & Sun 1990) above the
-``separation_floor`` of the blocks the Newton solve would see, the
-invariant-subspace cost by one Cholesky factorization of the last step's
-four-term operator or its own, and otherwise by one more Newton solve.
+Data is checked where it enters: a built-in cost keeps A as ``a``, and checks
+and works on A_n = A 2^-e, e the exponent of max|A| (``decomp.binary_scaled``):
+B, steps and statuses are the same bits for 2^j A, and 2^``units`` takes values
+and gradient norms to A's units.  The Newton solves hand the solvers, which
+check nothing, the blocks they cut from B and symmetrize (``solve_sylvester``,
+``solve_lyapunov``), or B and the right-hand side ``frame_terms`` formed
+(``solve_invariant_newton``).  Each cost certifies its own critical point
+(``certify``): the trace costs by their ``separation_bound`` (Weyl; Stewart &
+Sun 1990) above the ``separation_floor`` of the blocks the Newton solve would
+see, the invariant-subspace cost by one Cholesky factorization of the last
+step's four-term operator or its own, and otherwise by one more Newton solve.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .decomp import frobenius_norm, require_symmetric, symmetrize
+from .decomp import binary_scaled, frobenius_norm, require_symmetric, symmetrize
 from .errors import DimensionMismatch, ScaleOverflow
 from .lagrange import SymplecticFrame, require_hamiltonian
 from .solvers import (
@@ -59,10 +61,11 @@ __all__ = [
 
 class CostFunction:
     """Base interface: ambient value, gradient and Hessian action, and the
-    Newton solve in frame coordinates.  ``scale`` is the data scale of the
-    Newton gradient test; this fallback's 1.0 makes that test absolute."""
+    Newton solve in frame coordinates.  ``scale`` is the data scale of the Newton
+    gradient test, in ``units`` (module docstring); this fallback's 1.0 and 0 make it absolute."""
 
     scale = 1.0
+    units = 0
 
     def value(self, p):
         raise NotImplementedError
@@ -129,9 +132,7 @@ class RayleighCost(CostFunction):
     a: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "a", require_symmetric(self.a, what="Rayleigh matrix"))
-        # B12 is linear in A
-        object.__setattr__(self, "scale", _finite_scale(frobenius_norm(self.a)))
+        _store_units(self, 1, lambda a_n: require_symmetric(a_n, what="Rayleigh matrix"))
 
     def value(self, p):
         return float(np.trace(self.a @ p))
@@ -146,7 +147,7 @@ class RayleighCost(CostFunction):
         """tr B11, B12 and the state (B,); sym(B12) on a symplectic frame, which
         is the J-corrected tangent projection in frame coordinates."""
         m = frame.rank
-        b = frame.theta @ self.a @ frame.theta.T
+        b = frame.theta @ self.a_n @ frame.theta.T
         b12 = symmetrize(b[:m, m:]) if isinstance(frame, SymplecticFrame) else b[:m, m:]
         return float(np.trace(b[:m, :m])), b12, (b,)
 
@@ -167,7 +168,7 @@ class RayleighCost(CostFunction):
     def separation_bound(self, frame, b, last_b, separation):
         """Algorithms 1-2: min |lambda_i(B11) - mu_j(B22)|, or min |lambda_i +
         lambda_j| of M, moves by at most ||dB11||_F + ||dB22||_F (symmetrized
-        blocks; Weyl), less round-off at the data scale ||A||_F; the Sylvester
+        blocks; Weyl), less round-off at the data scale ||A_n||_F; the Sylvester
         floor of the blocks, at least the Lyapunov one of M."""
         m = frame.rank
         b11, b22, last11, last22 = b[:m, :m], b[m:, m:], last_b[:m, :m], last_b[m:, m:]
@@ -194,12 +195,10 @@ class InvariantSubspaceCost(CostFunction):
     a: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.all(np.isfinite(a)):
+        _store_units(self, 2)  # the gradient is quadratic in A
+        a_n = self.a_n
+        if a_n.ndim != 2 or a_n.shape[0] != a_n.shape[1] or not np.isfinite(a_n).all():
             raise DimensionMismatch("cost matrix must be square with finite entries")
-        object.__setattr__(self, "a", a)
-        with np.errstate(over="ignore"):  # the gradient is quadratic in A
-            object.__setattr__(self, "scale", _finite_scale(np.sum(a * a)))
 
     def value(self, p):
         n = self.a.shape[0]
@@ -218,7 +217,7 @@ class InvariantSubspaceCost(CostFunction):
         """||B21||^2, C = B21^T B22 - B11 B21^T (the Newton right-hand side) and
         the state (B, C); ||B21|| is the invariance residual ||(I - P) A P||."""
         m = frame.rank
-        b = frame.theta @ self.a @ frame.theta.T
+        b = frame.theta @ self.a_n @ frame.theta.T
         b21 = b[m:, :m]
         rhs = invariant_newton_rhs(b[:m, :m], b21, b[m:, m:])
         return float(np.sum(b21 * b21)), rhs, (b, rhs)
@@ -235,7 +234,7 @@ class InvariantSubspaceCost(CostFunction):
 
     def certify(self, frame, state, last=None):
         """Algorithm 3: ``solvers.certify_invariant_newton`` of the state's B
-        at the data scale ||A||_F^2, given the last step's (B', L'), "cholesky"
+        at the data scale ||A_n||_F^2, given the last step's (B', L'), "cholesky"
         or "solve".  Grassmann frames only."""
         if isinstance(frame, SymplecticFrame):
             raise ValueError("the invariant-subspace Newton solve operates on Grassmann frames")
@@ -250,7 +249,7 @@ class HamiltonianRayleighCost(RayleighCost):
 
     def __post_init__(self):
         super().__post_init__()
-        require_hamiltonian(self.a, "symmetric Hamiltonian", TOL.lagrangian)
+        require_hamiltonian(self.a_n, "symmetric Hamiltonian", TOL.lagrangian)
 
     @property
     def h(self):
@@ -264,8 +263,12 @@ class HamiltonianRayleighCost(RayleighCost):
         return cls(np.block([[s, t], [t, -s]]))
 
 
-def _finite_scale(scale):
-    """A cost's data scale as a float; ``ScaleOverflow`` if it is infinite."""
-    if not np.isfinite(scale):
-        raise ScaleOverflow(f"cost data scale is {scale}: the matrix entries are too large")
-    return float(scale)
+def _store_units(cost, power, check=np.asarray):
+    """Store on ``cost`` A_n after ``check``, A as checked, the scale ||A_n||_F^``power`` and
+    ``units`` = power e; ``ScaleOverflow`` where ||A||_F^power overflows."""
+    a_n, e = binary_scaled(cost.a)
+    a_n = check(a_n)
+    scale = frobenius_norm(a_n) if power == 1 else float(np.sum(a_n * a_n))
+    if np.frexp(scale)[1] + power * e > np.finfo(float).maxexp:
+        raise ScaleOverflow("cost data scale is inf: the matrix entries are too large")
+    cost.__dict__.update(a=np.ldexp(a_n, e), a_n=a_n, scale=scale, units=power * e)

@@ -23,6 +23,7 @@ __all__ = [
     "sym_eig",
     "eigh_descending",
     "frobenius_norm",
+    "binary_scaled",
     "symmetrize",
     "require_symmetric",
 ]
@@ -38,6 +39,13 @@ def frobenius_norm(mat):
         with np.errstate(over="ignore"):
             return float(peak * np.linalg.norm(x / peak))
     return math.sqrt(sq)
+
+
+def binary_scaled(mat):
+    """(M 2^-e, e), e the exponent of max|M| (0 if it is zero or not finite): max|M 2^-e| is
+    in [1/2, 1), the scaling exact while M 2^-e has normal entries.  The costs' and CLI's units."""
+    e = math.frexp(np.abs(mat).max(initial=0.0))[1]
+    return np.ldexp(np.asarray(mat, dtype=float), -e), e
 
 
 def symmetrize(mat):

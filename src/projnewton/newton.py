@@ -29,6 +29,7 @@ from a nondegenerate critical point may diverge; the trace reports it.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -239,11 +240,11 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
 
     Every reported number is read from the frames: per iteration, the
     value and gradient block G of ``cost.frame_terms`` (blocks of
-    B = Theta A Theta^T for the trace and invariant costs; the gradient
-    norm is sqrt(2) ||G||); after the loop, the distances from the frame
-    rows (``grassmann.frame_distances``, against the reference's projector
-    matrix P) and the symplecticity residuals.  No ambient gradient is
-    formed, and no projector but P; nothing is eigendecomposed.
+    B = Theta A_n Theta^T for the trace and invariant costs; the gradient
+    norm is sqrt(2) ||G||), in A's units by 2^``cost.units``; after the loop,
+    the distances from the frame rows (``grassmann.frame_distances``, against
+    the reference's projector matrix P) and the symplecticity residuals.  No
+    ambient gradient is formed, and no projector but P; nothing is eigendecomposed.
 
     The states of ``frame_terms`` and of the step's solve go, unread, to
     the solve and to ``certify`` at the next iterate.  The loop drops the
@@ -263,8 +264,8 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
         A ``Projector`` (P is its ``mat``), or a frame whose leading rows
         span the reference (P is its ``projector().mat``).  When given,
         distances measure to it, and it is checked once, before the loop:
-        the start frame's dimension (``DimensionMismatch``) and rank
-        (``BadRank``), and finite entries (``NotAProjector``).  Otherwise
+        the start frame's dimension (``DimensionMismatch``) and rank, by
+        tr P (``BadRank``), and finite entries (``NotAProjector``).  Otherwise
         distances measure to the final iterate's projector.
     method : str
         One of ``METHODS``.  The cost determines the Newton equation and its
@@ -294,10 +295,11 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
     for iteration in range(config.max_iters + 1):
         value, grad_block, state = cost.frame_terms(frame)
         frames.append(frame)
+        grad_norm = np.sqrt(2.0) * frobenius_norm(grad_block)
         record = IterationRecord(
             iteration=iteration,
-            cost=value,
-            grad_norm=float(np.sqrt(2.0) * frobenius_norm(grad_block)),
+            cost=math.ldexp(value, cost.units),
+            grad_norm=math.ldexp(grad_norm, cost.units),
             step_norm=0.0,
             distance=None,
             elapsed=time.perf_counter() - t0,
@@ -307,7 +309,7 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
             trace.status, trace.extras["certified_by"] = Status.CONVERGED, "step"
             break
         try:
-            if record.grad_norm <= grad_tol:
+            if grad_norm <= grad_tol:
                 # certify nondegeneracy: a vanishing gradient at a degenerate
                 # point (singular Newton system) is a failure mode, not success
                 trace.extras["certified_by"] = cost.certify(frame, state, last)
@@ -340,15 +342,15 @@ def run_newton(cost, start, config: NewtonConfig, reference=None, method="generi
 
 
 def _reference_matrix(reference, start):
-    """The projector matrix of a ``Projector`` or frame reference, checked
-    against the start frame: its dimension, its rank and finite entries."""
+    """The projector matrix P of a ``Projector`` or frame reference, checked against
+    the start frame: its dimension, finite entries and rank, |tr P - m| <= ``TOL.projector`` n."""
     p = reference.projector().mat if isinstance(reference, OrthoFrame) else reference.mat
     if p.shape != (start.dim, start.dim):
         raise DimensionMismatch(f"reference has shape {p.shape}, the start frame dimension {start.dim}")
-    if reference.rank != start.rank:
-        raise BadRank(f"reference rank {reference.rank} differs from the start frame's {start.rank}")
     if not np.isfinite(p).all():
         raise NotAProjector("reference has a non-finite entry")
+    if abs(np.trace(p) - start.rank) > TOL.projector * start.dim:
+        raise BadRank(f"reference rank {np.trace(p):g} differs from the start frame's {start.rank}")
     return p
 
 

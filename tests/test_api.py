@@ -27,7 +27,9 @@ MODULES = sorted(f"projnewton.{info.name}" for info in pkgutil.iter_modules([str
 # its own bound; the CLI's own input checks and their error classes, as it
 # calls the library's (decomp.require_symmetric, lagrange.require_hamiltonian);
 # the checked solver entries beside the Newton loop's solvers, whose callers
-# check their blocks, and the helpers only those entries needed
+# check their blocks, and the helpers only those entries needed; the costs'
+# own overflow test of their scale, folded into the one helper that puts A in
+# units of a power of two
 GONE = """
     tangent_project tangent_from_param param_from_tangent geodesic distance
     distance_via_cosines distance_via_sines cayley_transform chart_point
@@ -38,7 +40,7 @@ GONE = """
     InputNotSymmetric InputNotHamiltonianSymmetric _require_square _require_symmetric_input
     _require_hamiltonian_input solve_invariant_newton_direct solve_sylvester_unchecked
     solve_lyapunov_unchecked solve_invariant_newton_unchecked _four_term_blocks
-    _certify_operator _lu_solve
+    _certify_operator _lu_solve _finite_scale
 """.split()
 
 
@@ -177,6 +179,34 @@ def test_the_engine_names_no_concrete_cost():
     assert not hasattr(projnewton.CostFunction, "separation_bound")
     for cls in (projnewton.CostFunction, projnewton.RayleighCost, projnewton.InvariantSubspaceCost):
         assert list(inspect.signature(cls.certify).parameters) == ["self", "frame", "state", "last"]
+
+
+def test_units_have_one_home():
+    # A is scaled by a power of two (ldexp by a negated exponent) in one
+    # function, which the costs' one helper and the CLI's file checks call;
+    # that helper alone stores a cost's A_n, scale and units, and run_newton
+    # reads the scale and units of the cost it is given and names no cost
+    sources = sorted(SRC.glob("*.py"))
+    scales_down = {name for path in sources for name in _functions_where(
+        path, lambda node: isinstance(node, ast.Call) and ast.unparse(node.func).endswith("ldexp")
+        and isinstance(node.args[1], ast.UnaryOp) and isinstance(node.args[1].op, ast.USub))}
+    assert scales_down == {"binary_scaled"}
+    callers = {(path.name, name) for path in sources for name in _functions_where(
+        path, lambda node: isinstance(node, ast.Name) and node.id == "binary_scaled")}
+    assert callers == {("costs.py", "_store_units"), ("cli.py", "_cmd_rayleigh_gr"),
+                       ("cli.py", "_cmd_rayleigh_lg")}
+    stores = {name for path in sources for name in _functions_where(
+        path, lambda node: isinstance(node, (ast.keyword, ast.Constant))
+        and getattr(node, "arg", getattr(node, "value", None)) in ("a_n", "scale", "units"))}
+    assert stores == {"_store_units"}
+    tree = ast.parse((SRC / "newton.py").read_text())
+    run = next(node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "run_newton")
+    read = {node.attr for node in ast.walk(run) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "cost"}
+    assert read == {"frame_terms", "certify", "scale", "units"}
+    names = {node.id for node in ast.walk(run) if isinstance(node, ast.Name)}
+    assert not names & {"RayleighCost", "InvariantSubspaceCost", "HamiltonianRayleighCost"}
 
 
 def test_one_singularity_floor_for_dense_operators():

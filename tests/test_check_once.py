@@ -67,9 +67,9 @@ METHODS = ("rayleigh-gr", "rayleigh-lg", "invariant-direct")
 @pytest.mark.parametrize("method", METHODS)
 def test_b_is_formed_once_per_recorded_iterate(method, nu):
     cost, start, reference, method = _problem(method, 1)
-    counting = cost.a.view(_CountingMatrix)
+    counting = cost.a_n.view(_CountingMatrix)  # B is formed from A_n, in the cost's units
     counting.products = 0
-    object.__setattr__(cost, "a", counting)
+    object.__setattr__(cost, "a_n", counting)
     trace = run_newton(cost, start, NewtonConfig(nu=nu), reference=reference, method=method)
     assert trace.status == Status.CONVERGED
     assert len(trace.records) >= 3
@@ -158,14 +158,17 @@ def _asymmetric(n):
 
 
 # the full messages of the entry checks; ``tests/test_decomp.py``
-# ``TestNonFiniteRejected`` covers non-finite entries at the same entries
+# ``TestNonFiniteRejected`` covers non-finite entries at the same entries.  The
+# cost measures the defect of A_n = A / 4, max|A_n| in [1/2, 1)
 ENTRY_CHECKS = {
-    "sym_eig": (lambda: sym_eig(_asymmetric(3)), "sym_eig input symmetry defect"),
-    "RayleighCost": (lambda: RayleighCost(_asymmetric(3)), "Rayleigh matrix symmetry defect"),
+    "sym_eig": (lambda: sym_eig(_asymmetric(3)), "sym_eig input symmetry defect 1.000e+00"),
+    "RayleighCost": (lambda: RayleighCost(_asymmetric(3)), "Rayleigh matrix symmetry defect 2.500e-01"),
     "HamiltonianRayleighCost.from_blocks-S": (
-        lambda: HamiltonianRayleighCost.from_blocks(_asymmetric(3), np.zeros((3, 3))), "S block symmetry defect"),
+        lambda: HamiltonianRayleighCost.from_blocks(_asymmetric(3), np.zeros((3, 3))),
+        "S block symmetry defect 1.000e+00"),
     "HamiltonianRayleighCost.from_blocks-T": (
-        lambda: HamiltonianRayleighCost.from_blocks(np.eye(3), _asymmetric(3)), "T block symmetry defect"),
+        lambda: HamiltonianRayleighCost.from_blocks(np.eye(3), _asymmetric(3)),
+        "T block symmetry defect 1.000e+00"),
 }
 
 
@@ -174,7 +177,18 @@ def test_public_entries_keep_their_checks(entry):
     call, what = ENTRY_CHECKS[entry]
     with pytest.raises(NotSymmetric) as info:
         call()
-    assert str(info.value) == f"{what} 1.000e+00 exceeds 1.0e-12 relative"
+    assert str(info.value) == f"{what} exceeds 1.0e-12 relative"
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-13, 2.0**-600])
+def test_cost_checks_are_relative_to_the_entries(c):
+    # the costs check A_n = A 2^-e: at 1e-13 the check's floor of 1 made it
+    # absolute, and RayleighCost accepted a random non-symmetric X and symmetrized it
+    x = np.random.default_rng(9).standard_normal((4, 4))
+    with pytest.raises(NotSymmetric, match="Rayleigh matrix symmetry defect"):
+        RayleighCost(c * x)
+    with pytest.raises(NotSymmetric, match="symmetric Hamiltonian JHJ - H defect"):
+        HamiltonianRayleighCost(c * (x + x.T))
 
 
 def test_counting_matrix_forms_the_same_b():

@@ -133,7 +133,17 @@ class TestRayleighGr:
     def test_not_symmetric_exit_code(self, tmp_path, capsys):
         path = _write_matrix(tmp_path / "a.txt", np.array([[1.0, 2.0], [0.0, 1.0]]))
         line = _input_error(capsys, ["rayleigh-gr", path, "--m", "1"])
-        assert "input matrix symmetry defect 2.000e+00 exceeds 1.0e-08 relative" in line
+        # measured on A / 4, max|A / 4| in [1/2, 1): the defect relative to max|A|
+        assert "input matrix symmetry defect 5.000e-01 exceeds 1.0e-08 relative" in line
+
+    @pytest.mark.parametrize("c", [1.0, 1e-9])
+    def test_not_symmetric_at_any_scale(self, tmp_path, capsys, c):
+        # the file check is relative to max|A|: at 1e-9 a random non-symmetric
+        # file passed the check's absolute floor and ran to exit 0
+        x = np.random.default_rng(4).standard_normal((4, 4))
+        path = _write_matrix(tmp_path / "a.txt", c * x)
+        line = _input_error(capsys, ["rayleigh-gr", path, "--m", "2"])
+        assert "input matrix symmetry defect" in line and "exceeds 1.0e-08 relative" in line
 
     def test_flag_validation_exit_codes(self, tmp_path, capsys):
         path = _write_matrix(tmp_path / "a.txt", np.diag([2.0, 1.0]))
@@ -286,11 +296,21 @@ class TestRayleighLg:
         assert "start basis must be 4x2" in capsys.readouterr().err
 
     def test_structure_violation_rejected(self, tmp_path, capsys):
-        # symmetric, and J diag(S1, S2) J = diag(-S2, -S1): the defect is max|S1 + S2| = 6
+        # symmetric, and J diag(S1, S2) J = diag(-S2, -S1): the defect is max|S1 + S2| = 6,
+        # measured on H / 8, max|H / 8| in [1/2, 1)
         path = _write_matrix(tmp_path / "h.txt", np.diag([1.0, 2.0, 3.0, 4.0]))
         line = _input_error(capsys, ["rayleigh-lg", path])
-        assert "input matrix JHJ - H defect 6.000e+00 exceeds 1.0e-08 relative" in line
+        assert "input matrix JHJ - H defect 7.500e-01 exceeds 1.0e-08 relative" in line
         assert "not symmetric Hamiltonian" in line
+
+    @pytest.mark.parametrize("c", [1.0, 1e-9])
+    def test_structure_violation_at_any_scale(self, tmp_path, capsys, c):
+        # relative to max|H|, as the symmetry check: a symmetric file that is
+        # not Hamiltonian is refused at 1e-9 too
+        x = np.random.default_rng(4).standard_normal((4, 4))
+        path = _write_matrix(tmp_path / "h.txt", c * (x + x.T))
+        line = _input_error(capsys, ["rayleigh-lg", path])
+        assert "input matrix JHJ - H defect" in line and "exceeds 1.0e-08 relative" in line
 
 
 class TestInvariant:

@@ -372,7 +372,7 @@ def test_dense_fallback_rejects_non_finite_data(where, bad):
 class TestFrameTerms:
     """``frame_terms`` against the ambient oracles, to 1e-12 relative to the
     data scale: ||A||_F for the trace and quadratic costs, ||A||_F^2 for the
-    invariant cost."""
+    invariant cost.  The terms are in the cost's units: times 2^units, in A's."""
 
     @pytest.mark.parametrize("n,m", [(5, 2), (7, 5), (12, 3)])
     @pytest.mark.parametrize("seed", range(3))
@@ -387,7 +387,7 @@ class TestFrameTerms:
             (_QuadraticCost(sym), np.linalg.norm(sym) + np.sqrt(m)),
         ]
         for cost, scale in cases:
-            value, block, _ = cost.frame_terms(frame)
+            value, block = (np.ldexp(x, cost.units) for x in cost.frame_terms(frame)[:2])
             grad = riemannian_gradient_gr(cost, p)
             assert abs(value - cost.value(p.mat)) <= 1e-12 * scale
             assert np.abs(block - param_from_tangent(frame, grad)).max() <= 1e-12 * scale
@@ -399,7 +399,7 @@ class TestFrameTerms:
         cost = _hamiltonian(np.random.default_rng(seed), n)
         p, frame = random_lag_projector(n, 200 + seed)
         scale = np.linalg.norm(cost.h)
-        value, block, _ = cost.frame_terms(frame)
+        value, block = (np.ldexp(x, cost.units) for x in cost.frame_terms(frame)[:2])
         grad = riemannian_gradient_lg(cost, p)
         assert abs(value - cost.value(p.mat)) <= 1e-12 * scale
         assert np.abs(block - param_from_tangent(frame, grad)).max() <= 1e-12 * scale

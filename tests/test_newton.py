@@ -725,11 +725,16 @@ class TestReferenceEntry:
         with pytest.raises(error, match=match):
             run_newton(cost, start, NewtonConfig(), reference=reference, method="rayleigh-gr")
 
-    @pytest.mark.parametrize("kind,rank", [("projector", 2), ("projector", 4), ("frame", 5)])
+    @pytest.mark.parametrize("kind,rank", [("projector", 2), ("projector", 4), ("frame", 5),
+                                           ("labelled-3", 2)])
     def test_a_reference_of_another_rank(self, monkeypatch, kind, rank):
         # a rank-2 projector ran to Converged with distances of 1.9e-14 that
-        # measured nothing; the others raised numpy's ValueError after the run
-        reference = random_projector(8, rank, 0)[0 if kind == "projector" else 1]
+        # measured nothing; the others raised numpy's ValueError after the run.
+        # The rank is read from tr P, not the label: a rank-2 P labelled 3 ran
+        # to Converged, reporting distances of 3.3 to it
+        reference = random_projector(8, rank, 0)[1 if kind == "frame" else 0]
+        if kind == "labelled-3":
+            reference = Projector(reference.mat, 3)
         self._rejected(monkeypatch, reference, BadRank, f"reference rank {rank} differs")
 
     @pytest.mark.parametrize("kind", ["projector", "frame"])

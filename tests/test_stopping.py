@@ -2,9 +2,13 @@
 scale, so that a run's status and length do not depend on the units of A.
 
 Regression tests pin two runs that stalled at round-off above an absolute
-threshold and ended ``MaxIters``; property tests check that status and
-iteration count survive A -> cA and A -> Q A Q^T, and that the final
-frames are projectors (Lagrangian ones on the Lagrange Grassmannian)."""
+threshold and ended ``MaxIters``; property tests check that a run on
+2^j A, j in [-1000, 1000], is the run on A bit for bit, with its values
+and gradient norms in 2^j A's units, that status and iteration count
+survive A -> Q A Q^T, and that the final frames are projectors
+(Lagrangian ones on the Lagrange Grassmannian)."""
+
+import sys
 
 import numpy as np
 import pytest
@@ -52,28 +56,43 @@ def _iterations(trace):
     return len(trace.records) - 1
 
 
+def _in_units_of_a(cost, x):
+    """A number in the cost's units, ``x``, in A's: x 2^units."""
+    return float(np.ldexp(x, cost.units))
+
+
 class TestScale:
+    """A cost's scale is that of A_n = A 2^-e, max|A_n| in [1/2, 1): ||A_n||_F,
+    or ||A_n||_F^2 for the invariant cost, and 2^units takes it to A's units."""
+
     def test_trace_costs_scale_with_the_norm_of_a(self, rng):
         a = rng.standard_normal((4, 4))
         a = a + a.T
-        assert RayleighCost(a).scale == pytest.approx(np.linalg.norm(a), rel=1e-15)
+        cost = RayleighCost(a)
+        assert 0.5 <= np.abs(cost.a_n).max() < 1.0
+        assert cost.units == np.frexp(np.abs(a).max())[1]
+        assert _in_units_of_a(cost, cost.scale) == pytest.approx(np.linalg.norm(a), rel=1e-15)
         h = HamiltonianRayleighCost.from_blocks(a[:2, :2], a[2:, 2:])
-        assert h.scale == pytest.approx(np.linalg.norm(h.h), rel=1e-15)
+        assert _in_units_of_a(h, h.scale) == pytest.approx(np.linalg.norm(h.h), rel=1e-15)
 
     def test_invariant_cost_scales_with_the_squared_norm(self, rng):
         a = rng.standard_normal((5, 5))
-        assert InvariantSubspaceCost(a).scale == pytest.approx(np.sum(a * a), rel=1e-14)
+        cost = InvariantSubspaceCost(a)
+        assert cost.units == 2 * np.frexp(np.abs(a).max())[1]
+        assert _in_units_of_a(cost, cost.scale) == pytest.approx(np.sum(a * a), rel=1e-14)
 
     def test_trace_cost_scale_survives_huge_entries(self, rng):
-        # ||A||_F^2 overflows above ~1.3e154: the norm is rescaled instead,
-        # and a norm that does not overflow keeps its bits
+        # ||A||_F^2 overflows above ~1.3e154, ||A_n||_F^2 never does; the scale
+        # in A's units keeps the bits of ||A||_F where that does not overflow
         a = rng.standard_normal((4, 4))
         a = a + a.T
         for c in (1e150, 1e160, 1e300):
-            assert RayleighCost(c * a).scale == pytest.approx(c * np.linalg.norm(a), rel=1e-15)
+            cost = RayleighCost(c * a)
+            assert _in_units_of_a(cost, cost.scale) == pytest.approx(c * np.linalg.norm(a), rel=1e-15)
             h = HamiltonianRayleighCost.from_blocks(c * a[:2, :2], c * a[2:, 2:])
-            assert h.scale == pytest.approx(c * np.linalg.norm(h.h / c), rel=1e-15)
-        assert RayleighCost(1e150 * a).scale == float(np.linalg.norm(1e150 * a))
+            assert _in_units_of_a(h, h.scale) == pytest.approx(c * np.linalg.norm(h.h / c), rel=1e-15)
+        cost = RayleighCost(1e150 * a)
+        assert _in_units_of_a(cost, cost.scale) == float(np.linalg.norm(1e150 * a))
 
     def test_invariant_cost_rejects_an_overflowing_scale(self, rng):
         a = rng.standard_normal((4, 4))
@@ -101,20 +120,19 @@ class TestScale:
         assert _iterations(runs[1]) == _iterations(runs[0])
 
     def test_fallback_test_is_absolute(self):
-        assert CostFunction.scale == 1.0
+        assert (CostFunction.scale, CostFunction.units) == (1.0, 0)
 
     def test_defaults_live_in_the_tolerances(self):
         config = NewtonConfig()
         assert config.grad_tol == TOL.grad_tol
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: at A 2^-300 the gradient's sum of "
-                   "squares underflows to 0.0 and the run stops at its start")
 def test_tiny_units_keep_status_and_length():
     # an instance like the benchmark's invariant grid at (16, 6): block
     # upper-triangular T times 0.05, started 0.05 from its invariant subspace.
-    # On A it converges in 3 iterations; on A 2^-300 it stops at Converged
-    # after 0, certified by "cholesky"
+    # On A it converges in 3 iterations.  On A 2^-300 it stopped at Converged
+    # after 0, certified by "cholesky", while its gradient's sum of squares
+    # underflowed to 0.0; the cost's A_n is the same on both
     rng = np.random.default_rng(16)
     n, m = 16, 6
     t = 0.3 * np.triu(rng.standard_normal((n, n)), 1)
@@ -201,11 +219,20 @@ def _rotated(frame, q):
     return OrthoFrame(theta, frame.rank)
 
 
+def _scaled_exactly(x, k):
+    """x 2^k where x and x 2^k are normal floats or zero (so exact), else None."""
+    with np.errstate(over="ignore"):
+        y = float(np.ldexp(x, k))
+    normal = [v == 0.0 or sys.float_info.min <= abs(v) < np.inf for v in (x, y)]
+    return y if all(normal) else None
+
+
 @pytest.mark.parametrize("nu", CHART_NAMES)
 @pytest.mark.parametrize("method", METHODS)
 @hypothesis.given(data=st.data())
 def test_status_ignores_units_and_rotations(method, nu, data):
     a, start, q = data.draw(problems(method))
+    j = data.draw(st.integers(-1000, 1000), label="j")
     config = NewtonConfig(nu=nu)
 
     def run(mat, frame):
@@ -227,3 +254,23 @@ def test_status_ignores_units_and_rotations(method, nu, data):
     if method == "rayleigh-lg":
         assert np.abs(p @ sympl_form(start.rank) @ p).max() <= TOL.lagrangian
         assert max(trace.extras["symplecticity_residuals"]) <= TOL.lagrangian
+
+    # 2^j A, and half of it, are exact while its nonzero entries are finite and at
+    # least twice the least normal float; the costs then read the same A_n
+    scaled = np.ldexp(a, j)
+    hypothesis.assume(np.isfinite(scaled).all() and
+                      np.all(np.abs(scaled[a != 0]) >= 2 * sys.float_info.min))
+    power = 2 if method.startswith("invariant") else 1
+    with np.errstate(over="ignore"):
+        overflows = power == 2 and np.ldexp(np.sum(a * a), 2 * j) == np.inf
+    if overflows:  # ||2^j A||_F^2 is not a float
+        with pytest.raises(ScaleOverflow, match="cost data scale is inf"):
+            run(scaled, start)
+        return
+    *outcome, other = run(scaled, start)
+    assert outcome == [status, iters, path], f"A -> 2^{j} A"
+    assert other.extras["final_frame"].theta.tobytes() == trace.extras["final_frame"].theta.tobytes()
+    for record, unit in zip(other.records, trace.records):
+        for got, want in ((record.cost, unit.cost), (record.grad_norm, unit.grad_norm)):
+            expected = _scaled_exactly(want, power * j)
+            assert expected is None or got == expected, f"{got!r} is not {want!r} 2^{power * j}"
