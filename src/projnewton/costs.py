@@ -22,13 +22,13 @@ Data is checked where it enters: a built-in cost keeps A as ``a``, and checks
 and works on A_n = A 2^-e, e the exponent of max|A| (``decomp.binary_scaled``):
 B, steps and statuses are the same bits for 2^j A, and 2^``units`` takes values
 and gradient norms to A's units.  The Newton solves hand the solvers, which
-check nothing, the blocks they cut from B and symmetrize (``solve_sylvester``,
-``solve_lyapunov``), or B and the right-hand side ``frame_terms`` formed
-(``solve_invariant_newton``).  Each cost certifies its own critical point
-(``certify``): the trace costs by their ``separation_bound`` (Weyl; Stewart &
-Sun 1990) above the ``separation_floor`` of the blocks the Newton solve would
-see, the invariant-subspace cost by one Cholesky factorization of the last
-step's four-term operator or its own, and otherwise by one more Newton solve.
+check nothing, the blocks of the exactly symmetric B the trace cost formed
+(``solve_sylvester``, ``solve_lyapunov``), or B and the right-hand side
+``frame_terms`` formed (``solve_invariant_newton``).  Each cost certifies its
+own critical point (``certify``): the trace costs by their ``separation_bound``
+(Weyl; Stewart & Sun 1990) above the ``separation_floor`` of the blocks the
+Newton solve sees, the invariant-subspace cost by one Cholesky factorization
+of the last step's four-term operator or its own, any other by one more solve.
 """
 
 from __future__ import annotations
@@ -144,10 +144,10 @@ class RayleighCost(CostFunction):
         return np.zeros_like(self.a)
 
     def frame_terms(self, frame):
-        """tr B11, B12 and the state (B,); sym(B12) on a symplectic frame, which
-        is the J-corrected tangent projection in frame coordinates."""
+        """tr B11, B12 and the state (B,), B = sym(Theta A_n Theta^T) exactly symmetric;
+        sym(B12) on a symplectic frame: the J-corrected tangent projection."""
         m = frame.rank
-        b = frame.theta @ self.a_n @ frame.theta.T
+        b = symmetrize(frame.theta @ self.a_n @ frame.theta.T)
         b12 = symmetrize(b[:m, m:]) if isinstance(frame, SymplecticFrame) else b[:m, m:]
         return float(np.trace(b[:m, :m])), b12, (b,)
 
@@ -159,22 +159,21 @@ class RayleighCost(CostFunction):
         m = frame.rank
         (b,) = state
         if isinstance(frame, SymplecticFrame):
-            z, separation = solve_lyapunov(symmetrize(0.5 * (b[:m, :m] - b[m:, m:])),
-                                           symmetrize(b[:m, m:]))
+            z, separation = solve_lyapunov(0.5 * (b[:m, :m] - b[m:, m:]), symmetrize(b[:m, m:]))
         else:
-            z, separation = solve_sylvester(symmetrize(b[:m, :m]), symmetrize(b[m:, m:]), b[:m, m:])
+            z, separation = solve_sylvester(b[:m, :m], b[m:, m:], b[:m, m:])
         return z, (b, separation)
 
     def separation_bound(self, frame, b, last_b, separation):
         """Algorithms 1-2: min |lambda_i(B11) - mu_j(B22)|, or min |lambda_i +
-        lambda_j| of M, moves by at most ||dB11||_F + ||dB22||_F (symmetrized
-        blocks; Weyl), less round-off at the data scale ||A_n||_F; the Sylvester
-        floor of the blocks, at least the Lyapunov one of M."""
+        lambda_j| of M, moves by at most ||dB11||_F + ||dB22||_F (Weyl; blocks of
+        ``frame_terms`` states, read as given), less round-off at the data scale
+        ||A_n||_F; the Sylvester floor of the blocks, at least the Lyapunov one of M."""
         m = frame.rank
         b11, b22, last11, last22 = b[:m, :m], b[m:, m:], last_b[:m, :m], last_b[m:, m:]
-        slack = frobenius_norm(symmetrize(b11 - last11)) + frobenius_norm(symmetrize(b22 - last22))
+        slack = frobenius_norm(b11 - last11) + frobenius_norm(b22 - last22)
         slack += TOL.separation_roundoff * frame.dim * self.scale
-        return separation - slack, separation_floor(symmetrize(b11), symmetrize(b22))
+        return separation - slack, separation_floor(b11, b22)
 
     def certify(self, frame, state, last=None):
         """Algorithms 1-2: "bound" where ``separation_bound`` from the last
@@ -258,9 +257,7 @@ class HamiltonianRayleighCost(RayleighCost):
 
     @classmethod
     def from_blocks(cls, s, t):
-        s = require_symmetric(s, what="S block")
-        t = require_symmetric(t, what="T block")
-        return cls(np.block([[s, t], [t, -s]]))
+        return cls(np.block([[s, t], [t, -s]]))  # H is symmetric exactly where S and T are
 
 
 def _store_units(cost, power, check=np.asarray):

@@ -13,10 +13,10 @@ one floor of the Sylvester and Lyapunov separations, ``four_term_floor`` the
 one of the four-term operator's.
 
 Data is checked where it enters the library: the costs, the frames and the
-CLI.  The solvers take the blocks of B that the costs' Newton solves cut
-from it and do not check them again; a caller outside the loop checks its
-blocks itself (``decomp.require_symmetric``).  The Sylvester and Lyapunov
-solvers return the separation they measured too.
+CLI.  The solvers take the blocks of B, exactly symmetric as the costs form
+it, from the costs' Newton solves and do not check them again; a caller
+outside the loop checks its blocks itself (``decomp.require_symmetric``).
+The Sylvester and Lyapunov solvers return the separation they measured too.
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ def solve_sylvester(a11, a22, c):
 
     Both blocks are diagonalized; the solution is U [ (U^T C V)_ij /
     (lambda_i - mu_j) ] V^T.  The caller checks the blocks: float arrays of
-    shapes (m, m), (k, k) and (m, k), A11 and A22 exactly symmetric (as
-    ``require_symmetric`` returns them), every entry finite.
+    shapes (m, m), (k, k) and (m, k), A11 and A22 exactly symmetric (blocks of
+    a trace cost's B, or as ``require_symmetric`` returns them), every entry finite.
 
     Raises
     ------

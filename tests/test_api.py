@@ -181,6 +181,22 @@ def test_the_engine_names_no_concrete_cost():
         assert list(inspect.signature(cls.certify).parameters) == ["self", "frame", "state", "last"]
 
 
+def test_the_trace_cost_symmetrizes_b_where_it_forms_it():
+    # RayleighCost.frame_terms forms B exactly symmetric, and sym(B12) on a
+    # symplectic frame; newton_solve symmetrizes only the Lyapunov right-hand
+    # side, and the solves and separation_bound read the blocks of B as given
+    tree = ast.parse((SRC / "costs.py").read_text())
+    cls = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "RayleighCost")
+    symmetrized = {method.name: [ast.unparse(node.args[0]) for node in ast.walk(method)
+                                 if isinstance(node, ast.Call) and ast.unparse(node.func) == "symmetrize"]
+                   for method in cls.body if isinstance(method, ast.FunctionDef)}
+    assert {name: args for name, args in symmetrized.items() if args} == {
+        "frame_terms": ["frame.theta @ self.a_n @ frame.theta.T", "b[:m, m:]"],
+        "newton_solve": ["b[:m, m:]"],
+    }
+    assert symmetrized["separation_bound"] == []
+
+
 def test_units_have_one_home():
     # A is scaled by a power of two (ldexp by a negated exponent) in one
     # function, which the costs' one helper and the CLI's file checks call;

@@ -640,36 +640,48 @@ class TestSeparationFloor:
                 _checked_certificate(b, m, cost.scale)
                 continue
             _, floor = cost.separation_bound(frame, b, last_b, 1.0)
-            assert floor == separation_floor(symmetrize(b11), symmetrize(b22))
+            assert floor == separation_floor(b11, b22)
             if method == "rayleigh-lg":
                 # the Lyapunov solve's own floor, of M = (B11 - B22) / 2, is lower
-                assert floor >= separation_floor(symmetrize(0.5 * (b11 - b22)))
+                assert floor >= separation_floor(0.5 * (b11 - b22))
 
     @pytest.mark.parametrize("data", ["newton", "non-symmetric"])
     @pytest.mark.parametrize("method", ["rayleigh-gr", "rayleigh-lg", "rayleigh-lg-general"])
     def test_trace_bound_reads_only_the_diagonal_blocks(self, method, data):
-        # the bound and floor equal, bit for bit, those of symmetrizing all
-        # of B and of B - B_last before cutting the diagonal blocks out
-        def whole_b(cost, frame, b, last_b, separation):
+        # the bound and floor equal, bit for bit, those of the diagonal blocks
+        # of B and of B - B_last as given, symmetric or not, and no entry of
+        # the off-diagonal blocks moves them.  frame_terms forms B exactly
+        # symmetric, its diagonal blocks those of the product symmetrized
+        def diagonal_blocks(cost, frame, b, last_b, separation):
             m = frame.rank
-            new, step = symmetrize(b), symmetrize(b - last_b)
+            step = b - last_b
             slack = frobenius_norm(step[:m, :m]) + frobenius_norm(step[m:, m:])
             slack += TOL.separation_roundoff * frame.dim * cost.scale
-            return separation - slack, separation_floor(new[:m, :m], new[m:, m:])
+            return separation - slack, separation_floor(b[:m, :m], b[m:, m:])
 
         cases = 0
         for seed in range(4):
             cost, frame = _trace_problem(method, seed)
             rng = np.random.default_rng(seed)
-            last = None
+            m, last = frame.rank, None
             for _ in range(6):
                 _, _, (b,) = cost.frame_terms(frame)
                 if data == "non-symmetric":
                     b = b + 1e-3 * rng.standard_normal(b.shape)
+                else:
+                    product = frame.theta @ cost.a_n @ frame.theta.T
+                    assert np.array_equal(b, b.T)
+                    assert np.array_equal(b[:m, :m], symmetrize(product[:m, :m]))
+                    assert np.array_equal(b[m:, m:], symmetrize(product[m:, m:]))
                 z, solved = cost.newton_solve(frame, (b,))
+                assert solved[0] is b
                 if last is not None:
                     bound = cost.separation_bound(frame, b, *last)
-                    assert bound == whole_b(cost, frame, b, *last)
+                    assert bound == diagonal_blocks(cost, frame, b, *last)
+                    scrambled = b.copy()
+                    scrambled[:m, m:] = rng.standard_normal((m, b.shape[0] - m))
+                    scrambled[m:, :m] = rng.standard_normal((b.shape[0] - m, m))
+                    assert cost.separation_bound(frame, scrambled, *last) == bound
                     cases += 1
                 last = solved
                 frame = push_frame(frame, z, "qr")

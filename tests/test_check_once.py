@@ -1,7 +1,7 @@
 """Check once, form once: a Newton iterate forms B = Theta A Theta^T once,
 and nothing inside ``run_newton`` re-runs ``require_symmetric``.  The
-costs check their matrix when built, and the Newton solves hand blocks
-they have just symmetrized to the solvers, which check nothing.  The
+costs check their matrix when built, a trace cost forms B exactly symmetric,
+and the Newton solves hand its blocks to the solvers, which check nothing.  The
 public kernel and the costs keep their entry checks, and ``sym_eig``
 returns exactly what its unchecked core returns."""
 
@@ -16,7 +16,7 @@ import projnewton.newton
 from projnewton.cli import main
 from projnewton.config import TOL
 from projnewton.costs import HamiltonianRayleighCost, InvariantSubspaceCost, RayleighCost
-from projnewton.decomp import eigh_descending, require_symmetric, sym_eig
+from projnewton.decomp import eigh_descending, require_symmetric, sym_eig, symmetrize
 from projnewton.errors import NotSymmetric
 from projnewton.grassmann import CHART_NAMES, OrthoFrame
 from projnewton.lagrange import require_hamiltonian, symplectic_frame_from_basis
@@ -65,16 +65,25 @@ METHODS = ("rayleigh-gr", "rayleigh-lg", "invariant-direct")
 
 @pytest.mark.parametrize("nu", CHART_NAMES)
 @pytest.mark.parametrize("method", METHODS)
-def test_b_is_formed_once_per_recorded_iterate(method, nu):
+def test_b_is_formed_once_per_recorded_iterate(monkeypatch, method, nu):
     cost, start, reference, method = _problem(method, 1)
     counting = cost.a_n.view(_CountingMatrix)  # B is formed from A_n, in the cost's units
     counting.products = 0
     object.__setattr__(cost, "a_n", counting)
+    symmetrized = _count_calls(monkeypatch, symmetrize, "mat")
     trace = run_newton(cost, start, NewtonConfig(nu=nu), reference=reference, method=method)
     assert trace.status == Status.CONVERGED
     assert len(trace.records) >= 3
     # the last record's certification, by bound (or solve), reuses its B as well
     assert counting.products == len(trace.records)
+    # a trace cost symmetrizes B once as it forms it, and on a symplectic
+    # frame B12 too; no solve or bound symmetrizes a block of B again.  The
+    # Lyapunov solve symmetrizes its right-hand side sym(B12) and its solution
+    records, n = len(trace.records), start.dim
+    per_record, per_step = {"rayleigh-gr": (1, 0), "rayleigh-lg": (2, 2), "invariant-direct": (0, 0)}[method]
+    assert trace.extras["certified_by"] != "solve"  # one Newton solve per step, none after
+    assert len(symmetrized) == per_record * records + per_step * (records - 1)
+    assert [mat.shape for mat in symmetrized].count((n, n)) == min(per_record, 1) * records
 
 
 def _count_calls(monkeypatch, func, argument="what"):
@@ -159,16 +168,17 @@ def _asymmetric(n):
 
 # the full messages of the entry checks; ``tests/test_decomp.py``
 # ``TestNonFiniteRejected`` covers non-finite entries at the same entries.  The
-# cost measures the defect of A_n = A / 4, max|A_n| in [1/2, 1)
+# cost measures the defect of A_n = A / 4, max|A_n| in [1/2, 1); from_blocks
+# that of H / 4, H = [[S, T], [T, -S]], as the cost checks H alone
 ENTRY_CHECKS = {
     "sym_eig": (lambda: sym_eig(_asymmetric(3)), "sym_eig input symmetry defect 1.000e+00"),
     "RayleighCost": (lambda: RayleighCost(_asymmetric(3)), "Rayleigh matrix symmetry defect 2.500e-01"),
     "HamiltonianRayleighCost.from_blocks-S": (
         lambda: HamiltonianRayleighCost.from_blocks(_asymmetric(3), np.zeros((3, 3))),
-        "S block symmetry defect 1.000e+00"),
+        "Rayleigh matrix symmetry defect 2.500e-01"),
     "HamiltonianRayleighCost.from_blocks-T": (
         lambda: HamiltonianRayleighCost.from_blocks(np.eye(3), _asymmetric(3)),
-        "T block symmetry defect 1.000e+00"),
+        "Rayleigh matrix symmetry defect 2.500e-01"),
 }
 
 
@@ -183,10 +193,14 @@ def test_public_entries_keep_their_checks(entry):
 @pytest.mark.parametrize("c", [1.0, 1e-13, 2.0**-600])
 def test_cost_checks_are_relative_to_the_entries(c):
     # the costs check A_n = A 2^-e: at 1e-13 the check's floor of 1 made it
-    # absolute, and RayleighCost accepted a random non-symmetric X and symmetrized it
-    x = np.random.default_rng(9).standard_normal((4, 4))
+    # absolute, and RayleighCost accepted a random non-symmetric X and
+    # symmetrized it, as from_blocks did with its own checks of S and T
+    rng = np.random.default_rng(9)
+    x, s, t = rng.standard_normal((4, 4)), rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
     with pytest.raises(NotSymmetric, match="Rayleigh matrix symmetry defect"):
         RayleighCost(c * x)
+    with pytest.raises(NotSymmetric, match="Rayleigh matrix symmetry defect"):
+        HamiltonianRayleighCost.from_blocks(c * s, c * t)
     with pytest.raises(NotSymmetric, match="symmetric Hamiltonian JHJ - H defect"):
         HamiltonianRayleighCost(c * (x + x.T))
 
