@@ -17,15 +17,12 @@ from .grassmann import (
     GrTangent,
     OrthoFrame,
     Projector,
-    frame_from_projector,
     random_projector,
 )
 from .lagrange import (
     LagProjector,
     SymplecticFrame,
-    random_lag_projector,
     symplectic_frame_from_basis,
-    sympl_form,
 )
 from .newton import (
     NewtonConfig,

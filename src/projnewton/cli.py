@@ -335,11 +335,6 @@ def _parser_tree():
     return parser, sub.choices
 
 
-def build_parser():
-    """The parser with every command's subparser, one per process."""
-    return _parser_tree()[0]
-
-
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     try:

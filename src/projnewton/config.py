@@ -26,15 +26,14 @@ class Tolerances:
     # at least the data scale max ||A_ij||_1^2), counts as singular; it scales
     # the four-term operator's floor too (solvers.four_term_floor)
     pivot: float = 1e-12
-    # projector defects: ||P^2 - P||, |tr P - m|
+    # projector defects: |tr P - m| of a reference (per unit of dimension) and
+    # ||[P, [P, X]] - X|| of a tangent vector (GrTangent, relative to max(1, ||X||))
     projector: float = 1e-10
     # ||Theta^T Theta - I|| of a frame accepted as orthogonal
     frame_orthogonality: float = 1e-10
-    # ||Theta^T diag(I,0) Theta - P|| when rebuilding a frame from a projector
-    frame_reconstruction: float = 1e-9
-    # ||P J P|| of Lagrangian projectors (LagProjector.from_matrix), ||Theta^T J
-    # Theta - J|| of frames (SymplecticFrame) and max |U^T J U| of CLI start bases,
-    # and the JHJ - H defect of HamiltonianRayleighCost's H 2^-e (relative to max|H|)
+    # ||Theta^T J Theta - J|| of frames (SymplecticFrame), max |U^T J U| of CLI
+    # start bases, and the JHJ - H defect of HamiltonianRayleighCost's H 2^-e
+    # (relative to max|H|)
     lagrangian: float = 1e-10
     # relative floor on Sylvester / Lyapunov spectral gaps
     spectral_gap: float = 1e-8

@@ -24,17 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .decomp import qr_positive, sym_eig, symmetrize
+from .decomp import qr_positive, symmetrize
 from .errors import BadRank, DimensionMismatch, NotAProjector, NotSymmetric, SingularInput
 
 __all__ = [
     "Projector",
     "OrthoFrame",
     "GrTangent",
-    "commutator",
-    "ad_squared",
     "random_projector",
-    "frame_from_projector",
     "frame_distance",
     "frame_distances",
     "push_frame",
@@ -64,31 +61,6 @@ class Projector:
     @property
     def dim(self):
         return self.mat.shape[0]
-
-    @classmethod
-    def from_matrix(cls, mat, rank=None):
-        """Validate the projector invariants and wrap the matrix."""
-        mat = np.asarray(mat, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise NotAProjector(f"projector must be square, got {mat.shape}")
-        if not np.isfinite(mat).all():
-            raise NotAProjector("projector has a non-finite entry")
-        if np.abs(mat - mat.T).max() > TOL.projector:
-            raise NotAProjector("matrix is not symmetric")
-        tr = float(np.trace(mat))
-        m = int(round(tr)) if rank is None else int(rank)
-        if abs(tr - m) > TOL.projector * mat.shape[0]:
-            raise NotAProjector(f"trace {tr} is not close to an integer rank")
-        idem = np.linalg.norm(mat @ mat - mat)
-        if idem > TOL.projector * max(1.0, np.linalg.norm(mat)):
-            raise NotAProjector(f"idempotence defect {idem:.3e}")
-        if not 0 < m < mat.shape[0]:
-            raise BadRank(f"rank {m} outside (0, {mat.shape[0]})")
-        return cls(mat, m)
-
-    def basis(self):
-        """Orthonormal basis (n, m) of the range: leading eigenvectors."""
-        return sym_eig(self.mat)[1][:, : self.rank]
 
 
 @dataclass(frozen=True)
@@ -132,9 +104,9 @@ class OrthoFrame:
         return out
 
 
-# GrTangent and its check (commutator, ad_squared) serve only the tests'
-# P-coordinate references; they stay here because the benchmark's tracer
-# (newtonbench/tracer.py) wraps GrTangent.__post_init__ when it installs
+# GrTangent serves only the tests' P-coordinate references (tests/oracles.py);
+# it stays here because the benchmark's tracer (newtonbench/tracer.py) wraps
+# GrTangent.__post_init__ when it installs
 @dataclass(frozen=True)
 class GrTangent:
     """A tangent vector at ``base``: symmetric and fixed by ad_P^2."""
@@ -147,22 +119,15 @@ class GrTangent:
         object.__setattr__(self, "mat", mat)
         if mat.shape != self.base.mat.shape:
             raise DimensionMismatch("tangent vector and base point shapes differ")
-        defect = np.linalg.norm(ad_squared(self.base.mat, mat) - mat)
+        p = self.base.mat
+        inner = p @ mat - mat @ p
+        defect = np.linalg.norm(p @ inner - inner @ p - mat)  # [P, [P, X]] - X
         if defect > TOL.projector * max(1.0, np.linalg.norm(mat)):
             raise NotAProjector(f"not a tangent vector, ad_P^2 defect {defect:.3e}")
 
     @property
     def norm(self):
         return float(np.linalg.norm(self.mat))
-
-
-def commutator(a, b):
-    return a @ b - b @ a
-
-
-def ad_squared(p, x):
-    """[P, [P, X]]; for symmetric X this is the tangent-space projection."""
-    return commutator(p, commutator(p, x))
 
 
 def random_projector(n, m, seed):
@@ -183,22 +148,6 @@ def _oriented_frame(theta, rank) -> OrthoFrame:
         theta = theta.copy()
         theta[-1] = -theta[-1]
     return OrthoFrame(theta, rank)
-
-
-def frame_from_projector(p: Projector) -> OrthoFrame:
-    """Recover an orthogonal frame from a projector via its eigenvectors.
-
-    The block-orthogonal gauge freedom is not fixed beyond det(Theta) = 1;
-    downstream quantities are gauge invariant.
-    """
-    if not isinstance(p, Projector):
-        p = Projector.from_matrix(p)
-    _, vectors = sym_eig(p.mat)
-    frame = _oriented_frame(vectors.T, p.rank)
-    defect = np.abs(frame.projector().mat - p.mat).max()
-    if defect > TOL.frame_reconstruction:
-        raise NotAProjector(f"frame reconstruction defect {defect:.3e}")
-    return frame
 
 
 def _distance(cos_mat, sin_mat):

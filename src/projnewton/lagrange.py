@@ -28,20 +28,12 @@ from .errors import DimensionMismatch, NotAProjector, NotSymmetric
 from .grassmann import OrthoFrame, Projector
 
 __all__ = [
-    "sympl_form",
     "require_hamiltonian",
     "lagrangian_residual",
     "LagProjector",
     "SymplecticFrame",
-    "random_lag_projector",
     "symplectic_frame_from_basis",
-    "lag_frame_from_projector",
 ]
-
-
-def sympl_form(n):
-    """The standard symplectic form J = [[0, I], [-I, 0]] on R^{2n}, a fresh array."""
-    return _sympl_form(n).copy()
 
 
 @cache
@@ -81,21 +73,6 @@ class LagProjector(Projector):
         """The point itself: a Lagrangian projector is a Grassmannian one."""
         return self
 
-    @classmethod
-    def from_matrix(cls, mat):
-        base = Projector.from_matrix(mat)
-        n2 = base.dim
-        if n2 % 2 or base.rank != n2 // 2:
-            raise NotAProjector(
-                f"Lagrangian projector needs rank n in dimension 2n, got rank "
-                f"{base.rank} in dimension {n2}"
-            )
-        residual = lagrangian_residual(base.mat)
-        if residual > TOL.lagrangian:
-            raise NotAProjector(f"PJP residual {residual:.3e} exceeds {TOL.lagrangian:.1e}: "
-                                "violates the Lagrangian condition")
-        return cls(base.mat, n2 // 2)
-
 
 @dataclass(frozen=True)
 class SymplecticFrame(OrthoFrame):
@@ -124,19 +101,6 @@ class SymplecticFrame(OrthoFrame):
         return float(np.abs(self.theta.T @ j @ self.theta - j).max())
 
 
-def random_lag_projector(n, seed):
-    """Seeded random Lagrangian point from the orthogonal-symplectic frame
-    [[X, -Y], [Y, X]] of a random unitary X + iY: the Q-factor, with its
-    phases fixed, of the complex QR of a Gaussian matrix."""
-    rng = np.random.default_rng(seed)
-    gauss = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    u, r = np.linalg.qr(gauss)
-    u = u * (np.diag(r) / np.abs(np.diag(r)))
-    x, y = u.real, u.imag
-    frame = SymplecticFrame(np.block([[x, -y], [y, x]]))
-    return frame.projector(), frame
-
-
 def symplectic_frame_from_basis(basis) -> SymplecticFrame:
     """Orthogonal-symplectic frame for a Lagrangian subspace given an
     orthonormal basis U: Theta^T = [U, -J U]."""
@@ -145,10 +109,3 @@ def symplectic_frame_from_basis(basis) -> SymplecticFrame:
         raise DimensionMismatch(f"expected a (2n, n) basis, got {u.shape}")
     j = _sympl_form(u.shape[1])
     return SymplecticFrame(np.hstack([u, -j @ u]).T)
-
-
-def lag_frame_from_projector(p: LagProjector) -> SymplecticFrame:
-    """Recover an orthogonal-symplectic frame from a Lagrangian projector."""
-    if not isinstance(p, LagProjector):
-        p = LagProjector.from_matrix(p)
-    return symplectic_frame_from_basis(p.basis())

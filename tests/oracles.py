@@ -13,6 +13,8 @@ tangent projections:
                 Hess(xi) = pi(Hess_F(xi)) - pi([P, [grad_F, xi]])
 
 with pi(X) = (1/2)[P, [P, J X J + X]] on the Lagrange Grassmannian.
+The builders the tests need and no run reaches live here too: a frame from
+a projector, a random Lagrangian point, commutators and a fresh J.
 
 Import as ``from oracles import ...``, as the tests import ``conftest``.
 """
@@ -26,15 +28,46 @@ from projnewton.grassmann import (
     OrthoFrame,
     Projector,
     _distance,
-    ad_squared,
-    commutator,
-    frame_from_projector,
+    _oriented_frame,
     push_frame,
 )
-from projnewton.lagrange import LagProjector, sympl_form
+from projnewton.lagrange import LagProjector, SymplecticFrame, _sympl_form
 
 # central finite-difference step of chart_second_derivative_check
 FD_STEP_SECOND = 1e-3
+
+
+def commutator(a, b):
+    return a @ b - b @ a
+
+
+def ad_squared(p, x):
+    """[P, [P, X]]; for symmetric X this is the tangent-space projection."""
+    return commutator(p, commutator(p, x))
+
+
+def sympl_form(n):
+    """The standard symplectic form J = [[0, I], [-I, 0]] on R^{2n}, a fresh array."""
+    return _sympl_form(n).copy()
+
+
+def frame_from_projector(p: Projector) -> OrthoFrame:
+    """An orthogonal frame of a projector from its eigenvectors, det(Theta) = 1;
+    the block-orthogonal gauge is not fixed beyond that."""
+    return _oriented_frame(sym_eig(p.mat)[1].T, p.rank)
+
+
+def random_lag_projector(n, seed):
+    """Seeded random Lagrangian point from the orthogonal-symplectic frame
+    [[X, -Y], [Y, X]] of a random unitary X + iY: the Q-factor, with its
+    phases fixed, of the complex QR of a Gaussian matrix."""
+    rng = np.random.default_rng(seed)
+    gauss = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    u, r = np.linalg.qr(gauss)
+    u = u * (np.diag(r) / np.abs(np.diag(r)))
+    x, y = u.real, u.imag
+    frame = SymplecticFrame(np.block([[x, -y], [y, x]]))
+    return frame.projector(), frame
 
 
 def tangent_project(p: Projector, x) -> GrTangent:
@@ -81,7 +114,7 @@ def distance(p: Projector, q: Projector) -> float:
     """Geodesic distance between range(P) and range(Q): with U a basis of
     range(Q), the cosines of the principal angles are the singular values
     of P U and the sines those of (I - P) U, so only Q is eigendecomposed."""
-    uq = q.basis()
+    uq = sym_eig(q.mat)[1][:, : q.rank]
     puq = p.mat @ uq
     return float(_distance(puq, uq - puq))
 

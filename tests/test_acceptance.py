@@ -22,12 +22,10 @@ from projnewton.grassmann import (
     CHART_NAMES,
     OrthoFrame,
     Projector,
-    commutator,
-    frame_from_projector,
     push_frame,
     random_projector,
 )
-from projnewton.lagrange import random_lag_projector, symplectic_frame_from_basis, sympl_form
+from projnewton.lagrange import symplectic_frame_from_basis
 from projnewton.newton import (
     NewtonConfig,
     Status,
@@ -45,14 +43,18 @@ from projnewton.solvers import (
 
 from conftest import newton_solve_at, random_symmetric
 from oracles import (
+    commutator,
     distance,
     distance_via_cosines,
     distance_via_sines,
+    frame_from_projector,
     geodesic,
+    random_lag_projector,
     riemannian_gradient_gr,
     riemannian_gradient_lg,
     riemannian_hessian_apply_gr,
     riemannian_hessian_apply_lg,
+    sympl_form,
     tangent_from_param,
     tangent_project,
 )

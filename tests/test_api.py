@@ -1,6 +1,8 @@
-"""The public surface of the runtime library: every exported name resolves,
-the projector-coordinate references live in ``tests/oracles.py`` and not in
-the library, and every tolerance the library declares is read by it."""
+"""The public surface of the runtime library: every exported name resolves
+and is read by the library or kept as an entry for a stated reason, the
+projector-coordinate references and the tests' builders live in
+``tests/oracles.py`` and not in the library, no module imports a name it never
+reads, and every tolerance the library declares is read by it."""
 
 import ast
 import dataclasses
@@ -18,6 +20,7 @@ from projnewton.config import TOL, Tolerances
 from projnewton.newton import METHODS
 
 SRC = pathlib.Path(projnewton.__file__).parent
+ROOT = SRC.parents[1]
 MODULES = sorted(f"projnewton.{info.name}" for info in pkgutil.iter_modules([str(SRC)]))
 
 # moved to tests/oracles.py, or deleted as wrappers of a call the tests make
@@ -29,7 +32,11 @@ MODULES = sorted(f"projnewton.{info.name}" for info in pkgutil.iter_modules([str
 # the checked solver entries beside the Newton loop's solvers, whose callers
 # check their blocks, and the helpers only those entries needed; the costs'
 # own overflow test of their scale, folded into the one helper that puts A in
-# units of a power of two
+# units of a power of two; the tests' builders and references that no run, CLI
+# call or benchmark reached (frame_from_projector, random_lag_projector,
+# commutator, ad_squared and the fresh copy sympl_form of J moved to the
+# oracles; lag_frame_from_projector deleted), and the CLI's one-line wrapper
+# of its parser tree
 GONE = """
     tangent_project tangent_from_param param_from_tangent geodesic distance
     distance_via_cosines distance_via_sines cayley_transform chart_point
@@ -40,8 +47,28 @@ GONE = """
     InputNotSymmetric InputNotHamiltonianSymmetric _require_square _require_symmetric_input
     _require_hamiltonian_input solve_invariant_newton_direct solve_sylvester_unchecked
     solve_lyapunov_unchecked solve_invariant_newton_unchecked _four_term_blocks
-    _certify_operator _lu_solve _finite_scale
+    _certify_operator _lu_solve _finite_scale frame_from_projector random_lag_projector
+    commutator ad_squared sympl_form lag_frame_from_projector build_parser
 """.split()
+
+# names in a module's __all__ that no other code in src/ reads, each kept as
+# an entry for the reason given; every other exported name is read by the library
+ENTRIES = {
+    "HamiltonianRayleighCost": "the paper's Algorithm 2 cost on a symmetric Hamiltonian H, a user entry",
+    "GrTangent": "the benchmark's tracer wraps its __post_init__, until ROADMAP item 1b",
+}
+
+# what the library keeps because newtonbench/ reads it: the file and the text
+# of the line that reads it (line numbers as of this writing); once the
+# benchmark stops reading a name (ROADMAP item 1b) its case fails, and the
+# name can go (item 13)
+BENCHMARK_READS = {
+    "GrTangent": ("tracer.py", "cls = projnewton.grassmann.GrTangent"),  # :92
+    "METHODS, run_newton(method=)": ("workloads.py", "method=inst.method)"),  # :223
+    "NewtonConfig.mu": ("workloads.py", "config = newton.NewtonConfig(mu=mu, nu=nu)"),  # :135
+    "LagProjector.as_projector": ("workloads.py", "final.as_projector().mat if inst.lagrangian"),  # :225
+    "cli.sym_eig": ("test_tracer.py", 'tr.originals[sys.modules["projnewton.cli"].sym_eig]'),  # :47
+}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -59,6 +86,79 @@ def test_every_package_import_resolves():
     assert [name for name in names if not hasattr(projnewton, name)] == []
 
 
+def _exported():
+    """{name: module file} over the ``__all__`` lists of the modules in src/."""
+    exported = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__all__"]:
+                exported.update(dict.fromkeys(ast.literal_eval(node.value), path.name))
+    return exported
+
+
+def _library_reads():
+    """Every name the modules of src/ read, import or look up as an attribute;
+    the package's re-exports in ``__init__.py`` are not reads."""
+    read = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_every_exported_name_is_read_or_an_entry():
+    # the library keeps only what a run, the CLI or the benchmark reaches
+    read = _library_reads()
+    unread = {name: path for name, path in _exported().items() if name not in read}
+    assert unread.keys() == ENTRIES.keys(), unread
+
+
+@pytest.mark.parametrize("name", list(BENCHMARK_READS))
+def test_benchmark_bound_names_are_still_read_by_the_benchmark(name):
+    path, line = BENCHMARK_READS[name]
+    assert line in (ROOT / "newtonbench" / path).read_text(), (name, path)
+    survivors = {
+        "GrTangent": "__post_init__" in vars(projnewton.GrTangent),
+        "METHODS, run_newton(method=)": "method" in inspect.signature(projnewton.run_newton).parameters
+        and bool(METHODS),
+        "NewtonConfig.mu": "mu" in {f.name for f in dataclasses.fields(projnewton.NewtonConfig)},
+        "LagProjector.as_projector": hasattr(projnewton.LagProjector, "as_projector"),
+        "cli.sym_eig": projnewton.cli.sym_eig is projnewton.decomp.sym_eig,
+    }
+    assert survivors[name]
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py"))
+def test_no_module_imports_a_name_it_never_reads(path):
+    # __init__.py re-exports, and cli keeps sym_eig bound for the tracer's pin
+    tree = ast.parse((SRC / path).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exempt = {"sym_eig"} if path == "cli.py" else set()
+    assert imported - read == exempt
+
+
+def test_the_readme_library_example_runs(capsys):
+    # the documented way from a matrix to a start frame: sym_eig and OrthoFrame
+    section = (ROOT / "README.md").read_text().split("\n## Library example\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "Converged True\n"
+
+
 @pytest.mark.parametrize("name", ["projnewton"] + MODULES)
 def test_moved_and_deleted_names_are_gone(name):
     module = importlib.import_module(name)
@@ -68,6 +168,11 @@ def test_moved_and_deleted_names_are_gone(name):
 def test_deleted_attributes_are_gone():
     assert not hasattr(projnewton.LagProjector, "half_dim")
     assert not hasattr(TOL, "fd_step_second")
+    # test-only projector helpers and the CLI's parser wrapper are gone
+    assert not {"from_matrix", "basis"} & set(vars(projnewton.Projector))
+    assert not hasattr(projnewton.LagProjector, "from_matrix")
+    assert not hasattr(projnewton.cli, "build_parser")
+    assert "frame_reconstruction" not in {f.name for f in dataclasses.fields(Tolerances)}
     assert "param" not in {f.name for f in dataclasses.fields(projnewton.newton.StepInfo)}
     assert not hasattr(projnewton.errors.SpectralOverlap("overlap", 0.0), "report")
     # the step test reads the constant TOL.step_tol, not a config field
@@ -149,7 +254,7 @@ def test_j_and_the_input_tolerance_have_one_home_each():
     # lagrange alone builds J and holds the structure tests; the CLI alone
     # reads the looser tolerance of its files, and hands it to the library's checks
     forms_j = [path.name for path in sorted(SRC.glob("*.py"))
-                if re.search(r"\bsympl_form\(", path.read_text())]
+                if re.search(r"\b_sympl_form\(", path.read_text())]
     assert forms_j == ["lagrange.py"]
     readers = [path.name for path in sorted(SRC.glob("*.py"))
                if re.search(r"\bTOL\.input_symmetry\b", path.read_text())]

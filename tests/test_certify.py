@@ -24,7 +24,7 @@ from projnewton.costs import HamiltonianRayleighCost, InvariantSubspaceCost, Ray
 from projnewton.decomp import frobenius_norm, symmetrize
 from projnewton.errors import SingularOperator, SpectralOverlap
 from projnewton.grassmann import CHART_NAMES, OrthoFrame, push_frame
-from projnewton.lagrange import SymplecticFrame, sympl_form
+from projnewton.lagrange import SymplecticFrame
 from projnewton.newton import NewtonConfig, Status, perturb_frame, run_newton
 from projnewton.solvers import (
     _checked_inverse,
@@ -37,6 +37,8 @@ from projnewton.solvers import (
     solve_lyapunov,
     solve_sylvester,
 )
+
+from oracles import sympl_form
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies

@@ -11,13 +11,14 @@ import pytest
 
 import projnewton
 from projnewton import cli
-from projnewton.cli import build_parser, load_matrix, main
+from projnewton.cli import load_matrix, main
 from projnewton.costs import InvariantSubspaceCost
 from projnewton.decomp import qr_positive
 from projnewton.errors import ProjNewtonError
-from projnewton.lagrange import lagrangian_residual, sympl_form
+from projnewton.lagrange import lagrangian_residual
 
 from conftest import LONG_STEP
+from oracles import sympl_form
 
 
 def _write_matrix(path, mat, header=None):
@@ -613,10 +614,15 @@ def _outcome(capsys, call, argv):
     return code, out, err
 
 
+def _full_parser():
+    """The top-level parser of the process's one tree, with every command's subparser."""
+    return cli._parser_tree()[0]
+
+
 def _main_with_full_parser(argv):
-    """``main`` with ``build_parser()`` for every argv."""
+    """``main`` with ``_full_parser()`` for every argv."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _full_parser().parse_args(argv)
         return cli._COMMANDS[args.command][2](args)
     except ProjNewtonError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -631,7 +637,7 @@ _TREE_PROGS = ["projnewton"] + [f"projnewton {name}" for name in _COMMAND_NAMES]
 class TestCommandParser:
     """``main`` hands the invoked command's arguments to its subparser in the
     one parser tree of the process, built on first use; the result must be
-    indistinguishable from parsing the whole argv with ``build_parser()``."""
+    indistinguishable from parsing the whole argv with ``_full_parser()``."""
 
     @pytest.mark.parametrize("command", _COMMAND_NAMES)
     def test_matches_full_parser(self, tmp_path, capsys, monkeypatch, command):
@@ -640,9 +646,9 @@ class TestCommandParser:
         monkeypatch.setitem(cli._COMMANDS, command, (help_text, add_arguments, parsed.append))
         argv = _command_argv(tmp_path, command)
         main(argv)
-        assert vars(parsed[0]) == vars(build_parser().parse_args(argv))
+        assert vars(parsed[0]) == vars(_full_parser().parse_args(argv))
         helps = [_outcome(capsys, call, [command, "--help"])
-                 for call in (main, build_parser().parse_args)]
+                 for call in (main, _full_parser().parse_args)]
         assert helps[0] == helps[1]
         assert helps[0][0] == 0
         assert helps[0][1].startswith(f"usage: projnewton {command} ")
@@ -656,7 +662,7 @@ class TestCommandParser:
         assert main(argv) == 0
         assert main(argv + ["--seed", "1"]) == 0
         assert main([]) == 1  # the tree's own error, from the same tree
-        assert build_parser() is build_parser()
+        assert _full_parser() is _full_parser()
         assert built_parsers == _TREE_PROGS
 
     def test_main_reads_sys_argv(self, tmp_path, capsys, monkeypatch, fresh_parser_tree,
@@ -675,7 +681,7 @@ class TestCommandParser:
     @pytest.mark.parametrize("command", _COMMAND_NAMES)
     def test_cached_parser_keeps_no_state(self, tmp_path, capsys, monkeypatch, command):
         # every per-call option set, then the defaults: each call parses as
-        # build_parser() does and reports as a new process does
+        # _full_parser() does and reports as a new process does
         base, start = _start_argv(tmp_path, command)
         out, fresh_out = tmp_path / "r.json", tmp_path / "fresh.json"
         seen = _record_args(monkeypatch, command)
@@ -685,7 +691,7 @@ class TestCommandParser:
             fresh = _fresh_process("-m", "projnewton.cli",
                                    *(str(fresh_out) if arg == str(out) else arg for arg in argv))
             assert main(argv) == fresh.returncode
-            assert seen.pop() == vars(build_parser().parse_args(argv))
+            assert seen.pop() == vars(_full_parser().parse_args(argv))
             printed = capsys.readouterr().out
             report, expected = ((out.read_text(), fresh_out.read_text()) if "--out" in argv
                                 else (printed, fresh.stdout))
@@ -705,7 +711,7 @@ class TestCommandParser:
                                                   else "error: unrecognized arguments: ")
         assert main(argv) == 0
         assert _strip_elapsed(capsys.readouterr().out) == _strip_elapsed(before)
-        assert seen == [vars(build_parser().parse_args(argv))] * 2
+        assert seen == [vars(_full_parser().parse_args(argv))] * 2
 
     @pytest.mark.parametrize("parse", [main, _main_with_full_parser], ids=["command", "full"])
     @pytest.mark.parametrize("abbrev", [["--max", "5"], ["--pert", "0.1"]])
@@ -720,7 +726,7 @@ class TestCommandParser:
             main(["--help"])
         assert exc.value.code == 0
         text = capsys.readouterr().out
-        assert text == build_parser().format_help()
+        assert text == _full_parser().format_help()
         assert "{rayleigh-gr,rayleigh-lg,invariant}" in text
         assert "compute an invariant subspace of a square matrix" in text
 

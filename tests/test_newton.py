@@ -28,11 +28,10 @@ from projnewton.grassmann import (
     OrthoFrame,
     Projector,
     frame_distance,
-    frame_from_projector,
     push_frame,
     random_projector,
 )
-from projnewton.lagrange import SymplecticFrame, random_lag_projector, symplectic_frame_from_basis
+from projnewton.lagrange import SymplecticFrame, symplectic_frame_from_basis
 from projnewton.newton import (
     NewtonConfig,
     Status,
@@ -44,7 +43,7 @@ from projnewton.newton import (
 )
 
 from conftest import LONG_STEP, lagrangian_trace_problem, newton_solve_at, random_symmetric
-from oracles import distance
+from oracles import distance, frame_from_projector, random_lag_projector
 
 
 def _step(cost, frame, config):

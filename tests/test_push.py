@@ -9,10 +9,9 @@ import scipy.linalg
 from projnewton.costs import HamiltonianRayleighCost, RayleighCost
 from projnewton.errors import NotSymmetric
 from projnewton.grassmann import CHART_NAMES, OrthoFrame, push_frame
-from projnewton.lagrange import random_lag_projector
 from projnewton.newton import NewtonConfig, Status, perturb_frame, run_newton
 
-from oracles import cayley_transform
+from oracles import cayley_transform, random_lag_projector
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies

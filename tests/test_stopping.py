@@ -22,8 +22,10 @@ from projnewton.costs import (
 )
 from projnewton.errors import ScaleOverflow
 from projnewton.grassmann import CHART_NAMES, OrthoFrame
-from projnewton.lagrange import SymplecticFrame, sympl_form
+from projnewton.lagrange import SymplecticFrame
 from projnewton.newton import NewtonConfig, Status, perturb_frame, run_newton
+
+from oracles import sympl_form
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
