@@ -4,9 +4,10 @@ A cost is described by its ambient data on symmetric matrices: a value, a
 gradient, and the Hessian as an action (operator form).  Each cost gives
 its value and gradient block (``frame_terms``) and solves its own Newton
 equation (``newton_solve``) in frame coordinates, from the blocks of
-B = Theta A Theta^T: a Sylvester equation for tr(A P) (Algorithm 1), and
-on the Lagrange Grassmannian its projection onto symmetric Z (Algorithm 2);
-the four-term equation for the invariant-subspace cost (Algorithm 3).  Any
+B = Theta A Theta^T: a Sylvester equation for tr(A P) (Algorithm 1), on the
+Lagrange Grassmannian the same equation on the Hamiltonian part of B, whose
+B22 is -B11 (Algorithm 2: the Lyapunov equation); the four-term equation for
+the invariant-subspace cost (Algorithm 3).  Any
 other cost falls back to its ambient data: value(P), and the dense
 Riemannian Newton equation, whose gradient and Hessian blocks it reads in
 the frame (Absil, Mahony & Sepulchre 2008, ch. 5-6).  The same gradient
@@ -23,7 +24,7 @@ and works on A_n = A 2^-e, e the exponent of max|A| (``decomp.binary_scaled``):
 B, steps and statuses are the same bits for 2^j A, and 2^``units`` takes values
 and gradient norms to A's units.  The Newton solves hand the solvers, which
 check nothing, the blocks of the exactly symmetric B the trace cost formed
-(``solve_sylvester``, ``solve_lyapunov``), or B and the right-hand side
+(``solve_sylvester``), or B and the right-hand side
 ``frame_terms`` formed (``solve_invariant_newton``).  Each cost certifies its
 own critical point (``certify``): the trace costs by their ``separation_bound``
 (Weyl; Stewart & Sun 1990) above the ``separation_floor`` of the blocks the
@@ -40,14 +41,13 @@ import numpy as np
 from .config import TOL
 from .decomp import binary_scaled, frobenius_norm, require_symmetric, symmetrize
 from .errors import DimensionMismatch, ScaleOverflow
-from .lagrange import SymplecticFrame, require_hamiltonian
+from .lagrange import SymplecticFrame, hamiltonian_part, require_hamiltonian
 from .solvers import (
     certify_invariant_newton,
     invariant_newton_rhs,
     separation_floor,
     solve_dense,
     solve_invariant_newton,
-    solve_lyapunov,
     solve_sylvester,
 )
 
@@ -144,31 +144,32 @@ class RayleighCost(CostFunction):
         return np.zeros_like(self.a)
 
     def frame_terms(self, frame):
-        """tr B11, B12 and the state (B,), B = sym(Theta A_n Theta^T) exactly symmetric;
-        sym(B12) on a symplectic frame: the J-corrected tangent projection."""
+        """tr B11, B12 and the state (B,), B = sym(Theta A_n Theta^T) exactly symmetric.
+        On a symplectic frame, once tr B11 = tr(A_n P) is read, B is its Hamiltonian
+        part [[M, G], [G, -M]] (``lagrange.hamiltonian_part``): M = (B11 - B22) / 2,
+        and G = sym(B12) is the J-corrected tangent projection."""
         m = frame.rank
         b = symmetrize(frame.theta @ self.a_n @ frame.theta.T)
-        b12 = symmetrize(b[:m, m:]) if isinstance(frame, SymplecticFrame) else b[:m, m:]
-        return float(np.trace(b[:m, :m])), b12, (b,)
+        value = float(np.trace(b[:m, :m]))
+        if isinstance(frame, SymplecticFrame):
+            b = hamiltonian_part(b)
+        return value, b[:m, m:], (b,)
 
     def newton_solve(self, frame, state):
-        """Algorithm 1: B11 Z - Z B22 = B12, (B,) = ``state``; on a symplectic
-        frame, Algorithm 2: its projection onto symmetric Z, the Lyapunov
-        equation M Z + Z M = sym(B12) with M = (B11 - B22) / 2, for any A.
-        Hands on (B, separation), the separation the solver measured."""
+        """Algorithms 1-2: B11 Z - Z B22 = B12, (B,) = ``state``; on a symplectic
+        frame B's Hamiltonian part makes it the Lyapunov equation M Z + Z M = G,
+        for any A, whose Z is symmetric to round-off.  Hands on (B, separation),
+        the separation the solver measured."""
         m = frame.rank
         (b,) = state
-        if isinstance(frame, SymplecticFrame):
-            z, separation = solve_lyapunov(0.5 * (b[:m, :m] - b[m:, m:]), symmetrize(b[:m, m:]))
-        else:
-            z, separation = solve_sylvester(b[:m, :m], b[m:, m:], b[:m, m:])
+        z, separation = solve_sylvester(b[:m, :m], b[m:, m:], b[:m, m:])
         return z, (b, separation)
 
     def separation_bound(self, frame, b, last_b, separation):
-        """Algorithms 1-2: min |lambda_i(B11) - mu_j(B22)|, or min |lambda_i +
-        lambda_j| of M, moves by at most ||dB11||_F + ||dB22||_F (Weyl; blocks of
-        ``frame_terms`` states, read as given), less round-off at the data scale
-        ||A_n||_F; the Sylvester floor of the blocks, at least the Lyapunov one of M."""
+        """Algorithms 1-2: min |lambda_i(B11) - mu_j(B22)|, min |lambda_i + lambda_j|
+        of M on a symplectic frame, moves by at most ||dB11||_F + ||dB22||_F (Weyl;
+        blocks of ``frame_terms`` states, read as given), less round-off at the data
+        scale ||A_n||_F; the floor is the Sylvester solve's of the same blocks."""
         m = frame.rank
         b11, b22, last11, last22 = b[:m, :m], b[m:, m:], last_b[:m, :m], last_b[m:, m:]
         slack = frobenius_norm(b11 - last11) + frobenius_norm(b22 - last22)
@@ -243,8 +244,9 @@ class InvariantSubspaceCost(CostFunction):
 @dataclass(frozen=True)
 class HamiltonianRayleighCost(RayleighCost):
     """The trace cost of a symmetric Hamiltonian H = [[S, T], [T, -S]],
-    S and T symmetric (J H J = H): the paper's Algorithm 2, where the
-    Lyapunov matrix (B11 - B22) / 2 is B11.  It only checks the structure."""
+    S and T symmetric (J H J = H): the paper's Algorithm 2, where B on a
+    symplectic frame is its own Hamiltonian part to round-off.  It only
+    checks the structure."""
 
     def __post_init__(self):
         super().__post_init__()

@@ -88,10 +88,6 @@ class OrthoFrame:
     def dim(self):
         return self.theta.shape[0]
 
-    def basis(self):
-        """Orthonormal basis (n, m) of the projected subspace."""
-        return self.theta[: self.rank].T.copy()
-
     def projector(self):
         th = self.theta
         m = self.rank
@@ -124,10 +120,6 @@ class GrTangent:
         defect = np.linalg.norm(p @ inner - inner @ p - mat)  # [P, [P, X]] - X
         if defect > TOL.projector * max(1.0, np.linalg.norm(mat)):
             raise NotAProjector(f"not a tangent vector, ad_P^2 defect {defect:.3e}")
-
-    @property
-    def norm(self):
-        return float(np.linalg.norm(self.mat))
 
 
 def random_projector(n, m, seed):

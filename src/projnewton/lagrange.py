@@ -9,11 +9,14 @@ three chart pushes: at a symmetric Z the singular vectors pair up as
 W = U diag(sign) and the rotation the push applies has the
 commuting-with-J block form [[X, -Y], [Y, X]], so a pushed frame stays
 symplectic to round-off with no correction step.  The J-corrected
-tangent projection is needed only in frame coordinates, where it is the
-symmetric part of the gradient block (``RayleighCost.frame_terms``); the
-Newton equation is the Grassmann one projected onto symmetric Z as well.
-This module alone builds J, and holds the tests of structure in it:
-``require_hamiltonian`` (J H J = H) and ``lagrangian_residual`` (X^T J X = 0).
+tangent projection is needed only in frame coordinates.  On a Lagrangian P,
+tr(A P) = tr(H P) + tr(A) / 2 with H = (A + J A J) / 2, and on a symplectic
+frame Theta H Theta^T is the Hamiltonian part of B = Theta A Theta^T
+(``hamiltonian_part``): the trace cost's Newton equation there is the Grassmann
+one on that part, and its gradient block the symmetric part of B12
+(``RayleighCost.frame_terms``).  This module alone builds J, and holds the tests
+of structure in it: ``require_hamiltonian`` (J H J = H) and
+``lagrangian_residual`` (X^T J X = 0).
 """
 
 from __future__ import annotations
@@ -24,11 +27,13 @@ from functools import cache
 import numpy as np
 
 from .config import TOL
+from .decomp import symmetrize
 from .errors import DimensionMismatch, NotAProjector, NotSymmetric
 from .grassmann import OrthoFrame, Projector
 
 __all__ = [
     "require_hamiltonian",
+    "hamiltonian_part",
     "lagrangian_residual",
     "LagProjector",
     "SymplecticFrame",
@@ -59,6 +64,20 @@ def require_hamiltonian(h, what, tol):
         raise NotSymmetric(f"{what} JHJ - H defect {defect:.3e} exceeds {tol:.1e} relative; "
                            "not symmetric Hamiltonian [[S, T], [T, -S]]")
     return jhj
+
+
+def hamiltonian_part(b):
+    """(B + J B J) / 2 = [[M, G], [G, -M]] of an exactly symmetric B on R^{2n}, with
+    M = (B11 - B22) / 2 and G = sym(B12): exactly symmetric, its B22 exactly -B11.
+    Written block by block into one array."""
+    n = b.shape[0] // 2
+    h = np.empty_like(b)
+    np.subtract(b[:n, :n], b[n:, n:], out=h[:n, :n])
+    h[:n, :n] *= 0.5
+    np.negative(h[:n, :n], out=h[n:, n:])
+    h[:n, n:] = symmetrize(b[:n, n:])
+    h[n:, :n] = h[:n, n:]
+    return h
 
 
 def lagrangian_residual(x):

@@ -122,9 +122,6 @@ class NewtonTrace:
     def errors(self):
         return [r.distance for r in self.records if r.distance is not None]
 
-    def grad_norms(self):
-        return [r.grad_norm for r in self.records]
-
 
 @dataclass(frozen=True)
 class StepInfo:

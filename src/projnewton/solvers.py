@@ -1,22 +1,22 @@
 """Linear matrix-equation solvers backing the Newton steps: one per equation.
 
-Sylvester and Lyapunov equations with symmetric coefficient blocks are
-solved by double diagonalization, which yields the exact spectral-gap
-diagnostics for free; the Lyapunov equation is the Sylvester kernel at
-A22 = -A11.  The four-term equation of the invariant-subspace Newton step is
-solved densely: Kronecker assembly on the m(n-m)-dimensional parameter space
-and one LU solve.  Its operator, a symmetric Hessian, is certified by one
+The Sylvester equation with symmetric coefficient blocks is solved by double
+diagonalization, which yields the exact spectral-gap diagnostics for free;
+the Lyapunov equation is the Sylvester equation at A22 = -A11, where one
+diagonalization serves both blocks.  The four-term equation of the
+invariant-subspace Newton step is solved densely: Kronecker assembly on the
+m(n-m)-dimensional parameter space and one LU solve.  Its operator, a symmetric Hessian, is certified by one
 Cholesky factorization, of the last step's operator where Weyl's inequality
 allows, else by its inverse behind the relative singularity floor
 ``TOL.pivot`` (``solve_dense``'s test too).  ``separation_floor`` is the
-one floor of the Sylvester and Lyapunov separations, ``four_term_floor`` the
-one of the four-term operator's.
+one floor of the Sylvester separation, ``four_term_floor`` the one of the
+four-term operator's.
 
 Data is checked where it enters the library: the costs, the frames and the
 CLI.  The solvers take the blocks of B, exactly symmetric as the costs form
 it, from the costs' Newton solves and do not check them again; a caller
 outside the loop checks its blocks itself (``decomp.require_symmetric``).
-The Sylvester and Lyapunov solvers return the separation they measured too.
+The Sylvester solver returns the separation it measured too.
 """
 
 from __future__ import annotations
@@ -26,14 +26,13 @@ import sys
 import numpy as np
 
 from .config import TOL
-from .decomp import eigh_descending, frobenius_norm, symmetrize
+from .decomp import eigh_descending, frobenius_norm
 from .errors import DimensionMismatch, SingularOperator, SpectralOverlap
 
 __all__ = [
     "separation_floor",
     "four_term_floor",
     "solve_sylvester",
-    "solve_lyapunov",
     "solve_invariant_newton",
     "certify_invariant_newton",
     "invariant_newton_operator",
@@ -43,7 +42,7 @@ __all__ = [
 
 
 def separation_floor(*blocks):
-    """The floor at or below which a Sylvester or Lyapunov solve on the
+    """The floor at or below which a Sylvester solve on the
     coefficient ``blocks`` raises ``SpectralOverlap``: ``TOL.spectral_gap``
     times the largest ||block||_F, at least ``tiny``.  The solves and the
     trace cost's ``separation_bound`` read it here."""
@@ -64,9 +63,12 @@ def solve_sylvester(a11, a22, c):
     """Solve A11 Z - Z A22 = C for symmetric A11, A22; returns (Z, min_gap).
 
     Both blocks are diagonalized; the solution is U [ (U^T C V)_ij /
-    (lambda_i - mu_j) ] V^T.  The caller checks the blocks: float arrays of
-    shapes (m, m), (k, k) and (m, k), A11 and A22 exactly symmetric (blocks of
-    a trace cost's B, or as ``require_symmetric`` returns them), every entry finite.
+    (lambda_i - mu_j) ] V^T.  Where A22 is exactly -A11, the Lyapunov
+    equation A11 Z + Z A11 = C, A11's eigendecomposition serves both: mu, V =
+    -lambda, U, and Z is symmetric to round-off for a symmetric C.  The caller
+    checks the blocks: float arrays of shapes (m, m), (k, k) and (m, k), A11 and
+    A22 exactly symmetric (blocks of a trace cost's B, or as ``require_symmetric``
+    returns them), every entry finite.
 
     Raises
     ------
@@ -74,37 +76,18 @@ def solve_sylvester(a11, a22, c):
         If min |lambda_i - mu_j| is at or below ``separation_floor(A11,
         A22)``; carries it as ``min_gap``.
     """
-    return _spectral_solve(*eigh_descending(a11), *eigh_descending(a22), c,
-                           separation_floor(a11, a22))
-
-
-def _spectral_solve(lam, u, mu, v, c, floor):
-    """U [ (U^T C V)_ij / (lambda_i - mu_j) ] V^T and min |lambda_i - mu_j|,
-    which must clear ``floor`` (``SpectralOverlap`` otherwise)."""
+    lam, u = eigh_descending(a11)
+    if a22.shape == a11.shape and np.array_equal(a22, -a11):
+        mu, v = -lam, u
+    else:
+        mu, v = eigh_descending(a22)
     gaps = lam[:, None] - mu[None, :]
     min_gap = float(np.abs(gaps).min())
+    floor = separation_floor(a11, a22)
     if min_gap <= floor:
         raise SpectralOverlap(f"spectra overlap: min gap {min_gap:.3e} at or below the floor "
                               f"{floor:.3e}", min_gap)
     return u @ ((u.T @ c @ v) / gaps) @ v.T, min_gap
-
-
-def solve_lyapunov(a11, c):
-    """Solve A11 Z + Z A11 = C for symmetric A11 and C; returns (Z, min_gap).
-
-    The Sylvester kernel at A22 = -A11 (lambda_i - (-lambda_j) rounds as
-    lambda_i + lambda_j); Z is symmetric (enforced on output).  The caller
-    checks the blocks: exactly symmetric finite float arrays of one shape.
-
-    Raises
-    ------
-    SpectralOverlap
-        If min |lambda_i + lambda_j| over the eigenvalues of A11 is at or
-        below ``separation_floor(A11)``; carries it as ``min_gap``.
-    """
-    lam, u = eigh_descending(a11)
-    z, min_gap = _spectral_solve(lam, u, -lam, u, c, separation_floor(a11))
-    return symmetrize(z), min_gap
 
 
 def invariant_newton_operator(a11, a12, a21, a22):

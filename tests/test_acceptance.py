@@ -37,7 +37,6 @@ from projnewton.solvers import (
     certify_invariant_newton,
     invariant_newton_rhs,
     solve_invariant_newton,
-    solve_lyapunov,
     solve_sylvester,
 )
 
@@ -240,7 +239,7 @@ def test_criterion_3_distance_suite():
     for seed in range(20):
         p, _ = random_projector(5, 2, 300 + seed)
         q, fq = random_projector(5, 2, 400 + seed)
-        y = fq.basis()
+        y = fq.theta[: fq.rank].T
         w, _ = sym_eig(y.T @ p.mat @ y)
         w = np.clip(w, 0.0, 1.0)
         half_sq = float(np.sum(np.arccos(np.sqrt(w)) ** 2))
@@ -316,12 +315,12 @@ def test_criterion_5_solver_suite():
         op = np.kron(a11, np.eye(k)) - np.kron(np.eye(m), a22.T)
         oracle = np.linalg.solve(op, c.reshape(-1)).reshape(m, k)
         worst_syl = max(worst_syl, np.abs(z - oracle).max())
-    # Lyapunov up to d = 64
+    # Lyapunov, the Sylvester solve at A22 = -A11, up to d = 64
     for n, seed in ((4, 3), (8, 4)):
         gen = np.random.default_rng(seed)
         a11 = random_symmetric(gen, n) + 4.0 * np.eye(n)
         c = random_symmetric(gen, n)
-        z = solve_lyapunov(a11, c)[0]
+        z = solve_sylvester(a11, -a11, c)[0]
         op = np.kron(a11, np.eye(n)) + np.kron(np.eye(n), a11)
         oracle = np.linalg.solve(op, c.reshape(-1)).reshape(n, n)
         worst_lya = max(worst_lya, np.abs(z - oracle).max())

@@ -36,7 +36,8 @@ MODULES = sorted(f"projnewton.{info.name}" for info in pkgutil.iter_modules([str
 # call or benchmark reached (frame_from_projector, random_lag_projector,
 # commutator, ad_squared and the fresh copy sympl_form of J moved to the
 # oracles; lag_frame_from_projector deleted), and the CLI's one-line wrapper
-# of its parser tree
+# of its parser tree; the Lyapunov solver and the kernel it shared, as the
+# Lyapunov equation is the Sylvester one at A22 = -A11 (solve_sylvester)
 GONE = """
     tangent_project tangent_from_param param_from_tangent geodesic distance
     distance_via_cosines distance_via_sines cayley_transform chart_point
@@ -49,6 +50,7 @@ GONE = """
     solve_lyapunov_unchecked solve_invariant_newton_unchecked _four_term_blocks
     _certify_operator _lu_solve _finite_scale frame_from_projector random_lag_projector
     commutator ad_squared sympl_form lag_frame_from_projector build_parser
+    solve_lyapunov _spectral_solve
 """.split()
 
 # names in a module's __all__ that no other code in src/ reads, each kept as
@@ -56,6 +58,19 @@ GONE = """
 ENTRIES = {
     "HamiltonianRayleighCost": "the paper's Algorithm 2 cost on a symmetric Hamiltonian H, a user entry",
     "GrTangent": "the benchmark's tracer wraps its __post_init__, until ROADMAP item 1b",
+}
+
+# members of the classes in src/ (methods, properties, class attributes and
+# dataclass fields, dunders aside) that no code in src/ loads as an attribute,
+# each kept for the reason given; a field only written when its object is built
+# is not read
+MEMBER_ENTRIES = {
+    "HamiltonianRayleighCost.h": "the entry's own name for H, a user entry",
+    "HamiltonianRayleighCost.from_blocks": "the entry's own constructor from S and T, a user entry",
+    "LagProjector.as_projector": "read by the benchmark (BENCHMARK_READS)",
+    "_Parser.error": "argparse calls it on a bad argument list",
+    "IterationRecord.elapsed": "a record's wall time, the timing of ROADMAP item 7",
+    "QuadraticRateEstimate.usable": "the error tail the rate estimate fitted, with its ratios and slope",
 }
 
 # what the library keeps because newtonbench/ reads it: the file and the text
@@ -120,6 +135,43 @@ def test_every_exported_name_is_read_or_an_entry():
     assert unread.keys() == ENTRIES.keys(), unread
 
 
+def _class_members():
+    """{"Class.member": module file} over the top-level classes of src/: methods,
+    properties, class attributes and dataclass fields, dunders aside."""
+    members = {}
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.parse(path.read_text()).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    names = [node.name]
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    names = [node.target.id]
+                elif isinstance(node, ast.Assign):
+                    names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+                else:
+                    continue
+                members.update({f"{cls.name}.{name}": path.name for name in names
+                                if not (name.startswith("__") and name.endswith("__"))})
+    return members
+
+
+def _attribute_loads():
+    """Every attribute name the modules of src/ load, but those of np and math."""
+    return {node.attr for path in sorted(SRC.glob("*.py")) for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and not (isinstance(node.value, ast.Name) and node.value.id in ("np", "math"))}
+
+
+def test_every_class_member_is_read_or_an_entry():
+    # a method or field that only tests read is not kept: the tests use the
+    # frame's rows, np.linalg.norm or the records themselves
+    read = _attribute_loads()
+    unread = {name: path for name, path in _class_members().items() if name.split(".")[1] not in read}
+    assert unread.keys() == MEMBER_ENTRIES.keys(), unread
+
+
 @pytest.mark.parametrize("name", list(BENCHMARK_READS))
 def test_benchmark_bound_names_are_still_read_by_the_benchmark(name):
     path, line = BENCHMARK_READS[name]
@@ -170,6 +222,10 @@ def test_deleted_attributes_are_gone():
     assert not hasattr(TOL, "fd_step_second")
     # test-only projector helpers and the CLI's parser wrapper are gone
     assert not {"from_matrix", "basis"} & set(vars(projnewton.Projector))
+    # methods only tests read: frame rows, np.linalg.norm and the records serve them
+    assert "basis" not in vars(projnewton.OrthoFrame)
+    assert "norm" not in vars(projnewton.GrTangent)
+    assert "grad_norms" not in vars(projnewton.NewtonTrace)
     assert not hasattr(projnewton.LagProjector, "from_matrix")
     assert not hasattr(projnewton.cli, "build_parser")
     assert "frame_reconstruction" not in {f.name for f in dataclasses.fields(Tolerances)}
@@ -202,7 +258,7 @@ def test_one_solver_per_matrix_equation():
     defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert [name for name in defined if name.endswith("_unchecked")] == []
     assert {name for name in defined if name.startswith("solve_")} == {
-        "solve_sylvester", "solve_lyapunov", "solve_invariant_newton", "solve_dense"}
+        "solve_sylvester", "solve_invariant_newton", "solve_dense"}
     assert [name for name in dir(projnewton) if name.startswith("solve_")] == []
     assert not {"solvers", ".solvers"} & {node.module for node in ast.walk(
         ast.parse((SRC / "__init__.py").read_text())) if isinstance(node, ast.ImportFrom)}
@@ -286,20 +342,60 @@ def test_the_engine_names_no_concrete_cost():
         assert list(inspect.signature(cls.certify).parameters) == ["self", "frame", "state", "last"]
 
 
+def _functions(path):
+    """{"Class.method" or "function": its node} over the top-level functions
+    and the methods of the top-level classes of ``path``."""
+    found = {}
+    for top in ast.parse(path.read_text()).body:
+        if isinstance(top, ast.FunctionDef):
+            found[top.name] = top
+        elif isinstance(top, ast.ClassDef):
+            found.update({f"{top.name}.{node.name}": node for node in top.body
+                          if isinstance(node, ast.FunctionDef)})
+    return found
+
+
+def _calls_in(path):
+    """{"Class.method" or "function": [the source text of each callee]} of ``path``."""
+    return {name: [ast.unparse(node.func) for node in ast.walk(func) if isinstance(node, ast.Call)]
+            for name, func in _functions(path).items()}
+
+
 def test_the_trace_cost_symmetrizes_b_where_it_forms_it():
-    # RayleighCost.frame_terms forms B exactly symmetric, and sym(B12) on a
-    # symplectic frame; newton_solve symmetrizes only the Lyapunov right-hand
-    # side, and the solves and separation_bound read the blocks of B as given
+    # RayleighCost.frame_terms forms B exactly symmetric, and on a symplectic
+    # frame its Hamiltonian part, whose G = sym(B12) hamiltonian_part forms;
+    # the solve and separation_bound read the blocks of B as given
     tree = ast.parse((SRC / "costs.py").read_text())
     cls = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "RayleighCost")
     symmetrized = {method.name: [ast.unparse(node.args[0]) for node in ast.walk(method)
                                  if isinstance(node, ast.Call) and ast.unparse(node.func) == "symmetrize"]
                    for method in cls.body if isinstance(method, ast.FunctionDef)}
     assert {name: args for name, args in symmetrized.items() if args} == {
-        "frame_terms": ["frame.theta @ self.a_n @ frame.theta.T", "b[:m, m:]"],
-        "newton_solve": ["b[:m, m:]"],
+        "frame_terms": ["frame.theta @ self.a_n @ frame.theta.T"],
     }
-    assert symmetrized["separation_bound"] == []
+    assert _calls_in(SRC / "lagrange.py")["hamiltonian_part"].count("symmetrize") == 1
+
+
+def test_algorithm_2_is_algorithm_1_on_the_hamiltonian_part():
+    # one Newton solve for the trace cost on both manifolds: newton_solve names
+    # no frame class and calls the Sylvester solver alone; the manifold enters
+    # once, where frame_terms takes B's Hamiltonian part
+    solve = _functions(SRC / "costs.py")["RayleighCost.newton_solve"]
+    assert not {node.id for node in ast.walk(solve) if isinstance(node, ast.Name)} & {
+        "isinstance", "SymplecticFrame"}
+    assert _calls_in(SRC / "costs.py")["RayleighCost.newton_solve"] == ["solve_sylvester"]
+    callers = {(path.name, name) for path in sorted(SRC.glob("*.py"))
+               for name, calls in _calls_in(path).items() if "hamiltonian_part" in calls}
+    assert callers == {("costs.py", "RayleighCost.frame_terms")}
+    # on a symplectic frame the state's B22 is -B11 and B12 symmetric, bit for bit,
+    # for a symmetric A that is not Hamiltonian too
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((6, 6))
+    theta, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    frame = projnewton.SymplecticFrame(np.block([[theta.real, -theta.imag], [theta.imag, theta.real]]).T)
+    _, grad, (b,) = projnewton.RayleighCost(x + x.T).frame_terms(frame)
+    assert np.array_equal(b[3:, 3:], -b[:3, :3]) and np.array_equal(b[:3, 3:], b[:3, 3:].T)
+    assert np.array_equal(b, b.T) and np.array_equal(grad, b[:3, 3:])
 
 
 def test_units_have_one_home():

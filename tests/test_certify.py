@@ -24,7 +24,7 @@ from projnewton.costs import HamiltonianRayleighCost, InvariantSubspaceCost, Ray
 from projnewton.decomp import frobenius_norm, symmetrize
 from projnewton.errors import SingularOperator, SpectralOverlap
 from projnewton.grassmann import CHART_NAMES, OrthoFrame, push_frame
-from projnewton.lagrange import SymplecticFrame
+from projnewton.lagrange import SymplecticFrame, hamiltonian_part
 from projnewton.newton import NewtonConfig, Status, perturb_frame, run_newton
 from projnewton.solvers import (
     _checked_inverse,
@@ -34,7 +34,6 @@ from projnewton.solvers import (
     four_term_floor,
     invariant_newton_operator,
     separation_floor,
-    solve_lyapunov,
     solve_sylvester,
 )
 
@@ -644,8 +643,10 @@ class TestSeparationFloor:
             _, floor = cost.separation_bound(frame, b, last_b, 1.0)
             assert floor == separation_floor(b11, b22)
             if method == "rayleigh-lg":
-                # the Lyapunov solve's own floor, of M = (B11 - B22) / 2, is lower
-                assert floor >= separation_floor(0.5 * (b11 - b22))
+                # the state is B's Hamiltonian part [[M, G], [G, -M]]: the floor is
+                # the Lyapunov solve's own, of M = (B11 - B22) / 2 of the symmetric B
+                full = symmetrize(frame.theta @ cost.a_n @ frame.theta.T)
+                assert floor == separation_floor(0.5 * (full[:m, :m] - full[m:, m:]))
 
     @pytest.mark.parametrize("data", ["newton", "non-symmetric"])
     @pytest.mark.parametrize("method", ["rayleigh-gr", "rayleigh-lg", "rayleigh-lg-general"])
@@ -653,7 +654,8 @@ class TestSeparationFloor:
         # the bound and floor equal, bit for bit, those of the diagonal blocks
         # of B and of B - B_last as given, symmetric or not, and no entry of
         # the off-diagonal blocks moves them.  frame_terms forms B exactly
-        # symmetric, its diagonal blocks those of the product symmetrized
+        # symmetric, the product symmetrized, and on a symplectic frame its
+        # Hamiltonian part
         def diagonal_blocks(cost, frame, b, last_b, separation):
             m = frame.rank
             step = b - last_b
@@ -673,8 +675,12 @@ class TestSeparationFloor:
                 else:
                     product = frame.theta @ cost.a_n @ frame.theta.T
                     assert np.array_equal(b, b.T)
-                    assert np.array_equal(b[:m, :m], symmetrize(product[:m, :m]))
-                    assert np.array_equal(b[m:, m:], symmetrize(product[m:, m:]))
+                    if isinstance(frame, SymplecticFrame):
+                        assert np.array_equal(b, hamiltonian_part(symmetrize(product)))
+                        assert np.array_equal(b[m:, m:], -b[:m, :m])
+                    else:
+                        assert np.array_equal(b[:m, :m], symmetrize(product[:m, :m]))
+                        assert np.array_equal(b[m:, m:], symmetrize(product[m:, m:]))
                 z, solved = cost.newton_solve(frame, (b,))
                 assert solved[0] is b
                 if last is not None:
@@ -686,6 +692,10 @@ class TestSeparationFloor:
                     assert cost.separation_bound(frame, scrambled, *last) == bound
                     cases += 1
                 last = solved
+                if frame.symmetric_steps and data == "non-symmetric":
+                    # the perturbed B's B22 is not -B11, so its Z is not symmetric:
+                    # a symplectic frame steps by the symmetric part
+                    z = symmetrize(z)
                 frame = push_frame(frame, z, "qr")
         assert cases == 20
 
@@ -735,18 +745,19 @@ class TestSeparationFloor:
         # returns a separation above separation_floor of its blocks, or
         # raises SpectralOverlap with one at or below it
         q = _orthogonal(np.random.default_rng(3), 4)
-        # the Lyapunov block's eigenvalue 0, moved by shift / 2, pairs with itself to shift
+        # the Lyapunov block's eigenvalue 0, moved by shift / 2, pairs with itself to
+        # shift; the Lyapunov solve is the Sylvester solve at A22 = -A11
         spectrum = [3.0, 1.0, 2.0, 0.0] if solve == "lyapunov" else [3.0, 1.0, -1.5, 2.5]
         a = symmetrize((q * (scale * np.array(spectrum))) @ q.T)
         shift = factor * separation_floor(a)
-        runs = {
-            "sylvester": lambda a11, a22: solve_sylvester(a11, a22, np.ones((4, 4))),
-            "lyapunov": lambda m_: solve_lyapunov(m_, np.eye(4)),
-        }
-        blocks = (a + 0.5 * shift * np.eye(4),) if solve == "lyapunov" else (a, a + shift * np.eye(4))
+        if solve == "lyapunov":
+            m_ = a + 0.5 * shift * np.eye(4)
+            blocks, rhs = (m_, -m_), np.eye(4)
+        else:
+            blocks, rhs = (a, a + shift * np.eye(4)), np.ones((4, 4))
         floor = separation_floor(*blocks)
         try:
-            _, separation = runs[solve](*blocks)
+            _, separation = solve_sylvester(*blocks, rhs)
         except SpectralOverlap as exc:
             raised = True
             assert exc.min_gap <= floor

@@ -151,8 +151,8 @@ class TestSymEig:
 class TestNonFiniteRejected:
     """A NaN or inf entry makes the symmetry defect NaN, which no threshold
     test rejects; ``require_symmetric`` rejects it by name instead.  The
-    calls are the entries of the data that the Sylvester (Algorithm 1) and
-    Lyapunov (Algorithm 2) solves take, as those solvers check nothing."""
+    calls are the entries of the data that the Sylvester solve of Algorithms
+    1 and 2 takes, as that solver checks nothing."""
 
     CALLS = {
         "sym_eig": sym_eig,

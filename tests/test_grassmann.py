@@ -195,7 +195,7 @@ class TestDistance:
         for seed in range(5):
             p, _ = random_projector(5, 2, 100 + seed)
             q, fq = random_projector(5, 2, 200 + seed)
-            y = fq.basis()
+            y = fq.theta[: fq.rank].T
             w, v = sym_eig(y.T @ p.mat @ y)
             w = np.clip(w, 0.0, 1.0)
             half_sq = np.sum(np.arccos(np.sqrt(w)) ** 2)
@@ -254,7 +254,8 @@ class TestDistance:
         rot = qr_positive(np.random.default_rng(6).standard_normal((3, 3)))[0]
         expected = distance(p, q)
         assert abs(frame_distance(frame, q.mat) - expected) <= 1e-14
-        for u in (target.basis(), target.basis() @ rot, frame_from_projector(q).basis()):
+        rebuilt = frame_from_projector(q)
+        for u in (target.theta[:3].T, target.theta[:3].T @ rot, rebuilt.theta[:3].T):
             assert abs(frame_distance(frame, u @ u.T) - expected) <= 1e-14
 
     @pytest.mark.parametrize("case", ["m<n/2", "m>n/2", "symplectic"])
@@ -367,7 +368,7 @@ class TestOneSvdDistance:
         # one frame, unbatched, with m > n/2: the (m, n) sine matrix has
         # as many singular values as the cosine matrix, n - m of them nonzero
         frames, m, p = self._batch("m>n/2", [0.5, 1.2])
-        basis = frames[0].basis()  # frames[0] is the target
+        basis = frames[0].theta[:m].T  # frames[0] is the target
         for frame in frames:
             cos_mat = frame.theta[:m] @ p
             sin_mat = frame.theta[:m] - cos_mat

@@ -258,7 +258,7 @@ class TestEmbedding:
 class TestFrameConstruction:
     def test_frame_from_basis(self):
         p, frame = random_lag_projector(3, 17)
-        rebuilt = symplectic_frame_from_basis(frame.basis())
+        rebuilt = symplectic_frame_from_basis(frame.theta[: frame.rank].T)
         assert np.abs(rebuilt.projector().mat - p.mat).max() <= 1e-10
 
     def test_push_frame_preserves_structure(self, rng):

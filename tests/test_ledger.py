@@ -51,7 +51,7 @@ def _problem(method, seed):
 def _run(method, nu, seed, eps):
     cost, planted = _problem(method, seed)
     start = perturb_frame(planted, eps, 100 + seed)
-    reference = Projector(planted.basis() @ planted.basis().T, planted.rank)
+    reference = Projector(planted.theta[: planted.rank].T @ planted.theta[: planted.rank], planted.rank)
     trace = run_newton(cost, start, NewtonConfig(nu=nu), reference=reference, method=method)
     return trace.status, len(trace.records) - 1, trace.extras.get("certified_by")
 

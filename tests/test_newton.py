@@ -298,7 +298,7 @@ class TestAlgorithm1:
         est = rate_from_trace(trace)
         assert est.verdict
         # gradient norms decrease monotonically over the tail
-        grads = trace.grad_norms()
+        grads = [r.grad_norm for r in trace.records]
         assert all(g2 < g1 for g1, g2 in zip(grads[1:-1], grads[2:]))
 
 

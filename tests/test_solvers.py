@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 import projnewton
 import projnewton.solvers
 from projnewton.config import TOL
-from projnewton.decomp import require_symmetric, sym_eig, symmetrize
+from projnewton.decomp import eigh_descending, require_symmetric, sym_eig
 from projnewton.errors import DimensionMismatch, SingularOperator, SpectralOverlap
 from projnewton.solvers import (
     _checked_inverse,
@@ -25,7 +25,6 @@ from projnewton.solvers import (
     invariant_newton_rhs,
     solve_dense,
     solve_invariant_newton,
-    solve_lyapunov,
     solve_sylvester,
 )
 
@@ -106,42 +105,47 @@ class TestSylvester:
         assert gap > 0.0
 
 
+def _lyapunov(a11, c):
+    """A11 Z + Z A11 = C: the Sylvester solve at A22 = -A11."""
+    return solve_sylvester(a11, -a11, c)
+
+
 class TestLyapunov:
     def test_identity(self):
-        z, gap = solve_lyapunov(np.eye(2), 2.0 * np.eye(2))
+        z, gap = _lyapunov(np.eye(2), 2.0 * np.eye(2))
         assert_allclose(z, np.eye(2), atol=1e-14)
         assert gap == 2.0
 
     def test_diagonal_case(self):
         a11 = np.diag([1.0, 2.0])
         c = np.array([[2.0, 3.0], [3.0, 8.0]])
-        assert_allclose(solve_lyapunov(a11, c)[0], np.array([[1.0, 1.0], [1.0, 2.0]]), atol=1e-13)
+        assert_allclose(_lyapunov(a11, c)[0], np.array([[1.0, 1.0], [1.0, 2.0]]), atol=1e-13)
 
     def test_against_kron_oracle(self, rng):
         for seed in range(6):
             gen = np.random.default_rng(seed)
             a11 = random_symmetric(gen, 4) + 3.0 * np.eye(4)
             c = random_symmetric(gen, 4)
-            z = solve_lyapunov(a11, c)[0]
+            z = _lyapunov(a11, c)[0]
             oracle = _sylvester_kron_oracle(a11, -a11, c)
             assert np.abs(z - oracle).max() <= 1e-9
 
     def test_symmetry_preserved(self, rng):
         a11 = random_symmetric(rng, 5) + 4.0 * np.eye(5)
         c = random_symmetric(rng, 5)
-        z = solve_lyapunov(a11, c)[0]
+        z = _lyapunov(a11, c)[0]
         assert np.abs(z - z.T).max() <= 1e-12
 
     def test_overlap_on_opposite_pair(self):
         with pytest.raises(SpectralOverlap):
-            solve_lyapunov(np.diag([1.0, -1.0]), np.eye(2))
+            _lyapunov(np.diag([1.0, -1.0]), np.eye(2))
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
     def test_returns_the_separation_it_measured(self, n):
         # the gap is min |lambda_i + lambda_j| over pairs of eigenvalues of A11
         gen = np.random.default_rng(n)
         a11 = random_symmetric(gen, n) + 4.0 * np.eye(n)
-        z, gap = solve_lyapunov(a11, random_symmetric(gen, n))
+        z, gap = _lyapunov(a11, random_symmetric(gen, n))
         lam = np.linalg.eigvalsh(a11)
         assert z.shape == (n, n)
         assert abs(gap - np.abs(lam[:, None] + lam[None, :]).min()) <= 1e-13 * np.linalg.norm(a11)
@@ -157,9 +161,11 @@ def _sylvester_sym_eig_oracle(a11, a22, c):
 
 
 def _lyapunov_sym_eig_oracle(a11, c):
+    """One diagonalization of A11 serves both blocks: U [ (U^T C U)_ij /
+    (lambda_i + lambda_j) ] U^T, not symmetrized."""
     lam, u = sym_eig(require_symmetric(a11))
     c = require_symmetric(c)
-    return symmetrize(u @ ((u.T @ c @ u) / (lam[:, None] + lam[None, :])) @ u.T)
+    return u @ ((u.T @ c @ u) / (lam[:, None] + lam[None, :])) @ u.T
 
 
 def _near_symmetric(gen, n, shift):
@@ -185,8 +191,50 @@ class TestBlocksCheckedOnce:
         gen = np.random.default_rng(seed)
         n = int(gen.integers(1, 8))
         a11, c = _near_symmetric(gen, n, 4.0), _near_symmetric(gen, n, 0.0)
-        z = solve_lyapunov(require_symmetric(a11), require_symmetric(c))[0]
+        z = _lyapunov(require_symmetric(a11), require_symmetric(c))[0]
         assert np.array_equal(z, _lyapunov_sym_eig_oracle(a11, c))
+
+
+class TestEigendecompositionReuse:
+    # solve_sylvester diagonalizes A11 once and, where A22 is exactly -A11,
+    # takes mu, V = -lambda, U for A22; any other A22 is diagonalized itself
+    @staticmethod
+    def _eigh_calls(monkeypatch):
+        seen = []
+
+        def counting(a):
+            seen.append(a.shape)
+            return eigh_descending(a)
+
+        monkeypatch.setattr(projnewton.solvers, "eigh_descending", counting)
+        return seen
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_negated_block_is_diagonalized_once(self, monkeypatch, n):
+        gen = np.random.default_rng(n)
+        a11, c = random_symmetric(gen, n) + 4.0 * np.eye(n), random_symmetric(gen, n)
+        seen = self._eigh_calls(monkeypatch)
+        z, gap = solve_sylvester(a11, -a11, c)
+        assert seen == [(n, n)]
+        # the same Z and separation as the route that diagonalizes -A11 itself
+        lam, u = sym_eig(a11)
+        mu, v = sym_eig(-a11)
+        gaps = lam[:, None] - mu[None, :]
+        two_eig = u @ ((u.T @ c @ v) / gaps) @ v.T
+        assert np.abs(z - two_eig).max() <= 1e-13 * np.abs(two_eig).max()
+        assert abs(gap - np.abs(gaps).min()) <= 1e-13 * gap
+
+    @pytest.mark.parametrize("m,k", [(2, 3), (3, 2), (1, 4), (3, 3)])
+    def test_any_other_block_is_diagonalized_itself(self, monkeypatch, m, k):
+        gen = np.random.default_rng(10 * m + k)
+        a11 = random_symmetric(gen, m) + 4.0 * np.eye(m)
+        a22 = random_symmetric(gen, k) - 4.0 * np.eye(k)
+        if m == k:
+            a22 = -a11.copy()
+            a22[0, 0] = np.nextafter(a22[0, 0], 0.0)  # one ulp from -A11
+        seen = self._eigh_calls(monkeypatch)
+        solve_sylvester(a11, a22, gen.standard_normal((m, k)))
+        assert seen == [(m, m), (k, k)]
 
 
 def _four_term_step(b, m):
