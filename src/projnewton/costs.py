@@ -158,8 +158,8 @@ class RayleighCost(CostFunction):
     def newton_solve(self, frame, state):
         """Algorithms 1-2: B11 Z - Z B22 = B12, (B,) = ``state``; on a symplectic
         frame B's Hamiltonian part makes it the Lyapunov equation M Z + Z M = G,
-        for any A, whose Z is symmetric to round-off.  Hands on (B, separation),
-        the separation the solver measured."""
+        for any A, whose Z the solver returns exactly symmetric.  Hands on
+        (B, separation), the separation the solver measured."""
         m = frame.rank
         (b,) = state
         z, separation = solve_sylvester(b[:m, :m], b[m:, m:], b[:m, m:])

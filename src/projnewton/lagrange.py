@@ -27,7 +27,6 @@ from functools import cache
 import numpy as np
 
 from .config import TOL
-from .decomp import symmetrize
 from .errors import DimensionMismatch, NotAProjector, NotSymmetric
 from .grassmann import OrthoFrame, Projector
 
@@ -67,17 +66,12 @@ def require_hamiltonian(h, what, tol):
 
 
 def hamiltonian_part(b):
-    """(B + J B J) / 2 = [[M, G], [G, -M]] of an exactly symmetric B on R^{2n}, with
-    M = (B11 - B22) / 2 and G = sym(B12): exactly symmetric, its B22 exactly -B11.
-    Written block by block into one array."""
-    n = b.shape[0] // 2
-    h = np.empty_like(b)
-    np.subtract(b[:n, :n], b[n:, n:], out=h[:n, :n])
-    h[:n, :n] *= 0.5
-    np.negative(h[:n, :n], out=h[n:, n:])
-    h[:n, n:] = symmetrize(b[:n, n:])
-    h[n:, :n] = h[:n, n:]
-    return h
+    """(B + J B J) / 2 = [[M, G], [G, -M]] of an exactly symmetric finite B on R^{2n},
+    with M = (B11 - B22) / 2 and G = (B12 + B21) / 2 = sym(B12).  J B J =
+    [[-B22, B21], [B12, -B11]] is exact (each entry one product by +-1, the rest
+    zeros), so the part is exactly symmetric and its B22 exactly -B11."""
+    j = _sympl_form(b.shape[0] // 2)
+    return 0.5 * (b + j @ b @ j)
 
 
 def lagrangian_residual(x):

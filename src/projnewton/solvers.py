@@ -3,13 +3,14 @@
 The Sylvester equation with symmetric coefficient blocks is solved by double
 diagonalization, which yields the exact spectral-gap diagnostics for free;
 the Lyapunov equation is the Sylvester equation at A22 = -A11, where one
-diagonalization serves both blocks.  The four-term equation of the
+diagonalization serves both blocks and the solution for a symmetric
+right-hand side is returned exactly symmetric.  The four-term equation of the
 invariant-subspace Newton step is solved densely: Kronecker assembly on the
-m(n-m)-dimensional parameter space and one LU solve.  Its operator, a symmetric Hessian, is certified by one
-Cholesky factorization, of the last step's operator where Weyl's inequality
-allows, else by its inverse behind the relative singularity floor
-``TOL.pivot`` (``solve_dense``'s test too).  ``separation_floor`` is the
-one floor of the Sylvester separation, ``four_term_floor`` the one of the
+m(n-m)-dimensional parameter space and one LU solve.  Its operator, a symmetric Hessian, is
+certified by one Cholesky factorization, of the last step's operator where
+Weyl's inequality allows, else by its inverse behind the relative singularity
+floor ``TOL.pivot`` (``solve_dense``'s test too).  ``separation_floor`` is
+the one floor of the Sylvester separation, ``four_term_floor`` the one of the
 four-term operator's.
 
 Data is checked where it enters the library: the costs, the frames and the
@@ -26,7 +27,7 @@ import sys
 import numpy as np
 
 from .config import TOL
-from .decomp import eigh_descending, frobenius_norm
+from .decomp import eigh_descending, frobenius_norm, symmetrize
 from .errors import DimensionMismatch, SingularOperator, SpectralOverlap
 
 __all__ = [
@@ -64,11 +65,13 @@ def solve_sylvester(a11, a22, c):
 
     Both blocks are diagonalized; the solution is U [ (U^T C V)_ij /
     (lambda_i - mu_j) ] V^T.  Where A22 is exactly -A11, the Lyapunov
-    equation A11 Z + Z A11 = C, A11's eigendecomposition serves both: mu, V =
-    -lambda, U, and Z is symmetric to round-off for a symmetric C.  The caller
-    checks the blocks: float arrays of shapes (m, m), (k, k) and (m, k), A11 and
-    A22 exactly symmetric (blocks of a trace cost's B, or as ``require_symmetric``
-    returns them), every entry finite.
+    equation A11 Z + Z A11 = C, A11's eigendecomposition serves both (mu, V =
+    -lambda, U), and for an exactly symmetric C, whose solution is symmetric,
+    Z is returned as its symmetric part: round-off over a small gap
+    lambda_i + lambda_j leaves no asymmetry a symplectic frame's step would
+    fail on.  The caller checks the blocks: float arrays of shapes
+    (m, m), (k, k) and (m, k), A11 and A22 exactly symmetric (blocks of a trace
+    cost's B, or as ``require_symmetric`` returns them), every entry finite.
 
     Raises
     ------
@@ -77,17 +80,18 @@ def solve_sylvester(a11, a22, c):
         A22)``; carries it as ``min_gap``.
     """
     lam, u = eigh_descending(a11)
-    if a22.shape == a11.shape and np.array_equal(a22, -a11):
-        mu, v = -lam, u
-    else:
-        mu, v = eigh_descending(a22)
+    lyapunov = np.array_equal(a22, -a11)
+    mu, v = (-lam, u) if lyapunov else eigh_descending(a22)
     gaps = lam[:, None] - mu[None, :]
     min_gap = float(np.abs(gaps).min())
     floor = separation_floor(a11, a22)
     if min_gap <= floor:
         raise SpectralOverlap(f"spectra overlap: min gap {min_gap:.3e} at or below the floor "
                               f"{floor:.3e}", min_gap)
-    return u @ ((u.T @ c @ v) / gaps) @ v.T, min_gap
+    z = u @ ((u.T @ c @ v) / gaps) @ v.T
+    if lyapunov and np.array_equal(c, c.T):
+        z = symmetrize(z)
+    return z, min_gap
 
 
 def invariant_newton_operator(a11, a12, a21, a22):

@@ -76,11 +76,12 @@ def test_b_is_formed_once_per_recorded_iterate(monkeypatch, method, nu):
     assert len(trace.records) >= 3
     # the last record's certification, by bound (or solve), reuses its B as well
     assert counting.products == len(trace.records)
-    # a trace cost symmetrizes B once as it forms it, and on a symplectic
-    # frame B12 too, as it takes B's Hamiltonian part; no solve or bound
-    # symmetrizes a block of B, its right-hand side or its solution again
+    # a trace cost symmetrizes B once as it forms it; its Hamiltonian part on
+    # a symplectic frame is exactly symmetric as formed; no solve or bound
+    # symmetrizes a block of B or its right-hand side again, and only the
+    # Lyapunov solve its solution, once per step
     records, n = len(trace.records), start.dim
-    per_record, per_step = {"rayleigh-gr": (1, 0), "rayleigh-lg": (2, 0), "invariant-direct": (0, 0)}[method]
+    per_record, per_step = {"rayleigh-gr": (1, 0), "rayleigh-lg": (1, 1), "invariant-direct": (0, 0)}[method]
     assert trace.extras["certified_by"] != "solve"  # one Newton solve per step, none after
     assert len(symmetrized) == per_record * records + per_step * (records - 1)
     assert [mat.shape for mat in symmetrized].count((n, n)) == min(per_record, 1) * records

@@ -11,10 +11,11 @@ from projnewton.costs import (
     InvariantSubspaceCost,
     RayleighCost,
 )
-from projnewton.decomp import sym_eig
+from projnewton.decomp import sym_eig, symmetrize
 from projnewton.errors import DimensionMismatch, NotSymmetric
 from projnewton.grassmann import CHART_NAMES, Projector, push_frame, random_projector
-from projnewton.lagrange import LagProjector
+from projnewton.lagrange import LagProjector, SymplecticFrame
+from projnewton.newton import NewtonConfig, run_newton
 
 from conftest import lagrangian_trace_problem, newton_solve_at, random_symmetric
 from oracles import (
@@ -427,6 +428,23 @@ def _dense_lagrangian_step(cost, frame):
 
 
 class TestLagrangianNewtonStep:
+    def test_step_near_the_floor_is_taken(self):
+        # lambda_1 + lambda_2 = 5e-8 of M just clears the floor 1e-8 ||M||_F where
+        # G does not couple the pair: its round-off, over that small separation,
+        # must not leave the step outside the symplectic frame's symmetry test
+        gen = np.random.default_rng(0)
+        q = np.linalg.qr(gen.standard_normal((3, 3)))[0]
+        m = symmetrize(q @ np.diag([1.0, -1.0 + 5e-8, 3.0]) @ q.T)
+        k = random_symmetric(gen, 3)
+        k[0, 1] = k[1, 0] = 0.0
+        g = symmetrize(q @ k @ q.T)
+        cost, frame = RayleighCost(np.block([[m, g], [g, -m]])), SymplecticFrame(np.eye(6))
+        z, _ = newton_solve_at(cost, frame)
+        assert np.array_equal(z, z.T)
+        push_frame(frame, z, "exp")
+        trace = run_newton(cost, frame, NewtonConfig(max_iters=1), method="rayleigh-lg")
+        assert len(trace.records) == 2
+
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_trace_cost_matches_the_dense_step(self, n):
         # a symmetric A that is not Hamiltonian: the Lyapunov step in

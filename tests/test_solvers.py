@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 import projnewton
 import projnewton.solvers
 from projnewton.config import TOL
-from projnewton.decomp import eigh_descending, require_symmetric, sym_eig
+from projnewton.decomp import eigh_descending, require_symmetric, sym_eig, symmetrize
 from projnewton.errors import DimensionMismatch, SingularOperator, SpectralOverlap
 from projnewton.solvers import (
     _checked_inverse,
@@ -136,6 +136,19 @@ class TestLyapunov:
         z = _lyapunov(a11, c)[0]
         assert np.abs(z - z.T).max() <= 1e-12
 
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_only_a_symmetric_right_hand_side_gives_a_symmetric_solution(self, n):
+        gen = np.random.default_rng(20 + n)
+        a11 = random_symmetric(gen, n) + 4.0 * np.eye(n)
+        c = random_symmetric(gen, n)
+        z = _lyapunov(a11, c)[0]
+        assert np.array_equal(z, z.T)
+        # a C that is not symmetric: Z solves its own equation, unsymmetrized
+        c += np.triu(gen.standard_normal((n, n)), 1)
+        z = _lyapunov(a11, c)[0]
+        assert not np.array_equal(z, z.T)
+        assert np.abs(a11 @ z + z @ a11 - c).max() <= 1e-13 * np.abs(c).max()
+
     def test_overlap_on_opposite_pair(self):
         with pytest.raises(SpectralOverlap):
             _lyapunov(np.diag([1.0, -1.0]), np.eye(2))
@@ -162,10 +175,10 @@ def _sylvester_sym_eig_oracle(a11, a22, c):
 
 def _lyapunov_sym_eig_oracle(a11, c):
     """One diagonalization of A11 serves both blocks: U [ (U^T C U)_ij /
-    (lambda_i + lambda_j) ] U^T, not symmetrized."""
+    (lambda_i + lambda_j) ] U^T, symmetrized for a symmetric C."""
     lam, u = sym_eig(require_symmetric(a11))
     c = require_symmetric(c)
-    return u @ ((u.T @ c @ u) / (lam[:, None] + lam[None, :])) @ u.T
+    return symmetrize(u @ ((u.T @ c @ u) / (lam[:, None] + lam[None, :])) @ u.T)
 
 
 def _near_symmetric(gen, n, shift):
