@@ -6,11 +6,14 @@ the Lyapunov equation is the Sylvester equation at A22 = -A11, where one
 diagonalization serves both blocks and the solution for a symmetric
 right-hand side is returned exactly symmetric.  The four-term equation of the
 invariant-subspace Newton step is solved densely: Kronecker assembly on the
-m(n-m)-dimensional parameter space and one LU solve.  Its operator, a symmetric Hessian, is
-certified by one Cholesky factorization, of the last step's operator where
-Weyl's inequality allows, else by its inverse behind the relative singularity
-floor ``TOL.pivot`` (``solve_dense``'s test too).  ``separation_floor`` is
-the one floor of the Sylvester separation, ``four_term_floor`` the one of the
+m(n-m)-dimensional parameter space and one LU solve.  The assembly multiplies
+two Kronecker products, each subtracted with its transpose, and writes the
+operator in the column order LAPACK reads; its bits are those of a
+four-product assembly.  The operator, a symmetric Hessian, is certified by one
+Cholesky factorization, of the last step's operator where Weyl's inequality
+allows, else by its inverse behind the relative singularity floor
+``TOL.pivot`` (``solve_dense``'s test too).  ``separation_floor`` is the one
+floor of the Sylvester separation, ``four_term_floor`` the one of the
 four-term operator's.
 
 Data is checked where it enters the library: the costs, the frames and the
@@ -106,27 +109,32 @@ def invariant_newton_operator(a11, a12, a21, a22):
 
     so the operator is G kron I + I kron H - A11 kron A22 - A11^T kron A22^T
     less the two Z^T terms, with G = A11 A11^T - A21^T A21 and H = A22^T A22
-    - A21 A21^T.  G kron I and I kron H are written onto block diagonals; the
-    other four are subtracted in place, in that order, with one temporary.
+    - A21 A21^T.  A11^T kron A22^T is entry for entry the transpose of
+    A11 kron A22, the same two factors multiplied, and the two Z^T terms are
+    transposes of each other: each pair is multiplied once, into one
+    temporary T, and subtracted as T and T^T.  L is assembled as its
+    transpose F in C order and returned as F^T, F-contiguous: the column order
+    in which LAPACK's LU and Cholesky read it, so they copy it in contiguously.
+    G^T kron I and I kron H^T are written onto F's block diagonals through
+    views, then the products are subtracted in place.  Every entry of L is
+    G kron I + I kron H - A11 kron A22 - A11^T kron A22^T less the two Z^T
+    terms, rounded in that order, as a four-product assembly rounds it.
     """
     m = a11.shape[0]
     k = a22.shape[0]
-    op = np.zeros((m * k, m * k))
-    out, tmp = op.reshape(m, k, m, k), np.empty((m, k, m, k))
-    out[:, np.arange(k), :, np.arange(k)] = a11 @ a11.T - a21.T @ a21
-    out[np.arange(m), :, np.arange(m), :] += a22.T @ a22 - a21 @ a21.T
-    for x, y in (_pair(a11, a22), _pair(a11.T, a22.T),
-                 (a21.T[:, None, None, :], a12.T[None, :, :, None]),
-                 (a12[:, None, None, :], a21[None, :, :, None])):
+    f, tmp = np.zeros((m * k, m * k)), np.empty((m * k, m * k))
+    out, prod = f.reshape(m, k, m, k), tmp.reshape(m, k, m, k)
+    np.einsum("ijpj->ijp", out)[...] = (a11 @ a11.T - a21.T @ a21).T[:, None, :]
+    np.einsum("ijiq->ijq", out)[...] += (a22.T @ a22 - a21 @ a21.T).T
+    for x, y in ((a11[:, None, :, None], a22[None, :, None, :]),
+                 (a21.T[:, None, None, :], a12.T[None, :, :, None])):
         # x broadcast into tmp first: two broadcast operands make numpy buffer the product
-        tmp[...] = x
-        np.subtract(out, np.multiply(tmp, y, out=tmp), out=out)
-    return op
-
-
-def _pair(a, b):
-    """The factors A[i, p] and B[j, q] of A kron B in an (m, k, m, k) view."""
-    return a[:, None, :, None], b[None, :, None, :]
+        prod[...] = x
+        np.multiply(prod, y, out=prod)
+        # F = L^T: the transposed term first, as L subtracts T before T^T
+        f -= tmp.T
+        f -= tmp
+    return f.T
 
 
 def invariant_newton_rhs(a11, a21, a22):
@@ -211,7 +219,10 @@ def _operator_change(b, last_b, m):
     s_ij = ||B_ij + B'_ij||_F, s = (d11 + d22) (s11 + s22) + d21 (2 s21 + s12) + d12 s21,
     at most 16 ||dB||_F ||A||_F; 1 + 16 u n^2 covers its round-off, barring underflow.
     The norms are taken of halves, whose squares are at most ||A||_F^2: none overflows."""
-    halves = np.stack((b - last_b, b + last_b)) * 0.5
+    halves = np.empty((2, *b.shape))
+    np.subtract(b, last_b, out=halves[0])
+    np.add(b, last_b, out=halves[1])
+    halves *= 0.5
     sums = np.add.reduceat(np.add.reduceat(halves * halves, [0, m], axis=1), [0, m], axis=2)
     (d11, d12), (d21, d22), (s11, s12), (s21, s22) = np.sqrt(sums).reshape(4, 2).tolist()
     slack = 4.0 * ((d11 + d22) * (s11 + s22) + d21 * (2.0 * s21 + s12) + d12 * s21)

@@ -14,7 +14,9 @@ tangent projections:
 
 with pi(X) = (1/2)[P, [P, J X J + X]] on the Lagrange Grassmannian.
 The builders the tests need and no run reaches live here too: a frame from
-a projector, a random Lagrangian point, commutators and a fresh J.
+a projector, a random Lagrangian point, commutators and a fresh J; and the
+four-term operator as the library assembled it before it reused each
+product for its transpose, which pins the library's bits.
 
 Import as ``from oracles import ...``, as the tests import ``conftest``.
 """
@@ -190,3 +192,25 @@ def riemannian_hessian_apply_lg(cost, p: LagProjector, xi) -> np.ndarray:
     hess = cost.ambient_hessian_apply(pm, xim)
     mixed = commutator(pm, commutator(cost.ambient_gradient(pm), xim))
     return lg_tangent_project(p, hess) - lg_tangent_project(p, mixed)
+
+
+def four_term_operator_reference(a11, a12, a21, a22):
+    """The invariant-subspace Newton operator L of ``solvers.invariant_newton_operator``
+    assembled in four product passes, row-major and C-ordered: G kron I and
+    I kron H written onto block diagonals, then A11 kron A22, A11^T kron A22^T and
+    the two Z^T terms, each multiplied in one temporary and subtracted in
+    place, in that order."""
+    m = a11.shape[0]
+    k = a22.shape[0]
+    op = np.zeros((m * k, m * k))
+    out, tmp = op.reshape(m, k, m, k), np.empty((m, k, m, k))
+    out[:, np.arange(k), :, np.arange(k)] = a11 @ a11.T - a21.T @ a21
+    out[np.arange(m), :, np.arange(m), :] += a22.T @ a22 - a21 @ a21.T
+    for x, y in ((a11[:, None, :, None], a22[None, :, None, :]),
+                 (a11.T[:, None, :, None], a22.T[None, :, None, :]),
+                 (a21.T[:, None, None, :], a12.T[None, :, :, None]),
+                 (a12[:, None, None, :], a21[None, :, :, None])):
+        # x broadcast into tmp first: two broadcast operands make numpy buffer the product
+        tmp[...] = x
+        np.subtract(out, np.multiply(tmp, y, out=tmp), out=out)
+    return op

@@ -27,17 +27,20 @@ from projnewton.grassmann import CHART_NAMES, OrthoFrame, push_frame
 from projnewton.lagrange import SymplecticFrame, hamiltonian_part
 from projnewton.newton import NewtonConfig, Status, perturb_frame, run_newton
 from projnewton.solvers import (
+    _blocks,
     _checked_inverse,
     _operator_change,
     _shifted_cholesky,
     certify_invariant_newton,
     four_term_floor,
     invariant_newton_operator,
+    invariant_newton_rhs,
     separation_floor,
+    solve_invariant_newton,
     solve_sylvester,
 )
 
-from oracles import sympl_form
+from oracles import four_term_operator_reference, sympl_form
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -262,6 +265,84 @@ def test_invariant_cost_certifies_from_the_last_operator(monkeypatch):
     assert cost.certify(frame, state, last) == "cholesky" and built == []
     assert last[1].tobytes() == kept.tobytes()
     assert cost.certify(frame, state) == "cholesky" and len(built) == 1
+
+
+def _four_term_case(gen, m, k, kind):
+    """B of blocks m and k at a random scale: "separated", diag(10 + i, -10 - j)
+    plus 0.1 N(0, 1), whose operator is positive definite, or "random", N(0, 1)."""
+    n = m + k
+    if kind == "separated":
+        b = np.diag(np.r_[10.0 + np.arange(m), -10.0 - np.arange(k)]) + 0.1 * gen.standard_normal((n, n))
+    else:
+        b = gen.standard_normal((n, n))
+    return b * 10.0 ** gen.uniform(-3.0, 3.0)
+
+
+def _assert_reference_bits(b, m, step):
+    """The operator of B is F-contiguous and byte-equal to the four-product
+    reference; the step's Z and the certificate of B, without and with the last
+    state (B - ``step``, its operator), are those the reference operator gives."""
+    a11, a12, a21, a22 = _blocks(b, m)
+    op = invariant_newton_operator(a11, a12, a21, a22)
+    assert op.flags.f_contiguous
+    assert np.ascontiguousarray(op).tobytes() == four_term_operator_reference(a11, a12, a21, a22).tobytes()
+    rhs, scale, before = invariant_newton_rhs(a11, a21, a22), np.vdot(b, b), b - step
+
+    def outcomes():
+        z, _ = solve_invariant_newton(b, rhs)
+        last = (before, projnewton.solvers.invariant_newton_operator(*_blocks(before, m)))
+        verdicts = []
+        for given in (None, last):
+            try:
+                verdicts.append(certify_invariant_newton(b, m, scale, given))
+            except SingularOperator:
+                verdicts.append("singular")
+        return z.tobytes(), verdicts
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(projnewton.solvers, "invariant_newton_operator", four_term_operator_reference)
+        expected = outcomes()
+    assert outcomes() == expected
+    return expected[1]
+
+
+@pytest.mark.parametrize("kind", ["separated", "random"])
+@pytest.mark.parametrize("m,k", [(1, 1), (1, 5), (5, 1), (2, 3), (4, 2), (8, 16)])
+def test_operator_keeps_the_bits_of_the_four_product_assembly(m, k, kind):
+    # each product is multiplied once and subtracted with its transpose, and L
+    # is written in column order: the operator, the step and the certificate
+    # keep the bits of the assembly that multiplied all four products
+    gen = np.random.default_rng([m, k, len(kind)])
+    b = _four_term_case(gen, m, k, kind)
+    verdicts = _assert_reference_bits(b, m, 1e-9 * np.abs(b).max() * gen.standard_normal(b.shape))
+    assert kind == "random" or verdicts == ["cholesky", "cholesky"]
+
+
+@hypothesis.given(data=st.data())
+def test_operator_keeps_the_bits_of_the_four_product_assembly_drawn(data):
+    m, k = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    b = _four_term_case(gen, m, k, data.draw(st.sampled_from(["separated", "random"])))
+    step = 10.0 ** data.draw(st.integers(-12, 0)) * np.abs(b).max() * gen.standard_normal(b.shape)
+    _assert_reference_bits(b, m, step)
+
+
+@pytest.mark.parametrize("slack", [0.0, 1.0])
+@pytest.mark.parametrize("kind", ["separated", "random"])
+@pytest.mark.parametrize("m,k", [(2, 3), (8, 16)])
+def test_shifted_cholesky_reads_either_layout(m, k, kind, slack):
+    # the shift is written through op.flat, which walks either layout in row
+    # order: a C- and an F-ordered copy of one operator get one verdict and
+    # come back as they were, byte for byte
+    gen = np.random.default_rng([m, k, len(kind)])
+    b = _four_term_case(gen, m, k, kind)
+    op = _operator(b, m)
+    copies = np.ascontiguousarray(op), np.asfortranarray(op)
+    assert copies[0].flags.c_contiguous and copies[1].flags.f_contiguous
+    scale = np.vdot(b, b)
+    verdicts = [_shifted_cholesky(x, m, scale, slack * scale) for x in copies]
+    assert verdicts == [kind == "separated" and slack == 0.0] * 2
+    assert copies[0].tobytes() == copies[1].tobytes() == op.tobytes()
 
 
 def _saddle():

@@ -18,7 +18,6 @@ from projnewton.decomp import eigh_descending, require_symmetric, sym_eig, symme
 from projnewton.errors import DimensionMismatch, SingularOperator, SpectralOverlap
 from projnewton.solvers import (
     _checked_inverse,
-    _pair,
     certify_invariant_newton,
     four_term_floor,
     invariant_newton_operator,
@@ -761,8 +760,6 @@ def test_kron_helper_operator_is_bit_identical(m, k):
     gen = np.random.default_rng(10 * m + k)
     blocks = [gen.standard_normal(shape) for shape in ((m, m), (m, k), (k, m), (k, k))]
     assert np.array_equal(invariant_newton_operator(*blocks), _invariant_operator_kron_oracle(*blocks))
-    a, b = blocks[0], blocks[3]
-    assert np.array_equal(np.multiply(*_pair(a, b)).reshape(m * k, m * k), np.kron(a, b))
 
 
 @pytest.mark.parametrize("m,k", [(1, 1), (1, 5), (4, 1), (3, 5), (8, 16)])
